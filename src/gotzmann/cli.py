@@ -58,7 +58,11 @@ def _shape_from(data: Any) -> GradedFreeModule:
     for key in ("n", "degrees"):
         if key not in data:
             raise ValueError(f"module shape missing field '{key}'")
-    return GradedFreeModule(int(data["n"]), tuple(int(f) for f in data["degrees"]))
+    try:
+        n, degrees = int(data["n"]), tuple(int(f) for f in data["degrees"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"module shape needs integer 'n' and 'degrees': {exc}") from None
+    return GradedFreeModule(n, degrees)
 
 
 def _module_arg(arg: str) -> MonomialSubmodule:
@@ -73,7 +77,11 @@ def _rep_arg(arg: str) -> GotzmannRep:
     data = _load_json(arg)
     if not isinstance(data, dict) or "a" not in data:
         raise ValueError("representation JSON needs an 'a' field")
-    return GotzmannRep(tuple(int(x) for x in data["a"]))
+    try:
+        a = tuple(int(x) for x in data["a"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"representation 'a' must be a list of integers: {exc}") from None
+    return GotzmannRep(a)
 
 
 def _rep_dict(rep) -> dict:
@@ -301,7 +309,10 @@ def _dispatch(args: argparse.Namespace) -> tuple[Any, int]:
         data = _load_json(args.hf)
         if not isinstance(data, dict) or "tail" not in data:
             raise ValueError("Hilbert-function JSON needs 'tail' (and optional 'table')")
-        table = [(int(d), int(v)) for d, v in data.get("table", [])]
+        try:
+            table = [(int(d), int(v)) for d, v in data.get("table", [])]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"'table' must list [degree, value] integer pairs: {exc}") from None
         result = lex_mod.lexify(shape, table, poly_from_dict(data["tail"]))
         return module_to_dict(result), 0
     if cmd == "lex-ideal":

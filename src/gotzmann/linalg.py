@@ -15,8 +15,8 @@ Two backends:
   agree; disagreeing primes escalate to more primes and finally to Bareiss.
 
 The matrices this package produces (multiplication by a linear form on a
-monomial quotient, Koszul differentials) have entries bounded by a few
-hundred, far below the primes used.
+monomial quotient) have entries bounded by a few hundred, far below the
+primes used.
 """
 from __future__ import annotations
 

@@ -559,9 +559,13 @@ def ideal_to_dict(ideal: MonomialIdeal) -> dict:
 
 
 def ideal_from_dict(data: dict, n: int) -> MonomialIdeal:
+    if not isinstance(data, dict):
+        raise ValueError(f"ideal JSON must be an object, got {type(data).__name__}")
     if data.get("unit"):
         return MonomialIdeal.unit(n)
     gens = data.get("gens", [])
+    if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
+        raise ValueError("ideal 'gens' must be a list of monomial strings")
     return MonomialIdeal(n, tuple(monomial_from_string(g, n) for g in gens))
 
 
@@ -581,7 +585,7 @@ def module_from_dict(data: dict) -> MonomialSubmodule:
         raise ValueError(f"module JSON needs integer 'n' and 'degrees': {exc}") from exc
     ambient = GradedFreeModule(n, degrees)
     raw = data.get("components")
-    if raw is None:
+    if not isinstance(raw, list):
         raise ValueError("module JSON needs a 'components' list")
     if len(raw) != ambient.m:
         raise ValueError(

@@ -366,17 +366,27 @@ def poly_from_dict(data: dict) -> NumPoly:
     if not isinstance(data, dict):
         raise ValueError(f"polynomial JSON must be an object, got {type(data).__name__}")
     if "coeffs" in data:
+        if not isinstance(data["coeffs"], list):
+            raise ValueError("'coeffs' must be a list")
         try:
             return NumPoly(Fraction(str(c)) for c in data["coeffs"])
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad entry in 'coeffs': {exc}") from None
     if "terms" in data:
+        if not isinstance(data["terms"], list):
+            raise ValueError("'terms' must be a list")
         out = NumPoly()
         for k, term in enumerate(data["terms"]):
+            if not isinstance(term, dict):
+                raise ValueError(f"terms[{k}] must be an object")
             missing = {"a", "shift"} - set(term)
             if missing:
                 raise ValueError(f"terms[{k}] missing field {sorted(missing)}")
-            mult = Fraction(str(term.get("mult", 1)))
-            out = out + mult * binomial_poly(int(term["a"]), int(term["shift"]))
+            try:
+                mult = Fraction(str(term.get("mult", 1)))
+                a, shift = int(term["a"]), int(term["shift"])
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"bad entry in terms[{k}]: {exc}") from None
+            out = out + mult * binomial_poly(a, shift)
         return out
     raise ValueError("polynomial JSON needs a 'coeffs' or 'terms' field")

@@ -242,6 +242,15 @@ def test_error_paths_exit_two(capsys):
             ],
             "f_(m-r) = 0 fails",
         ),
+        (["rank", "--module", '{"n": 1, "degrees": [0], "components": [5]}'], "must be an object"),
+        (["rank", "--module", '{"n": 1, "degrees": [0], "components": [{"gens": [5]}]}'], "'gens'"),
+        (["gotzmann-rep", "--poly", '{"coeffs": 5}'], "'coeffs' must be a list"),
+        (["gotzmann-rep", "--poly", '{"terms": [{"a": null, "shift": 0}]}'], "terms[0]"),
+        (["lex-ideal", "--gotzmann", '{"a": 5}', "--n", "2"], "'a' must be a list"),
+        (
+            ["lexify", "--module-shape", '{"n": 1, "degrees": 0}', "--hf", '{"tail": {"coeffs": [1]}}'],
+            "integer 'n' and 'degrees'",
+        ),
     ]
     for argv, fragment in cases:
         code, out, err = run_cli(capsys, argv)

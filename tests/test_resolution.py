@@ -1,8 +1,21 @@
-"""Betti tables from Koszul homology, Taylor complexes, and Eliahou-Kervaire."""
+"""Betti tables from the lcm-lattice backend and Eliahou-Kervaire, held
+against the dense Koszul oracle in ``koszul_oracle``."""
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gotzmann.errors import NotStable, ZeroModule
-from gotzmann.monomial_algebra import GradedFreeModule, MonomialSubmodule
+from gotzmann.monomial_algebra import (
+    DEFAULT_NODE_BUDGET,
+    GradedFreeModule,
+    Monomial,
+    MonomialIdeal,
+    MonomialSubmodule,
+    _ideal_numerator,
+    monomials_of_degree,
+)
 from gotzmann.resolution import (
     BettiTable,
     ek_betti_table,
@@ -19,6 +32,12 @@ from conftest import (
     module,
     random_stable_ideal,
 )
+from koszul_oracle import koszul_betti_oracle
+
+
+def _oracle_regularity(sub, as_quotient=True):
+    table = koszul_betti_oracle(sub, as_quotient)
+    return max(j - i for (i, j), v in table.items() if v)
 
 
 def test_betti_table_basics():
@@ -186,12 +205,64 @@ def test_regularity_dispatch_agrees_with_koszul(corpus):
     for sub in corpus[:40]:
         if all(c.is_unit() for c in sub.components):
             continue
-        assert regularity(sub) == koszul_betti(sub).regularity()
+        assert regularity(sub) == _oracle_regularity(sub)
         if not sub.is_zero():
-            assert (
-                regularity(sub, of="submodule")
-                == koszul_betti(sub, as_quotient=False).regularity()
+            assert regularity(sub, of="submodule") == _oracle_regularity(
+                sub, as_quotient=False
             )
+
+
+def _assert_matches_oracle(sub):
+    for as_quotient in (True, False):
+        expected = {k: v for k, v in koszul_betti_oracle(sub, as_quotient).items() if v}
+        assert koszul_betti(sub, as_quotient).as_dict() == expected, (sub, as_quotient)
+
+
+def test_koszul_betti_matches_dense_koszul_oracle(corpus):
+    for sub in corpus:
+        _assert_matches_oracle(sub)
+
+
+def _seeded_equigenerated(seed, n, degree, lo, hi):
+    rng = random.Random(seed)
+    pool = list(monomials_of_degree(n, degree))
+    gens = tuple(rng.sample(pool, rng.randint(lo, hi)))
+    return module(n, (0,), [MonomialIdeal(n, gens)])
+
+
+def test_koszul_betti_matches_oracle_in_five_variables():
+    for seed in range(4):
+        _assert_matches_oracle(_seeded_equigenerated(seed, 4, 2, 3, 6))
+
+
+def test_koszul_betti_matches_oracle_above_twelve_generators():
+    # past SUBSET_PRUNE_LIMIT the oracle checks every bidegree in its window
+    cases = [_seeded_equigenerated(seed, 2, 4, 13, 15) for seed in range(2)]
+    cases += [_seeded_equigenerated(seed, 2, 5, 13, 16) for seed in range(2)]
+    cases.append(_seeded_equigenerated(0, 3, 3, 13, 15))
+    for sub in cases:
+        assert len(sub.components[0].gens) > 12
+        _assert_matches_oracle(sub)
+
+
+_proper_ideals = st.integers(1, 3).flatmap(
+    lambda n: st.lists(
+        st.tuples(*[st.integers(0, 3)] * (n + 1)).filter(any), max_size=8
+    ).map(lambda gens: MonomialIdeal(n, tuple(Monomial(g) for g in gens)))
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_proper_ideals)
+def test_betti_properties_on_random_ideals(proper_ideal):
+    sub = module(proper_ideal.n, (0,), [proper_ideal])
+    table = koszul_betti(sub)
+    numerator = {e: c for e, c in _ideal_numerator(proper_ideal, DEFAULT_NODE_BUDGET) if c}
+    assert betti_alternating_sum(table) == numerator
+    quot = table.as_dict()
+    side = koszul_betti(sub, as_quotient=False).as_dict()
+    assert quot.pop((0, 0)) == 1
+    assert quot == {(i + 1, j): v for (i, j), v in side.items()}
 
 
 def test_betti_alternating_sum_matches_series_numerator(corpus):
