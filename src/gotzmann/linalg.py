@@ -1,114 +1,92 @@
-"""Rank computation for integer matrices.
+"""Rank of sparse integer vectors by Gaussian elimination over GF(p).
 
-Two backends:
+A vector is a dict ``{index: value}``; absent indices are zero.
 
-* ``rank_exact``: fraction-free Bareiss elimination over Python ints.  Always
-  correct, cost grows quickly with size, so it is reserved for small matrices
-  and for cross-checking the fast path in tests.
+``rank(vectors, p)`` is the exact rank over GF(p).  ``rank(vectors)`` is the
+rank over Q.  A rank mod q is at most the rational rank, and falls short only
+if q divides every maximal nonzero minor.  If the largest rank R found so far
+is below the rational rank, some (R+1)-minor is nonzero and divisible by every
+prime tried, so the product of those primes is at most that minor, which by
+Hadamard's inequality is at most the product of the R+1 largest vector norms.
+The loop therefore stops, with a certified answer, once the rank is full or
+the product of the squared primes exceeds the product of those squared norms.
 
-* ``rank_modular``: Gauss elimination over GF(p) for 31-bit primes p with
-  numpy int64 arithmetic (products stay below 2^62).  A rank found mod p is a
-  certified lower bound for the rational rank (the pivot minor is nonzero mod
-  p, hence nonzero over Q); it equals the rational rank unless p divides a
-  maximal nonzero minor.  ``rank`` therefore accepts a modular answer only
-  when it is full (then it is provably exact) or when two independent primes
-  agree; disagreeing primes escalate to more primes and finally to Bareiss.
-
-The matrices this package produces (multiplication by a linear form on a
-monomial quotient) have entries bounded by a few hundred, far below the
-primes used.
+The Betti boundary matrices take the rational rank.  The hyperplane
+restriction takes the rank over GF(LARGEST_PRIME) for one sampled linear
+form: the exact dimension over that field for that form, which is an upper
+bound on the generic characteristic-0 dimension.  A bound that "holds"
+against it is certified; "sharp" and "violated" verdicts are not.
 """
 from __future__ import annotations
 
-import numpy as np
+from math import prod
 
-_PRIMES = (2147483629, 2147483587, 2147483579, 2147483563)
+LARGEST_PRIME = 2**31 - 1
 
-EXACT_SIZE_LIMIT = 48
+# Primes counted down from LARGEST_PRIME, found on first use and kept.
+_primes: list[int] = []
 
 
-def rank_exact(rows: list[list[int]]) -> int:
-    """Rank over Q via fraction-free Bareiss elimination."""
-    m = [list(map(int, row)) for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, nrows):
-            if m[i][col]:
-                pivot = i
+def _is_prime(n: int) -> bool:
+    # Miller-Rabin with bases 2, 3, 5, 7 is deterministic below 3.2e9
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
                 break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        lead = m[rank][col]
-        for i in range(rank + 1, nrows):
-            row_i = m[i]
-            f = row_i[col]
-            row_r = m[rank]
-            for j in range(col + 1, ncols):
-                row_i[j] = (lead * row_i[j] - f * row_r[j]) // prev
-            row_i[col] = 0
-        prev = lead
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+        else:
+            return False
+    return True
 
 
-def rank_modular(matrix: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix over GF(p)."""
-    a = np.asarray(matrix, dtype=np.int64) % p
-    nrows, ncols = a.shape
-    r = 0
-    for col in range(ncols):
-        nz = np.nonzero(a[r:, col])[0]
-        if nz.size == 0:
-            continue
-        pivot = r + int(nz[0])
-        if pivot != r:
-            a[[r, pivot]] = a[[pivot, r]]
-        inv = pow(int(a[r, col]), p - 2, p)
-        row = (a[r, col:] * inv) % p
-        a[r, col:] = row
-        below = a[r + 1 :, col]
-        touched = np.nonzero(below)[0]
-        if touched.size:
-            block = a[r + 1 :, col:]
-            block[touched] = (block[touched] - below[touched, None] * row[None, :]) % p
-        r += 1
-        if r == nrows:
-            break
-    return r
+def _prime(k: int) -> int:
+    """The k-th prime (from 0) counted down from LARGEST_PRIME."""
+    while len(_primes) <= k:
+        q = _primes[-1] - 2 if _primes else LARGEST_PRIME
+        while not _is_prime(q):
+            q -= 2
+        _primes.append(q)
+    return _primes[k]
 
 
-def rank(rows: list[list[int]]) -> int:
-    """Rank over Q, dispatching between the exact and modular backends.
+def _rank_mod(vectors: list[dict[int, int]], p: int) -> int:
+    # pivots[i] = (reduced vector whose smallest index is i, inverse of that entry)
+    pivots: dict[int, tuple[dict[int, int], int]] = {}
+    for vector in vectors:
+        row = {i: y for i, x in vector.items() if (y := x % p)}
+        while row:
+            i = min(row)
+            if i not in pivots:
+                pivots[i] = (row, pow(row[i], -1, p))
+                break
+            pivot, inv = pivots[i]
+            c = row[i] * inv % p
+            for j, x in pivot.items():
+                y = (row.get(j, 0) - c * x) % p
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+    return len(pivots)
 
-    Small matrices go straight to Bareiss.  Larger ones run mod p: a full
-    modular rank is provably exact; otherwise two primes must agree, with
-    escalation to the remaining primes and finally to Bareiss on persistent
-    disagreement (never observed in practice; the guard keeps the result
-    deterministic and correct regardless).
-    """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    if nrows == 0 or ncols == 0:
-        return 0
-    if nrows <= EXACT_SIZE_LIMIT and ncols <= EXACT_SIZE_LIMIT:
-        return rank_exact(rows)
-    a = np.array(rows, dtype=np.int64)
-    bound = min(nrows, ncols)
-    best = 0
-    seen = []
-    for p in _PRIMES:
-        r = rank_modular(a, p)
-        best = max(best, r)
-        if best == bound:
-            return best
-        seen.append(r)
-        if len(seen) >= 2 and seen[-1] == seen[-2]:
-            return best
-    return rank_exact(rows)
+
+def rank(vectors: list[dict[int, int]], p: int | None = None) -> int:
+    """Rank of sparse integer vectors over GF(p), or over Q when p is None."""
+    if p is not None:
+        return _rank_mod(vectors, p)
+    norms = sorted((sum(x * x for x in v.values()) for v in vectors), reverse=True)
+    indices = {i for v in vectors for i, x in v.items() if x}
+    full = min(len(indices), sum(1 for n in norms if n))
+    best, modulus, k = 0, 1, 0
+    while best < full and modulus <= prod(norms[: best + 1]):
+        q = _prime(k)
+        best = max(best, _rank_mod(vectors, q))
+        modulus *= q * q
+        k += 1
+    return best

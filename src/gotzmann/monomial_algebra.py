@@ -486,9 +486,14 @@ def adjusted_hf_decomposition(submodule: MonomialSubmodule, d: int) -> tuple[int
     return free_part, rho
 
 
-@lru_cache(maxsize=None)
+# Distinct (ideal, degree, linear form) triples whose section dimension is
+# kept; the checkers revisit each module's few degrees and forms.
+LINEAR_SECTION_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=LINEAR_SECTION_CACHE_SIZE)
 def _linear_section_dim(ideal: MonomialIdeal, e: int, coeffs: tuple[int, ...]) -> int:
-    """dim_k (S/(I + hS))_e for h = sum coeffs[v] * x_v, exactly.
+    """dim (S/(I + hS))_e over GF(2^31 - 1) for h = sum coeffs[v] * x_v, exactly.
 
     Equals dim (S/I)_e minus the rank of multiplication by h from (S/I)_{e-1}
     to (S/I)_e; monomials inside I contribute nothing to either side.
@@ -506,15 +511,17 @@ def _linear_section_dim(ideal: MonomialIdeal, e: int, coeffs: tuple[int, ...]) -
     if not source:
         return len(target)
     row_of = {mono: i for i, mono in enumerate(target)}
-    rows = [[0] * len(source) for _ in target]
-    for j, u in enumerate(source):
+    columns = []
+    for u in source:
+        column = {}
         for v in range(n + 1):
             if not coeffs[v]:
                 continue
             i = row_of.get(u.times_var(v))
             if i is not None:
-                rows[i][j] = coeffs[v]
-    return len(target) - linalg.rank(rows)
+                column[i] = coeffs[v]
+        columns.append(column)
+    return len(target) - linalg.rank(columns, linalg.LARGEST_PRIME)
 
 
 def generic_hyperplane_hf(
@@ -523,11 +530,15 @@ def generic_hyperplane_hf(
     samples: int = 3,
     seed: int = 0,
 ) -> int:
-    """dim_k (F/(N + hF))_d for a generic linear form h.
+    """dim (F/(N + hF))_d over GF(p), p = 2^31 - 1, for a sampled linear form h.
 
-    Each sample draws h with integer coefficients in [-100, 100] (not all
-    zero) and evaluates the dimension exactly; the minimum over samples is
-    returned, since genericity minimizes the dimension by semicontinuity.
+    Each sample draws h with coefficients uniform in GF(p) (not all zero) and
+    evaluates the dimension exactly over GF(p); the minimum over samples is
+    returned.  No specialisation of h, in any characteristic, gives less than
+    the generic characteristic-0 dimension, so the value is an upper bound on
+    it.  By Schwartz-Zippel a sample exceeds the generic GF(p) value with
+    probability at most rank/p.  A bound checked against this value that
+    "holds" is therefore certified; "sharp" and "violated" are not.
     """
     if submodule.n < 1:
         raise PreconditionViolated("hyperplane restriction needs n >= 1")
@@ -538,7 +549,9 @@ def generic_hyperplane_hf(
     for _ in range(samples):
         coeffs = (0,)
         while not any(coeffs):
-            coeffs = tuple(rng.randint(-100, 100) for _ in range(submodule.n + 1))
+            coeffs = tuple(
+                rng.randrange(linalg.LARGEST_PRIME) for _ in range(submodule.n + 1)
+            )
         total = sum(
             _linear_section_dim(ideal, d - f, coeffs)
             for f, ideal in zip(submodule.degrees, submodule.components)

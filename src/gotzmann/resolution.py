@@ -28,6 +28,9 @@ from .monomial_algebra import MonomialIdeal, MonomialSubmodule
 # Distinct upper Koszul complexes whose homology is kept; complexes repeat
 # heavily across the lcm lattices of related ideals.
 HOMOLOGY_CACHE_SIZE = 4096
+# Ideals whose Betti table is kept, so that regularity reuses the table that
+# koszul_betti just computed for the same component.
+IDEAL_TABLE_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -122,14 +125,16 @@ def _reduced_homology(facets: frozenset[int]) -> tuple[tuple[int, int], ...]:
     ranks = [0] * (top + 2)
     for s in range(1, top + 1):
         row_of = {face: r for r, face in enumerate(by_size[s - 1])}
-        matrix = [[0] * len(by_size[s]) for _ in row_of]
-        for c, face in enumerate(by_size[s]):
+        columns = []
+        for face in by_size[s]:
+            column = {}
             sign = 1
             for v in range(face.bit_length()):
                 if face >> v & 1:
-                    matrix[row_of[face ^ (1 << v)]][c] = sign
+                    column[row_of[face ^ (1 << v)]] = sign
                     sign = -sign
-        ranks[s] = linalg.rank(matrix)
+            columns.append(column)
+        ranks[s] = linalg.rank(columns)
     out = []
     for s in range(top + 1):
         dim = len(by_size[s]) - ranks[s] - ranks[s + 1]
@@ -138,22 +143,32 @@ def _reduced_homology(facets: frozenset[int]) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _ideal_table(ideal: MonomialIdeal, quotient: bool) -> dict[tuple[int, int], int]:
-    """Graded Betti numbers of S/I (quotient=True) or of I as a module.
+@lru_cache(maxsize=IDEAL_TABLE_CACHE_SIZE)
+def _ideal_table(ideal: MonomialIdeal) -> tuple[tuple[int, int, int], ...]:
+    """Nonzero graded Betti numbers (i, j, beta_{i,j}) of I as a module.
 
     beta_{i,alpha}(I) = dim H~_{i-1}(K^alpha(I)) is nonzero only for alpha in
-    the lcm lattice of the minimal generators; beta_{i+1,j}(S/I) =
-    beta_{i,j}(I), plus beta_{0,0}(S/I) = 1.
+    the lcm lattice of the minimal generators.
     """
-    if quotient and ideal.is_unit():
-        return {}
-    table = {(0, 0): 1} if quotient else {}
+    table: dict[tuple[int, int], int] = {}
     gens = [g.exponents for g in ideal.gens]
     for alpha in _lcm_lattice(gens):
         j = sum(alpha)
         for k, dim in _reduced_homology(_facets(alpha, gens)):
-            key = (k + 1 + quotient, j)
-            table[key] = table.get(key, 0) + dim
+            table[k + 1, j] = table.get((k + 1, j), 0) + dim
+    return tuple((i, j, v) for (i, j), v in sorted(table.items()))
+
+
+def _component_table(ideal: MonomialIdeal, quotient: bool) -> dict[tuple[int, int], int]:
+    """Graded Betti numbers of S/I (quotient=True) or of I as a module.
+
+    beta_{i+1,j}(S/I) = beta_{i,j}(I), plus beta_{0,0}(S/I) = 1.
+    """
+    if quotient and ideal.is_unit():
+        return {}
+    table = {(0, 0): 1} if quotient else {}
+    for i, j, v in _ideal_table(ideal):
+        table[i + quotient, j] = v
     return table
 
 
@@ -165,7 +180,7 @@ def koszul_betti(submodule: MonomialSubmodule, as_quotient: bool = True) -> Bett
     """
     pieces = []
     for f, ideal in zip(submodule.degrees, submodule.components):
-        pieces.append((_ideal_table(ideal, as_quotient), f))
+        pieces.append((_component_table(ideal, as_quotient), f))
     return _merge_shifted(pieces)
 
 
@@ -233,7 +248,7 @@ def _quotient_reg(ideal: MonomialIdeal) -> int:
     """Regularity of S/I for a proper nonzero monomial ideal."""
     if is_stable(ideal):
         return ideal.max_gen_degree() - 1
-    return max(j - i for i, j in _ideal_table(ideal, quotient=True))
+    return max(j - i - 1 for i, j, _ in _ideal_table(ideal))
 
 
 def regularity(submodule: MonomialSubmodule, of: str = "quotient") -> int:

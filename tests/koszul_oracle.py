@@ -52,21 +52,19 @@ def koszul_rank(ideal: MonomialIdeal, quotient: bool, i: int, j: int) -> int:
     var_sets = list(combinations(range(n + 1), i))
     target_sets = {T: k for k, T in enumerate(combinations(range(n + 1), i - 1))}
     target_index = {m: k for k, m in enumerate(target_monos)}
-    nrows = len(target_sets) * len(target_monos)
-    rows = [[0] * (len(var_sets) * len(source_monos)) for _ in range(nrows)]
-    col = 0
+    columns = []
     for T in var_sets:
         for b in source_monos:
+            column = {}
             for pos, t in enumerate(T):
                 image = b.times_var(t)
                 mi = target_index.get(image)
                 if mi is None:
                     continue
                 rest = T[:pos] + T[pos + 1 :]
-                row = target_sets[rest] * len(target_monos) + mi
-                rows[row][col] = 1 if pos % 2 == 0 else -1
-            col += 1
-    return linalg.rank(rows)
+                column[target_sets[rest] * len(target_monos) + mi] = 1 if pos % 2 == 0 else -1
+            columns.append(column)
+    return linalg.rank(columns)
 
 
 def koszul_candidates(ideal: MonomialIdeal, quotient: bool) -> set[tuple[int, int]]:

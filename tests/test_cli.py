@@ -304,11 +304,16 @@ def console_script(name):
         f"import sys; sys.argv[0] = {name!r}; "
         f"from {module_name} import {func}; sys.exit({func}())"
     )
+    return [sys.executable, "-c", code], checkout_env()
+
+
+def checkout_env():
+    """os.environ with this checkout's ``src`` first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    return [sys.executable, "-c", code], env
+    return env
 
 
 def test_console_script():
@@ -329,3 +334,20 @@ def test_console_script():
     )
     assert bad.returncode == 2
     assert bad.stderr.startswith("error: ")
+
+
+def test_runs_without_numpy():
+    # a None entry in sys.modules makes every later "import numpy" fail
+    code = (
+        "import sys; sys.modules['numpy'] = None\n"
+        "import gotzmann, gotzmann.cli\n"
+        f"sys.exit(gotzmann.cli.main(['betti', '--module', {POINT_PAIR!r}]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=checkout_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"betti": [[0, 0, 1], [1, 2, 2], [2, 3, 1]]}
