@@ -5,7 +5,7 @@ Arguments taking structured input accept either inline JSON (first character
 strings throughout; results go to stdout and diagnostics to stderr.
 
 Exit codes: 2 on parse/validation errors, 1 when a check reports a violated
-verdict, 0 otherwise.
+verdict, 3 on an internal fault (a failed internal cross-check), 0 otherwise.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from . import chern as chern_mod
 from . import lex as lex_mod
 from . import resolution, theorems
 from .combinatorics import green_transform, macaulay_rep, macaulay_transform
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InvariantViolated
 from .monomial_algebra import (
     GradedFreeModule,
     MonomialSubmodule,
@@ -352,6 +352,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError, OSError, BudgetExceeded, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantViolated as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     _emit(payload, as_text=args.text)
     return code
 

@@ -7,7 +7,7 @@ dimension counts vanish below their starting degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, factorial
 
 
 def binomial(k: int, j: int) -> int:
@@ -67,13 +67,52 @@ def macaulay_rep(a: int, d: int) -> MacaulayRep:
     rem = a
     j = d
     while rem > 0:
-        k = j
-        while binomial(k + 1, j) <= rem:
-            k += 1
+        k = _largest_upper_index(rem, j)
         terms.append((k, j))
-        rem -= binomial(k, j)
+        rem -= comb(k, j)
         j -= 1
     return MacaulayRep(d, tuple(terms))
+
+
+def _largest_upper_index(b: int, j: int) -> int:
+    """Largest k with C(k, j) <= b, for b >= 1 and j >= 1, in O(log b) binomials.
+
+    Doubling steps up from j bracket k below 2j.  If k >= 2j instead, then
+    (k - j + 1)^j <= j! C(k, j) <= k^j puts it in [r, r + j - 1], r the
+    integer j-th root of j! * b.  Bisection ends both.
+    """
+    if b <= j:  # C(j + 1, j) = j + 1
+        return j
+    lo, step = j + 1, 1
+    while lo + step < 2 * j and comb(lo + step, j) <= b:
+        lo, step = lo + step, 2 * step
+    if lo + step < 2 * j:
+        hi = lo + step - 1
+    elif comb(2 * j, j) > b:
+        hi = 2 * j - 1
+    else:
+        r = _iroot(factorial(j) * b, j)
+        lo, hi = max(r, 2 * j), r + j - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if comb(mid, j) <= b:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _iroot(x: int, j: int) -> int:
+    """Largest r >= 0 with r^j <= x, for x >= 0 and j >= 1."""
+    if x < 2:
+        return x
+    # Newton's iteration from above decreases to the floor of the root
+    r = 1 << -(-x.bit_length() // j)
+    while True:
+        s = ((j - 1) * r + x // r ** (j - 1)) // j
+        if s >= r:
+            return r
+        r = s
 
 
 def macaulay_transform(a: int, d: int) -> int:

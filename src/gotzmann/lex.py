@@ -196,7 +196,7 @@ def lexify(
         result = MonomialSubmodule(ambient, components)
         # independent route: the series numerator of the constructed module
         # must replay the input data on the processed window
-        series = hilbert_series(result, verify=False)
+        series = hilbert_series(result)
         for d in range(f1, target + 1):
             if series.hf(d) != _hf_at(tab, tail, d):
                 raise InvariantViolated(

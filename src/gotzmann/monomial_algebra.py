@@ -10,9 +10,11 @@ Conventions used throughout:
 * All Hilbert data (hf_direct, hilbert_series, hilbert_polynomial, ...) refers
   to the quotient module M = F/N.
 
-Hilbert functions are computed two independent ways: direct monomial counting
-and a pivot recursion on the series numerator; tests hold the two routes
-against each other.
+Hilbert functions are read off the exact Hilbert series numerator.  Each
+ideal's numerator is computed by two independent pivot recursions, one
+splitting on a variable x_v and one on a variable power x_v^k, and the two
+must agree.  Monomial enumeration (``quotient_basis``) is kept only where a
+k-basis itself is needed: the generic hyperplane restriction.
 """
 from __future__ import annotations
 
@@ -29,6 +31,16 @@ from .errors import BudgetExceeded, InvariantViolated, PreconditionViolated
 from .numpoly import NumPoly, series_to_polynomial
 
 DEFAULT_NODE_BUDGET = 10**4
+
+# Entries kept by the caches below.  Each is sized so that a sweep(500) run
+# hits and misses exactly as often as with an unbounded cache.
+MONOMIALS_CACHE_SIZE = 512
+QUOTIENT_BASIS_CACHE_SIZE = 4096
+HF_CACHE_SIZE = 8192
+NUMERATOR_CACHE_SIZE = 4096
+SERIES_CACHE_SIZE = 2048
+POLYNOMIAL_CACHE_SIZE = 2048
+STABILIZATION_CACHE_SIZE = 2048
 
 
 @dataclass(frozen=True)
@@ -109,7 +121,7 @@ def monomial_from_string(text: str, n: int) -> Monomial:
     return Monomial(tuple(exps))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MONOMIALS_CACHE_SIZE)
 def monomials_of_degree(n: int, d: int) -> tuple[Monomial, ...]:
     """All degree-d monomials in n+1 variables, descending in lex (x_0 > ... > x_n)."""
     if d < 0:
@@ -218,15 +230,14 @@ class MonomialIdeal:
         return max(g.degree for g in self.gens)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=QUOTIENT_BASIS_CACHE_SIZE)
 def quotient_basis(ideal: MonomialIdeal, e: int) -> tuple[Monomial, ...]:
-    """Degree-e monomials outside the ideal (a k-basis of (S/I)_e), lex order."""
+    """Degree-e monomials outside the ideal (a k-basis of (S/I)_e), lex order.
+
+    Only ``_linear_section_dim`` uses it in the library, as it needs the
+    basis itself; Hilbert functions are read off the series.
+    """
     return tuple(m for m in monomials_of_degree(ideal.n, e) if not ideal.contains(m))
-
-
-def hf_quotient(ideal: MonomialIdeal, e: int) -> int:
-    """dim_k (S/I)_e by direct counting."""
-    return len(quotient_basis(ideal, e))
 
 
 @dataclass(frozen=True)
@@ -295,13 +306,13 @@ def rank(submodule: MonomialSubmodule) -> int:
     return sum(1 for ideal in submodule.components if ideal.is_zero())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=HF_CACHE_SIZE)
 def hf_direct(submodule: MonomialSubmodule, d: int) -> int:
-    """H(F/N, d) by counting monomials outside each component."""
-    return sum(
-        hf_quotient(ideal, d - f)
-        for f, ideal in zip(submodule.degrees, submodule.components)
-    )
+    """H(F/N, d), read off the Hilbert series numerator of F/N.
+
+    Exact at every degree, including below f_1, where it is 0.
+    """
+    return hilbert_series(submodule).hf(d)
 
 
 @dataclass(frozen=True)
@@ -381,24 +392,90 @@ def _series_numerator(gens: tuple[Monomial, ...], budget: list[int]) -> dict[int
     return {e: c for e, c in out.items() if c}
 
 
-@lru_cache(maxsize=None)
+def _power_pivot_numerator(
+    gens: tuple[tuple[int, ...], ...], budget: list[int]
+) -> dict[int, int]:
+    """The same numerator as ``_series_numerator``, by a second pivot rule.
+
+    ``gens`` are the minimal generators as exponent tuples.  Splits on a
+    variable power p = x_v^k via S/I -> S/(I + (p)) and S/(I : p) shifted by
+    t^k (Bigatti, JPAA 1997): x_v is the variable in the most generators
+    involving two or more variables (ties to the lowest index), and k is the
+    lower median exponent of x_v over the generators containing it.  Then
+    1 <= k <= the top exponent of x_v, and p is not in I (a pure power x_v^j
+    in I exceeds the exponent of x_v in the mixed generators that contain
+    it, so it is never the lower median), so both branches have fewer standard monomials below lcm(I) and
+    the recursion ends.  Ideals generated by pure powers x_v^a are the base
+    case, with numerator prod (1 - t^a).
+    """
+    budget[0] -= 1
+    if budget[0] < 0:
+        raise BudgetExceeded("series pivot recursion exceeded its node budget")
+    mixed = [g for g in gens if sum(1 for e in g if e) > 1]
+    if not mixed:
+        out = {0: 1}
+        for g in gens:
+            a = sum(g)
+            for e, c in list(out.items()):
+                out[e + a] = out.get(e + a, 0) - c
+        return {e: c for e, c in out.items() if c}
+    nvars = len(gens[0])
+    pivot = max(range(nvars), key=lambda v: (sum(1 for g in mixed if g[v]), -v))
+    exps = sorted(g[pivot] for g in gens if g[pivot])
+    k = exps[(len(exps) - 1) // 2]
+    power = tuple(k if v == pivot else 0 for v in range(nvars))
+    # no kept generator divides x_v^k and x_v^k divides none of them, so the
+    # plus side is already minimal
+    plus = tuple(g for g in gens if g[pivot] < k) + (power,)
+    colon = _minimal_exponents(
+        g[:pivot] + (max(g[pivot] - k, 0),) + g[pivot + 1 :] for g in gens
+    )
+    out = _power_pivot_numerator(plus, budget)
+    for e, c in _power_pivot_numerator(colon, budget).items():
+        out[e + k] = out.get(e + k, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _minimal_exponents(exps: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    kept: list[tuple[int, ...]] = []
+    for g in sorted(set(exps), key=sum):
+        if not any(all(a <= b for a, b in zip(h, g)) for h in kept):
+            kept.append(g)
+    return tuple(kept)
+
+
+@lru_cache(maxsize=NUMERATOR_CACHE_SIZE)
 def _ideal_numerator(ideal: MonomialIdeal, node_budget: int) -> tuple[tuple[int, int], ...]:
-    budget = [node_budget]
-    num = _series_numerator(ideal.gens, budget)
-    return tuple(sorted(num.items()))
+    """Series numerator of S/I as sorted (exponent, coefficient) pairs.
+
+    Both pivot routes run, each with ``node_budget`` nodes; a disagreement
+    raises InvariantViolated.
+    """
+    by_variable = _series_numerator(ideal.gens, [node_budget])
+    by_power = _power_pivot_numerator(
+        tuple(g.exponents for g in ideal.gens), [node_budget]
+    )
+    if by_variable != by_power:
+        raise InvariantViolated(
+            f"pivot routes disagree on the series numerator of {ideal}: "
+            f"{sorted(by_variable.items())} by variable, "
+            f"{sorted(by_power.items())} by variable power"
+        )
+    return tuple(sorted(by_variable.items()))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SERIES_CACHE_SIZE)
 def hilbert_series(
     submodule: MonomialSubmodule,
-    verify: bool = True,
+    *,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> HilbertSeries:
-    """Hilbert series of F/N via the pivot recursion, shifted per component.
+    """Hilbert series of F/N: each component's numerator shifted by t^(f_i).
 
-    With verify=True (the default) the expansion is replayed against
-    hf_direct through deg(numerator) + n + 2, so a returned series is known
-    to reproduce the Hilbert function on a window that pins it down.
+    The numerators come from ``_ideal_numerator``, which certifies each by a
+    second pivot route; ``node_budget`` caps every route's recursion and
+    BudgetExceeded is raised past it.  The series gives H(F/N, d) exactly at
+    every degree.
     """
     n = submodule.n
     combined: dict[int, int] = {}
@@ -413,33 +490,25 @@ def hilbert_series(
     else:
         offset = 0
         numerator = ()
-    series = HilbertSeries(n, offset, numerator)
-    if verify:
-        lo = min(offset, min(submodule.degrees))
-        hi = series.max_exponent + n + 2
-        for d in range(lo, hi + 1):
-            if series.hf(d) != hf_direct(submodule, d):
-                raise InvariantViolated(
-                    f"series expansion disagrees with direct count at degree {d}"
-                )
-    return series
+    return HilbertSeries(n, offset, numerator)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=POLYNOMIAL_CACHE_SIZE)
 def hilbert_polynomial(submodule: MonomialSubmodule) -> NumPoly:
     """Hilbert polynomial of F/N, read off the series numerator."""
     series = hilbert_series(submodule)
     return series_to_polynomial(series.numerator, submodule.n, series.offset)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=STABILIZATION_CACHE_SIZE)
 def stabilization_degree(submodule: MonomialSubmodule) -> int:
     """Least d0 with H(F/N, d) = P(d) for every d >= d0.
 
-    Agreement is automatic for d >= E - n where E is the top numerator
-    exponent (the combinatorial and polynomial binomials only differ below
-    that), so scan downward from there.  For H identically zero the answer
-    is degenerate and f_1 is returned.
+    Both sides come from the series.  Agreement is automatic for d >= E - n,
+    where E is the top numerator exponent (the combinatorial and polynomial
+    binomials only differ below that), so the scan runs downward from there
+    and compares P(d0 - 1) with the series coefficient at d0 - 1.  For H
+    identically zero the answer is degenerate and f_1 is returned.
     """
     series = hilbert_series(submodule)
     if not any(series.numerator):
@@ -449,7 +518,7 @@ def stabilization_degree(submodule: MonomialSubmodule) -> int:
     floor = min(submodule.degrees[0], d0) - 2 * (submodule.n + 2)
     while d0 > floor:
         below = poly(d0 - 1)
-        if below.denominator != 1 or int(below) != hf_direct(submodule, d0 - 1):
+        if below.denominator != 1 or int(below) != series.hf(d0 - 1):
             return d0
         d0 -= 1
     raise InvariantViolated("stabilization scan ran past its safety floor")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Sequence, Union
 
 from .combinatorics import binomial
@@ -340,15 +341,26 @@ def grassmannian_embedding_dims(
 def series_to_polynomial(numerator: Sequence[int], n: int, offset: int = 0) -> NumPoly:
     """Polynomial form of sum_j numerator[j] * t^(offset+j) / (1-t)^(n+1).
 
-    Each numerator term c * t^e contributes c * C(d - e + n, n) for large d,
-    and that binomial is taken here as a polynomial identity in d.
+    Each numerator term c * t^e contributes c * C(d - e + n, n) for large d;
+    from d0 = E - n on, E the top exponent, every such binomial already
+    agrees with its polynomial.  So the n + 1 exact values H(d0), ...,
+    H(d0 + n) fix the polynomial, which is built from their forward
+    differences as sum_k Delta^k H(d0) * C(d - d0, k).
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
+    terms = [(offset + j, c) for j, c in enumerate(numerator) if c]
+    if not terms:
+        return NumPoly()
+    d0 = terms[-1][0] - n
+    values = [
+        sum(c * comb(d - e + n, n) for e, c in terms) for d in range(d0, d0 + n + 1)
+    ]
     out = NumPoly()
-    for j, c in enumerate(numerator):
-        if c:
-            out = out + c * binomial_poly(n, n - offset - j)
+    for k in range(n + 1):
+        if values[0]:
+            out = out + values[0] * binomial_poly(k, -d0)
+        values = [b - a for a, b in zip(values, values[1:])]
     return out
 
 

@@ -301,6 +301,18 @@ def check_sharpness(poly: NumPoly, ambient: GradedFreeModule, r: int) -> CheckRe
             verdict=PREMISE_FAILS,
             context={"s": s, "lex_module_is_zero": True},
         )
+    lex_rank = rank(lex_module)
+    if lex_rank != r:
+        # the polynomial's rank exceeds r, so no quotient of rank r has it
+        return CheckReport(
+            name="sharpness",
+            instance=instance,
+            premises_hold=False,
+            bound_lhs=None,
+            bound_rhs=s,
+            verdict=PREMISE_FAILS,
+            context={"s": s, "lex_module_rank": lex_rank},
+        )
     reg = regularity(lex_module, of="submodule")
     return CheckReport(
         name="sharpness",

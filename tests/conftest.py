@@ -10,6 +10,7 @@ from gotzmann.monomial_algebra import (
     MonomialIdeal,
     MonomialSubmodule,
     monomial_from_string,
+    quotient_basis,
 )
 from gotzmann.numpoly import GotzmannRep, binomial_poly
 from gotzmann.theorems import random_submodule
@@ -122,6 +123,43 @@ def random_stable_ideal(seed, n_max=3, tries=50):
                 closed.add(cand)
                 frontier.append(cand)
     return MonomialIdeal(n, tuple(closed))
+
+
+def hf_quotient(ideal_obj, e):
+    """dim_k (S/I)_e by counting the monomials outside the ideal."""
+    return len(quotient_basis(ideal_obj, e))
+
+
+def hf_count(submodule, d):
+    """H(F/N, d) by counting the monomials outside each component.
+
+    The counting oracle for everything the library reads off Hilbert series.
+    """
+    return sum(
+        hf_quotient(comp, d - f)
+        for f, comp in zip(submodule.degrees, submodule.components)
+    )
+
+
+def counted_numerator(ideal_obj):
+    """Hilbert series numerator of S/I from counted values, as {exponent: coeff}.
+
+    The numerator vanishes above the degree L of the lcm of the generators
+    (Taylor resolution), so (1 - t)^(n+1) * sum_{d <= L} H(d) t^d,
+    truncated at L, is all of it.
+    """
+    n = ideal_obj.n
+    top = sum(max((g.exponents[v] for g in ideal_obj.gens), default=0) for v in range(n + 1))
+    values = [hf_quotient(ideal_obj, d) for d in range(top + 1)]
+    out = {}
+    for e in range(top + 1):
+        c = sum(
+            (-1) ** i * binomial(n + 1, i) * values[e - i]
+            for i in range(min(e, n + 1) + 1)
+        )
+        if c:
+            out[e] = c
+    return out
 
 
 def ideal_hs_numerator(ideal_obj):

@@ -35,7 +35,7 @@ from gotzmann.theorems import (
     sweep,
 )
 
-from conftest import module, sharpness_instance, transform_tables
+from conftest import hf_count, module, sharpness_instance, transform_tables
 from test_combinatorics import count_descent_decompositions
 
 
@@ -118,7 +118,7 @@ def test_criterion_5_oracle_equivalence(corpus):
         for sub in corpus:
             series = hilbert_series(sub)
             for d in range(13):
-                assert series.hf(d) == hf_direct(sub, d), (sub, d)
+                assert series.hf(d) == hf_count(sub, d), (sub, d)
         stable_checked = 0
         for sub in corpus:
             for comp in sub.components:

@@ -1,4 +1,6 @@
 """Command-line interface: output shapes, exit codes, error reporting."""
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,9 +8,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gotzmann import theorems
+from gotzmann import cli, theorems
 from gotzmann.cli import main
+from gotzmann.errors import InvariantViolated
 from gotzmann.monomial_algebra import module_to_dict
 
 from conftest import ideal, module
@@ -213,6 +218,101 @@ def test_violated_check_exits_one(capsys, monkeypatch):
     assert code == 1
     assert json.loads(out)["verdict"] == "violated"
     assert err == ""
+
+
+def test_internal_fault_exits_three(capsys, monkeypatch):
+    def faulty_dispatch(args):
+        raise InvariantViolated("pivot routes disagree")
+
+    monkeypatch.setattr(cli, "_dispatch", faulty_dispatch)
+    code, out, err = run_cli(capsys, ["rank", "--module", TWO_LINES])
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: pivot routes disagree\n"
+    assert "Traceback" not in err
+
+
+_EXPONENTS = st.lists(st.integers(0, 2), min_size=3, max_size=3)
+_COMPONENT = st.one_of(
+    st.just({"unit": True}),
+    st.lists(_EXPONENTS, max_size=4).map(
+        lambda gens: {
+            "gens": [
+                "*".join(f"x{v}^{e}" for v, e in enumerate(exps) if e) or "1"
+                for exps in gens
+            ]
+        }
+    ),
+)
+_MODULE = st.lists(
+    st.tuples(st.sampled_from([-1, 0, 0, 1]), _COMPONENT), min_size=1, max_size=3
+).map(
+    lambda pairs: json.dumps(
+        {
+            "n": 2,
+            "degrees": sorted(f for f, _ in pairs),
+            "components": [c for _, c in pairs],
+        }
+    )
+)
+# r free summands C(d + 2, 2) plus a Gotzmann representation, or any
+# coefficient list
+_POLY = st.one_of(
+    st.tuples(
+        st.integers(0, 2), st.lists(st.integers(0, 1), max_size=4).map(sorted)
+    ).map(
+        lambda t: json.dumps(
+            {
+                "terms": [{"a": 2, "shift": 2}] * t[0]
+                + [{"a": a, "shift": a - i} for i, a in enumerate(reversed(t[1]))]
+            }
+        )
+    ),
+    st.lists(st.integers(-3, 6), min_size=1, max_size=3).map(
+        lambda cs: json.dumps({"coeffs": [str(c) for c in cs]})
+    ),
+)
+_SHAPE = st.lists(st.sampled_from([-1, 0, 0, 1]), min_size=1, max_size=3).map(
+    lambda fs: json.dumps({"n": 2, "degrees": sorted(fs)})
+)
+_DEGREE = st.integers(-1, 5).map(str)
+_CHECK_ARGV = st.one_of(
+    st.tuples(
+        st.sampled_from(["macaulay", "green", "persistence"]), _MODULE, _DEGREE
+    ).map(lambda t: ["check", t[0], "--module", t[1], "--degree", t[2]]),
+    _MODULE.map(lambda m: ["check", "regularity", "--module", m]),
+    st.tuples(
+        _MODULE, _DEGREE, st.integers(0, 2), st.sampled_from(["macaulay", "green"])
+    ).map(
+        lambda t: ["check", "gasharov", "--module", t[0], "--degree", t[1],
+                   "--p", str(t[2]), "--which", t[3]]
+    ),
+    st.tuples(_POLY, _SHAPE, st.integers(0, 3)).map(
+        lambda t: ["check", "sharpness", "--poly", t[0], "--module-shape", t[1],
+                   "--rank", str(t[2])]
+    ),
+    st.tuples(_POLY, _SHAPE, st.integers(0, 2), st.integers(0, 2)).map(
+        lambda t: ["check", "chern", "--poly", t[0], "--n", "2", "--sheaf-rank",
+                   str(t[2]), "--module-shape", t[1], "--module-rank", str(t[3])]
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_CHECK_ARGV)
+def test_exit_one_only_with_violated_report(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code in (0, 1):
+        assert err == ""
+        violated = json.loads(out)["verdict"] == "violated"
+        assert violated == (code == 1), (argv, out)
+    else:
+        assert code in (2, 3), (argv, code)
+        assert out == ""
+        assert err.startswith("error: " if code == 2 else "internal error: "), (argv, err)
 
 
 def test_error_paths_exit_two(capsys):

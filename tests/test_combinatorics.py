@@ -1,4 +1,6 @@
 """Binomial convention, representation uniqueness, and transform properties."""
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,15 +62,51 @@ def test_rep_rejects_negative_value_and_index():
         macaulay_rep(3, 0)
 
 
+def linear_scan_rep(a, d):
+    """Greedy Macaulay terms, scanning each upper index k one step at a time."""
+    terms = []
+    rem, j = a, d
+    while rem > 0:
+        k = j
+        while binomial(k + 1, j) <= rem:
+            k += 1
+        terms.append((k, j))
+        rem -= binomial(k, j)
+        j -= 1
+    return tuple(terms)
+
+
 def test_reconstruction_full_range():
-    # every (a, d) in the contract range reconstructs and descends strictly
+    # every (a, d) in the contract range reconstructs, descends strictly and
+    # matches the one-step scan
     for d in range(1, 7):
         for a in range(0, 2001):
             rep = macaulay_rep(a, d)
+            assert rep.terms == linear_scan_rep(a, d), (a, d)
             assert rep.value() == a
             ks = [k for k, _ in rep.terms]
             assert ks == sorted(ks, reverse=True)
             assert len(set(ks)) == len(ks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 9))
+def test_rep_matches_linear_scan_hypothesis(a, d):
+    assert macaulay_rep(a, d).terms == linear_scan_rep(a, d)
+
+
+def test_rep_of_large_value_is_fast():
+    # the linear scan needs about 10^7 binomials for d = 1 and 4,500 for d = 2
+    start = time.perf_counter()
+    one = macaulay_rep(10**7, 1)
+    two = macaulay_rep(10**7, 2)
+    elapsed = time.perf_counter() - start
+    assert one.terms == ((10**7, 1),)
+    assert two.terms == ((4472, 2), (2844, 1))
+    assert two.value() == 10**7
+    huge = macaulay_rep(10**60, 12)
+    assert huge.value() == 10**60
+    assert time.perf_counter() - start < 0.25, elapsed
 
 
 def count_descent_decompositions(a, d, k_cap):

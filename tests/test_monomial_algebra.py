@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from gotzmann.combinatorics import binomial
 from gotzmann.errors import BudgetExceeded, InvariantViolated, PreconditionViolated
+from gotzmann import monomial_algebra
 from gotzmann.monomial_algebra import (
+    DEFAULT_NODE_BUDGET,
     GradedFreeModule,
     Monomial,
     MonomialIdeal,
@@ -13,7 +15,6 @@ from gotzmann.monomial_algebra import (
     adjusted_hf_decomposition,
     generic_hyperplane_hf,
     hf_direct,
-    hf_quotient,
     hilbert_polynomial,
     hilbert_series,
     ideal_from_dict,
@@ -29,7 +30,7 @@ from gotzmann.monomial_algebra import (
 )
 from gotzmann.numpoly import NumPoly
 
-from conftest import ideal, module
+from conftest import counted_numerator, hf_count, hf_quotient, ideal, module
 
 
 def test_monomial_basic_operations():
@@ -172,9 +173,62 @@ def test_hilbert_series_example(two_free_lines):
 
 def test_hilbert_series_oracle_on_corpus(corpus):
     for sub in corpus:
-        series = hilbert_series(sub)  # verify=True replays against hf_direct
+        series = hilbert_series(sub)
         for d in range(0, 13):
-            assert series.hf(d) == hf_direct(sub, d)
+            assert series.hf(d) == hf_count(sub, d)
+            assert hf_direct(sub, d) == hf_count(sub, d)
+
+
+_PIVOT_CASES = st.integers(0, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.lists(st.integers(0, 3 if n < 4 else 2), min_size=n + 1, max_size=n + 1),
+            max_size=10,
+        ),
+    )
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_PIVOT_CASES)
+def test_both_pivot_routes_match_counting(case):
+    n, exponent_lists = case
+    ideal_obj = MonomialIdeal(n, tuple(Monomial(tuple(e)) for e in exponent_lists))
+    truth = counted_numerator(ideal_obj)
+    by_variable = monomial_algebra._series_numerator(ideal_obj.gens, [DEFAULT_NODE_BUDGET])
+    by_power = monomial_algebra._power_pivot_numerator(
+        tuple(g.exponents for g in ideal_obj.gens), [DEFAULT_NODE_BUDGET]
+    )
+    assert by_variable == truth
+    assert by_power == truth
+
+
+def test_pivot_route_disagreement_raises(monkeypatch):
+    honest = monomial_algebra._power_pivot_numerator
+
+    def off_by_one(gens, budget):
+        out = dict(honest(gens, budget))
+        out[0] = out.get(0, 0) + 1
+        return out
+
+    sub = module(2, (0,), [ideal(2, "x0^2*x1", "x1*x2^3", "x0*x2")])
+    monkeypatch.setattr(monomial_algebra, "_power_pivot_numerator", off_by_one)
+    caches = (
+        monomial_algebra._ideal_numerator,
+        monomial_algebra.hilbert_series,
+        monomial_algebra.hf_direct,
+    )
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        with pytest.raises(InvariantViolated, match="pivot routes disagree"):
+            hilbert_series(sub)
+        with pytest.raises(InvariantViolated, match="pivot routes disagree"):
+            hf_direct(sub, 3)
+    finally:
+        for cache in caches:
+            cache.cache_clear()
 
 
 def test_series_budget():
@@ -209,12 +263,12 @@ def test_stabilization_is_tight_on_corpus(corpus):
         d0 = stabilization_degree(sub)
         poly = hilbert_polynomial(sub)
         for d in range(d0, d0 + 6):
-            assert poly(d) == hf_direct(sub, d)
+            assert poly(d) == hf_count(sub, d)
         if any(hilbert_series(sub).numerator):
             # least such degree: one step below must disagree (or not even
             # be an integer value of the polynomial)
             below = poly(d0 - 1)
-            assert below.denominator != 1 or int(below) != hf_direct(sub, d0 - 1)
+            assert below.denominator != 1 or int(below) != hf_count(sub, d0 - 1)
 
 
 def test_saturate_examples_and_idempotence(corpus):
@@ -228,7 +282,7 @@ def test_saturate_examples_and_idempotence(corpus):
         assert hilbert_polynomial(sat) == hilbert_polynomial(s)
         d0 = max(stabilization_degree(s), stabilization_degree(sat))
         for d in range(d0, d0 + 4):
-            assert hf_direct(sat, d) == hf_direct(s, d)
+            assert hf_direct(sat, d) == hf_count(sat, d) == hf_count(s, d)
 
 
 def test_adjusted_decomposition_examples(two_free_lines, twisted_plane_pair):
@@ -305,4 +359,4 @@ def test_series_matches_counting_random_ideals(exp_pairs):
     sub = module(1, (0,), [MonomialIdeal(1, gens)])
     series = hilbert_series(sub)
     for d in range(0, 9):
-        assert series.hf(d) == hf_direct(sub, d)
+        assert series.hf(d) == hf_count(sub, d)

@@ -224,6 +224,44 @@ def test_series_to_polynomial_matches_binomials():
     assert shifted == binomial_poly(2, 3)
 
 
+def termwise_series_polynomial(numerator, n, offset=0):
+    """sum_j numerator[j] * C(d - (offset + j) + n, n), one binomial per term."""
+    out = NumPoly()
+    for j, c in enumerate(numerator):
+        if c:
+            out = out + c * binomial_poly(n, n - offset - j)
+    return out
+
+
+def test_series_to_polynomial_edge_cases():
+    for numerator, n, offset in [
+        ([], 0, 0),
+        ([], 3, -2),
+        ([0, 0, 0], 2, 1),
+        ([3], 0, 0),
+        ([1, -4, 2], 0, -3),
+        ([0, 2, 0, -1, 0], 1, -4),
+        ([1, -3, 3, -1], 3, -1),
+        ([5, 0, -7, 1], 4, -6),
+    ]:
+        expected = termwise_series_polynomial(numerator, n, offset)
+        assert series_to_polynomial(numerator, n, offset) == expected, (numerator, n, offset)
+    assert series_to_polynomial([], 2).is_zero()
+    assert series_to_polynomial([1, -4, 2], 0, -3) == NumPoly([-1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(-6, 6), max_size=9),
+    st.integers(0, 5),
+    st.integers(-8, 8),
+)
+def test_series_to_polynomial_matches_termwise_sum(numerator, n, offset):
+    assert series_to_polynomial(numerator, n, offset) == termwise_series_polynomial(
+        numerator, n, offset
+    )
+
+
 def test_poly_dict_round_trip():
     p = 2 * binomial_poly(2, 3) + NumPoly([Fraction(1, 2), Fraction(1, 2)]) * 0
     d = poly_to_dict(p)

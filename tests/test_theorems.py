@@ -5,8 +5,8 @@ import pytest
 
 from gotzmann.combinatorics import macaulay_transform
 from gotzmann.errors import PreconditionViolated
-from gotzmann.monomial_algebra import GradedFreeModule, hf_direct
-from gotzmann.numpoly import NumPoly
+from gotzmann.monomial_algebra import GradedFreeModule
+from gotzmann.numpoly import NumPoly, binomial_poly
 from gotzmann.theorems import (
     HOLDS,
     PREMISE_FAILS,
@@ -25,7 +25,7 @@ from gotzmann.theorems import (
 )
 from gotzmann.lex import saturated_lex_module
 
-from conftest import ideal, module, sharpness_instance
+from conftest import hf_count, ideal, module, sharpness_instance
 
 
 def test_f_low_degree(two_free_lines, twisted_plane_pair):
@@ -141,6 +141,17 @@ def test_sharpness_zero_lex_module_premise_fails():
     assert rep.context["lex_module_is_zero"]
 
 
+def test_sharpness_rank_above_r_premise_fails():
+    # P = 2 C(d + 2, 2) has rank 2; with r = 1 the adjusted remainder
+    # C(d + 2, 2) leaves the middle lex component zero, so the lex module has
+    # rank 2 and the theorem's rank-r premise fails
+    poly = binomial_poly(2, 2) * 2
+    rep = check_sharpness(poly, GradedFreeModule(2, (-1, 0, 0)), 1)
+    assert rep.verdict == PREMISE_FAILS
+    assert rep.bound_lhs is None
+    assert rep.context == {"s": 1, "lex_module_rank": 2}
+
+
 def test_sharpness_seeded_smoke():
     for seed in range(10):
         poly, ambient, r, s_q = sharpness_instance(seed)
@@ -156,7 +167,7 @@ def test_adjusted_bound_never_above_classical():
         l = sub.degrees[-1]
         for d in range(max(f_low + 1, l + 1), max(f_low + 1, l + 1) + 4):
             adjusted = adjusted_macaulay_bound(sub, d)
-            classical = macaulay_transform(hf_direct(sub, d), d - l)
+            classical = macaulay_transform(hf_count(sub, d), d - l)
             assert adjusted <= classical, (seed, d)
 
 
