@@ -10,7 +10,7 @@ zeros).
 from __future__ import annotations
 
 from .combinatorics import binomial, macaulay_transform
-from .errors import BudgetExceeded, InvariantViolated, NotAchievable, NotAdmissible
+from .errors import InvariantViolated, NotAchievable, NotAdmissible
 from .monomial_algebra import (
     GradedFreeModule,
     Monomial,
@@ -182,7 +182,7 @@ def lexify(
             internal = internal - binomial_poly(n, n + f - f2)
         try:
             s_c = gotzmann_rep(internal).number
-        except (NotAdmissible, BudgetExceeded):
+        except NotAdmissible:
             continue
         ceiling = max(ceiling, f + s_c + n + 2)
 
@@ -216,10 +216,15 @@ def lexify(
 
 def saturated_lex_ideal(g: GotzmannRep, n: int) -> MonomialIdeal:
     """Saturation of the lex ideal whose quotient in degree s = |g| has
-    dimension P(s), where P is the polynomial of the representation.
+    dimension P(s), P the polynomial of g.  With d = a_1 and run lengths
+    m_i = #{j : a_j = i} it is (Moore and Nagel, Math. Comp. 2014)
 
-    The quotient's Hilbert polynomial is verified to equal P exactly, and the
-    output is verified lex; both failures raise InvariantViolated.
+        (x_0, ..., x_{n-d-2}, x_{n-d-1}^(m_d+1), x_{n-d-1}^m_d x_{n-d}^(m_{d-1}+1),
+         ..., x_{n-d-1}^m_d ... x_{n-2}^m_1 x_{n-1}^m_0).
+
+    P(s) > dim S_s raises NotAchievable; P(s) = dim S_s gives the zero ideal.
+    The quotient's Hilbert polynomial is verified to equal P (else
+    InvariantViolated); lex-ness is checked by the tests, not at run time.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -235,16 +240,21 @@ def saturated_lex_ideal(g: GotzmannRep, n: int) -> MonomialIdeal:
         raise NotAchievable(
             f"P({s}) = {int(quota)} exceeds dim of degree {s} in {n + 1} variables"
         )
-    ideal = MonomialIdeal(n, tuple(lex_segment(n, s, codim)))
-    sat = ideal.saturation()
-    shape = GradedFreeModule(n, (0,))
-    quotient_hp = hilbert_polynomial(MonomialSubmodule(shape, (sat,)))
+    gens: list[Monomial] = []
+    if codim > 0:
+        # x_k carries m_{n-1-k}, which is 0 for k < n - d - 1
+        exps = [0] * (n + 1)
+        for k in range(n):
+            m = g.a.count(n - 1 - k)
+            exps[k] = m + (k < n - 1)
+            gens.append(Monomial(tuple(exps)))
+            exps[k] = m
+    sat = MonomialIdeal(n, tuple(gens))
+    quotient_hp = hilbert_polynomial(MonomialSubmodule(GradedFreeModule(n, (0,)), (sat,)))
     if quotient_hp != poly:
         raise InvariantViolated(
             f"saturated lex ideal has Hilbert polynomial {quotient_hp}, wanted {poly}"
         )
-    if not is_lex_ideal(sat):
-        raise InvariantViolated(f"saturation of lex segment is not lex: {sat}")
     return sat
 
 

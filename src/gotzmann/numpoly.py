@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import Iterable, Sequence, Union
 
 from .combinatorics import binomial
@@ -145,13 +145,15 @@ def binomial_poly(a: int, shift: int) -> NumPoly:
     """
     if a < 0:
         raise ValueError(f"binomial degree must be nonnegative, got {a}")
-    poly = NumPoly([1])
+    coeffs = [1]
     for t in range(a):
-        poly = poly * NumPoly([shift - t, 1])
-    fact = 1
-    for t in range(2, a + 1):
-        fact *= t
-    return poly * Fraction(1, fact)
+        coeffs = [(shift - t) * x + y for x, y in zip(coeffs + [0], [0] + coeffs)]
+    return NumPoly(Fraction(c, factorial(a)) for c in coeffs)
+
+
+def _run_poly(a: int, i: int, m: int) -> NumPoly:
+    """sum_{j=i}^{i+m-1} C(d + a - j, a) = C(d+a-i+1, a+1) - C(d+a-i-m+1, a+1)."""
+    return binomial_poly(a + 1, a - i + 1) - binomial_poly(a + 1, a - i - m + 1)
 
 
 @dataclass(frozen=True)
@@ -162,18 +164,17 @@ class GotzmannRep:
 
     ``number`` (the length s) is the Gotzmann number of the represented
     polynomial.  The empty list represents the zero polynomial.
+    ``polynomial`` sums each run of equal exponents a as one hockey-stick
+    difference of two binomials of degree a + 1.
     """
 
     a: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        prev = None
-        for ai in self.a:
-            if ai < 0:
-                raise ValueError(f"exponents must be nonnegative, got {ai}")
-            if prev is not None and ai > prev:
-                raise ValueError("exponent list must be non-increasing")
-            prev = ai
+        if any(x < y for x, y in zip(self.a, self.a[1:])):
+            raise ValueError("exponent list must be non-increasing")
+        if self.a and self.a[-1] < 0:
+            raise ValueError(f"exponents must be nonnegative, got {self.a[-1]}")
 
     @property
     def number(self) -> int:
@@ -185,50 +186,39 @@ class GotzmannRep:
 
     def polynomial(self) -> NumPoly:
         out = NumPoly()
-        for ai, shift in self.terms():
-            out = out + binomial_poly(ai, shift)
+        for ai in set(self.a):
+            out = out + _run_poly(ai, self.a.index(ai), self.a.count(ai))
         return out
 
 
 def gotzmann_rep(poly: NumPoly, term_budget: int = DEFAULT_TERM_BUDGET) -> GotzmannRep:
-    """Greedy peeling of the Gotzmann representation of ``poly``.
+    """Gotzmann representation of ``poly``, peeled one run at a time.
 
-    At step i (0-based) the remainder must have nonnegative leading
-    coefficient; we peel C(d + a - i, a) with a = deg(remainder) (a = 0 once
-    the remainder is a positive constant).  Raises NotAdmissible when no
-    representation exists: non-numerical input, a negative leading
-    coefficient, or a negative constant left at the end.  ``term_budget``
-    caps s, which is reached by large constant tails.
+    After i terms the remainder has degree a and leading coefficient lead;
+    each term C(d + a - j, a) leads with 1/a!, so the run has m = a! * lead
+    terms and takes off the hockey-stick sum C(d + a - i + 1, a + 1) -
+    C(d + a - i - m + 1, a + 1).  The degree falls with each run, so the loop
+    runs at most deg P + 1 times (a constant tail is the run a = 0).  Raises
+    NotAdmissible for non-numerical input, a remainder with negative leading
+    coefficient, or more than ``term_budget`` terms (checked before any list
+    is built).
     """
     if not poly.is_integer_valued():
         raise NotAdmissible(f"{poly!r} is not integer-valued")
     a_list: list[int] = []
     rem = poly
-    i = 0
     while not rem.is_zero():
+        i = len(a_list)
         lead = rem.leading_coefficient
         if lead < 0:
-            raise NotAdmissible(
-                f"remainder {rem!r} has negative leading coefficient at term {i}"
-            )
-        if rem.degree == 0:
-            # integer constant tail: each remaining term is C(d - i, 0) = 1
-            c = int(lead)
-            if i + c > term_budget:
-                raise NotAdmissible(
-                    f"representation needs more than {term_budget} terms"
-                )
-            a_list.extend([0] * c)
-            break
+            raise NotAdmissible(f"remainder {rem!r} has negative leading coefficient at term {i}")
         a = rem.degree
-        if a_list and a > a_list[-1]:
-            # cannot happen with greedy-by-degree peeling; guards the invariant
-            raise NotAdmissible("exponent sequence would increase")
-        if i >= term_budget:
+        # integer-valued remainders have a! * lead in the integers
+        m = int(lead * factorial(a))
+        if i + m > term_budget:
             raise NotAdmissible(f"representation needs more than {term_budget} terms")
-        rem = rem - binomial_poly(a, a - i)
-        a_list.append(a)
-        i += 1
+        rem = rem - _run_poly(a, i, m)
+        a_list.extend([a] * m)
     return GotzmannRep(tuple(a_list))
 
 

@@ -124,6 +124,16 @@ def test_lex_commands(capsys):
     assert lexified["components"] == [{"unit": True}, {"gens": []}, {"gens": []}]
 
 
+def test_lex_ideal_at_large_gotzmann_number(capsys):
+    # s = 200 in P^4: read off the run lengths (2, 5, 10, 183), not enumerated
+    a = [3, 3] + [2] * 5 + [1] * 10 + [0] * 183
+    out = run_json(capsys, ["lex-ideal", "--gotzmann", json.dumps({"a": a}), "--n", "4"])
+    assert out == {
+        "n": 4,
+        "gens": ["x0^3", "x0^2*x1^6", "x0^2*x1^5*x2^11", "x0^2*x1^5*x2^10*x3^183"],
+    }
+
+
 def test_quot_dims(capsys):
     base = [
         "quot-dims",

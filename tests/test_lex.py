@@ -1,5 +1,6 @@
 """Lex segments, lexification, and saturated lex ideals and modules."""
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -152,39 +153,66 @@ def test_saturated_lex_ideal_validation():
         saturated_lex_ideal(GotzmannRep((2, 2)), 1)
 
 
+def saturated_lex_oracle(g, n):
+    """Enumeration route: saturate the degree-s lex segment of codimension
+    P(s) and check the result is lex; None when P(s) exceeds dim S_s."""
+    s = g.number
+    codim = binomial(s + n, n) - int(g.polynomial()(s))
+    if codim < 0:
+        return None
+    segment_ideal = MonomialIdeal(n, tuple(lex_segment(n, s, codim)))
+    sat = segment_ideal.saturation()
+    # general saturation agrees with the lex shortcut: colon by the last
+    # variable alone
+    assert sat == segment_ideal.colon_var_power(n)
+    assert is_lex_ideal(sat)
+    return sat
+
+
 def random_admissible_rep(rng):
-    # keep P(s) strictly below the full degree-s dimension so the segment
-    # ideal is nonzero and the max-generator-degree claim is meaningful
-    while True:
-        n = rng.randint(1, 3)
-        length = rng.randint(1, 8)
-        vals = sorted((rng.randint(0, min(3, n)) for _ in range(length)), reverse=True)
-        g = GotzmannRep(tuple(vals))
-        s = g.number
-        p_s = g.polynomial()(s)
-        if p_s.denominator == 1 and 0 < binomial(s + n, n) - int(p_s):
-            return g, n
+    # a_1 <= n - 1 keeps P(s) strictly below the full degree-s dimension, so
+    # the saturated lex ideal is nonzero
+    n = rng.randint(1, 3)
+    vals = sorted((rng.randint(0, n - 1) for _ in range(rng.randint(1, 20))), reverse=True)
+    return GotzmannRep(tuple(vals)), n
 
 
 def test_saturated_lex_ideal_seeded_invariants():
+    # every non-increasing a with s <= 6 and a_1 <= n + 1 for n <= 4, and a
+    # seeded sample up to s = 20 for n <= 3
+    exhaustive = [
+        (GotzmannRep(a), n)
+        for n in range(1, 5)
+        for s in range(7)
+        for a in combinations_with_replacement(range(n + 1, -1, -1), s)
+    ]
     rng = random.Random(20240819)
+    seeded = [random_admissible_rep(rng) for _ in range(60)]
+    assert {n for g, n in seeded if g.number >= 18} == {1, 2, 3}
     shape_cache = {}
-    for _ in range(100):
-        g, n = random_admissible_rep(rng)
+    for g, n in exhaustive + seeded:
+        expected = saturated_lex_oracle(g, n)
+        if expected is None:
+            with pytest.raises(NotAchievable):
+                saturated_lex_ideal(g, n)
+            continue
         out = saturated_lex_ideal(g, n)
-        s = g.number
-        assert out.max_gen_degree() == s
+        assert out == expected, (g, n)
+        if out.is_zero():
+            assert g.a == (n,)
+            continue
+        assert out.max_gen_degree() == g.number
+        assert len(out.gens) <= n
         assert is_stable(out)
-        assert is_lex_ideal(out)
-        # general saturation agrees with the lex shortcut: colon by the
-        # last variable alone
-        codim = binomial(s + n, n) - int(g.polynomial()(s))
-        segment_ideal = MonomialIdeal(n, tuple(lex_segment(n, s, codim)))
-        assert segment_ideal.saturation() == segment_ideal.colon_var_power(n)
-        assert out == segment_ideal.saturation()
         shape = shape_cache.setdefault(n, GradedFreeModule(n, (0,)))
         quotient = MonomialSubmodule(shape, (out,))
         assert hilbert_polynomial(quotient) == g.polynomial()
+    for n in range(1, 5):
+        # P = C(d + n, n) fills every degree: the zero ideal
+        assert saturated_lex_ideal(GotzmannRep((n,)), n).is_zero()
+        # a_1 > n overshoots the ring in degree s
+        with pytest.raises(NotAchievable):
+            saturated_lex_ideal(GotzmannRep((n + 1,)), n)
 
 
 def test_saturated_lex_module_rank_three_module():

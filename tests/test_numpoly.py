@@ -1,5 +1,6 @@
 """Numerical polynomials, binomial representations, and embedding dimensions."""
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from gotzmann.errors import NotAdmissible, PreconditionViolated
 from gotzmann.numpoly import (
+    DEFAULT_TERM_BUDGET,
     AdjustedGotzmannRep,
     GotzmannRep,
     NumPoly,
@@ -118,6 +120,62 @@ def test_rep_term_budget():
     with pytest.raises(NotAdmissible):
         gotzmann_rep(NumPoly([50]), term_budget=10)
     assert gotzmann_rep(NumPoly([10]), term_budget=10).number == 10
+    # budgets ending inside a quadratic run, at its end, inside the final
+    # linear run, and inside a constant tail; the full length fits exactly
+    for a, budgets in [((2,) * 3 + (1,) * 4, (2, 3, 6)), ((1,) * 5 + (0,) * 3, (4, 5, 7))]:
+        poly = GotzmannRep(a).polynomial()
+        for budget in budgets:
+            with pytest.raises(NotAdmissible, match=f"more than {budget} terms"):
+                gotzmann_rep(poly, term_budget=budget)
+        assert gotzmann_rep(poly, term_budget=len(a)).a == a
+
+
+def per_term_rep(poly, term_budget):
+    """The per-term greedy peel: take off C(d + a - i, a), a = deg(remainder),
+    one term at a time, and a constant remainder c as c terms equal to 1."""
+    a_list = []
+    rem = poly
+    while not rem.is_zero():
+        i = len(a_list)
+        lead = rem.leading_coefficient
+        if lead < 0:
+            raise NotAdmissible(f"remainder {rem!r} has negative leading coefficient at term {i}")
+        if rem.degree == 0:
+            if i + lead > term_budget:
+                raise NotAdmissible(f"representation needs more than {term_budget} terms")
+            return GotzmannRep(tuple(a_list) + (0,) * int(lead))
+        if i >= term_budget:
+            raise NotAdmissible(f"representation needs more than {term_budget} terms")
+        a = rem.degree
+        rem = rem - binomial_poly(a, a - i)
+        a_list.append(a)
+    return GotzmannRep(tuple(a_list))
+
+
+def test_rep_matches_per_term_peel_seeded():
+    rng = random.Random(11)
+    polys = []
+    for _ in range(300):
+        # integer combinations of binomials; the top coefficient may be
+        # negative
+        deg = rng.randint(0, 4)
+        poly = NumPoly()
+        for k in range(deg + 1):
+            poly = poly + rng.randint(-1 if k == deg else -2, 2) * binomial_poly(k, rng.randint(-4, 4))
+        polys.append(poly)
+    # constant tails of about 10^5 behind a short representation
+    for _ in range(4):
+        polys.append(random_rep(rng, max_len=6, max_val=3).polynomial() + rng.randint(90_000, 110_000))
+    assert any(p.leading_coefficient < 0 for p in polys)
+    for poly in polys:
+        for budget in (7, 30, DEFAULT_TERM_BUDGET):
+            try:
+                expected = per_term_rep(poly, budget)
+            except NotAdmissible as exc:
+                with pytest.raises(NotAdmissible, match=re.escape(str(exc))):
+                    gotzmann_rep(poly, term_budget=budget)
+            else:
+                assert gotzmann_rep(poly, term_budget=budget) == expected, poly
 
 
 def test_zero_polynomial_rep():

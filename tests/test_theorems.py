@@ -6,7 +6,7 @@ import pytest
 from gotzmann.combinatorics import macaulay_transform
 from gotzmann.errors import PreconditionViolated
 from gotzmann.monomial_algebra import GradedFreeModule
-from gotzmann.numpoly import NumPoly, binomial_poly
+from gotzmann.numpoly import GotzmannRep, NumPoly, binomial_poly
 from gotzmann.theorems import (
     HOLDS,
     PREMISE_FAILS,
@@ -158,6 +158,16 @@ def test_sharpness_seeded_smoke():
         rep = check_sharpness(poly, ambient, r)
         assert rep.verdict == SHARP
         assert rep.bound_lhs == rep.bound_rhs == s_q
+
+
+def test_sharpness_at_large_gotzmann_number():
+    # s = 200 in P^4, far past any enumeration of the C(204, 4) monomials of
+    # degree s
+    ambient = GradedFreeModule(4, (0,))
+    for a in [(0,) * 200, (3, 3) + (2,) * 5 + (1,) * 10 + (0,) * 183]:
+        rep = check_sharpness(GotzmannRep(a).polynomial(), ambient, 0)
+        assert rep.verdict == SHARP
+        assert rep.bound_lhs == rep.bound_rhs == 200
 
 
 def test_adjusted_bound_never_above_classical():
