@@ -10,6 +10,11 @@ Conventions used throughout:
 * All Hilbert data (hf_direct, hilbert_series, hilbert_polynomial, ...) refers
   to the quotient module M = F/N.
 
+Monomials have one format inside this module: exponent tuples.  The
+validating ``Monomial`` type is the boundary: parsing, printing,
+``MonomialIdeal.gens`` and the public functions.  ``_minimal`` is the one
+minimalizer; it returns exponent tuples in the canonical generator order.
+
 Hilbert functions are read off the exact Hilbert series numerator.  Each
 ideal's numerator is computed by two independent pivot recursions, one
 splitting on a variable x_v and one on a variable power x_v^k, and the two
@@ -21,9 +26,8 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import linalg
 from .combinatorics import binomial
@@ -40,7 +44,6 @@ HF_CACHE_SIZE = 8192
 NUMERATOR_CACHE_SIZE = 4096
 SERIES_CACHE_SIZE = 2048
 POLYNOMIAL_CACHE_SIZE = 2048
-STABILIZATION_CACHE_SIZE = 2048
 
 
 @dataclass(frozen=True)
@@ -161,13 +164,14 @@ def monomial_at_rank(n: int, d: int, rank: int) -> Monomial:
     return Monomial(tuple(exps))
 
 
-def _minimalize(monos: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    by_degree = sorted(set(monos), key=lambda m: m.degree)
-    kept: list[Monomial] = []
-    for m in by_degree:
-        if not any(g.divides(m) for g in kept):
-            kept.append(m)
-    kept.sort(key=lambda m: (m.degree, tuple(-e for e in m.exponents)))
+def _minimal(exps: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """Minimal exponent tuples under divisibility, in the canonical order:
+    by degree, then descending lex.  A divisor never comes later in that
+    order, so one pass over it keeps exactly the minimal ones."""
+    kept: list[tuple[int, ...]] = []
+    for g in sorted(sorted(set(exps), reverse=True), key=sum):
+        if not any(all(a <= b for a, b in zip(h, g)) for h in kept):
+            kept.append(g)
     return tuple(kept)
 
 
@@ -187,7 +191,8 @@ class MonomialIdeal:
         for g in self.gens:
             if len(g.exponents) != self.n + 1:
                 raise ValueError(f"generator {g} does not live in {self.n + 1} variables")
-        object.__setattr__(self, "gens", _minimalize(self.gens))
+        by_exps = {g.exponents: g for g in self.gens}
+        object.__setattr__(self, "gens", tuple(by_exps[e] for e in _minimal(by_exps)))
 
     @classmethod
     def zero(cls, n: int) -> "MonomialIdeal":
@@ -211,11 +216,12 @@ class MonomialIdeal:
 
     def colon_var_power(self, v: int) -> "MonomialIdeal":
         """I : x_v^infinity, obtained by deleting x_v from every generator."""
-        return MonomialIdeal(self.n, tuple(g.strip_var(v) for g in self.gens))
+        stripped = (g.exponents[:v] + (0,) + g.exponents[v + 1 :] for g in self.gens)
+        return MonomialIdeal(self.n, tuple(Monomial(e) for e in _minimal(stripped)))
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        gens = tuple(a.lcm(b) for a in self.gens for b in other.gens)
-        return MonomialIdeal(self.n, gens)
+        lcms = (tuple(map(max, a.exponents, b.exponents)) for a in self.gens for b in other.gens)
+        return MonomialIdeal(self.n, tuple(Monomial(e) for e in _minimal(lcms)))
 
     def saturation(self) -> "MonomialIdeal":
         """I : (x_0, ..., x_n)^infinity as the intersection of variable colons."""
@@ -347,26 +353,27 @@ class HilbertSeries:
         }
 
 
-def _series_numerator(gens: tuple[Monomial, ...], budget: list[int]) -> dict[int, int]:
+def _series_numerator(gens: tuple[tuple[int, ...], ...], budget: list[int]) -> dict[int, int]:
     """Numerator of the Hilbert series of S/I over (1-t)^(n+1), as {exponent: coeff}.
 
-    Splits on a pivot variable via S/I -> S/(I + (x)) and S/(I : x) shifted by
-    t.  The pivot is the variable dividing the most generators (ties to the
-    lowest index), which keeps the recursion tree small.
+    ``gens`` are the minimal generators as exponent tuples in canonical
+    order.  Splits on a pivot variable via S/I -> S/(I + (x)) and S/(I : x)
+    shifted by t.  The pivot is the variable dividing the most generators
+    (ties to the lowest index), which keeps the recursion tree small.
     """
     budget[0] -= 1
     if budget[0] < 0:
         raise BudgetExceeded("series pivot recursion exceeded its node budget")
     if not gens:
         return {0: 1}
-    if gens[0].degree == 0:
+    if not any(gens[0]):
         return {}
     # Pure-variable generators first: minimality means nothing else involves
     # those variables, so each one just multiplies the numerator by (1 - t).
     # This also makes the pivot split below strictly shrink total degree.
-    linear = sum(1 for g in gens if g.degree == 1)
+    linear = sum(1 for g in gens if sum(g) == 1)
     if linear:
-        out = dict(_series_numerator(tuple(g for g in gens if g.degree > 1), budget))
+        out = dict(_series_numerator(tuple(g for g in gens if sum(g) > 1), budget))
         for _ in range(linear):
             folded: dict[int, int] = {}
             for e, c in out.items():
@@ -375,17 +382,12 @@ def _series_numerator(gens: tuple[Monomial, ...], budget: list[int]) -> dict[int
             out = folded
         return {e: c for e, c in out.items() if c}
     if len(gens) == 1:
-        return {0: 1, gens[0].degree: -1}
-    nvars = len(gens[0].exponents)
-    counts = [0] * nvars
-    for g in gens:
-        for v, e in enumerate(g.exponents):
-            if e:
-                counts[v] += 1
-    pivot = max(range(nvars), key=lambda v: (counts[v], -v))
-    x = Monomial(tuple(1 if v == pivot else 0 for v in range(nvars)))
-    plus = _minimalize([g for g in gens if g.exponents[pivot] == 0] + [x])
-    colon = _minimalize(g.divide_var(pivot) for g in gens)
+        return {0: 1, sum(gens[0]): -1}
+    nvars = len(gens[0])
+    pivot = max(range(nvars), key=lambda v: (sum(1 for g in gens if g[v]), -v))
+    x = tuple(1 if v == pivot else 0 for v in range(nvars))
+    plus = _minimal([g for g in gens if g[pivot] == 0] + [x])
+    colon = _minimal(g[:pivot] + (max(g[pivot] - 1, 0),) + g[pivot + 1 :] for g in gens)
     out = dict(_series_numerator(plus, budget))
     for e, c in _series_numerator(colon, budget).items():
         out[e + 1] = out.get(e + 1, 0) + c
@@ -427,34 +429,23 @@ def _power_pivot_numerator(
     # no kept generator divides x_v^k and x_v^k divides none of them, so the
     # plus side is already minimal
     plus = tuple(g for g in gens if g[pivot] < k) + (power,)
-    colon = _minimal_exponents(
-        g[:pivot] + (max(g[pivot] - k, 0),) + g[pivot + 1 :] for g in gens
-    )
+    colon = _minimal(g[:pivot] + (max(g[pivot] - k, 0),) + g[pivot + 1 :] for g in gens)
     out = _power_pivot_numerator(plus, budget)
     for e, c in _power_pivot_numerator(colon, budget).items():
         out[e + k] = out.get(e + k, 0) + c
     return {e: c for e, c in out.items() if c}
 
 
-def _minimal_exponents(exps: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    kept: list[tuple[int, ...]] = []
-    for g in sorted(set(exps), key=sum):
-        if not any(all(a <= b for a, b in zip(h, g)) for h in kept):
-            kept.append(g)
-    return tuple(kept)
-
-
 @lru_cache(maxsize=NUMERATOR_CACHE_SIZE)
 def _ideal_numerator(ideal: MonomialIdeal, node_budget: int) -> tuple[tuple[int, int], ...]:
     """Series numerator of S/I as sorted (exponent, coefficient) pairs.
 
-    Both pivot routes run, each with ``node_budget`` nodes; a disagreement
-    raises InvariantViolated.
+    Both pivot routes run on the same exponent tuples, each with
+    ``node_budget`` nodes; a disagreement raises InvariantViolated.
     """
-    by_variable = _series_numerator(ideal.gens, [node_budget])
-    by_power = _power_pivot_numerator(
-        tuple(g.exponents for g in ideal.gens), [node_budget]
-    )
+    gens = tuple(g.exponents for g in ideal.gens)
+    by_variable = _series_numerator(gens, [node_budget])
+    by_power = _power_pivot_numerator(gens, [node_budget])
     if by_variable != by_power:
         raise InvariantViolated(
             f"pivot routes disagree on the series numerator of {ideal}: "
@@ -500,7 +491,6 @@ def hilbert_polynomial(submodule: MonomialSubmodule) -> NumPoly:
     return series_to_polynomial(series.numerator, submodule.n, series.offset)
 
 
-@lru_cache(maxsize=STABILIZATION_CACHE_SIZE)
 def stabilization_degree(submodule: MonomialSubmodule) -> int:
     """Least d0 with H(F/N, d) = P(d) for every d >= d0.
 
@@ -579,14 +569,15 @@ def _linear_section_dim(ideal: MonomialIdeal, e: int, coeffs: tuple[int, ...]) -
     source = quotient_basis(ideal, e - 1)
     if not source:
         return len(target)
-    row_of = {mono: i for i, mono in enumerate(target)}
+    row_of = {mono.exponents: i for i, mono in enumerate(target)}
     columns = []
     for u in source:
+        ue = u.exponents
         column = {}
         for v in range(n + 1):
             if not coeffs[v]:
                 continue
-            i = row_of.get(u.times_var(v))
+            i = row_of.get(ue[:v] + (ue[v] + 1,) + ue[v + 1 :])
             if i is not None:
                 column[i] = coeffs[v]
         columns.append(column)

@@ -11,9 +11,9 @@ minimal generators (Gasharov-Peeva-Welker, "The lcm-lattice in monomial
 resolutions", 1999).  K^alpha lives on at most n+1 vertices, so its boundary
 matrices are tiny; its homology is memoised per facet set in a bounded cache.
 
-``regularity`` reads max(j - i) off that table per component, except for
-stable ideals, where the Eliahou-Kervaire formula gives it in closed form.
-An independent dense Koszul computation in the tests pins both against it.
+``regularity`` reads max(j - i) off that same cached table per component.
+The Eliahou-Kervaire formulas for stable ideals stay public; with a dense
+Koszul computation they are the tests' independent oracles.
 """
 from __future__ import annotations
 
@@ -241,23 +241,22 @@ def ek_betti_table(ideal: MonomialIdeal, quotient: bool = False) -> BettiTable:
 
 
 # ---------------------------------------------------------------------------
-# Regularity: Eliahou-Kervaire for stable components, the Betti table otherwise
+# Regularity, read off the lcm-lattice Betti table
 
 
 def _quotient_reg(ideal: MonomialIdeal) -> int:
-    """Regularity of S/I for a proper nonzero monomial ideal."""
-    if is_stable(ideal):
-        return ideal.max_gen_degree() - 1
+    """Regularity of S/I for a proper nonzero monomial ideal: max(j - i) over
+    beta_{i+1,j}(S/I) = beta_{i,j}(I)."""
     return max(j - i - 1 for i, j, _ in _ideal_table(ideal))
 
 
 def regularity(submodule: MonomialSubmodule, of: str = "quotient") -> int:
     """Castelnuovo-Mumford regularity of F/N (of='quotient') or N (of='submodule').
 
-    Computed as max(j - i) over the graded Betti table, componentwise.  For a
-    proper nonzero ideal the two sides differ by exactly one, which lets each
-    component use the cheaper quotient-side computation.  Raises ZeroModule
-    when the requested module is zero.
+    Computed as max(j - i) over each component's lcm-lattice Betti table,
+    the one ``koszul_betti`` caches.  For a proper nonzero ideal the two
+    sides differ by exactly one.  Raises ZeroModule when the requested
+    module is zero.
     """
     if of not in ("quotient", "submodule"):
         raise ValueError(f"of must be 'quotient' or 'submodule', got {of!r}")

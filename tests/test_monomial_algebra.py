@@ -82,6 +82,52 @@ def test_ideal_minimalizes_generators():
     assert not ideal(2, "x0").is_unit()
 
 
+_GEN_LISTS = st.integers(0, 3).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.lists(st.integers(0, 3), min_size=n + 1, max_size=n + 1),
+            max_size=8,
+        ),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_GEN_LISTS)
+def test_ideal_gens_are_the_minimal_set_in_canonical_order(case):
+    n, exponent_lists = case
+    gens = [Monomial(tuple(e)) for e in exponent_lists]
+    minimal = {g for g in gens if not any(h.divides(g) and h != g for h in gens)}
+    expected = sorted(minimal, key=lambda m: (m.degree, [-e for e in m.exponents]))
+    assert list(MonomialIdeal(n, tuple(gens)).gens) == expected
+
+
+def test_series_and_hyperplane_build_no_monomials(monkeypatch):
+    """Inside the library monomials are exponent tuples; the series and the
+    hyperplane section build no Monomial once the degree bases exist."""
+    ideal_obj = ideal(3, "x0^2*x1", "x1^2*x2", "x0*x2*x3", "x3^3", "x1*x3^2")
+    coeffs = (3, 5, 7, 11)
+    for e in range(5):
+        quotient_basis(ideal_obj, e)
+    built = []
+    honest = Monomial.__post_init__
+
+    def counting(self):
+        built.append(self.exponents)
+        honest(self)
+
+    monkeypatch.setattr(Monomial, "__post_init__", counting)
+    numerator = monomial_algebra._ideal_numerator.__wrapped__(ideal_obj, DEFAULT_NODE_BUDGET)
+    dims = [
+        monomial_algebra._linear_section_dim.__wrapped__(ideal_obj, e, coeffs)
+        for e in range(5)
+    ]
+    assert built == []
+    assert dict(numerator) == counted_numerator(ideal_obj)
+    assert dims[0] == 1 and dims[1] == 3
+
+
 def test_ideal_contains_and_plus_gens():
     i = ideal(2, "x0^2", "x1")
     assert i.contains(monomial_from_string("x0^2*x2", 2))
@@ -196,10 +242,9 @@ def test_both_pivot_routes_match_counting(case):
     n, exponent_lists = case
     ideal_obj = MonomialIdeal(n, tuple(Monomial(tuple(e)) for e in exponent_lists))
     truth = counted_numerator(ideal_obj)
-    by_variable = monomial_algebra._series_numerator(ideal_obj.gens, [DEFAULT_NODE_BUDGET])
-    by_power = monomial_algebra._power_pivot_numerator(
-        tuple(g.exponents for g in ideal_obj.gens), [DEFAULT_NODE_BUDGET]
-    )
+    gens = tuple(g.exponents for g in ideal_obj.gens)
+    by_variable = monomial_algebra._series_numerator(gens, [DEFAULT_NODE_BUDGET])
+    by_power = monomial_algebra._power_pivot_numerator(gens, [DEFAULT_NODE_BUDGET])
     assert by_variable == truth
     assert by_power == truth
 

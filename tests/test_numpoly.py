@@ -43,6 +43,18 @@ def test_numpoly_normalizes_trailing_zeros():
     assert NumPoly().degree == -1 or NumPoly().is_zero()
 
 
+def test_numpoly_coefficients_are_fractions():
+    half = Fraction(1, 2)
+    p = NumPoly([half, 2, Fraction(0), 0])
+    assert p.coeffs == (half, Fraction(2))
+    assert p.coeffs[0] is half
+    assert all(type(c) is Fraction for c in p.coeffs)
+    with pytest.raises(ValueError):
+        NumPoly(["x"])
+    with pytest.raises(TypeError):
+        NumPoly([None])
+
+
 def test_binomial_poly_matches_binomial_on_integers():
     # the polynomial and combinatorial forms agree wherever d + shift >= 0
     # (below that the polynomial alternates sign instead of vanishing)
