@@ -23,7 +23,7 @@ from .errors import (
     RankMismatch,
 )
 from .numpoly import NumPoly, adjusted_gotzmann_rep, binomial_poly, poly_to_dict
-from .theorems import HOLDS, SHARP, VIOLATED, CheckReport
+from .theorems import CheckReport, _compare
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,7 @@ def check_chern_bound(
         premises_hold=True,
         bound_lhs=lhs,
         bound_rhs=rhs,
-        verdict=VIOLATED if lhs > rhs else (SHARP if lhs == rhs else HOLDS),
+        verdict=_compare(lhs, rhs),
         context={"c1": data.c1, "c2": data.c2, "adjusted_number": rep.number},
     )
 

@@ -113,10 +113,6 @@ def _emit(payload: Any, as_text: bool) -> None:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    common.add_argument(
-        "--samples", type=int, default=3, help="generic hyperplane samples (default 3)"
-    )
     fmt = common.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", default=False, help="JSON output (default)")
     fmt.add_argument("--text", action="store_true", default=False, help="plain-text output")
@@ -236,9 +232,7 @@ def _run_check(args: argparse.Namespace) -> theorems.CheckReport:
         return theorems.check_macaulay_adjusted(_module_arg(args.module), args.degree)
     if args.checker == "green":
         _require(args, ["module", "degree"])
-        return theorems.check_green_adjusted(
-            _module_arg(args.module), args.degree, seed=args.seed, samples=args.samples
-        )
+        return theorems.check_green_adjusted(_module_arg(args.module), args.degree)
     if args.checker == "persistence":
         _require(args, ["module", "degree"])
         return theorems.check_persistence_adjusted(
@@ -255,12 +249,7 @@ def _run_check(args: argparse.Namespace) -> theorems.CheckReport:
     if args.checker == "gasharov":
         _require(args, ["module", "degree"])
         return theorems.check_gasharov(
-            _module_arg(args.module),
-            args.degree,
-            args.p,
-            args.which,
-            seed=args.seed,
-            samples=args.samples,
+            _module_arg(args.module), args.degree, args.p, args.which
         )
     _require(args, ["poly", "n", "sheaf-rank", "module-shape", "module-rank"])
     shape = _shape_from(_load_json(args.module_shape))

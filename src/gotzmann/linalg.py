@@ -12,10 +12,9 @@ The loop therefore stops, with a certified answer, once the rank is full or
 the product of the squared primes exceeds the product of those squared norms.
 
 The Betti boundary matrices take the rational rank.  The hyperplane
-restriction takes the rank over GF(LARGEST_PRIME) for one sampled linear
-form: the exact dimension over that field for that form, which is an upper
-bound on the generic characteristic-0 dimension.  A bound that "holds"
-against it is certified; "sharp" and "violated" verdicts are not.
+restriction takes the rank over GF(LARGEST_PRIME) of multiplication by one
+fixed linear form, and certifies it exact when it reaches ``term_rank``,
+which bounds the rank over every field from above.
 """
 from __future__ import annotations
 
@@ -90,3 +89,29 @@ def rank(vectors: list[dict[int, int]], p: int | None = None) -> int:
         modulus *= q * q
         k += 1
     return best
+
+
+def term_rank(vectors: list[dict[int, int]]) -> int:
+    """Largest number of nonzero entries no two of which share a vector or an
+    index: a maximum matching between vectors and indices, grown one vector
+    at a time along an augmenting path found breadth-first."""
+    owner: dict[int, int] = {}  # index -> position of the vector matched to it
+    held: dict[int, int] = {}  # position of a vector -> its matched index
+    for k in range(len(vectors)):
+        via: dict[int, int] = {}  # index -> position of the vector that reached it
+        queue, free = [k], None
+        for j in queue:  # the queue grows while it is read
+            for i, x in vectors[j].items():
+                if x and i not in via:
+                    via[i] = j
+                    if i not in owner:
+                        free = i
+                        break
+                    queue.append(owner[i])
+            if free is not None:
+                break
+        # flip the path: each vector on it takes the index it reached
+        while free is not None:
+            j = via[free]
+            owner[free], held[j], free = j, free, held.get(j)
+    return len(owner)

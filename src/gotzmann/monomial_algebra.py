@@ -19,11 +19,10 @@ Hilbert functions are read off the exact Hilbert series numerator.  Each
 ideal's numerator is computed by two independent pivot recursions, one
 splitting on a variable x_v and one on a variable power x_v^k, and the two
 must agree.  Monomial enumeration (``quotient_basis``) is kept only where a
-k-basis itself is needed: the generic hyperplane restriction.
+k-basis itself is needed: the hyperplane restriction.
 """
 from __future__ import annotations
 
-import random
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -545,80 +544,68 @@ def adjusted_hf_decomposition(submodule: MonomialSubmodule, d: int) -> tuple[int
     return free_part, rho
 
 
-# Distinct (ideal, degree, linear form) triples whose section dimension is
-# kept; the checkers revisit each module's few degrees and forms.
+# Distinct (ideal, degree) pairs whose section dimension is kept; the
+# checkers revisit each module's few degrees.
 LINEAR_SECTION_CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=LINEAR_SECTION_CACHE_SIZE)
-def _linear_section_dim(ideal: MonomialIdeal, e: int, coeffs: tuple[int, ...]) -> int:
-    """dim (S/(I + hS))_e over GF(2^31 - 1) for h = sum coeffs[v] * x_v, exactly.
+def _linear_section_dim(ideal: MonomialIdeal, e: int) -> tuple[int, bool]:
+    """(dim (S/(I + hS))_e, certified) over GF(2^31 - 1), h = x_0 + ... + x_n.
 
-    Equals dim (S/I)_e minus the rank of multiplication by h from (S/I)_{e-1}
-    to (S/I)_e; monomials inside I contribute nothing to either side.
-    """
+    The dimension is dim (S/I)_e minus the rank of multiplication by h from
+    (S/I)_{e-1} to (S/I)_e; monomials in I count on neither side.  Certified
+    means that rank reached its term rank (see ``generic_hyperplane_hf``)."""
     n = ideal.n
     if e < 0 or ideal.is_unit():
-        return 0
+        return 0, True
     if ideal.is_zero():
         # h is a nonzerodivisor on S, so S/hS has the series of n variables
-        return binomial(e + n - 1, n - 1)
+        return binomial(e + n - 1, n - 1), True
     target = quotient_basis(ideal, e)
-    if e == 0 or not target:
-        return len(target)
-    source = quotient_basis(ideal, e - 1)
-    if not source:
-        return len(target)
+    source = quotient_basis(ideal, e - 1) if target else ()
     row_of = {mono.exponents: i for i, mono in enumerate(target)}
     columns = []
     for u in source:
         ue = u.exponents
         column = {}
         for v in range(n + 1):
-            if not coeffs[v]:
-                continue
             i = row_of.get(ue[:v] + (ue[v] + 1,) + ue[v + 1 :])
             if i is not None:
-                column[i] = coeffs[v]
+                column[i] = 1
         columns.append(column)
-    return len(target) - linalg.rank(columns, linalg.LARGEST_PRIME)
+    r = linalg.rank(columns, linalg.LARGEST_PRIME)
+    return len(target) - r, r == linalg.term_rank(columns)
 
 
-def generic_hyperplane_hf(
-    submodule: MonomialSubmodule,
-    d: int,
-    samples: int = 3,
-    seed: int = 0,
-) -> int:
-    """dim (F/(N + hF))_d over GF(p), p = 2^31 - 1, for a sampled linear form h.
-
-    Each sample draws h with coefficients uniform in GF(p) (not all zero) and
-    evaluates the dimension exactly over GF(p); the minimum over samples is
-    returned.  No specialisation of h, in any characteristic, gives less than
-    the generic characteristic-0 dimension, so the value is an upper bound on
-    it.  By Schwartz-Zippel a sample exceeds the generic GF(p) value with
-    probability at most rank/p.  A bound checked against this value that
-    "holds" is therefore certified; "sharp" and "violated" are not.
-    """
+def hyperplane_section(submodule: MonomialSubmodule, d: int) -> tuple[int, str]:
+    """``generic_hyperplane_hf`` with its provenance: "term_rank" when every
+    component's rank reached its term rank, so the value is exact, and
+    "upper_bound" otherwise."""
     if submodule.n < 1:
         raise PreconditionViolated("hyperplane restriction needs n >= 1")
-    if samples < 1:
-        raise PreconditionViolated(f"samples must be positive, got {samples}")
-    rng = random.Random(seed)
-    best: int | None = None
-    for _ in range(samples):
-        coeffs = (0,)
-        while not any(coeffs):
-            coeffs = tuple(
-                rng.randrange(linalg.LARGEST_PRIME) for _ in range(submodule.n + 1)
-            )
-        total = sum(
-            _linear_section_dim(ideal, d - f, coeffs)
-            for f, ideal in zip(submodule.degrees, submodule.components)
-        )
-        best = total if best is None else min(best, total)
-    assert best is not None
-    return best
+    dims, certified = zip(*(
+        _linear_section_dim(ideal, d - f)
+        for f, ideal in zip(submodule.degrees, submodule.components)
+    ))
+    return sum(dims), "term_rank" if all(certified) else "upper_bound"
+
+
+def generic_hyperplane_hf(submodule: MonomialSubmodule, d: int) -> int:
+    """dim (F/(N + hF))_d over GF(p), p = 2^31 - 1, for h = x_0 + ... + x_n:
+    never below the generic characteristic-0 dimension, and equal to it
+    where ``hyperplane_section`` says "term_rank".
+
+    Scaling each x_v by c_v != 0 fixes every monomial ideal and sends
+    x_0 + ... + x_n to sum c_v x_v, so over any field every h with nonzero
+    coefficients, a generic one included, gives the same dimension.  Per
+    component, multiplication by h is a 0/1 matrix whose rank over GF(p) is
+    at most its rank over Q (minors are integers), the generic rank, which
+    is at most its term rank (Edmonds, J. Res. NBS 1967).  A bound that
+    "holds" against the value is certified either way; "sharp" and
+    "violated" only when it is exact.
+    """
+    return hyperplane_section(submodule, d)[0]
 
 
 # ---------------------------------------------------------------------------

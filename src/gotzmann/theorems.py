@@ -27,9 +27,9 @@ from .monomial_algebra import (
     MonomialIdeal,
     MonomialSubmodule,
     adjusted_hf_decomposition,
-    generic_hyperplane_hf,
     hf_direct,
     hilbert_polynomial,
+    hyperplane_section,
     module_to_dict,
     rank,
     saturate,
@@ -117,10 +117,10 @@ def check_macaulay_adjusted(submodule: MonomialSubmodule, d: int) -> CheckReport
     )
 
 
-def check_green_adjusted(
-    submodule: MonomialSubmodule, d: int, seed: int = 0, samples: int = 3
-) -> CheckReport:
-    """Generic hyperplane restriction against the adjusted Green bound."""
+def check_green_adjusted(submodule: MonomialSubmodule, d: int) -> CheckReport:
+    """Generic hyperplane restriction against the adjusted Green bound;
+    context["hyperplane"] says whether the restriction is exact ("term_rank")
+    or an upper bound ("upper_bound")."""
     n = submodule.n
     if n < 1:
         raise PreconditionViolated(f"need n >= 1, got {n}")
@@ -128,7 +128,7 @@ def check_green_adjusted(
     if d < f_low + 1:
         raise PreconditionViolated(f"need d >= f_low + 1 = {f_low + 1}, got {d}")
     _, rho = adjusted_hf_decomposition(submodule, d)
-    lhs = generic_hyperplane_hf(submodule, d, samples=samples, seed=seed)
+    lhs, provenance = hyperplane_section(submodule, d)
     rhs = _free_tail_sum(submodule, d, n - 1) + green_transform(
         rho, d - f_low
     )
@@ -139,7 +139,7 @@ def check_green_adjusted(
         bound_lhs=lhs,
         bound_rhs=rhs,
         verdict=_compare(lhs, rhs),
-        context={"d": d, "rho": rho, "f_low": f_low, "seed": seed, "samples": samples},
+        context={"d": d, "rho": rho, "f_low": f_low, "hyperplane": provenance},
     )
 
 
@@ -148,11 +148,10 @@ def check_gasharov(
     d: int,
     p: int,
     which: str = "macaulay",
-    seed: int = 0,
-    samples: int = 3,
 ) -> CheckReport:
     """Classical growth and hyperplane bounds with transform index d - l - p,
-    where l is the largest ambient degree."""
+    where l is the largest ambient degree; the hyperplane report carries the
+    restriction's provenance as in ``check_green_adjusted``."""
     if which not in ("macaulay", "green"):
         raise ValueError(f"which must be 'macaulay' or 'green', got {which!r}")
     if p < 0:
@@ -162,11 +161,12 @@ def check_gasharov(
         raise PreconditionViolated(f"need d >= p + l + 1 = {p + l + 1}, got {d}")
     h_d = hf_direct(submodule, d)
     index = d - l - p
+    context = {"d": d, "p": p, "l": l, "index": index}
     if which == "macaulay":
         lhs = hf_direct(submodule, d + 1)
         rhs = macaulay_transform(h_d, index)
     else:
-        lhs = generic_hyperplane_hf(submodule, d, samples=samples, seed=seed)
+        lhs, context["hyperplane"] = hyperplane_section(submodule, d)
         rhs = green_transform(h_d, index)
     return CheckReport(
         name=f"gasharov_{which}",
@@ -175,7 +175,7 @@ def check_gasharov(
         bound_lhs=lhs,
         bound_rhs=rhs,
         verdict=_compare(lhs, rhs),
-        context={"d": d, "p": p, "l": l, "index": index, "seed": seed},
+        context=context,
     )
 
 
@@ -195,14 +195,15 @@ def check_persistence_adjusted(
     if d < f_low + 1:
         raise PreconditionViolated(f"need d >= f_low + 1 = {f_low + 1}, got {d}")
     instance = module_to_dict(submodule)
-    premise = hf_direct(submodule, d + 1) == adjusted_macaulay_bound(submodule, d)
-    if not premise:
+    lhs = hf_direct(submodule, d + 1)
+    rhs = adjusted_macaulay_bound(submodule, d)
+    if lhs != rhs:
         return CheckReport(
             name="persistence_adjusted",
             instance=instance,
             premises_hold=False,
-            bound_lhs=hf_direct(submodule, d + 1),
-            bound_rhs=adjusted_macaulay_bound(submodule, d),
+            bound_lhs=lhs,
+            bound_rhs=rhs,
             verdict=PREMISE_FAILS,
             context={"d": d, "horizon": horizon},
         )
@@ -361,7 +362,6 @@ def sweep(
     base_seed: int = 0,
     window: int = 6,
     horizon: int = 3,
-    samples: int = 3,
 ) -> Iterator[CheckReport]:
     """Run every checker over `count` random instances and all valid degrees
     in a width-`window` band above each precondition threshold.
@@ -371,22 +371,19 @@ def sweep(
     reported.
     """
     for k in range(count):
-        seed = base_seed + k
-        submodule = random_submodule(seed)
+        submodule = random_submodule(base_seed + k)
         f_low = f_low_degree(submodule)
         l = submodule.degrees[-1]
         max_gen = submodule.max_gen_degree()
         for d in range(f_low + 1, f_low + 1 + window):
             yield check_macaulay_adjusted(submodule, d)
-            yield check_green_adjusted(submodule, d, seed=seed, samples=samples)
+            yield check_green_adjusted(submodule, d)
             if max_gen is None or max_gen <= d:
                 yield check_persistence_adjusted(submodule, d, horizon=horizon)
             for p in range(0, 3):
                 if d >= p + l + 1:
                     yield check_gasharov(submodule, d, p, "macaulay")
-                    yield check_gasharov(
-                        submodule, d, p, "green", seed=seed, samples=samples
-                    )
+                    yield check_gasharov(submodule, d, p, "green")
         if f_low <= 0:
             # f_low > 0 breaks the regularity statement's hypothesis; vacuous.
             yield check_gotzmann_regularity_adjusted(submodule)

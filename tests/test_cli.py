@@ -383,8 +383,17 @@ def test_text_output(capsys):
 
 
 def test_green_check_deterministic(capsys):
-    argv = ["check", "green", "--module", TWO_LINES, "--degree", "2", "--seed", "11"]
+    argv = ["check", "green", "--module", TWO_LINES, "--degree", "2"]
     assert run_json(capsys, argv) == run_json(capsys, argv)
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--samples"])
+def test_sampling_flags_are_gone(capsys, flag):
+    argv = ["check", "green", "--module", TWO_LINES, "--degree", "2", flag, "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 def test_file_input(capsys, tmp_path):

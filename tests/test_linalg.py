@@ -1,4 +1,6 @@
-"""Sparse GF(p) and certified rational ranks against independent dense oracles."""
+"""Sparse GF(p) and certified rational ranks, and term ranks, against
+independent dense oracles."""
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gotzmann import linalg
-from gotzmann.linalg import LARGEST_PRIME, rank
+from gotzmann.linalg import LARGEST_PRIME, rank, term_rank
 
 SMALL_PRIME = 7
 
@@ -227,3 +229,36 @@ def test_rank_ignores_vector_order_and_index_gaps(p):
         vectors = [{10 * j + 3: x for j, x in enumerate(row) if x} for row in m]
         rng.shuffle(vectors)
         assert rank(vectors, p) == rank_oracle(m, p)
+
+
+def term_rank_oracle(rows):
+    # with no more rows than columns, every matching extends to an injective
+    # map from rows to columns, so try them all and count nonzero hits
+    if len(rows) > len(rows[0]):
+        rows = [list(col) for col in zip(*rows)]
+    return max(
+        sum(1 for row, j in zip(rows, cols) if row[j])
+        for cols in itertools.permutations(range(len(rows[0])), len(rows))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda ncols: st.lists(
+            st.lists(st.integers(0, 2), min_size=ncols, max_size=ncols),
+            min_size=1,
+            max_size=6,
+        )
+    )
+)
+def test_term_rank_matches_brute_force(rows):
+    assert term_rank(sparse(rows)) == term_rank_oracle(rows)
+    assert rank(sparse(rows)) <= term_rank(sparse(rows))
+
+
+def test_term_rank_follows_long_augmenting_paths():
+    # vector k prefers index k + 1, so the last vector displaces every other
+    # one down by an index: one augmenting path of length 3000
+    vectors = [{k + 1: 1, k: 1} for k in range(3000)] + [{3000: 1}]
+    assert term_rank(vectors) == 3001

@@ -1,11 +1,13 @@
 """Monomials, monomial ideals, submodules, and their Hilbert data."""
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gotzmann.combinatorics import binomial
 from gotzmann.errors import BudgetExceeded, InvariantViolated, PreconditionViolated
-from gotzmann import monomial_algebra
+from gotzmann import linalg, monomial_algebra
 from gotzmann.monomial_algebra import (
     DEFAULT_NODE_BUDGET,
     GradedFreeModule,
@@ -15,6 +17,7 @@ from gotzmann.monomial_algebra import (
     adjusted_hf_decomposition,
     generic_hyperplane_hf,
     hf_direct,
+    hyperplane_section,
     hilbert_polynomial,
     hilbert_series,
     ideal_from_dict,
@@ -29,6 +32,7 @@ from gotzmann.monomial_algebra import (
     stabilization_degree,
 )
 from gotzmann.numpoly import NumPoly
+from gotzmann.theorems import check_green_adjusted
 
 from conftest import counted_numerator, hf_count, hf_quotient, ideal, module
 
@@ -107,7 +111,6 @@ def test_series_and_hyperplane_build_no_monomials(monkeypatch):
     """Inside the library monomials are exponent tuples; the series and the
     hyperplane section build no Monomial once the degree bases exist."""
     ideal_obj = ideal(3, "x0^2*x1", "x1^2*x2", "x0*x2*x3", "x3^3", "x1*x3^2")
-    coeffs = (3, 5, 7, 11)
     for e in range(5):
         quotient_basis(ideal_obj, e)
     built = []
@@ -120,7 +123,7 @@ def test_series_and_hyperplane_build_no_monomials(monkeypatch):
     monkeypatch.setattr(Monomial, "__post_init__", counting)
     numerator = monomial_algebra._ideal_numerator.__wrapped__(ideal_obj, DEFAULT_NODE_BUDGET)
     dims = [
-        monomial_algebra._linear_section_dim.__wrapped__(ideal_obj, e, coeffs)
+        monomial_algebra._linear_section_dim.__wrapped__(ideal_obj, e)[0]
         for e in range(5)
     ]
     assert built == []
@@ -361,15 +364,86 @@ def test_generic_hyperplane_examples(two_free_lines):
     assert generic_hyperplane_hf(line3, 1) == 1
     with pytest.raises(PreconditionViolated):
         generic_hyperplane_hf(module(0, (0,), ["zero"]), 1)
-    with pytest.raises(PreconditionViolated):
-        generic_hyperplane_hf(two_free_lines, 1, samples=0)
 
 
-def test_generic_hyperplane_seed_independent(corpus):
-    for sub in corpus[:50]:
-        d = max(sub.degrees) + 2
-        values = {generic_hyperplane_hf(sub, d, samples=3, seed=s) for s in (0, 1, 2)}
-        assert len(values) == 1, (sub, values)
+def test_generic_hyperplane_repeatable(corpus):
+    # one fixed linear form: value and label survive repeats and a cold cache
+    subs = [(sub, max(sub.degrees) + 2) for sub in corpus[:50]]
+    first = [hyperplane_section(sub, d) for sub, d in subs]
+    assert [hyperplane_section(sub, d) for sub, d in subs] == first
+    monomial_algebra._linear_section_dim.cache_clear()
+    assert [hyperplane_section(sub, d) for sub, d in subs] == first
+    assert [generic_hyperplane_hf(sub, d) for sub, d in subs] == [v for v, _ in first]
+
+
+def section_matrix(ideal_obj, e, c):
+    # multiplication by sum c[v] x_v from (S/I)_(e-1) to (S/I)_e, one column
+    # per standard monomial of degree e - 1, by brute-force enumeration
+    n = ideal_obj.n
+    target = [m for m in itertools.product(range(e + 1), repeat=n + 1)
+              if sum(m) == e and not ideal_obj.contains(Monomial(m))]
+    source = [m for m in itertools.product(range(e), repeat=n + 1)
+              if sum(m) == e - 1 and not ideal_obj.contains(Monomial(m))]
+    row_of = {m: i for i, m in enumerate(target)}
+    columns = []
+    for u in source:
+        column = {}
+        for v in range(n + 1):
+            i = row_of.get(u[:v] + (u[v] + 1,) + u[v + 1 :])
+            if i is not None and c[v]:
+                column[i] = c[v]
+        columns.append(column)
+    return columns, len(target)
+
+
+def test_weak_lefschetz_gap_is_an_upper_bound():
+    # (x0^3, x1^3, x2^3, x0*x1*x2) fails the Weak Lefschetz property in
+    # degree 2 -> 3 (Migliore, Miro-Roig and Nagel, Trans. AMS 2011): the 6 x 6
+    # multiplication matrix has term rank 6 but rank 5
+    gap = ideal(2, "x0^3", "x1^3", "x2^3", "x0*x1*x2")
+    columns, rows = section_matrix(gap, 3, (1, 1, 1))
+    assert (rows, len(columns)) == (6, 6)
+    assert linalg.term_rank(columns) == 6
+    assert linalg.rank(columns, linalg.LARGEST_PRIME) == 5
+    sub = module(2, (0,), [gap])
+    assert hyperplane_section(sub, 3) == (1, "upper_bound")
+    assert generic_hyperplane_hf(sub, 3) == 1
+    report = check_green_adjusted(sub, 3)
+    assert report.bound_lhs == 1
+    assert report.context["hyperplane"] == "upper_bound"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 2).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.lists(st.integers(0, 3), min_size=n + 1, max_size=n + 1),
+                     min_size=1, max_size=4),
+            st.integers(1, 3),
+        )
+    )
+)
+def test_generic_hyperplane_matches_grid_oracle(case):
+    # With R the generic rank, some R-minor of M(c) is a nonzero form of
+    # degree R; setting c_0 = 1 keeps it nonzero, so it does not vanish on
+    # all of {1} x S^n once |S| > R (Alon, Combinatorial Nullstellensatz,
+    # 1999).  S = {0, ..., r + 1} with r = min(rows, columns) >= R is enough,
+    # and the largest rational rank over that grid is R.
+    n, exponent_lists, e = case
+    ideal_obj = MonomialIdeal(n, tuple(Monomial(tuple(x)) for x in exponent_lists))
+    columns, rows = section_matrix(ideal_obj, e, (1,) * (n + 1))
+    r = min(rows, len(columns))
+    grid = itertools.product(range(r + 2), repeat=n)
+    generic = max(
+        linalg.rank(section_matrix(ideal_obj, e, (1,) + point)[0]) for point in grid
+    )
+    value, provenance = hyperplane_section(module(n, (0,), [ideal_obj]), e)
+    if provenance == "term_rank":
+        assert value == rows - generic
+    else:
+        assert provenance == "upper_bound"
+        assert value >= rows - generic
 
 
 def test_serialization_round_trips(two_free_lines, twisted_plane_pair, corpus):
