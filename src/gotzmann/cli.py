@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any
+from typing import Any, NoReturn
 
 from . import chern as chern_mod
 from . import lex as lex_mod
@@ -111,13 +111,21 @@ def _emit(payload: Any, as_text: bool) -> None:
         print(json.dumps(payload, sort_keys=True))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as ValueError, so that ``main`` prints them with
+    the other exit-2 errors; subparsers inherit the class."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     fmt = common.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", default=False, help="JSON output (default)")
     fmt.add_argument("--text", action="store_true", default=False, help="plain-text output")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gotzmann",
         description="Binomial representations of Hilbert functions/polynomials "
         "and their bound checkers.",
@@ -334,9 +342,8 @@ def _dispatch(args: argparse.Namespace) -> tuple[Any, int]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         payload, code = _dispatch(args)
     except (ValueError, KeyError, OSError, BudgetExceeded, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -232,13 +232,13 @@ def test_violated_check_exits_one(capsys, monkeypatch):
 
 def test_internal_fault_exits_three(capsys, monkeypatch):
     def faulty_dispatch(args):
-        raise InvariantViolated("pivot routes disagree")
+        raise InvariantViolated("stabilization scan ran past its safety floor")
 
     monkeypatch.setattr(cli, "_dispatch", faulty_dispatch)
     code, out, err = run_cli(capsys, ["rank", "--module", TWO_LINES])
     assert code == 3
     assert out == ""
-    assert err == "internal error: pivot routes disagree\n"
+    assert err == "internal error: stabilization scan ran past its safety floor\n"
     assert "Traceback" not in err
 
 
@@ -361,6 +361,7 @@ def test_error_paths_exit_two(capsys):
             ["lexify", "--module-shape", '{"n": 1, "degrees": 0}', "--hf", '{"tail": {"coeffs": [1]}}'],
             "integer 'n' and 'degrees'",
         ),
+        (["rank"], "the following arguments are required: --module"),
     ]
     for argv, fragment in cases:
         code, out, err = run_cli(capsys, argv)
@@ -390,10 +391,10 @@ def test_green_check_deterministic(capsys):
 @pytest.mark.parametrize("flag", ["--seed", "--samples"])
 def test_sampling_flags_are_gone(capsys, flag):
     argv = ["check", "green", "--module", TWO_LINES, "--degree", "2", flag, "1"]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert f"unrecognized arguments: {flag} 1" in err
 
 
 def test_file_input(capsys, tmp_path):
@@ -453,6 +454,14 @@ def test_console_script():
     )
     assert bad.returncode == 2
     assert bad.stderr.startswith("error: ")
+    usage = subprocess.run(
+        [*gotzmann, "rank", "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert usage.returncode == 0
+    assert usage.stdout.startswith("usage: gotzmann rank")
 
 
 def test_runs_without_numpy():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gotzmann.combinatorics import binomial
-from gotzmann.errors import BudgetExceeded, InvariantViolated, PreconditionViolated
+from gotzmann.errors import BudgetExceeded, PreconditionViolated
 from gotzmann import linalg, monomial_algebra
 from gotzmann.monomial_algebra import (
     DEFAULT_NODE_BUDGET,
@@ -241,42 +241,12 @@ _PIVOT_CASES = st.integers(0, 4).flatmap(
 
 @settings(max_examples=80, deadline=None)
 @given(_PIVOT_CASES)
-def test_both_pivot_routes_match_counting(case):
+def test_pivot_route_matches_counting(case):
     n, exponent_lists = case
     ideal_obj = MonomialIdeal(n, tuple(Monomial(tuple(e)) for e in exponent_lists))
-    truth = counted_numerator(ideal_obj)
     gens = tuple(g.exponents for g in ideal_obj.gens)
-    by_variable = monomial_algebra._series_numerator(gens, [DEFAULT_NODE_BUDGET])
     by_power = monomial_algebra._power_pivot_numerator(gens, [DEFAULT_NODE_BUDGET])
-    assert by_variable == truth
-    assert by_power == truth
-
-
-def test_pivot_route_disagreement_raises(monkeypatch):
-    honest = monomial_algebra._power_pivot_numerator
-
-    def off_by_one(gens, budget):
-        out = dict(honest(gens, budget))
-        out[0] = out.get(0, 0) + 1
-        return out
-
-    sub = module(2, (0,), [ideal(2, "x0^2*x1", "x1*x2^3", "x0*x2")])
-    monkeypatch.setattr(monomial_algebra, "_power_pivot_numerator", off_by_one)
-    caches = (
-        monomial_algebra._ideal_numerator,
-        monomial_algebra.hilbert_series,
-        monomial_algebra.hf_direct,
-    )
-    for cache in caches:
-        cache.cache_clear()
-    try:
-        with pytest.raises(InvariantViolated, match="pivot routes disagree"):
-            hilbert_series(sub)
-        with pytest.raises(InvariantViolated, match="pivot routes disagree"):
-            hf_direct(sub, 3)
-    finally:
-        for cache in caches:
-            cache.cache_clear()
+    assert by_power == counted_numerator(ideal_obj)
 
 
 def test_series_budget():
