@@ -307,7 +307,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[Any, int]:
         if not isinstance(data, dict) or "tail" not in data:
             raise ValueError("Hilbert-function JSON needs 'tail' (and optional 'table')")
         try:
-            table = [(int(d), int(v)) for d, v in data.get("table", [])]
+            table = [(d, v) for d, v in data.get("table", [])]
         except (TypeError, ValueError) as exc:
             raise ValueError(f"'table' must list [degree, value] integer pairs: {exc}") from None
         result = lex_mod.lexify(shape, table, poly_from_dict(data["tail"]))

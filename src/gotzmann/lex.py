@@ -10,7 +10,7 @@ zeros).
 from __future__ import annotations
 
 from .combinatorics import binomial, macaulay_transform
-from .errors import InvariantViolated, NotAchievable, NotAdmissible
+from .errors import BudgetExceeded, InvariantViolated, NotAchievable, NotAdmissible
 from .monomial_algebra import (
     GradedFreeModule,
     Monomial,
@@ -30,8 +30,8 @@ from .numpoly import (
     series_to_polynomial,
 )
 
-# lexify keeps extending the degree range by this much until the tail
-# polynomial provably governs all later degrees; bounded to stay terminating.
+# floor of lexify's degree ceiling: its window grows up to at least this many
+# degrees past the table before the data count as never settling
 LEXIFY_EXTRA_DEGREES = 80
 
 
@@ -83,13 +83,36 @@ def is_lex_ideal(ideal: MonomialIdeal) -> bool:
     return all(is_lex_piece(sub, d) for d in range(ideal.max_gen_degree() + 1))
 
 
-def _hf_at(table: dict[int, int], tail: NumPoly, d: int) -> int:
-    if d in table:
-        return table[d]
-    value = tail(d)
-    if value.denominator != 1:
-        raise NotAchievable(f"tail value {value} at degree {d} is not an integer")
-    return int(value)
+def _hf_at(values: dict[int, int], tail: NumPoly, d: int) -> int:
+    """H(d) from the table, else the tail value, which is stored in values."""
+    if d not in values:
+        value = tail(d)
+        if value.denominator != 1:
+            raise NotAchievable(f"tail value {value} at degree {d} is not an integer")
+        values[d] = int(value)
+    return values[d]
+
+
+def _degree_ceiling(ambient: GradedFreeModule, tail: NumPoly, floor: int) -> int:
+    """Last degree where lexify can still place a generator, at least floor.
+
+    Generators stop once the partially filled boundary component passes the
+    Gotzmann number of the tail reindexed to its internal degree (with every
+    later component counted fully against the quotient), so the candidate
+    ceilings over all components bound the degrees worth processing.
+    """
+    n, degrees = ambient.n, ambient.degrees
+    ceiling = floor
+    for c, f in enumerate(degrees):
+        internal = tail.shift_argument(f)
+        for f2 in degrees[c + 1 :]:
+            internal = internal - binomial_poly(n, n + f - f2)
+        try:
+            s_c = gotzmann_rep(internal).number
+        except NotAdmissible:
+            continue
+        ceiling = max(ceiling, f + s_c + n + 2)
+    return ceiling
 
 
 def lexify(
@@ -99,21 +122,38 @@ def lexify(
 ) -> MonomialSubmodule:
     """Lex submodule L with H(F/L, d) matching the table, then the tail.
 
-    The table lists (d, value) pairs contiguously from the smallest ambient
-    degree; past its end the tail polynomial gives the values.  Degree by
-    degree the lex segment of the right codimension is selected, checking it
-    contains everything generated so far; a gap means no quotient of F has
-    this Hilbert function and raises NotAchievable.
+    The table lists (d, value) integer pairs contiguously from the smallest
+    ambient degree (anything but int degrees and values raises ValueError);
+    past its end the tail polynomial gives the values.  Degree by degree the
+    lex segment of the right codimension is selected, checking it contains
+    everything generated so far; a gap means no quotient of F has this
+    Hilbert function and raises NotAchievable.
+
+    Degrees are processed in windows [f1, T].  After each window the series
+    of the module built so far must replay the data on it, and the loop stops
+    once that series is polynomial past T and equal to the tail.  The lex
+    submodule with a given Hilbert function is unique, and the module built
+    so far already has the input values at every degree, so later degrees
+    would add no generator.  Otherwise the window doubles its width, up to
+    a ceiling past the Gotzmann numbers of the tail (computed only then);
+    data that have not settled there raise NotAchievable.  A window between
+    the first and the ceiling whose series exceeds the node budget is
+    skipped for the ceiling itself, so BudgetExceeded comes only from the
+    first window or the ceiling.
     """
     f1 = ambient.degrees[0]
     fm = ambient.degrees[-1]
-    pairs = sorted(table.items()) if isinstance(table, dict) else sorted(table)
-    tab = {int(d): int(v) for d, v in pairs}
-    if tab:
-        lo, hi = min(tab), max(tab)
-        if lo != f1 or sorted(tab) != list(range(lo, hi + 1)):
+    pairs = list(table.items()) if isinstance(table, dict) else list(table)
+    for d, v in pairs:
+        if type(d) is not int or type(v) is not int:  # not isinstance: bool is refused too
+            raise ValueError(f"table entry ({d!r}, {v!r}) is not a pair of integers")
+    # the table's values, then each tail value the first time it is read
+    values = dict(sorted(pairs))
+    if values:
+        lo, hi = min(values), max(values)
+        if lo != f1 or sorted(values) != list(range(lo, hi + 1)):
             raise NotAchievable(
-                f"table degrees must run contiguously from f1 = {f1}, got {sorted(tab)}"
+                f"table degrees must run contiguously from f1 = {f1}, got {sorted(values)}"
             )
         last_tabulated = hi
     else:
@@ -135,7 +175,7 @@ def lexify(
         nonlocal prev_fill, processed_to
         pieces = piece_sizes(d)
         dim_d = sum(pieces)
-        h = _hf_at(tab, tail, d)
+        h = _hf_at(values, tail, d)
         if h < 0 or h > dim_d:
             raise NotAchievable(
                 f"H({d}) = {h} outside [0, dim F_{d} = {dim_d}]"
@@ -170,22 +210,8 @@ def lexify(
         prev_fill = fill
         processed_to = d
 
-    # generators stop once the partially filled boundary component passes the
-    # Gotzmann number of the tail reindexed to its internal degree (with every
-    # later component counted fully against the quotient), so the candidate
-    # ceilings over all components bound the degrees worth processing
     target = max(last_tabulated, fm) + n + 2
-    ceiling = max(target, max(last_tabulated, fm) + LEXIFY_EXTRA_DEGREES)
-    for c, f in enumerate(degrees):
-        internal = tail.shift_argument(f)
-        for f2 in degrees[c + 1 :]:
-            internal = internal - binomial_poly(n, n + f - f2)
-        try:
-            s_c = gotzmann_rep(internal).number
-        except NotAdmissible:
-            continue
-        ceiling = max(ceiling, f + s_c + n + 2)
-
+    ceiling = None
     while True:
         for d in range(processed_to + 1, target + 1):
             process(d)
@@ -196,9 +222,16 @@ def lexify(
         result = MonomialSubmodule(ambient, components)
         # independent route: the series numerator of the constructed module
         # must replay the input data on the processed window
-        series = hilbert_series(result)
+        try:
+            series = hilbert_series(result)
+        except BudgetExceeded:
+            # a window between the first and the ceiling is only a shortcut
+            if ceiling is None or target >= ceiling:
+                raise
+            target = ceiling
+            continue
         for d in range(f1, target + 1):
-            if series.hf(d) != _hf_at(tab, tail, d):
+            if series.hf(d) != values[d]:
                 raise InvariantViolated(
                     f"constructed module disagrees with input data at degree {d}"
                 )
@@ -207,11 +240,14 @@ def lexify(
         # the tail there settles every later degree
         if poly == tail and series.max_exponent - n <= target:
             return result
+        if ceiling is None:
+            floor = max(target, max(last_tabulated, fm) + LEXIFY_EXTRA_DEGREES)
+            ceiling = _degree_ceiling(ambient, tail, floor)
         if target >= ceiling:
             raise NotAchievable(
                 "Hilbert data never settles onto the tail polynomial"
             )
-        target = ceiling
+        target = min(ceiling, target + (target - f1 + 1))
 
 
 def saturated_lex_ideal(g: GotzmannRep, n: int) -> MonomialIdeal:

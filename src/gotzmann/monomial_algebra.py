@@ -26,6 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import le
 from typing import Iterable
 
 from . import linalg
@@ -169,7 +170,7 @@ def _minimal(exps: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     order, so one pass over it keeps exactly the minimal ones."""
     kept: list[tuple[int, ...]] = []
     for g in sorted(sorted(set(exps), reverse=True), key=sum):
-        if not any(all(a <= b for a, b in zip(h, g)) for h in kept):
+        if not any(all(map(le, h, g)) for h in kept):
             kept.append(g)
     return tuple(kept)
 

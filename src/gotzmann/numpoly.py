@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Iterable, Sequence, Union
 
 from .combinatorics import binomial
@@ -52,10 +52,13 @@ class NumPoly:
         return not self.coeffs
 
     def __call__(self, d: Scalar) -> Fraction:
-        acc = Fraction(0)
+        # Horner on the numerators over the common denominator, one Fraction;
+        # for an int argument every step stays in integers
+        den = lcm(*(c.denominator for c in self.coeffs))
+        acc = 0
         for c in reversed(self.coeffs):
-            acc = acc * d + c
-        return acc
+            acc = acc * d + c.numerator * (den // c.denominator)
+        return Fraction(acc, den)
 
     def __add__(self, other: "NumPoly | Scalar") -> "NumPoly":
         other = _as_poly(other)

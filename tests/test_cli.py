@@ -362,6 +362,30 @@ def test_error_paths_exit_two(capsys):
             "integer 'n' and 'degrees'",
         ),
         (["rank"], "the following arguments are required: --module"),
+        (
+            [
+                "lexify",
+                "--module-shape",
+                '{"n": 1, "degrees": [0]}',
+                "--hf",
+                '{"table": [[0, 1], [1, 2.9]], "tail": {"coeffs": [1, 1]}}',
+            ],
+            "(1, 2.9) is not a pair of integers",
+        ),
+        (
+            [
+                "lexify",
+                "--module-shape",
+                '{"n": 1, "degrees": [0]}',
+                "--hf",
+                '{"table": [[0, true]], "tail": {"coeffs": [1, 1]}}',
+            ],
+            "(0, True) is not a pair of integers",
+        ),
+        (
+            ["lexify", "--module-shape", '{"n": 1, "degrees": [0]}', "--hf", '{"table": [5], "tail": {"coeffs": [1]}}'],
+            "integer pairs",
+        ),
     ]
     for argv, fragment in cases:
         code, out, err = run_cli(capsys, argv)

@@ -4,8 +4,9 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+import gotzmann.lex as lex_module
 from gotzmann.combinatorics import binomial
-from gotzmann.errors import NotAchievable, NotAdmissible
+from gotzmann.errors import BudgetExceeded, NotAchievable, NotAdmissible
 from gotzmann.lex import (
     is_lex_ideal,
     is_lex_piece,
@@ -25,6 +26,7 @@ from gotzmann.monomial_algebra import (
 )
 from gotzmann.numpoly import GotzmannRep, NumPoly
 from gotzmann.resolution import is_stable
+from gotzmann.theorems import random_submodule
 
 from conftest import hf_count, ideal, module
 
@@ -122,12 +124,32 @@ def test_lexify_not_achievable():
         lexify(ambient, [(0, 1)], NumPoly(["1/2"]))
 
 
+def test_lexify_refuses_non_integer_table_entries():
+    ambient = GradedFreeModule(1, (0,))
+    tables = (
+        [(0, 1), (1, 2.9)],
+        [(0, 1), (1, True)],
+        [(0, 1), (1.0, 2)],
+        {0: 1, 1: "2"},
+    )
+    for table in tables:
+        with pytest.raises(ValueError, match="is not a pair of integers") as info:
+            lexify(ambient, table, NumPoly([1, 1]))
+        assert not isinstance(info.value, NotAchievable)
+
+
+def lexify_data(sub):
+    """(ambient, counted table through the stabilization degree, tail)."""
+    ambient = sub.ambient
+    d0 = max(stabilization_degree(sub), ambient.degrees[0])
+    table = [(d, hf_count(sub, d)) for d in range(ambient.degrees[0], d0 + 1)]
+    return ambient, table, hilbert_polynomial(sub)
+
+
 def test_lexify_reproduces_hilbert_function(corpus):
     for sub in corpus[:25]:
-        ambient = sub.ambient
-        tail = hilbert_polynomial(sub)
-        d0 = max(stabilization_degree(sub), ambient.degrees[0])
-        table = [(d, hf_count(sub, d)) for d in range(ambient.degrees[0], d0 + 1)]
+        ambient, table, tail = lexify_data(sub)
+        d0 = table[-1][0]
         out = lexify(ambient, table, tail)
         for d, value in table:
             assert hf_count(out, d) == value
@@ -137,6 +159,67 @@ def test_lexify_reproduces_hilbert_function(corpus):
             assert expected.denominator == 1
             assert hf_count(out, d) == int(expected)
             assert is_lex_piece(out, d)
+
+
+def test_lexify_unchanged_by_tail_values_in_table(corpus, monkeypatch):
+    # a table through degree 90 makes the first window reach past degree 90,
+    # so it checks every window that settles earlier
+    windows = []
+    series = lex_module.hilbert_series
+    monkeypatch.setattr(lex_module, "hilbert_series", lambda m: windows.append(m) or series(m))
+    growing = random_submodule(76)
+    lexify(*lexify_data(growing))
+    assert len(windows) >= 2  # the first window does not settle
+    for sub in [growing] + corpus:
+        ambient, table, tail = lexify_data(sub)
+        longer = table + [(d, int(tail(d))) for d in range(table[-1][0] + 1, 91)]
+        assert lexify(ambient, longer, tail) == lexify(ambient, table, tail)
+
+
+def test_lexify_budget_overrun_between_windows_goes_to_ceiling(monkeypatch):
+    data = lexify_data(random_submodule(76))
+    expected = lexify(*data)
+    ceilings = []
+    degree_ceiling = lex_module._degree_ceiling
+    monkeypatch.setattr(
+        lex_module, "_degree_ceiling", lambda *a: ceilings.append(degree_ceiling(*a)) or ceilings[-1]
+    )
+    series = lex_module.hilbert_series
+
+    def over_budget_at(calls):
+        windows = []
+
+        def fake(m):
+            windows.append(m)
+            if len(windows) in calls:
+                raise BudgetExceeded("fake")
+            return series(m)
+
+        monkeypatch.setattr(lex_module, "hilbert_series", fake)
+        return windows
+
+    # the second window is over the budget: the third is the ceiling
+    windows = over_budget_at({2})
+    read = []
+    hf_at = lex_module._hf_at
+    monkeypatch.setattr(lex_module, "_hf_at", lambda v, t, d: read.append(d) or hf_at(v, t, d))
+    assert lexify(*data) == expected
+    assert len(windows) == 3 and max(read) == ceilings[0]
+    # the first window and the ceiling still raise
+    for calls in ({1}, {2, 3}):
+        over_budget_at(calls)
+        with pytest.raises(BudgetExceeded):
+            lexify(*data)
+
+
+def test_lexify_first_window_skips_ceiling(monkeypatch):
+    calls = []
+    monkeypatch.setattr(lex_module, "gotzmann_rep", calls.append)
+    ambient = GradedFreeModule(2, (0,))
+    assert lexify(ambient, [(0, 1), (1, 2)], NumPoly([1, 1])).components[0] == ideal(2, "x0")
+    out = lexify(GradedFreeModule(1, (0, 0, 0)), [(0, 2), (1, 4), (2, 6)], NumPoly([2, 2]))
+    assert out.components[0].is_unit()
+    assert calls == []
 
 
 def test_saturated_lex_ideal_examples():

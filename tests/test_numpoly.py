@@ -361,6 +361,27 @@ def test_numpoly_add_sub_inverse(coeffs):
     assert p - p == NumPoly()
 
 
+def fraction_horner(coeffs, d):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * d + c
+    return acc
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.fractions(max_denominator=24), min_size=0, max_size=6),
+    st.one_of(st.integers(min_value=-10**6, max_value=10**6), st.fractions(max_denominator=24)),
+)
+def test_numpoly_call_matches_fraction_horner(coeffs, d):
+    p = NumPoly(coeffs)
+    value = p(d)
+    assert type(value) is Fraction
+    assert value == fraction_horner(p.coeffs, d)
+    zero = NumPoly()(d)
+    assert type(zero) is Fraction and zero == 0
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.integers(min_value=0, max_value=4), min_size=0, max_size=8),
