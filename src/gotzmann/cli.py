@@ -215,7 +215,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--module")
     p.add_argument("--degree", type=int)
-    p.add_argument("--horizon", type=int, default=5)
     p.add_argument("--p", type=int, default=0)
     p.add_argument("--which", choices=("macaulay", "green"), default="macaulay")
     p.add_argument("--poly")
@@ -243,9 +242,7 @@ def _run_check(args: argparse.Namespace) -> theorems.CheckReport:
         return theorems.check_green_adjusted(_module_arg(args.module), args.degree)
     if args.checker == "persistence":
         _require(args, ["module", "degree"])
-        return theorems.check_persistence_adjusted(
-            _module_arg(args.module), args.degree, horizon=args.horizon
-        )
+        return theorems.check_persistence_adjusted(_module_arg(args.module), args.degree)
     if args.checker == "regularity":
         _require(args, ["module"])
         return theorems.check_gotzmann_regularity_adjusted(_module_arg(args.module))

@@ -9,15 +9,16 @@ zeros).
 """
 from __future__ import annotations
 
+from itertools import count
+
 from .combinatorics import binomial, macaulay_transform
-from .errors import BudgetExceeded, InvariantViolated, NotAchievable, NotAdmissible
+from .errors import InvariantViolated, NotAchievable, NotAdmissible
 from .monomial_algebra import (
     GradedFreeModule,
     Monomial,
     MonomialIdeal,
     MonomialSubmodule,
     hilbert_polynomial,
-    hilbert_series,
     monomial_at_rank,
     monomials_of_degree,
 )
@@ -27,11 +28,10 @@ from .numpoly import (
     adjusted_gotzmann_rep,
     binomial_poly,
     gotzmann_rep,
-    series_to_polynomial,
 )
 
-# floor of lexify's degree ceiling: its window grows up to at least this many
-# degrees past the table before the data count as never settling
+# floor of lexify's degree ceiling: this many degrees past max(table, f_m)
+# are processed before the data can count as never settling
 LEXIFY_EXTRA_DEGREES = 80
 
 
@@ -83,16 +83,6 @@ def is_lex_ideal(ideal: MonomialIdeal) -> bool:
     return all(is_lex_piece(sub, d) for d in range(ideal.max_gen_degree() + 1))
 
 
-def _hf_at(values: dict[int, int], tail: NumPoly, d: int) -> int:
-    """H(d) from the table, else the tail value, which is stored in values."""
-    if d not in values:
-        value = tail(d)
-        if value.denominator != 1:
-            raise NotAchievable(f"tail value {value} at degree {d} is not an integer")
-        values[d] = int(value)
-    return values[d]
-
-
 def _degree_ceiling(ambient: GradedFreeModule, tail: NumPoly, floor: int) -> int:
     """Last degree where lexify can still place a generator, at least floor.
 
@@ -129,17 +119,22 @@ def lexify(
     everything generated so far; a gap means no quotient of F has this
     Hilbert function and raises NotAchievable.
 
-    Degrees are processed in windows [f1, T].  After each window the series
-    of the module built so far must replay the data on it, and the loop stops
-    once that series is polynomial past T and equal to the tail.  The lex
-    submodule with a given Hilbert function is unique, and the module built
-    so far already has the input values at every degree, so later degrees
-    would add no generator.  Otherwise the window doubles its width, up to
-    a ceiling past the Gotzmann numbers of the tail (computed only then);
-    data that have not settled there raise NotAchievable.  A window between
-    the first and the ceiling whose series exceeds the node budget is
-    skipped for the ceiling itself, so BudgetExceeded comes only from the
-    first window or the ceiling.
+    The loop stops by Gotzmann persistence (Gotzmann, Math. Z. 1978; Green,
+    LNM 1389).  Let d >= start = max(last table degree, f_m).  While no
+    generator is added, each piece is the span of the previous one: full
+    components stay full, empty ones stay empty, and the partial one, with
+    quotient q = sum_j C(k_j, j) in internal degree D, grows at the extremal
+    Macaulay rate.  So from the piece at d on, H(F/L, t) is the binomials of
+    the empty components plus sum_j C(t - d + k_j, k_j - j), a polynomial of
+    degree at most n in t (q < C(D + n, n) gives k_j - j < n).  If degrees
+    d + 1, ..., d + n + 1 add no generator, that polynomial and the tail
+    agree at n + 1 points; a tail of degree above n is refused up front, so
+    the two are equal and no later degree adds a generator.  The module
+    built by the first such run of n + 1 degrees is returned.
+
+    Data that have not settled by a ceiling past the Gotzmann numbers of the
+    tail raise NotAchievable; the ceiling is computed only once the degree
+    reaches its floor, start + LEXIFY_EXTRA_DEGREES.
     """
     f1 = ambient.degrees[0]
     fm = ambient.degrees[-1]
@@ -147,7 +142,6 @@ def lexify(
     for d, v in pairs:
         if type(d) is not int or type(v) is not int:  # not isinstance: bool is refused too
             raise ValueError(f"table entry ({d!r}, {v!r}) is not a pair of integers")
-    # the table's values, then each tail value the first time it is read
     values = dict(sorted(pairs))
     if values:
         lo, hi = min(values), max(values)
@@ -160,22 +154,27 @@ def lexify(
         last_tabulated = f1 - 1
 
     n = ambient.n
+    if tail.degree > n:
+        raise NotAchievable(
+            f"tail of degree {tail.degree} exceeds the degree {n} of any Hilbert polynomial"
+        )
     degrees = ambient.degrees
     new_gens: list[list[Monomial]] = [[] for _ in degrees]
     # an initial segment of F_d under the position-dominant order is a run of
     # full components, one partial lex piece, then nothing, so per-component
     # counts determine it completely; spans and containment reduce to counts
     prev_fill = [0] * ambient.m
-    processed_to = f1 - 1
-
-    def piece_sizes(d: int) -> list[int]:
-        return [binomial(d - f + n, n) for f in degrees]
-
-    def process(d: int) -> None:
-        nonlocal prev_fill, processed_to
-        pieces = piece_sizes(d)
+    prev_pieces = [binomial(f1 - 1 - f + n, n) for f in degrees]
+    start = max(last_tabulated, fm)
+    ceiling = None
+    quiet = 0  # consecutive degrees past start that added no generator
+    for d in count(f1):
+        pieces = [binomial(d - f + n, n) for f in degrees]
         dim_d = sum(pieces)
-        h = _hf_at(values, tail, d)
+        h = values[d] if d in values else tail(d)
+        if h.denominator != 1:
+            raise NotAchievable(f"tail value {h} at degree {d} is not an integer")
+        h = int(h)
         if h < 0 or h > dim_d:
             raise NotAchievable(
                 f"H({d}) = {h} outside [0, dim F_{d} = {dim_d}]"
@@ -183,7 +182,6 @@ def lexify(
         seg = dim_d - h
         # span of the previous segment: a full piece spans the full next
         # piece, a partial lex piece grows at the extremal Macaulay rate
-        prev_pieces = piece_sizes(d - 1)
         span_size = 0
         for c, f in enumerate(degrees):
             filled, full = prev_fill[c], prev_pieces[c]
@@ -207,47 +205,22 @@ def lexify(
             for r in range(max(span_size - cum, 0), take):
                 new_gens[c].append(monomial_at_rank(n, d - degrees[c], r))
             cum += size
-        prev_fill = fill
-        processed_to = d
-
-    target = max(last_tabulated, fm) + n + 2
-    ceiling = None
-    while True:
-        for d in range(processed_to + 1, target + 1):
-            process(d)
-        components = tuple(
-            MonomialIdeal(n, tuple(gens)) if gens else MonomialIdeal.zero(n)
-            for gens in new_gens
-        )
-        result = MonomialSubmodule(ambient, components)
-        # independent route: the series numerator of the constructed module
-        # must replay the input data on the processed window
-        try:
-            series = hilbert_series(result)
-        except BudgetExceeded:
-            # a window between the first and the ceiling is only a shortcut
-            if ceiling is None or target >= ceiling:
-                raise
-            target = ceiling
-            continue
-        for d in range(f1, target + 1):
-            if series.hf(d) != values[d]:
-                raise InvariantViolated(
-                    f"constructed module disagrees with input data at degree {d}"
+        prev_fill, prev_pieces = fill, pieces
+        if d > start:
+            quiet = 0 if span_size < seg else quiet + 1
+            if quiet > n:
+                # each component's generators come in ascending degree, then
+                # ascending lex rank: minimal and in canonical order
+                return MonomialSubmodule(
+                    ambient, tuple(MonomialIdeal._of_minimal(n, tuple(g)) for g in new_gens)
                 )
-        poly = series_to_polynomial(series.numerator, n, series.offset)
-        # past max_exponent - n the series is already polynomial, so matching
-        # the tail there settles every later degree
-        if poly == tail and series.max_exponent - n <= target:
-            return result
-        if ceiling is None:
-            floor = max(target, max(last_tabulated, fm) + LEXIFY_EXTRA_DEGREES)
-            ceiling = _degree_ceiling(ambient, tail, floor)
-        if target >= ceiling:
-            raise NotAchievable(
-                "Hilbert data never settles onto the tail polynomial"
-            )
-        target = min(ceiling, target + (target - f1 + 1))
+        if d >= start + LEXIFY_EXTRA_DEGREES:
+            if ceiling is None:
+                ceiling = _degree_ceiling(ambient, tail, d)
+            if d >= ceiling:
+                raise NotAchievable(
+                    "Hilbert data never settles onto the tail polynomial"
+                )
 
 
 def saturated_lex_ideal(g: GotzmannRep, n: int) -> MonomialIdeal:

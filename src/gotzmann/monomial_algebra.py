@@ -80,11 +80,6 @@ class Monomial:
         e[v] -= 1
         return Monomial(tuple(e))
 
-    def strip_var(self, v: int) -> "Monomial":
-        e = list(self.exponents)
-        e[v] = 0
-        return Monomial(tuple(e))
-
     def max_index(self) -> int:
         """Largest variable index with positive exponent; -1 for the unit."""
         for v in range(len(self.exponents) - 1, -1, -1):
@@ -195,6 +190,15 @@ class MonomialIdeal:
         object.__setattr__(self, "gens", tuple(by_exps[e] for e in _minimal(by_exps)))
 
     @classmethod
+    def _of_minimal(cls, n: int, gens: tuple[Monomial, ...]) -> "MonomialIdeal":
+        """The ideal of generators already minimal and in canonical order,
+        built without the divisibility pass."""
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "n", n)
+        object.__setattr__(ideal, "gens", gens)
+        return ideal
+
+    @classmethod
     def zero(cls, n: int) -> "MonomialIdeal":
         return cls(n, ())
 
@@ -210,9 +214,6 @@ class MonomialIdeal:
 
     def contains(self, m: Monomial) -> bool:
         return any(g.divides(m) for g in self.gens)
-
-    def plus_gens(self, extra: Iterable[Monomial]) -> "MonomialIdeal":
-        return MonomialIdeal(self.n, self.gens + tuple(extra))
 
     def colon_var_power(self, v: int) -> "MonomialIdeal":
         """I : x_v^infinity, obtained by deleting x_v from every generator."""

@@ -33,6 +33,7 @@ from .monomial_algebra import (
     module_to_dict,
     rank,
     saturate,
+    stabilization_degree,
 )
 from .numpoly import NumPoly, adjusted_gotzmann_rep, poly_to_dict
 from .resolution import regularity
@@ -179,13 +180,21 @@ def check_gasharov(
     )
 
 
-def check_persistence_adjusted(
-    submodule: MonomialSubmodule, d: int, horizon: int = 5
-) -> CheckReport:
+def check_persistence_adjusted(submodule: MonomialSubmodule, d: int) -> CheckReport:
     """Once H(M, d+1) meets the adjusted Macaulay bound at d, it must keep
-    meeting it at every later degree; checked out to d + horizon."""
-    if horizon < 1:
-        raise PreconditionViolated(f"need horizon >= 1, got {horizon}")
+    meeting it at every later degree.
+
+    Checking e = d + 1, ..., L = max(d, d0, f_m) + n + 1 (d0 the
+    stabilization degree) covers every later e.  Meeting the bound at e is
+    rho_(e+1) = rho_e^<e - f_low>, so if it holds on [t, L], t = L - n, then
+    rho_(t+s) = G(s) = sum_j C(k_j + s, k_j - j) for s = 0, ..., n + 1, where
+    rho_t = sum_j C(k_j, j) (Gotzmann, Math. Z. 1978; Green, LNM 1389).
+    Past max(d0, f_m), rho = H - free part is a polynomial R of degree <= n,
+    so the (n + 1)-th difference of G at 0, sum_j C(k_j, k_j - j - n - 1),
+    equals that of R, 0: every k_j - j <= n and G has degree <= n too.
+    Agreeing at n + 2 points, G = R, and G meets the bound at every step.
+    context["horizon"] is L - d, or 0 when the premise fails.
+    """
     max_gen = submodule.max_gen_degree()
     if max_gen is not None and max_gen > d:
         raise PreconditionViolated(
@@ -205,9 +214,11 @@ def check_persistence_adjusted(
             bound_lhs=lhs,
             bound_rhs=rhs,
             verdict=PREMISE_FAILS,
-            context={"d": d, "horizon": horizon},
+            context={"d": d, "horizon": 0},
         )
-    for e in range(d + 1, d + horizon + 1):
+    last = max(d, stabilization_degree(submodule), submodule.degrees[-1]) + submodule.n + 1
+    horizon = last - d
+    for e in range(d + 1, last + 1):
         lhs = hf_direct(submodule, e + 1)
         rhs = adjusted_macaulay_bound(submodule, e)
         if lhs != rhs:
@@ -361,7 +372,6 @@ def sweep(
     count: int,
     base_seed: int = 0,
     window: int = 6,
-    horizon: int = 3,
 ) -> Iterator[CheckReport]:
     """Run every checker over `count` random instances and all valid degrees
     in a width-`window` band above each precondition threshold.
@@ -379,7 +389,7 @@ def sweep(
             yield check_macaulay_adjusted(submodule, d)
             yield check_green_adjusted(submodule, d)
             if max_gen is None or max_gen <= d:
-                yield check_persistence_adjusted(submodule, d, horizon=horizon)
+                yield check_persistence_adjusted(submodule, d)
             for p in range(0, 3):
                 if d >= p + l + 1:
                     yield check_gasharov(submodule, d, p, "macaulay")

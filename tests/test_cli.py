@@ -154,7 +154,8 @@ def test_check_commands_pass(capsys):
     for argv, lhs, rhs, verdict in [
         (["check", "macaulay", "--module", TWO_LINES, "--degree", "1"], 6, 6, "sharp"),
         (["check", "green", "--module", TWO_LINES, "--degree", "1"], 2, 2, "sharp"),
-        (["check", "persistence", "--module", TWO_LINES, "--degree", "1"], 16, 16, "sharp"),
+        # read at the last degree checked, d + n + 1 = 3: H(4) = 10
+        (["check", "persistence", "--module", TWO_LINES, "--degree", "1"], 10, 10, "sharp"),
         (["check", "regularity", "--module", TWO_LINES], 0, 0, "sharp"),
         (
             ["check", "gasharov", "--module", TWO_LINES, "--degree", "1", "--which", "green"],

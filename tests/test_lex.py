@@ -5,8 +5,9 @@ from itertools import combinations_with_replacement
 import pytest
 
 import gotzmann.lex as lex_module
+from gotzmann import monomial_algebra
 from gotzmann.combinatorics import binomial
-from gotzmann.errors import BudgetExceeded, NotAchievable, NotAdmissible
+from gotzmann.errors import NotAchievable, NotAdmissible
 from gotzmann.lex import (
     is_lex_ideal,
     is_lex_piece,
@@ -21,7 +22,9 @@ from gotzmann.monomial_algebra import (
     Monomial,
     MonomialIdeal,
     MonomialSubmodule,
+    hf_direct,
     hilbert_polynomial,
+    hilbert_series,
     stabilization_degree,
 )
 from gotzmann.numpoly import GotzmannRep, NumPoly
@@ -122,6 +125,10 @@ def test_lexify_not_achievable():
     # tail that is not integer valued where it is consulted
     with pytest.raises(NotAchievable):
         lexify(ambient, [(0, 1)], NumPoly(["1/2"]))
+    # H(3) = 2 adds no generator, but the table's H(2) = 2 is off the tail
+    # 5 - d, so that one degree does not settle the data: H(6) = -1
+    with pytest.raises(NotAchievable, match="outside"):
+        lexify(ambient, [(0, 1), (1, 2), (2, 2)], NumPoly([5, -1]))
 
 
 def test_lexify_refuses_non_integer_table_entries():
@@ -161,55 +168,64 @@ def test_lexify_reproduces_hilbert_function(corpus):
             assert is_lex_piece(out, d)
 
 
-def test_lexify_unchanged_by_tail_values_in_table(corpus, monkeypatch):
-    # a table through degree 90 makes the first window reach past degree 90,
-    # so it checks every window that settles earlier
-    windows = []
-    series = lex_module.hilbert_series
-    monkeypatch.setattr(lex_module, "hilbert_series", lambda m: windows.append(m) or series(m))
+def test_lexify_unchanged_by_tail_values_in_table(corpus):
+    # the generators of random_submodule(76)'s lex module run well past its
+    # table, so tail values written into a longer table cover degrees where
+    # lexify still places generators
     growing = random_submodule(76)
-    lexify(*lexify_data(growing))
-    assert len(windows) >= 2  # the first window does not settle
+    data = lexify_data(growing)
+    assert lexify(*data).max_gen_degree() > data[1][-1][0] + 20
     for sub in [growing] + corpus:
         ambient, table, tail = lexify_data(sub)
         longer = table + [(d, int(tail(d))) for d in range(table[-1][0] + 1, 91)]
         assert lexify(ambient, longer, tail) == lexify(ambient, table, tail)
 
 
-def test_lexify_budget_overrun_between_windows_goes_to_ceiling(monkeypatch):
-    data = lexify_data(random_submodule(76))
-    expected = lexify(*data)
-    ceilings = []
-    degree_ceiling = lex_module._degree_ceiling
-    monkeypatch.setattr(
-        lex_module, "_degree_ceiling", lambda *a: ceilings.append(degree_ceiling(*a)) or ceilings[-1]
-    )
-    series = lex_module.hilbert_series
+def test_lexify_reads_no_series(corpus, monkeypatch):
+    # lexify settles by Gotzmann persistence alone: with every series
+    # numerator refused it returns the same modules
+    data = [lexify_data(sub) for sub in [random_submodule(76)] + corpus]
+    expected = [lexify(*args) for args in data]
 
-    def over_budget_at(calls):
-        windows = []
+    def refuse(*args):
+        raise AssertionError("lexify computed a Hilbert series")
 
-        def fake(m):
-            windows.append(m)
-            if len(windows) in calls:
-                raise BudgetExceeded("fake")
-            return series(m)
+    monkeypatch.setattr(monomial_algebra, "_ideal_numerator", refuse)
+    for cached in (hilbert_series, hilbert_polynomial, hf_direct):
+        cached.cache_clear()
+    assert [lexify(*args) for args in data] == expected
 
-        monkeypatch.setattr(lex_module, "hilbert_series", fake)
-        return windows
 
-    # the second window is over the budget: the third is the ceiling
-    windows = over_budget_at({2})
-    read = []
-    hf_at = lex_module._hf_at
-    monkeypatch.setattr(lex_module, "_hf_at", lambda v, t, d: read.append(d) or hf_at(v, t, d))
-    assert lexify(*data) == expected
-    assert len(windows) == 3 and max(read) == ceilings[0]
-    # the first window and the ceiling still raise
-    for calls in ({1}, {2, 3}):
-        over_budget_at(calls)
-        with pytest.raises(BudgetExceeded):
-            lexify(*data)
+def test_lexify_matches_series_replay(corpus):
+    # the series of each output replays the data through the table and a
+    # stretch past it, and its Hilbert polynomial is the tail
+    for sub in [random_submodule(76)] + corpus:
+        ambient, table, tail = lexify_data(sub)
+        out = lexify(ambient, table, tail)
+        series = hilbert_series(out)
+        end = table[-1][0]
+        for d, value in table:
+            assert series.hf(d) == value
+        for d in range(end + 1, max(end, series.max_exponent) + 3):
+            assert series.hf(d) == tail(d)
+        assert hilbert_polynomial(out) == tail
+
+
+def test_lexify_components_are_minimal(corpus):
+    # lexify builds its ideals without re-minimalising; the validating
+    # constructor must give back the same generators in the same order
+    for sub in [random_submodule(76)] + corpus:
+        for component in lexify(*lexify_data(sub)).components:
+            assert MonomialIdeal(component.n, component.gens) == component
+
+
+def test_lexify_refuses_tail_above_degree_n(monkeypatch):
+    calls = []
+    monkeypatch.setattr(lex_module, "_degree_ceiling", lambda *a: calls.append(a))
+    ambient = GradedFreeModule(1, (0,))
+    with pytest.raises(NotAchievable, match="tail of degree 2"):
+        lexify(ambient, [(0, 1)], NumPoly([1, 1, 1]))
+    assert calls == []
 
 
 def test_lexify_first_window_skips_ceiling(monkeypatch):

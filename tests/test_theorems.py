@@ -5,7 +5,7 @@ import pytest
 
 from gotzmann.combinatorics import macaulay_transform
 from gotzmann.errors import PreconditionViolated
-from gotzmann.monomial_algebra import GradedFreeModule
+from gotzmann.monomial_algebra import GradedFreeModule, hf_direct
 from gotzmann.numpoly import GotzmannRep, NumPoly, binomial_poly
 from gotzmann.theorems import (
     HOLDS,
@@ -45,7 +45,7 @@ def test_rank_three_module_battery(two_free_lines):
         assert mac.context["rho"] == 0
         green = check_green_adjusted(two_free_lines, d)
         assert green.verdict == SHARP
-        pers = check_persistence_adjusted(two_free_lines, d, horizon=4)
+        pers = check_persistence_adjusted(two_free_lines, d)
         assert pers.verdict == SHARP
     # classical growth bound at d = 1: H(2) = 6 strictly below 4^(transform) = 10
     classical = check_gasharov(two_free_lines, 1, 0, "macaulay")
@@ -76,8 +76,6 @@ def test_checker_precondition_gates(two_free_lines):
         check_gasharov(two_free_lines, 2, -1)
     with pytest.raises(PreconditionViolated):
         check_gasharov(two_free_lines, 1, 1)  # needs d >= p + l + 1 = 2
-    with pytest.raises(PreconditionViolated):
-        check_persistence_adjusted(two_free_lines, 1, horizon=0)
     gen_high = module(1, (0,), [ideal(1, "x0^3")])
     with pytest.raises(PreconditionViolated):
         check_persistence_adjusted(gen_high, 2)
@@ -94,14 +92,41 @@ def test_persistence_premise_fails():
 
 def test_persistence_on_lex_modules():
     # the premise holds on a saturated lex module at its top generator
-    # degree and persists through the whole horizon
+    # degree and persists at every later degree
     for seed in range(15):
         poly, ambient, r, _ = sharpness_instance(seed)
         lex = saturated_lex_module(poly, ambient, r)
         max_gen = lex.max_gen_degree()
         d = max(f_low_degree(lex) + 1, max_gen if max_gen is not None else 0)
-        rep = check_persistence_adjusted(lex, d, horizon=6)
+        rep = check_persistence_adjusted(lex, d)
         assert rep.verdict == SHARP, (seed, rep.context)
+
+
+def test_persistence_derived_horizon_matches_long_loop(corpus):
+    # the derived last degree gives the verdict of a loop out to d + 40 over
+    # the corpus and the sweep's instances and degrees
+    instances = corpus + [random_submodule(k) for k in range(len(corpus), 500)]
+    checked = 0
+    for sub in instances:
+        f_low = f_low_degree(sub)
+        max_gen = sub.max_gen_degree()
+        for d in range(f_low + 1, f_low + 7):
+            if max_gen is not None and max_gen > d:
+                continue
+            rep = check_persistence_adjusted(sub, d)
+            if hf_direct(sub, d + 1) != adjusted_macaulay_bound(sub, d):
+                expected = PREMISE_FAILS
+            elif all(
+                hf_direct(sub, e + 1) == adjusted_macaulay_bound(sub, e)
+                for e in range(d + 1, d + 41)
+            ):
+                expected = SHARP
+            else:
+                expected = VIOLATED
+            assert rep.verdict == expected, (sub, d)
+            assert rep.context["horizon"] <= 40
+            checked += expected == SHARP
+    assert checked >= 1000
 
 
 def test_zero_saturation_regularity_is_vacuous():
