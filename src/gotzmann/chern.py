@@ -22,7 +22,7 @@ from .errors import (
     PreconditionViolated,
     RankMismatch,
 )
-from .numpoly import NumPoly, adjusted_gotzmann_rep, binomial_poly, poly_to_dict
+from .numpoly import NumPoly, adjusted_gotzmann_rep, poly_to_dict
 from .theorems import CheckReport, _compare
 
 
@@ -76,15 +76,6 @@ def chern_from_hilbert(poly: NumPoly, n: int, r: int) -> ChernData:
     return data
 
 
-def twist_sum_polynomial(n: int, twists: list[int]) -> NumPoly:
-    """Hilbert polynomial of a direct sum of twists of the structure sheaf on
-    projective n-space: sum of C(d + n + a, n) over the twist list."""
-    out = NumPoly()
-    for a in twists:
-        out = out + binomial_poly(n, n + a)
-    return out
-
-
 def check_chern_bound(
     poly: NumPoly,
     n: int,
@@ -117,14 +108,3 @@ def check_chern_bound(
         verdict=_compare(lhs, rhs),
         context={"c1": data.c1, "c2": data.c2, "adjusted_number": rep.number},
     )
-
-
-def sum_ij_identity(n: int) -> tuple[int, int]:
-    """sum of i*j over 1 <= i < j <= n, by loop and by closed form."""
-    if n < 1:
-        raise PreconditionViolated(f"need n >= 1, got {n}")
-    lhs = sum(i * j for i in range(1, n + 1) for j in range(i + 1, n + 1))
-    rhs = (n - 1) * n * (n + 1) * (3 * n + 2) // 24
-    if lhs != rhs:
-        raise InvariantViolated(f"pair-sum identity failed at n = {n}: {lhs} != {rhs}")
-    return lhs, rhs

@@ -17,10 +17,6 @@ class InvariantViolated(RuntimeError):
     """A cross-check that must hold for valid inputs failed; indicates a bug."""
 
 
-class NotStable(ValueError):
-    """The monomial ideal is not stable."""
-
-
 class ZeroModule(ValueError):
     """The operation is undefined for the zero module."""
 
@@ -34,4 +30,4 @@ class NonIntegralChern(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """A configurable work limit was hit before the computation finished."""
+    """A fixed work limit was hit before the computation finished."""

@@ -107,7 +107,7 @@ def _degree_ceiling(ambient: GradedFreeModule, tail: NumPoly, floor: int) -> int
 
 def lexify(
     ambient: GradedFreeModule,
-    table: list[tuple[int, int]] | dict[int, int],
+    table: list[tuple[int, int]],
     tail: NumPoly,
 ) -> MonomialSubmodule:
     """Lex submodule L with H(F/L, d) matching the table, then the tail.
@@ -138,11 +138,10 @@ def lexify(
     """
     f1 = ambient.degrees[0]
     fm = ambient.degrees[-1]
-    pairs = list(table.items()) if isinstance(table, dict) else list(table)
-    for d, v in pairs:
+    for d, v in table:
         if type(d) is not int or type(v) is not int:  # not isinstance: bool is refused too
             raise ValueError(f"table entry ({d!r}, {v!r}) is not a pair of integers")
-    values = dict(sorted(pairs))
+    values = dict(sorted(table))
     if values:
         lo, hi = min(values), max(values)
         if lo != f1 or sorted(values) != list(range(lo, hi + 1)):

@@ -34,7 +34,9 @@ from .combinatorics import binomial
 from .errors import BudgetExceeded, InvariantViolated, PreconditionViolated
 from .numpoly import NumPoly, series_to_polynomial
 
-DEFAULT_NODE_BUDGET = 10**4
+# Pivot nodes the series recursion may visit per component ideal; a work
+# guard, past which hilbert_series raises BudgetExceeded.
+NODE_BUDGET = 10**4
 
 # Entries kept by the caches below.  Each is sized so that a sweep(500) run
 # hits and misses exactly as often as with an unbounded cache.
@@ -67,25 +69,6 @@ class Monomial:
 
     def lcm(self, other: "Monomial") -> "Monomial":
         return Monomial(tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
-
-    def times_var(self, v: int) -> "Monomial":
-        e = list(self.exponents)
-        e[v] += 1
-        return Monomial(tuple(e))
-
-    def divide_var(self, v: int) -> "Monomial":
-        if self.exponents[v] == 0:
-            return self
-        e = list(self.exponents)
-        e[v] -= 1
-        return Monomial(tuple(e))
-
-    def max_index(self) -> int:
-        """Largest variable index with positive exponent; -1 for the unit."""
-        for v in range(len(self.exponents) - 1, -1, -1):
-            if self.exponents[v]:
-                return v
-        return -1
 
     def __str__(self) -> str:
         if self.degree == 0:
@@ -135,26 +118,32 @@ def monomials_of_degree(n: int, d: int) -> tuple[Monomial, ...]:
 
 def monomial_at_rank(n: int, d: int, rank: int) -> Monomial:
     """The monomial at the given position of monomials_of_degree(n, d),
-    computed directly so large degree lists never need materializing."""
+    computed directly so large degree lists never need materializing.
+
+    With R the degree left for x_v, ..., x_n and k = n - v, the monomials
+    whose x_v exponent is at least R - s number C(s + k, k) (a hockey-stick
+    sum), so the x_v exponent is R - s for the least s with rank below that
+    count, found by bisection: O(n log d) binomials per monomial.
+    """
     if d < 0:
         raise ValueError(f"no monomials of negative degree {d}")
-    if rank < 0:
-        raise ValueError(f"rank must be nonnegative, got {rank}")
+    if not 0 <= rank < binomial(d + n, n):
+        raise ValueError(f"rank {rank} out of range for degree {d} in {n + 1} variables")
     exps = []
     remaining = d
     for v in range(n):
-        vars_after = n - v
-        for t in range(remaining, -1, -1):
-            block = binomial(remaining - t + vars_after - 1, vars_after - 1)
-            if rank < block:
-                exps.append(t)
-                remaining -= t
-                break
-            rank -= block
-        else:
-            raise ValueError(f"rank out of range for degree {d} in {n + 1} variables")
-    if rank:
-        raise ValueError(f"rank out of range for degree {d} in {n + 1} variables")
+        k = n - v
+        lo, hi = 0, remaining
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if rank < binomial(mid + k, k):
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo:
+            rank -= binomial(lo - 1 + k, k)
+        exps.append(remaining - lo)
+        remaining = lo
     exps.append(remaining)
     return Monomial(tuple(exps))
 
@@ -398,31 +387,27 @@ def _power_pivot_numerator(
 
 
 @lru_cache(maxsize=NUMERATOR_CACHE_SIZE)
-def _ideal_numerator(ideal: MonomialIdeal, node_budget: int) -> tuple[tuple[int, int], ...]:
+def _ideal_numerator(ideal: MonomialIdeal) -> tuple[tuple[int, int], ...]:
     """Series numerator of S/I as sorted (exponent, coefficient) pairs, by
-    ``_power_pivot_numerator`` within ``node_budget`` nodes."""
+    ``_power_pivot_numerator`` within ``NODE_BUDGET`` nodes."""
     gens = tuple(g.exponents for g in ideal.gens)
-    return tuple(sorted(_power_pivot_numerator(gens, [node_budget]).items()))
+    return tuple(sorted(_power_pivot_numerator(gens, [NODE_BUDGET]).items()))
 
 
 @lru_cache(maxsize=SERIES_CACHE_SIZE)
-def hilbert_series(
-    submodule: MonomialSubmodule,
-    *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> HilbertSeries:
+def hilbert_series(submodule: MonomialSubmodule) -> HilbertSeries:
     """Hilbert series of F/N: each component's numerator shifted by t^(f_i).
 
     The numerators come from ``_ideal_numerator``, one pivot recursion on
-    variable powers; ``node_budget`` caps its nodes per component ideal and
-    BudgetExceeded is raised past it.  The series gives H(F/N, d) exactly at
-    every degree.  The tests check it against monomial counting and against
-    the alternating sums of Betti numbers.
+    variable powers; it visits at most ``NODE_BUDGET`` nodes per component
+    ideal and raises BudgetExceeded past that.  The series gives H(F/N, d)
+    exactly at every degree.  The tests check it against monomial counting
+    and against the alternating sums of Betti numbers.
     """
     n = submodule.n
     combined: dict[int, int] = {}
     for f, ideal in zip(submodule.degrees, submodule.components):
-        for e, c in _ideal_numerator(ideal, node_budget):
+        for e, c in _ideal_numerator(ideal):
             combined[e + f] = combined.get(e + f, 0) + c
     combined = {e: c for e, c in combined.items() if c}
     if combined:

@@ -22,7 +22,9 @@ from .errors import NotAdmissible, PreconditionViolated
 
 Scalar = Union[int, Fraction]
 
-DEFAULT_TERM_BUDGET = 10**6
+# Terms a Gotzmann representation may have; a work guard, past which
+# gotzmann_rep raises NotAdmissible before building the list.
+TERM_BUDGET = 10**6
 
 
 class NumPoly:
@@ -194,7 +196,7 @@ class GotzmannRep:
         return out
 
 
-def gotzmann_rep(poly: NumPoly, term_budget: int = DEFAULT_TERM_BUDGET) -> GotzmannRep:
+def gotzmann_rep(poly: NumPoly) -> GotzmannRep:
     """Gotzmann representation of ``poly``, peeled one run at a time.
 
     After i terms the remainder has degree a and leading coefficient lead;
@@ -203,7 +205,7 @@ def gotzmann_rep(poly: NumPoly, term_budget: int = DEFAULT_TERM_BUDGET) -> Gotzm
     C(d + a - i - m + 1, a + 1).  The degree falls with each run, so the loop
     runs at most deg P + 1 times (a constant tail is the run a = 0).  Raises
     NotAdmissible for non-numerical input, a remainder with negative leading
-    coefficient, or more than ``term_budget`` terms (checked before any list
+    coefficient, or more than ``TERM_BUDGET`` terms (checked before any list
     is built).
     """
     if not poly.is_integer_valued():
@@ -218,16 +220,16 @@ def gotzmann_rep(poly: NumPoly, term_budget: int = DEFAULT_TERM_BUDGET) -> Gotzm
         a = rem.degree
         # integer-valued remainders have a! * lead in the integers
         m = int(lead * factorial(a))
-        if i + m > term_budget:
-            raise NotAdmissible(f"representation needs more than {term_budget} terms")
+        if i + m > TERM_BUDGET:
+            raise NotAdmissible(f"representation needs more than {TERM_BUDGET} terms")
         rem = rem - _run_poly(a, i, m)
         a_list.extend([a] * m)
     return GotzmannRep(tuple(a_list))
 
 
-def gotzmann_number(poly: NumPoly, term_budget: int = DEFAULT_TERM_BUDGET) -> int:
+def gotzmann_number(poly: NumPoly) -> int:
     """Length of the Gotzmann representation (0 for the zero polynomial)."""
-    return gotzmann_rep(poly, term_budget).number
+    return gotzmann_rep(poly).number
 
 
 @dataclass(frozen=True)
@@ -259,7 +261,6 @@ def adjusted_gotzmann_rep(
     n: int,
     all_degrees: Sequence[int],
     r: int,
-    term_budget: int = DEFAULT_TERM_BUDGET,
 ) -> AdjustedGotzmannRep:
     """Rank-and-degree adjusted representation of ``poly``.
 
@@ -283,7 +284,7 @@ def adjusted_gotzmann_rep(
     q_poly = poly
     for f in free:
         q_poly = q_poly - binomial_poly(n, n - f)
-    q = gotzmann_rep(q_poly, term_budget)
+    q = gotzmann_rep(q_poly)
     return AdjustedGotzmannRep(free, n, q)
 
 

@@ -12,18 +12,16 @@ resolutions", 1999).  K^alpha lives on at most n+1 vertices, so its boundary
 matrices are tiny; its homology is memoised per facet set in a bounded cache.
 
 ``regularity`` reads max(j - i) off that same cached table per component.
-The Eliahou-Kervaire formulas for stable ideals stay public; with a dense
-Koszul computation they are the tests' independent oracles.
+The tests hold this backend to two independent oracles: a dense Koszul
+computation and, on stable ideals, the Eliahou-Kervaire formulas.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
 
 from . import linalg
-from .combinatorics import binomial
-from .errors import NotStable, ZeroModule
+from .errors import ZeroModule
 from .monomial_algebra import MonomialIdeal, MonomialSubmodule
 
 # Distinct upper Koszul complexes whose homology is kept; complexes repeat
@@ -183,71 +181,6 @@ def koszul_betti(submodule: MonomialSubmodule, as_quotient: bool = True) -> Bett
     for f, ideal in zip(submodule.degrees, submodule.components):
         pieces.append((_component_table(ideal, as_quotient), f))
     return _merge_shifted(pieces)
-
-
-# ---------------------------------------------------------------------------
-# Eliahou-Kervaire: combinatorial Betti numbers for stable ideals
-
-
-def is_stable(ideal: MonomialIdeal) -> bool:
-    """A monomial ideal is stable when for every generator g with largest
-    variable x_u, all exchanges x_j * g / x_u (j < u) stay inside the ideal.
-
-    An exchange has degree deg g, so it lies in the ideal exactly when it is
-    a generator of that degree or a multiple of one of lower degree; those
-    come first in the canonical generator order.  The zero and unit ideals
-    are stable vacuously.
-    """
-    gens = [g.exponents for g in ideal.gens]
-    start = 0
-    for _, group in groupby(gens, key=sum):
-        same = set(group)
-        lower = gens[:start]
-        start += len(same)
-        for g in same:
-            u = max((v for v, e in enumerate(g) if e), default=0)
-            for j in range(u):
-                h = g[:j] + (g[j] + 1,) + g[j + 1 : u] + (g[u] - 1,) + g[u + 1 :]
-                if h not in same and not any(
-                    all(a <= b for a, b in zip(low, h)) for low in lower
-                ):
-                    return False
-    return True
-
-
-def ek_regularity(ideal: MonomialIdeal) -> int:
-    """Regularity of a stable ideal: the maximal generator degree."""
-    if not is_stable(ideal):
-        raise NotStable(f"{ideal} is not stable")
-    if ideal.is_zero():
-        raise ZeroModule("zero ideal has no generators")
-    return ideal.max_gen_degree()
-
-
-def ek_betti_table(ideal: MonomialIdeal, quotient: bool = False) -> BettiTable:
-    """Graded Betti numbers of a stable ideal by the Eliahou-Kervaire formula:
-
-    beta_{p, p + deg u}(I) = sum over generators u of C(max_index(u), p).
-    """
-    if not is_stable(ideal):
-        raise NotStable(f"{ideal} is not stable")
-    if ideal.is_unit():
-        ideal_table = {(0, 0): 1}
-    else:
-        ideal_table = {}
-        for u in ideal.gens:
-            m0 = u.max_index()
-            for p in range(m0 + 1):
-                key = (p, p + u.degree)
-                ideal_table[key] = ideal_table.get(key, 0) + binomial(m0, p)
-    if not quotient:
-        return BettiTable.from_dict(ideal_table)
-    if ideal.is_unit():
-        return BettiTable.from_dict({})
-    table = {(0, 0): 1}
-    for (p, j), v in ideal_table.items():
-        table[(p + 1, j)] = v
-    return BettiTable.from_dict(table)
 
 
 # ---------------------------------------------------------------------------

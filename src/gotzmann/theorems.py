@@ -337,18 +337,13 @@ def check_sharpness(poly: NumPoly, ambient: GradedFreeModule, r: int) -> CheckRe
     )
 
 
-def random_submodule(
-    seed: int,
-    max_n: int = 3,
-    max_m: int = 3,
-    max_gens: int = 5,
-    max_deg: int = 5,
-) -> MonomialSubmodule:
-    """Seeded random instance: n+1 variables (n <= max_n), m components with
-    degrees in [-1, 1], each component zero, unit, or a random monomial ideal."""
+def random_submodule(seed: int) -> MonomialSubmodule:
+    """Seeded random instance: n+1 variables (1 <= n <= 3), 1 to 3 components
+    with degrees in [-1, 1], each component zero, unit, or a monomial ideal
+    of 1 to 5 generators of degree 1 to 5."""
     rng = random.Random(seed)
-    n = rng.randint(1, max_n)
-    m = rng.randint(1, max_m)
+    n = rng.randint(1, 3)
+    m = rng.randint(1, 3)
     degrees = tuple(sorted(rng.randint(-1, 1) for _ in range(m)))
     components = []
     for _ in range(m):
@@ -359,22 +354,18 @@ def random_submodule(
             components.append(MonomialIdeal.unit(n))
         else:
             gens = []
-            for _ in range(rng.randint(1, max_gens)):
+            for _ in range(rng.randint(1, 5)):
                 exps = [0] * (n + 1)
-                for _ in range(rng.randint(1, max_deg)):
+                for _ in range(rng.randint(1, 5)):
                     exps[rng.randrange(n + 1)] += 1
                 gens.append(Monomial(tuple(exps)))
             components.append(MonomialIdeal(n, tuple(gens)))
     return MonomialSubmodule(GradedFreeModule(n, degrees), tuple(components))
 
 
-def sweep(
-    count: int,
-    base_seed: int = 0,
-    window: int = 6,
-) -> Iterator[CheckReport]:
+def sweep(count: int, base_seed: int = 0) -> Iterator[CheckReport]:
     """Run every checker over `count` random instances and all valid degrees
-    in a width-`window` band above each precondition threshold.
+    in a band of 6 degrees above each precondition threshold.
 
     Checkers whose preconditions cannot be met on an instance are skipped
     (conditional statements are vacuous there); everything that runs is
@@ -385,7 +376,7 @@ def sweep(
         f_low = f_low_degree(submodule)
         l = submodule.degrees[-1]
         max_gen = submodule.max_gen_degree()
-        for d in range(f_low + 1, f_low + 1 + window):
+        for d in range(f_low + 1, f_low + 7):
             yield check_macaulay_adjusted(submodule, d)
             yield check_green_adjusted(submodule, d)
             if max_gen is None or max_gen <= d:

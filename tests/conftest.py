@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from gotzmann import monomial_algebra
 from gotzmann.combinatorics import binomial, green_transform, macaulay_transform
 from gotzmann.monomial_algebra import (
     GradedFreeModule,
@@ -106,23 +107,38 @@ def random_stable_ideal(seed, n_max=3, tries=50):
         exps = [0] * (n + 1)
         for _ in range(rng.randint(1, 4)):
             exps[rng.randrange(n + 1)] += 1
-        gens.append(Monomial(tuple(exps)))
+        gens.append(tuple(exps))
     closed = set(gens)
     frontier = list(gens)
     for _ in range(tries):
         if not frontier:
             break
         g = frontier.pop()
-        u = g.max_index()
+        u = max((v for v, e in enumerate(g) if e), default=-1)
         if u <= 0:
             continue
-        shrunk = g.divide_var(u)
         for j in range(u):
-            cand = shrunk.times_var(j)
-            if not any(h.divides(cand) for h in closed):
+            cand = list(g)
+            cand[u] -= 1
+            cand[j] += 1
+            cand = tuple(cand)
+            if not any(all(a <= b for a, b in zip(h, cand)) for h in closed):
                 closed.add(cand)
                 frontier.append(cand)
-    return MonomialIdeal(n, tuple(closed))
+    return MonomialIdeal(n, tuple(Monomial(g) for g in closed))
+
+
+def set_node_budget(monkeypatch, budget):
+    """Patch the series node budget and drop the series cached under the old
+    one, so the next hilbert_series call runs the recursion again."""
+    monkeypatch.setattr(monomial_algebra, "NODE_BUDGET", budget)
+    monomial_algebra.hilbert_series.cache_clear()
+    monomial_algebra._ideal_numerator.cache_clear()
+
+
+# three squarefree quadrics: the series pivot recursion needs more than one
+# node, so a node budget of 1 is exceeded
+THREE_QUADRICS = module(2, (0,), [ideal(2, "x0*x1", "x1*x2", "x0*x2")])
 
 
 def hf_quotient(ideal_obj, e):

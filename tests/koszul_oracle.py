@@ -51,14 +51,14 @@ def koszul_rank(ideal: MonomialIdeal, quotient: bool, i: int, j: int) -> int:
         return 0
     var_sets = list(combinations(range(n + 1), i))
     target_sets = {T: k for k, T in enumerate(combinations(range(n + 1), i - 1))}
-    target_index = {m: k for k, m in enumerate(target_monos)}
+    target_index = {m.exponents: k for k, m in enumerate(target_monos)}
     columns = []
     for T in var_sets:
         for b in source_monos:
             column = {}
+            e = b.exponents
             for pos, t in enumerate(T):
-                image = b.times_var(t)
-                mi = target_index.get(image)
+                mi = target_index.get(e[:t] + (e[t] + 1,) + e[t + 1 :])
                 if mi is None:
                     continue
                 rest = T[:pos] + T[pos + 1 :]

@@ -6,7 +6,7 @@ per-criterion PASS lines with elapsed times).
 import time
 from contextlib import contextmanager
 
-from gotzmann.chern import check_chern_bound, chern_from_hilbert, sum_ij_identity
+from gotzmann.chern import check_chern_bound, chern_from_hilbert
 from gotzmann.combinatorics import macaulay_rep, macaulay_transform
 from gotzmann.monomial_algebra import (
     GradedFreeModule,
@@ -23,7 +23,7 @@ from gotzmann.numpoly import (
     gotzmann_rep,
     grassmannian_embedding_dims,
 )
-from gotzmann.resolution import ek_regularity, is_stable, koszul_betti, regularity
+from gotzmann.resolution import koszul_betti, regularity
 from gotzmann.theorems import (
     SHARP,
     VIOLATED,
@@ -36,6 +36,8 @@ from gotzmann.theorems import (
 )
 
 from conftest import hf_count, module, sharpness_instance, transform_tables
+from ek_oracle import ek_regularity, is_stable
+from test_chern import sum_ij_identity
 from test_combinatorics import count_descent_decompositions
 
 

@@ -3,14 +3,9 @@ from itertools import product
 
 import pytest
 
-from gotzmann.chern import (
-    ChernData,
-    check_chern_bound,
-    chern_from_hilbert,
-    sum_ij_identity,
-    twist_sum_polynomial,
-)
+from gotzmann.chern import ChernData, check_chern_bound, chern_from_hilbert
 from gotzmann.errors import (
+    InvariantViolated,
     NonIntegralChern,
     NotAdmissible,
     PreconditionViolated,
@@ -18,6 +13,26 @@ from gotzmann.errors import (
 )
 from gotzmann.numpoly import NumPoly, binomial_poly
 from gotzmann.theorems import HOLDS, SHARP
+
+
+def twist_sum_polynomial(n, twists):
+    """Hilbert polynomial of a direct sum of twists of the structure sheaf on
+    projective n-space: sum of C(d + n + a, n) over the twist list."""
+    out = NumPoly()
+    for a in twists:
+        out = out + binomial_poly(n, n + a)
+    return out
+
+
+def sum_ij_identity(n):
+    """sum of i*j over 1 <= i < j <= n, by loop and by closed form."""
+    if n < 1:
+        raise PreconditionViolated(f"need n >= 1, got {n}")
+    lhs = sum(i * j for i in range(1, n + 1) for j in range(i + 1, n + 1))
+    rhs = (n - 1) * n * (n + 1) * (3 * n + 2) // 24
+    if lhs != rhs:
+        raise InvariantViolated(f"pair-sum identity failed at n = {n}: {lhs} != {rhs}")
+    return lhs, rhs
 
 
 def test_twist_sum_round_trip():

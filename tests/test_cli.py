@@ -16,7 +16,7 @@ from gotzmann.cli import main
 from gotzmann.errors import InvariantViolated
 from gotzmann.monomial_algebra import module_to_dict
 
-from conftest import ideal, module
+from conftest import THREE_QUADRICS, ideal, module, set_node_budget
 
 TWO_LINES = json.dumps(
     module_to_dict(module(1, (0, 0, 0), ["unit", "zero", "zero"]))
@@ -241,6 +241,15 @@ def test_internal_fault_exits_three(capsys, monkeypatch):
     assert out == ""
     assert err == "internal error: stabilization scan ran past its safety floor\n"
     assert "Traceback" not in err
+
+
+def test_series_budget_exits_two(capsys, monkeypatch):
+    set_node_budget(monkeypatch, 1)
+    argv = ["hilbert", "--module", json.dumps(module_to_dict(THREE_QUADRICS)), "--series"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: series pivot recursion exceeded its node budget\n"
 
 
 _EXPONENTS = st.lists(st.integers(0, 2), min_size=3, max_size=3)

@@ -9,7 +9,6 @@ from gotzmann.combinatorics import binomial
 from gotzmann.errors import BudgetExceeded, PreconditionViolated
 from gotzmann import linalg, monomial_algebra
 from gotzmann.monomial_algebra import (
-    DEFAULT_NODE_BUDGET,
     GradedFreeModule,
     Monomial,
     MonomialIdeal,
@@ -24,6 +23,7 @@ from gotzmann.monomial_algebra import (
     ideal_to_dict,
     module_from_dict,
     module_to_dict,
+    monomial_at_rank,
     monomial_from_string,
     monomials_of_degree,
     quotient_basis,
@@ -34,16 +34,20 @@ from gotzmann.monomial_algebra import (
 from gotzmann.numpoly import NumPoly
 from gotzmann.theorems import check_green_adjusted
 
-from conftest import counted_numerator, hf_count, hf_quotient, ideal, module
+from conftest import (
+    THREE_QUADRICS,
+    counted_numerator,
+    hf_count,
+    hf_quotient,
+    ideal,
+    module,
+    set_node_budget,
+)
 
 
 def test_monomial_basic_operations():
     m = Monomial((2, 1, 0))
     assert m.degree == 3
-    assert m.times_var(2) == Monomial((2, 1, 1))
-    assert m.divide_var(0) == Monomial((1, 1, 0))
-    assert m.max_index() == 1
-    assert Monomial((0, 0)).max_index() == -1
     assert Monomial((1, 0, 2)).divides(Monomial((1, 1, 2)))
     assert not Monomial((2, 0)).divides(Monomial((1, 5)))
     assert Monomial((1, 2)).lcm(Monomial((3, 0))) == Monomial((3, 2))
@@ -52,8 +56,6 @@ def test_monomial_basic_operations():
 def test_monomial_rejects_negative_exponents():
     with pytest.raises(ValueError):
         Monomial((1, -1))
-    # divide_var clamps at zero instead of going negative
-    assert Monomial((1, 1)).divide_var(1).divide_var(1) == Monomial((1, 0))
 
 
 def test_monomial_string_round_trip():
@@ -75,6 +77,16 @@ def test_monomials_of_degree_count_and_order():
             exps = [m.exponents for m in monos]
             assert exps == sorted(exps, reverse=True)
     assert monomials_of_degree(2, -1) == ()
+
+
+def test_monomial_at_rank_matches_enumeration():
+    for n in range(0, 5):
+        for d in range(0, 9):
+            monos = monomials_of_degree(n, d)
+            assert [monomial_at_rank(n, d, r) for r in range(len(monos))] == list(monos)
+    for n, d, r in [(2, 3, -1), (2, 3, binomial(3 + 2, 2)), (0, 4, 1), (2, -1, 0)]:
+        with pytest.raises(ValueError):
+            monomial_at_rank(n, d, r)
 
 
 def test_ideal_minimalizes_generators():
@@ -120,7 +132,7 @@ def test_series_and_hyperplane_build_no_monomials(monkeypatch):
         honest(self)
 
     monkeypatch.setattr(Monomial, "__post_init__", counting)
-    numerator = monomial_algebra._ideal_numerator.__wrapped__(ideal_obj, DEFAULT_NODE_BUDGET)
+    numerator = monomial_algebra._ideal_numerator.__wrapped__(ideal_obj)
     dims = [
         monomial_algebra._linear_section_dim.__wrapped__(ideal_obj, e)[0]
         for e in range(5)
@@ -242,14 +254,14 @@ def test_pivot_route_matches_counting(case):
     n, exponent_lists = case
     ideal_obj = MonomialIdeal(n, tuple(Monomial(tuple(e)) for e in exponent_lists))
     gens = tuple(g.exponents for g in ideal_obj.gens)
-    by_power = monomial_algebra._power_pivot_numerator(gens, [DEFAULT_NODE_BUDGET])
+    by_power = monomial_algebra._power_pivot_numerator(gens, [monomial_algebra.NODE_BUDGET])
     assert by_power == counted_numerator(ideal_obj)
 
 
-def test_series_budget():
-    sub = module(2, (0,), [ideal(2, "x0*x1", "x1*x2", "x0*x2")])
+def test_series_budget(monkeypatch):
+    set_node_budget(monkeypatch, 1)
     with pytest.raises(BudgetExceeded):
-        hilbert_series(sub, node_budget=1)
+        hilbert_series(THREE_QUADRICS)
 
 
 def test_hilbert_polynomial_examples(twisted_plane_pair):

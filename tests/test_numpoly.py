@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gotzmann.errors import NotAdmissible, PreconditionViolated
+from gotzmann import numpoly
 from gotzmann.numpoly import (
-    DEFAULT_TERM_BUDGET,
     AdjustedGotzmannRep,
     GotzmannRep,
     NumPoly,
@@ -128,18 +128,21 @@ def test_rep_not_admissible_cases():
         gotzmann_rep(NumPoly([0, -10, 1]) + binomial_poly(2, 2) - NumPoly([0, 0, 1]))
 
 
-def test_rep_term_budget():
+def test_rep_term_budget(monkeypatch):
+    monkeypatch.setattr(numpoly, "TERM_BUDGET", 10)
     with pytest.raises(NotAdmissible):
-        gotzmann_rep(NumPoly([50]), term_budget=10)
-    assert gotzmann_rep(NumPoly([10]), term_budget=10).number == 10
+        gotzmann_rep(NumPoly([50]))
+    assert gotzmann_rep(NumPoly([10])).number == 10
     # budgets ending inside a quadratic run, at its end, inside the final
     # linear run, and inside a constant tail; the full length fits exactly
     for a, budgets in [((2,) * 3 + (1,) * 4, (2, 3, 6)), ((1,) * 5 + (0,) * 3, (4, 5, 7))]:
         poly = GotzmannRep(a).polynomial()
         for budget in budgets:
+            monkeypatch.setattr(numpoly, "TERM_BUDGET", budget)
             with pytest.raises(NotAdmissible, match=f"more than {budget} terms"):
-                gotzmann_rep(poly, term_budget=budget)
-        assert gotzmann_rep(poly, term_budget=len(a)).a == a
+                gotzmann_rep(poly)
+        monkeypatch.setattr(numpoly, "TERM_BUDGET", len(a))
+        assert gotzmann_rep(poly).a == a
 
 
 def per_term_rep(poly, term_budget):
@@ -164,7 +167,7 @@ def per_term_rep(poly, term_budget):
     return GotzmannRep(tuple(a_list))
 
 
-def test_rep_matches_per_term_peel_seeded():
+def test_rep_matches_per_term_peel_seeded(monkeypatch):
     rng = random.Random(11)
     polys = []
     for _ in range(300):
@@ -179,15 +182,17 @@ def test_rep_matches_per_term_peel_seeded():
     for _ in range(4):
         polys.append(random_rep(rng, max_len=6, max_val=3).polynomial() + rng.randint(90_000, 110_000))
     assert any(p.leading_coefficient < 0 for p in polys)
+    budgets = (7, 30, numpoly.TERM_BUDGET)
     for poly in polys:
-        for budget in (7, 30, DEFAULT_TERM_BUDGET):
+        for budget in budgets:
+            monkeypatch.setattr(numpoly, "TERM_BUDGET", budget)
             try:
                 expected = per_term_rep(poly, budget)
             except NotAdmissible as exc:
                 with pytest.raises(NotAdmissible, match=re.escape(str(exc))):
-                    gotzmann_rep(poly, term_budget=budget)
+                    gotzmann_rep(poly)
             else:
-                assert gotzmann_rep(poly, term_budget=budget) == expected, poly
+                assert gotzmann_rep(poly) == expected, poly
 
 
 def test_zero_polynomial_rep():
