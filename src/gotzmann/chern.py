@@ -12,10 +12,10 @@ otherwise the input triple (P, n, r) is rejected.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
+from ._value import Value
 from .errors import (
     InvariantViolated,
     NonIntegralChern,
@@ -26,12 +26,14 @@ from .numpoly import NumPoly, adjusted_gotzmann_rep, poly_to_dict
 from .theorems import CheckReport, _compare
 
 
-@dataclass(frozen=True)
-class ChernData:
-    n: int
-    r: int
-    c1: int
-    c2: int
+class ChernData(Value):
+    __slots__ = _fields = ("n", "r", "c1", "c2")
+
+    def __init__(self, n: int, r: int, c1: int, c2: int) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
 
     def to_dict(self) -> dict:
         return {"n": self.n, "r": self.r, "c1": self.c1, "c2": self.c2}

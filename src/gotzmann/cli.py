@@ -58,11 +58,11 @@ def _shape_from(data: Any) -> GradedFreeModule:
     for key in ("n", "degrees"):
         if key not in data:
             raise ValueError(f"module shape missing field '{key}'")
-    try:
-        n, degrees = int(data["n"]), tuple(int(f) for f in data["degrees"])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"module shape needs integer 'n' and 'degrees': {exc}") from None
-    return GradedFreeModule(n, degrees)
+    n, degrees = data["n"], data["degrees"]
+    # not isinstance: bool is refused too
+    if not isinstance(degrees, list) or any(type(x) is not int for x in (n, *degrees)):
+        raise ValueError(f"module shape needs integer 'n' and 'degrees', got {n!r} and {degrees!r}")
+    return GradedFreeModule(n, tuple(degrees))
 
 
 def _module_arg(arg: str) -> MonomialSubmodule:
@@ -77,11 +77,10 @@ def _rep_arg(arg: str) -> GotzmannRep:
     data = _load_json(arg)
     if not isinstance(data, dict) or "a" not in data:
         raise ValueError("representation JSON needs an 'a' field")
-    try:
-        a = tuple(int(x) for x in data["a"])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"representation 'a' must be a list of integers: {exc}") from None
-    return GotzmannRep(a)
+    a = data["a"]
+    if not isinstance(a, list) or any(type(x) is not int for x in a):  # bool is refused too
+        raise ValueError(f"representation 'a' must be a list of integers, got {a!r}")
+    return GotzmannRep(tuple(a))
 
 
 def _rep_dict(rep) -> dict:

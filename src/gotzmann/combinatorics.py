@@ -6,8 +6,9 @@ dimension counts vanish below their starting degree.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, factorial
+
+from ._value import Value
 
 
 def binomial(k: int, j: int) -> int:
@@ -22,31 +23,31 @@ def binomial(k: int, j: int) -> int:
     return comb(k, j)
 
 
-@dataclass(frozen=True)
-class MacaulayRep:
+class MacaulayRep(Value):
     """The unique expansion a = C(k_d, d) + C(k_{d-1}, d-1) + ... + C(k_delta, delta)
 
     with k_d > k_{d-1} > ... > k_delta >= delta >= 1.  ``terms`` lists the
     pairs (k_j, j) with j descending from d; it is empty exactly when a = 0.
     """
 
-    d: int
-    terms: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("d", "terms")
 
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"representation index must be >= 1, got {self.d}")
+    def __init__(self, d: int, terms: tuple[tuple[int, int], ...]) -> None:
+        if d < 1:
+            raise ValueError(f"representation index must be >= 1, got {d}")
         prev_k = None
-        expect_j = self.d
-        for k, j in self.terms:
+        expect_j = d
+        for k, j in terms:
             if j != expect_j:
-                raise ValueError(f"indices must descend consecutively from {self.d}")
+                raise ValueError(f"indices must descend consecutively from {d}")
             if k < j or j < 1:
                 raise ValueError(f"term C({k}, {j}) violates k >= j >= 1")
             if prev_k is not None and k >= prev_k:
                 raise ValueError("upper indices must strictly decrease")
             prev_k = k
             expect_j -= 1
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "terms", terms)
 
     def value(self) -> int:
         return sum(binomial(k, j) for k, j in self.terms)

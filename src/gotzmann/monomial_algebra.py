@@ -24,12 +24,12 @@ only where a k-basis itself is needed: the hyperplane restriction.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import le
 from typing import Iterable
 
 from . import linalg
+from ._value import CachedHash, Value
 from .combinatorics import binomial
 from .errors import BudgetExceeded, InvariantViolated, PreconditionViolated
 from .numpoly import NumPoly, series_to_polynomial
@@ -48,17 +48,17 @@ SERIES_CACHE_SIZE = 2048
 POLYNOMIAL_CACHE_SIZE = 2048
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(CachedHash):
     """Exponent vector in k[x_0..x_n]; the unit monomial has all exponents 0."""
 
-    exponents: tuple[int, ...]
+    __slots__ = _fields = ("exponents",)
 
-    def __post_init__(self) -> None:
-        if not self.exponents:
+    def __init__(self, exponents: tuple[int, ...]) -> None:
+        if not exponents:
             raise ValueError("monomial needs at least one variable")
-        if any(e < 0 for e in self.exponents):
-            raise ValueError(f"negative exponent in {self.exponents}")
+        if any(e < 0 for e in exponents):
+            raise ValueError(f"negative exponent in {exponents}")
+        object.__setattr__(self, "exponents", exponents)
 
     @property
     def degree(self) -> int:
@@ -159,23 +159,22 @@ def _minimal(exps: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     return tuple(kept)
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(CachedHash):
     """Monomial ideal given by its minimal generators (canonicalized on build).
 
     The zero ideal has no generators; the unit ideal is generated by 1.
     """
 
-    n: int
-    gens: tuple[Monomial, ...]
+    __slots__ = _fields = ("n", "gens")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"n must be nonnegative, got {self.n}")
-        for g in self.gens:
-            if len(g.exponents) != self.n + 1:
-                raise ValueError(f"generator {g} does not live in {self.n + 1} variables")
-        by_exps = {g.exponents: g for g in self.gens}
+    def __init__(self, n: int, gens: tuple[Monomial, ...]) -> None:
+        if n < 0:
+            raise ValueError(f"n must be nonnegative, got {n}")
+        for g in gens:
+            if len(g.exponents) != n + 1:
+                raise ValueError(f"generator {g} does not live in {n + 1} variables")
+        by_exps = {g.exponents: g for g in gens}
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "gens", tuple(by_exps[e] for e in _minimal(by_exps)))
 
     @classmethod
@@ -236,20 +235,20 @@ def quotient_basis(ideal: MonomialIdeal, e: int) -> tuple[Monomial, ...]:
     return tuple(m for m in monomials_of_degree(ideal.n, e) if not ideal.contains(m))
 
 
-@dataclass(frozen=True)
-class GradedFreeModule:
+class GradedFreeModule(CachedHash):
     """F = S(-f_1) + ... + S(-f_m) over k[x_0..x_n], degrees ascending."""
 
-    n: int
-    degrees: tuple[int, ...]
+    __slots__ = _fields = ("n", "degrees")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"n must be nonnegative, got {self.n}")
-        if not self.degrees:
+    def __init__(self, n: int, degrees: tuple[int, ...]) -> None:
+        if n < 0:
+            raise ValueError(f"n must be nonnegative, got {n}")
+        if not degrees:
             raise ValueError("free module needs at least one generator")
-        if list(self.degrees) != sorted(self.degrees):
-            raise ValueError(f"degree list {self.degrees} must be ascending")
+        if list(degrees) != sorted(degrees):
+            raise ValueError(f"degree list {degrees} must be ascending")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "degrees", degrees)
 
     @property
     def m(self) -> int:
@@ -259,21 +258,19 @@ class GradedFreeModule:
         return sum(binomial(d - f + self.n, self.n) for f in self.degrees)
 
 
-@dataclass(frozen=True)
-class MonomialSubmodule:
+class MonomialSubmodule(CachedHash):
     """N = I_1 e_1 + ... + I_m e_m inside a graded free module."""
 
-    ambient: GradedFreeModule
-    components: tuple[MonomialIdeal, ...]
+    __slots__ = _fields = ("ambient", "components")
 
-    def __post_init__(self) -> None:
-        if len(self.components) != self.ambient.m:
-            raise ValueError(
-                f"{len(self.components)} components for rank-{self.ambient.m} ambient"
-            )
-        for ideal in self.components:
-            if ideal.n != self.ambient.n:
+    def __init__(self, ambient: GradedFreeModule, components: tuple[MonomialIdeal, ...]) -> None:
+        if len(components) != ambient.m:
+            raise ValueError(f"{len(components)} components for rank-{ambient.m} ambient")
+        for ideal in components:
+            if ideal.n != ambient.n:
                 raise ValueError("component ring dimension differs from ambient")
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "components", components)
 
     @property
     def n(self) -> int:
@@ -311,13 +308,15 @@ def hf_direct(submodule: MonomialSubmodule, d: int) -> int:
     return hilbert_series(submodule).hf(d)
 
 
-@dataclass(frozen=True)
-class HilbertSeries:
+class HilbertSeries(Value):
     """Laurent numerator over (1-t)^(n+1): sum_j numerator[j] t^(offset+j)."""
 
-    n: int
-    offset: int
-    numerator: tuple[int, ...]
+    __slots__ = _fields = ("n", "offset", "numerator")
+
+    def __init__(self, n: int, offset: int, numerator: tuple[int, ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "numerator", numerator)
 
     def hf(self, d: int) -> int:
         """Coefficient of t^d in the series expansion."""
@@ -576,11 +575,13 @@ def module_to_dict(submodule: MonomialSubmodule) -> dict:
 
 def module_from_dict(data: dict) -> MonomialSubmodule:
     try:
-        n = int(data["n"])
-        degrees = tuple(int(f) for f in data["degrees"])
-    except (KeyError, TypeError, ValueError) as exc:
+        n, degrees = data["n"], data["degrees"]
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"module JSON needs integer 'n' and 'degrees': {exc}") from exc
-    ambient = GradedFreeModule(n, degrees)
+    # not isinstance: bool is refused too
+    if not isinstance(degrees, list) or any(type(x) is not int for x in (n, *degrees)):
+        raise ValueError(f"module JSON needs integer 'n' and 'degrees', got {n!r} and {degrees!r}")
+    ambient = GradedFreeModule(n, tuple(degrees))
     raw = data.get("components")
     if not isinstance(raw, list):
         raise ValueError("module JSON needs a 'components' list")

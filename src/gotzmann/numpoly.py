@@ -12,11 +12,11 @@ free summands C(d - f_i + n, n) before representing the remainder.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Iterable, Sequence, Union
 
+from ._value import Value
 from .combinatorics import binomial
 from .errors import NotAdmissible, PreconditionViolated
 
@@ -161,8 +161,7 @@ def _run_poly(a: int, i: int, m: int) -> NumPoly:
     return binomial_poly(a + 1, a - i + 1) - binomial_poly(a + 1, a - i - m + 1)
 
 
-@dataclass(frozen=True)
-class GotzmannRep:
+class GotzmannRep(Value):
     """Non-increasing exponent list a_1 >= ... >= a_s >= 0 with
 
     P(d) = sum_{i=1}^{s} C(d + a_i - (i-1), a_i).
@@ -173,13 +172,14 @@ class GotzmannRep:
     difference of two binomials of degree a + 1.
     """
 
-    a: tuple[int, ...]
+    __slots__ = _fields = ("a",)
 
-    def __post_init__(self) -> None:
-        if any(x < y for x, y in zip(self.a, self.a[1:])):
+    def __init__(self, a: tuple[int, ...]) -> None:
+        if any(x < y for x, y in zip(a, a[1:])):
             raise ValueError("exponent list must be non-increasing")
-        if self.a and self.a[-1] < 0:
-            raise ValueError(f"exponents must be nonnegative, got {self.a[-1]}")
+        if a and a[-1] < 0:
+            raise ValueError(f"exponents must be nonnegative, got {a[-1]}")
+        object.__setattr__(self, "a", a)
 
     @property
     def number(self) -> int:
@@ -232,15 +232,17 @@ def gotzmann_number(poly: NumPoly) -> int:
     return gotzmann_rep(poly).number
 
 
-@dataclass(frozen=True)
-class AdjustedGotzmannRep:
+class AdjustedGotzmannRep(Value):
     """P(d) = sum_{f in free_degrees} C(d - f + n, n) + Q(d) with Q represented
     by ``q``.  ``number`` is the adjusted Gotzmann number, i.e. len(q.a).
     """
 
-    free_degrees: tuple[int, ...]
-    n: int
-    q: GotzmannRep
+    __slots__ = _fields = ("free_degrees", "n", "q")
+
+    def __init__(self, free_degrees: tuple[int, ...], n: int, q: GotzmannRep) -> None:
+        object.__setattr__(self, "free_degrees", free_degrees)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "q", q)
 
     @property
     def number(self) -> int:
@@ -288,17 +290,16 @@ def adjusted_gotzmann_rep(
     return AdjustedGotzmannRep(free, n, q)
 
 
-@dataclass(frozen=True)
-class EmbeddingDims:
+class EmbeddingDims(Value):
     """Dimension data of the degree-s embedding of a Quot-type parameter space."""
 
-    s: int
-    ambient_dim: int
-    sub_dim: int
-    grass_dim: int = field(init=False)
+    __slots__ = _fields = ("s", "ambient_dim", "sub_dim", "grass_dim")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "grass_dim", self.sub_dim * (self.ambient_dim - self.sub_dim))
+    def __init__(self, s: int, ambient_dim: int, sub_dim: int) -> None:
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "sub_dim", sub_dim)
+        object.__setattr__(self, "grass_dim", sub_dim * (ambient_dim - sub_dim))
 
 
 def grassmannian_embedding_dims(
@@ -390,9 +391,11 @@ def poly_from_dict(data: dict) -> NumPoly:
                 raise ValueError(f"terms[{k}] missing field {sorted(missing)}")
             try:
                 mult = Fraction(str(term.get("mult", 1)))
-                a, shift = int(term["a"]), int(term["shift"])
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"bad entry in terms[{k}]: {exc}") from None
+            a, shift = term["a"], term["shift"]
+            if type(a) is not int or type(shift) is not int:  # not isinstance: bool is refused too
+                raise ValueError(f"bad entry in terms[{k}]: 'a' and 'shift' must be integers")
             out = out + mult * binomial_poly(a, shift)
         return out
     raise ValueError("polynomial JSON needs a 'coeffs' or 'terms' field")

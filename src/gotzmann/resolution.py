@@ -17,10 +17,10 @@ computation and, on stable ideals, the Eliahou-Kervaire formulas.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import linalg
+from ._value import Value
 from .errors import ZeroModule
 from .monomial_algebra import MonomialIdeal, MonomialSubmodule
 
@@ -32,11 +32,13 @@ HOMOLOGY_CACHE_SIZE = 4096
 IDEAL_TABLE_CACHE_SIZE = 1024
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(Value):
     """Sparse graded Betti numbers: sorted (i, j, value) triples, values > 0."""
 
-    entries: tuple[tuple[int, int, int], ...]
+    __slots__ = _fields = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[int, int, int], ...]) -> None:
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_dict(cls, data: dict[tuple[int, int], int]) -> "BettiTable":

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 from typing import Iterator
 
+from ._value import Value
 from .combinatorics import binomial, green_transform, macaulay_transform
 from .errors import PreconditionViolated
 from .monomial_algebra import (
@@ -44,15 +44,28 @@ VIOLATED = "violated"
 PREMISE_FAILS = "premise_fails"
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    name: str
-    instance: dict
-    premises_hold: bool
-    bound_lhs: int | None
-    bound_rhs: int | None
-    verdict: str
-    context: dict = field(default_factory=dict)
+class CheckReport(Value):
+    __slots__ = _fields = (
+        "name", "instance", "premises_hold", "bound_lhs", "bound_rhs", "verdict", "context"
+    )
+
+    def __init__(
+        self,
+        name: str,
+        instance: dict,
+        premises_hold: bool,
+        bound_lhs: int | None,
+        bound_rhs: int | None,
+        verdict: str,
+        context: dict | None = None,
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "premises_hold", premises_hold)
+        object.__setattr__(self, "bound_lhs", bound_lhs)
+        object.__setattr__(self, "bound_rhs", bound_rhs)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "context", {} if context is None else context)
 
     def to_dict(self) -> dict:
         return {

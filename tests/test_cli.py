@@ -396,6 +396,25 @@ def test_error_paths_exit_two(capsys):
             ["lexify", "--module-shape", '{"n": 1, "degrees": [0]}', "--hf", '{"table": [5], "tail": {"coeffs": [1]}}'],
             "integer pairs",
         ),
+        # JSON integers are taken only as integers: no float, bool or string is truncated
+        (["rank", "--module", '{"n": 1.7, "degrees": [0], "components": [{"gens": ["x0"]}]}'], "got 1.7"),
+        (["rank", "--module", '{"n": 1, "degrees": [0.9], "components": [{"gens": ["x0"]}]}'], "[0.9]"),
+        (["rank", "--module", '{"n": true, "degrees": [0], "components": [{"gens": ["x0"]}]}'], "got True"),
+        (["rank", "--module", '{"n": "1", "degrees": [0], "components": [{"gens": ["x0"]}]}'], "got '1'"),
+        (["lex-ideal", "--gotzmann", '{"a": [1.9, 0]}', "--n", "2"], "[1.9, 0]"),
+        (["lex-ideal", "--gotzmann", '{"a": [true]}', "--n", "2"], "[True]"),
+        (
+            ["lex-module", "--poly", '{"coeffs": [1]}', "--module-shape", '{"n": 2.5, "degrees": [0]}', "--rank", "0"],
+            "module shape needs integer 'n' and 'degrees', got 2.5",
+        ),
+        (
+            ["gotzmann-rep", "--poly", '{"terms": [{"a": 1.5, "shift": 0}]}'],
+            "terms[0]: 'a' and 'shift' must be integers",
+        ),
+        (
+            ["gotzmann-rep", "--poly", '{"terms": [{"a": 1, "shift": false}]}'],
+            "terms[0]: 'a' and 'shift' must be integers",
+        ),
     ]
     for argv, fragment in cases:
         code, out, err = run_cli(capsys, argv)
@@ -513,3 +532,21 @@ def test_runs_without_numpy():
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == {"betti": [[0, 0, 1], [1, 2, 2], [2, 3, 1]]}
+
+
+def test_import_loads_no_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize, which would about
+    # double the import time of every cold start
+    code = (
+        "import sys; before = set(sys.modules)\n"
+        "import gotzmann.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=checkout_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
