@@ -185,7 +185,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--module-shape", required=True)
     p.add_argument("--rank", type=int, required=True)
 
-    p = sub.add_parser("betti", parents=[common], help="graded Betti table via Koszul homology")
+    p = sub.add_parser("betti", parents=[common],
+                       help="graded Betti table from upper Koszul complexes over the lcm lattice")
     p.add_argument("--module", required=True)
     p.add_argument("--submodule", action="store_true", help="resolve N instead of F/N")
 

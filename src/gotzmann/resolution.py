@@ -11,13 +11,19 @@ minimal generators (Gasharov-Peeva-Welker, "The lcm-lattice in monomial
 resolutions", 1999).  K^alpha lives on at most n+1 vertices, so its boundary
 matrices are tiny; its homology is memoised per facet set in a bounded cache.
 
+Lattice and facets run on packed exponent words (one int per monomial, a
+guarded field of bit_length(max generator exponent) + 1 bits per variable),
+so lcm, divisibility and facets are a few whole-word integer operations.  An
+alpha whose K^alpha is a cone, a full simplex included, is acyclic and skipped.
+
 ``regularity`` reads max(j - i) off that same cached table per component.
-The tests hold this backend to two independent oracles: a dense Koszul
-computation and, on stable ideals, the Eliahou-Kervaire formulas.
+The tests hold this backend to a dense Koszul computation, to the
+Eliahou-Kervaire formulas on stable ideals and to the per-variable tuple route.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_
 
 from . import linalg
 from ._value import Value
@@ -74,33 +80,35 @@ def _merge_shifted(tables: list[tuple[dict[tuple[int, int], int], int]]) -> Bett
     return BettiTable.from_dict(total)
 
 
-def _lcm_lattice(gens: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
-    """Exponent vectors of the lcms of all nonempty sets of generators."""
-    lattice: set[tuple[int, ...]] = set()
-    for g in gens:
-        lattice |= {tuple(map(max, g, a)) for a in lattice}
-        lattice.add(g)
+def _lcm_lattice(words: list[int], guards: int, w: int) -> set[int]:
+    """Packed words of the lcms of all nonempty sets of generators: per field,
+    (a | G) - b keeps its guard bit exactly when a_v >= b_v, and that bit,
+    moved to the field's low end and spread over the field, selects a."""
+    full, shift = (1 << w) - 1, w - 1
+    lattice: set[int] = set()
+    for b in words:
+        lattice |= {(a & (m := (((a | guards) - b & guards) >> shift) * full)) | (b & ~m)
+                    for a in lattice}
+        lattice.add(b)
     return lattice
 
 
-def _facets(alpha: tuple[int, ...], gens: list[tuple[int, ...]]) -> frozenset[int]:
-    """Facets of the upper Koszul complex K^alpha as vertex bitmasks.
-
-    Each generator g dividing x^alpha contributes supp(alpha) minus the
-    variables where g reaches alpha: the largest squarefree F with
-    x^(alpha - F) still a multiple of g.
-    """
+def _facets(word: int, words: list[int], guards: int, ones: int) -> set[int]:
+    """Facets of K^alpha as guard-bit patterns: each generator g dividing x^alpha
+    ((A | G) - g keeps every guard bit) gives the variables where g_v < alpha_v,
+    the largest squarefree F with x^(alpha - F) a multiple of g.  A facet equal
+    to supp(alpha) != 0 makes K^alpha a full simplex and is returned alone."""
+    lifted = word | guards
+    simplex = ((lifted - ones) & guards) or -1
     facets = set()
-    for g in gens:
-        mask = 0
-        for v, (gv, av) in enumerate(zip(g, alpha)):
-            if gv > av:
-                break
-            if gv < av:
-                mask |= 1 << v
-        else:
-            facets.add(mask)
-    return frozenset(facets)
+    for g in words:
+        t = lifted - g
+        if t & guards == guards:
+            facet = (t - ones) & guards
+            if facet == simplex:
+                return {facet}
+            facets.add(facet)
+    return facets
 
 
 @lru_cache(maxsize=HOMOLOGY_CACHE_SIZE)
@@ -122,9 +130,10 @@ def _reduced_homology(facets: frozenset[int]) -> tuple[tuple[int, int], ...]:
     for face in faces:
         by_size.setdefault(face.bit_count(), []).append(face)
     top = max(by_size)
-    # ranks[s]: rank of the boundary map from faces of size s to size s - 1
-    ranks = [0] * (top + 2)
-    for s in range(1, top + 1):
+    # ranks[s]: rank of the boundary map from faces of size s to size s - 1;
+    # every vertex goes to the empty face, so ranks[1] is 1 once one exists
+    ranks = [0, min(top, 1)] + [0] * top
+    for s in range(2, top + 1):
         row_of = {face: r for r, face in enumerate(by_size[s - 1])}
         columns = []
         for face in by_size[s]:
@@ -149,14 +158,33 @@ def _ideal_table(ideal: MonomialIdeal) -> tuple[tuple[int, int, int], ...]:
     """Nonzero graded Betti numbers (i, j, beta_{i,j}) of I as a module.
 
     beta_{i,alpha}(I) = dim H~_{i-1}(K^alpha(I)) is nonzero only for alpha in
-    the lcm lattice of the minimal generators.
+    the lcm lattice of the minimal generators.  Variable v of a packed word
+    owns bits [v*w, (v+1)*w), w = bit_length(max generator exponent) + 1, the
+    top one a guard bit G.  Lattice exponents never exceed the largest
+    generator exponent, so no field reaches its guard bit and no subtraction
+    borrows across fields.  A cone is acyclic, so alpha is skipped when one
+    vertex lies in every maximal facet of K^alpha, a full simplex included.
     """
-    table: dict[tuple[int, int], int] = {}
     gens = [g.exponents for g in ideal.gens]
-    for alpha in _lcm_lattice(gens):
-        j = sum(alpha)
-        for k, dim in _reduced_homology(_facets(alpha, gens)):
-            table[k + 1, j] = table.get((k + 1, j), 0) + dim
+    variables = range(ideal.n + 1)
+    w = max(map(max, gens), default=0).bit_length() + 1
+    ones = sum(1 << (v * w) for v in variables)
+    guards = ones << (w - 1)
+    words = [sum(e << (v * w) for v, e in enumerate(g)) for g in gens]
+    vertices: dict[int, int] = {}  # guard-bit pattern -> vertex bitmask
+    table: dict[tuple[int, int], int] = {}
+    for word in _lcm_lattice(words, guards, w):
+        facets = _facets(word, words, guards, ones)
+        maximal = [f for f in facets if not any(f & g == f != g for g in facets)]
+        if reduce(and_, maximal):
+            continue
+        for f in facets - vertices.keys():
+            vertices[f] = sum(1 << v for v in variables if f >> (v * w + w - 1) & 1)
+        homology = _reduced_homology(frozenset(map(vertices.__getitem__, maximal)))
+        if homology:
+            j = sum(word >> (v * w) & ((1 << w) - 1) for v in variables)
+            for k, dim in homology:
+                table[k + 1, j] = table.get((k + 1, j), 0) + dim
     return tuple((i, j, v) for (i, j), v in sorted(table.items()))
 
 

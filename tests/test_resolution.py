@@ -1,7 +1,10 @@
 """Betti tables from the lcm-lattice backend, held against the dense Koszul
 oracle in ``koszul_oracle`` and, on stable ideals, the Eliahou-Kervaire
-oracle in ``ek_oracle``."""
+oracle in ``ek_oracle``; the packed lcm-lattice kernel against the tuple
+route in ``lattice_oracle`` and the Eagon-Northcott numbers of m^d."""
 import random
+from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +19,13 @@ from gotzmann.monomial_algebra import (
     _ideal_numerator,
     monomials_of_degree,
 )
-from gotzmann.resolution import BettiTable, koszul_betti, regularity
+from gotzmann.resolution import (
+    BettiTable,
+    _ideal_table,
+    _reduced_homology,
+    koszul_betti,
+    regularity,
+)
 
 from conftest import (
     betti_alternating_sum,
@@ -27,6 +36,7 @@ from conftest import (
 )
 from ek_oracle import ek_betti_table, ek_regularity, is_stable
 from koszul_oracle import koszul_betti_oracle
+from lattice_oracle import ideal_table as lattice_oracle_table
 
 
 def _oracle_regularity(sub, as_quotient=True):
@@ -272,3 +282,87 @@ def test_betti_alternating_sum_matches_series_numerator(corpus):
             assert betti_alternating_sum(table) == ideal_hs_numerator(comp)
             checked += 1
     assert checked >= 60
+
+
+# ---------------------------------------------------------------------------
+# The packed lcm-lattice kernel
+
+
+def _ideal_of(n, exponent_lists):
+    return MonomialIdeal(n, tuple(Monomial(tuple(e)) for e in exponent_lists))
+
+
+# A cap of 1..9 on the exponents, so that the largest one crosses 1, 2, 4 and
+# 8, where the packed field width grows by a bit.
+_capped_ideals = st.tuples(st.integers(0, 5), st.integers(1, 9)).flatmap(
+    lambda shape: st.lists(
+        st.tuples(*[st.integers(0, shape[1])] * (shape[0] + 1)), max_size=8
+    ).map(lambda gens: _ideal_of(shape[0], gens))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_capped_ideals)
+def test_ideal_table_matches_tuple_oracle(any_ideal):
+    assert _ideal_table(any_ideal) == lattice_oracle_table(any_ideal)
+
+
+def test_ideal_table_matches_tuple_oracle_on_edge_cases():
+    cases = [
+        _ideal_of(3, [(2, 0, 5, 1)]),
+        _ideal_of(4, [(1, 0, 0, 0, 0), (0, 2, 0, 0, 0), (0, 0, 4, 0, 0), (0, 0, 0, 8, 0)]),
+        _ideal_of(2, [(9, 0, 0), (0, 9, 0), (0, 0, 9)]),
+        MonomialIdeal.zero(3),
+        MonomialIdeal.unit(3),
+    ]
+    for case in cases:
+        assert _ideal_table(case) == lattice_oracle_table(case), case
+    assert _ideal_table(MonomialIdeal.zero(3)) == ()
+    unit = module(3, (0,), ["unit"])
+    assert koszul_betti(unit, as_quotient=False).as_dict() == {(0, 0): 1}
+
+
+def _eagon_northcott(variables, d):
+    """beta_{i,d+i}(m^d) = C(d + N - 1, d + i) C(d + i - 1, i), N variables."""
+    return {
+        (i, d + i): comb(d + variables - 1, d + i) * comb(d + i - 1, i)
+        for i in range(variables)
+    }
+
+
+@pytest.mark.parametrize(
+    "n, d", [(n, d) for n in range(6) for d in (1, 2, 3)] + [(3, 4)]
+)
+def test_powers_of_the_maximal_ideal_match_eagon_northcott(n, d):
+    gens = []
+    for chosen in combinations_with_replacement(range(n + 1), d):
+        gens.append(tuple(chosen.count(v) for v in range(n + 1)))
+    power = module(n, (0,), [_ideal_of(n, gens)])
+    assert koszul_betti(power, as_quotient=False).as_dict() == _eagon_northcott(n + 1, d)
+
+
+def _mask(*vertices):
+    return sum(1 << v for v in vertices)
+
+
+def test_reduced_homology_of_known_complexes():
+    octahedron = [_mask(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
+    # the 6-vertex real projective plane: 10 triangles, each edge in two
+    rp2 = [
+        _mask(*t)
+        for t in (
+            (0, 1, 3), (0, 1, 5), (0, 2, 4), (0, 2, 5), (0, 3, 4),
+            (1, 2, 3), (1, 2, 4), (1, 4, 5), (2, 3, 5), (3, 4, 5),
+        )
+    ]
+    cases = [
+        ([0], ((-1, 1),)),
+        ([_mask(0), _mask(1)], ((0, 1),)),
+        ([_mask(0, 1), _mask(0, 2), _mask(1, 2)], ((1, 1),)),
+        ([_mask(0, 1, 2)], ()),
+        (octahedron, ((2, 1),)),
+        # H~ over Q vanishes; over GF(2) it would be H_1 = H_2 = 1
+        (rp2, ()),
+    ]
+    for facets, expected in cases:
+        assert _reduced_homology(frozenset(facets)) == expected, facets
