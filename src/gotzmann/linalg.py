@@ -1,20 +1,15 @@
-"""Rank of sparse integer vectors by Gaussian elimination over GF(p).
+"""Rank over Q of sparse integer vectors by Gaussian elimination over GF(p).
 
 A vector is a dict ``{index: value}``; absent indices are zero.
 
-``rank(vectors, p)`` is the exact rank over GF(p).  ``rank(vectors)`` is the
-rank over Q.  A rank mod q is at most the rational rank, and falls short only
-if q divides every maximal nonzero minor.  If the largest rank R found so far
-is below the rational rank, some (R+1)-minor is nonzero and divisible by every
-prime tried, so the product of those primes is at most that minor, which by
-Hadamard's inequality is at most the product of the R+1 largest vector norms.
-The loop therefore stops, with a certified answer, once the rank is full or
-the product of the squared primes exceeds the product of those squared norms.
-
-The Betti boundary matrices take the rational rank.  The hyperplane
-restriction takes the rank over GF(LARGEST_PRIME) of multiplication by one
-fixed linear form, and certifies it exact when it reaches ``term_rank``,
-which bounds the rank over every field from above.
+``rank(vectors)`` is the rank over Q.  A rank mod q is at most the rational
+rank, and falls short only if q divides every maximal nonzero minor.  If the
+largest rank R found so far is below the rational rank, some (R+1)-minor is
+nonzero and divisible by every prime tried, so the product of those primes is
+at most that minor, which by Hadamard's inequality is at most the product of
+the R+1 largest vector norms.  The loop therefore stops, with a certified
+answer, once the rank is full or the product of the squared primes exceeds
+the product of those squared norms.
 """
 from __future__ import annotations
 
@@ -75,10 +70,8 @@ def _rank_mod(vectors: list[dict[int, int]], p: int) -> int:
     return len(pivots)
 
 
-def rank(vectors: list[dict[int, int]], p: int | None = None) -> int:
-    """Rank of sparse integer vectors over GF(p), or over Q when p is None."""
-    if p is not None:
-        return _rank_mod(vectors, p)
+def rank(vectors: list[dict[int, int]]) -> int:
+    """Rank of sparse integer vectors over Q."""
     norms = sorted((sum(x * x for x in v.values()) for v in vectors), reverse=True)
     indices = {i for v in vectors for i, x in v.items() if x}
     full = min(len(indices), sum(1 for n in norms if n))
@@ -89,29 +82,3 @@ def rank(vectors: list[dict[int, int]], p: int | None = None) -> int:
         modulus *= q * q
         k += 1
     return best
-
-
-def term_rank(vectors: list[dict[int, int]]) -> int:
-    """Largest number of nonzero entries no two of which share a vector or an
-    index: a maximum matching between vectors and indices, grown one vector
-    at a time along an augmenting path found breadth-first."""
-    owner: dict[int, int] = {}  # index -> position of the vector matched to it
-    held: dict[int, int] = {}  # position of a vector -> its matched index
-    for k in range(len(vectors)):
-        via: dict[int, int] = {}  # index -> position of the vector that reached it
-        queue, free = [k], None
-        for j in queue:  # the queue grows while it is read
-            for i, x in vectors[j].items():
-                if x and i not in via:
-                    via[i] = j
-                    if i not in owner:
-                        free = i
-                        break
-                    queue.append(owner[i])
-            if free is not None:
-                break
-        # flip the path: each vector on it takes the index it reached
-        while free is not None:
-            j = via[free]
-            owner[free], held[j], free = j, free, held.get(j)
-    return len(owner)

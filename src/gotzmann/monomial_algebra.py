@@ -206,11 +206,13 @@ class MonomialIdeal(CachedHash):
     def colon_var_power(self, v: int) -> "MonomialIdeal":
         """I : x_v^infinity, obtained by deleting x_v from every generator."""
         stripped = (g.exponents[:v] + (0,) + g.exponents[v + 1 :] for g in self.gens)
-        return MonomialIdeal(self.n, tuple(Monomial(e) for e in _minimal(stripped)))
+        return MonomialIdeal._of_minimal(self.n, tuple(Monomial(e) for e in _minimal(stripped)))
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
+        if other.n != self.n:
+            raise ValueError(f"cannot intersect ideals in rings with n = {self.n}, {other.n}")
         lcms = (tuple(map(max, a.exponents, b.exponents)) for a in self.gens for b in other.gens)
-        return MonomialIdeal(self.n, tuple(Monomial(e) for e in _minimal(lcms)))
+        return MonomialIdeal._of_minimal(self.n, tuple(Monomial(e) for e in _minimal(lcms)))
 
     def saturation(self) -> "MonomialIdeal":
         """I : (x_0, ..., x_n)^infinity as the intersection of variable colons."""
@@ -486,18 +488,17 @@ LINEAR_SECTION_CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=LINEAR_SECTION_CACHE_SIZE)
-def _linear_section_dim(ideal: MonomialIdeal, e: int) -> tuple[int, bool]:
-    """(dim (S/(I + hS))_e, certified) over GF(2^31 - 1), h = x_0 + ... + x_n.
+def _linear_section_dim(ideal: MonomialIdeal, e: int) -> int:
+    """dim (S/(I + hS))_e over Q, h = x_0 + ... + x_n.
 
     The dimension is dim (S/I)_e minus the rank of multiplication by h from
-    (S/I)_{e-1} to (S/I)_e; monomials in I count on neither side.  Certified
-    means that rank reached its term rank (see ``generic_hyperplane_hf``)."""
+    (S/I)_{e-1} to (S/I)_e; monomials in I count on neither side."""
     n = ideal.n
     if e < 0 or ideal.is_unit():
-        return 0, True
+        return 0
     if ideal.is_zero():
         # h is a nonzerodivisor on S, so S/hS has the series of n variables
-        return binomial(e + n - 1, n - 1), True
+        return binomial(e + n - 1, n - 1)
     target = quotient_basis(ideal, e)
     source = quotient_basis(ideal, e - 1) if target else ()
     row_of = {mono.exponents: i for i, mono in enumerate(target)}
@@ -510,38 +511,25 @@ def _linear_section_dim(ideal: MonomialIdeal, e: int) -> tuple[int, bool]:
             if i is not None:
                 column[i] = 1
         columns.append(column)
-    r = linalg.rank(columns, linalg.LARGEST_PRIME)
-    return len(target) - r, r == linalg.term_rank(columns)
-
-
-def hyperplane_section(submodule: MonomialSubmodule, d: int) -> tuple[int, str]:
-    """``generic_hyperplane_hf`` with its provenance: "term_rank" when every
-    component's rank reached its term rank, so the value is exact, and
-    "upper_bound" otherwise."""
-    if submodule.n < 1:
-        raise PreconditionViolated("hyperplane restriction needs n >= 1")
-    dims, certified = zip(*(
-        _linear_section_dim(ideal, d - f)
-        for f, ideal in zip(submodule.degrees, submodule.components)
-    ))
-    return sum(dims), "term_rank" if all(certified) else "upper_bound"
+    return len(target) - linalg.rank(columns)
 
 
 def generic_hyperplane_hf(submodule: MonomialSubmodule, d: int) -> int:
-    """dim (F/(N + hF))_d over GF(p), p = 2^31 - 1, for h = x_0 + ... + x_n:
-    never below the generic characteristic-0 dimension, and equal to it
-    where ``hyperplane_section`` says "term_rank".
+    """dim (F/(N + hF))_d for a generic linear form h in characteristic 0,
+    computed exactly with h = x_0 + ... + x_n.
 
     Scaling each x_v by c_v != 0 fixes every monomial ideal and sends
     x_0 + ... + x_n to sum c_v x_v, so over any field every h with nonzero
     coefficients, a generic one included, gives the same dimension.  Per
-    component, multiplication by h is a 0/1 matrix whose rank over GF(p) is
-    at most its rank over Q (minors are integers), the generic rank, which
-    is at most its term rank (Edmonds, J. Res. NBS 1967).  A bound that
-    "holds" against the value is certified either way; "sharp" and
-    "violated" only when it is exact.
+    component, multiplication by h is then a 0/1 matrix, and its rational
+    rank, which ``linalg.rank`` certifies, is the generic rank.
     """
-    return hyperplane_section(submodule, d)[0]
+    if submodule.n < 1:
+        raise PreconditionViolated("hyperplane restriction needs n >= 1")
+    return sum(
+        _linear_section_dim(ideal, d - f)
+        for f, ideal in zip(submodule.degrees, submodule.components)
+    )
 
 
 # ---------------------------------------------------------------------------

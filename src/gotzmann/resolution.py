@@ -16,7 +16,7 @@ guarded field of bit_length(max generator exponent) + 1 bits per variable),
 so lcm, divisibility and facets are a few whole-word integer operations.  An
 alpha whose K^alpha is a cone, a full simplex included, is acyclic and skipped.
 
-``regularity`` reads max(j - i) off that same cached table per component.
+``regularity`` reads max(j - i) off the ``koszul_betti`` table it asks for.
 The tests hold this backend to a dense Koszul computation, to the
 Eliahou-Kervaire formulas on stable ideals and to the per-variable tuple route.
 """
@@ -64,7 +64,7 @@ class BettiTable(Value):
 
     def regularity(self) -> int:
         if not self.entries:
-            raise ZeroModule("empty Betti table has no regularity")
+            raise ZeroModule("the zero module has no regularity (its Betti table is empty)")
         return max(j - i for i, j, _ in self.entries)
 
     def to_dict(self) -> dict:
@@ -213,40 +213,11 @@ def koszul_betti(submodule: MonomialSubmodule, as_quotient: bool = True) -> Bett
     return _merge_shifted(pieces)
 
 
-# ---------------------------------------------------------------------------
-# Regularity, read off the lcm-lattice Betti table
-
-
-def _quotient_reg(ideal: MonomialIdeal) -> int:
-    """Regularity of S/I for a proper nonzero monomial ideal: max(j - i) over
-    beta_{i+1,j}(S/I) = beta_{i,j}(I)."""
-    return max(j - i - 1 for i, j, _ in _ideal_table(ideal))
-
-
 def regularity(submodule: MonomialSubmodule, of: str = "quotient") -> int:
-    """Castelnuovo-Mumford regularity of F/N (of='quotient') or N (of='submodule').
-
-    Computed as max(j - i) over each component's lcm-lattice Betti table,
-    the one ``koszul_betti`` caches.  For a proper nonzero ideal the two
-    sides differ by exactly one.  Raises ZeroModule when the requested
-    module is zero.
+    """Castelnuovo-Mumford regularity of F/N (of='quotient') or N (of='submodule'),
+    max(j - i) over the ``koszul_betti`` table of that module.  Raises
+    ZeroModule when the requested module is zero.
     """
     if of not in ("quotient", "submodule"):
         raise ValueError(f"of must be 'quotient' or 'submodule', got {of!r}")
-    quotient = of == "quotient"
-    best: int | None = None
-    for f, ideal in zip(submodule.degrees, submodule.components):
-        if quotient:
-            if ideal.is_unit():
-                continue
-            reg_c = 0 if ideal.is_zero() else _quotient_reg(ideal)
-        else:
-            if ideal.is_zero():
-                continue
-            reg_c = 0 if ideal.is_unit() else _quotient_reg(ideal) + 1
-        best = reg_c + f if best is None else max(best, reg_c + f)
-    if best is None:
-        raise ZeroModule(
-            f"the {'quotient' if quotient else 'submodule'} is the zero module"
-        )
-    return best
+    return koszul_betti(submodule, as_quotient=(of == "quotient")).regularity()

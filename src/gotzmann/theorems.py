@@ -27,9 +27,9 @@ from .monomial_algebra import (
     MonomialIdeal,
     MonomialSubmodule,
     adjusted_hf_decomposition,
+    generic_hyperplane_hf,
     hf_direct,
     hilbert_polynomial,
-    hyperplane_section,
     module_to_dict,
     rank,
     saturate,
@@ -132,9 +132,7 @@ def check_macaulay_adjusted(submodule: MonomialSubmodule, d: int) -> CheckReport
 
 
 def check_green_adjusted(submodule: MonomialSubmodule, d: int) -> CheckReport:
-    """Generic hyperplane restriction against the adjusted Green bound;
-    context["hyperplane"] says whether the restriction is exact ("term_rank")
-    or an upper bound ("upper_bound")."""
+    """Generic hyperplane restriction against the adjusted Green bound."""
     n = submodule.n
     if n < 1:
         raise PreconditionViolated(f"need n >= 1, got {n}")
@@ -142,7 +140,7 @@ def check_green_adjusted(submodule: MonomialSubmodule, d: int) -> CheckReport:
     if d < f_low + 1:
         raise PreconditionViolated(f"need d >= f_low + 1 = {f_low + 1}, got {d}")
     _, rho = adjusted_hf_decomposition(submodule, d)
-    lhs, provenance = hyperplane_section(submodule, d)
+    lhs = generic_hyperplane_hf(submodule, d)
     rhs = _free_tail_sum(submodule, d, n - 1) + green_transform(
         rho, d - f_low
     )
@@ -153,7 +151,7 @@ def check_green_adjusted(submodule: MonomialSubmodule, d: int) -> CheckReport:
         bound_lhs=lhs,
         bound_rhs=rhs,
         verdict=_compare(lhs, rhs),
-        context={"d": d, "rho": rho, "f_low": f_low, "hyperplane": provenance},
+        context={"d": d, "rho": rho, "f_low": f_low},
     )
 
 
@@ -164,8 +162,7 @@ def check_gasharov(
     which: str = "macaulay",
 ) -> CheckReport:
     """Classical growth and hyperplane bounds with transform index d - l - p,
-    where l is the largest ambient degree; the hyperplane report carries the
-    restriction's provenance as in ``check_green_adjusted``."""
+    where l is the largest ambient degree."""
     if which not in ("macaulay", "green"):
         raise ValueError(f"which must be 'macaulay' or 'green', got {which!r}")
     if p < 0:
@@ -180,7 +177,7 @@ def check_gasharov(
         lhs = hf_direct(submodule, d + 1)
         rhs = macaulay_transform(h_d, index)
     else:
-        lhs, context["hyperplane"] = hyperplane_section(submodule, d)
+        lhs = generic_hyperplane_hf(submodule, d)
         rhs = green_transform(h_d, index)
     return CheckReport(
         name=f"gasharov_{which}",

@@ -1,6 +1,5 @@
-"""Sparse GF(p) and certified rational ranks, and term ranks, against
-independent dense oracles."""
-import itertools
+"""Sparse GF(p) and certified rational ranks against independent dense
+oracles."""
 import random
 from fractions import Fraction
 
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gotzmann import linalg
-from gotzmann.linalg import LARGEST_PRIME, rank, term_rank
+from gotzmann.linalg import LARGEST_PRIME, rank
 
 SMALL_PRIME = 7
 
@@ -76,7 +75,7 @@ def test_rank_exact_known_values():
     ]
     for rows, expected in cases:
         assert rank(sparse(rows)) == expected
-        assert rank(sparse(rows), LARGEST_PRIME) == expected
+        assert linalg._rank_mod(sparse(rows), LARGEST_PRIME) == expected
 
 
 def test_rank_exact_matches_oracle_seeded():
@@ -111,15 +110,15 @@ def test_rank_modular_matches_exact():
         m = random_matrix(rng, nrows, ncols, -50, 50)
         expected = rank_oracle(m)
         for p in (LARGEST_PRIME, linalg._prime(1)):
-            assert rank(sparse(m), p) == expected
-        assert rank_oracle(m, SMALL_PRIME) == rank(sparse(m), SMALL_PRIME)
+            assert linalg._rank_mod(sparse(m), p) == expected
+        assert rank_oracle(m, SMALL_PRIME) == linalg._rank_mod(sparse(m), SMALL_PRIME)
 
 
 def test_rank_modular_can_undercount():
     # mod p the matrix [[p]] is zero, so the modular rank drops: this is the
     # failure direction the rational rank guards against
     p = linalg._prime(1)
-    assert rank([{0: p}], p) == 0
+    assert linalg._rank_mod([{0: p}], p) == 0
     assert rank_oracle([[p]]) == 1
     assert rank([{0: p}]) == 1
 
@@ -127,9 +126,9 @@ def test_rank_modular_can_undercount():
 def test_rank_over_small_prime_differs_from_rational():
     # det [[1, 2], [3, -1]] = -7
     rows = [[1, 2], [3, -1]]
-    assert rank(sparse(rows), SMALL_PRIME) == 1 == rank_oracle(rows, SMALL_PRIME)
+    assert linalg._rank_mod(sparse(rows), SMALL_PRIME) == 1 == rank_oracle(rows, SMALL_PRIME)
     assert rank(sparse(rows)) == 2
-    assert rank(sparse(rows), 5) == 2
+    assert linalg._rank_mod(sparse(rows), 5) == 2
 
 
 def test_rational_rank_escalates_to_a_second_prime(monkeypatch):
@@ -180,12 +179,10 @@ def test_rank_hybrid_agrees_small_and_large():
 
 
 def test_rank_empty_and_degenerate():
-    for p in (None, SMALL_PRIME):
-        assert rank([], p) == 0
-        assert rank([{}], p) == 0
-        assert rank([{0: 0}], p) == 0
-        assert rank([{0: 0, 1: 0, 2: 0}], p) == 0
-    assert rank([{0: SMALL_PRIME}], SMALL_PRIME) == 0
+    for vectors in ([], [{}], [{0: 0}], [{0: 0, 1: 0, 2: 0}]):
+        assert rank(vectors) == 0
+        assert linalg._rank_mod(vectors, SMALL_PRIME) == 0
+    assert linalg._rank_mod([{0: SMALL_PRIME}], SMALL_PRIME) == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -198,7 +195,7 @@ def test_rank_empty_and_degenerate():
 )
 def test_rank_hybrid_property(rows):
     assert rank(sparse(rows)) == rank_oracle(rows)
-    assert rank(sparse(rows), SMALL_PRIME) == rank_oracle(rows, SMALL_PRIME)
+    assert linalg._rank_mod(sparse(rows), SMALL_PRIME) == rank_oracle(rows, SMALL_PRIME)
 
 
 def test_rank_invariant_under_row_ops():
@@ -228,37 +225,6 @@ def test_rank_ignores_vector_order_and_index_gaps(p):
         m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
         vectors = [{10 * j + 3: x for j, x in enumerate(row) if x} for row in m]
         rng.shuffle(vectors)
-        assert rank(vectors, p) == rank_oracle(m, p)
+        found = rank(vectors) if p is None else linalg._rank_mod(vectors, p)
+        assert found == rank_oracle(m, p)
 
-
-def term_rank_oracle(rows):
-    # with no more rows than columns, every matching extends to an injective
-    # map from rows to columns, so try them all and count nonzero hits
-    if len(rows) > len(rows[0]):
-        rows = [list(col) for col in zip(*rows)]
-    return max(
-        sum(1 for row, j in zip(rows, cols) if row[j])
-        for cols in itertools.permutations(range(len(rows[0])), len(rows))
-    )
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(1, 6).flatmap(
-        lambda ncols: st.lists(
-            st.lists(st.integers(0, 2), min_size=ncols, max_size=ncols),
-            min_size=1,
-            max_size=6,
-        )
-    )
-)
-def test_term_rank_matches_brute_force(rows):
-    assert term_rank(sparse(rows)) == term_rank_oracle(rows)
-    assert rank(sparse(rows)) <= term_rank(sparse(rows))
-
-
-def test_term_rank_follows_long_augmenting_paths():
-    # vector k prefers index k + 1, so the last vector displaces every other
-    # one down by an index: one augmenting path of length 3000
-    vectors = [{k + 1: 1, k: 1} for k in range(3000)] + [{3000: 1}]
-    assert term_rank(vectors) == 3001
