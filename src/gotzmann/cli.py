@@ -1,5 +1,9 @@
 """Command-line front end.
 
+Each subcommand, and each checker under ``check``, is its own parser that
+declares only the flags it reads and the function that runs it, so argparse
+enforces required flags per command and refuses a flag of another command.
+
 Arguments taking structured input accept either inline JSON (first character
 '{' or '[') or a path to a UTF-8 JSON file.  Rationals are exact "p/q"
 strings throughout; results go to stdout and diagnostics to stderr.
@@ -52,7 +56,8 @@ def _load_json(arg: str) -> Any:
     return json.loads(text)
 
 
-def _shape_from(data: Any) -> GradedFreeModule:
+def _shape_arg(arg: str) -> GradedFreeModule:
+    data = _load_json(arg)
     if not isinstance(data, dict):
         raise ValueError("module shape must be a JSON object")
     for key in ("n", "degrees"):
@@ -83,31 +88,13 @@ def _rep_arg(arg: str) -> GotzmannRep:
     return GotzmannRep(tuple(a))
 
 
-def _rep_dict(rep) -> dict:
-    return {
-        "free_degrees": list(rep.free_degrees),
-        "n": rep.n,
-        "q": {"a": list(rep.q.a)},
-        "number": rep.number,
-    }
-
-
-def _render_text(payload: Any) -> str:
-    if isinstance(payload, dict):
-        return "\n".join(f"{k}: {json.dumps(v, sort_keys=True)}" for k, v in payload.items())
-    if isinstance(payload, list):
-        return "\n".join(json.dumps(item, sort_keys=True) for item in payload)
-    return str(payload)
-
-
 def _emit(payload: Any, as_text: bool) -> None:
-    if as_text:
-        print(_render_text(payload))
-    elif isinstance(payload, list):
-        for item in payload:
-            print(json.dumps(item, sort_keys=True))
-    else:
+    if not as_text:
         print(json.dumps(payload, sort_keys=True))
+    elif isinstance(payload, dict):
+        print("\n".join(f"{k}: {json.dumps(v, sort_keys=True)}" for k, v in payload.items()))
+    else:
+        print(payload)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,6 +103,72 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> NoReturn:
         raise ValueError(message)
+
+
+def _macaulay_rep(args: argparse.Namespace) -> dict:
+    rep = macaulay_rep(args.value, args.index)
+    return {"value": args.value, "d": rep.d, "terms": [list(t) for t in rep.terms]}
+
+
+def _adjusted_rep(args: argparse.Namespace) -> dict:
+    shape = _shape_arg(args.module)
+    rep = adjusted_gotzmann_rep(_poly_arg(args.poly), shape.n, shape.degrees, args.rank)
+    return {"free_degrees": list(rep.free_degrees), "n": rep.n, "q": {"a": list(rep.q.a)},
+            "number": rep.number}
+
+
+def _hilbert(args: argparse.Namespace) -> Any:
+    module = _module_arg(args.module)
+    if args.function is not None:
+        d0, d1 = args.function
+        return {"table": [[d, hf_direct(module, d)] for d in range(d0, d1 + 1)]}
+    if args.series:
+        return hilbert_series(module).to_dict()
+    if args.polynomial:
+        return poly_to_dict(hilbert_polynomial(module))
+    return {"stabilization_degree": stabilization_degree(module)}
+
+
+def _rho(args: argparse.Namespace) -> dict:
+    free, rho = adjusted_hf_decomposition(_module_arg(args.module), args.degree)
+    return {"free": free, "rho": rho, "degree": args.degree}
+
+
+def _lexify(args: argparse.Namespace) -> dict:
+    shape = _shape_arg(args.module_shape)
+    data = _load_json(args.hf)
+    if not isinstance(data, dict) or "tail" not in data:
+        raise ValueError("Hilbert-function JSON needs 'tail' (and optional 'table')")
+    try:
+        table = [(d, v) for d, v in data.get("table", [])]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"'table' must list [degree, value] integer pairs: {exc}") from None
+    return module_to_dict(lex_mod.lexify(shape, table, poly_from_dict(data["tail"])))
+
+
+def _lex_ideal(args: argparse.Namespace) -> dict:
+    ideal = lex_mod.saturated_lex_ideal(_rep_arg(args.gotzmann), args.n)
+    return {"n": args.n, **ideal_to_dict(ideal)}
+
+
+def _lex_module(args: argparse.Namespace) -> dict:
+    poly, shape = _poly_arg(args.poly), _shape_arg(args.module_shape)
+    return module_to_dict(lex_mod.saturated_lex_module(poly, shape, args.rank))
+
+
+def _quot_dims(args: argparse.Namespace) -> dict:
+    shape = _shape_arg(args.module_shape)
+    dims = grassmannian_embedding_dims(
+        _poly_arg(args.poly), shape.n, shape.degrees, args.rank, mode=args.mode
+    )
+    return {key: getattr(dims, key) for key in ("s", "ambient_dim", "sub_dim", "grass_dim")}
+
+
+def _check_chern(args: argparse.Namespace) -> theorems.CheckReport:
+    shape = _shape_arg(args.module_shape)
+    return chern_mod.check_chern_bound(
+        _poly_arg(args.poly), args.n, args.sheaf_rank, shape.degrees, args.module_rank
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -131,30 +184,40 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("macaulay-rep", parents=[common], help="binomial expansion of A at index D")
+    def command(group, name: str, help: str, run) -> argparse.ArgumentParser:
+        # no abbreviations: --module must not pass for --module-shape
+        p = group.add_parser(name, parents=[common], help=help, allow_abbrev=False)
+        p.set_defaults(run=run)
+        return p
+
+    p = command(sub, "macaulay-rep", "binomial expansion of A at index D", _macaulay_rep)
     p.add_argument("value", type=int)
     p.add_argument("index", type=int)
 
-    p = sub.add_parser("macaulay-transform", parents=[common], help="growth bound transform")
+    p = command(sub, "macaulay-transform", "growth bound transform",
+                lambda a: macaulay_transform(a.value, a.index))
     p.add_argument("value", type=int)
     p.add_argument("index", type=int)
 
-    p = sub.add_parser("green-transform", parents=[common], help="hyperplane bound transform")
+    p = command(sub, "green-transform", "hyperplane bound transform",
+                lambda a: green_transform(a.value, a.index))
     p.add_argument("value", type=int)
     p.add_argument("index", type=int)
 
-    p = sub.add_parser("gotzmann-rep", parents=[common], help="binomial representation of a polynomial")
+    p = command(sub, "gotzmann-rep", "binomial representation of a polynomial",
+                lambda a: {"a": list(gotzmann_rep(_poly_arg(a.poly)).a)})
     p.add_argument("--poly", required=True)
 
-    p = sub.add_parser("gotzmann-number", parents=[common], help="length of the representation")
+    p = command(sub, "gotzmann-number", "length of the representation",
+                lambda a: gotzmann_number(_poly_arg(a.poly)))
     p.add_argument("--poly", required=True)
 
-    p = sub.add_parser("adjusted-rep", parents=[common], help="rank-adjusted representation")
+    p = command(sub, "adjusted-rep", "rank-adjusted representation", _adjusted_rep)
     p.add_argument("--poly", required=True)
     p.add_argument("--module", required=True, help="module or shape JSON (n, degrees)")
     p.add_argument("--rank", type=int, required=True)
 
-    p = sub.add_parser("hilbert", parents=[common], help="Hilbert data of F/N")
+    p = command(sub, "hilbert", "Hilbert data of F/N", _hilbert)
     p.add_argument("--module", required=True)
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--function", nargs=2, type=int, metavar=("D0", "D1"))
@@ -162,186 +225,98 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--polynomial", action="store_true")
     mode.add_argument("--stabilize", action="store_true")
 
-    p = sub.add_parser("saturate", parents=[common], help="componentwise saturation")
+    p = command(sub, "saturate", "componentwise saturation",
+                lambda a: module_to_dict(saturate(_module_arg(a.module))))
     p.add_argument("--module", required=True)
 
-    p = sub.add_parser("rank", parents=[common], help="number of zero components")
+    p = command(sub, "rank", "number of zero components", lambda a: rank(_module_arg(a.module)))
     p.add_argument("--module", required=True)
 
-    p = sub.add_parser("rho", parents=[common], help="free part and remainder of H(F/N, d)")
+    p = command(sub, "rho", "free part and remainder of H(F/N, d)", _rho)
     p.add_argument("--module", required=True)
     p.add_argument("--degree", type=int, required=True)
 
-    p = sub.add_parser("lexify", parents=[common], help="lex submodule matching a Hilbert function")
+    p = command(sub, "lexify", "lex submodule matching a Hilbert function", _lexify)
     p.add_argument("--module-shape", required=True)
     p.add_argument("--hf", required=True, help='{"table": [[d, v], ...], "tail": {...}}')
 
-    p = sub.add_parser("lex-ideal", parents=[common], help="saturated lex ideal of a representation")
+    p = command(sub, "lex-ideal", "saturated lex ideal of a representation", _lex_ideal)
     p.add_argument("--gotzmann", required=True, help='{"a": [...]}')
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("lex-module", parents=[common], help="saturated lex module of a polynomial")
+    p = command(sub, "lex-module", "saturated lex module of a polynomial", _lex_module)
     p.add_argument("--poly", required=True)
     p.add_argument("--module-shape", required=True)
     p.add_argument("--rank", type=int, required=True)
 
-    p = sub.add_parser("betti", parents=[common],
-                       help="graded Betti table from upper Koszul complexes over the lcm lattice")
+    p = command(sub, "betti", "graded Betti table from upper Koszul complexes over the lcm lattice",
+                lambda a: resolution.koszul_betti(
+                    _module_arg(a.module), as_quotient=not a.submodule).to_dict())
     p.add_argument("--module", required=True)
     p.add_argument("--submodule", action="store_true", help="resolve N instead of F/N")
 
-    p = sub.add_parser("regularity", parents=[common], help="Castelnuovo-Mumford regularity")
+    p = command(sub, "regularity", "Castelnuovo-Mumford regularity",
+                lambda a: resolution.regularity(
+                    _module_arg(a.module), of="submodule" if a.submodule else "quotient"))
     p.add_argument("--module", required=True)
     p.add_argument("--submodule", action="store_true", help="of N instead of F/N")
 
-    p = sub.add_parser("quot-dims", parents=[common], help="Grassmannian embedding dimensions")
+    p = command(sub, "quot-dims", "Grassmannian embedding dimensions", _quot_dims)
     p.add_argument("--poly", required=True)
     p.add_argument("--module-shape", required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--mode", choices=("standard", "adjusted"), default="adjusted")
 
-    p = sub.add_parser("check", parents=[common], help="run one bound checker")
-    p.add_argument(
-        "checker",
-        choices=(
-            "macaulay",
-            "green",
-            "persistence",
-            "regularity",
-            "sharpness",
-            "gasharov",
-            "chern",
-        ),
-    )
-    p.add_argument("--module")
-    p.add_argument("--degree", type=int)
+    # a checker returns a CheckReport, from which main takes the exit code
+    check = sub.add_parser("check", help="run one bound checker; see check CHECKER --help")
+    check = check.add_subparsers(dest="checker", required=True)
+
+    for name, help, checker in (
+        ("macaulay", "adjusted Macaulay bound at degree d", theorems.check_macaulay_adjusted),
+        ("green", "adjusted Green bound at degree d", theorems.check_green_adjusted),
+        ("persistence", "adjusted persistence from degree d on",
+         theorems.check_persistence_adjusted),
+    ):
+        p = command(check, name, help,
+                    lambda a, checker=checker: checker(_module_arg(a.module), a.degree))
+        p.add_argument("--module", required=True)
+        p.add_argument("--degree", type=int, required=True)
+
+    p = command(check, "regularity", "adjusted Gotzmann regularity bound",
+                lambda a: theorems.check_gotzmann_regularity_adjusted(_module_arg(a.module)))
+    p.add_argument("--module", required=True)
+
+    p = command(check, "sharpness", "saturated lex module attains the adjusted bound",
+                lambda a: theorems.check_sharpness(
+                    _poly_arg(a.poly), _shape_arg(a.module_shape), a.rank))
+    p.add_argument("--poly", required=True)
+    p.add_argument("--module-shape", required=True)
+    p.add_argument("--rank", type=int, required=True)
+
+    p = command(check, "gasharov", "Gasharov's bound, Macaulay or Green form",
+                lambda a: theorems.check_gasharov(_module_arg(a.module), a.degree, a.p, a.which))
+    p.add_argument("--module", required=True)
+    p.add_argument("--degree", type=int, required=True)
     p.add_argument("--p", type=int, default=0)
     p.add_argument("--which", choices=("macaulay", "green"), default="macaulay")
-    p.add_argument("--poly")
-    p.add_argument("--module-shape")
-    p.add_argument("--rank", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--sheaf-rank", type=int)
-    p.add_argument("--module-rank", type=int)
+
+    p = command(check, "chern", "c2 <= c1^2 from the Hilbert polynomial", _check_chern)
+    p.add_argument("--poly", required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--sheaf-rank", type=int, required=True)
+    p.add_argument("--module-shape", required=True)
+    p.add_argument("--module-rank", type=int, required=True)
 
     return parser
-
-
-def _require(args: argparse.Namespace, names: list[str]) -> None:
-    for name in names:
-        if getattr(args, name.replace("-", "_"), None) is None:
-            raise ValueError(f"check '{args.checker}' requires --{name}")
-
-
-def _run_check(args: argparse.Namespace) -> theorems.CheckReport:
-    if args.checker == "macaulay":
-        _require(args, ["module", "degree"])
-        return theorems.check_macaulay_adjusted(_module_arg(args.module), args.degree)
-    if args.checker == "green":
-        _require(args, ["module", "degree"])
-        return theorems.check_green_adjusted(_module_arg(args.module), args.degree)
-    if args.checker == "persistence":
-        _require(args, ["module", "degree"])
-        return theorems.check_persistence_adjusted(_module_arg(args.module), args.degree)
-    if args.checker == "regularity":
-        _require(args, ["module"])
-        return theorems.check_gotzmann_regularity_adjusted(_module_arg(args.module))
-    if args.checker == "sharpness":
-        _require(args, ["poly", "module-shape", "rank"])
-        return theorems.check_sharpness(
-            _poly_arg(args.poly), _shape_from(_load_json(args.module_shape)), args.rank
-        )
-    if args.checker == "gasharov":
-        _require(args, ["module", "degree"])
-        return theorems.check_gasharov(
-            _module_arg(args.module), args.degree, args.p, args.which
-        )
-    _require(args, ["poly", "n", "sheaf-rank", "module-shape", "module-rank"])
-    shape = _shape_from(_load_json(args.module_shape))
-    return chern_mod.check_chern_bound(
-        _poly_arg(args.poly), args.n, args.sheaf_rank, shape.degrees, args.module_rank
-    )
-
-
-def _dispatch(args: argparse.Namespace) -> tuple[Any, int]:
-    cmd = args.command
-    if cmd == "macaulay-rep":
-        rep = macaulay_rep(args.value, args.index)
-        return {"value": args.value, "d": rep.d, "terms": [list(t) for t in rep.terms]}, 0
-    if cmd == "macaulay-transform":
-        return macaulay_transform(args.value, args.index), 0
-    if cmd == "green-transform":
-        return green_transform(args.value, args.index), 0
-    if cmd == "gotzmann-rep":
-        return {"a": list(gotzmann_rep(_poly_arg(args.poly)).a)}, 0
-    if cmd == "gotzmann-number":
-        return gotzmann_number(_poly_arg(args.poly)), 0
-    if cmd == "adjusted-rep":
-        data = _load_json(args.module)
-        shape = _shape_from(data)
-        rep = adjusted_gotzmann_rep(_poly_arg(args.poly), shape.n, shape.degrees, args.rank)
-        return _rep_dict(rep), 0
-    if cmd == "hilbert":
-        module = _module_arg(args.module)
-        if args.function is not None:
-            d0, d1 = args.function
-            return {"table": [[d, hf_direct(module, d)] for d in range(d0, d1 + 1)]}, 0
-        if args.series:
-            return hilbert_series(module).to_dict(), 0
-        if args.polynomial:
-            return poly_to_dict(hilbert_polynomial(module)), 0
-        return {"stabilization_degree": stabilization_degree(module)}, 0
-    if cmd == "saturate":
-        return module_to_dict(saturate(_module_arg(args.module))), 0
-    if cmd == "rank":
-        return rank(_module_arg(args.module)), 0
-    if cmd == "rho":
-        free, rho = adjusted_hf_decomposition(_module_arg(args.module), args.degree)
-        return {"free": free, "rho": rho, "degree": args.degree}, 0
-    if cmd == "lexify":
-        shape = _shape_from(_load_json(args.module_shape))
-        data = _load_json(args.hf)
-        if not isinstance(data, dict) or "tail" not in data:
-            raise ValueError("Hilbert-function JSON needs 'tail' (and optional 'table')")
-        try:
-            table = [(d, v) for d, v in data.get("table", [])]
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"'table' must list [degree, value] integer pairs: {exc}") from None
-        result = lex_mod.lexify(shape, table, poly_from_dict(data["tail"]))
-        return module_to_dict(result), 0
-    if cmd == "lex-ideal":
-        ideal = lex_mod.saturated_lex_ideal(_rep_arg(args.gotzmann), args.n)
-        return {"n": args.n, **ideal_to_dict(ideal)}, 0
-    if cmd == "lex-module":
-        shape = _shape_from(_load_json(args.module_shape))
-        result = lex_mod.saturated_lex_module(_poly_arg(args.poly), shape, args.rank)
-        return module_to_dict(result), 0
-    if cmd == "betti":
-        table = resolution.koszul_betti(_module_arg(args.module), as_quotient=not args.submodule)
-        return table.to_dict(), 0
-    if cmd == "regularity":
-        of = "submodule" if args.submodule else "quotient"
-        return resolution.regularity(_module_arg(args.module), of=of), 0
-    if cmd == "quot-dims":
-        shape = _shape_from(_load_json(args.module_shape))
-        dims = grassmannian_embedding_dims(
-            _poly_arg(args.poly), shape.n, shape.degrees, args.rank, mode=args.mode
-        )
-        return {
-            "s": dims.s,
-            "ambient_dim": dims.ambient_dim,
-            "sub_dim": dims.sub_dim,
-            "grass_dim": dims.grass_dim,
-        }, 0
-    report = _run_check(args)
-    code = 1 if report.verdict == theorems.VIOLATED else 0
-    return report.to_dict(), code
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        payload, code = _dispatch(args)
+        payload, code = args.run(args), 0
+        if isinstance(payload, theorems.CheckReport):
+            code = 1 if payload.verdict == theorems.VIOLATED else 0
+            payload = payload.to_dict()
     except (ValueError, KeyError, OSError, BudgetExceeded, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

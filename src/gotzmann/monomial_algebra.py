@@ -38,14 +38,10 @@ from .numpoly import NumPoly, series_to_polynomial
 # guard, past which hilbert_series raises BudgetExceeded.
 NODE_BUDGET = 10**4
 
-# Entries kept by the caches below.  Each is sized so that a sweep(500) run
-# hits and misses exactly as often as with an unbounded cache.
-MONOMIALS_CACHE_SIZE = 512
-QUOTIENT_BASIS_CACHE_SIZE = 4096
-HF_CACHE_SIZE = 8192
-NUMERATOR_CACHE_SIZE = 4096
-SERIES_CACHE_SIZE = 2048
-POLYNOMIAL_CACHE_SIZE = 2048
+# Entries kept by each lru_cache of the package (here and in resolution).  A
+# sweep(500) run fills none past 3,953, so it hits and misses exactly as often
+# as with unbounded caches.
+CACHE_ENTRIES = 8192
 
 
 class Monomial(CachedHash):
@@ -102,7 +98,7 @@ def monomial_from_string(text: str, n: int) -> Monomial:
     return Monomial(tuple(exps))
 
 
-@lru_cache(maxsize=MONOMIALS_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_ENTRIES)
 def monomials_of_degree(n: int, d: int) -> tuple[Monomial, ...]:
     """All degree-d monomials in n+1 variables, descending in lex (x_0 > ... > x_n)."""
     if d < 0:
@@ -227,7 +223,7 @@ class MonomialIdeal(CachedHash):
         return max(g.degree for g in self.gens)
 
 
-@lru_cache(maxsize=QUOTIENT_BASIS_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_ENTRIES)
 def quotient_basis(ideal: MonomialIdeal, e: int) -> tuple[Monomial, ...]:
     """Degree-e monomials outside the ideal (a k-basis of (S/I)_e), lex order.
 
@@ -301,7 +297,7 @@ def rank(submodule: MonomialSubmodule) -> int:
     return sum(1 for ideal in submodule.components if ideal.is_zero())
 
 
-@lru_cache(maxsize=HF_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_ENTRIES)
 def hf_direct(submodule: MonomialSubmodule, d: int) -> int:
     """H(F/N, d), read off the Hilbert series numerator of F/N.
 
@@ -387,7 +383,7 @@ def _power_pivot_numerator(
     return {e: c for e, c in out.items() if c}
 
 
-@lru_cache(maxsize=NUMERATOR_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_ENTRIES)
 def _ideal_numerator(ideal: MonomialIdeal) -> tuple[tuple[int, int], ...]:
     """Series numerator of S/I as sorted (exponent, coefficient) pairs, by
     ``_power_pivot_numerator`` within ``NODE_BUDGET`` nodes."""
@@ -395,7 +391,7 @@ def _ideal_numerator(ideal: MonomialIdeal) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(_power_pivot_numerator(gens, [NODE_BUDGET]).items()))
 
 
-@lru_cache(maxsize=SERIES_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_ENTRIES)
 def hilbert_series(submodule: MonomialSubmodule) -> HilbertSeries:
     """Hilbert series of F/N: each component's numerator shifted by t^(f_i).
 
@@ -421,7 +417,7 @@ def hilbert_series(submodule: MonomialSubmodule) -> HilbertSeries:
     return HilbertSeries(n, offset, numerator)
 
 
-@lru_cache(maxsize=POLYNOMIAL_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_ENTRIES)
 def hilbert_polynomial(submodule: MonomialSubmodule) -> NumPoly:
     """Hilbert polynomial of F/N, read off the series numerator."""
     series = hilbert_series(submodule)
@@ -482,12 +478,8 @@ def adjusted_hf_decomposition(submodule: MonomialSubmodule, d: int) -> tuple[int
     return free_part, rho
 
 
-# Distinct (ideal, degree) pairs whose section dimension is kept; the
-# checkers revisit each module's few degrees.
-LINEAR_SECTION_CACHE_SIZE = 4096
-
-
-@lru_cache(maxsize=LINEAR_SECTION_CACHE_SIZE)
+# keyed by (ideal, degree): the checkers revisit each module's few degrees
+@lru_cache(maxsize=CACHE_ENTRIES)
 def _linear_section_dim(ideal: MonomialIdeal, e: int) -> int:
     """dim (S/(I + hS))_e over Q, h = x_0 + ... + x_n.
 

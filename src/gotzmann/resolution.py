@@ -28,14 +28,7 @@ from operator import and_
 from . import linalg
 from ._value import Value
 from .errors import ZeroModule
-from .monomial_algebra import MonomialIdeal, MonomialSubmodule
-
-# Distinct upper Koszul complexes whose homology is kept; complexes repeat
-# heavily across the lcm lattices of related ideals.
-HOMOLOGY_CACHE_SIZE = 4096
-# Ideals whose Betti table is kept, so that regularity reuses the table that
-# koszul_betti just computed for the same component.
-IDEAL_TABLE_CACHE_SIZE = 1024
+from .monomial_algebra import CACHE_ENTRIES, MonomialIdeal, MonomialSubmodule
 
 
 class BettiTable(Value):
@@ -111,7 +104,8 @@ def _facets(word: int, words: list[int], guards: int, ones: int) -> set[int]:
     return facets
 
 
-@lru_cache(maxsize=HOMOLOGY_CACHE_SIZE)
+# complexes repeat heavily across the lcm lattices of related ideals
+@lru_cache(maxsize=CACHE_ENTRIES)
 def _reduced_homology(facets: frozenset[int]) -> tuple[tuple[int, int], ...]:
     """Nonzero (k, dim H~_k) over Q of the simplicial complex with these facets.
 
@@ -153,7 +147,8 @@ def _reduced_homology(facets: frozenset[int]) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=IDEAL_TABLE_CACHE_SIZE)
+# regularity reuses the table that koszul_betti computed for the same ideal
+@lru_cache(maxsize=CACHE_ENTRIES)
 def _ideal_table(ideal: MonomialIdeal) -> tuple[tuple[int, int, int], ...]:
     """Nonzero graded Betti numbers (i, j, beta_{i,j}) of I as a module.
 

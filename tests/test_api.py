@@ -1,5 +1,10 @@
-"""The package's public names: every export resolves and appears once."""
+"""Package-wide properties: every export resolves and appears once, and every
+cache has the one bound."""
+import importlib
+import pkgutil
+
 import gotzmann
+from gotzmann.monomial_algebra import CACHE_ENTRIES
 
 
 def test_all_exports_resolve_once():
@@ -12,3 +17,18 @@ def test_star_import():
     namespace = {}
     exec("from gotzmann import *", namespace)
     assert set(gotzmann.__all__) <= set(namespace)
+
+
+def test_every_cache_has_the_one_bound():
+    caches = {}
+    for info in pkgutil.iter_modules(gotzmann.__path__):
+        module = importlib.import_module(f"gotzmann.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info"):
+                caches[value.__qualname__] = value.cache_info().maxsize
+    assert {
+        "monomials_of_degree", "quotient_basis", "hf_direct", "_ideal_numerator",
+        "hilbert_series", "hilbert_polynomial", "_linear_section_dim",
+        "_reduced_homology", "_ideal_table",
+    } <= caches.keys()
+    assert caches == dict.fromkeys(caches, CACHE_ENTRIES)

@@ -1,8 +1,11 @@
 """Command-line interface: output shapes, exit codes, error reporting."""
+import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -232,10 +235,10 @@ def test_violated_check_exits_one(capsys, monkeypatch):
 
 
 def test_internal_fault_exits_three(capsys, monkeypatch):
-    def faulty_dispatch(args):
+    def faulty_rank(submodule):
         raise InvariantViolated("stabilization scan ran past its safety floor")
 
-    monkeypatch.setattr(cli, "_dispatch", faulty_dispatch)
+    monkeypatch.setattr(cli, "rank", faulty_rank)
     code, out, err = run_cli(capsys, ["rank", "--module", TWO_LINES])
     assert code == 3
     assert out == ""
@@ -337,7 +340,10 @@ def test_exit_one_only_with_violated_report(argv):
 
 def test_error_paths_exit_two(capsys):
     cases = [
-        (["check", "macaulay", "--module", TWO_LINES], "requires --degree"),
+        (
+            ["check", "macaulay", "--module", TWO_LINES],
+            "the following arguments are required: --degree",
+        ),
         (["gotzmann-rep", "--poly", '{"coeffs": ["-1"]}'], "negative leading"),
         (["gotzmann-rep", "--poly", "{bad"], "Expecting property name"),
         (["gotzmann-rep", "--poly", "no_such_file.json"], "No such file"),
@@ -448,6 +454,137 @@ def test_sampling_flags_are_gone(capsys, flag):
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
     assert f"unrecognized arguments: {flag} 1" in err
+
+
+# one valid command line per checker; gasharov's --p and --which have defaults
+CHECKER_FLAGS = {
+    "macaulay": {"--module": TWO_LINES, "--degree": "1"},
+    "green": {"--module": TWO_LINES, "--degree": "1"},
+    "persistence": {"--module": TWO_LINES, "--degree": "1"},
+    "regularity": {"--module": TWO_LINES},
+    "sharpness": {
+        "--poly": '{"coeffs": ["4", "2"]}',
+        "--module-shape": '{"n": 1, "degrees": [0, 0, 0]}',
+        "--rank": "2",
+    },
+    "gasharov": {"--module": TWO_LINES, "--degree": "1", "--p": "0", "--which": "green"},
+    "chern": {
+        "--poly": '{"coeffs": ["4", "11/6", "1", "1/6"]}',
+        "--n": "3",
+        "--sheaf-rank": "1",
+        "--module-shape": '{"n": 3, "degrees": [0, 0]}',
+        "--module-rank": "1",
+    },
+}
+
+
+def check_argv(checker, flags):
+    return ["check", checker, *itertools.chain.from_iterable(flags.items())]
+
+
+@pytest.mark.parametrize("checker", list(CHECKER_FLAGS))
+def test_check_flags_belong_to_their_checker(capsys, checker):
+    own = CHECKER_FLAGS[checker]
+    assert run_cli(capsys, check_argv(checker, own))[0] == 0
+    foreign = {
+        flag: value
+        for flags in CHECKER_FLAGS.values()
+        for flag, value in flags.items()
+        if flag not in own
+    }
+    assert foreign
+    for flag, value in foreign.items():
+        code, out, err = run_cli(capsys, check_argv(checker, own) + [flag, value])
+        assert (code, out) == (2, ""), flag
+        assert err == f"error: unrecognized arguments: {flag} {value}\n"
+    for flag in own.keys() - {"--p", "--which"}:
+        rest = {f: v for f, v in own.items() if f != flag}
+        code, out, err = run_cli(capsys, check_argv(checker, rest))
+        assert (code, out) == (2, ""), flag
+        assert err == f"error: the following arguments are required: {flag}\n"
+
+
+def command_tree():
+    """{leaf command path: {flag: (number of values, required)}}, read off
+    the parser (-h/--help left out)."""
+    tree = {}
+
+    def walk(parser, path):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, child in action.choices.items():
+                    walk(child, path + (name,))
+                return
+        tree[path] = {
+            flag: (1 if action.nargs is None else action.nargs, action.required)
+            for action in parser._actions
+            for flag in action.option_strings
+            if flag not in ("-h", "--help")
+        }
+
+    walk(cli._build_parser(), ())
+    return tree
+
+
+_TREE = command_tree()
+_ARITY = {flag: n for flags in _TREE.values() for flag, (n, _) in flags.items()}
+_INT = st.integers(-2, 5).map(str)
+_VALUE_OF = {
+    "--module": _MODULE,
+    "--poly": _POLY,
+    "--module-shape": _SHAPE,
+    "--gotzmann": st.lists(st.integers(0, 3), max_size=4).map(
+        lambda a: json.dumps({"a": sorted(a, reverse=True)})
+    ),
+    "--hf": _POLY.map(lambda tail: f'{{"table": [[0, 1]], "tail": {tail}}}'),
+}
+_ANY_VALUE = st.one_of(
+    _INT, *_VALUE_OF.values(), st.sampled_from(["macaulay", "green", "standard", "adjusted"])
+)
+
+
+def flag_args(flag, value=None):
+    if value is None:
+        value = st.one_of(_VALUE_OF.get(flag, _INT), _ANY_VALUE)
+    count = _ARITY[flag]
+    return st.lists(value, min_size=count, max_size=count).map(lambda vs: [flag, *vs])
+
+
+def misplaced_argv(path):
+    # half the time the command's required flags with values of their kind
+    # come first, so that its handler runs; then 0-4 flags, mostly its own,
+    # else any command's, plus bare integers for the transforms' positionals
+    required = [f for f, (_, req) in _TREE[path].items() if req]
+    prefix = st.one_of(
+        st.just(()),
+        st.tuples(*(flag_args(f, _VALUE_OF.get(f, _INT)) for f in required)),
+    )
+    own = st.sampled_from(sorted(_TREE[path]))
+    flag = st.one_of(own, own, st.sampled_from(sorted(_ARITY)))
+    group = st.one_of(flag.flatmap(flag_args), _INT.map(lambda i: [i]))
+    return st.tuples(prefix, st.lists(group, max_size=4)).map(
+        lambda t: [*path, *(token for g in t[0] + tuple(t[1]) for token in g)]
+    )
+
+
+_MISPLACED_ARGV = st.sampled_from(sorted(_TREE)).flatmap(misplaced_argv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_MISPLACED_ARGV)
+def test_exit_codes_over_misplaced_flags(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, code)
+    if code in (0, 1):
+        assert err == "", argv
+        violated = re.search(r'\bverdict"?: "violated"', out) is not None
+        assert violated == (code == 1), (argv, out)
+    else:
+        assert out == "", argv
+        assert err.startswith("error: " if code == 2 else "internal error: "), (argv, err)
 
 
 def test_file_input(capsys, tmp_path):

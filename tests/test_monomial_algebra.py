@@ -2,7 +2,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gotzmann.combinatorics import binomial
@@ -405,6 +405,14 @@ def test_weak_lefschetz_gap_is_exact():
         )
     )
 )
+# Random draws are almost never rank-deficient, so these pin down cases whose
+# multiplication matrix has a full matching of nonzero entries but a smaller
+# rational rank (6 x 6 of rank 5, 9 x 9 of rank 8, 11 x 10 of rank 9), found
+# by a search over ideals of up to four generators in three variables; a
+# structural count instead of the rank fails on each of them
+@example((2, [[3, 0, 0], [0, 3, 0], [0, 0, 3], [1, 1, 1]], 3))
+@example((2, [[0, 0, 3], [0, 4, 0], [1, 2, 1], [3, 1, 0]], 4))
+@example((2, [[0, 0, 4], [0, 3, 1], [1, 1, 2], [3, 0, 1]], 4))
 def test_generic_hyperplane_matches_grid_oracle(case):
     # With R the generic rank, some R-minor of M(c) is a nonzero form of
     # degree R; setting c_0 = 1 keeps it nonzero, so it does not vanish on
