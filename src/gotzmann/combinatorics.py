@@ -54,11 +54,17 @@ class MacaulayRep(Value):
 
 
 def macaulay_rep(a: int, d: int) -> MacaulayRep:
-    """Greedy d-th Macaulay representation of a >= 0.
+    """Greedy d-th Macaulay representation of a >= 0."""
+    return MacaulayRep(d, _macaulay_terms(a, d))
+
+
+def _macaulay_terms(a: int, d: int) -> tuple[tuple[int, int], ...]:
+    """The terms (k_j, j) of the d-th Macaulay representation of a >= 0.
 
     Each step takes the largest k with C(k, j) <= remainder; the classical
     argument shows the indices strictly decrease and the remainder hits zero
     at index >= 1, so the loop below always terminates with a valid rep.
+    The transforms read the terms from here, past the checks of MacaulayRep.
     """
     if a < 0:
         raise ValueError(f"a must be nonnegative, got {a}")
@@ -72,7 +78,7 @@ def macaulay_rep(a: int, d: int) -> MacaulayRep:
         terms.append((k, j))
         rem -= comb(k, j)
         j -= 1
-    return MacaulayRep(d, tuple(terms))
+    return tuple(terms)
 
 
 def _largest_upper_index(b: int, j: int) -> int:
@@ -118,14 +124,12 @@ def _iroot(x: int, j: int) -> int:
 
 def macaulay_transform(a: int, d: int) -> int:
     """a^<d>: bump every C(k_j, j) in the d-th representation to C(k_j + 1, j + 1)."""
-    rep = macaulay_rep(a, d)
-    return sum(binomial(k + 1, j + 1) for k, j in rep.terms)
+    return sum(comb(k + 1, j + 1) for k, j in _macaulay_terms(a, d))
 
 
 def green_transform(a: int, d: int) -> int:
     """a_<d>: lower every C(k_j, j) in the d-th representation to C(k_j - 1, j).
 
-    Terms with k_j = j drop to zero under the C(k, j) = 0 (k < j) convention.
+    Terms with k_j = j drop to zero, as comb(j - 1, j) = 0.
     """
-    rep = macaulay_rep(a, d)
-    return sum(binomial(k - 1, j) for k, j in rep.terms)
+    return sum(comb(k - 1, j) for k, j in _macaulay_terms(a, d))

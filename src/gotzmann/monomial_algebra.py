@@ -230,7 +230,11 @@ def quotient_basis(ideal: MonomialIdeal, e: int) -> tuple[Monomial, ...]:
     Only ``_linear_section_dim`` uses it in the library, as it needs the
     basis itself; Hilbert functions are read off the series.
     """
-    return tuple(m for m in monomials_of_degree(ideal.n, e) if not ideal.contains(m))
+    gens = [g.exponents for g in ideal.gens]
+    return tuple(
+        m for m in monomials_of_degree(ideal.n, e)
+        if not any(all(map(le, g, m.exponents)) for g in gens)
+    )
 
 
 class GradedFreeModule(CachedHash):
@@ -464,10 +468,14 @@ def adjusted_hf_decomposition(submodule: MonomialSubmodule, d: int) -> tuple[int
     rho then satisfies 0 <= rho <= sum_{i=1}^{m-r} C(d - f_i + n, n); a
     violation would be a bug, not bad input.
     """
+    return _adjusted_split(submodule, d, rank(submodule))
+
+
+def _adjusted_split(submodule: MonomialSubmodule, d: int, r: int) -> tuple[int, int]:
+    """adjusted_hf_decomposition for a caller that already holds r = rank."""
     n = submodule.n
     degrees = submodule.degrees
     m = len(degrees)
-    r = rank(submodule)
     free_part = sum(binomial(d - f + n, n) for f in degrees[m - r :])
     rho = hf_direct(submodule, d) - free_part
     window = sum(binomial(d - f + n, n) for f in degrees[: m - r])
@@ -535,13 +543,22 @@ def ideal_to_dict(ideal: MonomialIdeal) -> dict:
 
 
 def ideal_from_dict(data: dict, n: int) -> MonomialIdeal:
+    """Read {"unit": true} or {"gens": [...]}; "unit": false with "gens" reads the gens."""
     if not isinstance(data, dict):
         raise ValueError(f"ideal JSON must be an object, got {type(data).__name__}")
-    if data.get("unit"):
-        return MonomialIdeal.unit(n)
+    unknown = [key for key in data if key not in ("unit", "gens")]
+    if unknown:
+        raise ValueError(f"ideal JSON takes only 'unit' and 'gens', got {unknown}")
+    unit = data.get("unit", False)
+    if not isinstance(unit, bool):
+        raise ValueError(f"ideal 'unit' must be true or false, got {unit!r}")
     gens = data.get("gens", [])
     if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
         raise ValueError("ideal 'gens' must be a list of monomial strings")
+    if unit:
+        if gens:
+            raise ValueError("a unit ideal takes no 'gens'")
+        return MonomialIdeal.unit(n)
     return MonomialIdeal(n, tuple(monomial_from_string(g, n) for g in gens))
 
 

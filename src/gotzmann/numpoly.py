@@ -372,6 +372,10 @@ def poly_from_dict(data: dict) -> NumPoly:
     """
     if not isinstance(data, dict):
         raise ValueError(f"polynomial JSON must be an object, got {type(data).__name__}")
+    if set(data) not in ({"coeffs"}, {"terms"}):
+        raise ValueError(
+            f"polynomial JSON needs exactly one of 'coeffs' and 'terms', got {list(data)}"
+        )
     if "coeffs" in data:
         if not isinstance(data["coeffs"], list):
             raise ValueError("'coeffs' must be a list")
@@ -379,23 +383,21 @@ def poly_from_dict(data: dict) -> NumPoly:
             return NumPoly(Fraction(str(c)) for c in data["coeffs"])
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad entry in 'coeffs': {exc}") from None
-    if "terms" in data:
-        if not isinstance(data["terms"], list):
-            raise ValueError("'terms' must be a list")
-        out = NumPoly()
-        for k, term in enumerate(data["terms"]):
-            if not isinstance(term, dict):
-                raise ValueError(f"terms[{k}] must be an object")
-            missing = {"a", "shift"} - set(term)
-            if missing:
-                raise ValueError(f"terms[{k}] missing field {sorted(missing)}")
-            try:
-                mult = Fraction(str(term.get("mult", 1)))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"bad entry in terms[{k}]: {exc}") from None
-            a, shift = term["a"], term["shift"]
-            if type(a) is not int or type(shift) is not int:  # not isinstance: bool is refused too
-                raise ValueError(f"bad entry in terms[{k}]: 'a' and 'shift' must be integers")
-            out = out + mult * binomial_poly(a, shift)
-        return out
-    raise ValueError("polynomial JSON needs a 'coeffs' or 'terms' field")
+    if not isinstance(data["terms"], list):
+        raise ValueError("'terms' must be a list")
+    out = NumPoly()
+    for k, term in enumerate(data["terms"]):
+        if not isinstance(term, dict):
+            raise ValueError(f"terms[{k}] must be an object")
+        missing = {"a", "shift"} - set(term)
+        if missing:
+            raise ValueError(f"terms[{k}] missing field {sorted(missing)}")
+        try:
+            mult = Fraction(str(term.get("mult", 1)))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"bad entry in terms[{k}]: {exc}") from None
+        a, shift = term["a"], term["shift"]
+        if type(a) is not int or type(shift) is not int:  # not isinstance: bool is refused too
+            raise ValueError(f"bad entry in terms[{k}]: 'a' and 'shift' must be integers")
+        out = out + mult * binomial_poly(a, shift)
+    return out

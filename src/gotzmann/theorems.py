@@ -11,6 +11,10 @@ The adjusted bounds peel off the free part of M = F/N over the r largest
 ambient degrees (r = number of zero components) and apply the binomial
 transform to the remainder rho at index d - f_low, where f_low is the
 (m-r)-th degree; with r = 0 everything degrades to the classical bounds.
+
+A module checker's report keeps its submodule and builds ``instance``, the
+``module_to_dict`` form, on first read: a sweep reads few of them.  Each
+checker computes the rank, f_low and the split (free part, rho) once.
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ from .monomial_algebra import (
     Monomial,
     MonomialIdeal,
     MonomialSubmodule,
-    adjusted_hf_decomposition,
+    _adjusted_split,
     generic_hyperplane_hf,
     hf_direct,
     hilbert_polynomial,
@@ -45,9 +49,11 @@ PREMISE_FAILS = "premise_fails"
 
 
 class CheckReport(Value):
-    __slots__ = _fields = (
+    _fields = (
         "name", "instance", "premises_hold", "bound_lhs", "bound_rhs", "verdict", "context"
     )
+    # _submodule: what a module checker's report builds its instance from
+    __slots__ = _fields + ("_submodule",)
 
     def __init__(
         self,
@@ -67,6 +73,15 @@ class CheckReport(Value):
         object.__setattr__(self, "verdict", verdict)
         object.__setattr__(self, "context", {} if context is None else context)
 
+    def __getattr__(self, name: str):
+        # reached only while a slot is empty: the instance of a module
+        # checker's report, until its first read builds it
+        if name != "instance":
+            raise AttributeError(name)
+        instance = module_to_dict(self._submodule)
+        object.__setattr__(self, "instance", instance)
+        return instance
+
     def to_dict(self) -> dict:
         return {
             "name": self.name,
@@ -82,6 +97,23 @@ class CheckReport(Value):
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
+def _module_report(
+    submodule: MonomialSubmodule,
+    name: str,
+    premises_hold: bool,
+    bound_lhs: int | None,
+    bound_rhs: int | None,
+    verdict: str,
+    context: dict,
+) -> CheckReport:
+    """A report whose instance, module_to_dict(submodule), is built on first
+    read, as a sweep reads the instances of few of its reports."""
+    report = CheckReport(name, None, premises_hold, bound_lhs, bound_rhs, verdict, context)
+    object.__delattr__(report, "instance")
+    object.__setattr__(report, "_submodule", submodule)
+    return report
+
+
 def _compare(lhs: int, rhs: int) -> str:
     if lhs > rhs:
         return VIOLATED
@@ -91,43 +123,48 @@ def _compare(lhs: int, rhs: int) -> str:
 def f_low_degree(submodule: MonomialSubmodule) -> int:
     """The degree indexing the binomial transforms: f_{m-r}, or f_m when the
     free part exhausts the module (r = m)."""
-    r = rank(submodule)
-    m = len(submodule.degrees)
-    return submodule.degrees[m - r - 1] if m - r >= 1 else submodule.degrees[-1]
+    return _f_low(submodule.degrees, rank(submodule))
 
 
-def _free_tail_sum(submodule: MonomialSubmodule, d: int, n_for_dim: int) -> int:
-    r = rank(submodule)
-    tail = submodule.degrees[len(submodule.degrees) - r :]
-    return sum(binomial(d - f + n_for_dim, n_for_dim) for f in tail)
+def _f_low(degrees: tuple[int, ...], r: int) -> int:
+    m = len(degrees)
+    return degrees[m - r - 1] if m - r >= 1 else degrees[-1]
+
+
+def _free_tail_sum(degrees: tuple[int, ...], r: int, d: int, n_for_dim: int) -> int:
+    return sum(binomial(d - f + n_for_dim, n_for_dim) for f in degrees[len(degrees) - r :])
 
 
 def adjusted_macaulay_bound(submodule: MonomialSubmodule, d: int) -> int:
     """Upper bound for H(F/N, d+1): free part at d+1 plus the Macaulay
     transform of rho_d at index d - f_low."""
-    n = submodule.n
-    _, rho = adjusted_hf_decomposition(submodule, d)
-    return _free_tail_sum(submodule, d + 1, n) + macaulay_transform(
-        rho, d - f_low_degree(submodule)
-    )
+    r = rank(submodule)
+    return _macaulay_bound(submodule, r, _f_low(submodule.degrees, r), d)[1]
+
+
+def _macaulay_bound(submodule: MonomialSubmodule, r: int, f_low: int, d: int) -> tuple[int, int]:
+    """rho_d and adjusted_macaulay_bound at d, given the rank r and f_low."""
+    _, rho = _adjusted_split(submodule, d, r)
+    free = _free_tail_sum(submodule.degrees, r, d + 1, submodule.n)
+    return rho, free + macaulay_transform(rho, d - f_low)
 
 
 def check_macaulay_adjusted(submodule: MonomialSubmodule, d: int) -> CheckReport:
     """H(M, d+1) against the rank-and-degree adjusted Macaulay bound."""
-    f_low = f_low_degree(submodule)
+    r = rank(submodule)
+    f_low = _f_low(submodule.degrees, r)
     if d < f_low + 1:
         raise PreconditionViolated(f"need d >= f_low + 1 = {f_low + 1}, got {d}")
-    _, rho = adjusted_hf_decomposition(submodule, d)
+    rho, rhs = _macaulay_bound(submodule, r, f_low, d)
     lhs = hf_direct(submodule, d + 1)
-    rhs = adjusted_macaulay_bound(submodule, d)
-    return CheckReport(
+    return _module_report(
+        submodule,
         name="macaulay_adjusted",
-        instance=module_to_dict(submodule),
         premises_hold=True,
         bound_lhs=lhs,
         bound_rhs=rhs,
         verdict=_compare(lhs, rhs),
-        context={"d": d, "rho": rho, "f_low": f_low, "rank": rank(submodule)},
+        context={"d": d, "rho": rho, "f_low": f_low, "rank": r},
     )
 
 
@@ -136,17 +173,16 @@ def check_green_adjusted(submodule: MonomialSubmodule, d: int) -> CheckReport:
     n = submodule.n
     if n < 1:
         raise PreconditionViolated(f"need n >= 1, got {n}")
-    f_low = f_low_degree(submodule)
+    r = rank(submodule)
+    f_low = _f_low(submodule.degrees, r)
     if d < f_low + 1:
         raise PreconditionViolated(f"need d >= f_low + 1 = {f_low + 1}, got {d}")
-    _, rho = adjusted_hf_decomposition(submodule, d)
+    _, rho = _adjusted_split(submodule, d, r)
     lhs = generic_hyperplane_hf(submodule, d)
-    rhs = _free_tail_sum(submodule, d, n - 1) + green_transform(
-        rho, d - f_low
-    )
-    return CheckReport(
+    rhs = _free_tail_sum(submodule.degrees, r, d, n - 1) + green_transform(rho, d - f_low)
+    return _module_report(
+        submodule,
         name="green_adjusted",
-        instance=module_to_dict(submodule),
         premises_hold=True,
         bound_lhs=lhs,
         bound_rhs=rhs,
@@ -179,9 +215,9 @@ def check_gasharov(
     else:
         lhs = generic_hyperplane_hf(submodule, d)
         rhs = green_transform(h_d, index)
-    return CheckReport(
+    return _module_report(
+        submodule,
         name=f"gasharov_{which}",
-        instance=module_to_dict(submodule),
         premises_hold=True,
         bound_lhs=lhs,
         bound_rhs=rhs,
@@ -210,16 +246,16 @@ def check_persistence_adjusted(submodule: MonomialSubmodule, d: int) -> CheckRep
         raise PreconditionViolated(
             f"submodule has a generator in degree {max_gen} > d = {d}"
         )
-    f_low = f_low_degree(submodule)
+    r = rank(submodule)
+    f_low = _f_low(submodule.degrees, r)
     if d < f_low + 1:
         raise PreconditionViolated(f"need d >= f_low + 1 = {f_low + 1}, got {d}")
-    instance = module_to_dict(submodule)
     lhs = hf_direct(submodule, d + 1)
-    rhs = adjusted_macaulay_bound(submodule, d)
+    _, rhs = _macaulay_bound(submodule, r, f_low, d)
     if lhs != rhs:
-        return CheckReport(
+        return _module_report(
+            submodule,
             name="persistence_adjusted",
-            instance=instance,
             premises_hold=False,
             bound_lhs=lhs,
             bound_rhs=rhs,
@@ -230,20 +266,20 @@ def check_persistence_adjusted(submodule: MonomialSubmodule, d: int) -> CheckRep
     horizon = last - d
     for e in range(d + 1, last + 1):
         lhs = hf_direct(submodule, e + 1)
-        rhs = adjusted_macaulay_bound(submodule, e)
+        _, rhs = _macaulay_bound(submodule, r, f_low, e)
         if lhs != rhs:
-            return CheckReport(
+            return _module_report(
+                submodule,
                 name="persistence_adjusted",
-                instance=instance,
                 premises_hold=True,
                 bound_lhs=lhs,
                 bound_rhs=rhs,
                 verdict=VIOLATED,
                 context={"d": d, "horizon": horizon, "failed_at": e},
             )
-    return CheckReport(
+    return _module_report(
+        submodule,
         name="persistence_adjusted",
-        instance=instance,
         premises_hold=True,
         bound_lhs=lhs,
         bound_rhs=rhs,
@@ -266,12 +302,11 @@ def check_gotzmann_regularity_adjusted(submodule: MonomialSubmodule) -> CheckRep
     s = rep.number
     f_m = degrees[-1]
     rhs = max(s, f_m)
-    instance = module_to_dict(submodule)
     saturated = saturate(submodule)
     if saturated.is_zero():
-        return CheckReport(
+        return _module_report(
+            submodule,
             name="gotzmann_regularity_adjusted",
-            instance=instance,
             premises_hold=True,
             bound_lhs=None,
             bound_rhs=rhs,
@@ -279,9 +314,9 @@ def check_gotzmann_regularity_adjusted(submodule: MonomialSubmodule) -> CheckRep
             context={"s": s, "f_m": f_m, "rank": r, "saturation_is_zero": True},
         )
     lhs = regularity(saturated, of="submodule")
-    return CheckReport(
+    return _module_report(
+        submodule,
         name="gotzmann_regularity_adjusted",
-        instance=instance,
         premises_hold=True,
         bound_lhs=lhs,
         bound_rhs=rhs,

@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v`` (add ``-s`` to see the
 per-criterion PASS lines with elapsed times).
 """
+import hashlib
 import time
 from contextlib import contextmanager
 
@@ -39,6 +40,10 @@ from conftest import hf_count, module, sharpness_instance, transform_tables
 from ek_oracle import ek_regularity, is_stable
 from test_chern import sum_ij_identity
 from test_combinatorics import count_descent_decompositions
+
+# sha256 of the newline-joined to_json_line() of sweep(500); a change that
+# means to alter the reports' values, verdicts or JSON must say so here
+SWEEP_500_SHA256 = "74ee1c5fec938d3c26eabc0fec1fe724ffa5c24ae8de34c5bf7483f1035ac399"
 
 
 @contextmanager
@@ -113,6 +118,9 @@ def test_criterion_4_zero_violation_sweep():
             "gotzmann_regularity_adjusted",
         }
         assert len(reports) > 2000
+        # the report JSON, byte for byte, as the sweep first gave it
+        lines = "\n".join(r.to_json_line() for r in reports)
+        assert hashlib.sha256(lines.encode()).hexdigest() == SWEEP_500_SHA256
 
 
 def test_criterion_5_oracle_equivalence(corpus):

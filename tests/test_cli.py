@@ -430,6 +430,55 @@ def test_error_paths_exit_two(capsys):
         assert fragment in err, (argv, err)
 
 
+def one_component(component):
+    return f'{{"n": 1, "degrees": [0], "components": [{component}]}}'
+
+
+@pytest.mark.parametrize(
+    "component, fragment",
+    [
+        # a "unit" that is not a JSON boolean used to mean the unit ideal when truthy
+        ('{"unit": "false"}', "ideal 'unit' must be true or false, got 'false'"),
+        ('{"unit": 1}', "ideal 'unit' must be true or false, got 1"),
+        ('{"unit": null}', "ideal 'unit' must be true or false, got None"),
+        # a misspelt key used to be ignored, which read the zero ideal
+        ('{"gen": ["x0"]}', "ideal JSON takes only 'unit' and 'gens', got ['gen']"),
+        ('{"gens": ["x0"], "degree": 1}', "got ['degree']"),
+        ('{"unit": true, "gens": ["x0"]}', "a unit ideal takes no 'gens'"),
+    ],
+)
+def test_ideal_json_is_read_as_written(capsys, component, fragment):
+    code, out, err = run_cli(capsys, ["rank", "--module", one_component(component)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and fragment in err, err
+
+
+def test_ideal_json_unit_flag_with_gens(capsys):
+    assert run_cli(capsys, ["rank", "--module", one_component('{"unit": true, "gens": []}')]) == (0, "0\n", "")
+    assert run_cli(capsys, ["rank", "--module", one_component('{"unit": false, "gens": []}')]) == (0, "1\n", "")
+    saturated = run_json(capsys, ["saturate", "--module", one_component('{"unit": false, "gens": ["x0"]}')])
+    assert saturated["components"] == [{"gens": ["x0"]}]
+
+
+@pytest.mark.parametrize(
+    "poly, fragment",
+    [
+        # "terms" used to be dropped silently next to "coeffs"
+        (
+            '{"coeffs": ["1"], "terms": [{"a": 1, "shift": 0}]}',
+            "exactly one of 'coeffs' and 'terms', got ['coeffs', 'terms']",
+        ),
+        ('{"coeffs": ["1"], "coef": ["2"]}', "got ['coeffs', 'coef']"),
+        ('{"term": [{"a": 1, "shift": 0}]}', "got ['term']"),
+        ("{}", "exactly one of 'coeffs' and 'terms', got []"),
+    ],
+)
+def test_poly_json_needs_exactly_one_form(capsys, poly, fragment):
+    code, out, err = run_cli(capsys, ["gotzmann-rep", "--poly", poly])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and fragment in err, err
+
+
 def test_text_output(capsys):
     code, out, _ = run_cli(capsys, ["macaulay-transform", "4", "1", "--text"])
     assert (code, out) == (0, "10\n")

@@ -95,6 +95,31 @@ def test_rep_matches_linear_scan_hypothesis(a, d):
     assert macaulay_rep(a, d).terms == linear_scan_rep(a, d)
 
 
+def macaulay_transform_oracle(a, d):
+    """a^<d> summed over the validated representation's terms."""
+    return sum(binomial(k + 1, j + 1) for k, j in macaulay_rep(a, d).terms)
+
+
+def green_transform_oracle(a, d):
+    """a_<d> summed over the validated representation's terms."""
+    return sum(binomial(k - 1, j) for k, j in macaulay_rep(a, d).terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 12))
+def test_transforms_match_the_representation_sums(a, d):
+    assert macaulay_transform(a, d) == macaulay_transform_oracle(a, d)
+    assert green_transform(a, d) == green_transform_oracle(a, d)
+
+
+def test_transforms_keep_the_argument_checks():
+    for transform in (macaulay_transform, green_transform):
+        with pytest.raises(ValueError, match="a must be nonnegative, got -1"):
+            transform(-1, 2)
+        with pytest.raises(ValueError, match="d must be positive, got 0"):
+            transform(3, 0)
+
+
 def test_rep_of_large_value_is_fast():
     # the linear scan needs about 10^7 binomials for d = 1 and 4,500 for d = 2
     start = time.perf_counter()

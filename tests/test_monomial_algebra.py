@@ -117,6 +117,15 @@ def test_ideal_gens_are_the_minimal_set_in_canonical_order(case):
     assert list(MonomialIdeal(n, tuple(gens)).gens) == expected
 
 
+@settings(max_examples=150, deadline=None)
+@given(_GEN_LISTS, st.integers(0, 6))
+def test_quotient_basis_is_the_monomials_outside_the_ideal(case, e):
+    n, exponent_lists = case
+    ideal_obj = MonomialIdeal(n, tuple(Monomial(tuple(x)) for x in exponent_lists))
+    outside = tuple(m for m in monomials_of_degree(n, e) if not ideal_obj.contains(m))
+    assert quotient_basis.__wrapped__(ideal_obj, e) == outside
+
+
 def test_series_and_hyperplane_build_no_monomials(monkeypatch):
     """Inside the library monomials are exponent tuples; the series and the
     hyperplane section build no Monomial once the degree bases exist."""

@@ -1,11 +1,13 @@
 """Checkers for the adjusted growth, restriction, and regularity bounds."""
+import copy
 import json
+import pickle
 
 import pytest
 
 from gotzmann.combinatorics import macaulay_transform
 from gotzmann.errors import PreconditionViolated
-from gotzmann.monomial_algebra import GradedFreeModule, hf_direct
+from gotzmann.monomial_algebra import GradedFreeModule, hf_direct, module_to_dict
 from gotzmann.numpoly import GotzmannRep, NumPoly, binomial_poly
 from gotzmann.theorems import (
     HOLDS,
@@ -235,3 +237,45 @@ def test_report_json_line(two_free_lines):
     assert data["premises_hold"] is True
     assert data["context"]["d"] == 1
     assert data["instance"]["degrees"] == [0, 0, 0]
+
+
+def module_reports(sub):
+    """One report of each module checker on sub, at a degree where all run;
+    the regularity checker where sweep runs it, at f_low <= 0."""
+    f_low = f_low_degree(sub)
+    d = max(f_low + 1, sub.degrees[-1] + 1, sub.max_gen_degree() or 0)
+    reports = [
+        check_macaulay_adjusted(sub, d),
+        check_green_adjusted(sub, d),
+        check_gasharov(sub, d, 0, "macaulay"),
+        check_gasharov(sub, d, 0, "green"),
+        check_persistence_adjusted(sub, d),
+    ]
+    if f_low <= 0:
+        reports.append(check_gotzmann_regularity_adjusted(sub))
+    return reports
+
+
+def test_module_reports_read_their_instance_from_the_submodule():
+    for seed in range(20):
+        sub = random_submodule(seed)
+        for rep in module_reports(sub):
+            assert rep.instance == module_to_dict(sub), (seed, rep.name)
+            assert rep.instance is rep.instance  # built once, then kept
+            assert rep.to_dict()["instance"] == module_to_dict(sub)
+
+
+def test_reports_on_one_submodule_do_not_share_an_instance(two_free_lines):
+    first, *others = module_reports(two_free_lines) + module_reports(two_free_lines)
+    first.instance["degrees"].append(99)
+    first.instance["components"].clear()
+    for rep in others:
+        assert rep.instance == module_to_dict(two_free_lines), rep.name
+
+
+def test_unread_instance_survives_copy_and_pickle(twisted_plane_pair):
+    for clone_of in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+        for rep, fresh in zip(module_reports(twisted_plane_pair), module_reports(twisted_plane_pair)):
+            clone = clone_of(rep)
+            assert clone is not rep and clone == fresh and repr(clone) == repr(fresh)
+            assert clone.instance == module_to_dict(twisted_plane_pair)
