@@ -22,7 +22,7 @@ from . import chern as chern_mod
 from . import lex as lex_mod
 from . import resolution, theorems
 from .combinatorics import green_transform, macaulay_rep, macaulay_transform
-from .errors import BudgetExceeded, InvariantViolated
+from .errors import BudgetExceeded, InvariantViolated, refuse_unknown_keys
 from .monomial_algebra import (
     GradedFreeModule,
     MonomialSubmodule,
@@ -35,6 +35,7 @@ from .monomial_algebra import (
     ideal_to_dict,
     rank,
     saturate,
+    shape_from_dict,
     stabilization_degree,
 )
 from .numpoly import (
@@ -57,17 +58,7 @@ def _load_json(arg: str) -> Any:
 
 
 def _shape_arg(arg: str) -> GradedFreeModule:
-    data = _load_json(arg)
-    if not isinstance(data, dict):
-        raise ValueError("module shape must be a JSON object")
-    for key in ("n", "degrees"):
-        if key not in data:
-            raise ValueError(f"module shape missing field '{key}'")
-    n, degrees = data["n"], data["degrees"]
-    # not isinstance: bool is refused too
-    if not isinstance(degrees, list) or any(type(x) is not int for x in (n, *degrees)):
-        raise ValueError(f"module shape needs integer 'n' and 'degrees', got {n!r} and {degrees!r}")
-    return GradedFreeModule(n, tuple(degrees))
+    return shape_from_dict(_load_json(arg))
 
 
 def _module_arg(arg: str) -> MonomialSubmodule:
@@ -82,6 +73,7 @@ def _rep_arg(arg: str) -> GotzmannRep:
     data = _load_json(arg)
     if not isinstance(data, dict) or "a" not in data:
         raise ValueError("representation JSON needs an 'a' field")
+    refuse_unknown_keys(data, "representation JSON", ("a",))
     a = data["a"]
     if not isinstance(a, list) or any(type(x) is not int for x in a):  # bool is refused too
         raise ValueError(f"representation 'a' must be a list of integers, got {a!r}")
@@ -111,7 +103,12 @@ def _macaulay_rep(args: argparse.Namespace) -> dict:
 
 
 def _adjusted_rep(args: argparse.Namespace) -> dict:
-    shape = _shape_arg(args.module)
+    data = _load_json(args.module)
+    # module or shape JSON: a module's components are read, and so checked
+    if isinstance(data, dict) and "components" in data:
+        shape = module_from_dict(data).ambient
+    else:
+        shape = shape_from_dict(data)
     rep = adjusted_gotzmann_rep(_poly_arg(args.poly), shape.n, shape.degrees, args.rank)
     return {"free_degrees": list(rep.free_degrees), "n": rep.n, "q": {"a": list(rep.q.a)},
             "number": rep.number}
@@ -139,6 +136,7 @@ def _lexify(args: argparse.Namespace) -> dict:
     data = _load_json(args.hf)
     if not isinstance(data, dict) or "tail" not in data:
         raise ValueError("Hilbert-function JSON needs 'tail' (and optional 'table')")
+    refuse_unknown_keys(data, "Hilbert-function JSON", ("table", "tail"))
     try:
         table = [(d, v) for d, v in data.get("table", [])]
     except (TypeError, ValueError) as exc:

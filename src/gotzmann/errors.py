@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the unknown-key check of
+its JSON readers."""
 
 
 class NotAdmissible(ValueError):
@@ -31,3 +32,13 @@ class NonIntegralChern(ValueError):
 
 class BudgetExceeded(RuntimeError):
     """A fixed work limit was hit before the computation finished."""
+
+
+def refuse_unknown_keys(data: dict, what: str, known: tuple[str, ...]) -> None:
+    """Raise ValueError naming the keys of a JSON object outside ``known``,
+    which a reader would otherwise skip as if they were absent."""
+    unknown = [key for key in data if key not in known]
+    if unknown:
+        *head, last = map(repr, known)
+        names = f"{', '.join(head)} and {last}" if head else last
+        raise ValueError(f"{what} takes only {names}, got {unknown}")

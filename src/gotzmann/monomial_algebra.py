@@ -31,7 +31,7 @@ from typing import Iterable
 from . import linalg
 from ._value import CachedHash, Value
 from .combinatorics import binomial
-from .errors import BudgetExceeded, InvariantViolated, PreconditionViolated
+from .errors import BudgetExceeded, InvariantViolated, PreconditionViolated, refuse_unknown_keys
 from .numpoly import NumPoly, series_to_polynomial
 
 # Pivot nodes the series recursion may visit per component ideal; a work
@@ -546,9 +546,7 @@ def ideal_from_dict(data: dict, n: int) -> MonomialIdeal:
     """Read {"unit": true} or {"gens": [...]}; "unit": false with "gens" reads the gens."""
     if not isinstance(data, dict):
         raise ValueError(f"ideal JSON must be an object, got {type(data).__name__}")
-    unknown = [key for key in data if key not in ("unit", "gens")]
-    if unknown:
-        raise ValueError(f"ideal JSON takes only 'unit' and 'gens', got {unknown}")
+    refuse_unknown_keys(data, "ideal JSON", ("unit", "gens"))
     unit = data.get("unit", False)
     if not isinstance(unit, bool):
         raise ValueError(f"ideal 'unit' must be true or false, got {unit!r}")
@@ -570,15 +568,26 @@ def module_to_dict(submodule: MonomialSubmodule) -> dict:
     }
 
 
-def module_from_dict(data: dict) -> MonomialSubmodule:
-    try:
-        n, degrees = data["n"], data["degrees"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"module JSON needs integer 'n' and 'degrees': {exc}") from exc
+def shape_from_dict(
+    data: dict, what: str = "module shape", known: tuple[str, ...] = ("n", "degrees")
+) -> GradedFreeModule:
+    """The free module of a JSON object's integer 'n' and 'degrees', the
+    shape that a module's JSON shares; keys outside ``known`` are refused."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    refuse_unknown_keys(data, what, known)
+    for key in ("n", "degrees"):
+        if key not in data:
+            raise ValueError(f"{what} missing field '{key}'")
+    n, degrees = data["n"], data["degrees"]
     # not isinstance: bool is refused too
     if not isinstance(degrees, list) or any(type(x) is not int for x in (n, *degrees)):
-        raise ValueError(f"module JSON needs integer 'n' and 'degrees', got {n!r} and {degrees!r}")
-    ambient = GradedFreeModule(n, tuple(degrees))
+        raise ValueError(f"{what} needs integer 'n' and 'degrees', got {n!r} and {degrees!r}")
+    return GradedFreeModule(n, tuple(degrees))
+
+
+def module_from_dict(data: dict) -> MonomialSubmodule:
+    ambient = shape_from_dict(data, "module JSON", ("n", "degrees", "components"))
     raw = data.get("components")
     if not isinstance(raw, list):
         raise ValueError("module JSON needs a 'components' list")
@@ -586,5 +595,5 @@ def module_from_dict(data: dict) -> MonomialSubmodule:
         raise ValueError(
             f"'components' has {len(raw)} entries for {ambient.m} degrees"
         )
-    comps = tuple(ideal_from_dict(c, n) for c in raw)
+    comps = tuple(ideal_from_dict(c, ambient.n) for c in raw)
     return MonomialSubmodule(ambient, comps)

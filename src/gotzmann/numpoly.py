@@ -18,7 +18,7 @@ from typing import Iterable, Sequence, Union
 
 from ._value import Value
 from .combinatorics import binomial
-from .errors import NotAdmissible, PreconditionViolated
+from .errors import NotAdmissible, PreconditionViolated, refuse_unknown_keys
 
 Scalar = Union[int, Fraction]
 
@@ -389,6 +389,7 @@ def poly_from_dict(data: dict) -> NumPoly:
     for k, term in enumerate(data["terms"]):
         if not isinstance(term, dict):
             raise ValueError(f"terms[{k}] must be an object")
+        refuse_unknown_keys(term, f"terms[{k}]", ("a", "shift", "mult"))
         missing = {"a", "shift"} - set(term)
         if missing:
             raise ValueError(f"terms[{k}] missing field {sorted(missing)}")

@@ -64,15 +64,6 @@ class BettiTable(Value):
         return {"betti": [[i, j, v] for i, j, v in self.entries]}
 
 
-def _merge_shifted(tables: list[tuple[dict[tuple[int, int], int], int]]) -> BettiTable:
-    total: dict[tuple[int, int], int] = {}
-    for table, shift in tables:
-        for (i, j), v in table.items():
-            key = (i, j + shift)
-            total[key] = total.get(key, 0) + v
-    return BettiTable.from_dict(total)
-
-
 def _lcm_lattice(words: list[int], guards: int, w: int) -> set[int]:
     """Packed words of the lcms of all nonempty sets of generators: per field,
     (a | G) - b keeps its guard bit exactly when a_v >= b_v, and that bit,
@@ -183,29 +174,24 @@ def _ideal_table(ideal: MonomialIdeal) -> tuple[tuple[int, int, int], ...]:
     return tuple((i, j, v) for (i, j), v in sorted(table.items()))
 
 
-def _component_table(ideal: MonomialIdeal, quotient: bool) -> dict[tuple[int, int], int]:
-    """Graded Betti numbers of S/I (quotient=True) or of I as a module.
-
-    beta_{i+1,j}(S/I) = beta_{i,j}(I), plus beta_{0,0}(S/I) = 1.
-    """
-    if quotient and ideal.is_unit():
-        return {}
-    table = {(0, 0): 1} if quotient else {}
-    for i, j, v in _ideal_table(ideal):
-        table[i + quotient, j] = v
-    return table
-
-
 def koszul_betti(submodule: MonomialSubmodule, as_quotient: bool = True) -> BettiTable:
     """Betti table of F/N (as_quotient=True) or of N itself.
 
     Componentwise: a resolution of a direct sum splits, so each component
-    ideal is handled on its own and shifted by its degree.
+    ideal I is handled on its own and shifted by its degree f.  On the
+    quotient side beta_{i+1,j}(S/I) = beta_{i,j}(I), plus beta_{0,0}(S/I) = 1,
+    and a unit ideal contributes nothing.
     """
-    pieces = []
+    total: dict[tuple[int, int], int] = {}
     for f, ideal in zip(submodule.degrees, submodule.components):
-        pieces.append((_component_table(ideal, as_quotient), f))
-    return _merge_shifted(pieces)
+        if as_quotient:
+            if ideal.is_unit():
+                continue
+            total[0, f] = total.get((0, f), 0) + 1
+        for i, j, v in _ideal_table(ideal):
+            key = (i + as_quotient, j + f)
+            total[key] = total.get(key, 0) + v
+    return BettiTable.from_dict(total)
 
 
 def regularity(submodule: MonomialSubmodule, of: str = "quotient") -> int:

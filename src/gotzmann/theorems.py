@@ -10,7 +10,10 @@ treats it as failure.
 The adjusted bounds peel off the free part of M = F/N over the r largest
 ambient degrees (r = number of zero components) and apply the binomial
 transform to the remainder rho at index d - f_low, where f_low is the
-(m-r)-th degree; with r = 0 everything degrades to the classical bounds.
+(m-r)-th degree.  Two kernels, ``_growth`` and ``_restriction``, compute
+every bound from (r, rho, index) and refuse an index below 1.  The classical
+checkers are the same kernels at r = 0, where rho = H(M, d) and f_low = l,
+the largest ambient degree; Gasharov's module forms move the index to d - l - p.
 
 A module checker's report keeps its submodule and builds ``instance``, the
 ``module_to_dict`` form, on first read: a sweep reads few of them.  Each
@@ -25,6 +28,7 @@ from typing import Iterator
 from ._value import Value
 from .combinatorics import binomial, green_transform, macaulay_transform
 from .errors import PreconditionViolated
+from .lex import saturated_lex_module
 from .monomial_algebra import (
     GradedFreeModule,
     Monomial,
@@ -83,15 +87,7 @@ class CheckReport(Value):
         return instance
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "instance": self.instance,
-            "premises_hold": self.premises_hold,
-            "bound_lhs": self.bound_lhs,
-            "bound_rhs": self.bound_rhs,
-            "verdict": self.verdict,
-            "context": self.context,
-        }
+        return {name: getattr(self, name) for name in self._fields}
 
     def to_json_line(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -100,11 +96,11 @@ class CheckReport(Value):
 def _module_report(
     submodule: MonomialSubmodule,
     name: str,
-    premises_hold: bool,
     bound_lhs: int | None,
     bound_rhs: int | None,
     verdict: str,
     context: dict,
+    premises_hold: bool = True,
 ) -> CheckReport:
     """A report whose instance, module_to_dict(submodule), is built on first
     read, as a sweep reads the instances of few of its reports."""
@@ -127,40 +123,47 @@ def f_low_degree(submodule: MonomialSubmodule) -> int:
 
 
 def _f_low(degrees: tuple[int, ...], r: int) -> int:
-    m = len(degrees)
-    return degrees[m - r - 1] if m - r >= 1 else degrees[-1]
+    return degrees[len(degrees) - r - 1]  # r = m reads index -1, f_m
 
 
-def _free_tail_sum(degrees: tuple[int, ...], r: int, d: int, n_for_dim: int) -> int:
-    return sum(binomial(d - f + n_for_dim, n_for_dim) for f in degrees[len(degrees) - r :])
+def _growth(submodule: MonomialSubmodule, d: int, r: int, rho: int, index: int) -> tuple[int, int]:
+    """H(M, d+1) and its bound: the free part of the last r ambient degrees
+    at d + 1 plus rho^<index>."""
+    if index < 1:
+        raise PreconditionViolated(f"need d >= {d - index + 1} for a transform index >= 1, got {d}")
+    n, degrees = submodule.n, submodule.degrees
+    free = sum(binomial(d + 1 - f + n, n) for f in degrees[len(degrees) - r :])
+    return hf_direct(submodule, d + 1), free + macaulay_transform(rho, index)
+
+
+def _restriction(
+    submodule: MonomialSubmodule, d: int, r: int, rho: int, index: int
+) -> tuple[int, int]:
+    """The generic hyperplane value dim (M/hM)_d and its bound: the free part
+    of the last r ambient degrees in n - 1 variables plus rho_<index>."""
+    if index < 1:
+        raise PreconditionViolated(f"need d >= {d - index + 1} for a transform index >= 1, got {d}")
+    lhs = generic_hyperplane_hf(submodule, d)
+    n, degrees = submodule.n, submodule.degrees
+    free = sum(binomial(d - f + n - 1, n - 1) for f in degrees[len(degrees) - r :])
+    return lhs, free + green_transform(rho, index)
 
 
 def adjusted_macaulay_bound(submodule: MonomialSubmodule, d: int) -> int:
     """Upper bound for H(F/N, d+1): free part at d+1 plus the Macaulay
     transform of rho_d at index d - f_low."""
-    r = rank(submodule)
-    return _macaulay_bound(submodule, r, _f_low(submodule.degrees, r), d)[1]
-
-
-def _macaulay_bound(submodule: MonomialSubmodule, r: int, f_low: int, d: int) -> tuple[int, int]:
-    """rho_d and adjusted_macaulay_bound at d, given the rank r and f_low."""
-    _, rho = _adjusted_split(submodule, d, r)
-    free = _free_tail_sum(submodule.degrees, r, d + 1, submodule.n)
-    return rho, free + macaulay_transform(rho, d - f_low)
+    return check_macaulay_adjusted(submodule, d).bound_rhs
 
 
 def check_macaulay_adjusted(submodule: MonomialSubmodule, d: int) -> CheckReport:
     """H(M, d+1) against the rank-and-degree adjusted Macaulay bound."""
     r = rank(submodule)
     f_low = _f_low(submodule.degrees, r)
-    if d < f_low + 1:
-        raise PreconditionViolated(f"need d >= f_low + 1 = {f_low + 1}, got {d}")
-    rho, rhs = _macaulay_bound(submodule, r, f_low, d)
-    lhs = hf_direct(submodule, d + 1)
+    _, rho = _adjusted_split(submodule, d, r)
+    lhs, rhs = _growth(submodule, d, r, rho, d - f_low)
     return _module_report(
         submodule,
         name="macaulay_adjusted",
-        premises_hold=True,
         bound_lhs=lhs,
         bound_rhs=rhs,
         verdict=_compare(lhs, rhs),
@@ -175,15 +178,11 @@ def check_green_adjusted(submodule: MonomialSubmodule, d: int) -> CheckReport:
         raise PreconditionViolated(f"need n >= 1, got {n}")
     r = rank(submodule)
     f_low = _f_low(submodule.degrees, r)
-    if d < f_low + 1:
-        raise PreconditionViolated(f"need d >= f_low + 1 = {f_low + 1}, got {d}")
     _, rho = _adjusted_split(submodule, d, r)
-    lhs = generic_hyperplane_hf(submodule, d)
-    rhs = _free_tail_sum(submodule.degrees, r, d, n - 1) + green_transform(rho, d - f_low)
+    lhs, rhs = _restriction(submodule, d, r, rho, d - f_low)
     return _module_report(
         submodule,
         name="green_adjusted",
-        premises_hold=True,
         bound_lhs=lhs,
         bound_rhs=rhs,
         verdict=_compare(lhs, rhs),
@@ -198,31 +197,23 @@ def check_gasharov(
     which: str = "macaulay",
 ) -> CheckReport:
     """Classical growth and hyperplane bounds with transform index d - l - p,
-    where l is the largest ambient degree."""
+    where l is the largest ambient degree: the adjusted kernels at r = 0,
+    where rho is H(M, d)."""
     if which not in ("macaulay", "green"):
         raise ValueError(f"which must be 'macaulay' or 'green', got {which!r}")
     if p < 0:
         raise PreconditionViolated(f"need p >= 0, got {p}")
     l = submodule.degrees[-1]
-    if d < p + l + 1:
-        raise PreconditionViolated(f"need d >= p + l + 1 = {p + l + 1}, got {d}")
-    h_d = hf_direct(submodule, d)
     index = d - l - p
-    context = {"d": d, "p": p, "l": l, "index": index}
-    if which == "macaulay":
-        lhs = hf_direct(submodule, d + 1)
-        rhs = macaulay_transform(h_d, index)
-    else:
-        lhs = generic_hyperplane_hf(submodule, d)
-        rhs = green_transform(h_d, index)
+    kernel = _growth if which == "macaulay" else _restriction
+    lhs, rhs = kernel(submodule, d, r=0, rho=hf_direct(submodule, d), index=index)
     return _module_report(
         submodule,
         name=f"gasharov_{which}",
-        premises_hold=True,
         bound_lhs=lhs,
         bound_rhs=rhs,
         verdict=_compare(lhs, rhs),
-        context=context,
+        context={"d": d, "p": p, "l": l, "index": index},
     )
 
 
@@ -248,43 +239,29 @@ def check_persistence_adjusted(submodule: MonomialSubmodule, d: int) -> CheckRep
         )
     r = rank(submodule)
     f_low = _f_low(submodule.degrees, r)
-    if d < f_low + 1:
-        raise PreconditionViolated(f"need d >= f_low + 1 = {f_low + 1}, got {d}")
-    lhs = hf_direct(submodule, d + 1)
-    _, rhs = _macaulay_bound(submodule, r, f_low, d)
-    if lhs != rhs:
-        return _module_report(
-            submodule,
-            name="persistence_adjusted",
-            premises_hold=False,
-            bound_lhs=lhs,
-            bound_rhs=rhs,
-            verdict=PREMISE_FAILS,
-            context={"d": d, "horizon": 0},
-        )
-    last = max(d, stabilization_degree(submodule), submodule.degrees[-1]) + submodule.n + 1
-    horizon = last - d
-    for e in range(d + 1, last + 1):
-        lhs = hf_direct(submodule, e + 1)
-        _, rhs = _macaulay_bound(submodule, r, f_low, e)
-        if lhs != rhs:
-            return _module_report(
-                submodule,
-                name="persistence_adjusted",
-                premises_hold=True,
-                bound_lhs=lhs,
-                bound_rhs=rhs,
-                verdict=VIOLATED,
-                context={"d": d, "horizon": horizon, "failed_at": e},
-            )
+
+    def growth(e: int) -> tuple[int, int]:
+        return _growth(submodule, e, r, _adjusted_split(submodule, e, r)[1], e - f_low)
+
+    lhs, rhs = growth(d)
+    premises_hold = lhs == rhs
+    verdict, context = PREMISE_FAILS, {"d": d, "horizon": 0}
+    if premises_hold:
+        last = max(d, stabilization_degree(submodule), submodule.degrees[-1]) + submodule.n + 1
+        verdict, context["horizon"] = SHARP, last - d
+        for e in range(d + 1, last + 1):
+            lhs, rhs = growth(e)
+            if lhs != rhs:
+                verdict, context["failed_at"] = VIOLATED, e
+                break
     return _module_report(
         submodule,
         name="persistence_adjusted",
-        premises_hold=True,
+        premises_hold=premises_hold,
         bound_lhs=lhs,
         bound_rhs=rhs,
-        verdict=SHARP,
-        context={"d": d, "horizon": horizon},
+        verdict=verdict,
+        context=context,
     )
 
 
@@ -294,44 +271,33 @@ def check_gotzmann_regularity_adjusted(submodule: MonomialSubmodule) -> CheckRep
     A zero saturation has no regularity; the bound is then vacuous and the
     verdict is "holds" with lhs None.
     """
-    n = submodule.n
     degrees = submodule.degrees
     r = rank(submodule)
-    poly = hilbert_polynomial(submodule)
-    rep = adjusted_gotzmann_rep(poly, n, degrees, r)
-    s = rep.number
+    s = adjusted_gotzmann_rep(hilbert_polynomial(submodule), submodule.n, degrees, r).number
     f_m = degrees[-1]
     rhs = max(s, f_m)
+    context = {"s": s, "f_m": f_m, "rank": r}
     saturated = saturate(submodule)
     if saturated.is_zero():
-        return _module_report(
-            submodule,
-            name="gotzmann_regularity_adjusted",
-            premises_hold=True,
-            bound_lhs=None,
-            bound_rhs=rhs,
-            verdict=HOLDS,
-            context={"s": s, "f_m": f_m, "rank": r, "saturation_is_zero": True},
-        )
-    lhs = regularity(saturated, of="submodule")
+        lhs, verdict = None, HOLDS
+        context["saturation_is_zero"] = True
+    else:
+        lhs = regularity(saturated, of="submodule")
+        verdict = _compare(lhs, rhs)
     return _module_report(
         submodule,
         name="gotzmann_regularity_adjusted",
-        premises_hold=True,
         bound_lhs=lhs,
         bound_rhs=rhs,
-        verdict=_compare(lhs, rhs),
-        context={"s": s, "f_m": f_m, "rank": r},
+        verdict=verdict,
+        context=context,
     )
 
 
 def check_sharpness(poly: NumPoly, ambient: GradedFreeModule, r: int) -> CheckReport:
     """The saturated lex module must attain regularity exactly s when
     f_{m-r} = 0 and s >= f_m."""
-    from .lex import saturated_lex_module
-
-    rep = adjusted_gotzmann_rep(poly, ambient.n, ambient.degrees, r)
-    s = rep.number
+    s = adjusted_gotzmann_rep(poly, ambient.n, ambient.degrees, r).number
     m = ambient.m
     if m - r < 1:
         raise PreconditionViolated("sharpness needs a non-free component (m - r >= 1)")
@@ -341,44 +307,26 @@ def check_sharpness(poly: NumPoly, ambient: GradedFreeModule, r: int) -> CheckRe
     f_m = ambient.degrees[-1]
     if s < f_m:
         raise PreconditionViolated(f"sharpness hypothesis s >= f_m fails: {s} < {f_m}")
-    instance = {
-        "poly": poly_to_dict(poly),
-        "n": ambient.n,
-        "degrees": list(ambient.degrees),
-        "r": r,
-    }
+    instance = {"poly": poly_to_dict(poly), "n": ambient.n,
+                "degrees": list(ambient.degrees), "r": r}
     lex_module = saturated_lex_module(poly, ambient, r)
+    reg = None
     if lex_module.is_zero():
-        return CheckReport(
-            name="sharpness",
-            instance=instance,
-            premises_hold=False,
-            bound_lhs=None,
-            bound_rhs=s,
-            verdict=PREMISE_FAILS,
-            context={"s": s, "lex_module_is_zero": True},
-        )
-    lex_rank = rank(lex_module)
-    if lex_rank != r:
+        context = {"s": s, "lex_module_is_zero": True}
+    elif (lex_rank := rank(lex_module)) != r:
         # the polynomial's rank exceeds r, so no quotient of rank r has it
-        return CheckReport(
-            name="sharpness",
-            instance=instance,
-            premises_hold=False,
-            bound_lhs=None,
-            bound_rhs=s,
-            verdict=PREMISE_FAILS,
-            context={"s": s, "lex_module_rank": lex_rank},
-        )
-    reg = regularity(lex_module, of="submodule")
+        context = {"s": s, "lex_module_rank": lex_rank}
+    else:
+        reg = regularity(lex_module, of="submodule")
+        context = {"s": s, "f_m": f_m, "lex_module": module_to_dict(lex_module)}
     return CheckReport(
         name="sharpness",
         instance=instance,
-        premises_hold=True,
+        premises_hold=reg is not None,
         bound_lhs=reg,
         bound_rhs=s,
-        verdict=SHARP if reg == s else VIOLATED,
-        context={"s": s, "f_m": f_m, "lex_module": module_to_dict(lex_module)},
+        verdict=PREMISE_FAILS if reg is None else SHARP if reg == s else VIOLATED,
+        context=context,
     )
 
 
@@ -426,10 +374,9 @@ def sweep(count: int, base_seed: int = 0) -> Iterator[CheckReport]:
             yield check_green_adjusted(submodule, d)
             if max_gen is None or max_gen <= d:
                 yield check_persistence_adjusted(submodule, d)
-            for p in range(0, 3):
-                if d >= p + l + 1:
-                    yield check_gasharov(submodule, d, p, "macaulay")
-                    yield check_gasharov(submodule, d, p, "green")
+            for p in range(min(3, d - l)):  # d >= p + l + 1
+                yield check_gasharov(submodule, d, p, "macaulay")
+                yield check_gasharov(submodule, d, p, "green")
         if f_low <= 0:
             # f_low > 0 breaks the regularity statement's hypothesis; vacuous.
             yield check_gotzmann_regularity_adjusted(submodule)

@@ -66,6 +66,11 @@ def test_representation_commands(capsys):
         ],
     )
     assert rep == {"free_degrees": [-1, 0], "n": 2, "number": 2, "q": {"a": [1, 0]}}
+    # --module takes a module as well as a shape, and reads it as its shape
+    components = '"components": [{"gens": []}, {"gens": []}, {"unit": true}]'
+    argv = ["adjusted-rep", "--poly", '{"coeffs": ["6", "5", "1"]}', "--rank", "2", "--module",
+            f'{{"n": 2, "degrees": [-1, -1, 0], {components}}}']
+    assert run_json(capsys, argv) == rep
 
 
 def test_hilbert_modes(capsys):
@@ -458,6 +463,46 @@ def test_ideal_json_unit_flag_with_gens(capsys):
     assert run_cli(capsys, ["rank", "--module", one_component('{"unit": false, "gens": []}')]) == (0, "1\n", "")
     saturated = run_json(capsys, ["saturate", "--module", one_component('{"unit": false, "gens": ["x0"]}')])
     assert saturated["components"] == [{"gens": ["x0"]}]
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        # each of these readers used to skip an unknown key as if it were absent
+        (
+            ["rank", "--module", '{"n": 1, "degrees": [0], "components": [{"gens": []}], "degree": [5]}'],
+            "module JSON takes only 'n', 'degrees' and 'components', got ['degree']",
+        ),
+        (
+            ["lexify", "--module-shape", '{"n": 1, "degrees": [0], "components": []}',
+             "--hf", '{"tail": {"coeffs": [1]}}'],
+            "module shape takes only 'n' and 'degrees', got ['components']",
+        ),
+        (
+            ["lex-ideal", "--gotzmann", '{"a": [1, 0], "b": 2}', "--n", "2"],
+            "representation JSON takes only 'a', got ['b']",
+        ),
+        (
+            ["lexify", "--module-shape", '{"n": 1, "degrees": [0]}',
+             "--hf", '{"table": [[0, 1]], "tail": {"coeffs": [1]}, "tial": 3}'],
+            "Hilbert-function JSON takes only 'table' and 'tail', got ['tial']",
+        ),
+        (
+            ["gotzmann-rep", "--poly", '{"terms": [{"a": 1, "shift": 0, "mul": 3}]}'],
+            "terms[0] takes only 'a', 'shift' and 'mult', got ['mul']",
+        ),
+        # adjusted-rep reads a module's components, so a misspelt one is refused
+        (
+            ["adjusted-rep", "--poly", '{"coeffs": ["1", "1"]}', "--rank", "1",
+             "--module", one_component('{"gen": []}')],
+            "ideal JSON takes only 'unit' and 'gens', got ['gen']",
+        ),
+    ],
+)
+def test_json_readers_refuse_unknown_keys(capsys, argv, fragment):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and fragment in err, err
 
 
 @pytest.mark.parametrize(

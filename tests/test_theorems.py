@@ -2,12 +2,13 @@
 import copy
 import json
 import pickle
+from operator import attrgetter
 
 import pytest
 
 from gotzmann.combinatorics import macaulay_transform
 from gotzmann.errors import PreconditionViolated
-from gotzmann.monomial_algebra import GradedFreeModule, hf_direct, module_to_dict
+from gotzmann.monomial_algebra import GradedFreeModule, hf_direct, module_to_dict, rank
 from gotzmann.numpoly import GotzmannRep, NumPoly, binomial_poly
 from gotzmann.theorems import (
     HOLDS,
@@ -65,22 +66,56 @@ def test_rank_three_module_battery(two_free_lines):
     assert reg.context["s"] == 0
 
 
-def test_checker_precondition_gates(two_free_lines):
-    with pytest.raises(PreconditionViolated):
-        check_macaulay_adjusted(two_free_lines, 0)
-    with pytest.raises(PreconditionViolated):
-        check_green_adjusted(two_free_lines, 0)
+def test_checker_precondition_gates(two_free_lines, twisted_plane_pair):
     with pytest.raises(PreconditionViolated):
         check_green_adjusted(module(0, (0,), ["zero"]), 1)
     with pytest.raises(ValueError):
         check_gasharov(two_free_lines, 2, 0, which="both")
     with pytest.raises(PreconditionViolated):
         check_gasharov(two_free_lines, 2, -1)
-    with pytest.raises(PreconditionViolated):
-        check_gasharov(two_free_lines, 1, 1)  # needs d >= p + l + 1 = 2
     gen_high = module(1, (0,), [ideal(1, "x0^3")])
     with pytest.raises(PreconditionViolated):
         check_persistence_adjusted(gen_high, 2)
+    # each checker runs from its first degree and refuses the one below: a
+    # transform index d - f_low (d - l - p for Gasharov) of at least 1, and
+    # for persistence no generator above d
+    for sub in [two_free_lines, twisted_plane_pair] + [random_submodule(k) for k in range(40)]:
+        f_low, l, max_gen = f_low_degree(sub), sub.degrees[-1], sub.max_gen_degree()
+        gates = [
+            (check_macaulay_adjusted, f_low + 1),
+            (check_green_adjusted, f_low + 1),
+            (check_persistence_adjusted, f_low + 1 if max_gen is None else max(f_low + 1, max_gen)),
+        ] + [
+            (lambda s, d, p=p, which=which: check_gasharov(s, d, p, which), l + p + 1)
+            for p in range(3)
+            for which in ("macaulay", "green")
+        ]
+        for check, first in gates:
+            check(sub, first)
+            with pytest.raises(PreconditionViolated):
+                check(sub, first - 1)
+
+
+def test_classical_checkers_are_the_adjusted_ones_at_rank_zero():
+    bounds = attrgetter("bound_lhs", "bound_rhs")
+    # with no zero component r = 0, so f_low = l, rho = H(d) and the free
+    # part is empty: Gasharov at p = 0 compares the same two numbers as the
+    # adjusted checker of its form at every degree
+    checked = 0
+    for seed in range(200):
+        sub = random_submodule(seed)
+        if rank(sub):
+            continue
+        l = sub.degrees[-1]
+        for d in range(l + 1, l + 7):
+            pairs = [
+                (check_gasharov(sub, d, 0, "macaulay"), check_macaulay_adjusted(sub, d)),
+                (check_gasharov(sub, d, 0, "green"), check_green_adjusted(sub, d)),
+            ]
+            for classical, adjusted in pairs:
+                assert bounds(classical) == bounds(adjusted), (seed, d, classical.name)
+        checked += 1
+    assert checked >= 50
 
 
 def test_persistence_premise_fails():
