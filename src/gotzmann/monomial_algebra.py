@@ -18,8 +18,10 @@ minimalizer; it returns exponent tuples in the canonical generator order.
 Hilbert functions are read off the exact Hilbert series numerator.  Each
 ideal's numerator comes from one pivot recursion that splits on a variable
 power x_v^k; the tests hold it to monomial counting and to the alternating
-sums of Betti numbers.  Monomial enumeration (``quotient_basis``) is kept
-only where a k-basis itself is needed: the hyperplane restriction.
+sums of Betti numbers.  The hyperplane restriction is read off the series
+too, up to the kernel of h on I^sat/I; monomial enumeration
+(``quotient_basis``) is kept only for that kernel, where a k-basis itself
+is needed.
 """
 from __future__ import annotations
 
@@ -39,8 +41,8 @@ from .numpoly import NumPoly, series_to_polynomial
 NODE_BUDGET = 10**4
 
 # Entries kept by each lru_cache of the package (here and in resolution).  A
-# sweep(500) run fills none past 3,953, so it hits and misses exactly as often
-# as with unbounded caches.
+# sweep(500) run fills none past 3,953 (hf_direct), so it hits and misses
+# exactly as often as with unbounded caches.
 CACHE_ENTRIES = 8192
 
 
@@ -147,12 +149,24 @@ def monomial_at_rank(n: int, d: int, rank: int) -> Monomial:
 def _minimal(exps: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     """Minimal exponent tuples under divisibility, in the canonical order:
     by degree, then descending lex.  A divisor never comes later in that
-    order, so one pass over it keeps exactly the minimal ones."""
+    order, so one pass over it keeps exactly the minimal ones.  Distinct
+    monomials of one degree never divide each other, so a candidate is
+    compared only with the kept generators of lower degree."""
     kept: list[tuple[int, ...]] = []
-    for g in sorted(sorted(set(exps), reverse=True), key=sum):
-        if not any(all(map(le, h, g)) for h in kept):
-            kept.append(g)
-    return tuple(kept)
+    block: list[tuple[int, ...]] = []  # kept generators of the current degree
+    degree = None
+    # descending (-degree, g) is the canonical order
+    for negated, g in sorted([(-sum(g), g) for g in set(exps)], reverse=True):
+        if negated != degree:
+            kept += block
+            block = []
+            degree = negated
+        for h in kept:
+            if all(map(le, h, g)):
+                break
+        else:
+            block.append(g)
+    return tuple(kept + block)
 
 
 class MonomialIdeal(CachedHash):
@@ -212,10 +226,8 @@ class MonomialIdeal(CachedHash):
 
     def saturation(self) -> "MonomialIdeal":
         """I : (x_0, ..., x_n)^infinity as the intersection of variable colons."""
-        out = self.colon_var_power(0)
-        for v in range(1, self.n + 1):
-            out = out.intersect(self.colon_var_power(v))
-        return out
+        sat = _saturated_gens(tuple(g.exponents for g in self.gens))
+        return MonomialIdeal._of_minimal(self.n, tuple(Monomial(e) for e in sat))
 
     def max_gen_degree(self) -> int:
         if not self.gens:
@@ -223,12 +235,29 @@ class MonomialIdeal(CachedHash):
         return max(g.degree for g in self.gens)
 
 
+def _saturated_gens(gens: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Minimal generators of I : (x_0, ..., x_n)^infinity from those of I, on
+    exponent tuples: the intersection of the colons I : x_v^infinity, each
+    of which deletes x_v from every generator.  A monomial u lies in every
+    colon iff u x_v^k is in I for each v and some k, iff u m^K is in I for a
+    large K."""
+    if not gens:
+        return gens
+    out = None
+    for v in range(len(gens[0])):
+        colon = _minimal(g[:v] + (0,) + g[v + 1 :] for g in gens)
+        out = colon if out is None else _minimal(
+            tuple(map(max, a, b)) for a in out for b in colon
+        )
+    return out
+
+
 @lru_cache(maxsize=CACHE_ENTRIES)
 def quotient_basis(ideal: MonomialIdeal, e: int) -> tuple[Monomial, ...]:
     """Degree-e monomials outside the ideal (a k-basis of (S/I)_e), lex order.
 
-    Only ``_linear_section_dim`` uses it in the library, as it needs the
-    basis itself; Hilbert functions are read off the series.
+    Only ``_linear_section_dim`` uses it in the library, for the kernel of
+    h on I^sat/I; Hilbert functions are read off the series.
     """
     gens = [g.exponents for g in ideal.gens]
     return tuple(
@@ -486,32 +515,65 @@ def _adjusted_split(submodule: MonomialSubmodule, d: int, r: int) -> tuple[int, 
     return free_part, rho
 
 
+def _numerator_hf(numerator: tuple[tuple[int, int], ...], n: int, d: int) -> int:
+    """H(S/I, d) from the series numerator of S/I as (exponent, coefficient) pairs."""
+    return sum(c * binomial(d - j + n, n) for j, c in numerator)
+
+
+@lru_cache(maxsize=CACHE_ENTRIES)
+def _saturation(
+    ideal: MonomialIdeal,
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]]:
+    """I^sat as minimal exponent tuples and the series numerator of S/I^sat,
+    once per ideal and without building a Monomial."""
+    gens = tuple(g.exponents for g in ideal.gens)
+    sat = _saturated_gens(gens)
+    if sat == gens:
+        return sat, _ideal_numerator(ideal)
+    return sat, tuple(sorted(_power_pivot_numerator(sat, [NODE_BUDGET]).items()))
+
+
 # keyed by (ideal, degree): the checkers revisit each module's few degrees
 @lru_cache(maxsize=CACHE_ENTRIES)
 def _linear_section_dim(ideal: MonomialIdeal, e: int) -> int:
     """dim (S/(I + hS))_e over Q, h = x_0 + ... + x_n.
 
-    The dimension is dim (S/I)_e minus the rank of multiplication by h from
-    (S/I)_{e-1} to (S/I)_e; monomials in I count on neither side."""
+    The exact sequence
+
+        0 -> (0 :_{S/I} h)_{e-1} -> (S/I)_{e-1} --h--> (S/I)_e -> (S/(I + hS))_e -> 0
+
+    makes it H(S/I, e) - H(S/I, e-1) + dim (0 :_{S/I} h)_{e-1}, both
+    Hilbert values read off the series.  Every associated prime of a
+    monomial ideal is generated by variables, and h lies in none of them but
+    the maximal ideal, so h is a nonzerodivisor on S/I^sat and the kernel
+    lies in I^sat/I.  It is 0 where (I^sat/I)_{e-1} is, that is where S/I
+    and S/I^sat have one Hilbert value at e - 1.  Elsewhere it is the kernel
+    of h from (I^sat/I)_{e-1} to (I^sat/I)_e, whose monomial bases are the
+    standard monomials of I that lie in I^sat; ``linalg.rank`` certifies
+    the rank of that 0/1 matrix.
+    """
     n = ideal.n
-    if e < 0 or ideal.is_unit():
-        return 0
-    if ideal.is_zero():
-        # h is a nonzerodivisor on S, so S/hS has the series of n variables
-        return binomial(e + n - 1, n - 1)
-    target = quotient_basis(ideal, e)
-    source = quotient_basis(ideal, e - 1) if target else ()
-    row_of = {mono.exponents: i for i, mono in enumerate(target)}
+    numerator = _ideal_numerator(ideal)
+    below = _numerator_hf(numerator, n, e - 1)
+    value = _numerator_hf(numerator, n, e) - below
+    sat, sat_numerator = _saturation(ideal)
+    if _numerator_hf(sat_numerator, n, e - 1) == below:
+        return value
+    gens = [g.exponents for g in ideal.gens]
+    source = [
+        u.exponents for u in quotient_basis(ideal, e - 1)
+        if any(all(map(le, g, u.exponents)) for g in sat)
+    ]
+    row_of: dict[tuple[int, ...], int] = {}
     columns = []
     for u in source:
-        ue = u.exponents
         column = {}
         for v in range(n + 1):
-            i = row_of.get(ue[:v] + (ue[v] + 1,) + ue[v + 1 :])
-            if i is not None:
-                column[i] = 1
+            w = u[:v] + (u[v] + 1,) + u[v + 1 :]
+            if not any(all(map(le, g, w)) for g in gens):
+                column[row_of.setdefault(w, len(row_of))] = 1
         columns.append(column)
-    return len(target) - linalg.rank(columns)
+    return value + len(source) - linalg.rank(columns)
 
 
 def generic_hyperplane_hf(submodule: MonomialSubmodule, d: int) -> int:
@@ -521,8 +583,11 @@ def generic_hyperplane_hf(submodule: MonomialSubmodule, d: int) -> int:
     Scaling each x_v by c_v != 0 fixes every monomial ideal and sends
     x_0 + ... + x_n to sum c_v x_v, so over any field every h with nonzero
     coefficients, a generic one included, gives the same dimension.  Per
-    component, multiplication by h is then a 0/1 matrix, and its rational
-    rank, which ``linalg.rank`` certifies, is the generic rank.
+    component I, the exact sequence of multiplication by h on S/I gives it
+    as the first difference of H(S/I) plus the kernel of h, which lies in
+    I^sat/I because h is a nonzerodivisor on S/I^sat (see
+    ``_linear_section_dim``).  That kernel is a 0/1 matrix's, and its
+    rational rank, which ``linalg.rank`` certifies, is the generic rank.
     """
     if submodule.n < 1:
         raise PreconditionViolated("hyperplane restriction needs n >= 1")

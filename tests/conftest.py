@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gotzmann import monomial_algebra
+from gotzmann import linalg, monomial_algebra
 from gotzmann.combinatorics import binomial, green_transform, macaulay_transform
 from gotzmann.monomial_algebra import (
     GradedFreeModule,
@@ -155,6 +155,38 @@ def hf_count(submodule, d):
         hf_quotient(comp, d - f)
         for f, comp in zip(submodule.degrees, submodule.components)
     )
+
+
+def quadratic_minimal(exps):
+    """Minimal exponent tuples in the canonical order (by degree, then
+    descending lex), each candidate compared with every kept one."""
+    kept = []
+    for g in sorted(sorted(set(exps), reverse=True), key=sum):
+        if not any(all(a <= b for a, b in zip(h, g)) for h in kept):
+            kept.append(g)
+    return tuple(kept)
+
+
+def full_quotient_section_dim(ideal_obj, e):
+    """dim (S/(I + hS))_e, h = x_0 + ... + x_n, as dim (S/I)_e minus the
+    certified rank of multiplication by h from (S/I)_(e-1) to (S/I)_e, both
+    quotients spanned by all their standard monomials."""
+    n = ideal_obj.n
+    if e < 0 or ideal_obj.is_unit():
+        return 0
+    target = quotient_basis(ideal_obj, e)
+    source = quotient_basis(ideal_obj, e - 1) if target else ()
+    row_of = {mono.exponents: i for i, mono in enumerate(target)}
+    columns = []
+    for u in source:
+        ue = u.exponents
+        column = {}
+        for v in range(n + 1):
+            i = row_of.get(ue[:v] + (ue[v] + 1,) + ue[v + 1 :])
+            if i is not None:
+                column[i] = 1
+        columns.append(column)
+    return len(target) - linalg.rank(columns)
 
 
 def counted_numerator(ideal_obj):

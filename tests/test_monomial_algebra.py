@@ -1,4 +1,5 @@
 """Monomials, monomial ideals, submodules, and their Hilbert data."""
+import functools
 import itertools
 
 import pytest
@@ -36,10 +37,12 @@ from gotzmann.theorems import check_green_adjusted
 from conftest import (
     THREE_QUADRICS,
     counted_numerator,
+    full_quotient_section_dim,
     hf_count,
     hf_quotient,
     ideal,
     module,
+    quadratic_minimal,
     set_node_budget,
 )
 
@@ -118,6 +121,19 @@ def test_ideal_gens_are_the_minimal_set_in_canonical_order(case):
 
 
 @settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 3).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(0, 4), min_size=n + 1, max_size=n + 1).map(tuple),
+            max_size=40,
+        )
+    )
+)
+def test_minimal_matches_the_quadratic_pass(exps):
+    assert monomial_algebra._minimal(exps) == quadratic_minimal(exps)
+
+
+@settings(max_examples=150, deadline=None)
 @given(_GEN_LISTS, st.integers(0, 6))
 def test_quotient_basis_is_the_monomials_outside_the_ideal(case, e):
     n, exponent_lists = case
@@ -177,6 +193,15 @@ def test_saturation_examples():
     assert MonomialIdeal.zero(2).saturation().is_zero()
     # powers of the irrelevant ideal saturate to the unit ideal
     assert ideal(1, "x0^2", "x0*x1", "x1^2").saturation().is_unit()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_GEN_LISTS)
+def test_saturation_is_the_intersection_of_variable_colons(case):
+    n, exponent_lists = case
+    ideal_obj = MonomialIdeal(n, tuple(Monomial(tuple(e)) for e in exponent_lists))
+    colons = (ideal_obj.colon_var_power(v) for v in range(n + 1))
+    assert ideal_obj.saturation() == functools.reduce(MonomialIdeal.intersect, colons)
 
 
 def test_max_gen_degree():
@@ -357,6 +382,17 @@ def test_generic_hyperplane_examples(two_free_lines):
         generic_hyperplane_hf(module(0, (0,), ["zero"]), 1)
 
 
+def test_hyperplane_kernel_lies_in_the_saturation_quotient():
+    # S/I = k[x0, x1]/(x1^2, x0*x1) has H = 1, 2, 1 in degrees 0, 1, 2, so the
+    # first difference at 2 is -1; x1 spans (I^sat/I)_1 with I^sat = (x1, x2),
+    # and x1*h = x0*x1 + x1^2 + x1*x2 lies in I, so the kernel adds 1
+    kernel_case = ideal(2, "x2", "x1^2", "x0*x1")
+    assert hf_quotient(kernel_case, 2) - hf_quotient(kernel_case, 1) == -1
+    assert kernel_case.saturation() == ideal(2, "x1", "x2")
+    assert monomial_algebra._linear_section_dim.__wrapped__(kernel_case, 2) == 0
+    assert generic_hyperplane_hf(module(2, (0,), [kernel_case]), 2) == 0
+
+
 def test_generic_hyperplane_repeatable(corpus):
     # one fixed linear form: the value survives repeats and a cold cache
     subs = [(sub, max(sub.degrees) + 2) for sub in corpus[:50]]
@@ -364,6 +400,47 @@ def test_generic_hyperplane_repeatable(corpus):
     assert [generic_hyperplane_hf(sub, d) for sub, d in subs] == first
     monomial_algebra._linear_section_dim.cache_clear()
     assert [generic_hyperplane_hf(sub, d) for sub, d in subs] == first
+
+
+_SECTION_CASES = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(st.integers(0, 3), min_size=n + 1, max_size=n + 1), max_size=6),
+        st.integers(-1, 8),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SECTION_CASES)
+# the three rank-deficient Artinian cases of the grid oracle test below, and a
+# non-Artinian ideal whose kernel of h on I^sat/I is nonzero at degree 1
+@example((2, [[3, 0, 0], [0, 3, 0], [0, 0, 3], [1, 1, 1]], 3))
+@example((2, [[0, 0, 3], [0, 4, 0], [1, 2, 1], [3, 1, 0]], 4))
+@example((2, [[0, 0, 4], [0, 3, 1], [1, 1, 2], [3, 0, 1]], 4))
+@example((2, [[0, 0, 1], [0, 2, 0], [1, 1, 0]], 2))
+def test_section_dim_matches_the_full_quotient_rank(case):
+    n, exponent_lists, e = case
+    ideal_obj = MonomialIdeal(n, tuple(Monomial(tuple(x)) for x in exponent_lists))
+    expected = full_quotient_section_dim(ideal_obj, e)
+    assert monomial_algebra._linear_section_dim.__wrapped__(ideal_obj, e) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(_SECTION_CASES)
+def test_saturated_ideal_never_reaches_rank(case):
+    # h is a nonzerodivisor on S/I when I is saturated, so the value is the
+    # first difference of the Hilbert function alone
+    n, exponent_lists, e = case
+    saturated = MonomialIdeal(n, tuple(Monomial(tuple(x)) for x in exponent_lists)).saturation()
+    expected = full_quotient_section_dim(saturated, e)
+
+    def refuse(vectors):
+        raise AssertionError("linalg.rank reached for a saturated ideal")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "rank", refuse)
+        assert monomial_algebra._linear_section_dim.__wrapped__(saturated, e) == expected
 
 
 def section_matrix(ideal_obj, e, c):

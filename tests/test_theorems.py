@@ -258,6 +258,26 @@ def test_sweep_smoke():
     assert not [rep for rep in reports if rep.verdict == VIOLATED]
 
 
+def test_sweep_shares_values_as_the_public_checkers_compute_them():
+    # sweep shares rho, the hyperplane value and each bound across the
+    # reports of a submodule; each public checker computes its own
+    for seed in range(150):
+        sub = random_submodule(seed)
+        f_low, l, max_gen = f_low_degree(sub), sub.degrees[-1], sub.max_gen_degree()
+        expected = []
+        for d in range(f_low + 1, f_low + 7):
+            expected += [check_macaulay_adjusted(sub, d), check_green_adjusted(sub, d)]
+            if max_gen is None or max_gen <= d:
+                expected.append(check_persistence_adjusted(sub, d))
+            for p in range(min(3, d - l)):
+                expected += [check_gasharov(sub, d, p, "macaulay"),
+                             check_gasharov(sub, d, p, "green")]
+        if f_low <= 0:
+            expected.append(check_gotzmann_regularity_adjusted(sub))
+        got = [rep.to_json_line() for rep in sweep(1, base_seed=seed)]
+        assert got == [rep.to_json_line() for rep in expected], seed
+
+
 def test_random_submodule_deterministic():
     assert random_submodule(7) == random_submodule(7)
     assert any(random_submodule(i) != random_submodule(0) for i in range(1, 10))
