@@ -25,8 +25,8 @@ from .monomial_algebra import (
 from .numpoly import (
     GotzmannRep,
     NumPoly,
+    _binomial_sum,
     adjusted_gotzmann_rep,
-    binomial_poly,
     gotzmann_rep,
 )
 
@@ -94,9 +94,9 @@ def _degree_ceiling(ambient: GradedFreeModule, tail: NumPoly, floor: int) -> int
     n, degrees = ambient.n, ambient.degrees
     ceiling = floor
     for c, f in enumerate(degrees):
-        internal = tail.shift_argument(f)
-        for f2 in degrees[c + 1 :]:
-            internal = internal - binomial_poly(n, n + f - f2)
+        internal = tail.shift_argument(f) - _binomial_sum(
+            (1, n, n + f - f2) for f2 in degrees[c + 1 :]
+        )
         try:
             s_c = gotzmann_rep(internal).number
         except NotAdmissible:

@@ -252,12 +252,12 @@ def _saturated_gens(gens: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...],
     return out
 
 
-@lru_cache(maxsize=CACHE_ENTRIES)
 def quotient_basis(ideal: MonomialIdeal, e: int) -> tuple[Monomial, ...]:
     """Degree-e monomials outside the ideal (a k-basis of (S/I)_e), lex order.
 
     Only ``_linear_section_dim`` uses it in the library, for the kernel of
-    h on I^sat/I; Hilbert functions are read off the series.
+    h on I^sat/I, and that caller is cached by (ideal, e), so this is not;
+    Hilbert functions are read off the series.
     """
     gens = [g.exponents for g in ideal.gens]
     return tuple(
@@ -458,26 +458,20 @@ def hilbert_polynomial(submodule: MonomialSubmodule) -> NumPoly:
 
 
 def stabilization_degree(submodule: MonomialSubmodule) -> int:
-    """Least d0 with H(F/N, d) = P(d) for every d >= d0.
+    """Least d0 with H(F/N, d) = P(d) for every d >= d0: E - n, E the top
+    exponent of the series numerator, or f_1 when H is identically zero.
 
-    Both sides come from the series.  Agreement is automatic for d >= E - n,
-    where E is the top numerator exponent (the combinatorial and polynomial
-    binomials only differ below that), so the scan runs downward from there
-    and compares P(d0 - 1) with the series coefficient at d0 - 1.  For H
-    identically zero the answer is degenerate and f_1 is returned.
+    A numerator term c t^e adds c C(d - e + n, n) to H as a combinatorial
+    binomial and to P as a polynomial one (``series_to_polynomial``).  The
+    two agree unless d - e + n < 0, where the combinatorial one is 0 and
+    the polynomial one is (-1)^n C(e - d - 1, n), nonzero only for
+    d <= e - n - 1.  So H - P vanishes from E - n on, and at E - n - 1 only
+    the top term c_E t^E is left: H - P = (-1)^(n+1) c_E != 0.
     """
     series = hilbert_series(submodule)
     if not any(series.numerator):
         return submodule.degrees[0]
-    poly = hilbert_polynomial(submodule)
-    d0 = series.max_exponent - submodule.n
-    floor = min(submodule.degrees[0], d0) - 2 * (submodule.n + 2)
-    while d0 > floor:
-        below = poly(d0 - 1)
-        if below.denominator != 1 or int(below) != series.hf(d0 - 1):
-            return d0
-        d0 -= 1
-    raise InvariantViolated("stabilization scan ran past its safety floor")
+    return series.max_exponent - submodule.n
 
 
 def saturate(submodule: MonomialSubmodule) -> MonomialSubmodule:

@@ -9,11 +9,14 @@ throughout the package: the plain Gotzmann representation
 
 and the rank-and-degree adjusted representation that first strips off the
 free summands C(d - f_i + n, n) before representing the remainder.
+
+Every sum of binomials c_k C(d + shift_k, a_k) here and in ``lex`` (a run, a
+free part, a term list, a Hilbert series' polynomial) is one ``_binomial_sum``.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import factorial, lcm
 from typing import Iterable, Sequence, Union
 
 from ._value import Value
@@ -144,21 +147,35 @@ def _as_poly(x: "NumPoly | Scalar") -> NumPoly:
 
 
 def binomial_poly(a: int, shift: int) -> NumPoly:
-    """The degree-a numerical polynomial C(d + shift, a).
-
-    Expanded exactly as (d + shift)(d + shift - 1)...(d + shift - a + 1) / a!.
-    """
+    """The degree-a numerical polynomial C(d + shift, a)."""
     if a < 0:
         raise ValueError(f"binomial degree must be nonnegative, got {a}")
-    coeffs = [1]
-    for t in range(a):
-        coeffs = [(shift - t) * x + y for x, y in zip(coeffs + [0], [0] + coeffs)]
-    return NumPoly(Fraction(c, factorial(a)) for c in coeffs)
+    return _binomial_sum([(1, a, shift)])
 
 
-def _run_poly(a: int, i: int, m: int) -> NumPoly:
-    """sum_{j=i}^{i+m-1} C(d + a - j, a) = C(d+a-i+1, a+1) - C(d+a-i-m+1, a+1)."""
-    return binomial_poly(a + 1, a - i + 1) - binomial_poly(a + 1, a - i - m + 1)
+def _binomial_sum(terms: Iterable[tuple[Scalar, int, int]]) -> NumPoly:
+    """sum c * C(d + shift, a) over (c, a, shift) triples, a >= 0: each falling
+    factorial (d + shift)...(d + shift - a + 1) is expanded in integers and
+    scaled by A!/a!, A the largest a, so the sum is divided by A! once."""
+    terms = [t for t in terms if t[0]]
+    if not terms:
+        return NumPoly()
+    top = max(a for _, a, _ in terms)
+    den, acc = factorial(top), [0] * (top + 1)
+    for c, a, shift in terms:
+        falling = [1]
+        for t in range(a):
+            falling = [(shift - t) * x + y for x, y in zip(falling + [0], [0] + falling)]
+        scale = c * (den // factorial(a))
+        for k, x in enumerate(falling):
+            acc[k] += scale * x
+    return NumPoly(Fraction(x, den) for x in acc)
+
+
+def _run(a: int, i: int, m: int) -> list[tuple[int, int, int]]:
+    """sum_{j=i}^{i+m-1} C(d + a - j, a) = C(d+a-i+1, a+1) - C(d+a-i-m+1, a+1),
+    as ``_binomial_sum`` triples."""
+    return [(1, a + 1, a - i + 1), (-1, a + 1, a - i - m + 1)]
 
 
 class GotzmannRep(Value):
@@ -190,10 +207,9 @@ class GotzmannRep(Value):
         return [(ai, ai - i) for i, ai in enumerate(self.a)]
 
     def polynomial(self) -> NumPoly:
-        out = NumPoly()
-        for ai in set(self.a):
-            out = out + _run_poly(ai, self.a.index(ai), self.a.count(ai))
-        return out
+        return _binomial_sum(
+            t for ai in set(self.a) for t in _run(ai, self.a.index(ai), self.a.count(ai))
+        )
 
 
 def gotzmann_rep(poly: NumPoly) -> GotzmannRep:
@@ -222,7 +238,7 @@ def gotzmann_rep(poly: NumPoly) -> GotzmannRep:
         m = int(lead * factorial(a))
         if i + m > TERM_BUDGET:
             raise NotAdmissible(f"representation needs more than {TERM_BUDGET} terms")
-        rem = rem - _run_poly(a, i, m)
+        rem = rem - _binomial_sum(_run(a, i, m))
         a_list.extend([a] * m)
     return GotzmannRep(tuple(a_list))
 
@@ -249,10 +265,7 @@ class AdjustedGotzmannRep(Value):
         return self.q.number
 
     def free_part(self) -> NumPoly:
-        out = NumPoly()
-        for f in self.free_degrees:
-            out = out + binomial_poly(self.n, self.n - f)
-        return out
+        return _binomial_sum((1, self.n, self.n - f) for f in self.free_degrees)
 
     def polynomial(self) -> NumPoly:
         return self.free_part() + self.q.polynomial()
@@ -283,10 +296,7 @@ def adjusted_gotzmann_rep(
             f"degree f_{m - r} = {all_degrees[m - r - 1]} must be <= 0"
         )
     free = tuple(all_degrees[m - r :])
-    q_poly = poly
-    for f in free:
-        q_poly = q_poly - binomial_poly(n, n - f)
-    q = gotzmann_rep(q_poly)
+    q = gotzmann_rep(poly - _binomial_sum((1, n, n - f) for f in free))
     return AdjustedGotzmannRep(free, n, q)
 
 
@@ -336,27 +346,16 @@ def grassmannian_embedding_dims(
 def series_to_polynomial(numerator: Sequence[int], n: int, offset: int = 0) -> NumPoly:
     """Polynomial form of sum_j numerator[j] * t^(offset+j) / (1-t)^(n+1).
 
-    Each numerator term c * t^e contributes c * C(d - e + n, n) for large d;
-    from d0 = E - n on, E the top exponent, every such binomial already
-    agrees with its polynomial.  So the n + 1 exact values H(d0), ...,
-    H(d0 + n) fix the polynomial, which is built from their forward
-    differences as sum_k Delta^k H(d0) * C(d - d0, k).
+    By definition (Bruns and Herzog, Cohen-Macaulay Rings, 4.1) it is
+    P(d) = sum_e c_e C(d - e + n, n), c_e the coefficient of t^e, each
+    binomial a polynomial in d.  The series coefficient H(d) has the same
+    terms as combinatorial binomials, which agree with these wherever
+    d - e + n >= 0; so H = P from E - n on, E the top exponent (see
+    ``stabilization_degree``).
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    terms = [(offset + j, c) for j, c in enumerate(numerator) if c]
-    if not terms:
-        return NumPoly()
-    d0 = terms[-1][0] - n
-    values = [
-        sum(c * comb(d - e + n, n) for e, c in terms) for d in range(d0, d0 + n + 1)
-    ]
-    out = NumPoly()
-    for k in range(n + 1):
-        if values[0]:
-            out = out + values[0] * binomial_poly(k, -d0)
-        values = [b - a for a, b in zip(values, values[1:])]
-    return out
+    return _binomial_sum((c, n, n - offset - j) for j, c in enumerate(numerator))
 
 
 def poly_to_dict(poly: NumPoly) -> dict:
@@ -385,7 +384,7 @@ def poly_from_dict(data: dict) -> NumPoly:
             raise ValueError(f"bad entry in 'coeffs': {exc}") from None
     if not isinstance(data["terms"], list):
         raise ValueError("'terms' must be a list")
-    out = NumPoly()
+    triples = []
     for k, term in enumerate(data["terms"]):
         if not isinstance(term, dict):
             raise ValueError(f"terms[{k}] must be an object")
@@ -400,5 +399,7 @@ def poly_from_dict(data: dict) -> NumPoly:
         a, shift = term["a"], term["shift"]
         if type(a) is not int or type(shift) is not int:  # not isinstance: bool is refused too
             raise ValueError(f"bad entry in terms[{k}]: 'a' and 'shift' must be integers")
-        out = out + mult * binomial_poly(a, shift)
-    return out
+        if a < 0:
+            raise ValueError(f"binomial degree must be nonnegative, got {a}")
+        triples.append((mult, a, shift))
+    return _binomial_sum(triples)

@@ -130,10 +130,9 @@ def _f_low(degrees: tuple[int, ...], r: int) -> int:
 
 
 class _Memo:
-    """What the checkers of one submodule share: its rank, f_low and
-    stabilization degree, rho by (d, r), the hyperplane value by d, and each
-    ``growth`` and ``restriction`` result by (d, r, index), as rho follows
-    from (d, r).
+    """What the checkers of one submodule share: its rank and f_low, rho by
+    (d, r), the hyperplane value by d, and each ``growth`` and
+    ``restriction`` result by (d, r, index), as rho follows from (d, r).
 
     ``sweep`` holds one per submodule across all of that submodule's
     reports; each public checker builds its own.  Nothing here outlives its
@@ -141,24 +140,17 @@ class _Memo:
     """
 
     __slots__ = (
-        "submodule", "rank", "f_low", "_stabilization", "_rho", "_hyperplane", "_growth",
-        "_restriction",
+        "submodule", "rank", "f_low", "_rho", "_hyperplane", "_growth", "_restriction",
     )
 
     def __init__(self, submodule: MonomialSubmodule) -> None:
         self.submodule = submodule
         self.rank = rank(submodule)
         self.f_low = _f_low(submodule.degrees, self.rank)
-        self._stabilization: int | None = None
         self._rho: dict[tuple[int, int], int] = {}
         self._hyperplane: dict[int, int] = {}
         self._growth: dict[tuple[int, int, int], tuple[int, int]] = {}
         self._restriction: dict[tuple[int, int, int], tuple[int, int]] = {}
-
-    def stabilization(self) -> int:
-        if self._stabilization is None:
-            self._stabilization = stabilization_degree(self.submodule)
-        return self._stabilization
 
     def rho(self, d: int, r: int) -> int:
         """H(M, d) less the free part of the last r ambient degrees."""
@@ -310,7 +302,7 @@ def _persistence_adjusted(memo: _Memo, d: int) -> CheckReport:
     premises_hold = lhs == rhs
     verdict, context = PREMISE_FAILS, {"d": d, "horizon": 0}
     if premises_hold:
-        last = max(d, memo.stabilization(), submodule.degrees[-1]) + submodule.n + 1
+        last = max(d, stabilization_degree(submodule), submodule.degrees[-1]) + submodule.n + 1
         verdict, context["horizon"] = SHARP, last - d
         for e in range(d + 1, last + 1):
             lhs, rhs = memo.growth(e, r, e - f_low)

@@ -27,7 +27,7 @@ def test_every_cache_has_the_one_bound():
             if hasattr(value, "cache_info"):
                 caches[value.__qualname__] = value.cache_info().maxsize
     assert {
-        "monomials_of_degree", "quotient_basis", "hf_direct", "_ideal_numerator",
+        "monomials_of_degree", "hf_direct", "_ideal_numerator",
         "hilbert_series", "hilbert_polynomial", "_saturation", "_linear_section_dim",
         "_reduced_homology", "_ideal_table",
     } <= caches.keys()

@@ -240,14 +240,19 @@ def test_violated_check_exits_one(capsys, monkeypatch):
 
 
 def test_internal_fault_exits_three(capsys, monkeypatch):
+    # the message of the rho window invariant in monomial_algebra._adjusted_split
+    message = "rho = -1 escapes [0, 2] at degree 1 for " + str(
+        module(1, (0, 0, 0), ["unit", "zero", "zero"])
+    )
+
     def faulty_rank(submodule):
-        raise InvariantViolated("stabilization scan ran past its safety floor")
+        raise InvariantViolated(message)
 
     monkeypatch.setattr(cli, "rank", faulty_rank)
     code, out, err = run_cli(capsys, ["rank", "--module", TWO_LINES])
     assert code == 3
     assert out == ""
-    assert err == "internal error: stabilization scan ran past its safety floor\n"
+    assert err == f"internal error: {message}\n"
     assert "Traceback" not in err
 
 

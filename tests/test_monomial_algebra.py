@@ -32,7 +32,7 @@ from gotzmann.monomial_algebra import (
     stabilization_degree,
 )
 from gotzmann.numpoly import NumPoly
-from gotzmann.theorems import check_green_adjusted
+from gotzmann.theorems import check_green_adjusted, random_submodule
 
 from conftest import (
     THREE_QUADRICS,
@@ -45,6 +45,7 @@ from conftest import (
     quadratic_minimal,
     set_node_budget,
 )
+from series_oracle import scan_stabilization_degree
 
 
 def test_monomial_basic_operations():
@@ -139,7 +140,7 @@ def test_quotient_basis_is_the_monomials_outside_the_ideal(case, e):
     n, exponent_lists = case
     ideal_obj = MonomialIdeal(n, tuple(Monomial(tuple(x)) for x in exponent_lists))
     outside = tuple(m for m in monomials_of_degree(n, e) if not ideal_obj.contains(m))
-    assert quotient_basis.__wrapped__(ideal_obj, e) == outside
+    assert quotient_basis(ideal_obj, e) == outside
 
 
 def test_series_and_hyperplane_build_no_monomials(monkeypatch):
@@ -333,6 +334,39 @@ def test_stabilization_is_tight_on_corpus(corpus):
             # be an integer value of the polynomial)
             below = poly(d0 - 1)
             assert below.denominator != 1 or int(below) != hf_count(sub, d0 - 1)
+
+
+def line_modules():
+    """Every submodule of k[x0]-modules with one or two summands in degrees
+    -3..1, each component zero, unit or (x0^a), a <= 3."""
+    specs = ["zero", "unit"] + [ideal(0, f"x0^{a}") for a in (1, 2, 3)]
+    for m in (1, 2):
+        for degrees in itertools.combinations_with_replacement(range(-3, 2), m):
+            for comps in itertools.product(specs, repeat=m):
+                yield module(0, degrees, list(comps))
+
+
+def test_stabilization_degree_matches_the_scan():
+    """E - n against the downward scan, over random_submodule(k) for k < 500
+    (the corpus included) and over n = 0 modules with negative degrees."""
+    subs = [random_submodule(k) for k in range(500)] + list(line_modules())
+    assert any(s.n == 0 and s.degrees[0] < 0 and any(hilbert_series(s).numerator) for s in subs)
+    for sub in subs:
+        assert stabilization_degree(sub) == scan_stabilization_degree(sub), sub
+
+
+def test_stabilization_degree_reads_only_the_series(monkeypatch, corpus):
+    subs = corpus[:60] + list(line_modules())[:40]
+    expected = [scan_stabilization_degree(sub) for sub in subs]
+
+    def refuse(*args):
+        raise AssertionError("the Hilbert polynomial was built or evaluated")
+
+    monkeypatch.setattr(monomial_algebra, "hilbert_polynomial", refuse)
+    monkeypatch.setattr(NumPoly, "__call__", refuse)
+    monomial_algebra.hilbert_series.cache_clear()
+    monomial_algebra._ideal_numerator.cache_clear()
+    assert [stabilization_degree(sub) for sub in subs] == expected
 
 
 def test_saturate_examples_and_idempotence(corpus):

@@ -4,7 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gotzmann.errors import NotAdmissible, PreconditionViolated
@@ -25,6 +25,7 @@ from gotzmann.numpoly import (
 from gotzmann.combinatorics import binomial
 
 from conftest import random_rep
+from series_oracle import forward_difference_polynomial
 
 
 def test_numpoly_arithmetic_and_evaluation():
@@ -331,10 +332,46 @@ def test_series_to_polynomial_edge_cases():
     st.integers(0, 5),
     st.integers(-8, 8),
 )
+@example([0, 3, 0, 0, -2, 0], 0, -5)
+@example([1, 0, 0, -1, 0], 4, -8)
 def test_series_to_polynomial_matches_termwise_sum(numerator, n, offset):
-    assert series_to_polynomial(numerator, n, offset) == termwise_series_polynomial(
-        numerator, n, offset
+    """The binomial sum against one binomial_poly per term and against
+    interpolation through forward differences of sampled values."""
+    poly = series_to_polynomial(numerator, n, offset)
+    assert poly == termwise_series_polynomial(numerator, n, offset)
+    assert poly == forward_difference_polynomial(numerator, n, offset)
+
+
+def product_expansion(terms):
+    """sum c * C(d + shift, a), each binomial the Fraction product of the
+    linear factors (d + shift - t) / (t + 1), t < a."""
+    out = NumPoly()
+    for c, a, shift in terms:
+        term = NumPoly([c])
+        for t in range(a):
+            term = term * NumPoly([Fraction(shift - t, t + 1), Fraction(1, t + 1)])
+        out = out + term
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.integers(-5, 5), st.fractions(max_denominator=12)),
+            st.integers(0, 6),
+            st.integers(-8, 8),
+        ),
+        max_size=6,
     )
+)
+@example([])
+@example([(0, 3, 1)])
+@example([(Fraction(1, 2), 1, 1), (Fraction(1, 2), 1, 1), (2, 0, -5)])
+def test_binomial_sum_matches_product_expansion(terms):
+    poly = numpoly._binomial_sum(terms)
+    assert poly == product_expansion(terms)
+    assert all(type(c) is Fraction for c in poly.coeffs)
 
 
 def test_poly_dict_round_trip():
@@ -355,6 +392,20 @@ def test_poly_from_dict_error_messages():
         poly_from_dict({})
     with pytest.raises(ValueError):
         poly_from_dict([1, 2])
+    # entries are checked in order: the first bad one is reported
+    negative, no_shift = {"a": -1, "shift": 0}, {"a": 1}
+    with pytest.raises(ValueError, match=r"^binomial degree must be nonnegative, got -1$"):
+        poly_from_dict({"terms": [negative, no_shift]})
+    with pytest.raises(ValueError, match=r"^terms\[0\] missing field \['shift'\]$"):
+        poly_from_dict({"terms": [no_shift, negative]})
+
+
+def test_poly_from_dict_terms_with_fraction_multipliers():
+    # C(d - 5, 0) is the polynomial 1 even where d - 5 < 0
+    terms = [{"a": 1, "shift": 1, "mult": "1/2"}] * 2 + [{"a": 0, "shift": -5, "mult": 2}]
+    poly = poly_from_dict({"terms": terms})
+    assert poly == NumPoly([3, 1])
+    assert gotzmann_rep(poly).a == (1, 0, 0)
 
 
 @settings(max_examples=150, deadline=None)
