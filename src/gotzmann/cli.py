@@ -254,8 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--submodule", action="store_true", help="resolve N instead of F/N")
 
     p = command(sub, "regularity", "Castelnuovo-Mumford regularity",
-                lambda a: resolution.regularity(
-                    _module_arg(a.module), of="submodule" if a.submodule else "quotient"))
+                lambda a: resolution.regularity(_module_arg(a.module), as_quotient=not a.submodule))
     p.add_argument("--module", required=True)
     p.add_argument("--submodule", action="store_true", help="of N instead of F/N")
 

@@ -36,13 +36,14 @@ LEXIFY_EXTRA_DEGREES = 80
 
 
 def lex_segment(n: int, d: int, c: int) -> list[Monomial]:
-    """The c lex-largest monomials of degree d in x0..xn."""
+    """The c lex-largest monomials of degree d in x0..xn, each built from its
+    rank, so the degree is never enumerated."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     total = binomial(d + n, n)
     if not 0 <= c <= total:
         raise ValueError(f"segment size {c} out of range [0, {total}]")
-    return list(monomials_of_degree(n, d)[:c])
+    return [monomial_at_rank(n, d, r) for r in range(c)]
 
 
 def module_monomials(ambient: GradedFreeModule, d: int) -> tuple[tuple[int, Monomial], ...]:

@@ -323,8 +323,11 @@ def grassmannian_embedding_dims(
 
     s is the plain Gotzmann number (mode="standard") or the adjusted one
     (mode="adjusted"); the ambient dimension is dim F_s = sum_i C(s - f_i + n, n)
-    and the subspace dimension is P(s).
+    and the subspace dimension is P(s).  In both modes the rank r must lie in
+    [0, m], m the number of summands.
     """
+    if not 0 <= r <= len(all_degrees):
+        raise PreconditionViolated(f"rank r={r} must lie in [0, {len(all_degrees)}]")
     if mode == "standard":
         s = gotzmann_number(poly)
     elif mode == "adjusted":

@@ -194,11 +194,9 @@ def koszul_betti(submodule: MonomialSubmodule, as_quotient: bool = True) -> Bett
     return BettiTable.from_dict(total)
 
 
-def regularity(submodule: MonomialSubmodule, of: str = "quotient") -> int:
-    """Castelnuovo-Mumford regularity of F/N (of='quotient') or N (of='submodule'),
+def regularity(submodule: MonomialSubmodule, as_quotient: bool = True) -> int:
+    """Castelnuovo-Mumford regularity of F/N (as_quotient) or N (not as_quotient),
     max(j - i) over the ``koszul_betti`` table of that module.  Raises
     ZeroModule when the requested module is zero.
     """
-    if of not in ("quotient", "submodule"):
-        raise ValueError(f"of must be 'quotient' or 'submodule', got {of!r}")
-    return koszul_betti(submodule, as_quotient=(of == "quotient")).regularity()
+    return koszul_betti(submodule, as_quotient=as_quotient).regularity()

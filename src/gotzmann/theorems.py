@@ -10,22 +10,23 @@ treats it as failure.
 The adjusted bounds peel off the free part of M = F/N over the r largest
 ambient degrees (r = number of zero components) and apply the binomial
 transform to the remainder rho at index d - f_low, where f_low is the
-(m-r)-th degree.  Two kernels, ``_Memo.growth`` and ``_Memo.restriction``,
-compute every bound from (d, r, index) and refuse an index below 1.  The
+(m-r)-th degree.  Two kernels, ``_growth`` and ``_restriction``, compute
+every bound from (submodule, d, r, index) and refuse an index below 1.  The
 classical checkers are the same kernels at r = 0, where rho = H(M, d) and
 f_low = l, the largest ambient degree; Gasharov's module forms move the
 index to d - l - p.
 
 A module checker's report keeps its submodule and builds ``instance``, the
-``module_to_dict`` form, on first read: a sweep reads few of them.  A
-``_Memo`` holds what the checkers of one submodule share.  Each public
-checker builds its own; ``sweep`` builds one per submodule and hands it to
-every checker of that submodule, so each value is computed once there.
+``module_to_dict`` form, on first read: a sweep reads few of them.  The two
+kernels and rho are cached by argument, like ``hf_direct``, so the checkers
+of one submodule share each value, and ``sweep`` yields exactly what the
+public checkers return.
 """
 from __future__ import annotations
 
 import json
 import random
+from functools import lru_cache
 from typing import Iterator
 
 from ._value import Value
@@ -33,6 +34,7 @@ from .combinatorics import binomial, green_transform, macaulay_transform
 from .errors import PreconditionViolated
 from .lex import saturated_lex_module
 from .monomial_algebra import (
+    CACHE_ENTRIES,
     GradedFreeModule,
     Monomial,
     MonomialIdeal,
@@ -129,66 +131,33 @@ def _f_low(degrees: tuple[int, ...], r: int) -> int:
     return degrees[len(degrees) - r - 1]  # r = m reads index -1, f_m
 
 
-class _Memo:
-    """What the checkers of one submodule share: its rank and f_low, rho by
-    (d, r), the hyperplane value by d, and each ``growth`` and
-    ``restriction`` result by (d, r, index), as rho follows from (d, r).
+@lru_cache(maxsize=CACHE_ENTRIES)
+def _rho(submodule: MonomialSubmodule, d: int, r: int) -> int:
+    """H(M, d) less the free part of the last r ambient degrees."""
+    return _adjusted_split(submodule, d, r)[1]
 
-    ``sweep`` holds one per submodule across all of that submodule's
-    reports; each public checker builds its own.  Nothing here outlives its
-    holder, so no state stays behind on the submodule or in the module.
-    """
 
-    __slots__ = (
-        "submodule", "rank", "f_low", "_rho", "_hyperplane", "_growth", "_restriction",
+@lru_cache(maxsize=CACHE_ENTRIES)
+def _growth(submodule: MonomialSubmodule, d: int, r: int, index: int) -> tuple[int, int]:
+    """H(M, d+1) and its bound: the free part of the last r ambient degrees
+    at d + 1 plus rho^<index>."""
+    _require_index(d, index)
+    n, degrees = submodule.n, submodule.degrees
+    free = sum(binomial(d + 1 - f + n, n) for f in degrees[len(degrees) - r :])
+    return hf_direct(submodule, d + 1), free + macaulay_transform(_rho(submodule, d, r), index)
+
+
+@lru_cache(maxsize=CACHE_ENTRIES)
+def _restriction(submodule: MonomialSubmodule, d: int, r: int, index: int) -> tuple[int, int]:
+    """The generic hyperplane value dim (M/hM)_d and its bound: the free part
+    of the last r ambient degrees in n - 1 variables plus rho_<index>."""
+    _require_index(d, index)
+    n, degrees = submodule.n, submodule.degrees
+    free = sum(binomial(d - f + n - 1, n - 1) for f in degrees[len(degrees) - r :])
+    return (
+        generic_hyperplane_hf(submodule, d),
+        free + green_transform(_rho(submodule, d, r), index),
     )
-
-    def __init__(self, submodule: MonomialSubmodule) -> None:
-        self.submodule = submodule
-        self.rank = rank(submodule)
-        self.f_low = _f_low(submodule.degrees, self.rank)
-        self._rho: dict[tuple[int, int], int] = {}
-        self._hyperplane: dict[int, int] = {}
-        self._growth: dict[tuple[int, int, int], tuple[int, int]] = {}
-        self._restriction: dict[tuple[int, int, int], tuple[int, int]] = {}
-
-    def rho(self, d: int, r: int) -> int:
-        """H(M, d) less the free part of the last r ambient degrees."""
-        key = (d, r)
-        if key not in self._rho:
-            self._rho[key] = _adjusted_split(self.submodule, d, r)[1]
-        return self._rho[key]
-
-    def growth(self, d: int, r: int, index: int) -> tuple[int, int]:
-        """H(M, d+1) and its bound: the free part of the last r ambient
-        degrees at d + 1 plus rho^<index>."""
-        _require_index(d, index)
-        key = (d, r, index)
-        if key not in self._growth:
-            n, degrees = self.submodule.n, self.submodule.degrees
-            free = sum(binomial(d + 1 - f + n, n) for f in degrees[len(degrees) - r :])
-            self._growth[key] = (
-                hf_direct(self.submodule, d + 1),
-                free + macaulay_transform(self.rho(d, r), index),
-            )
-        return self._growth[key]
-
-    def restriction(self, d: int, r: int, index: int) -> tuple[int, int]:
-        """The generic hyperplane value dim (M/hM)_d and its bound: the free
-        part of the last r ambient degrees in n - 1 variables plus
-        rho_<index>."""
-        _require_index(d, index)
-        key = (d, r, index)
-        if key not in self._restriction:
-            if d not in self._hyperplane:
-                self._hyperplane[d] = generic_hyperplane_hf(self.submodule, d)
-            n, degrees = self.submodule.n, self.submodule.degrees
-            free = sum(binomial(d - f + n - 1, n - 1) for f in degrees[len(degrees) - r :])
-            self._restriction[key] = (
-                self._hyperplane[d],
-                free + green_transform(self.rho(d, r), index),
-            )
-        return self._restriction[key]
 
 
 def _require_index(d: int, index: int) -> None:
@@ -196,48 +165,35 @@ def _require_index(d: int, index: int) -> None:
         raise PreconditionViolated(f"need d >= {d - index + 1} for a transform index >= 1, got {d}")
 
 
-def adjusted_macaulay_bound(submodule: MonomialSubmodule, d: int) -> int:
-    """Upper bound for H(F/N, d+1): free part at d+1 plus the Macaulay
-    transform of rho_d at index d - f_low."""
-    return check_macaulay_adjusted(submodule, d).bound_rhs
-
-
 def check_macaulay_adjusted(submodule: MonomialSubmodule, d: int) -> CheckReport:
     """H(M, d+1) against the rank-and-degree adjusted Macaulay bound."""
-    return _macaulay_adjusted(_Memo(submodule), d)
-
-
-def _macaulay_adjusted(memo: _Memo, d: int) -> CheckReport:
-    r, f_low = memo.rank, memo.f_low
-    lhs, rhs = memo.growth(d, r, d - f_low)
+    r = rank(submodule)
+    f_low = _f_low(submodule.degrees, r)
+    lhs, rhs = _growth(submodule, d, r, d - f_low)
     return _module_report(
-        memo.submodule,
+        submodule,
         name="macaulay_adjusted",
         bound_lhs=lhs,
         bound_rhs=rhs,
         verdict=_compare(lhs, rhs),
-        context={"d": d, "rho": memo.rho(d, r), "f_low": f_low, "rank": r},
+        context={"d": d, "rho": _rho(submodule, d, r), "f_low": f_low, "rank": r},
     )
 
 
 def check_green_adjusted(submodule: MonomialSubmodule, d: int) -> CheckReport:
     """Generic hyperplane restriction against the adjusted Green bound."""
-    return _green_adjusted(_Memo(submodule), d)
-
-
-def _green_adjusted(memo: _Memo, d: int) -> CheckReport:
-    n = memo.submodule.n
-    if n < 1:
-        raise PreconditionViolated(f"need n >= 1, got {n}")
-    r, f_low = memo.rank, memo.f_low
-    lhs, rhs = memo.restriction(d, r, d - f_low)
+    if submodule.n < 1:
+        raise PreconditionViolated(f"need n >= 1, got {submodule.n}")
+    r = rank(submodule)
+    f_low = _f_low(submodule.degrees, r)
+    lhs, rhs = _restriction(submodule, d, r, d - f_low)
     return _module_report(
-        memo.submodule,
+        submodule,
         name="green_adjusted",
         bound_lhs=lhs,
         bound_rhs=rhs,
         verdict=_compare(lhs, rhs),
-        context={"d": d, "rho": memo.rho(d, r), "f_low": f_low},
+        context={"d": d, "rho": _rho(submodule, d, r), "f_low": f_low},
     )
 
 
@@ -250,20 +206,16 @@ def check_gasharov(
     """Classical growth and hyperplane bounds with transform index d - l - p,
     where l is the largest ambient degree: the adjusted kernels at r = 0,
     where rho is H(M, d)."""
-    return _gasharov(_Memo(submodule), d, p, which)
-
-
-def _gasharov(memo: _Memo, d: int, p: int, which: str) -> CheckReport:
     if which not in ("macaulay", "green"):
         raise ValueError(f"which must be 'macaulay' or 'green', got {which!r}")
     if p < 0:
         raise PreconditionViolated(f"need p >= 0, got {p}")
-    l = memo.submodule.degrees[-1]
+    l = submodule.degrees[-1]
     index = d - l - p
-    kernel = memo.growth if which == "macaulay" else memo.restriction
-    lhs, rhs = kernel(d, 0, index)
+    kernel = _growth if which == "macaulay" else _restriction
+    lhs, rhs = kernel(submodule, d, 0, index)
     return _module_report(
-        memo.submodule,
+        submodule,
         name=f"gasharov_{which}",
         bound_lhs=lhs,
         bound_rhs=rhs,
@@ -287,25 +239,21 @@ def check_persistence_adjusted(submodule: MonomialSubmodule, d: int) -> CheckRep
     Agreeing at n + 2 points, G = R, and G meets the bound at every step.
     context["horizon"] is L - d, or 0 when the premise fails.
     """
-    return _persistence_adjusted(_Memo(submodule), d)
-
-
-def _persistence_adjusted(memo: _Memo, d: int) -> CheckReport:
-    submodule = memo.submodule
     max_gen = submodule.max_gen_degree()
     if max_gen is not None and max_gen > d:
         raise PreconditionViolated(
             f"submodule has a generator in degree {max_gen} > d = {d}"
         )
-    r, f_low = memo.rank, memo.f_low
-    lhs, rhs = memo.growth(d, r, d - f_low)
+    r = rank(submodule)
+    f_low = _f_low(submodule.degrees, r)
+    lhs, rhs = _growth(submodule, d, r, d - f_low)
     premises_hold = lhs == rhs
     verdict, context = PREMISE_FAILS, {"d": d, "horizon": 0}
     if premises_hold:
         last = max(d, stabilization_degree(submodule), submodule.degrees[-1]) + submodule.n + 1
         verdict, context["horizon"] = SHARP, last - d
         for e in range(d + 1, last + 1):
-            lhs, rhs = memo.growth(e, r, e - f_low)
+            lhs, rhs = _growth(submodule, e, r, e - f_low)
             if lhs != rhs:
                 verdict, context["failed_at"] = VIOLATED, e
                 break
@@ -337,7 +285,7 @@ def check_gotzmann_regularity_adjusted(submodule: MonomialSubmodule) -> CheckRep
         lhs, verdict = None, HOLDS
         context["saturation_is_zero"] = True
     else:
-        lhs = regularity(saturated, of="submodule")
+        lhs = regularity(saturated, as_quotient=False)
         verdict = _compare(lhs, rhs)
     return _module_report(
         submodule,
@@ -372,7 +320,7 @@ def check_sharpness(poly: NumPoly, ambient: GradedFreeModule, r: int) -> CheckRe
         # the polynomial's rank exceeds r, so no quotient of rank r has it
         context = {"s": s, "lex_module_rank": lex_rank}
     else:
-        reg = regularity(lex_module, of="submodule")
+        reg = regularity(lex_module, as_quotient=False)
         context = {"s": s, "f_m": f_m, "lex_module": module_to_dict(lex_module)}
     return CheckReport(
         name="sharpness",
@@ -421,18 +369,17 @@ def sweep(count: int, base_seed: int = 0) -> Iterator[CheckReport]:
     """
     for k in range(count):
         submodule = random_submodule(base_seed + k)
-        memo = _Memo(submodule)
-        f_low = memo.f_low
+        f_low = f_low_degree(submodule)
         l = submodule.degrees[-1]
         max_gen = submodule.max_gen_degree()
         for d in range(f_low + 1, f_low + 7):
-            yield _macaulay_adjusted(memo, d)
-            yield _green_adjusted(memo, d)
+            yield check_macaulay_adjusted(submodule, d)
+            yield check_green_adjusted(submodule, d)
             if max_gen is None or max_gen <= d:
-                yield _persistence_adjusted(memo, d)
+                yield check_persistence_adjusted(submodule, d)
             for p in range(min(3, d - l)):  # d >= p + l + 1
-                yield _gasharov(memo, d, p, "macaulay")
-                yield _gasharov(memo, d, p, "green")
+                yield check_gasharov(submodule, d, p, "macaulay")
+                yield check_gasharov(submodule, d, p, "green")
         if f_low <= 0:
             # f_low > 0 breaks the regularity statement's hypothesis; vacuous.
             yield check_gotzmann_regularity_adjusted(submodule)

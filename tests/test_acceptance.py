@@ -82,7 +82,7 @@ def test_criterion_2_motivating_instance_closed():
         assert hf_direct(sub, 2) < macaulay_transform(hf_direct(sub, 1), 1)
         assert generic_hyperplane_hf(sub, 2) == 2
         assert gotzmann_number(NumPoly([2, 2])) == 3
-        assert regularity(sub, of="quotient") == 0
+        assert regularity(sub, as_quotient=True) == 0
         for d in range(1, 7):
             assert check_macaulay_adjusted(sub, d).verdict == SHARP
             assert check_green_adjusted(sub, d).verdict == SHARP

@@ -388,6 +388,13 @@ def test_error_paths_exit_two(capsys):
             "integer 'n' and 'degrees'",
         ),
         (["rank"], "the following arguments are required: --module"),
+        *(
+            (["quot-dims", "--poly", '{"coeffs": ["4", "3"]}', "--module-shape",
+              '{"n": 1, "degrees": [0, 0, 0, 0, 0]}', "--rank", rank, "--mode", mode],
+             f"rank r={rank} must lie in [0, 5]")
+            for rank in ("99", "-4")
+            for mode in ("standard", "adjusted")
+        ),
         (
             [
                 "lexify",

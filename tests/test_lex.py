@@ -60,9 +60,22 @@ def test_lex_segment_validation():
 
 
 def test_lex_segments_nest():
-    for c in range(7):
-        seg = lex_segment(2, 2, c)
-        assert seg == lex_segment(2, 2, 6)[:c]
+    # each segment is the head of the degree's lex-descending list
+    for n in range(1, 4):
+        for d in range(0, 6):
+            degree = monomial_algebra.monomials_of_degree(n, d)
+            for c in range(len(degree) + 1):
+                assert lex_segment(n, d, c) == list(degree[:c]), (n, d, c)
+
+
+def test_lex_segment_enumerates_no_degree():
+    monomial_algebra.monomials_of_degree.cache_clear()
+    assert lex_segment(4, 40, 3) == [
+        Monomial((40, 0, 0, 0, 0)),
+        Monomial((39, 1, 0, 0, 0)),
+        Monomial((39, 0, 1, 0, 0)),
+    ]
+    assert monomial_algebra.monomials_of_degree.cache_info().currsize == 0
 
 
 def test_module_monomials_position_dominant():

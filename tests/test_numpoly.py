@@ -291,6 +291,16 @@ def test_embedding_dims_mode_validation():
         grassmannian_embedding_dims(NumPoly([1]), 1, (0,), 0, mode="other")
 
 
+def test_embedding_dims_rank_must_lie_in_the_summands():
+    poly = NumPoly([4, 3])
+    for mode in ("standard", "adjusted"):
+        for r in (-1, 6, 99):
+            with pytest.raises(PreconditionViolated, match=f"rank r={r} must lie in \\[0, 5\\]"):
+                grassmannian_embedding_dims(poly, 1, (0,) * 5, r, mode=mode)
+    for r in (0, 5):  # the ends of the range; standard mode reads no more of r
+        assert grassmannian_embedding_dims(poly, 1, (0,) * 5, r, mode="standard").s == 7
+
+
 def test_series_to_polynomial_matches_binomials():
     # numerator 1 - t^2 over (1-t)^3: C(d+2,2) - C(d,2)
     p = series_to_polynomial([1, 0, -1], 2)

@@ -167,25 +167,23 @@ def test_ek_matches_koszul_on_seeded_stable_ideals():
 
 def test_regularity_examples(two_free_lines, twisted_plane_pair):
     assert regularity(two_free_lines) == 0
-    assert regularity(two_free_lines, of="submodule") == 0
+    assert regularity(two_free_lines, as_quotient=False) == 0
     assert regularity(twisted_plane_pair) == -1
-    assert regularity(twisted_plane_pair, of="submodule") == 0
+    assert regularity(twisted_plane_pair, as_quotient=False) == 0
     points = module(1, (0,), [ideal(1, "x0", "x1")])
     assert regularity(points) == 0
-    assert regularity(points, of="submodule") == 1
+    assert regularity(points, as_quotient=False) == 1
 
 
-def test_regularity_zero_module_and_validation(two_free_lines):
+def test_regularity_zero_module_and_validation():
     free = module(1, (0, 1), ["zero", "zero"])
     assert regularity(free) == 1  # regularity of the free module itself
     with pytest.raises(ZeroModule):
-        regularity(free, of="submodule")
+        regularity(free, as_quotient=False)
     all_unit = module(1, (0,), ["unit"])
     with pytest.raises(ZeroModule):
         regularity(all_unit)
-    assert regularity(all_unit, of="submodule") == 0
-    with pytest.raises(ValueError):
-        regularity(two_free_lines, of="both")
+    assert regularity(all_unit, as_quotient=False) == 0
 
 
 def test_quotient_vs_submodule_shift_on_ideals(corpus):
@@ -197,7 +195,7 @@ def test_quotient_vs_submodule_shift_on_ideals(corpus):
             if comp.is_zero() or comp.is_unit():
                 continue
             wrapper = module(comp.n, (0,), [comp])
-            assert regularity(wrapper, of="submodule") == regularity(wrapper) + 1
+            assert regularity(wrapper, as_quotient=False) == regularity(wrapper) + 1
             checked += 1
             break
         if checked >= 30:
@@ -211,7 +209,7 @@ def test_regularity_dispatch_agrees_with_koszul(corpus):
             continue
         assert regularity(sub) == _oracle_regularity(sub)
         if not sub.is_zero():
-            assert regularity(sub, of="submodule") == _oracle_regularity(
+            assert regularity(sub, as_quotient=False) == _oracle_regularity(
                 sub, as_quotient=False
             )
 

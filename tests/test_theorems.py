@@ -15,7 +15,6 @@ from gotzmann.theorems import (
     PREMISE_FAILS,
     SHARP,
     VIOLATED,
-    adjusted_macaulay_bound,
     check_gasharov,
     check_gotzmann_regularity_adjusted,
     check_green_adjusted,
@@ -151,10 +150,10 @@ def test_persistence_derived_horizon_matches_long_loop(corpus):
             if max_gen is not None and max_gen > d:
                 continue
             rep = check_persistence_adjusted(sub, d)
-            if hf_direct(sub, d + 1) != adjusted_macaulay_bound(sub, d):
+            if hf_direct(sub, d + 1) != check_macaulay_adjusted(sub, d).bound_rhs:
                 expected = PREMISE_FAILS
             elif all(
-                hf_direct(sub, e + 1) == adjusted_macaulay_bound(sub, e)
+                hf_direct(sub, e + 1) == check_macaulay_adjusted(sub, e).bound_rhs
                 for e in range(d + 1, d + 41)
             ):
                 expected = SHARP
@@ -238,7 +237,7 @@ def test_adjusted_bound_never_above_classical():
         f_low = f_low_degree(sub)
         l = sub.degrees[-1]
         for d in range(max(f_low + 1, l + 1), max(f_low + 1, l + 1) + 4):
-            adjusted = adjusted_macaulay_bound(sub, d)
+            adjusted = check_macaulay_adjusted(sub, d).bound_rhs
             classical = macaulay_transform(hf_count(sub, d), d - l)
             assert adjusted <= classical, (seed, d)
 
@@ -276,6 +275,24 @@ def test_sweep_shares_values_as_the_public_checkers_compute_them():
             expected.append(check_gotzmann_regularity_adjusted(sub))
         got = [rep.to_json_line() for rep in sweep(1, base_seed=seed)]
         assert got == [rep.to_json_line() for rep in expected], seed
+
+
+def test_sweep_calls_the_public_checkers(monkeypatch):
+    from gotzmann import theorems
+
+    calls = {}
+    for name in ("check_macaulay_adjusted", "check_green_adjusted", "check_gasharov",
+                 "check_persistence_adjusted", "check_gotzmann_regularity_adjusted"):
+        def counted(*args, _name=name, _checker=getattr(theorems, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _checker(*args)
+        monkeypatch.setattr(theorems, name, counted)
+    reports = {}
+    for rep in sweep(30):
+        checker = "check_gasharov" if rep.name.startswith("gasharov_") else f"check_{rep.name}"
+        reports[checker] = reports.get(checker, 0) + 1
+    assert len(reports) == 5
+    assert calls == reports
 
 
 def test_random_submodule_deterministic():
