@@ -1,9 +1,9 @@
 """Exact rational polynomials in one variable and their binomial-basis forms.
 
-A numerical polynomial takes integer values at all integers; those are the
-polynomials that arise as Hilbert polynomials.  This module provides the
-dense-coefficient arithmetic plus the two canonical decompositions used
-throughout the package: the plain Gotzmann representation
+A numerical polynomial takes integer values at all integers, as Hilbert
+polynomials do; ``NumPoly`` keeps them in the basis C(d + k, k), whose integer
+combinations they are (Bruns and Herzog, 4.1).  The module also provides the
+two canonical decompositions used throughout: the plain Gotzmann representation
 
     P(d) = sum_i C(d + a_i - (i-1), a_i),   a_1 >= a_2 >= ... >= a_s >= 0,
 
@@ -16,7 +16,10 @@ free part, a term list, a Hilbert series' polynomial) is one ``_binomial_sum``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from functools import reduce
+from itertools import zip_longest
+from math import factorial, gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from ._value import Value
@@ -31,54 +34,74 @@ TERM_BUDGET = 10**6
 
 
 class NumPoly:
-    """Polynomial with exact Fraction coefficients, lowest degree first.
-
-    The zero polynomial is represented by an empty coefficient tuple and has
-    degree -1 by convention.
+    """P(d) = sum_k b_k C(d + k, k) / den: integer coordinates b_0..b_deg,
+    b_deg != 0, over den > 0 coprime to them all, so the form is unique and
+    den == 1 iff P is integer-valued.  ``NumPoly(coeffs)`` takes power-basis
+    coefficients, lowest degree first; ``coeffs`` gives them back as
+    Fractions, built on first read.  The zero polynomial has no coordinates
+    and degree -1 by convention.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_b", "_den", "_coeffs")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        # b_j is the j-th backward difference of P at -1 (that of C(d + k, k) is
+        # [k == j]), taken in place from den * P(-1 - i), i = 0..deg, by Horner
+        den = lcm(*(c.denominator for c in cs))
+        nums = [c.numerator * (den // c.denominator) for c in reversed(cs)]
+        v = [reduce(lambda acc, c, x=-1 - i: acc * x + c, nums, 0) for i in range(len(cs))]
+        for j in range(1, len(v)):
+            for i in range(len(v) - 1, j - 1, -1):
+                v[i] = v[i - 1] - v[i]
+        _from_basis(v, den, self)._coeffs = tuple(cs)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Power-basis coefficients, lowest degree first: sum_k b_k (E!/k!)
+        (d + 1)...(d + k) over E! den, E the degree, expanded in integers."""
+        if self._coeffs is None:
+            acc, rising, weight = [0] * len(self._b), [1], factorial(max(self.degree, 0))
+            den = weight * self._den
+            for k, b in enumerate(self._b):
+                if k:
+                    rising = [k * x + y for x, y in zip(rising + [0], [0] + rising)]
+                    weight //= k
+                acc = [y + b * weight * x for y, x in zip_longest(acc, rising, fillvalue=0)]
+            self._coeffs = tuple(Fraction(x, den) for x in acc)
+        return self._coeffs
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._b) - 1
 
     @property
     def leading_coefficient(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        """b_deg / (deg! den), since C(d + k, k) leads with 1/k!."""
+        return Fraction(self._b[-1], factorial(self.degree) * self._den) if self._b else Fraction(0)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._b
 
     def __call__(self, d: Scalar) -> Fraction:
-        # Horner on the numerators over the common denominator, one Fraction;
-        # for an int argument every step stays in integers
-        den = lcm(*(c.denominator for c in self.coeffs))
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * d + c.numerator * (den // c.denominator)
-        return Fraction(acc, den)
+        if isinstance(d, int):
+            return Fraction(sum(map(mul, self._b, _diagonal(d, self.degree))), self._den)
+        return sum((c * d**k for k, c in enumerate(self.coeffs)), Fraction(0))
 
     def __add__(self, other: "NumPoly | Scalar") -> "NumPoly":
         other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return NumPoly(
-            (self.coeffs[i] if i < len(self.coeffs) else 0)
-            + (other.coeffs[i] if i < len(other.coeffs) else 0)
-            for i in range(n)
+        den = lcm(self._den, other._den)
+        s, o = den // self._den, den // other._den
+        return _from_basis(
+            [x * s + y * o for x, y in zip_longest(self._b, other._b, fillvalue=0)], den
         )
 
-    def __radd__(self, other: Scalar) -> "NumPoly":
-        return self + other
+    __radd__ = __add__
 
     def __neg__(self) -> "NumPoly":
-        return NumPoly(-c for c in self.coeffs)
+        return _from_basis([-x for x in self._b], self._den)
 
     def __sub__(self, other: "NumPoly | Scalar") -> "NumPoly":
         return self + (-_as_poly(other))
@@ -96,50 +119,51 @@ class NumPoly:
                 out[i + j] += a * b
         return NumPoly(out)
 
-    def __rmul__(self, other: Scalar) -> "NumPoly":
-        return self * other
+    __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = NumPoly([other])
+        other = NumPoly([other]) if isinstance(other, (int, Fraction)) else other
         if not isinstance(other, NumPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._b == other._b and self._den == other._den
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self._b, self._den))
 
     def shift_argument(self, k: int) -> "NumPoly":
-        """Return the polynomial d -> P(d + k)."""
-        acc = NumPoly()
-        x_plus_k = NumPoly([k, 1])
-        for c in reversed(self.coeffs):
-            acc = acc * x_plus_k + c
-        return acc
+        """Return the polynomial d -> P(d + k), by Chu-Vandermonde:
+        C(d + k + j, j) = sum_{i <= j} C(k - 1 + j - i, j - i) C(d + i, i)."""
+        b, row = self._b, _diagonal(k - 1, self.degree)
+        return _from_basis([sum(map(mul, b[i:], row)) for i in range(len(b))], self._den)
 
     def is_integer_valued(self) -> bool:
-        """True iff P maps integers to integers.
-
-        A degree-e polynomial is integer-valued iff it is at e+1 consecutive
-        integers, so checking 0..e suffices.
-        """
-        return all(self(d).denominator == 1 for d in range(len(self.coeffs) + 1))
+        """True iff P maps integers to integers: iff den == 1."""
+        return self._den == 1
 
     def __repr__(self) -> str:
-        if not self.coeffs:
-            return "NumPoly(0)"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*d" if c != 1 else "d")
-            else:
-                parts.append(f"{c}*d^{i}" if c != 1 else f"d^{i}")
-        return "NumPoly(" + " + ".join(parts) + ")"
+        parts = [
+            str(c) if i == 0 else ("" if c == 1 else f"{c}*") + ("d" if i == 1 else f"d^{i}")
+            for i, c in reversed(list(enumerate(self.coeffs))) if c
+        ]
+        return "NumPoly(" + (" + ".join(parts) or "0") + ")"
+
+
+def _diagonal(x: int, top: int) -> list[int]:
+    """[C(x + k, k) for k = 0..top], any integer x: C(x + k - 1, k - 1) (x + k) / k."""
+    out = [1]
+    for k in range(1, top + 1):
+        out.append(out[-1] * (x + k) // k)
+    return out[: top + 1]
+
+
+def _from_basis(b: list[int], den: int = 1, poly: NumPoly | None = None) -> NumPoly:
+    """``poly`` (or a new NumPoly) set to b over den, trailing zeros and gcd removed."""
+    while b and not b[-1]:
+        b.pop()
+    g = gcd(den, *b)
+    poly = object.__new__(NumPoly) if poly is None else poly
+    poly._b, poly._den, poly._coeffs = tuple(x // g for x in b), den // g, None
+    return poly
 
 
 def _as_poly(x: "NumPoly | Scalar") -> NumPoly:
@@ -154,28 +178,26 @@ def binomial_poly(a: int, shift: int) -> NumPoly:
 
 
 def _binomial_sum(terms: Iterable[tuple[Scalar, int, int]]) -> NumPoly:
-    """sum c * C(d + shift, a) over (c, a, shift) triples, a >= 0: each falling
-    factorial (d + shift)...(d + shift - a + 1) is expanded in integers and
-    scaled by A!/a!, A the largest a, so the sum is divided by A! once."""
+    """sum c * C(d + shift, a) over (c, a, shift) triples, a >= 0.  By
+    Chu-Vandermonde C(d + shift, a) = sum_{j <= a} C(shift - 1 - j, a - j)
+    C(d + j, j), so each term adds c times one diagonal of integers to the
+    coordinates; rational c are put over their common denominator."""
     terms = [t for t in terms if t[0]]
-    if not terms:
-        return NumPoly()
-    top = max(a for _, a, _ in terms)
-    den, acc = factorial(top), [0] * (top + 1)
+    den = lcm(*(c.denominator for c, _, _ in terms))
+    acc = [0] * (max((a for _, a, _ in terms), default=-1) + 1)
     for c, a, shift in terms:
-        falling = [1]
-        for t in range(a):
-            falling = [(shift - t) * x + y for x, y in zip(falling + [0], [0] + falling)]
-        scale = c * (den // factorial(a))
-        for k, x in enumerate(falling):
-            acc[k] += scale * x
-    return NumPoly(Fraction(x, den) for x in acc)
+        c = c.numerator * (den // c.denominator)
+        for j, x in enumerate(reversed(_diagonal(shift - a - 1, a))):
+            acc[j] += c * x
+    return _from_basis(acc, den)
 
 
-def _run(a: int, i: int, m: int) -> list[tuple[int, int, int]]:
-    """sum_{j=i}^{i+m-1} C(d + a - j, a) = C(d+a-i+1, a+1) - C(d+a-i-m+1, a+1),
-    as ``_binomial_sum`` triples."""
-    return [(1, a + 1, a - i + 1), (-1, a + 1, a - i - m + 1)]
+def _run(a: int, i: int, m: int) -> list[int]:
+    """Coordinates of sum_{j=i}^{i+m-1} C(d + a - j, a) = C(d + a - i + 1, a + 1)
+    - C(d + a - i - m + 1, a + 1): by the diagonals of ``_binomial_sum``,
+    C(t - i - 1, t) - C(t - i - m - 1, t) at C(d + a + 1 - t, a + 1 - t)."""
+    high, low = _diagonal(-i - 1, a + 1), _diagonal(-i - m - 1, a + 1)
+    return [high[t] - low[t] for t in range(a + 1, 0, -1)]
 
 
 class GotzmannRep(Value):
@@ -192,7 +214,7 @@ class GotzmannRep(Value):
     __slots__ = _fields = ("a",)
 
     def __init__(self, a: tuple[int, ...]) -> None:
-        if any(x < y for x, y in zip(a, a[1:])):
+        if list(a) != sorted(a, reverse=True):
             raise ValueError("exponent list must be non-increasing")
         if a and a[-1] < 0:
             raise ValueError(f"exponents must be nonnegative, got {a[-1]}")
@@ -207,38 +229,36 @@ class GotzmannRep(Value):
         return [(ai, ai - i) for i, ai in enumerate(self.a)]
 
     def polynomial(self) -> NumPoly:
-        return _binomial_sum(
-            t for ai in set(self.a) for t in _run(ai, self.a.index(ai), self.a.count(ai))
-        )
+        runs = [_run(ai, self.a.index(ai), self.a.count(ai)) for ai in set(self.a)]
+        return _from_basis([sum(x) for x in zip_longest(*runs, fillvalue=0)])
 
 
 def gotzmann_rep(poly: NumPoly) -> GotzmannRep:
     """Gotzmann representation of ``poly``, peeled one run at a time.
 
-    After i terms the remainder has degree a and leading coefficient lead;
-    each term C(d + a - j, a) leads with 1/a!, so the run has m = a! * lead
-    terms and takes off the hockey-stick sum C(d + a - i + 1, a + 1) -
-    C(d + a - i - m + 1, a + 1).  The degree falls with each run, so the loop
-    runs at most deg P + 1 times (a constant tail is the run a = 0).  Raises
-    NotAdmissible for non-numerical input, a remainder with negative leading
-    coefficient, or more than ``TERM_BUDGET`` terms (checked before any list
+    After i terms the remainder has degree a and coordinate m at C(d + a, a),
+    where each term C(d + a - j, a) has coordinate 1: the run has m terms and
+    takes off the hockey-stick sum ``_run(a, i, m)``.  The degree falls with
+    each run, so the loop runs at most deg P + 1 times (a constant tail is the
+    run a = 0).  Raises NotAdmissible for non-numerical input, a negative leading
+    coordinate, or more than ``TERM_BUDGET`` terms (checked before any list
     is built).
     """
     if not poly.is_integer_valued():
-        raise NotAdmissible(f"{poly!r} is not integer-valued")
-    a_list: list[int] = []
-    rem = poly
-    while not rem.is_zero():
-        i = len(a_list)
-        lead = rem.leading_coefficient
-        if lead < 0:
-            raise NotAdmissible(f"remainder {rem!r} has negative leading coefficient at term {i}")
-        a = rem.degree
-        # integer-valued remainders have a! * lead in the integers
-        m = int(lead * factorial(a))
+        k = next(k for k, b in enumerate(poly._b) if b % poly._den)
+        raise NotAdmissible(f"polynomial of degree {poly.degree} is not integer-valued: its"
+                            f" C(d + {k}, {k}) coordinate is {Fraction(poly._b[k], poly._den)}")
+    a_list, b = [], list(poly._b)
+    while b:
+        i, a, m = len(a_list), len(b) - 1, b[-1]
+        if m < 0:
+            raise NotAdmissible(f"remainder of degree {a} has negative leading"
+                                f" coordinate {m} at term {i}")
         if i + m > TERM_BUDGET:
             raise NotAdmissible(f"representation needs more than {TERM_BUDGET} terms")
-        rem = rem - _binomial_sum(_run(a, i, m))
+        b = [x - y for x, y in zip(b, _run(a, i, m))]
+        while b and not b[-1]:
+            b.pop()
         a_list.extend([a] * m)
     return GotzmannRep(tuple(a_list))
 

@@ -17,10 +17,10 @@ f_low = l, the largest ambient degree; Gasharov's module forms move the
 index to d - l - p.
 
 A module checker's report keeps its submodule and builds ``instance``, the
-``module_to_dict`` form, on first read: a sweep reads few of them.  The two
-kernels and rho are cached by argument, like ``hf_direct``, so the checkers
-of one submodule share each value, and ``sweep`` yields exactly what the
-public checkers return.
+``module_to_dict`` form, on first read: a sweep reads few of them.  Rho,
+``_growth`` and the hyperplane value of ``_restriction`` are cached by
+argument, like ``hf_direct``, so the checkers of one submodule share each
+value, and ``sweep`` yields exactly what the public checkers return.
 """
 from __future__ import annotations
 
@@ -147,17 +147,19 @@ def _growth(submodule: MonomialSubmodule, d: int, r: int, index: int) -> tuple[i
     return hf_direct(submodule, d + 1), free + macaulay_transform(_rho(submodule, d, r), index)
 
 
-@lru_cache(maxsize=CACHE_ENTRIES)
 def _restriction(submodule: MonomialSubmodule, d: int, r: int, index: int) -> tuple[int, int]:
     """The generic hyperplane value dim (M/hM)_d and its bound: the free part
     of the last r ambient degrees in n - 1 variables plus rho_<index>."""
     _require_index(d, index)
     n, degrees = submodule.n, submodule.degrees
     free = sum(binomial(d - f + n - 1, n - 1) for f in degrees[len(degrees) - r :])
-    return (
-        generic_hyperplane_hf(submodule, d),
-        free + green_transform(_rho(submodule, d, r), index),
-    )
+    return _hyperplane(submodule, d), free + green_transform(_rho(submodule, d, r), index)
+
+
+@lru_cache(maxsize=CACHE_ENTRIES)
+def _hyperplane(submodule: MonomialSubmodule, d: int) -> int:
+    """generic_hyperplane_hf, once per (submodule, d) for every (r, index)."""
+    return generic_hyperplane_hf(submodule, d)
 
 
 def _require_index(d: int, index: int) -> None:

@@ -447,6 +447,20 @@ def test_error_paths_exit_two(capsys):
         assert fragment in err, (argv, err)
 
 
+
+def test_rep_of_degree_1000_answers_and_refuses_in_one_short_line(capsys):
+    # C(d + 1000, 1000) is one term; C(d, 1000) peels it and leaves a remainder
+    # of degree 999 that leads with -1000, and half of it is not integer-valued
+    one_term = {"terms": [{"a": 1000, "shift": 1000}]}
+    assert run_json(capsys, ["gotzmann-rep", "--poly", json.dumps(one_term)]) == {"a": [1000]}
+    for mult, fragment in [(1, "degree 999 has negative leading coordinate -1000 at term 1"),
+                           ("1/2", "degree 1000 is not integer-valued")]:
+        poly = {"terms": [{"a": 1000, "shift": 0, "mult": mult}]}
+        code, out, err = run_cli(capsys, ["gotzmann-rep", "--poly", json.dumps(poly)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 1024, err[:200]
+        assert fragment in err, err
+
 def one_component(component):
     return f'{{"n": 1, "degrees": [0], "components": [{component}]}}'
 

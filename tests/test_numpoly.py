@@ -2,6 +2,7 @@
 import random
 import re
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +26,7 @@ from gotzmann.numpoly import (
 from gotzmann.combinatorics import binomial
 
 from conftest import random_rep
+from numpoly_oracle import PowerPoly, power_binomial_sum
 from series_oracle import forward_difference_polynomial
 
 
@@ -155,7 +157,10 @@ def per_term_rep(poly, term_budget):
         i = len(a_list)
         lead = rem.leading_coefficient
         if lead < 0:
-            raise NotAdmissible(f"remainder {rem!r} has negative leading coefficient at term {i}")
+            top = lead * factorial(rem.degree)
+            raise NotAdmissible(
+                f"remainder of degree {rem.degree} has negative leading coordinate {top} at term {i}"
+            )
         if rem.degree == 0:
             if i + lead > term_budget:
                 raise NotAdmissible(f"representation needs more than {term_budget} terms")
@@ -455,3 +460,95 @@ def test_numpoly_call_matches_fraction_horner(coeffs, d):
 def test_rep_uniqueness_random(vals):
     rep = GotzmannRep(tuple(sorted(vals, reverse=True)))
     assert gotzmann_rep(rep.polynomial()) == rep
+
+
+# ---------------------------------------------------------------------------
+# NumPoly against the power-basis Fraction oracle
+
+SCALARS = st.one_of(st.integers(-20, 20), st.fractions(-20, 20, max_denominator=12))
+BINOMIAL_TERMS = st.lists(
+    st.tuples(st.one_of(st.integers(-5, 5), st.fractions(max_denominator=12)),
+              st.integers(0, 6), st.integers(-8, 8)),
+    max_size=6,
+)
+# (library, oracle) pairs of one polynomial: from power-basis coefficients,
+# or from a binomial sum, whose coeffs the library builds on first read
+POLY_PAIRS = st.one_of(
+    st.lists(SCALARS, max_size=7).map(lambda cs: (NumPoly(cs), PowerPoly(cs))),
+    BINOMIAL_TERMS.map(lambda ts: (numpoly._binomial_sum(ts), power_binomial_sum(ts))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(POLY_PAIRS, POLY_PAIRS, SCALARS)
+def test_numpoly_arithmetic_matches_power_oracle(pair, other, c):
+    (p, op), (q, oq) = pair, other
+    assert (p + q).coeffs == (op + oq).coeffs
+    assert (p - q).coeffs == (op - oq).coeffs
+    assert (p * q).coeffs == (op * oq).coeffs
+    assert (-p).coeffs == (-op).coeffs
+    assert (c * p).coeffs == (p * c).coeffs == (PowerPoly([c]) * op).coeffs
+    assert (p + c).coeffs == (c + p).coeffs == (op + PowerPoly([c])).coeffs
+    assert (c - p).coeffs == (PowerPoly([c]) - op).coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(POLY_PAIRS, st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=24)))
+@example((NumPoly(), PowerPoly()), 3)
+@example((NumPoly(), PowerPoly()), Fraction(1, 3))
+def test_numpoly_evaluation_matches_power_oracle(pair, d):
+    p, oracle = pair
+    value = p(d)
+    assert type(value) is Fraction
+    assert value == oracle(d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(POLY_PAIRS, st.integers(-6, 6))
+def test_numpoly_shift_degree_and_lead_match_power_oracle(pair, s):
+    p, oracle = pair
+    assert p.degree == oracle.degree
+    assert p.leading_coefficient == oracle.leading_coefficient
+    assert type(p.leading_coefficient) is Fraction
+    assert p.shift_argument(s).coeffs == oracle.shift_argument(s).coeffs
+    assert p.shift_argument(s).shift_argument(-s) == p
+
+
+@settings(max_examples=200, deadline=None)
+@given(BINOMIAL_TERMS)
+@example([])
+@example([(Fraction(1, 2), 1, 1), (Fraction(1, 2), 1, 1), (2, 0, -5)])
+def test_binomial_sum_equals_and_hashes_as_its_coefficient_form(terms):
+    p = numpoly._binomial_sum(terms)
+    q = NumPoly(power_binomial_sum(terms).coeffs)
+    assert p == q and hash(p) == hash(q)
+    assert p + Fraction(1, 3) != q
+    assert len({p, q, q + 0}) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(POLY_PAIRS)
+def test_numpoly_coeffs_round_trip(pair):
+    p, oracle = pair
+    assert p.coeffs == oracle.coeffs
+    assert all(type(c) is Fraction for c in p.coeffs)
+    back = NumPoly(p.coeffs)
+    assert back == p and back.coeffs == p.coeffs
+
+
+def scaled_integer_sum(terms_and_den):
+    """(library, oracle) pair of an integer binomial sum over a small
+    denominator, which may or may not be integer-valued."""
+    terms, den = terms_and_den
+    scaled = [(Fraction(Fraction(c).numerator, den), a, s) for c, a, s in terms]
+    return numpoly._binomial_sum(scaled), power_binomial_sum(scaled)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(POLY_PAIRS, st.tuples(BINOMIAL_TERMS, st.sampled_from([1, 2, 3, 6])).map(scaled_integer_sum)))
+@example((NumPoly([0, Fraction(1, 2), Fraction(1, 2)]), PowerPoly([0, Fraction(1, 2), Fraction(1, 2)])))
+@example((NumPoly([Fraction(1, 2)]), PowerPoly([Fraction(1, 2)])))
+def test_is_integer_valued_matches_value_check(pair):
+    p, oracle = pair
+    assert p == NumPoly(oracle.coeffs)
+    assert p.is_integer_valued() == oracle.is_integer_valued()

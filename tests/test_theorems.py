@@ -295,6 +295,25 @@ def test_sweep_calls_the_public_checkers(monkeypatch):
     assert calls == reports
 
 
+def test_sweep_restricts_each_submodule_and_degree_once(monkeypatch):
+    # the Green and Gasharov-green checkers of one (submodule, d) differ in
+    # (r, index), but the hyperplane value is computed once for all of them
+    from gotzmann import theorems
+
+    calls = []
+
+    def counted(submodule, d, _original=theorems.generic_hyperplane_hf):
+        calls.append((submodule, d))
+        return _original(submodule, d)
+
+    monkeypatch.setattr(theorems, "generic_hyperplane_hf", counted)
+    theorems._hyperplane.cache_clear()
+    restricted = [(rep._submodule, rep.context["d"]) for rep in sweep(30)
+                  if rep.name in ("green_adjusted", "gasharov_green")]
+    assert len(restricted) > len(set(restricted)) > 0
+    assert len(calls) == len(set(calls))
+    assert set(calls) == set(restricted)
+
 def test_random_submodule_deterministic():
     assert random_submodule(7) == random_submodule(7)
     assert any(random_submodule(i) != random_submodule(0) for i in range(1, 10))
