@@ -6,9 +6,15 @@ dimension counts vanish below their starting degree.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb, factorial
 
 from ._value import Value
+
+# Entries kept by each lru_cache of the package.  A sweep(500) run fills none
+# past 3,953 (hf_direct), so it hits and misses exactly as often as with
+# unbounded caches.
+CACHE_ENTRIES = 8192
 
 
 def binomial(k: int, j: int) -> int:
@@ -122,11 +128,15 @@ def _iroot(x: int, j: int) -> int:
         r = s
 
 
+# the checkers ask for few distinct (a, d) many times over; only the int is
+# kept, as a representation can run to millions of terms
+@lru_cache(maxsize=CACHE_ENTRIES)
 def macaulay_transform(a: int, d: int) -> int:
     """a^<d>: bump every C(k_j, j) in the d-th representation to C(k_j + 1, j + 1)."""
     return sum(comb(k + 1, j + 1) for k, j in _macaulay_terms(a, d))
 
 
+@lru_cache(maxsize=CACHE_ENTRIES)
 def green_transform(a: int, d: int) -> int:
     """a_<d>: lower every C(k_j, j) in the d-th representation to C(k_j - 1, j).
 

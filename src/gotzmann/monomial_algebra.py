@@ -32,18 +32,13 @@ from typing import Iterable
 
 from . import linalg
 from ._value import CachedHash, Value
-from .combinatorics import binomial
+from .combinatorics import CACHE_ENTRIES, binomial
 from .errors import BudgetExceeded, InvariantViolated, PreconditionViolated, refuse_unknown_keys
 from .numpoly import NumPoly, series_to_polynomial
 
 # Pivot nodes the series recursion may visit per component ideal; a work
 # guard, past which hilbert_series raises BudgetExceeded.
 NODE_BUDGET = 10**4
-
-# Entries kept by each lru_cache of the package (here and in resolution).  A
-# sweep(500) run fills none past 3,953 (hf_direct), so it hits and misses
-# exactly as often as with unbounded caches.
-CACHE_ENTRIES = 8192
 
 
 class Monomial(CachedHash):

@@ -9,12 +9,17 @@ One exact backend computes every Betti table (Miller-Sturmfels,
 and beta_{i,alpha}(I) vanishes unless alpha lies in the lcm lattice of the
 minimal generators (Gasharov-Peeva-Welker, "The lcm-lattice in monomial
 resolutions", 1999).  K^alpha lives on at most n+1 vertices, so its boundary
-matrices are tiny; its homology is memoised per facet set in a bounded cache.
+matrices are tiny; its homology is memoised per facet set in bounded caches.
 
 Lattice and facets run on packed exponent words (one int per monomial, a
 guarded field of bit_length(max generator exponent) + 1 bits per variable),
 so lcm, divisibility and facets are a few whole-word integer operations.  An
-alpha whose K^alpha is a cone, a full simplex included, is acyclic and skipped.
+alpha whose K^alpha is a cone, a full simplex included, is acyclic and skipped:
+first when one vertex lies in every facet, which needs no maximal facets, then
+when one lies in every maximal facet.  A homology miss relabels the vertices
+(by the sizes of the facets holding them) before the rank work, and the ranks
+are memoised again under the relabelled facets, so most complexes that differ
+by a permutation of the variables share one rank computation.
 
 ``regularity`` reads max(j - i) off the ``koszul_betti`` table it asks for.
 The tests hold this backend to a dense Koszul computation, to the
@@ -100,6 +105,28 @@ def _facets(word: int, words: list[int], guards: int, ones: int) -> set[int]:
 def _reduced_homology(facets: frozenset[int]) -> tuple[tuple[int, int], ...]:
     """Nonzero (k, dim H~_k) over Q of the simplicial complex with these facets.
 
+    A miss relabels the vertices before any rank work: vertices in no facet
+    are dropped and the rest are ordered by the sorted sizes of the facets
+    that contain them, ties by index.  A relabelling is a bijection, so the
+    homology is unchanged, and complexes that differ by a permutation of the
+    variables mostly share one entry of ``_relabelled_homology``.
+    """
+    sizes: dict[int, list[int]] = {}
+    for f in facets:
+        for v in range(f.bit_length()):
+            if f >> v & 1:
+                sizes.setdefault(v, []).append(f.bit_count())
+    order = sorted(sizes, key=lambda v: (sorted(sizes[v]), v))
+    bit = {v: 1 << label for label, v in enumerate(order)}
+    return _relabelled_homology(frozenset(
+        sum(bit[v] for v in order if f >> v & 1) for f in facets
+    ))
+
+
+@lru_cache(maxsize=CACHE_ENTRIES)
+def _relabelled_homology(facets: frozenset[int]) -> tuple[tuple[int, int], ...]:
+    """``_reduced_homology`` past the relabelling: the boundary ranks.
+
     The complex lives on at most n + 1 vertices, so each boundary matrix has
     at most C(n + 1, k) rows.
     """
@@ -150,6 +177,11 @@ def _ideal_table(ideal: MonomialIdeal) -> tuple[tuple[int, int, int], ...]:
     generator exponent, so no field reaches its guard bit and no subtraction
     borrows across fields.  A cone is acyclic, so alpha is skipped when one
     vertex lies in every maximal facet of K^alpha, a full simplex included.
+    A vertex in every facet is in every maximal facet, so the AND of all the
+    facets is tried first.  On a lattice element it is nonzero only for the
+    full simplex that ``_facets`` returns alone, as each variable of alpha
+    reaches alpha_v in a generator dividing it.  Only the alphas it leaves
+    get maximal facets, from one pass over the facets by size, largest first.
     """
     gens = [g.exponents for g in ideal.gens]
     variables = range(ideal.n + 1)
@@ -161,11 +193,17 @@ def _ideal_table(ideal: MonomialIdeal) -> tuple[tuple[int, int, int], ...]:
     table: dict[tuple[int, int], int] = {}
     for word in _lcm_lattice(words, guards, w):
         facets = _facets(word, words, guards, ones)
-        maximal = [f for f in facets if not any(f & g == f != g for g in facets)]
+        if reduce(and_, facets):
+            continue
+        maximal: list[int] = []
+        for f in sorted(facets, key=int.bit_count, reverse=True):
+            if not any(f & g == f for g in maximal):
+                maximal.append(f)
         if reduce(and_, maximal):
             continue
-        for f in facets - vertices.keys():
-            vertices[f] = sum(1 << v for v in variables if f >> (v * w + w - 1) & 1)
+        for f in maximal:
+            if f not in vertices:
+                vertices[f] = sum(1 << v for v in variables if f >> (v * w + w - 1) & 1)
         homology = _reduced_homology(frozenset(map(vertices.__getitem__, maximal)))
         if homology:
             j = sum(word >> (v * w) & ((1 << w) - 1) for v in variables)

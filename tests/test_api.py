@@ -29,6 +29,7 @@ def test_every_cache_has_the_one_bound():
     assert {
         "monomials_of_degree", "hf_direct", "_ideal_numerator",
         "hilbert_series", "hilbert_polynomial", "_saturation", "_linear_section_dim",
-        "_reduced_homology", "_ideal_table",
+        "_reduced_homology", "_relabelled_homology", "_ideal_table",
+        "macaulay_transform", "green_transform",
     } <= caches.keys()
     assert caches == dict.fromkeys(caches, CACHE_ENTRIES)
