@@ -3,156 +3,97 @@ free modules over polynomial rings, with mechanically checked growth,
 hyperplane-restriction, persistence, regularity, and Chern-class bounds.
 
 All arithmetic is exact (integers and fractions); no floating point anywhere.
+
+Each export is loaded from its submodule on first access (PEP 562), so
+``import gotzmann`` loads no submodule, and a CLI call loads only the
+modules its command uses.
 """
 
-from .chern import ChernData, check_chern_bound, chern_from_hilbert
-from .combinatorics import (
-    MacaulayRep,
-    binomial,
-    green_transform,
-    macaulay_rep,
-    macaulay_transform,
-)
-from .errors import (
-    BudgetExceeded,
-    InvariantViolated,
-    NonIntegralChern,
-    NotAchievable,
-    NotAdmissible,
-    PreconditionViolated,
-    RankMismatch,
-    ZeroModule,
-)
-from .lex import (
-    is_lex_ideal,
-    is_lex_piece,
-    lex_segment,
-    lexify,
-    module_monomials,
-    saturated_lex_ideal,
-    saturated_lex_module,
-)
-from .monomial_algebra import (
-    GradedFreeModule,
-    HilbertSeries,
-    Monomial,
-    MonomialIdeal,
-    MonomialSubmodule,
-    adjusted_hf_decomposition,
-    generic_hyperplane_hf,
-    hf_direct,
-    hilbert_polynomial,
-    hilbert_series,
-    ideal_from_dict,
-    ideal_to_dict,
-    module_from_dict,
-    module_to_dict,
-    monomial_from_string,
-    monomials_of_degree,
-    quotient_basis,
-    rank,
-    saturate,
-    stabilization_degree,
-)
-from .numpoly import (
-    AdjustedGotzmannRep,
-    EmbeddingDims,
-    GotzmannRep,
-    NumPoly,
-    adjusted_gotzmann_rep,
-    binomial_poly,
-    gotzmann_number,
-    gotzmann_rep,
-    grassmannian_embedding_dims,
-    poly_from_dict,
-    poly_to_dict,
-    series_to_polynomial,
-)
-from .resolution import (
-    BettiTable,
-    koszul_betti,
-    regularity,
-)
-from .theorems import (
-    CheckReport,
-    check_gasharov,
-    check_gotzmann_regularity_adjusted,
-    check_green_adjusted,
-    check_macaulay_adjusted,
-    check_persistence_adjusted,
-    check_sharpness,
-    random_submodule,
-    sweep,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdjustedGotzmannRep",
-    "BettiTable",
-    "BudgetExceeded",
-    "ChernData",
-    "CheckReport",
-    "EmbeddingDims",
-    "GotzmannRep",
-    "GradedFreeModule",
-    "HilbertSeries",
-    "InvariantViolated",
-    "MacaulayRep",
-    "Monomial",
-    "MonomialIdeal",
-    "MonomialSubmodule",
-    "NonIntegralChern",
-    "NotAchievable",
-    "NotAdmissible",
-    "NumPoly",
-    "PreconditionViolated",
-    "RankMismatch",
-    "ZeroModule",
-    "adjusted_gotzmann_rep",
-    "adjusted_hf_decomposition",
-    "binomial",
-    "binomial_poly",
-    "check_chern_bound",
-    "check_gasharov",
-    "check_gotzmann_regularity_adjusted",
-    "check_green_adjusted",
-    "check_macaulay_adjusted",
-    "check_persistence_adjusted",
-    "check_sharpness",
-    "chern_from_hilbert",
-    "generic_hyperplane_hf",
-    "gotzmann_number",
-    "gotzmann_rep",
-    "grassmannian_embedding_dims",
-    "green_transform",
-    "hf_direct",
-    "hilbert_polynomial",
-    "hilbert_series",
-    "ideal_from_dict",
-    "ideal_to_dict",
-    "is_lex_ideal",
-    "is_lex_piece",
-    "koszul_betti",
-    "lex_segment",
-    "lexify",
-    "macaulay_rep",
-    "macaulay_transform",
-    "module_from_dict",
-    "module_monomials",
-    "module_to_dict",
-    "monomial_from_string",
-    "monomials_of_degree",
-    "poly_from_dict",
-    "poly_to_dict",
-    "quotient_basis",
-    "random_submodule",
-    "rank",
-    "regularity",
-    "saturate",
-    "saturated_lex_ideal",
-    "saturated_lex_module",
-    "series_to_polynomial",
-    "stabilization_degree",
-    "sweep",
-]
+# export -> the submodule that defines it
+_SUBMODULE = {
+    "AdjustedGotzmannRep": "numpoly",
+    "BettiTable": "resolution",
+    "BudgetExceeded": "errors",
+    "ChernData": "chern",
+    "CheckReport": "theorems",
+    "EmbeddingDims": "numpoly",
+    "GotzmannRep": "numpoly",
+    "GradedFreeModule": "monomial_algebra",
+    "HilbertSeries": "monomial_algebra",
+    "InvariantViolated": "errors",
+    "MacaulayRep": "combinatorics",
+    "Monomial": "monomial_algebra",
+    "MonomialIdeal": "monomial_algebra",
+    "MonomialSubmodule": "monomial_algebra",
+    "NonIntegralChern": "errors",
+    "NotAchievable": "errors",
+    "NotAdmissible": "errors",
+    "NumPoly": "numpoly",
+    "PreconditionViolated": "errors",
+    "RankMismatch": "errors",
+    "ZeroModule": "errors",
+    "adjusted_gotzmann_rep": "numpoly",
+    "adjusted_hf_decomposition": "monomial_algebra",
+    "binomial": "combinatorics",
+    "binomial_poly": "numpoly",
+    "check_chern_bound": "chern",
+    "check_gasharov": "theorems",
+    "check_gotzmann_regularity_adjusted": "theorems",
+    "check_green_adjusted": "theorems",
+    "check_macaulay_adjusted": "theorems",
+    "check_persistence_adjusted": "theorems",
+    "check_sharpness": "theorems",
+    "chern_from_hilbert": "chern",
+    "generic_hyperplane_hf": "monomial_algebra",
+    "gotzmann_number": "numpoly",
+    "gotzmann_rep": "numpoly",
+    "grassmannian_embedding_dims": "numpoly",
+    "green_transform": "combinatorics",
+    "hf_direct": "monomial_algebra",
+    "hilbert_polynomial": "monomial_algebra",
+    "hilbert_series": "monomial_algebra",
+    "ideal_from_dict": "monomial_algebra",
+    "ideal_to_dict": "monomial_algebra",
+    "is_lex_ideal": "lex",
+    "is_lex_piece": "lex",
+    "koszul_betti": "resolution",
+    "lex_segment": "lex",
+    "lexify": "lex",
+    "macaulay_rep": "combinatorics",
+    "macaulay_transform": "combinatorics",
+    "module_from_dict": "monomial_algebra",
+    "module_monomials": "lex",
+    "module_to_dict": "monomial_algebra",
+    "monomial_from_string": "monomial_algebra",
+    "monomials_of_degree": "monomial_algebra",
+    "poly_from_dict": "numpoly",
+    "poly_to_dict": "numpoly",
+    "quotient_basis": "monomial_algebra",
+    "random_submodule": "theorems",
+    "rank": "monomial_algebra",
+    "regularity": "resolution",
+    "saturate": "monomial_algebra",
+    "saturated_lex_ideal": "lex",
+    "saturated_lex_module": "lex",
+    "series_to_polynomial": "numpoly",
+    "stabilization_degree": "monomial_algebra",
+    "sweep": "theorems",
+}
+
+__all__ = list(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_SUBMODULE[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

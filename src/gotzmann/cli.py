@@ -1,8 +1,13 @@
 """Command-line front end.
 
-Each subcommand, and each checker under ``check``, is its own parser that
-declares only the flags it reads and the function that runs it, so argparse
-enforces required flags per command and refuses a flag of another command.
+Each subcommand, and each checker under ``check``, is declared once in a
+command table with its help, the function that runs it and the flags it reads,
+so argparse enforces required flags per command and refuses a flag of another
+command.  Each call is a fresh interpreter, so a call pays only for its own
+command: the parser holds just the command (and checker) that argv names, and
+a handler imports the library module it calls when it runs.  When argv names
+no command, every parser is built, so help and "invalid choice" errors read
+the same either way.
 
 Arguments taking structured input accept either inline JSON (first character
 '{' or '[') or a path to a UTF-8 JSON file.  Rationals are exact "p/q"
@@ -16,37 +21,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, NoReturn
+from typing import TYPE_CHECKING, Any, Callable, NoReturn
 
-from . import chern as chern_mod
-from . import lex as lex_mod
-from . import resolution, theorems
-from .combinatorics import green_transform, macaulay_rep, macaulay_transform
 from .errors import BudgetExceeded, InvariantViolated, refuse_unknown_keys
-from .monomial_algebra import (
-    GradedFreeModule,
-    MonomialSubmodule,
-    adjusted_hf_decomposition,
-    hf_direct,
-    hilbert_polynomial,
-    hilbert_series,
-    module_from_dict,
-    module_to_dict,
-    ideal_to_dict,
-    rank,
-    saturate,
-    shape_from_dict,
-    stabilization_degree,
-)
-from .numpoly import (
-    GotzmannRep,
-    adjusted_gotzmann_rep,
-    gotzmann_number,
-    gotzmann_rep,
-    grassmannian_embedding_dims,
-    poly_from_dict,
-    poly_to_dict,
-)
+
+if TYPE_CHECKING:
+    from .monomial_algebra import GradedFreeModule, MonomialSubmodule
+    from .numpoly import GotzmannRep, NumPoly
 
 
 def _load_json(arg: str) -> Any:
@@ -58,18 +39,26 @@ def _load_json(arg: str) -> Any:
 
 
 def _shape_arg(arg: str) -> GradedFreeModule:
+    from .monomial_algebra import shape_from_dict
+
     return shape_from_dict(_load_json(arg))
 
 
 def _module_arg(arg: str) -> MonomialSubmodule:
+    from .monomial_algebra import module_from_dict
+
     return module_from_dict(_load_json(arg))
 
 
-def _poly_arg(arg: str):
+def _poly_arg(arg: str) -> NumPoly:
+    from .numpoly import poly_from_dict
+
     return poly_from_dict(_load_json(arg))
 
 
 def _rep_arg(arg: str) -> GotzmannRep:
+    from .numpoly import GotzmannRep
+
     data = _load_json(arg)
     if not isinstance(data, dict) or "a" not in data:
         raise ValueError("representation JSON needs an 'a' field")
@@ -98,11 +87,40 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _macaulay_rep(args: argparse.Namespace) -> dict:
+    from .combinatorics import macaulay_rep
+
     rep = macaulay_rep(args.value, args.index)
     return {"value": args.value, "d": rep.d, "terms": [list(t) for t in rep.terms]}
 
 
+def _macaulay_transform(args: argparse.Namespace) -> int:
+    from .combinatorics import macaulay_transform
+
+    return macaulay_transform(args.value, args.index)
+
+
+def _green_transform(args: argparse.Namespace) -> int:
+    from .combinatorics import green_transform
+
+    return green_transform(args.value, args.index)
+
+
+def _gotzmann_rep(args: argparse.Namespace) -> dict:
+    from .numpoly import gotzmann_rep
+
+    return {"a": list(gotzmann_rep(_poly_arg(args.poly)).a)}
+
+
+def _gotzmann_number(args: argparse.Namespace) -> int:
+    from .numpoly import gotzmann_number
+
+    return gotzmann_number(_poly_arg(args.poly))
+
+
 def _adjusted_rep(args: argparse.Namespace) -> dict:
+    from .monomial_algebra import module_from_dict, shape_from_dict
+    from .numpoly import adjusted_gotzmann_rep
+
     data = _load_json(args.module)
     # module or shape JSON: a module's components are read, and so checked
     if isinstance(data, dict) and "components" in data:
@@ -115,6 +133,14 @@ def _adjusted_rep(args: argparse.Namespace) -> dict:
 
 
 def _hilbert(args: argparse.Namespace) -> Any:
+    from .monomial_algebra import (
+        hf_direct,
+        hilbert_polynomial,
+        hilbert_series,
+        stabilization_degree,
+    )
+    from .numpoly import poly_to_dict
+
     module = _module_arg(args.module)
     if args.function is not None:
         d0, d1 = args.function
@@ -126,12 +152,30 @@ def _hilbert(args: argparse.Namespace) -> Any:
     return {"stabilization_degree": stabilization_degree(module)}
 
 
+def _saturate(args: argparse.Namespace) -> dict:
+    from .monomial_algebra import module_to_dict, saturate
+
+    return module_to_dict(saturate(_module_arg(args.module)))
+
+
+def _rank(args: argparse.Namespace) -> int:
+    from .monomial_algebra import rank
+
+    return rank(_module_arg(args.module))
+
+
 def _rho(args: argparse.Namespace) -> dict:
+    from .monomial_algebra import adjusted_hf_decomposition
+
     free, rho = adjusted_hf_decomposition(_module_arg(args.module), args.degree)
     return {"free": free, "rho": rho, "degree": args.degree}
 
 
 def _lexify(args: argparse.Namespace) -> dict:
+    from .lex import lexify
+    from .monomial_algebra import module_to_dict
+    from .numpoly import poly_from_dict
+
     shape = _shape_arg(args.module_shape)
     data = _load_json(args.hf)
     if not isinstance(data, dict) or "tail" not in data:
@@ -141,20 +185,40 @@ def _lexify(args: argparse.Namespace) -> dict:
         table = [(d, v) for d, v in data.get("table", [])]
     except (TypeError, ValueError) as exc:
         raise ValueError(f"'table' must list [degree, value] integer pairs: {exc}") from None
-    return module_to_dict(lex_mod.lexify(shape, table, poly_from_dict(data["tail"])))
+    return module_to_dict(lexify(shape, table, poly_from_dict(data["tail"])))
 
 
 def _lex_ideal(args: argparse.Namespace) -> dict:
-    ideal = lex_mod.saturated_lex_ideal(_rep_arg(args.gotzmann), args.n)
+    from .lex import saturated_lex_ideal
+    from .monomial_algebra import ideal_to_dict
+
+    ideal = saturated_lex_ideal(_rep_arg(args.gotzmann), args.n)
     return {"n": args.n, **ideal_to_dict(ideal)}
 
 
 def _lex_module(args: argparse.Namespace) -> dict:
+    from .lex import saturated_lex_module
+    from .monomial_algebra import module_to_dict
+
     poly, shape = _poly_arg(args.poly), _shape_arg(args.module_shape)
-    return module_to_dict(lex_mod.saturated_lex_module(poly, shape, args.rank))
+    return module_to_dict(saturated_lex_module(poly, shape, args.rank))
+
+
+def _betti(args: argparse.Namespace) -> dict:
+    from .resolution import koszul_betti
+
+    return koszul_betti(_module_arg(args.module), as_quotient=not args.submodule).to_dict()
+
+
+def _regularity(args: argparse.Namespace) -> int:
+    from .resolution import regularity
+
+    return regularity(_module_arg(args.module), as_quotient=not args.submodule)
 
 
 def _quot_dims(args: argparse.Namespace) -> dict:
+    from .numpoly import grassmannian_embedding_dims
+
     shape = _shape_arg(args.module_shape)
     dims = grassmannian_embedding_dims(
         _poly_arg(args.poly), shape.n, shape.degrees, args.rank, mode=args.mode
@@ -162,14 +226,150 @@ def _quot_dims(args: argparse.Namespace) -> dict:
     return {key: getattr(dims, key) for key in ("s", "ambient_dim", "sub_dim", "grass_dim")}
 
 
-def _check_chern(args: argparse.Namespace) -> theorems.CheckReport:
+def _module_degree_check(name: str) -> Callable[[argparse.Namespace], Any]:
+    """Runs ``theorems.<name>(module, degree)``, looked up when it runs."""
+
+    def run(args: argparse.Namespace) -> Any:
+        from . import theorems
+
+        return getattr(theorems, name)(_module_arg(args.module), args.degree)
+
+    return run
+
+
+def _check_regularity(args: argparse.Namespace) -> Any:
+    from .theorems import check_gotzmann_regularity_adjusted
+
+    return check_gotzmann_regularity_adjusted(_module_arg(args.module))
+
+
+def _check_sharpness(args: argparse.Namespace) -> Any:
+    from .theorems import check_sharpness
+
+    return check_sharpness(_poly_arg(args.poly), _shape_arg(args.module_shape), args.rank)
+
+
+def _check_gasharov(args: argparse.Namespace) -> Any:
+    from .theorems import check_gasharov
+
+    return check_gasharov(_module_arg(args.module), args.degree, args.p, args.which)
+
+
+def _check_chern(args: argparse.Namespace) -> Any:
+    from .chern import check_chern_bound
+
     shape = _shape_arg(args.module_shape)
-    return chern_mod.check_chern_bound(
+    return check_chern_bound(
         _poly_arg(args.poly), args.n, args.sheaf_rank, shape.degrees, args.module_rank
     )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _arg(*names: str, **kwargs: Any) -> Callable[[Any], Any]:
+    """One ``add_argument`` call, made when the command's parser is built."""
+    return lambda parser: parser.add_argument(*names, **kwargs)
+
+
+def _one_of(*args: Callable[[Any], Any]) -> Callable[[Any], None]:
+    """A required choice of exactly one of these arguments."""
+
+    def add(parser: argparse.ArgumentParser) -> None:
+        group = parser.add_mutually_exclusive_group(required=True)
+        for arg in args:
+            arg(group)
+
+    return add
+
+
+_VALUE_INDEX = (_arg("value", type=int), _arg("index", type=int))
+_MODULE = _arg("--module", required=True)
+_POLY = _arg("--poly", required=True)
+_SHAPE = _arg("--module-shape", required=True)
+_RANK = _arg("--rank", type=int, required=True)
+_DEGREE = _arg("--degree", type=int, required=True)
+
+# name -> (help, handler, arguments); a checker returns a CheckReport, from
+# which main takes the exit code
+_CHECKERS = {
+    "macaulay": ("adjusted Macaulay bound at degree d",
+                 _module_degree_check("check_macaulay_adjusted"), (_MODULE, _DEGREE)),
+    "green": ("adjusted Green bound at degree d",
+              _module_degree_check("check_green_adjusted"), (_MODULE, _DEGREE)),
+    "persistence": ("adjusted persistence from degree d on",
+                    _module_degree_check("check_persistence_adjusted"), (_MODULE, _DEGREE)),
+    "regularity": ("adjusted Gotzmann regularity bound", _check_regularity, (_MODULE,)),
+    "sharpness": ("saturated lex module attains the adjusted bound", _check_sharpness,
+                  (_POLY, _SHAPE, _RANK)),
+    "gasharov": ("Gasharov's bound, Macaulay or Green form", _check_gasharov,
+                 (_MODULE, _DEGREE, _arg("--p", type=int, default=0),
+                  _arg("--which", choices=("macaulay", "green"), default="macaulay"))),
+    "chern": ("c2 <= c1^2 from the Hilbert polynomial", _check_chern,
+              (_POLY, _arg("--n", type=int, required=True),
+               _arg("--sheaf-rank", type=int, required=True), _SHAPE,
+               _arg("--module-rank", type=int, required=True))),
+}
+
+# an entry whose handler is a table is a command with subcommands of its own
+_COMMANDS = {
+    "macaulay-rep": ("binomial expansion of A at index D", _macaulay_rep, _VALUE_INDEX),
+    "macaulay-transform": ("growth bound transform", _macaulay_transform, _VALUE_INDEX),
+    "green-transform": ("hyperplane bound transform", _green_transform, _VALUE_INDEX),
+    "gotzmann-rep": ("binomial representation of a polynomial", _gotzmann_rep, (_POLY,)),
+    "gotzmann-number": ("length of the representation", _gotzmann_number, (_POLY,)),
+    "adjusted-rep": ("rank-adjusted representation", _adjusted_rep,
+                     (_POLY, _arg("--module", required=True,
+                                  help="module or shape JSON (n, degrees)"), _RANK)),
+    "hilbert": ("Hilbert data of F/N", _hilbert,
+                (_MODULE, _one_of(_arg("--function", nargs=2, type=int, metavar=("D0", "D1")),
+                                  _arg("--series", action="store_true"),
+                                  _arg("--polynomial", action="store_true"),
+                                  _arg("--stabilize", action="store_true")))),
+    "saturate": ("componentwise saturation", _saturate, (_MODULE,)),
+    "rank": ("number of zero components", _rank, (_MODULE,)),
+    "rho": ("free part and remainder of H(F/N, d)", _rho, (_MODULE, _DEGREE)),
+    "lexify": ("lex submodule matching a Hilbert function", _lexify,
+               (_SHAPE, _arg("--hf", required=True,
+                             help='{"table": [[d, v], ...], "tail": {...}}'))),
+    "lex-ideal": ("saturated lex ideal of a representation", _lex_ideal,
+                  (_arg("--gotzmann", required=True, help='{"a": [...]}'),
+                   _arg("--n", type=int, required=True))),
+    "lex-module": ("saturated lex module of a polynomial", _lex_module, (_POLY, _SHAPE, _RANK)),
+    "betti": ("graded Betti table from upper Koszul complexes over the lcm lattice", _betti,
+              (_MODULE, _arg("--submodule", action="store_true",
+                             help="resolve N instead of F/N"))),
+    "regularity": ("Castelnuovo-Mumford regularity", _regularity,
+                   (_MODULE, _arg("--submodule", action="store_true",
+                                  help="of N instead of F/N"))),
+    "quot-dims": ("Grassmannian embedding dimensions", _quot_dims,
+                  (_POLY, _SHAPE, _RANK,
+                   _arg("--mode", choices=("standard", "adjusted"), default="adjusted"))),
+    "check": ("run one bound checker; see check CHECKER --help", _CHECKERS, ()),
+}
+
+
+def _add_commands(group: Any, table: dict, argv: list[str], common: argparse.ArgumentParser
+                  ) -> None:
+    """Adds to the subparsers ``group`` the command of ``table`` that argv[0]
+    names, or every command when it names none (or argv is empty), so that
+    help and "invalid choice" errors list them all.  A command with a table
+    of its own (``check``) adds its subcommands the same way from argv[1:]."""
+    named = bool(argv) and argv[0] in table
+    for name in (argv[0],) if named else table:
+        help, run, arguments = table[name]
+        if isinstance(run, dict):
+            checkers = group.add_parser(name, help=help).add_subparsers(
+                dest="checker", required=True)
+            _add_commands(checkers, run, argv[1:] if named else [], common)
+            continue
+        # no abbreviations: --module must not pass for --module-shape
+        p = group.add_parser(name, parents=[common], help=help, allow_abbrev=False)
+        p.set_defaults(run=run)
+        for add in arguments:
+            add(p)
+
+
+def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser for ``argv``: only the command that argv names, or every
+    command when argv is None or names none."""
     common = _Parser(add_help=False)
     fmt = common.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", default=False, help="JSON output (default)")
@@ -181,138 +381,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "and their bound checkers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(group, name: str, help: str, run) -> argparse.ArgumentParser:
-        # no abbreviations: --module must not pass for --module-shape
-        p = group.add_parser(name, parents=[common], help=help, allow_abbrev=False)
-        p.set_defaults(run=run)
-        return p
-
-    p = command(sub, "macaulay-rep", "binomial expansion of A at index D", _macaulay_rep)
-    p.add_argument("value", type=int)
-    p.add_argument("index", type=int)
-
-    p = command(sub, "macaulay-transform", "growth bound transform",
-                lambda a: macaulay_transform(a.value, a.index))
-    p.add_argument("value", type=int)
-    p.add_argument("index", type=int)
-
-    p = command(sub, "green-transform", "hyperplane bound transform",
-                lambda a: green_transform(a.value, a.index))
-    p.add_argument("value", type=int)
-    p.add_argument("index", type=int)
-
-    p = command(sub, "gotzmann-rep", "binomial representation of a polynomial",
-                lambda a: {"a": list(gotzmann_rep(_poly_arg(a.poly)).a)})
-    p.add_argument("--poly", required=True)
-
-    p = command(sub, "gotzmann-number", "length of the representation",
-                lambda a: gotzmann_number(_poly_arg(a.poly)))
-    p.add_argument("--poly", required=True)
-
-    p = command(sub, "adjusted-rep", "rank-adjusted representation", _adjusted_rep)
-    p.add_argument("--poly", required=True)
-    p.add_argument("--module", required=True, help="module or shape JSON (n, degrees)")
-    p.add_argument("--rank", type=int, required=True)
-
-    p = command(sub, "hilbert", "Hilbert data of F/N", _hilbert)
-    p.add_argument("--module", required=True)
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--function", nargs=2, type=int, metavar=("D0", "D1"))
-    mode.add_argument("--series", action="store_true")
-    mode.add_argument("--polynomial", action="store_true")
-    mode.add_argument("--stabilize", action="store_true")
-
-    p = command(sub, "saturate", "componentwise saturation",
-                lambda a: module_to_dict(saturate(_module_arg(a.module))))
-    p.add_argument("--module", required=True)
-
-    p = command(sub, "rank", "number of zero components", lambda a: rank(_module_arg(a.module)))
-    p.add_argument("--module", required=True)
-
-    p = command(sub, "rho", "free part and remainder of H(F/N, d)", _rho)
-    p.add_argument("--module", required=True)
-    p.add_argument("--degree", type=int, required=True)
-
-    p = command(sub, "lexify", "lex submodule matching a Hilbert function", _lexify)
-    p.add_argument("--module-shape", required=True)
-    p.add_argument("--hf", required=True, help='{"table": [[d, v], ...], "tail": {...}}')
-
-    p = command(sub, "lex-ideal", "saturated lex ideal of a representation", _lex_ideal)
-    p.add_argument("--gotzmann", required=True, help='{"a": [...]}')
-    p.add_argument("--n", type=int, required=True)
-
-    p = command(sub, "lex-module", "saturated lex module of a polynomial", _lex_module)
-    p.add_argument("--poly", required=True)
-    p.add_argument("--module-shape", required=True)
-    p.add_argument("--rank", type=int, required=True)
-
-    p = command(sub, "betti", "graded Betti table from upper Koszul complexes over the lcm lattice",
-                lambda a: resolution.koszul_betti(
-                    _module_arg(a.module), as_quotient=not a.submodule).to_dict())
-    p.add_argument("--module", required=True)
-    p.add_argument("--submodule", action="store_true", help="resolve N instead of F/N")
-
-    p = command(sub, "regularity", "Castelnuovo-Mumford regularity",
-                lambda a: resolution.regularity(_module_arg(a.module), as_quotient=not a.submodule))
-    p.add_argument("--module", required=True)
-    p.add_argument("--submodule", action="store_true", help="of N instead of F/N")
-
-    p = command(sub, "quot-dims", "Grassmannian embedding dimensions", _quot_dims)
-    p.add_argument("--poly", required=True)
-    p.add_argument("--module-shape", required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--mode", choices=("standard", "adjusted"), default="adjusted")
-
-    # a checker returns a CheckReport, from which main takes the exit code
-    check = sub.add_parser("check", help="run one bound checker; see check CHECKER --help")
-    check = check.add_subparsers(dest="checker", required=True)
-
-    for name, help, checker in (
-        ("macaulay", "adjusted Macaulay bound at degree d", theorems.check_macaulay_adjusted),
-        ("green", "adjusted Green bound at degree d", theorems.check_green_adjusted),
-        ("persistence", "adjusted persistence from degree d on",
-         theorems.check_persistence_adjusted),
-    ):
-        p = command(check, name, help,
-                    lambda a, checker=checker: checker(_module_arg(a.module), a.degree))
-        p.add_argument("--module", required=True)
-        p.add_argument("--degree", type=int, required=True)
-
-    p = command(check, "regularity", "adjusted Gotzmann regularity bound",
-                lambda a: theorems.check_gotzmann_regularity_adjusted(_module_arg(a.module)))
-    p.add_argument("--module", required=True)
-
-    p = command(check, "sharpness", "saturated lex module attains the adjusted bound",
-                lambda a: theorems.check_sharpness(
-                    _poly_arg(a.poly), _shape_arg(a.module_shape), a.rank))
-    p.add_argument("--poly", required=True)
-    p.add_argument("--module-shape", required=True)
-    p.add_argument("--rank", type=int, required=True)
-
-    p = command(check, "gasharov", "Gasharov's bound, Macaulay or Green form",
-                lambda a: theorems.check_gasharov(_module_arg(a.module), a.degree, a.p, a.which))
-    p.add_argument("--module", required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--p", type=int, default=0)
-    p.add_argument("--which", choices=("macaulay", "green"), default="macaulay")
-
-    p = command(check, "chern", "c2 <= c1^2 from the Hilbert polynomial", _check_chern)
-    p.add_argument("--poly", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--sheaf-rank", type=int, required=True)
-    p.add_argument("--module-shape", required=True)
-    p.add_argument("--module-rank", type=int, required=True)
-
+    _add_commands(sub, _COMMANDS, argv or [], common)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
         payload, code = args.run(args), 0
-        if isinstance(payload, theorems.CheckReport):
-            code = 1 if payload.verdict == theorems.VIOLATED else 0
+        if args.command == "check":
+            from .theorems import VIOLATED  # loaded already: the checker ran
+
+            code = 1 if payload.verdict == VIOLATED else 0
             payload = payload.to_dict()
     except (ValueError, KeyError, OSError, BudgetExceeded, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,12 +14,13 @@ matrices are tiny; its homology is memoised per facet set in bounded caches.
 Lattice and facets run on packed exponent words (one int per monomial, a
 guarded field of bit_length(max generator exponent) + 1 bits per variable),
 so lcm, divisibility and facets are a few whole-word integer operations.  An
-alpha whose K^alpha is a cone, a full simplex included, is acyclic and skipped:
-first when one vertex lies in every facet, which needs no maximal facets, then
-when one lies in every maximal facet.  A homology miss relabels the vertices
-(by the sizes of the facets holding them) before the rank work, and the ranks
-are memoised again under the relabelled facets, so most complexes that differ
-by a permutation of the variables share one rank computation.
+alpha whose K^alpha is a cone is acyclic and skipped: a full simplex as soon
+as one facet is all of supp(alpha), which needs no maximal facets, any other
+cone when one vertex lies in every maximal facet.  A homology miss relabels
+the vertices (by the sizes of the facets holding them) before the rank work,
+and the ranks are memoised again under the relabelled facets, so most
+complexes that differ by a permutation of the variables share one rank
+computation.
 
 ``regularity`` reads max(j - i) off the ``koszul_betti`` table it asks for.
 The tests hold this backend to a dense Koszul computation, to the
@@ -82,11 +83,12 @@ def _lcm_lattice(words: list[int], guards: int, w: int) -> set[int]:
     return lattice
 
 
-def _facets(word: int, words: list[int], guards: int, ones: int) -> set[int]:
+def _facets(word: int, words: list[int], guards: int, ones: int) -> set[int] | None:
     """Facets of K^alpha as guard-bit patterns: each generator g dividing x^alpha
     ((A | G) - g keeps every guard bit) gives the variables where g_v < alpha_v,
-    the largest squarefree F with x^(alpha - F) a multiple of g.  A facet equal
-    to supp(alpha) != 0 makes K^alpha a full simplex and is returned alone."""
+    the largest squarefree F with x^(alpha - F) a multiple of g.  None when
+    a facet is supp(alpha) != 0: K^alpha is then a full simplex, a cone.  At
+    alpha = 0 the one facet is the empty face, whose complex has H~_{-1} = Q."""
     lifted = word | guards
     simplex = ((lifted - ones) & guards) or -1
     facets = set()
@@ -95,7 +97,7 @@ def _facets(word: int, words: list[int], guards: int, ones: int) -> set[int]:
         if t & guards == guards:
             facet = (t - ones) & guards
             if facet == simplex:
-                return {facet}
+                return None
             facets.add(facet)
     return facets
 
@@ -175,13 +177,12 @@ def _ideal_table(ideal: MonomialIdeal) -> tuple[tuple[int, int, int], ...]:
     owns bits [v*w, (v+1)*w), w = bit_length(max generator exponent) + 1, the
     top one a guard bit G.  Lattice exponents never exceed the largest
     generator exponent, so no field reaches its guard bit and no subtraction
-    borrows across fields.  A cone is acyclic, so alpha is skipped when one
-    vertex lies in every maximal facet of K^alpha, a full simplex included.
-    A vertex in every facet is in every maximal facet, so the AND of all the
-    facets is tried first.  On a lattice element it is nonzero only for the
-    full simplex that ``_facets`` returns alone, as each variable of alpha
-    reaches alpha_v in a generator dividing it.  Only the alphas it leaves
-    get maximal facets, from one pass over the facets by size, largest first.
+    borrows across fields.  A cone is acyclic, so alpha is skipped when
+    ``_facets`` finds a full simplex, or else when one vertex lies in every
+    maximal facet of K^alpha.  No vertex of a lattice element lies in every
+    facet, since each variable of alpha reaches alpha_v in a generator
+    dividing it, so only the maximal facets can show any other cone; they
+    come from one pass over the facets by size, largest first.
     """
     gens = [g.exponents for g in ideal.gens]
     variables = range(ideal.n + 1)
@@ -193,7 +194,7 @@ def _ideal_table(ideal: MonomialIdeal) -> tuple[tuple[int, int, int], ...]:
     table: dict[tuple[int, int], int] = {}
     for word in _lcm_lattice(words, guards, w):
         facets = _facets(word, words, guards, ones)
-        if reduce(and_, facets):
+        if facets is None:
             continue
         maximal: list[int] = []
         for f in sorted(facets, key=int.bit_count, reverse=True):

@@ -1,7 +1,9 @@
-"""Package-wide properties: every export resolves and appears once, and every
-cache has the one bound."""
+"""Package-wide properties: every export resolves to its submodule's object
+and appears once, and every cache has the one bound."""
 import importlib
 import pkgutil
+
+import pytest
 
 import gotzmann
 from gotzmann.monomial_algebra import CACHE_ENTRIES
@@ -17,6 +19,15 @@ def test_star_import():
     namespace = {}
     exec("from gotzmann import *", namespace)
     assert set(gotzmann.__all__) <= set(namespace)
+
+
+def test_exports_are_their_submodules_objects():
+    assert set(gotzmann.__all__) <= set(dir(gotzmann))
+    for name in gotzmann.__all__:
+        value = getattr(gotzmann, name)
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        gotzmann.nope
 
 
 def test_every_cache_has_the_one_bound():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gotzmann import cli, theorems
+from gotzmann import cli, monomial_algebra, theorems
 from gotzmann.cli import main
 from gotzmann.errors import InvariantViolated
 from gotzmann.monomial_algebra import module_to_dict
@@ -248,7 +248,8 @@ def test_internal_fault_exits_three(capsys, monkeypatch):
     def faulty_rank(submodule):
         raise InvariantViolated(message)
 
-    monkeypatch.setattr(cli, "rank", faulty_rank)
+    # the handler imports rank when it runs, so it finds the patched one
+    monkeypatch.setattr(monomial_algebra, "rank", faulty_rank)
     code, out, err = run_cli(capsys, ["rank", "--module", TWO_LINES])
     assert code == 3
     assert out == ""
@@ -707,6 +708,65 @@ def test_exit_codes_over_misplaced_flags(argv):
         assert err.startswith("error: " if code == 2 else "internal error: "), (argv, err)
 
 
+def subparsers(parser):
+    """{name: subparser} of the parser's subcommands."""
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def argument_table(parser):
+    return [
+        (a.option_strings, a.dest, a.nargs, a.const, a.default, a.type, a.choices,
+         a.required, a.help, a.metavar)
+        for a in parser._actions
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(_TREE), ids=" ".join)
+def test_a_call_builds_only_the_parser_it_names(path):
+    full, built = cli._build_parser(), cli._build_parser(list(path))
+    for name in path:
+        assert list(subparsers(built)) == [name]
+        full, built = subparsers(full)[name], subparsers(built)[name]
+    assert built.format_help() == full.format_help()
+    assert argument_table(built) == argument_table(full)
+
+
+def usage_error(argv):
+    """What the parser with every command says about argv."""
+    with pytest.raises(ValueError) as info:
+        cli._build_parser().parse_args(argv)
+    return str(info.value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["nope"], ["--json"], ["check"], ["check", "nope"], ["check", "--json", "macaulay"],
+     ["nope", "macaulay"]],
+    ids=repr,
+)
+def test_no_command_named_reads_as_the_full_parser(capsys, argv):
+    # "invalid choice" and "required" errors list every command and checker
+    assert run_cli(capsys, argv) == (2, "", f"error: {usage_error(argv)}\n")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["check", "-h"], ["check", "--help"]])
+def test_help_lists_every_command(capsys, argv):
+    parser = cli._build_parser()
+    if argv[0] == "check":
+        parser = subparsers(parser)["check"]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    assert capsys.readouterr().out == parser.format_help()
+
+
+def test_foreign_flag_on_a_checker_built_alone(capsys):
+    argv = ["check", "persistence", "--module", TWO_LINES, "--degree", "1", "--p", "1"]
+    assert list(subparsers(subparsers(cli._build_parser(argv))["check"])) == ["persistence"]
+    assert run_cli(capsys, argv) == (2, "", "error: unrecognized arguments: --p 1\n")
+
+
 def test_file_input(capsys, tmp_path):
     path = tmp_path / "module.json"
     path.write_text(TWO_LINES, encoding="utf-8")
@@ -807,3 +867,52 @@ def test_import_loads_no_dataclasses():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def test_import_loads_no_submodule():
+    # each export of the package is loaded on first access, by attribute or
+    # by from-import, and dir() lists them all before that
+    code = (
+        "import json, sys\n"
+        "import gotzmann\n"
+        "bare = sorted(m for m in sys.modules if m.startswith('gotzmann.'))\n"
+        "listed = set(gotzmann.__all__) <= set(dir(gotzmann))\n"
+        "from gotzmann import macaulay_transform\n"
+        "print(json.dumps([bare, listed, macaulay_transform(4, 1), gotzmann.rank.__module__,\n"
+        "                  'gotzmann.theorems' in sys.modules]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=checkout_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [[], True, 10, "gotzmann.monomial_algebra", False]
+
+
+_LIBRARY = ("monomial_algebra", "numpoly", "theorems", "lex", "resolution", "chern")
+
+
+@pytest.mark.parametrize(
+    "argv, loaded, unloaded",
+    [
+        (["macaulay-transform", "100", "3"], ("combinatorics",), _LIBRARY),
+        (["hilbert", "--module", POINT_PAIR, "--polynomial"], ("monomial_algebra", "numpoly"),
+         ("theorems", "lex", "resolution", "chern")),
+        (["check", "macaulay", "--module", TWO_LINES, "--degree", "1"], ("theorems",), ("chern",)),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_a_call_imports_only_the_modules_it_calls(argv, loaded, unloaded):
+    code = (
+        "import json, sys\n"
+        "import gotzmann.cli\n"
+        f"code = gotzmann.cli.main({argv!r})\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('gotzmann.'))))\n"
+        "sys.exit(code)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=checkout_env()
+    )
+    assert result.returncode == 0, result.stderr
+    modules = set(json.loads(result.stdout.splitlines()[-1]))
+    assert {f"gotzmann.{m}" for m in loaded} <= modules
+    assert not {f"gotzmann.{m}" for m in unloaded} & modules
