@@ -220,9 +220,9 @@ class MonomialIdeal(CachedHash):
         return MonomialIdeal._of_minimal(self.n, tuple(Monomial(e) for e in _minimal(lcms)))
 
     def saturation(self) -> "MonomialIdeal":
-        """I : (x_0, ..., x_n)^infinity as the intersection of variable colons."""
-        sat = _saturated_gens(tuple(g.exponents for g in self.gens))
-        return MonomialIdeal._of_minimal(self.n, tuple(Monomial(e) for e in sat))
+        """I : (x_0, ..., x_n)^infinity as the intersection of variable colons,
+        read off the cached ``_saturation``, which the checkers share."""
+        return MonomialIdeal._of_minimal(self.n, tuple(Monomial(e) for e in _saturation(self)[0]))
 
     def max_gen_degree(self) -> int:
         if not self.gens:

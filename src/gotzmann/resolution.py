@@ -14,13 +14,16 @@ matrices are tiny; its homology is memoised per facet set in bounded caches.
 Lattice and facets run on packed exponent words (one int per monomial, a
 guarded field of bit_length(max generator exponent) + 1 bits per variable),
 so lcm, divisibility and facets are a few whole-word integer operations.  An
-alpha whose K^alpha is a cone is acyclic and skipped: a full simplex as soon
-as one facet is all of supp(alpha), which needs no maximal facets, any other
-cone when one vertex lies in every maximal facet.  A homology miss relabels
-the vertices (by the sizes of the facets holding them) before the rank work,
-and the ranks are memoised again under the relabelled facets, so most
-complexes that differ by a permutation of the variables share one rank
-computation.
+alpha whose K^alpha is a cone is acyclic: a full simplex is skipped as soon
+as the facet scan meets the facet supp(alpha).  Every other alpha is one
+lookup of its facet set, as guard-bit patterns, in the homology cache; lattice
+elements repeat their complexes heavily, so the work behind a miss runs once
+per distinct complex.  A miss keeps the maximal facets (one pass by size),
+answers () for a cone, where one vertex lies in every maximal facet, and
+otherwise relabels the vertices (by the sizes of the maximal facets holding
+them) before the rank work.  The ranks are memoised again under the
+relabelled facets, so most complexes that differ by a permutation of the
+variables share one rank computation.
 
 ``regularity`` reads max(j - i) off the ``koszul_betti`` table it asks for.
 The tests hold this backend to a dense Koszul computation, to the
@@ -83,7 +86,7 @@ def _lcm_lattice(words: list[int], guards: int, w: int) -> set[int]:
     return lattice
 
 
-def _facets(word: int, words: list[int], guards: int, ones: int) -> set[int] | None:
+def _facets(word: int, words: list[int], guards: int, ones: int) -> frozenset[int] | None:
     """Facets of K^alpha as guard-bit patterns: each generator g dividing x^alpha
     ((A | G) - g keeps every guard bit) gives the variables where g_v < alpha_v,
     the largest squarefree F with x^(alpha - F) a multiple of g.  None when
@@ -99,29 +102,44 @@ def _facets(word: int, words: list[int], guards: int, ones: int) -> set[int] | N
             if facet == simplex:
                 return None
             facets.add(facet)
-    return facets
+    return frozenset(facets)
 
 
-# complexes repeat heavily across the lcm lattices of related ideals
+# complexes repeat heavily across the lattice elements of one ideal and
+# across the lcm lattices of related ideals
 @lru_cache(maxsize=CACHE_ENTRIES)
 def _reduced_homology(facets: frozenset[int]) -> tuple[tuple[int, int], ...]:
     """Nonzero (k, dim H~_k) over Q of the simplicial complex with these facets.
 
-    A miss relabels the vertices before any rank work: vertices in no facet
-    are dropped and the rest are ordered by the sorted sizes of the facets
-    that contain them, ties by index.  A relabelling is a bijection, so the
-    homology is unchanged, and complexes that differ by a permutation of the
-    variables mostly share one entry of ``_relabelled_homology``.
+    Each facet is a bit pattern with one set bit per vertex: a vertex mask,
+    or a guard-bit pattern of ``_facets`` (vertex v at bit v*w + w - 1),
+    which is the same complex.  Non-maximal faces may be listed too.  One
+    pass over the faces by size, largest first, keeps the maximal facets.
+    When one vertex lies in all of them the complex is a cone, which is
+    acyclic.  Otherwise the vertices are relabelled before any rank work:
+    vertices in no facet are dropped and the rest are ordered by the sorted
+    sizes of the maximal facets that contain them, ties by bit position.  A
+    relabelling is a bijection, so the homology is unchanged, and complexes
+    that differ by a permutation of the variables mostly share one entry of
+    ``_relabelled_homology``.
     """
-    sizes: dict[int, list[int]] = {}
-    for f in facets:
-        for v in range(f.bit_length()):
-            if f >> v & 1:
-                sizes.setdefault(v, []).append(f.bit_count())
+    maximal: list[int] = []
+    for f in sorted(facets, key=int.bit_count, reverse=True):
+        if not any(f & g == f for g in maximal):
+            maximal.append(f)
+    if reduce(and_, maximal):
+        return ()
+    sizes: dict[int, list[int]] = {}  # vertex bit -> sizes of its facets
+    for f in maximal:
+        size, rest = f.bit_count(), f
+        while rest:
+            vertex = rest & -rest
+            sizes.setdefault(vertex, []).append(size)
+            rest ^= vertex
     order = sorted(sizes, key=lambda v: (sorted(sizes[v]), v))
-    bit = {v: 1 << label for label, v in enumerate(order)}
+    label = {v: 1 << i for i, v in enumerate(order)}
     return _relabelled_homology(frozenset(
-        sum(bit[v] for v in order if f >> v & 1) for f in facets
+        sum(label[v] for v in order if f & v) for f in maximal
     ))
 
 
@@ -178,11 +196,12 @@ def _ideal_table(ideal: MonomialIdeal) -> tuple[tuple[int, int, int], ...]:
     top one a guard bit G.  Lattice exponents never exceed the largest
     generator exponent, so no field reaches its guard bit and no subtraction
     borrows across fields.  A cone is acyclic, so alpha is skipped when
-    ``_facets`` finds a full simplex, or else when one vertex lies in every
-    maximal facet of K^alpha.  No vertex of a lattice element lies in every
-    facet, since each variable of alpha reaches alpha_v in a generator
-    dividing it, so only the maximal facets can show any other cone; they
-    come from one pass over the facets by size, largest first.
+    ``_facets`` finds a full simplex.  Every other alpha is one lookup of its
+    facet set, exactly as ``_facets`` returns it, in ``_reduced_homology``,
+    which finds the maximal facets and answers () for any other cone.  No
+    vertex of a lattice element lies in every facet, since each variable of
+    alpha reaches alpha_v in a generator dividing it, so only the maximal
+    facets can show such a cone.
     """
     gens = [g.exponents for g in ideal.gens]
     variables = range(ideal.n + 1)
@@ -190,22 +209,12 @@ def _ideal_table(ideal: MonomialIdeal) -> tuple[tuple[int, int, int], ...]:
     ones = sum(1 << (v * w) for v in variables)
     guards = ones << (w - 1)
     words = [sum(e << (v * w) for v, e in enumerate(g)) for g in gens]
-    vertices: dict[int, int] = {}  # guard-bit pattern -> vertex bitmask
     table: dict[tuple[int, int], int] = {}
     for word in _lcm_lattice(words, guards, w):
         facets = _facets(word, words, guards, ones)
         if facets is None:
             continue
-        maximal: list[int] = []
-        for f in sorted(facets, key=int.bit_count, reverse=True):
-            if not any(f & g == f for g in maximal):
-                maximal.append(f)
-        if reduce(and_, maximal):
-            continue
-        for f in maximal:
-            if f not in vertices:
-                vertices[f] = sum(1 << v for v in variables if f >> (v * w + w - 1) & 1)
-        homology = _reduced_homology(frozenset(map(vertices.__getitem__, maximal)))
+        homology = _reduced_homology(facets)
         if homology:
             j = sum(word >> (v * w) & ((1 << w) - 1) for v in variables)
             for k, dim in homology:

@@ -3,14 +3,15 @@
 The lattice and the facets are computed variable by variable on exponent
 tuples, with none of the bit arithmetic of ``gotzmann.resolution``.  Every
 lcm lattice element builds its upper Koszul complex K^alpha generator by
-generator and asks ``_reduced_homology`` for it: no simplex or cone is
-skipped, so a kernel that drops a contributing alpha or keeps a cancelling
-pair disagrees with it.
+generator and asks ``_relabelled_homology`` for the ranks on exactly those
+facets: no maximal facets are sought, no simplex or cone is skipped and no
+vertex is relabelled, so a kernel that drops a contributing alpha or keeps a
+cancelling pair disagrees with it.
 """
 from __future__ import annotations
 
 from gotzmann.monomial_algebra import MonomialIdeal
-from gotzmann.resolution import _reduced_homology
+from gotzmann.resolution import _relabelled_homology
 
 
 def lcm_lattice(gens: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
@@ -44,6 +45,6 @@ def ideal_table(ideal: MonomialIdeal) -> tuple[tuple[int, int, int], ...]:
     gens = [g.exponents for g in ideal.gens]
     for alpha in lcm_lattice(gens):
         j = sum(alpha)
-        for k, dim in _reduced_homology(facets(alpha, gens)):
+        for k, dim in _relabelled_homology(facets(alpha, gens)):
             table[k + 1, j] = table.get((k + 1, j), 0) + dim
     return tuple((i, j, v) for (i, j), v in sorted(table.items()))

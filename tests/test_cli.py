@@ -761,6 +761,19 @@ def test_help_lists_every_command(capsys, argv):
     assert capsys.readouterr().out == parser.format_help()
 
 
+@pytest.mark.parametrize("argv", [["check", "-h"], ["check", "--help"]])
+def test_check_help_lists_no_option_but_help(capsys, argv):
+    # the output flags belong to each checker, not to ``check`` itself; the
+    # comparisons above build both sides from the same code, so pin this
+    check = subparsers(cli._build_parser(argv))["check"]
+    assert [s for a in check._actions for s in a.option_strings] == ["-h", "--help"]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    flags = re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", capsys.readouterr().out)
+    assert set(flags) == {"-h", "--help"}
+
+
 def test_foreign_flag_on_a_checker_built_alone(capsys):
     argv = ["check", "persistence", "--module", TWO_LINES, "--degree", "1", "--p", "1"]
     assert list(subparsers(subparsers(cli._build_parser(argv))["check"])) == ["persistence"]

@@ -407,10 +407,35 @@ def test_reduced_homology_is_invariant_under_relabelling(facets, permutation):
     assert _reduced_homology(relabelled) == uncached
 
 
+def _spread(mask, w):
+    """A vertex mask as a guard-bit pattern of stride w: vertex v at bit v*w + w - 1."""
+    return sum(1 << (v * w + w - 1) for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(0, 31), min_size=1, max_size=10),
+    st.lists(st.integers(0, 31), max_size=10),
+)
+def test_reduced_homology_reads_facets_at_any_stride(facets, cuts):
+    # non-maximal faces ride along: each cut keeps part of one facet
+    faces = set(facets) | {facets[i % len(facets)] & cut for i, cut in enumerate(cuts)}
+    uncached = _relabelled_homology.__wrapped__(frozenset(faces))
+    apex = 1 << 5
+    for w in (1, 2, 3, 4):
+        assert _reduced_homology(frozenset(_spread(f, w) for f in faces)) == uncached, w
+        # one more vertex in every facet makes a cone, which is acyclic; the
+        # faces without it are not maximal, so it answers with no rank work
+        cone = frozenset(_spread(f | apex, w) for f in faces) | {_spread(f, w) for f in faces}
+        before = _relabelled_homology.cache_info()
+        assert _reduced_homology(cone) == (), w
+        assert _relabelled_homology.cache_info() == before, w
+
+
 def test_relabelling_shares_homology_across_a_corpus():
     # complexes that differ by a permutation of the variables recur across
-    # ideals; over this corpus the relabelled key has about 0.3 misses per
-    # raw miss
+    # ideals; over this corpus the raw key, the facet set as ``_facets``
+    # returns it, has 398 misses and the relabelled key 95
     for cache in (_ideal_table, _reduced_homology, _relabelled_homology):
         cache.cache_clear()
     rng = random.Random(0)
