@@ -221,8 +221,10 @@ class MonomialIdeal(CachedHash):
 
     def saturation(self) -> "MonomialIdeal":
         """I : (x_0, ..., x_n)^infinity as the intersection of variable colons,
-        read off the cached ``_saturation``, which the checkers share."""
-        return MonomialIdeal._of_minimal(self.n, tuple(Monomial(e) for e in _saturation(self)[0]))
+        read off the cached ``_saturated_gens`` that ``_saturation`` shares;
+        no series is computed."""
+        gens = _saturated_gens(tuple(g.exponents for g in self.gens))
+        return MonomialIdeal._of_minimal(self.n, tuple(Monomial(e) for e in gens))
 
     def max_gen_degree(self) -> int:
         if not self.gens:
@@ -230,6 +232,8 @@ class MonomialIdeal(CachedHash):
         return max(g.degree for g in self.gens)
 
 
+# keyed by generator exponents: saturation() and _saturation share one entry
+@lru_cache(maxsize=CACHE_ENTRIES)
 def _saturated_gens(gens: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     """Minimal generators of I : (x_0, ..., x_n)^infinity from those of I, on
     exponent tuples: the intersection of the colons I : x_v^infinity, each

@@ -196,6 +196,26 @@ def test_saturation_examples():
     assert ideal(1, "x0^2", "x0*x1", "x1^2").saturation().is_unit()
 
 
+def test_saturation_computes_no_series(monkeypatch):
+    # saturate() answers from the generators alone: no pivot recursion, so
+    # no NODE_BUDGET refusal, and _saturation later reuses the generators
+    for cache in (monomial_algebra._saturated_gens, monomial_algebra._saturation,
+                  monomial_algebra._ideal_numerator):
+        cache.cache_clear()
+
+    def refuse(*args):
+        raise AssertionError("saturation ran the series recursion")
+
+    monkeypatch.setattr(monomial_algebra, "_power_pivot_numerator", refuse)
+    unsaturated = ideal(3, "x0^2", "x0*x1", "x0*x2", "x0*x3", "x1^3*x2")
+    assert unsaturated.saturation() == ideal(3, "x0", "x1^3*x2")
+    assert ideal(2, "x0*x2^3").saturation() == ideal(2, "x0*x2^3")
+    monkeypatch.undo()
+    hits = monomial_algebra._saturated_gens.cache_info().hits
+    monomial_algebra._saturation(unsaturated)
+    assert monomial_algebra._saturated_gens.cache_info().hits == hits + 1
+
+
 @settings(max_examples=100, deadline=None)
 @given(_GEN_LISTS)
 def test_saturation_is_the_intersection_of_variable_colons(case):
