@@ -11,9 +11,10 @@ from math import comb, factorial
 
 from ._value import Value
 
-# Entries kept by each lru_cache of the package.  A sweep(500) run fills none
-# past 3,953 (hf_direct), so it hits and misses exactly as often as with
-# unbounded caches.
+# Entries kept by each lru_cache of the package.  After sweep(500) the
+# fullest hold 8,130 (_growth), 4,515 (_rho) and 3,953 (hf_direct), so that
+# run evicts nothing; one cold 600-op benchmark sweep pass makes 9,487
+# _growth misses and so evicts from it.
 CACHE_ENTRIES = 8192
 
 

@@ -170,7 +170,8 @@ class MonomialIdeal(CachedHash):
     The zero ideal has no generators; the unit ideal is generated by 1.
     """
 
-    __slots__ = _fields = ("n", "gens")
+    _fields = ("n", "gens")
+    __slots__ = _fields + ("_exponents",)
 
     def __init__(self, n: int, gens: tuple[Monomial, ...]) -> None:
         if n < 0:
@@ -181,6 +182,13 @@ class MonomialIdeal(CachedHash):
         by_exps = {g.exponents: g for g in gens}
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "gens", tuple(by_exps[e] for e in _minimal(by_exps)))
+
+    @property
+    def exponents(self) -> tuple[tuple[int, ...], ...]:
+        """Minimal generators as exponent tuples, built once: the cache key."""
+        if not hasattr(self, "_exponents"):
+            object.__setattr__(self, "_exponents", tuple(g.exponents for g in self.gens))
+        return self._exponents
 
     @classmethod
     def _of_minimal(cls, n: int, gens: tuple[Monomial, ...]) -> "MonomialIdeal":
@@ -221,9 +229,9 @@ class MonomialIdeal(CachedHash):
 
     def saturation(self) -> "MonomialIdeal":
         """I : (x_0, ..., x_n)^infinity as the intersection of variable colons,
-        read off the cached ``_saturated_gens`` that ``_saturation`` shares;
-        no series is computed."""
-        gens = _saturated_gens(tuple(g.exponents for g in self.gens))
+        read off the cached ``_saturated_gens`` that ``_linear_section_dim``
+        shares; no series is computed."""
+        gens = _saturated_gens(self.exponents)
         return MonomialIdeal._of_minimal(self.n, tuple(Monomial(e) for e in gens))
 
     def max_gen_degree(self) -> int:
@@ -232,22 +240,25 @@ class MonomialIdeal(CachedHash):
         return max(g.degree for g in self.gens)
 
 
-# keyed by generator exponents: saturation() and _saturation share one entry
+# keyed by generator exponents: saturation() and _linear_section_dim share one entry
 @lru_cache(maxsize=CACHE_ENTRIES)
 def _saturated_gens(gens: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     """Minimal generators of I : (x_0, ..., x_n)^infinity from those of I, on
     exponent tuples: the intersection of the colons I : x_v^infinity, each
     of which deletes x_v from every generator.  A monomial u lies in every
     colon iff u x_v^k is in I for each v and some k, iff u m^K is in I for a
-    large K."""
+    large K.  A running generator that the next colon already contains lies
+    in the intersection, and its lcms with that colon are its multiples, so
+    only the other running generators are paired with the colon."""
     if not gens:
         return gens
-    out = None
-    for v in range(len(gens[0])):
-        colon = _minimal(g[:v] + (0,) + g[v + 1 :] for g in gens)
-        out = colon if out is None else _minimal(
-            tuple(map(max, a, b)) for a in out for b in colon
-        )
+    colons = [_minimal(g[:v] + (0,) + g[v + 1 :] for g in gens) for v in range(len(gens[0]))]
+    out = colons[0]
+    for colon in colons[1:]:
+        inside, rest = [], []
+        for a in out:
+            (inside if any(all(map(le, b, a)) for b in colon) else rest).append(a)
+        out = _minimal(inside + [tuple(map(max, a, b)) for a in rest for b in colon])
     return out
 
 
@@ -258,10 +269,9 @@ def quotient_basis(ideal: MonomialIdeal, e: int) -> tuple[Monomial, ...]:
     h on I^sat/I, and that caller is cached by (ideal, e), so this is not;
     Hilbert functions are read off the series.
     """
-    gens = [g.exponents for g in ideal.gens]
     return tuple(
         m for m in monomials_of_degree(ideal.n, e)
-        if not any(all(map(le, g, m.exponents)) for g in gens)
+        if not any(all(map(le, g, m.exponents)) for g in ideal.exponents)
     )
 
 
@@ -415,11 +425,12 @@ def _power_pivot_numerator(
     return {e: c for e, c in out.items() if c}
 
 
+# keyed by generator exponents: an ideal and an equal saturation share one entry
 @lru_cache(maxsize=CACHE_ENTRIES)
-def _ideal_numerator(ideal: MonomialIdeal) -> tuple[tuple[int, int], ...]:
-    """Series numerator of S/I as sorted (exponent, coefficient) pairs, by
-    ``_power_pivot_numerator`` within ``NODE_BUDGET`` nodes."""
-    gens = tuple(g.exponents for g in ideal.gens)
+def _ideal_numerator(gens: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int], ...]:
+    """Series numerator of S/I, I given by its minimal exponent tuples, as
+    sorted (exponent, coefficient) pairs, by ``_power_pivot_numerator``
+    within ``NODE_BUDGET`` nodes."""
     return tuple(sorted(_power_pivot_numerator(gens, [NODE_BUDGET]).items()))
 
 
@@ -436,7 +447,7 @@ def hilbert_series(submodule: MonomialSubmodule) -> HilbertSeries:
     n = submodule.n
     combined: dict[int, int] = {}
     for f, ideal in zip(submodule.degrees, submodule.components):
-        for e, c in _ideal_numerator(ideal):
+        for e, c in _ideal_numerator(ideal.exponents):
             combined[e + f] = combined.get(e + f, 0) + c
     combined = {e: c for e, c in combined.items() if c}
     if combined:
@@ -513,19 +524,6 @@ def _numerator_hf(numerator: tuple[tuple[int, int], ...], n: int, d: int) -> int
     return sum(c * binomial(d - j + n, n) for j, c in numerator)
 
 
-@lru_cache(maxsize=CACHE_ENTRIES)
-def _saturation(
-    ideal: MonomialIdeal,
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]]:
-    """I^sat as minimal exponent tuples and the series numerator of S/I^sat,
-    once per ideal and without building a Monomial."""
-    gens = tuple(g.exponents for g in ideal.gens)
-    sat = _saturated_gens(gens)
-    if sat == gens:
-        return sat, _ideal_numerator(ideal)
-    return sat, tuple(sorted(_power_pivot_numerator(sat, [NODE_BUDGET]).items()))
-
-
 # keyed by (ideal, degree): the checkers revisit each module's few degrees
 @lru_cache(maxsize=CACHE_ENTRIES)
 def _linear_section_dim(ideal: MonomialIdeal, e: int) -> int:
@@ -546,13 +544,13 @@ def _linear_section_dim(ideal: MonomialIdeal, e: int) -> int:
     the rank of that 0/1 matrix.
     """
     n = ideal.n
-    numerator = _ideal_numerator(ideal)
+    gens = ideal.exponents
+    numerator = _ideal_numerator(gens)
     below = _numerator_hf(numerator, n, e - 1)
     value = _numerator_hf(numerator, n, e) - below
-    sat, sat_numerator = _saturation(ideal)
-    if _numerator_hf(sat_numerator, n, e - 1) == below:
+    sat = _saturated_gens(gens)
+    if _numerator_hf(_ideal_numerator(sat), n, e - 1) == below:
         return value
-    gens = [g.exponents for g in ideal.gens]
     source = [
         u.exponents for u in quotient_basis(ideal, e - 1)
         if any(all(map(le, g, u.exponents)) for g in sat)

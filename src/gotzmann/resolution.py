@@ -203,7 +203,7 @@ def _ideal_table(ideal: MonomialIdeal) -> tuple[tuple[int, int, int], ...]:
     alpha reaches alpha_v in a generator dividing it, so only the maximal
     facets can show such a cone.
     """
-    gens = [g.exponents for g in ideal.gens]
+    gens = ideal.exponents
     variables = range(ideal.n + 1)
     w = max(map(max, gens), default=0).bit_length() + 1
     ones = sum(1 << (v * w) for v in variables)

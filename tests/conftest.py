@@ -1,5 +1,6 @@
 """Shared fixtures: named example modules and the seeded random corpus."""
 import random
+import sys
 
 import pytest
 
@@ -129,11 +130,14 @@ def random_stable_ideal(seed, n_max=3, tries=50):
 
 
 def set_node_budget(monkeypatch, budget):
-    """Patch the series node budget and drop the series cached under the old
-    one, so the next hilbert_series call runs the recursion again."""
+    """Patch the series node budget and empty every lru_cache of the loaded
+    gotzmann modules, so no value cached under the old budget is answered."""
     monkeypatch.setattr(monomial_algebra, "NODE_BUDGET", budget)
-    monomial_algebra.hilbert_series.cache_clear()
-    monomial_algebra._ideal_numerator.cache_clear()
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and (name == "gotzmann" or name.startswith("gotzmann.")):
+            for value in vars(mod).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
 
 
 # three squarefree quadrics: the series pivot recursion needs more than one

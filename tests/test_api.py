@@ -37,10 +37,10 @@ def test_every_cache_has_the_one_bound():
         for name, value in vars(module).items():
             if hasattr(value, "cache_info"):
                 caches[value.__qualname__] = value.cache_info().maxsize
-    assert {
-        "monomials_of_degree", "hf_direct", "_ideal_numerator",
-        "hilbert_series", "hilbert_polynomial", "_saturation", "_linear_section_dim",
+    assert caches.keys() == {
+        "monomials_of_degree", "hf_direct", "_ideal_numerator", "_saturated_gens",
+        "hilbert_series", "hilbert_polynomial", "_linear_section_dim",
         "_reduced_homology", "_relabelled_homology", "_ideal_table",
-        "macaulay_transform", "green_transform",
-    } <= caches.keys()
+        "macaulay_transform", "green_transform", "_rho", "_growth", "_hyperplane",
+    }
     assert caches == dict.fromkeys(caches, CACHE_ENTRIES)

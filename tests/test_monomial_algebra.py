@@ -157,7 +157,7 @@ def test_series_and_hyperplane_build_no_monomials(monkeypatch):
         honest(self, exponents)
 
     monkeypatch.setattr(Monomial, "__init__", counting)
-    numerator = monomial_algebra._ideal_numerator.__wrapped__(ideal_obj)
+    numerator = monomial_algebra._ideal_numerator.__wrapped__(ideal_obj.exponents)
     dims = [
         monomial_algebra._linear_section_dim.__wrapped__(ideal_obj, e)
         for e in range(5)
@@ -198,8 +198,8 @@ def test_saturation_examples():
 
 def test_saturation_computes_no_series(monkeypatch):
     # saturate() answers from the generators alone: no pivot recursion, so
-    # no NODE_BUDGET refusal, and _saturation later reuses the generators
-    for cache in (monomial_algebra._saturated_gens, monomial_algebra._saturation,
+    # no NODE_BUDGET refusal, and a later hyperplane value reuses the generators
+    for cache in (monomial_algebra._saturated_gens, monomial_algebra._linear_section_dim,
                   monomial_algebra._ideal_numerator):
         cache.cache_clear()
 
@@ -212,17 +212,58 @@ def test_saturation_computes_no_series(monkeypatch):
     assert ideal(2, "x0*x2^3").saturation() == ideal(2, "x0*x2^3")
     monkeypatch.undo()
     hits = monomial_algebra._saturated_gens.cache_info().hits
-    monomial_algebra._saturation(unsaturated)
+    monomial_algebra._linear_section_dim(unsaturated, 2)
     assert monomial_algebra._saturated_gens.cache_info().hits == hits + 1
 
 
+# up to 40 generators in up to 6 variables, so that _saturated_gens often
+# finds running generators that the next colon already contains
+_SATURATION_CASES = st.integers(0, 5).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.lists(st.integers(0, 4), min_size=n + 1, max_size=n + 1),
+            max_size=40,
+        ),
+    )
+)
+
+
 @settings(max_examples=100, deadline=None)
-@given(_GEN_LISTS)
+@given(_SATURATION_CASES)
 def test_saturation_is_the_intersection_of_variable_colons(case):
     n, exponent_lists = case
     ideal_obj = MonomialIdeal(n, tuple(Monomial(tuple(e)) for e in exponent_lists))
     colons = (ideal_obj.colon_var_power(v) for v in range(n + 1))
     assert ideal_obj.saturation() == functools.reduce(MonomialIdeal.intersect, colons)
+
+
+def test_saturation_pairs_no_generator_the_next_colon_contains(monkeypatch):
+    # I = (x2, x3)^3 ∩ (x1, x3)^3 ∩ (x0, ..., x3)^5: I : x0^inf is the
+    # intersection of the two primary parts, and every later colon contains
+    # it, so each step passes on the running generators and forms no lcm
+    def power(variables, d):
+        return MonomialIdeal(3, tuple(
+            m for m in monomials_of_degree(3, d)
+            if sum(m.exponents[v] for v in variables) == d
+        ))
+
+    primary = power((2, 3), 3).intersect(power((1, 3), 3))
+    ideal_obj = primary.intersect(power(range(4), 5))
+    sizes = []
+    honest = monomial_algebra._minimal
+
+    def recording(exps):
+        exps = list(exps)
+        sizes.append(len(exps))
+        return honest(exps)
+
+    monkeypatch.setattr(monomial_algebra, "_minimal", recording)
+    sat = monomial_algebra._saturated_gens.__wrapped__(ideal_obj.exponents)
+    monkeypatch.undo()
+    assert sat == primary.exponents
+    # calls: the four colons, then one _minimal per step for v = 1, 2, 3
+    assert sizes[4:] == [len(sat)] * 3
 
 
 def test_max_gen_degree():
@@ -317,9 +358,19 @@ def test_pivot_route_matches_counting(case):
 
 
 def test_series_budget(monkeypatch):
+    # values cached under the full budget are dropped with it
+    readers = (
+        hilbert_series,
+        hilbert_polynomial,
+        lambda sub: hf_direct(sub, 2),
+        lambda sub: generic_hyperplane_hf(sub, 2),
+    )
+    for read in readers:
+        read(THREE_QUADRICS)
     set_node_budget(monkeypatch, 1)
-    with pytest.raises(BudgetExceeded):
-        hilbert_series(THREE_QUADRICS)
+    for read in readers:
+        with pytest.raises(BudgetExceeded):
+            read(THREE_QUADRICS)
 
 
 def test_hilbert_polynomial_examples(twisted_plane_pair):
