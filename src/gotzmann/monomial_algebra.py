@@ -49,7 +49,7 @@ class Monomial(CachedHash):
     def __init__(self, exponents: tuple[int, ...]) -> None:
         if not exponents:
             raise ValueError("monomial needs at least one variable")
-        if any(e < 0 for e in exponents):
+        if min(exponents) < 0:
             raise ValueError(f"negative exponent in {exponents}")
         object.__setattr__(self, "exponents", exponents)
 
@@ -168,6 +168,8 @@ class MonomialIdeal(CachedHash):
     """Monomial ideal given by its minimal generators (canonicalized on build).
 
     The zero ideal has no generators; the unit ideal is generated by 1.
+    Ideals compare on their generator exponents and n, not monomial by
+    monomial.
     """
 
     _fields = ("n", "gens")
@@ -185,10 +187,21 @@ class MonomialIdeal(CachedHash):
 
     @property
     def exponents(self) -> tuple[tuple[int, ...], ...]:
-        """Minimal generators as exponent tuples, built once: the cache key."""
-        if not hasattr(self, "_exponents"):
+        """Minimal generators as exponent tuples, built once: the memo key,
+        and with n what equality compares."""
+        try:
+            return self._exponents
+        except AttributeError:
             object.__setattr__(self, "_exponents", tuple(g.exponents for g in self.gens))
-        return self._exponents
+            return self._exponents
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.exponents == other.exponents and self.n == other.n
+        return NotImplemented
+
+    # defining __eq__ would otherwise unset the inherited hash
+    __hash__ = CachedHash.__hash__
 
     @classmethod
     def _of_minimal(cls, n: int, gens: tuple[Monomial, ...]) -> "MonomialIdeal":
@@ -299,44 +312,71 @@ class GradedFreeModule(CachedHash):
 
 
 class MonomialSubmodule(CachedHash):
-    """N = I_1 e_1 + ... + I_m e_m inside a graded free module."""
+    """N = I_1 e_1 + ... + I_m e_m inside a graded free module.
 
-    __slots__ = _fields = ("ambient", "components")
+    Besides its fields it keeps n, the degrees and the number of zero
+    components, and compares on one flat key of ints, (n, degrees, the
+    generator exponents of each component), built on first comparison.
+    """
+
+    _fields = ("ambient", "components")
+    __slots__ = _fields + ("n", "degrees", "_rank", "_max_gen", "_key")
 
     def __init__(self, ambient: GradedFreeModule, components: tuple[MonomialIdeal, ...]) -> None:
         if len(components) != ambient.m:
             raise ValueError(f"{len(components)} components for rank-{ambient.m} ambient")
+        n = ambient.n
         for ideal in components:
-            if ideal.n != ambient.n:
+            if ideal.n != n:
                 raise ValueError("component ring dimension differs from ambient")
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "components", components)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "degrees", ambient.degrees)
+        object.__setattr__(self, "_rank", sum(1 for ideal in components if not ideal.gens))
 
-    @property
-    def n(self) -> int:
-        return self.ambient.n
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(**state)
 
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return self.ambient.degrees
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            try:
+                return self._key == other._key
+            except AttributeError:  # a key not built yet
+                return self._flat_key() == other._flat_key()
+        return NotImplemented
+
+    __hash__ = CachedHash.__hash__
+
+    def _flat_key(self) -> tuple:
+        try:
+            return self._key
+        except AttributeError:
+            key = (self.n, self.degrees, tuple(ideal.exponents for ideal in self.components))
+            object.__setattr__(self, "_key", key)
+            return key
 
     def is_zero(self) -> bool:
-        return all(ideal.is_zero() for ideal in self.components)
+        return self._rank == len(self.degrees)
 
     def max_gen_degree(self) -> int | None:
         """Largest degree of a minimal generator of N inside F (None if N = 0)."""
-        degs = []
-        for f, ideal in zip(self.degrees, self.components):
-            if ideal.is_unit():
-                degs.append(f)
-            elif not ideal.is_zero():
-                degs.append(ideal.max_gen_degree() + f)
-        return max(degs) if degs else None
+        try:
+            return self._max_gen
+        except AttributeError:
+            degs = []
+            for f, ideal in zip(self.degrees, self.components):
+                if ideal.is_unit():
+                    degs.append(f)
+                elif not ideal.is_zero():
+                    degs.append(ideal.max_gen_degree() + f)
+            object.__setattr__(self, "_max_gen", max(degs) if degs else None)
+            return self._max_gen
 
 
 def rank(submodule: MonomialSubmodule) -> int:
     """Rank of M = F/N: the number of zero components of N."""
-    return sum(1 for ideal in submodule.components if ideal.is_zero())
+    return submodule._rank
 
 
 @lru_cache(maxsize=CACHE_ENTRIES)

@@ -98,6 +98,19 @@ class CheckReport(Value):
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
+# CheckReport's slot setters: _module_report fills a fresh report's slots
+# directly, past Value's refusing __setattr__ and without running __init__
+(
+    _set_name, _set_premises_hold, _set_bound_lhs, _set_bound_rhs, _set_verdict,
+    _set_context, _set_submodule,
+) = (
+    CheckReport.__dict__[slot].__set__
+    for slot in (
+        "name", "premises_hold", "bound_lhs", "bound_rhs", "verdict", "context", "_submodule"
+    )
+)
+
+
 def _module_report(
     submodule: MonomialSubmodule,
     name: str,
@@ -109,9 +122,14 @@ def _module_report(
 ) -> CheckReport:
     """A report whose instance, module_to_dict(submodule), is built on first
     read, as a sweep reads the instances of few of its reports."""
-    report = CheckReport(name, None, premises_hold, bound_lhs, bound_rhs, verdict, context)
-    object.__delattr__(report, "instance")
-    object.__setattr__(report, "_submodule", submodule)
+    report = object.__new__(CheckReport)
+    _set_name(report, name)
+    _set_premises_hold(report, premises_hold)
+    _set_bound_lhs(report, bound_lhs)
+    _set_bound_rhs(report, bound_rhs)
+    _set_verdict(report, verdict)
+    _set_context(report, context)
+    _set_submodule(report, submodule)
     return report
 
 
@@ -143,7 +161,7 @@ def _growth(submodule: MonomialSubmodule, d: int, r: int, index: int) -> tuple[i
     at d + 1 plus rho^<index>."""
     _require_index(d, index)
     n, degrees = submodule.n, submodule.degrees
-    free = sum(binomial(d + 1 - f + n, n) for f in degrees[len(degrees) - r :])
+    free = sum(binomial(d + 1 - f + n, n) for f in degrees[len(degrees) - r :]) if r else 0
     return hf_direct(submodule, d + 1), free + macaulay_transform(_rho(submodule, d, r), index)
 
 
@@ -152,7 +170,7 @@ def _restriction(submodule: MonomialSubmodule, d: int, r: int, index: int) -> tu
     of the last r ambient degrees in n - 1 variables plus rho_<index>."""
     _require_index(d, index)
     n, degrees = submodule.n, submodule.degrees
-    free = sum(binomial(d - f + n - 1, n - 1) for f in degrees[len(degrees) - r :])
+    free = sum(binomial(d - f + n - 1, n - 1) for f in degrees[len(degrees) - r :]) if r else 0
     return _hyperplane(submodule, d), free + green_transform(_rho(submodule, d, r), index)
 
 

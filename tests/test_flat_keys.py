@@ -1,0 +1,162 @@
+"""Monomial ideals and submodules compare on a flat key of integers: it
+must agree with equality of their fields, keep the field-tuple hash, be
+rebuilt by copy and pickle, and never recurse into nested values."""
+import copy
+import pickle
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gotzmann._value import Value
+from gotzmann.monomial_algebra import (
+    GradedFreeModule,
+    Monomial,
+    MonomialIdeal,
+    MonomialSubmodule,
+    rank,
+)
+from gotzmann.theorems import random_submodule
+
+
+def fields_equal(a, b) -> bool:
+    """Equality by the field rule alone: values of one class whose fields
+    are equal, recursing through nested values and tuples."""
+    if isinstance(a, Value) or isinstance(b, Value):
+        return a.__class__ is b.__class__ and all(
+            fields_equal(getattr(a, name), getattr(b, name)) for name in a._fields
+        )
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(fields_equal, a, b))
+    return a == b
+
+
+def build_ideal(n, exps):
+    """A fresh ideal: ``"zero"``, ``"unit"`` or a list of exponent tuples."""
+    if exps == "zero":
+        return MonomialIdeal.zero(n)
+    if exps == "unit":
+        return MonomialIdeal.unit(n)
+    return MonomialIdeal(n, tuple(Monomial(tuple(e)) for e in exps))
+
+
+def build(n, degrees, specs):
+    return MonomialSubmodule(
+        GradedFreeModule(n, tuple(degrees)), tuple(build_ideal(n, s) for s in specs)
+    )
+
+
+@st.composite
+def module_specs(draw):
+    n = draw(st.integers(0, 3))
+    m = draw(st.integers(1, 3))
+    degrees = sorted(draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m)))
+    exps = st.lists(st.integers(0, 3), min_size=n + 1, max_size=n + 1)
+    ideal = st.one_of(
+        st.sampled_from(["zero", "unit"]), st.lists(exps, min_size=1, max_size=4)
+    )
+    return n, degrees, [draw(ideal) for _ in range(m)]
+
+
+def near_misses(n, degrees, specs):
+    """Fresh submodules one edit away from build(n, degrees, specs), and one
+    rebuilt copy: one exponent or one degree changed, two components
+    swapped, the generators moved to n + 1 variables, a component zero or
+    unit."""
+    out = [build(n, degrees, specs)]
+    for c, spec in enumerate(specs):
+        for other in ("zero", "unit"):
+            out.append(build(n, degrees, specs[:c] + [other] + specs[c + 1 :]))
+        if isinstance(spec, list):
+            for j, e in enumerate(spec):
+                for v in range(n + 1):
+                    for step in (-1, 1):
+                        if e[v] + step >= 0:
+                            changed = e[:v] + [e[v] + step] + e[v + 1 :]
+                            edited = spec[:j] + [changed] + spec[j + 1 :]
+                            out.append(build(n, degrees, specs[:c] + [edited] + specs[c + 1 :]))
+    for i in range(len(degrees)):
+        for step in (-1, 1):
+            moved = degrees[:i] + [degrees[i] + step] + degrees[i + 1 :]
+            if moved == sorted(moved):
+                out.append(build(n, moved, specs))
+    for i in range(len(specs)):
+        for j in range(i + 1, len(specs)):
+            swapped = list(specs)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            out.append(build(n, degrees, swapped))
+    padded = [s if isinstance(s, str) else [e + [0] for e in s] for s in specs]
+    out.append(build(n + 1, degrees, padded))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(module_specs())
+def test_flat_key_equality_is_field_equality(spec):
+    sub = build(*spec)
+    for other in near_misses(*spec):
+        expected = fields_equal(sub, other)
+        assert (sub == other) is expected and (other == sub) is expected
+        assert (sub != other) is not expected
+        if expected:
+            assert hash(sub) == hash(other)
+        for a in sub.components:
+            for b in other.components:
+                assert (a == b) is fields_equal(a, b) and (b == a) is fields_equal(a, b)
+    assert near_misses(*spec)[0] == sub  # the rebuilt copy
+
+
+@settings(max_examples=60, deadline=None)
+@given(module_specs())
+def test_hash_stays_the_field_tuple_hash(spec):
+    sub = build(*spec)
+    assert hash(sub) == hash((sub.ambient, sub.components))
+    for ideal in sub.components:
+        assert hash(ideal) == hash((ideal.n, ideal.gens))
+
+
+def test_a_fresh_submodule_builds_its_key_on_first_comparison():
+    sub, twin = random_submodule(5), random_submodule(5)
+    assert not hasattr(sub, "_key") and not hasattr(twin, "_key")
+    hash(sub)  # hashing needs no key
+    assert not hasattr(sub, "_key")
+    assert sub == twin and sub._key == twin._key
+
+
+def test_equal_distinct_values_never_compare_monomials(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError(f"{type(self).__name__}.__eq__ called")
+
+    pairs = [(random_submodule(k), random_submodule(k)) for k in range(40)]
+    monkeypatch.setattr(Monomial, "__eq__", refuse)
+    monkeypatch.setattr(GradedFreeModule, "__eq__", refuse)
+    for a, b in pairs:
+        assert a is not b and a == b and not a != b
+        for x, y in zip(a.components, b.components):
+            assert x == y
+        # an equal but distinct key hits a cache entry through __eq__ too
+        assert {a: 1}[b] == 1
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_copy_and_pickle_rebuild_the_derived_slots(seed):
+    sub = random_submodule(seed)
+    assert sub == MonomialSubmodule(sub.ambient, sub.components)  # builds the key
+    for clone in (copy.copy(sub), copy.deepcopy(sub), pickle.loads(pickle.dumps(sub))):
+        assert clone is not sub and clone == sub and sub == clone
+        assert clone.n == sub.n and clone.degrees == sub.degrees
+        assert rank(clone) == rank(sub) == sum(ideal.is_zero() for ideal in sub.components)
+        assert clone.max_gen_degree() == sub.max_gen_degree()
+        assert clone.is_zero() == sub.is_zero()
+        assert hash(clone) == hash(sub)
+    for ideal in sub.components:
+        for clone in (copy.deepcopy(ideal), pickle.loads(pickle.dumps(ideal))):
+            assert clone == ideal and clone.exponents == ideal.exponents
+
+
+def test_max_gen_degree_is_computed_once(monkeypatch):
+    sub = random_submodule(3)
+    first = sub.max_gen_degree()
+    assert first is not None
+    monkeypatch.setattr(MonomialIdeal, "max_gen_degree", None)
+    assert sub.max_gen_degree() == first

@@ -1,5 +1,6 @@
 """Checkers for the adjusted growth, restriction, and regularity bounds."""
 import copy
+import inspect
 import json
 import pickle
 from operator import attrgetter
@@ -10,11 +11,13 @@ from gotzmann.combinatorics import macaulay_transform
 from gotzmann.errors import PreconditionViolated
 from gotzmann.monomial_algebra import GradedFreeModule, hf_direct, module_to_dict, rank
 from gotzmann.numpoly import GotzmannRep, NumPoly, binomial_poly
+from gotzmann import theorems
 from gotzmann.theorems import (
     HOLDS,
     PREMISE_FAILS,
     SHARP,
     VIOLATED,
+    CheckReport,
     check_gasharov,
     check_gotzmann_regularity_adjusted,
     check_green_adjusted,
@@ -354,6 +357,54 @@ def test_module_reports_read_their_instance_from_the_submodule():
             assert rep.instance == module_to_dict(sub), (seed, rep.name)
             assert rep.instance is rep.instance  # built once, then kept
             assert rep.to_dict()["instance"] == module_to_dict(sub)
+
+
+def test_module_reports_equal_reports_built_by_the_constructor(monkeypatch):
+    """Each module checker's report, whose slots _module_report fills, equals
+    the report the constructor builds from the same arguments."""
+    made = []
+    fill = theorems._module_report
+    arguments = inspect.signature(fill).bind
+
+    def recording_fill(*args, **kwargs):
+        bound = arguments(*args, **kwargs)
+        bound.apply_defaults()
+        made.append(bound.arguments)
+        return fill(*args, **kwargs)
+
+    built_instances = []
+
+    def counting_module_to_dict(sub):
+        built_instances.append(sub)
+        return module_to_dict(sub)
+
+    monkeypatch.setattr(theorems, "_module_report", recording_fill)
+    monkeypatch.setattr(theorems, "module_to_dict", counting_module_to_dict)
+    names = set()
+    for seed in range(30):
+        sub = random_submodule(seed)
+        reports = module_reports(sub)
+        assert len(made) == len(reports)
+        for rep, args in zip(reports, made):
+            assert args["submodule"] is sub
+            built = CheckReport(
+                args["name"], module_to_dict(sub), args["premises_hold"], args["bound_lhs"],
+                args["bound_rhs"], args["verdict"], args["context"],
+            )
+            assert not built_instances  # no instance before the first read
+            assert rep == built and built == rep and repr(rep) == repr(built)
+            assert rep.to_dict() == built.to_dict()
+            assert rep.to_json_line() == built.to_json_line()
+            for clone in (copy.copy(rep), copy.deepcopy(rep), pickle.loads(pickle.dumps(rep))):
+                assert clone == built and repr(clone) == repr(built)
+            assert built_instances == [sub], (seed, rep.name)  # built once, on first read
+            built_instances.clear()
+            names.add(rep.name)
+        made.clear()
+    assert names == {
+        "macaulay_adjusted", "green_adjusted", "gasharov_macaulay", "gasharov_green",
+        "persistence_adjusted", "gotzmann_regularity_adjusted",
+    }
 
 
 def test_reports_on_one_submodule_do_not_share_an_instance(two_free_lines):
