@@ -144,6 +144,8 @@ def _hilbert(args: argparse.Namespace) -> Any:
     module = _module_arg(args.module)
     if args.function is not None:
         d0, d1 = args.function
+        if d0 > d1:
+            raise ValueError(f"--function needs D0 <= D1, got {d0} and {d1}")
         return {"table": [[d, hf_direct(module, d)] for d in range(d0, d1 + 1)]}
     if args.series:
         return hilbert_series(module).to_dict()

@@ -159,7 +159,7 @@ def lexify(
             f"tail of degree {tail.degree} exceeds the degree {n} of any Hilbert polynomial"
         )
     degrees = ambient.degrees
-    new_gens: list[list[Monomial]] = [[] for _ in degrees]
+    new_gens: list[list[tuple[int, ...]]] = [[] for _ in degrees]
     # an initial segment of F_d under the position-dominant order is a run of
     # full components, one partial lex piece, then nothing, so per-component
     # counts determine it completely; spans and containment reduce to counts
@@ -203,7 +203,7 @@ def lexify(
             take = min(max(seg - cum, 0), size)
             fill[c] = take
             for r in range(max(span_size - cum, 0), take):
-                new_gens[c].append(monomial_at_rank(n, d - degrees[c], r))
+                new_gens[c].append(monomial_at_rank(n, d - degrees[c], r).exponents)
             cum += size
         prev_fill, prev_pieces = fill, pieces
         if d > start:

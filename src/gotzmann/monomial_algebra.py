@@ -10,10 +10,12 @@ Conventions used throughout:
 * All Hilbert data (hf_direct, hilbert_series, hilbert_polynomial, ...) refers
   to the quotient module M = F/N.
 
-Monomials have one format inside this module: exponent tuples.  The
-validating ``Monomial`` type is the boundary: parsing, printing,
-``MonomialIdeal.gens`` and the public functions.  ``_minimal`` is the one
-minimalizer; it returns exponent tuples in the canonical generator order.
+Monomials have one format inside the library: exponent tuples.  A
+``MonomialIdeal`` stores only its minimal generators' exponent tuples, in
+the canonical generator order that ``_minimal``, the one minimalizer,
+returns.  The validating ``Monomial`` type is the boundary: parsing,
+printing, the ``MonomialIdeal`` constructor, ``MonomialIdeal.gens`` (built
+on demand) and the public functions.
 
 Hilbert functions are read off the exact Hilbert series numerator.  Each
 ideal's numerator comes from one pivot recursion that splits on a variable
@@ -167,13 +169,12 @@ def _minimal(exps: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
 class MonomialIdeal(CachedHash):
     """Monomial ideal given by its minimal generators (canonicalized on build).
 
-    The zero ideal has no generators; the unit ideal is generated by 1.
-    Ideals compare on their generator exponents and n, not monomial by
-    monomial.
+    The generators are stored once, as exponent tuples in the canonical
+    order; ``gens`` builds them as ``Monomial``s on demand.  The zero ideal
+    has no generators; the unit ideal is generated by 1.
     """
 
-    _fields = ("n", "gens")
-    __slots__ = _fields + ("_exponents",)
+    __slots__ = _fields = ("n", "exponents")
 
     def __init__(self, n: int, gens: tuple[Monomial, ...]) -> None:
         if n < 0:
@@ -181,35 +182,21 @@ class MonomialIdeal(CachedHash):
         for g in gens:
             if len(g.exponents) != n + 1:
                 raise ValueError(f"generator {g} does not live in {n + 1} variables")
-        by_exps = {g.exponents: g for g in gens}
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "gens", tuple(by_exps[e] for e in _minimal(by_exps)))
+        object.__setattr__(self, "exponents", _minimal(g.exponents for g in gens))
 
     @property
-    def exponents(self) -> tuple[tuple[int, ...], ...]:
-        """Minimal generators as exponent tuples, built once: the memo key,
-        and with n what equality compares."""
-        try:
-            return self._exponents
-        except AttributeError:
-            object.__setattr__(self, "_exponents", tuple(g.exponents for g in self.gens))
-            return self._exponents
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.exponents == other.exponents and self.n == other.n
-        return NotImplemented
-
-    # defining __eq__ would otherwise unset the inherited hash
-    __hash__ = CachedHash.__hash__
+    def gens(self) -> tuple[Monomial, ...]:
+        """The minimal generators as ``Monomial``s, in the canonical order."""
+        return tuple(map(Monomial, self.exponents))
 
     @classmethod
-    def _of_minimal(cls, n: int, gens: tuple[Monomial, ...]) -> "MonomialIdeal":
-        """The ideal of generators already minimal and in canonical order,
-        built without the divisibility pass."""
+    def _of_minimal(cls, n: int, exponents: tuple[tuple[int, ...], ...]) -> "MonomialIdeal":
+        """The ideal of exponent tuples already minimal and in canonical
+        order, built without the divisibility pass."""
         ideal = object.__new__(cls)
         object.__setattr__(ideal, "n", n)
-        object.__setattr__(ideal, "gens", gens)
+        object.__setattr__(ideal, "exponents", exponents)
         return ideal
 
     @classmethod
@@ -218,39 +205,29 @@ class MonomialIdeal(CachedHash):
 
     @classmethod
     def unit(cls, n: int) -> "MonomialIdeal":
-        return cls(n, (Monomial((0,) * (n + 1)),))
+        if n < 0:
+            raise ValueError(f"n must be nonnegative, got {n}")
+        return cls._of_minimal(n, ((0,) * (n + 1),))
 
     def is_zero(self) -> bool:
-        return not self.gens
+        return not self.exponents
 
     def is_unit(self) -> bool:
-        return bool(self.gens) and self.gens[0].degree == 0
+        return bool(self.exponents) and not any(self.exponents[0])
 
     def contains(self, m: Monomial) -> bool:
-        return any(g.divides(m) for g in self.gens)
-
-    def colon_var_power(self, v: int) -> "MonomialIdeal":
-        """I : x_v^infinity, obtained by deleting x_v from every generator."""
-        stripped = (g.exponents[:v] + (0,) + g.exponents[v + 1 :] for g in self.gens)
-        return MonomialIdeal._of_minimal(self.n, tuple(Monomial(e) for e in _minimal(stripped)))
-
-    def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        if other.n != self.n:
-            raise ValueError(f"cannot intersect ideals in rings with n = {self.n}, {other.n}")
-        lcms = (tuple(map(max, a.exponents, b.exponents)) for a in self.gens for b in other.gens)
-        return MonomialIdeal._of_minimal(self.n, tuple(Monomial(e) for e in _minimal(lcms)))
+        return any(all(map(le, g, m.exponents)) for g in self.exponents)
 
     def saturation(self) -> "MonomialIdeal":
         """I : (x_0, ..., x_n)^infinity as the intersection of variable colons,
         read off the cached ``_saturated_gens`` that ``_linear_section_dim``
         shares; no series is computed."""
-        gens = _saturated_gens(self.exponents)
-        return MonomialIdeal._of_minimal(self.n, tuple(Monomial(e) for e in gens))
+        return MonomialIdeal._of_minimal(self.n, _saturated_gens(self.exponents))
 
     def max_gen_degree(self) -> int:
-        if not self.gens:
+        if not self.exponents:
             raise ValueError("zero ideal has no generators")
-        return max(g.degree for g in self.gens)
+        return max(map(sum, self.exponents))
 
 
 # keyed by generator exponents: saturation() and _linear_section_dim share one entry
@@ -333,7 +310,7 @@ class MonomialSubmodule(CachedHash):
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "degrees", ambient.degrees)
-        object.__setattr__(self, "_rank", sum(1 for ideal in components if not ideal.gens))
+        object.__setattr__(self, "_rank", sum(1 for ideal in components if not ideal.exponents))
 
     def __setstate__(self, state: dict) -> None:
         self.__init__(**state)

@@ -171,6 +171,25 @@ def quadratic_minimal(exps):
     return tuple(kept)
 
 
+def colon_var_power(exps, v):
+    """Exponent tuples of I : x_v^infinity from those of I: x_v deleted from
+    every generator.  With ``intersect``, the saturation oracle."""
+    return quadratic_minimal(g[:v] + (0,) + g[v + 1 :] for g in exps)
+
+
+def intersect(left, right):
+    """Exponent tuples of I ∩ J from those of I and J: the minimal lcms of
+    all generator pairs.  Generators in different rings are refused, since
+    the lcm of tuples of two lengths would silently drop variables."""
+    lcms = []
+    for a in left:
+        for b in right:
+            if len(a) != len(b):
+                raise ValueError(f"cannot intersect generators {a} and {b} of different rings")
+            lcms.append(tuple(map(max, a, b)))
+    return quadratic_minimal(lcms)
+
+
 def full_quotient_section_dim(ideal_obj, e):
     """dim (S/(I + hS))_e, h = x_0 + ... + x_n, as dim (S/I)_e minus the
     certified rank of multiplication by h from (S/I)_(e-1) to (S/I)_e, both

@@ -84,6 +84,14 @@ def test_hilbert_modes(capsys):
     assert stab == {"stabilization_degree": -1}
 
 
+def test_reversed_function_range_is_refused(capsys):
+    # D0 > D1 used to print an empty table and exit 0
+    argv = ["hilbert", "--module", TWO_LINES, "--function", "3", "0"]
+    assert run_cli(capsys, argv) == (2, "", "error: --function needs D0 <= D1, got 3 and 0\n")
+    table = run_json(capsys, ["hilbert", "--module", TWO_LINES, "--function", "2", "2"])
+    assert table == {"table": [[2, 6]]}
+
+
 def test_module_utility_commands(capsys):
     assert run_cli(capsys, ["rank", "--module", TWO_LINES]) == (0, "2\n", "")
     rho = run_json(capsys, ["rho", "--module", TWO_LINES, "--degree", "2"])

@@ -1,6 +1,7 @@
-"""Monomial ideals and submodules compare on a flat key of integers: it
-must agree with equality of their fields, keep the field-tuple hash, be
-rebuilt by copy and pickle, and never recurse into nested values."""
+"""Monomial submodules compare on a flat key of integers, and monomial
+ideals on their fields, n and the minimal generator exponents: equality
+must agree with the field rule, keep the field-tuple hash, survive copy and
+pickle, and never recurse into nested values."""
 import copy
 import pickle
 
@@ -8,15 +9,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gotzmann import monomial_algebra, resolution
 from gotzmann._value import Value
+from gotzmann.errors import ZeroModule
 from gotzmann.monomial_algebra import (
     GradedFreeModule,
     Monomial,
     MonomialIdeal,
     MonomialSubmodule,
+    ideal_from_dict,
+    ideal_to_dict,
+    monomials_of_degree,
     rank,
+    saturate,
 )
+from gotzmann.resolution import koszul_betti, regularity
 from gotzmann.theorems import random_submodule
+
+from conftest import quadratic_minimal
 
 
 def fields_equal(a, b) -> bool:
@@ -52,9 +62,10 @@ def module_specs(draw):
     m = draw(st.integers(1, 3))
     degrees = sorted(draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m)))
     exps = st.lists(st.integers(0, 3), min_size=n + 1, max_size=n + 1)
-    ideal = st.one_of(
-        st.sampled_from(["zero", "unit"]), st.lists(exps, min_size=1, max_size=4)
-    )
+    gens = st.lists(exps, min_size=1, max_size=4)
+    # a repeat and a multiple of the first generator, which the build drops
+    redundant = gens.map(lambda g: g + [g[0], [e + 1 for e in g[0]]])
+    ideal = st.one_of(st.sampled_from(["zero", "unit"]), gens, redundant)
     return n, degrees, [draw(ideal) for _ in range(m)]
 
 
@@ -112,7 +123,70 @@ def test_hash_stays_the_field_tuple_hash(spec):
     sub = build(*spec)
     assert hash(sub) == hash((sub.ambient, sub.components))
     for ideal in sub.components:
-        assert hash(ideal) == hash((ideal.n, ideal.gens))
+        assert hash(ideal) == hash((ideal.n, ideal.exponents))
+
+
+def spec_exponents(n, spec):
+    """The minimal exponent tuples an ideal spec asks for, by the oracle
+    minimalizer."""
+    if spec == "zero":
+        return ()
+    if spec == "unit":
+        return ((0,) * (n + 1),)
+    return quadratic_minimal(tuple(e) for e in spec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(module_specs())
+def test_ideals_store_their_minimal_exponents(spec):
+    # one stored form, compared by the plain field rule
+    assert MonomialIdeal._fields == ("n", "exponents")
+    assert not {"__eq__", "__hash__", "_exponents"} & set(vars(MonomialIdeal))
+    n, degrees, specs = spec
+    sub = build(*spec)
+    for ideal, ideal_spec in zip(sub.components, specs):
+        assert ideal.exponents == spec_exponents(n, ideal_spec)
+        gens = ideal.gens
+        assert all(type(g) is Monomial for g in gens)
+        assert tuple(g.exponents for g in gens) == ideal.exponents
+        rebuilt = MonomialIdeal(n, gens)
+        assert rebuilt == ideal and hash(rebuilt) == hash(ideal)
+        assert ideal_from_dict(ideal_to_dict(ideal), n) == ideal
+        # the predicates read the tuples; the oracles read the Monomials
+        probes = [m for d in range(5) for m in monomials_of_degree(n, d)] + list(gens)
+        for m in probes:
+            assert ideal.contains(m) is any(g.divides(m) for g in gens)
+        assert ideal.is_zero() is (not gens)
+        assert ideal.is_unit() is any(g.degree == 0 for g in gens)
+        if gens:
+            assert ideal.max_gen_degree() == max(g.degree for g in gens)
+        else:
+            with pytest.raises(ValueError):
+                ideal.max_gen_degree()
+        for clone in (copy.copy(ideal), copy.deepcopy(ideal), pickle.loads(pickle.dumps(ideal))):
+            assert clone == ideal and hash(clone) == hash(ideal) and repr(clone) == repr(ideal)
+            assert clone.exponents == ideal.exponents
+
+
+def test_saturation_and_betti_build_no_monomial(monkeypatch):
+    # on prebuilt submodules these run on the stored exponent tuples alone
+    subs = [random_submodule(k) for k in range(60)]
+    for cache in (monomial_algebra._saturated_gens, resolution._ideal_table):
+        cache.cache_clear()
+
+    def refuse(self, exponents):
+        raise AssertionError(f"Monomial{exponents} built")
+
+    monkeypatch.setattr(Monomial, "__init__", refuse)
+    for sub in subs:
+        saturated = saturate(sub)
+        assert all(a.saturation() == b for a, b in zip(sub.components, saturated.components))
+        for as_quotient in (True, False):
+            koszul_betti(sub, as_quotient=as_quotient)
+            try:
+                regularity(sub, as_quotient=as_quotient)
+            except ZeroModule:
+                pass
 
 
 def test_a_fresh_submodule_builds_its_key_on_first_comparison():
