@@ -18,8 +18,10 @@ from .monomial_algebra import (
     Monomial,
     MonomialIdeal,
     MonomialSubmodule,
+    _exponents_at_rank,
+    _minimal,
+    _monomial,
     hilbert_polynomial,
-    monomial_at_rank,
     monomials_of_degree,
 )
 from .numpoly import (
@@ -36,14 +38,36 @@ LEXIFY_EXTRA_DEGREES = 80
 
 
 def lex_segment(n: int, d: int, c: int) -> list[Monomial]:
-    """The c lex-largest monomials of degree d in x0..xn, each built from its
-    rank, so the degree is never enumerated."""
+    """The c lex-largest monomials of degree d in x0..xn, the run of
+    ``_lex_run`` from rank 0, so the degree is never enumerated."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     total = binomial(d + n, n)
     if not 0 <= c <= total:
         raise ValueError(f"segment size {c} out of range [0, {total}]")
-    return [monomial_at_rank(n, d, r) for r in range(c)]
+    return list(map(_monomial, _lex_run(n, d, 0, c)))
+
+
+def _lex_run(n: int, d: int, start: int, count: int) -> list[tuple[int, ...]]:
+    """Exponents of the monomials at ranks start, ..., start + count - 1 of
+    monomials_of_degree(n, d), for a range the caller has checked.  The
+    first is unranked; each next one is the lex successor of the last, which
+    lowers the last nonzero exponent among x_0..x_(n-1) by one.  A count of
+    0 unranks nothing."""
+    if not count:
+        return []
+    e = list(_exponents_at_rank(n, d, start))
+    out = [tuple(e)]
+    for _ in range(count - 1):
+        v = n - 1
+        while not e[v]:
+            v -= 1
+        # x_(v+1)..x_(n-1) are 0 already, so x_(v+1) gets x_n's degree plus one
+        tail, e[n] = e[n], 0
+        e[v] -= 1
+        e[v + 1] = tail + 1
+        out.append(tuple(e))
+    return out
 
 
 def module_monomials(ambient: GradedFreeModule, d: int) -> tuple[tuple[int, Monomial], ...]:
@@ -133,6 +157,12 @@ def lexify(
     the two are equal and no later degree adds a generator.  The module
     built by the first such run of n + 1 degrees is returned.
 
+    The new generators of a component in one degree are a run of
+    consecutive ranks, read off by ``_lex_run`` as exponent tuples; no
+    ``Monomial`` is built.  An integer-valued tail is evaluated in integers
+    on its binomial-basis coordinates; any other tail is evaluated exactly
+    and refused at the first degree where its value is not an integer.
+
     Data that have not settled by a ceiling past the Gotzmann numbers of the
     tail raise NotAchievable; the ceiling is computed only once the degree
     reaches its floor, start + LEXIFY_EXTRA_DEGREES.
@@ -166,15 +196,20 @@ def lexify(
     prev_fill = [0] * ambient.m
     prev_pieces = [binomial(f1 - 1 - f + n, n) for f in degrees]
     start = max(last_tabulated, fm)
+    if tail.is_integer_valued():
+        tail_value = tail._int_value
+    else:
+        def tail_value(d: int) -> int:
+            h = tail(d)
+            if h.denominator != 1:
+                raise NotAchievable(f"tail value {h} at degree {d} is not an integer")
+            return int(h)
     ceiling = None
     quiet = 0  # consecutive degrees past start that added no generator
     for d in count(f1):
         pieces = [binomial(d - f + n, n) for f in degrees]
         dim_d = sum(pieces)
-        h = values[d] if d in values else tail(d)
-        if h.denominator != 1:
-            raise NotAchievable(f"tail value {h} at degree {d} is not an integer")
-        h = int(h)
+        h = values[d] if d in values else tail_value(d)
         if h < 0 or h > dim_d:
             raise NotAchievable(
                 f"H({d}) = {h} outside [0, dim F_{d} = {dim_d}]"
@@ -202,8 +237,9 @@ def lexify(
         for c, size in enumerate(pieces):
             take = min(max(seg - cum, 0), size)
             fill[c] = take
-            for r in range(max(span_size - cum, 0), take):
-                new_gens[c].append(monomial_at_rank(n, d - degrees[c], r).exponents)
+            first = max(span_size - cum, 0)
+            if first < take:
+                new_gens[c] += _lex_run(n, d - degrees[c], first, take - first)
             cum += size
         prev_fill, prev_pieces = fill, pieces
         if d > start:
@@ -249,16 +285,16 @@ def saturated_lex_ideal(g: GotzmannRep, n: int) -> MonomialIdeal:
         raise NotAchievable(
             f"P({s}) = {int(quota)} exceeds dim of degree {s} in {n + 1} variables"
         )
-    gens: list[Monomial] = []
+    gens: list[tuple[int, ...]] = []
     if codim > 0:
         # x_k carries m_{n-1-k}, which is 0 for k < n - d - 1
         exps = [0] * (n + 1)
         for k in range(n):
             m = g.a.count(n - 1 - k)
             exps[k] = m + (k < n - 1)
-            gens.append(Monomial(tuple(exps)))
+            gens.append(tuple(exps))
             exps[k] = m
-    sat = MonomialIdeal(n, tuple(gens))
+    sat = MonomialIdeal._of_minimal(n, _minimal(gens))
     quotient_hp = hilbert_polynomial(MonomialSubmodule(GradedFreeModule(n, (0,)), (sat,)))
     if quotient_hp != poly:
         raise InvariantViolated(

@@ -13,9 +13,15 @@ Conventions used throughout:
 Monomials have one format inside the library: exponent tuples.  A
 ``MonomialIdeal`` stores only its minimal generators' exponent tuples, in
 the canonical generator order that ``_minimal``, the one minimalizer,
-returns.  The validating ``Monomial`` type is the boundary: parsing,
-printing, the ``MonomialIdeal`` constructor, ``MonomialIdeal.gens`` (built
-on demand) and the public functions.
+returns.  The validating ``Monomial`` type is the boundary, built in these
+places only: parsing (``monomial_from_string``), the degree enumeration
+``monomials_of_degree``, ``Monomial.lcm``, and, without re-running its
+checks on tuples the library built or checked itself (``_monomial``),
+``monomial_at_rank``, ``lex.lex_segment`` and ``MonomialIdeal.gens`` (on
+demand).  The ``MonomialIdeal`` constructor takes ``Monomial``s and keeps
+their tuples.  The library's own ideal builders (``lexify``,
+``saturated_lex_ideal``, ``saturation()``, ``random_submodule``) build
+exponent tuples and hand them to ``MonomialIdeal._of_minimal``.
 
 Hilbert functions are read off the exact Hilbert series numerator.  Each
 ideal's numerator comes from one pivot recursion that splits on a variable
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from math import comb
 from operator import le
 from typing import Iterable
 
@@ -77,6 +84,18 @@ class Monomial(CachedHash):
         return "*".join(parts)
 
 
+# Monomial's slot setter: _monomial fills a fresh Monomial directly, past
+# Value's refusing __setattr__ and without the checks of __init__, for
+# exponent tuples the library has already checked or built itself
+_set_exponents = Monomial.__dict__["exponents"].__set__
+
+
+def _monomial(exponents: tuple[int, ...]) -> Monomial:
+    mono = object.__new__(Monomial)
+    _set_exponents(mono, exponents)
+    return mono
+
+
 _MONO_FACTOR = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
 
@@ -113,17 +132,23 @@ def monomials_of_degree(n: int, d: int) -> tuple[Monomial, ...]:
 
 def monomial_at_rank(n: int, d: int, rank: int) -> Monomial:
     """The monomial at the given position of monomials_of_degree(n, d),
-    computed directly so large degree lists never need materializing.
+    computed directly so large degree lists never need materializing."""
+    if d < 0:
+        raise ValueError(f"no monomials of negative degree {d}")
+    if not 0 <= rank < binomial(d + n, n):
+        raise ValueError(f"rank {rank} out of range for degree {d} in {n + 1} variables")
+    return _monomial(_exponents_at_rank(n, d, rank))
+
+
+def _exponents_at_rank(n: int, d: int, rank: int) -> tuple[int, ...]:
+    """Exponents of the monomial at position 0 <= rank < C(d + n, n) of
+    monomials_of_degree(n, d); the caller checks the range.
 
     With R the degree left for x_v, ..., x_n and k = n - v, the monomials
     whose x_v exponent is at least R - s number C(s + k, k) (a hockey-stick
     sum), so the x_v exponent is R - s for the least s with rank below that
     count, found by bisection: O(n log d) binomials per monomial.
     """
-    if d < 0:
-        raise ValueError(f"no monomials of negative degree {d}")
-    if not 0 <= rank < binomial(d + n, n):
-        raise ValueError(f"rank {rank} out of range for degree {d} in {n + 1} variables")
     exps = []
     remaining = d
     for v in range(n):
@@ -131,16 +156,16 @@ def monomial_at_rank(n: int, d: int, rank: int) -> Monomial:
         lo, hi = 0, remaining
         while lo < hi:
             mid = (lo + hi) // 2
-            if rank < binomial(mid + k, k):
+            if rank < comb(mid + k, k):
                 hi = mid
             else:
                 lo = mid + 1
         if lo:
-            rank -= binomial(lo - 1 + k, k)
+            rank -= comb(lo - 1 + k, k)
         exps.append(remaining - lo)
         remaining = lo
     exps.append(remaining)
-    return Monomial(tuple(exps))
+    return tuple(exps)
 
 
 def _minimal(exps: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
@@ -188,7 +213,7 @@ class MonomialIdeal(CachedHash):
     @property
     def gens(self) -> tuple[Monomial, ...]:
         """The minimal generators as ``Monomial``s, in the canonical order."""
-        return tuple(map(Monomial, self.exponents))
+        return tuple(map(_monomial, self.exponents))
 
     @classmethod
     def _of_minimal(cls, n: int, exponents: tuple[tuple[int, ...], ...]) -> "MonomialIdeal":

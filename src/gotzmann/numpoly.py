@@ -11,13 +11,15 @@ and the rank-and-degree adjusted representation that first strips off the
 free summands C(d - f_i + n, n) before representing the remainder.
 
 Every sum of binomials c_k C(d + shift_k, a_k) here and in ``lex`` (a run, a
-free part, a term list, a Hilbert series' polynomial) is one ``_binomial_sum``.
+free part, a term list) is one ``_binomial_sum``.  A Hilbert series'
+polynomial is not: ``series_to_polynomial`` reads its coordinates off the
+numerator's Hilbert coefficients, in integer additions only.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from math import factorial, gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
@@ -89,6 +91,10 @@ class NumPoly:
         if isinstance(d, int):
             return Fraction(sum(map(mul, self._b, _diagonal(d, self.degree))), self._den)
         return sum((c * d**k for k, c in enumerate(self.coeffs)), Fraction(0))
+
+    def _int_value(self, d: int) -> int:
+        """P(d) as an int, for integer-valued P (den == 1) and integer d."""
+        return sum(map(mul, self._b, _diagonal(d, self.degree)))
 
     def __add__(self, other: "NumPoly | Scalar") -> "NumPoly":
         other = _as_poly(other)
@@ -316,7 +322,7 @@ def adjusted_gotzmann_rep(
             f"degree f_{m - r} = {all_degrees[m - r - 1]} must be <= 0"
         )
     free = tuple(all_degrees[m - r :])
-    q = gotzmann_rep(poly - _binomial_sum((1, n, n - f) for f in free))
+    q = gotzmann_rep(poly - _binomial_sum((1, n, n - f) for f in free) if free else poly)
     return AdjustedGotzmannRep(free, n, q)
 
 
@@ -367,18 +373,35 @@ def grassmannian_embedding_dims(
 
 
 def series_to_polynomial(numerator: Sequence[int], n: int, offset: int = 0) -> NumPoly:
-    """Polynomial form of sum_j numerator[j] * t^(offset+j) / (1-t)^(n+1).
+    """Polynomial form P of sum_j numerator[j] * t^(offset+j) / (1-t)^(n+1).
 
-    By definition (Bruns and Herzog, Cohen-Macaulay Rings, 4.1) it is
-    P(d) = sum_e c_e C(d - e + n, n), c_e the coefficient of t^e, each
-    binomial a polynomial in d.  The series coefficient H(d) has the same
-    terms as combinatorial binomials, which agree with these wherever
-    d - e + n >= 0; so H = P from E - n on, E the top exponent (see
+    Write N(t) = sum_j numerator[j] t^j as sum_i e_i (t - 1)^i, so that
+    e_i = N^(i)(1) / i! are its Hilbert coefficients.  Then
+    N / (1-t)^(n+1) = sum_i (-1)^i e_i / (1-t)^(n+1-i); the terms i > n are
+    polynomials in t, and 1/(1-t)^(k+1) has coefficients C(d + k, k), so
+    P(d) = sum_{i <= n} (-1)^i e_i C(d + n - i, n - i) (Bruns and Herzog,
+    Cohen-Macaulay Rings, Prop. 4.1.9): the coordinate of C(d + k, k) is
+    (-1)^(n-k) e_(n-k).  Each e_i is the remainder of one synthetic division
+    by t - 1 (a run of suffix sums) of the previous quotient, so n + 1
+    divisions give them all.  The factor t^offset turns P(d) into
+    P(d - offset), the argument shift by one diagonal.
+
+    The series coefficient H(d) is sum_j numerator[j] C(d - offset - j + n, n)
+    as combinatorial binomials, which agree with the polynomial ones wherever
+    d - offset - j + n >= 0; so H = P from E - n on, E the top exponent (see
     ``stabilization_degree``).
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return _binomial_sum((c, n, n - offset - j) for j, c in enumerate(numerator))
+    # coefficients highest degree first: the running sums of one division
+    # are the quotient's coefficients, the last of them the remainder N(1)
+    rest, e = list(numerator)[::-1], []
+    for _ in range(n + 1):
+        rest = list(accumulate(rest))
+        e.append(rest.pop() if rest else 0)
+    b = [-x if i % 2 else x for i, x in enumerate(e)][::-1]  # b_k = (-1)^(n-k) e_(n-k)
+    row = _diagonal(-offset - 1, n)
+    return _from_basis([sum(map(mul, b[i:], row)) for i in range(n + 1)])
 
 
 def poly_to_dict(poly: NumPoly) -> dict:

@@ -36,10 +36,10 @@ from .lex import saturated_lex_module
 from .monomial_algebra import (
     CACHE_ENTRIES,
     GradedFreeModule,
-    Monomial,
     MonomialIdeal,
     MonomialSubmodule,
     _adjusted_split,
+    _minimal,
     generic_hyperplane_hf,
     hf_direct,
     hilbert_polynomial,
@@ -374,8 +374,8 @@ def random_submodule(seed: int) -> MonomialSubmodule:
                 exps = [0] * (n + 1)
                 for _ in range(rng.randint(1, 5)):
                     exps[rng.randrange(n + 1)] += 1
-                gens.append(Monomial(tuple(exps)))
-            components.append(MonomialIdeal(n, tuple(gens)))
+                gens.append(tuple(exps))
+            components.append(MonomialIdeal._of_minimal(n, _minimal(gens)))
     return MonomialSubmodule(GradedFreeModule(n, degrees), tuple(components))
 
 

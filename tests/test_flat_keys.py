@@ -12,17 +12,22 @@ from hypothesis import strategies as st
 from gotzmann import monomial_algebra, resolution
 from gotzmann._value import Value
 from gotzmann.errors import ZeroModule
+from gotzmann.lex import lexify, saturated_lex_ideal
 from gotzmann.monomial_algebra import (
     GradedFreeModule,
     Monomial,
     MonomialIdeal,
     MonomialSubmodule,
+    hf_direct,
+    hilbert_polynomial,
     ideal_from_dict,
     ideal_to_dict,
     monomials_of_degree,
     rank,
     saturate,
+    stabilization_degree,
 )
+from gotzmann.numpoly import GotzmannRep
 from gotzmann.resolution import koszul_betti, regularity
 from gotzmann.theorems import random_submodule
 
@@ -187,6 +192,29 @@ def test_saturation_and_betti_build_no_monomial(monkeypatch):
                 regularity(sub, as_quotient=as_quotient)
             except ZeroModule:
                 pass
+
+
+def test_ideal_builders_build_no_monomial(monkeypatch):
+    # random_submodule, saturated_lex_ideal and lexify build exponent tuples
+    # and hand them to _of_minimal; .gens is not read here, since it builds
+    # its Monomials without __init__
+    def refuse(self, exponents):
+        raise AssertionError(f"Monomial{exponents} built")
+
+    monkeypatch.setattr(Monomial, "__init__", refuse)
+    for k in range(40):
+        sub = random_submodule(k)
+        poly = hilbert_polynomial(sub)
+        end = max(stabilization_degree(sub), sub.degrees[-1])
+        table = [(d, hf_direct(sub, d)) for d in range(sub.degrees[0], end + 1)]
+        lexed = lexify(sub.ambient, table, poly)
+        assert [(d, hf_direct(lexed, d)) for d, _ in table] == table
+        assert hilbert_polynomial(lexed) == poly
+    for a, n in [((2, 1, 1, 0, 0), 3), ((1, 1, 0), 2), ((0,) * 7, 1), ((3, 3, 2, 0), 4)]:
+        g = GotzmannRep(a)
+        sat = saturated_lex_ideal(g, n)
+        quotient = MonomialSubmodule(GradedFreeModule(n, (0,)), (sat,))
+        assert hilbert_polynomial(quotient) == g.polynomial()
 
 
 def test_a_fresh_submodule_builds_its_key_on_first_comparison():

@@ -78,6 +78,26 @@ def test_lex_segment_enumerates_no_degree():
     assert monomial_algebra.monomials_of_degree.cache_info().currsize == 0
 
 
+def test_lex_run_is_every_slice_of_the_degree():
+    # one unranking, then lex successors: the same as slicing the enumeration
+    for n in range(0, 5):
+        for d in range(0, 7):
+            degree = [m.exponents for m in monomial_algebra.monomials_of_degree(n, d)]
+            for start in range(len(degree) + 1):
+                for stop in range(start, len(degree) + 1):
+                    assert lex_module._lex_run(n, d, start, stop - start) == degree[start:stop]
+
+
+def test_empty_lex_run_unranks_nothing(monkeypatch):
+    def refuse(n, d, rank):
+        raise AssertionError(f"unranked {rank} in degree {d}")
+
+    monkeypatch.setattr(lex_module, "_exponents_at_rank", refuse)
+    assert lex_module._lex_run(2, 3, 4, 0) == []
+    assert lex_segment(2, -1, 0) == []
+    assert lex_segment(3, 5, 0) == []
+
+
 def test_module_monomials_position_dominant():
     ambient = GradedFreeModule(1, (-1, 0))
     basis = module_monomials(ambient, 1)
@@ -136,12 +156,24 @@ def test_lexify_not_achievable():
     with pytest.raises(NotAchievable):
         lexify(ambient, [(1, 2)], NumPoly([2, 2]))
     # tail that is not integer valued where it is consulted
-    with pytest.raises(NotAchievable):
+    with pytest.raises(NotAchievable, match="tail value 1/2 at degree 1 is not an integer"):
         lexify(ambient, [(0, 1)], NumPoly(["1/2"]))
     # H(3) = 2 adds no generator, but the table's H(2) = 2 is off the tail
     # 5 - d, so that one degree does not settle the data: H(6) = -1
     with pytest.raises(NotAchievable, match="outside"):
         lexify(ambient, [(0, 1), (1, 2), (2, 2)], NumPoly([5, -1]))
+
+
+def test_lexify_refuses_a_tail_value_off_the_integers():
+    # a tail that is not integer-valued is evaluated exactly and used where
+    # its value is an integer: d/2 + 1 gives H(0) = 1, then 3/2 at degree 1;
+    # a table may cover its first values
+    ambient = GradedFreeModule(1, (0,))
+    half = NumPoly([1, "1/2"])
+    assert not half.is_integer_valued()
+    for table, d in (([], 1), ([(0, 1)], 1), ([(0, 1), (1, 2)], 3)):
+        with pytest.raises(NotAchievable, match=f"tail value {d + 2}/2 at degree {d} is not an integer"):
+            lexify(ambient, table, half)
 
 
 def test_lexify_refuses_non_integer_table_entries():
