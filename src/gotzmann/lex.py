@@ -159,9 +159,12 @@ def lexify(
 
     The new generators of a component in one degree are a run of
     consecutive ranks, read off by ``_lex_run`` as exponent tuples; no
-    ``Monomial`` is built.  An integer-valued tail is evaluated in integers
-    on its binomial-basis coordinates; any other tail is evaluated exactly
-    and refused at the first degree where its value is not an integer.
+    ``Monomial`` is built.  A tail that is not integer-valued is refused up
+    front: the loop returns only after reading the tail at n + 1
+    consecutive degrees, and a polynomial of degree at most n that is an
+    integer at n + 1 consecutive integers is integer-valued, so such a tail
+    could only end in NotAchievable.  Tail values are read as ints off its
+    binomial-basis coordinates.
 
     Data that have not settled by a ceiling past the Gotzmann numbers of the
     tail raise NotAchievable; the ceiling is computed only once the degree
@@ -188,6 +191,8 @@ def lexify(
         raise NotAchievable(
             f"tail of degree {tail.degree} exceeds the degree {n} of any Hilbert polynomial"
         )
+    if not tail.is_integer_valued():
+        raise NotAchievable(f"tail {tail} is not an integer-valued polynomial")
     degrees = ambient.degrees
     new_gens: list[list[tuple[int, ...]]] = [[] for _ in degrees]
     # an initial segment of F_d under the position-dominant order is a run of
@@ -196,20 +201,12 @@ def lexify(
     prev_fill = [0] * ambient.m
     prev_pieces = [binomial(f1 - 1 - f + n, n) for f in degrees]
     start = max(last_tabulated, fm)
-    if tail.is_integer_valued():
-        tail_value = tail._int_value
-    else:
-        def tail_value(d: int) -> int:
-            h = tail(d)
-            if h.denominator != 1:
-                raise NotAchievable(f"tail value {h} at degree {d} is not an integer")
-            return int(h)
     ceiling = None
     quiet = 0  # consecutive degrees past start that added no generator
     for d in count(f1):
         pieces = [binomial(d - f + n, n) for f in degrees]
         dim_d = sum(pieces)
-        h = values[d] if d in values else tail_value(d)
+        h = values[d] if d in values else tail._int_value(d)
         if h < 0 or h > dim_d:
             raise NotAchievable(
                 f"H({d}) = {h} outside [0, dim F_{d} = {dim_d}]"

@@ -84,15 +84,11 @@ class Monomial(CachedHash):
         return "*".join(parts)
 
 
-# Monomial's slot setter: _monomial fills a fresh Monomial directly, past
-# Value's refusing __setattr__ and without the checks of __init__, for
-# exponent tuples the library has already checked or built itself
-_set_exponents = Monomial.__dict__["exponents"].__set__
-
-
 def _monomial(exponents: tuple[int, ...]) -> Monomial:
+    """The Monomial of exponents the library has already checked or built,
+    without the checks of ``__init__``."""
     mono = object.__new__(Monomial)
-    _set_exponents(mono, exponents)
+    object.__setattr__(mono, "exponents", exponents)
     return mono
 
 

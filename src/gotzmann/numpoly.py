@@ -13,7 +13,8 @@ free summands C(d - f_i + n, n) before representing the remainder.
 Every sum of binomials c_k C(d + shift_k, a_k) here and in ``lex`` (a run, a
 free part, a term list) is one ``_binomial_sum``.  A Hilbert series'
 polynomial is not: ``series_to_polynomial`` reads its coordinates off the
-numerator's Hilbert coefficients, in integer additions only.
+numerator's Hilbert coefficients, in integer additions, and shifts the
+argument by ``NumPoly.shift_argument``.
 """
 from __future__ import annotations
 
@@ -89,11 +90,12 @@ class NumPoly:
 
     def __call__(self, d: Scalar) -> Fraction:
         if isinstance(d, int):
-            return Fraction(sum(map(mul, self._b, _diagonal(d, self.degree))), self._den)
+            return Fraction(self._int_value(d), self._den)
         return sum((c * d**k for k, c in enumerate(self.coeffs)), Fraction(0))
 
     def _int_value(self, d: int) -> int:
-        """P(d) as an int, for integer-valued P (den == 1) and integer d."""
+        """den * P(d) as an int for integer d: P(d) itself when P is
+        integer-valued (den == 1)."""
         return sum(map(mul, self._b, _diagonal(d, self.degree)))
 
     def __add__(self, other: "NumPoly | Scalar") -> "NumPoly":
@@ -384,7 +386,7 @@ def series_to_polynomial(numerator: Sequence[int], n: int, offset: int = 0) -> N
     (-1)^(n-k) e_(n-k).  Each e_i is the remainder of one synthetic division
     by t - 1 (a run of suffix sums) of the previous quotient, so n + 1
     divisions give them all.  The factor t^offset turns P(d) into
-    P(d - offset), the argument shift by one diagonal.
+    P(d - offset), one ``shift_argument``.
 
     The series coefficient H(d) is sum_j numerator[j] C(d - offset - j + n, n)
     as combinatorial binomials, which agree with the polynomial ones wherever
@@ -400,8 +402,7 @@ def series_to_polynomial(numerator: Sequence[int], n: int, offset: int = 0) -> N
         rest = list(accumulate(rest))
         e.append(rest.pop() if rest else 0)
     b = [-x if i % 2 else x for i, x in enumerate(e)][::-1]  # b_k = (-1)^(n-k) e_(n-k)
-    row = _diagonal(-offset - 1, n)
-    return _from_basis([sum(map(mul, b[i:], row)) for i in range(n + 1)])
+    return _from_basis(b).shift_argument(-offset)
 
 
 def poly_to_dict(poly: NumPoly) -> dict:

@@ -6,19 +6,11 @@ argument shifts by Horner in d + k, and integer-valuedness by evaluating at
 e + 2 consecutive integers.  ``power_binomial_sum`` expands each
 C(d + shift, a) as a falling factorial.  None of it reads the binomial-basis
 coordinates the library stores, so the tests hold ``NumPoly`` to it.
-
-``series_binomial_sum`` is the one library-backed oracle here: the per-term
-form of a Hilbert series' polynomial, one ``_binomial_sum`` diagonal per
-numerator term, which ``series_to_polynomial`` replaced by the numerator's
-Hilbert coefficients.  ``_binomial_sum`` itself is held to
-``power_binomial_sum``.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-
-from gotzmann.numpoly import _binomial_sum
 
 
 class PowerPoly:
@@ -96,9 +88,3 @@ def power_binomial_sum(terms) -> PowerPoly:
             falling = falling * PowerPoly([shift - t, 1])
         out = out + falling * PowerPoly([Fraction(c) / factorial(a)])
     return out
-
-
-def series_binomial_sum(numerator, n, offset=0):
-    """sum_j numerator[j] * C(d - offset - j + n, n), the polynomial of
-    numerator(t) t^offset / (1-t)^(n+1), one binomial term per coefficient."""
-    return _binomial_sum((c, n, n - offset - j) for j, c in enumerate(numerator))
