@@ -9,21 +9,27 @@ One exact backend computes every Betti table (Miller-Sturmfels,
 and beta_{i,alpha}(I) vanishes unless alpha lies in the lcm lattice of the
 minimal generators (Gasharov-Peeva-Welker, "The lcm-lattice in monomial
 resolutions", 1999).  K^alpha lives on at most n+1 vertices, so its boundary
-matrices are tiny; its homology is memoised per facet set in bounded caches.
+matrices are tiny; its homology is memoised per face set in bounded caches.
 
-Lattice and facets run on packed exponent words (one int per monomial, a
-guarded field of bit_length(max generator exponent) + 1 bits per variable),
-so lcm, divisibility and facets are a few whole-word integer operations.  An
-alpha whose K^alpha is a cone is acyclic: a full simplex is skipped as soon
-as the facet scan meets the facet supp(alpha).  Every other alpha is one
-lookup of its facet set, as guard-bit patterns, in the homology cache; lattice
-elements repeat their complexes heavily, so the work behind a miss runs once
-per distinct complex.  A miss keeps the maximal facets (one pass by size),
-answers () for a cone, where one vertex lies in every maximal facet, and
-otherwise relabels the vertices (by the sizes of the maximal facets holding
-them) before the rank work.  The ranks are memoised again under the
-relabelled facets, so most complexes that differ by a permutation of the
-variables share one rank computation.
+Lattice and facets run on unary words of exponent ranks: in each variable
+the distinct generator exponents, with 0, are numbered 0, 1, 2, ... in
+increasing order, and a monomial is one int whose field for x_v holds rank
+r_v as r_v low set bits, below a guard bit.  Ranks keep every comparison of
+exponents, so they keep the lcm lattice and each K^alpha, and a field is at
+most one bit wider than the generator count, whatever the exponents.  The
+lcm of two words is their OR, divisibility and facets are a few whole-word
+integer operations, and a degree is one masked bit count per distinct step
+between consecutive exponents of a variable.  An alpha whose K^alpha is a cone is acyclic: a full simplex is
+skipped as soon as the facet scan meets the facet supp(alpha).  Every other
+alpha ORs the down-closures of its facets into one int, bit F set iff the
+vertex mask F is a face, and looks that int up in the homology cache.  Equal
+complexes give equal ints, and lattice elements repeat their complexes
+heavily, so the work behind a miss runs once per distinct complex.  A miss
+reads the maximal faces off the bits, answers () for a cone, where one
+vertex lies in every maximal face, and otherwise relabels the vertices (by
+the sizes of the maximal faces holding them) before the rank work.  The
+ranks are memoised again under the relabelled facets, so most complexes
+that differ by a permutation of the variables share one rank computation.
 
 ``regularity`` reads max(j - i) off the ``koszul_betti`` table it asks for.
 The tests hold this backend to a dense Koszul computation, to the
@@ -31,6 +37,7 @@ Eliahou-Kervaire formulas on stable ideals and to the per-variable tuple route.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache, reduce
 from operator import and_
 
@@ -73,60 +80,86 @@ class BettiTable(Value):
         return {"betti": [[i, j, v] for i, j, v in self.entries]}
 
 
-def _lcm_lattice(words: list[int], guards: int, w: int) -> set[int]:
-    """Packed words of the lcms of all nonempty sets of generators: per field,
-    (a | G) - b keeps its guard bit exactly when a_v >= b_v, and that bit,
-    moved to the field's low end and spread over the field, selects a."""
-    full, shift = (1 << w) - 1, w - 1
+def _lcm_lattice(words: list[int]) -> set[int]:
+    """Unary words of the lcms of all nonempty sets of generators: per field,
+    the OR of two runs of low bits is the longer run, so the lcm is the OR."""
     lattice: set[int] = set()
     for b in words:
-        lattice |= {(a & (m := (((a | guards) - b & guards) >> shift) * full)) | (b & ~m)
-                    for a in lattice}
+        lattice |= {a | b for a in lattice}
         lattice.add(b)
     return lattice
 
 
-def _facets(word: int, words: list[int], guards: int, ones: int) -> frozenset[int] | None:
-    """Facets of K^alpha as guard-bit patterns: each generator g dividing x^alpha
-    ((A | G) - g keeps every guard bit) gives the variables where g_v < alpha_v,
-    the largest squarefree F with x^(alpha - F) a multiple of g.  None when
-    a facet is supp(alpha) != 0: K^alpha is then a full simplex, a cone.  At
-    alpha = 0 the one facet is the empty face, whose complex has H~_{-1} = Q."""
-    lifted = word | guards
-    simplex = ((lifted - ones) & guards) or -1
-    facets = set()
+def _down_closure(facet: int, w: int) -> int:
+    """Face set of one facet given as a guard-bit pattern (vertex v at bit
+    v*w + w - 1): bit F is set iff the vertex mask F is a subset of it.
+    Adding a vertex v to the faces without it moves bit F to bit F + 2^v, so
+    each vertex of the facet doubles the set with one shift."""
+    faces, step = 1, 1
+    facet >>= w - 1
+    while facet:
+        if facet & 1:
+            faces |= faces << step
+        facet >>= w
+        step <<= 1
+    return faces
+
+
+def _face_set(word: int, words: list[int], guards: int, fill: int,
+              closures: dict[int, int], w: int) -> int | None:
+    """K^alpha as one int, bit F set iff the vertex mask F is a face.
+
+    Each generator g dividing x^alpha (g | A == A) gives a facet, the
+    variables where g_v < alpha_v: the largest squarefree F with
+    x^(alpha - F) a multiple of g.  Those are the nonzero fields of A ^ g,
+    and adding ``fill`` (2^(w-1) - 1 per field) carries each of them into
+    its guard bit.  The facets' down-closures, kept in ``closures`` by
+    guard-bit pattern, are ORed together.  None when a facet is supp(alpha)
+    != 0: K^alpha is then a full simplex, a cone.  At alpha = 0 the one facet
+    is the empty face, whose complex has H~_{-1} = Q."""
+    simplex = ((word + fill) & guards) or -1
+    faces = 0
     for g in words:
-        t = lifted - g
-        if t & guards == guards:
-            facet = (t - ones) & guards
+        if g | word == word:
+            facet = ((word ^ g) + fill) & guards
             if facet == simplex:
                 return None
-            facets.add(facet)
-    return frozenset(facets)
+            closure = closures.get(facet)
+            if closure is None:
+                closure = closures[facet] = _down_closure(facet, w)
+            faces |= closure
+    return faces
 
 
 # complexes repeat heavily across the lattice elements of one ideal and
 # across the lcm lattices of related ideals
 @lru_cache(maxsize=CACHE_ENTRIES)
-def _reduced_homology(facets: frozenset[int]) -> tuple[tuple[int, int], ...]:
-    """Nonzero (k, dim H~_k) over Q of the simplicial complex with these facets.
+def _face_set_homology(faces: int) -> tuple[tuple[int, int], ...]:
+    """Nonzero (k, dim H~_k) over Q of a nonempty simplicial complex given
+    as its face set: bit F is set iff the vertex mask F is a face.
 
-    Each facet is a bit pattern with one set bit per vertex: a vertex mask,
-    or a guard-bit pattern of ``_facets`` (vertex v at bit v*w + w - 1),
-    which is the same complex.  Non-maximal faces may be listed too.  One
-    pass over the faces by size, largest first, keeps the maximal facets.
-    When one vertex lies in all of them the complex is a cone, which is
-    acyclic.  Otherwise the vertices are relabelled before any rank work:
-    vertices in no facet are dropped and the rest are ordered by the sorted
-    sizes of the maximal facets that contain them, ties by bit position.  A
-    relabelling is a bijection, so the homology is unchanged, and complexes
-    that differ by a permutation of the variables mostly share one entry of
-    ``_relabelled_homology``.
+    On N vertices the key has 2^N bits.  A face F is maximal unless some
+    vertex v outside it has F + 2^v in the set, so one shift per vertex
+    reads the maximal faces off the bits.  When one vertex lies in all of
+    them the complex is a cone, which is acyclic.  Otherwise the vertices
+    are relabelled before any rank work: vertices in no face are dropped and
+    the rest are ordered by the sorted sizes of the maximal faces that
+    contain them, ties by bit position.  A relabelling is a bijection, so the
+    homology is unchanged, and complexes that differ by a permutation of the
+    variables mostly share one entry of ``_relabelled_homology``.
     """
+    covered, ruler = 0, 1  # ruler: one bit every 2^(v+1) masks
+    for v in reversed(range((faces.bit_length() - 1).bit_length())):
+        step = 1 << v
+        # the masks without vertex v are runs of 2^v bits, one at each ruler bit
+        covered |= faces >> step & (ruler << step) - ruler
+        ruler |= ruler << step
+    rest = faces & ~covered
     maximal: list[int] = []
-    for f in sorted(facets, key=int.bit_count, reverse=True):
-        if not any(f & g == f for g in maximal):
-            maximal.append(f)
+    while rest:
+        f = rest.bit_length() - 1
+        maximal.append(f)
+        rest ^= 1 << f
     if reduce(and_, maximal):
         return ()
     sizes: dict[int, list[int]] = {}  # vertex bit -> sizes of its facets
@@ -145,7 +178,8 @@ def _reduced_homology(facets: frozenset[int]) -> tuple[tuple[int, int], ...]:
 
 @lru_cache(maxsize=CACHE_ENTRIES)
 def _relabelled_homology(facets: frozenset[int]) -> tuple[tuple[int, int], ...]:
-    """``_reduced_homology`` past the relabelling: the boundary ranks.
+    """``_face_set_homology`` past the relabelling: the boundary ranks of the
+    complex with these facets, as vertex masks.
 
     The complex lives on at most n + 1 vertices, so each boundary matrix has
     at most C(n + 1, k) rows.
@@ -191,32 +225,45 @@ def _ideal_table(ideal: MonomialIdeal) -> tuple[tuple[int, int, int], ...]:
     """Nonzero graded Betti numbers (i, j, beta_{i,j}) of I as a module.
 
     beta_{i,alpha}(I) = dim H~_{i-1}(K^alpha(I)) is nonzero only for alpha in
-    the lcm lattice of the minimal generators.  Variable v of a packed word
-    owns bits [v*w, (v+1)*w), w = bit_length(max generator exponent) + 1, the
-    top one a guard bit G.  Lattice exponents never exceed the largest
-    generator exponent, so no field reaches its guard bit and no subtraction
-    borrows across fields.  A cone is acyclic, so alpha is skipped when
-    ``_facets`` finds a full simplex.  Every other alpha is one lookup of its
-    facet set, exactly as ``_facets`` returns it, in ``_reduced_homology``,
-    which finds the maximal facets and answers () for any other cone.  No
-    vertex of a lattice element lies in every facet, since each variable of
-    alpha reaches alpha_v in a generator dividing it, so only the maximal
-    facets can show such a cone.
+    the lcm lattice of the minimal generators.  Variable v of a unary word
+    owns bits [v*w, (v+1)*w): rank r_v of its exponent as r_v low set bits,
+    w - 1 >= r_v, and the top bit a guard bit G, never set in a word.  A cone
+    is acyclic, so alpha is skipped when ``_face_set`` finds a full simplex.
+    Every other alpha is one lookup of its face set, an int of 2^(n+1) bits,
+    in ``_face_set_homology``, which answers () for any other cone.
+    Complexes that are equal share one entry, whichever generators gave their
+    facets, so the rank work runs once per distinct complex.  The degree of
+    an alpha with homology is read by one masked bit count per distinct step
+    between consecutive exponents of a variable.
     """
     gens = ideal.exponents
-    variables = range(ideal.n + 1)
-    w = max(map(max, gens), default=0).bit_length() + 1
-    ones = sum(1 << (v * w) for v in variables)
+    # per variable, the distinct exponents with 0, so that the steps up to the
+    # r-th sum to it: the r-th is r low set bits
+    ranked = [sorted({0, *column}) for column in zip(*gens)]
+    w = max(map(len, ranked), default=1)
+    fields = range(0, (ideal.n + 1) * w, w)  # the low bit of each variable's field
+    ones = sum(1 << s for s in fields)
     guards = ones << (w - 1)
-    words = [sum(e << (v * w) for v, e in enumerate(g)) for g in gens]
+    fill = guards - ones
+    words = [
+        sum(((1 << bisect_left(values, e)) - 1) << s for s, e, values in zip(fields, g, ranked))
+        for g in gens
+    ]
+    # bit i of a field is the step from its variable's i-th exponent to the
+    # next, so a degree is the sum of the steps set: one bit count per size
+    steps: dict[int, int] = {}
+    for s, values in zip(fields, ranked):
+        for i, (low, high) in enumerate(zip(values, values[1:])):
+            steps[high - low] = steps.get(high - low, 0) | 1 << (s + i)
+    closures: dict[int, int] = {}
     table: dict[tuple[int, int], int] = {}
-    for word in _lcm_lattice(words, guards, w):
-        facets = _facets(word, words, guards, ones)
-        if facets is None:
+    for word in _lcm_lattice(words):
+        faces = _face_set(word, words, guards, fill, closures, w)
+        if faces is None:
             continue
-        homology = _reduced_homology(facets)
+        homology = _face_set_homology(faces)
         if homology:
-            j = sum(word >> (v * w) & ((1 << w) - 1) for v in variables)
+            j = sum(step * (word & bits).bit_count() for step, bits in steps.items())
             for k, dim in homology:
                 table[k + 1, j] = table.get((k + 1, j), 0) + dim
     return tuple((i, j, v) for (i, j), v in sorted(table.items()))

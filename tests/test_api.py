@@ -40,7 +40,7 @@ def test_every_cache_has_the_one_bound():
     assert caches.keys() == {
         "monomials_of_degree", "hf_direct", "_ideal_numerator", "_saturated_gens",
         "hilbert_series", "hilbert_polynomial", "_linear_section_dim",
-        "_reduced_homology", "_relabelled_homology", "_ideal_table",
+        "_face_set_homology", "_relabelled_homology", "_ideal_table",
         "macaulay_transform", "green_transform", "_rho", "_growth", "_hyperplane",
     }
     assert caches == dict.fromkeys(caches, CACHE_ENTRIES)

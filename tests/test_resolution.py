@@ -23,8 +23,8 @@ from gotzmann.monomial_algebra import (
 )
 from gotzmann.resolution import (
     BettiTable,
+    _face_set_homology,
     _ideal_table,
-    _reduced_homology,
     _relabelled_homology,
     koszul_betti,
     regularity,
@@ -295,8 +295,8 @@ def _ideal_of(n, exponent_lists):
     return MonomialIdeal(n, tuple(Monomial(tuple(e)) for e in exponent_lists))
 
 
-# A cap of 1..9 on the exponents, so that the largest one crosses 1, 2, 4 and
-# 8, where the packed field width grows by a bit.
+# A cap of 1..9 on the exponents, so that a variable has from 2 to 9 distinct
+# exponents (0 counted), and a field of the unary words is as many bits wide.
 _capped_ideals = st.tuples(st.integers(0, 5), st.integers(1, 9)).flatmap(
     lambda shape: st.lists(
         st.tuples(*[st.integers(0, shape[1])] * (shape[0] + 1)), max_size=8
@@ -331,6 +331,9 @@ def test_ideal_table_matches_tuple_oracle_on_edge_cases():
         _ideal_of(3, [(2, 0, 5, 1)]),
         _ideal_of(4, [(1, 0, 0, 0, 0), (0, 2, 0, 0, 0), (0, 0, 4, 0, 0), (0, 0, 0, 8, 0)]),
         _ideal_of(2, [(9, 0, 0), (0, 9, 0), (0, 0, 9)]),
+        # exponents far apart: the ranks are 0..3 in each variable, and each
+        # degree is a sum of steps between consecutive exponents
+        _ideal_of(2, [(10**9, 0, 3), (7, 10**6, 0), (0, 5, 10**12), (7, 5, 3)]),
         # alpha = (2, 2) has the one nonempty facet {x0, x1}: a full simplex
         _ideal_of(1, [(2, 0), (1, 1), (0, 2)]),
         meet_in_maximal,
@@ -367,6 +370,20 @@ def _mask(*vertices):
     return sum(1 << v for v in vertices)
 
 
+def _faces_of(facets):
+    """Face set of the complex with these facets (vertex masks): bit F is
+    set iff F is a subset of some facet, each subset listed one by one."""
+    faces = 0
+    for f in facets:
+        sub = f
+        while True:
+            faces |= 1 << sub
+            if not sub:
+                break
+            sub = (sub - 1) & f
+    return faces
+
+
 def test_reduced_homology_of_known_complexes():
     octahedron = [_mask(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
     # the 6-vertex real projective plane: 10 triangles, each edge in two
@@ -387,7 +404,7 @@ def test_reduced_homology_of_known_complexes():
         (rp2, ()),
     ]
     for facets, expected in cases:
-        assert _reduced_homology(frozenset(facets)) == expected, facets
+        assert _face_set_homology(_faces_of(facets)) == expected, facets
 
 
 def _permuted(mask, permutation):
@@ -400,36 +417,38 @@ def _permuted(mask, permutation):
     st.permutations(range(6)),
 )
 def test_reduced_homology_is_invariant_under_relabelling(facets, permutation):
-    facets = frozenset(facets)
-    relabelled = frozenset(_permuted(f, permutation) for f in facets)
-    uncached = _relabelled_homology.__wrapped__(facets)
-    assert _reduced_homology(facets) == uncached
-    assert _reduced_homology(relabelled) == uncached
-
-
-def _spread(mask, w):
-    """A vertex mask as a guard-bit pattern of stride w: vertex v at bit v*w + w - 1."""
-    return sum(1 << (v * w + w - 1) for v in range(mask.bit_length()) if mask >> v & 1)
+    relabelled = [_permuted(f, permutation) for f in facets]
+    uncached = _relabelled_homology.__wrapped__(frozenset(facets))
+    assert _face_set_homology(_faces_of(facets)) == uncached
+    assert _face_set_homology(_faces_of(relabelled)) == uncached
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    st.lists(st.integers(0, 31), min_size=1, max_size=10),
-    st.lists(st.integers(0, 31), max_size=10),
-)
-def test_reduced_homology_reads_facets_at_any_stride(facets, cuts):
-    # non-maximal faces ride along: each cut keeps part of one facet
-    faces = set(facets) | {facets[i % len(facets)] & cut for i, cut in enumerate(cuts)}
-    uncached = _relabelled_homology.__wrapped__(frozenset(faces))
-    apex = 1 << 5
-    for w in (1, 2, 3, 4):
-        assert _reduced_homology(frozenset(_spread(f, w) for f in faces)) == uncached, w
-        # one more vertex in every facet makes a cone, which is acyclic; the
-        # faces without it are not maximal, so it answers with no rank work
-        cone = frozenset(_spread(f | apex, w) for f in faces) | {_spread(f, w) for f in faces}
-        before = _relabelled_homology.cache_info()
-        assert _reduced_homology(cone) == (), w
-        assert _relabelled_homology.cache_info() == before, w
+@given(st.lists(st.integers(0, 31), min_size=1, max_size=10), st.integers(0, 5))
+def test_a_cone_is_answered_with_no_rank_work(facets, apex):
+    # one more vertex in every facet makes a cone, which is acyclic: it is
+    # answered from the maximal faces, with no rank work
+    def lift(f):
+        low = f & ((1 << apex) - 1)
+        return low | (f ^ low) << 1 | 1 << apex
+
+    cone = _faces_of(map(lift, facets))
+    before = _relabelled_homology.cache_info()
+    assert _face_set_homology(cone) == ()
+    assert _relabelled_homology.cache_info() == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(_capped_ideals)
+def test_frobenius_power_doubles_degrees_with_no_new_miss(any_ideal):
+    # I^[2], every exponent doubled, has the lattice 2 alpha and
+    # K^(2 alpha)(I^[2]) = K^alpha(I): its table is I's with every degree
+    # doubled, and its complexes are the ones I's table just met
+    doubled = _ideal_of(any_ideal.n, [[2 * e for e in g] for g in any_ideal.exponents])
+    table = _ideal_table.__wrapped__(any_ideal)
+    misses = _face_set_homology.cache_info().misses
+    assert _ideal_table.__wrapped__(doubled) == tuple((i, 2 * j, v) for i, j, v in table)
+    assert _face_set_homology.cache_info().misses == misses
 
 
 def _maximal_unless_cone(facets):
@@ -440,14 +459,15 @@ def _maximal_unless_cone(facets):
 
 
 def test_relabelling_shares_homology_across_a_corpus():
+    # the homology memo misses once per distinct complex that is not a full
+    # simplex, each counted once by the down-closure of the oracle's facets;
     # complexes that differ by a permutation of the variables recur across
-    # ideals: the relabelled key needs at most half as many rank computations
-    # as there are distinct non-cone complexes, each counted once by its
-    # maximal facets on the oracle's vertex masks
-    for cache in (_ideal_table, _reduced_homology, _relabelled_homology):
+    # ideals, so the relabelled key needs at most half as many rank
+    # computations as there are distinct non-cone complexes
+    for cache in (_ideal_table, _face_set_homology, _relabelled_homology):
         cache.cache_clear()
     rng = random.Random(0)
-    complexes = set()
+    complexes, non_cones = set(), set()
     for i in range(60):
         n = 4 + i % 2
         gens = {tuple(rng.randint(0, 3) for _ in range(n + 1)) for _ in range(rng.randint(3, 8))}
@@ -455,8 +475,12 @@ def test_relabelling_shares_homology_across_a_corpus():
         koszul_betti(module(n, (0,), [_ideal_of(n, gens)]))
         minimal = [g.exponents for g in _ideal_of(n, gens).gens]
         for alpha in lcm_lattice(minimal):
-            complexes.add(_maximal_unless_cone(lattice_oracle_facets(alpha, minimal)))
-    complexes.discard(None)
-    assert len(complexes) > 100
-    assert _reduced_homology.cache_info().misses >= len(complexes)
-    assert _relabelled_homology.cache_info().misses <= len(complexes) / 2
+            facets = lattice_oracle_facets(alpha, minimal)
+            support = sum(1 << v for v, a in enumerate(alpha) if a)
+            if support not in facets:
+                complexes.add(_faces_of(facets))
+                non_cones.add(_maximal_unless_cone(facets))
+    non_cones.discard(None)
+    assert len(non_cones) > 100
+    assert _face_set_homology.cache_info().misses == len(complexes)
+    assert _relabelled_homology.cache_info().misses <= len(non_cones) / 2
