@@ -2,7 +2,11 @@
 oracle in ``koszul_oracle`` and, on stable ideals, the Eliahou-Kervaire
 oracle in ``ek_oracle``; the packed lcm-lattice kernel against the tuple
 route in ``lattice_oracle`` and the Eagon-Northcott numbers of m^d."""
+import os
 import random
+import resource
+import subprocess
+import sys
 from functools import reduce
 from itertools import combinations_with_replacement
 from math import comb
@@ -12,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gotzmann
+from gotzmann import resolution
 from gotzmann.errors import ZeroModule
 from gotzmann.monomial_algebra import (
     GradedFreeModule,
@@ -345,6 +351,68 @@ def test_ideal_table_matches_tuple_oracle_on_edge_cases():
     assert _ideal_table(MonomialIdeal.zero(3)) == ()
     unit = module(3, (0,), ["unit"])
     assert koszul_betti(unit, as_quotient=False).as_dict() == {(0, 0): 1}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_capped_ideals, st.integers(0, 3))
+def test_wide_path_matches_tuple_oracle(any_ideal, vertices):
+    # with a smaller cap on the face set's vertices, the facets are moved onto
+    # the vertices they use, and complexes on more of them skip the face set
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(resolution, "FACE_SET_VERTICES", vertices)
+        assert _ideal_table.__wrapped__(any_ideal) == lattice_oracle_table(any_ideal)
+
+
+def _high_variable_ideals():
+    """Ideals whose complexes have few vertices on high variables: x0..x29
+    and x1..x30 (facets {x30} and {x0} at the lcm); x30*x31 and x32*x33; and
+    the 30 products of all but one of x0..x29 (30 isolated vertices at the
+    lcm, past FACE_SET_VERTICES)."""
+    return [
+        _ideal_of(30, [[1] * 30 + [0], [0] + [1] * 30]),
+        _ideal_of(33, [[int(v in (30, 31)) for v in range(34)], [int(v in (32, 33)) for v in range(34)]]),
+        _ideal_of(29, [[int(v != i) for v in range(30)] for i in range(30)]),
+    ]
+
+
+def test_complexes_on_high_variables_stay_small():
+    # a face set on all n + 1 variables would need 2^31 bits and more here;
+    # the tables are computed under a 256 MB data limit
+    script = (
+        "from test_resolution import _high_variable_ideals\n"
+        "from gotzmann.resolution import _ideal_table\n"
+        "print([_ideal_table(i) for i in _high_variable_ideals()])\n"
+    )
+    limit = 256 << 20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_DATA, (limit, limit))
+
+    path = [os.path.dirname(os.path.dirname(gotzmann.__file__)), os.path.dirname(__file__)]
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+        preexec_fn=cap_memory, env={"PYTHONPATH": os.pathsep.join(path)},
+    )
+    assert done.returncode == 0, done.stderr
+    expected = [lattice_oracle_table(i) for i in _high_variable_ideals()]
+    assert done.stdout == f"{expected}\n"
+    assert expected[0] == ((0, 30, 2), (1, 31, 1))
+
+
+def test_face_set_keys_span_at_most_the_cap():
+    keys = []
+
+    def recording(faces):
+        keys.append(faces)
+        return _face_set_homology(faces)
+
+    # x17*x18, x18*x19 and x19*x20: at x17*x18*x19*x20 the facets are
+    # {x19, x20} and {x17, x18}, on vertices 17..20 of 21
+    wide = _ideal_of(20, [[int(v in pair) for v in range(21)] for pair in ((17, 18), (18, 19), (19, 20))])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(resolution, "_face_set_homology", recording)
+        assert _ideal_table.__wrapped__(wide) == lattice_oracle_table(wide)
+    assert keys and max(keys).bit_length() <= 1 << resolution.FACE_SET_VERTICES
 
 
 def _eagon_northcott(variables, d):
