@@ -43,7 +43,7 @@ from . import linalg
 from ._value import CachedHash, Value
 from .combinatorics import CACHE_ENTRIES, binomial
 from .errors import BudgetExceeded, InvariantViolated, PreconditionViolated, refuse_unknown_keys
-from .numpoly import NumPoly, series_to_polynomial
+from .numpoly import TERM_BUDGET, NumPoly, series_to_polynomial
 
 # Pivot nodes the series recursion may visit per component ideal; a work
 # guard, past which hilbert_series raises BudgetExceeded.
@@ -479,8 +479,10 @@ def hilbert_series(submodule: MonomialSubmodule) -> HilbertSeries:
     The numerators come from ``_ideal_numerator``, one pivot recursion on
     variable powers; it visits at most ``NODE_BUDGET`` nodes per component
     ideal and raises BudgetExceeded past that.  The series gives H(F/N, d)
-    exactly at every degree.  The tests check it against monomial counting
-    and against the alternating sums of Betti numbers.
+    exactly at every degree.  The numerator is dense from its lowest to its
+    top exponent, so a span of more than ``TERM_BUDGET`` coefficients raises
+    BudgetExceeded before it is built.  The tests check it against monomial
+    counting and against the alternating sums of Betti numbers.
     """
     n = submodule.n
     combined: dict[int, int] = {}
@@ -491,6 +493,10 @@ def hilbert_series(submodule: MonomialSubmodule) -> HilbertSeries:
     if combined:
         offset = min(combined)
         top = max(combined)
+        if top - offset >= TERM_BUDGET:
+            raise BudgetExceeded(
+                f"series numerator spans {top - offset + 1} coefficients, more than {TERM_BUDGET}"
+            )
         numerator = tuple(combined.get(e, 0) for e in range(offset, top + 1))
     else:
         offset = 0

@@ -8,8 +8,9 @@ One exact backend computes every Betti table (Miller-Sturmfels,
 
 and beta_{i,alpha}(I) vanishes unless alpha lies in the lcm lattice of the
 minimal generators (Gasharov-Peeva-Welker, "The lcm-lattice in monomial
-resolutions", 1999).  K^alpha lives on at most n+1 vertices, so its boundary
-matrices are tiny; its homology is memoised per face set in bounded caches.
+resolutions", 1999).  K^alpha lives on at most n+1 vertices, and its ranks
+run on at most min(#maximal faces, #vertices) of them, through the nerve of
+its maximal faces; its homology is memoised in bounded caches.
 
 Lattice and facets run on unary words of exponent ranks: in each variable
 the distinct generator exponents, with 0, are numbered 0, 1, 2, ... in
@@ -19,25 +20,26 @@ exponents, so they keep the lcm lattice and each K^alpha, and a field is at
 most one bit wider than the generator count, whatever the exponents.  The
 lcm of two words is their OR, divisibility and facets are a few whole-word
 integer operations, and a degree is one masked bit count per distinct step
-between consecutive exponents of a variable.  An alpha whose K^alpha is a cone is acyclic: a full simplex is
-skipped as soon as the facet scan meets the facet supp(alpha).  Every other
-alpha ORs the down-closures of its facets into one int, bit F set iff the
-vertex mask F is a face, and looks that int up in the homology cache.  Equal
-complexes give equal ints, and lattice elements repeat their complexes
-heavily, so the work behind a miss runs once per distinct complex.  A miss
-reads the maximal faces off the bits, answers () for a cone, where one
-vertex lies in every maximal face, and otherwise relabels the vertices (by
-the sizes of the maximal faces holding them) before the rank work.  The
-ranks are memoised again under the relabelled facets, so most complexes
-that differ by a permutation of the variables share one rank computation.
+between consecutive exponents of a variable.  An alpha whose K^alpha is a
+cone is acyclic: a full simplex is skipped as soon as the facet scan meets
+the facet supp(alpha).  Every other alpha ORs the down-closures of its
+facets into one int, bit F set iff the vertex mask F is a face, and looks
+that int up in the homology cache.  Equal complexes give equal ints, and
+lattice elements repeat their complexes heavily, so the work behind a miss
+runs once per distinct complex.  A miss reads the maximal faces off the
+bits, answers () for a cone, where one vertex lies in every maximal face,
+passes to the nerve of the maximal faces when they are fewer than the
+vertices, and otherwise relabels the vertices (by the sizes of the maximal
+faces holding them) before the rank work.  The ranks are memoised again
+under the relabelled facets, so most complexes that differ by a permutation
+of the variables share one rank computation.
 
-A face set on N vertices has 2^N bits, so no key spans more than
-FACE_SET_VERTICES vertices.  In at most that many variables the vertex masks
-are the variables themselves.  In more, each alpha's facets are first moved,
-in order, onto the vertices they use, so a complex with few vertices on
-high variables stays small; a complex that still uses more vertices skips
-the face set and hands its maximal facets straight to the cone test and the
-relabelling.
+A face set on N vertices has 2^N bits, so only ideals in at most
+FACE_SET_VERTICES variables key their complexes by face set, with the
+variables as the vertices.  In more variables the scan lists each alpha's
+maximal facets and hands them straight to the cone test, the nerve and the
+relabelling.  The nerve keeps the rank work on at most as many vertices as
+generators divide alpha, however many variables the facets span.
 
 ``regularity`` reads max(j - i) off the ``koszul_betti`` table it asks for.
 The tests hold this backend to a dense Koszul computation, to the
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache, reduce
-from operator import and_, or_
+from operator import and_
 
 from . import linalg
 from ._value import Value
@@ -143,10 +145,15 @@ def _face_set(word: int, words: list[int], guards: int, fill: int,
     return faces
 
 
-def _facets(word: int, words: list[int], guards: int, fill: int) -> set[int] | None:
-    """The facets of K^alpha as guard-bit patterns, or None for a full
-    simplex, found as in ``_face_set``; that scan ORs the closures in place
-    of building this set, which keeps cold Betti passes about 10% faster."""
+def _maximal(masks: set[int]) -> list[int]:
+    """The masks that no other mask contains."""
+    return [f for f in masks if not any(f != g and f & g == f for g in masks)]
+
+
+def _facets(word: int, words: list[int], guards: int, fill: int) -> list[int] | None:
+    """The maximal facets of K^alpha as guard-bit patterns, or None for a
+    full simplex, as in ``_face_set``, whose scan ORs closures in place of
+    building this list and so keeps cold Betti passes about 10% faster."""
     simplex = ((word + fill) & guards) or -1
     facets = set()
     for g in words:
@@ -155,27 +162,7 @@ def _facets(word: int, words: list[int], guards: int, fill: int) -> set[int] | N
             if facet == simplex:
                 return None
             facets.add(facet)
-    return facets
-
-
-def _wide_homology(facets: set[int]) -> tuple[tuple[int, int], ...]:
-    """Nonzero (k, dim H~_k) of the complex with these facets, given as
-    guard-bit patterns in any number of variables.
-
-    The vertices the facets use are numbered 0, 1, ... in the order of
-    their bits, which keeps the complex up to a relabelling.  On at most
-    FACE_SET_VERTICES of them the complex goes to the face-set memo;
-    otherwise its maximal facets go to ``_facets_homology`` directly.
-    """
-    used, rest = [], reduce(or_, facets)
-    while rest:
-        bit = rest & -rest
-        used.append(bit)
-        rest ^= bit
-    masks = [sum(1 << i for i, bit in enumerate(used) if f & bit) for f in facets]
-    if len(used) <= FACE_SET_VERTICES:
-        return _face_set_homology(reduce(or_, [_down_closure(f, 1) for f in masks]))
-    return _facets_homology([f for f in masks if not any(f != g and f & g == f for g in masks)])
+    return _maximal(facets)
 
 
 # complexes repeat heavily across the lattice elements of one ideal and
@@ -210,22 +197,30 @@ def _facets_homology(maximal: list[int]) -> tuple[tuple[int, int], ...]:
     as vertex masks.
 
     When one vertex lies in all of them the complex is a cone, which is
-    acyclic.  Otherwise the vertices are relabelled before any rank work:
-    vertices in no face are dropped and the rest are ordered by the sorted
-    sizes of the maximal faces that contain them, ties by bit position.  A
-    relabelling is a bijection, so the homology is unchanged, and complexes
-    that differ by a permutation of the variables mostly share one entry of
-    ``_relabelled_homology``.
+    acyclic.  When they are fewer than the vertices they use, their nerve,
+    generated by the maximal vertex stars S_v = {i : v in F_i}, has the same
+    homology on fewer vertices (nerve theorem: Borsuk 1948; Bjorner,
+    "Topological methods", 1995).  K = {empty face} has no vertices and
+    keeps its own.  Otherwise the vertices are relabelled before any rank
+    work: vertices in no face are dropped and the rest are ordered by the
+    sorted sizes of the maximal faces that contain them, ties by bit
+    position.  A relabelling is a bijection, so the homology is unchanged,
+    and complexes that differ by a permutation of the variables mostly share
+    one entry of ``_relabelled_homology``.
     """
     if reduce(and_, maximal):
         return ()
     sizes: dict[int, list[int]] = {}  # vertex bit -> sizes of its facets
-    for f in maximal:
+    stars: dict[int, int] = {}  # vertex bit -> mask of the facets holding it
+    for i, f in enumerate(maximal):
         size, rest = f.bit_count(), f
         while rest:
             vertex = rest & -rest
             sizes.setdefault(vertex, []).append(size)
+            stars[vertex] = stars.get(vertex, 0) | 1 << i
             rest ^= vertex
+    if len(maximal) < len(stars):
+        return _facets_homology(_maximal(set(stars.values())))
     order = sorted(sizes, key=lambda v: (sorted(sizes[v]), v))
     label = {v: 1 << i for i, v in enumerate(order)}
     return _relabelled_homology(frozenset(
@@ -238,8 +233,9 @@ def _relabelled_homology(facets: frozenset[int]) -> tuple[tuple[int, int], ...]:
     """``_face_set_homology`` past the relabelling: the boundary ranks of the
     complex with these facets, as vertex masks.
 
-    The complex lives on at most n + 1 vertices, so each boundary matrix has
-    at most C(n + 1, k) rows.
+    The complex lives on at most min(#facets, #vertices) vertices of the one
+    ``_facets_homology`` was given, and on N vertices each boundary matrix
+    has at most C(N, k) rows.
     """
     faces: set[int] = set()
     for f in facets:
@@ -290,10 +286,10 @@ def _ideal_table(ideal: MonomialIdeal) -> tuple[tuple[int, int, int], ...]:
     its face set, an int of 2^(n+1) bits, in ``_face_set_homology``, which
     answers () for any other cone.  Complexes that are equal share one
     entry, whichever generators gave their facets, so the rank work runs
-    once per distinct complex.  In more variables ``_wide_homology`` first
-    moves each alpha's facets onto the vertices they use.  The degree of an
-    alpha with homology is read by one masked bit count per distinct step
-    between consecutive exponents of a variable.
+    once per distinct complex.  In more variables ``_facets`` lists each
+    alpha's maximal facets for ``_facets_homology``.  The degree of an alpha
+    with homology is read by one masked bit count per distinct step between
+    consecutive exponents of a variable.
     """
     gens = ideal.exponents
     # per variable, the distinct exponents with 0, so that the steps up to the
@@ -323,10 +319,10 @@ def _ideal_table(ideal: MonomialIdeal) -> tuple[tuple[int, int, int], ...]:
                 continue
             homology = _face_set_homology(faces)
         else:
-            facets = _facets(word, words, guards, fill)
-            if facets is None:
+            maximal = _facets(word, words, guards, fill)
+            if maximal is None:
                 continue
-            homology = _wide_homology(facets)
+            homology = _facets_homology(maximal)
         if homology:
             j = sum(step * (word & bits).bit_count() for step, bits in steps.items())
             for k, dim in homology:

@@ -457,6 +457,16 @@ def test_error_paths_exit_two(capsys):
 
 
 
+def test_series_of_a_huge_exponent_is_refused_in_one_line(capsys):
+    # betti answers x0^99999999999 at once; its series numerator would be
+    # dense over 10^11 exponents, so hilbert refuses it
+    huge = '{"n": 1, "degrees": [0], "components": [{"gens": ["x0^99999999999"]}]}'
+    assert run_json(capsys, ["betti", "--module", huge]) == {"betti": [[0, 0, 1], [1, 99999999999, 1]]}
+    code, out, err = run_cli(capsys, ["hilbert", "--module", huge, "--polynomial"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err[:200]
+
+
 def test_rep_of_degree_1000_answers_and_refuses_in_one_short_line(capsys):
     # C(d + 1000, 1000) is one term; C(d, 1000) peels it and leaves a remainder
     # of degree 999 that leads with -1000, and half of it is not integer-valued

@@ -375,6 +375,17 @@ def test_series_budget(monkeypatch):
             read(THREE_QUADRICS)
 
 
+def test_series_numerator_span_is_bounded():
+    # the numerator 1 - t^e is dense from 0 to e: e + 1 coefficients, built
+    # up to TERM_BUDGET of them and refused past it before any tuple is made
+    budget = monomial_algebra.TERM_BUDGET
+    at_budget = hilbert_series(module(0, (0,), [ideal(0, f"x0^{budget - 1}")]))
+    assert len(at_budget.numerator) == budget
+    for e in (budget, 10**7, 99999999999):
+        with pytest.raises(BudgetExceeded, match="more than"):
+            hilbert_series(module(0, (0,), [ideal(0, f"x0^{e}")]))
+
+
 def test_hilbert_polynomial_examples(twisted_plane_pair):
     assert hilbert_polynomial(twisted_plane_pair) == NumPoly([6, 5, 1])
     free_line = module(1, (0,), ["zero"])

@@ -13,7 +13,7 @@ from math import comb
 from operator import and_
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gotzmann
@@ -406,13 +406,45 @@ def test_face_set_keys_span_at_most_the_cap():
         keys.append(faces)
         return _face_set_homology(faces)
 
-    # x17*x18, x18*x19 and x19*x20: at x17*x18*x19*x20 the facets are
-    # {x19, x20} and {x17, x18}, on vertices 17..20 of 21
+    # the 12 products of all but one of x0..x11, in as many variables as a
+    # face set may key: at the lcm the facets are 12 isolated vertices
+    narrow = _ideal_of(11, [[int(v != i) for v in range(12)] for i in range(12)])
+    # x17*x18, x18*x19 and x19*x20 in 21 variables, past the cap: their
+    # maximal facets go to the nerve and the relabelling with no face set
     wide = _ideal_of(20, [[int(v in pair) for v in range(21)] for pair in ((17, 18), (18, 19), (19, 20))])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(resolution, "_face_set_homology", recording)
-        assert _ideal_table.__wrapped__(wide) == lattice_oracle_table(wide)
-    assert keys and max(keys).bit_length() <= 1 << resolution.FACE_SET_VERTICES
+        for case in (narrow, wide):
+            assert _ideal_table.__wrapped__(case) == lattice_oracle_table(case)
+    assert keys and all(key.bit_length() <= 1 << resolution.FACE_SET_VERTICES for key in keys)
+
+
+def _wide_support_ideal(variables):
+    """Five generators with each exponent randint(0, 3) from Random(0).
+    Listing every face of each K^alpha, as ``lattice_oracle`` does, takes
+    about 2 s in 13 variables and 25 s in 16; the nerves of the maximal
+    faces have at most five vertices."""
+    rng = random.Random(0)
+    return _ideal_of(variables - 1, [[rng.randint(0, 3) for _ in range(variables)] for _ in range(5)])
+
+
+# the table of the 16-variable ideal, computed by listing every face
+WIDE_16_TABLE = (
+    (0, 22, 1), (0, 23, 3), (0, 29, 1), (1, 29, 1), (1, 33, 3), (1, 34, 1), (1, 35, 1), (1, 36, 2),
+    (1, 40, 1), (2, 38, 3), (2, 39, 1), (2, 40, 1), (2, 41, 2), (3, 41, 1), (3, 42, 1),
+)
+
+
+def test_wide_supports_match_the_face_listing():
+    thirteen = _wide_support_ideal(13)
+    assert _ideal_table(thirteen) == lattice_oracle_table(thirteen)
+    assert _ideal_table(_wide_support_ideal(16)) == WIDE_16_TABLE
+
+
+def test_wide_support_in_twenty_variables_matches_the_series_numerator():
+    twenty = _wide_support_ideal(20)
+    numerator = {e: c for e, c in _ideal_numerator(twenty.exponents) if c}
+    assert betti_alternating_sum(koszul_betti(module(19, (0,), [twenty]))) == numerator
 
 
 def _eagon_northcott(variables, d):
@@ -470,6 +502,10 @@ def test_reduced_homology_of_known_complexes():
         (octahedron, ((2, 1),)),
         # H~ over Q vanishes; over GF(2) it would be H_1 = H_2 = 1
         (rp2, ()),
+        # fewer maximal faces than vertices, answered by their nerve: three
+        # triangles in a cycle (a hollow triangle) and three disjoint faces
+        ([_mask(0, 1, 2), _mask(2, 3, 4), _mask(4, 5, 0)], ((1, 1),)),
+        ([_mask(0, 1), _mask(2, 3), _mask(4, 5, 6)], ((0, 2),)),
     ]
     for facets, expected in cases:
         assert _face_set_homology(_faces_of(facets)) == expected, facets
@@ -489,6 +525,19 @@ def test_reduced_homology_is_invariant_under_relabelling(facets, permutation):
     uncached = _relabelled_homology.__wrapped__(frozenset(facets))
     assert _face_set_homology(_faces_of(facets)) == uncached
     assert _face_set_homology(_faces_of(relabelled)) == uncached
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 255), min_size=1, max_size=8).map(lambda fs: resolution._maximal(set(fs))))
+@example([_mask(0, 1, 2), _mask(2, 3, 4), _mask(4, 5, 0)])  # fewer faces than vertices: a circle
+@example([_mask(0, 1), _mask(2, 3), _mask(4, 5, 6)])  # disjoint faces
+@example([_mask(0, 1, 2, 3)])  # one face
+@example([0])  # the empty face alone, H~_{-1} = Q
+@example([_mask(0, 1, 7), _mask(1, 2, 7), _mask(0, 2, 7), _mask(3, 7)])  # a cone on apex 7
+def test_nerve_of_the_maximal_faces_keeps_the_homology(maximal):
+    # the nerve, taken when the maximal faces are fewer than the vertices,
+    # against every face of the complex listed directly
+    assert resolution._facets_homology(maximal) == _relabelled_homology.__wrapped__(frozenset(maximal))
 
 
 @settings(max_examples=150, deadline=None)
