@@ -26,15 +26,27 @@ exponent tuples and hand them to ``MonomialIdeal._of_minimal``.
 Hilbert functions are read off the exact Hilbert series numerator.  Each
 ideal's numerator comes from one pivot recursion that splits on a variable
 power x_v^k; the tests hold it to monomial counting and to the alternating
-sums of Betti numbers.  The hyperplane restriction is read off the series
-too, up to the kernel of h on I^sat/I; monomial enumeration
-(``quotient_basis``) is kept only for that kernel, where a k-basis itself
-is needed.
+sums of Betti numbers.  Every Hilbert value of a submodule is read through
+its one record (``_record``, cached by submodule): the sparse numerator of
+F/N, each component's pairs shifted by its f_i and never densified, and
+memo tables for H(F/N, d), rho, the checkers' growth pairs and the
+hyperplane value, keyed by ints or tuples of ints (see ``_Record``).  ``hf_direct``, ``adjusted_hf_decomposition``,
+``stabilization_degree``, ``hilbert_series`` and the checkers of
+``theorems`` all read it.
+
+The generic hyperplane restriction at d is H(F/N, d) - H(F/N, d - 1) plus,
+per component I, the kernel of h on (I^sat/I)_(d-f_i-1).  That kernel is
+ranked only where the defect table of I, dim (I^sat/I)_e read off the
+series as (N_I - N_(I^sat))/(1 - t)^(n+1), is positive; the table is kept
+with the saturation in one ``_saturation`` entry per ideal.  Monomial
+enumeration (``quotient_basis``) is kept only for that kernel, where a
+k-basis itself is needed.
 """
 from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 from operator import le
 from typing import Iterable
@@ -241,9 +253,9 @@ class MonomialIdeal(CachedHash):
 
     def saturation(self) -> "MonomialIdeal":
         """I : (x_0, ..., x_n)^infinity as the intersection of variable colons,
-        read off the cached ``_saturated_gens`` that ``_linear_section_dim``
-        shares; no series is computed."""
-        return MonomialIdeal._of_minimal(self.n, _saturated_gens(self.exponents))
+        read off the ``_saturation`` entry that the hyperplane kernel shares;
+        no series is computed."""
+        return MonomialIdeal._of_minimal(self.n, _saturation(self.exponents).gens)
 
     def max_gen_degree(self) -> int:
         if not self.exponents:
@@ -251,8 +263,6 @@ class MonomialIdeal(CachedHash):
         return max(map(sum, self.exponents))
 
 
-# keyed by generator exponents: saturation() and _linear_section_dim share one entry
-@lru_cache(maxsize=CACHE_ENTRIES)
 def _saturated_gens(gens: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     """Minimal generators of I : (x_0, ..., x_n)^infinity from those of I, on
     exponent tuples: the intersection of the colons I : x_v^infinity, each
@@ -273,12 +283,59 @@ def _saturated_gens(gens: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...],
     return out
 
 
+class _Saturation:
+    """The ``_saturation`` entry of an ideal I: ``gens``, the minimal
+    generators of I^sat, and the defect table {e: dim (I^sat/I)_e > 0},
+    built on first read, so that saturating computes no series."""
+
+    __slots__ = ("ideal", "gens", "_defect")
+
+    def __init__(self, ideal: tuple[tuple[int, ...], ...], gens: tuple[tuple[int, ...], ...]):
+        self.ideal = ideal
+        self.gens = gens
+        self._defect = None
+
+    def defect(self) -> dict[int, int]:
+        """dim (I^sat/I)_e at each e where it is positive; empty when I is
+        saturated.  The series of I^sat/I is (N_I - N_(I^sat))/(1 - t)^(n+1),
+        N the series numerators, and it is a polynomial, as I^sat/I has
+        finite length: n + 1 running sums of the numerator difference give
+        it.  A difference spanning more than ``TERM_BUDGET`` exponents
+        raises BudgetExceeded before any sum is built."""
+        if self._defect is None:
+            table = {}
+            if self.gens != self.ideal:
+                diff = dict(_ideal_numerator(self.ideal))
+                for e, c in _ideal_numerator(self.gens):
+                    diff[e] = diff.get(e, 0) - c
+                diff = {e: c for e, c in diff.items() if c}
+                low, top = min(diff), max(diff)
+                if top - low >= TERM_BUDGET:
+                    raise BudgetExceeded(
+                        f"saturation defect spans {top - low + 1} degrees, more than {TERM_BUDGET}"
+                    )
+                coeffs = [diff.get(e, 0) for e in range(low, top + 1)]
+                for _ in self.ideal[0]:  # n + 1 times
+                    coeffs = list(accumulate(coeffs))
+                table = {low + j: c for j, c in enumerate(coeffs) if c}
+            self._defect = table
+        return self._defect
+
+
+# keyed by generator exponents: saturation() and the hyperplane kernel share one entry
+@lru_cache(maxsize=CACHE_ENTRIES)
+def _saturation(gens: tuple[tuple[int, ...], ...]) -> _Saturation:
+    """I^sat of the ideal of minimal exponent tuples ``gens``, with its
+    defect table (see ``_Saturation``)."""
+    return _Saturation(gens, _saturated_gens(gens))
+
+
 def quotient_basis(ideal: MonomialIdeal, e: int) -> tuple[Monomial, ...]:
     """Degree-e monomials outside the ideal (a k-basis of (S/I)_e), lex order.
 
-    Only ``_linear_section_dim`` uses it in the library, for the kernel of
-    h on I^sat/I, and that caller is cached by (ideal, e), so this is not;
-    Hilbert functions are read off the series.
+    Only ``_kernel`` uses it in the library, for the kernel of h on
+    I^sat/I, in the few degrees where I^sat/I is nonzero; Hilbert functions
+    are read off the series.
     """
     return tuple(
         m for m in monomials_of_degree(ideal.n, e)
@@ -306,7 +363,7 @@ class GradedFreeModule(CachedHash):
         return len(self.degrees)
 
     def dim_at(self, d: int) -> int:
-        return sum(binomial(d - f + self.n, self.n) for f in self.degrees)
+        return _dims(self.degrees, d, self.n)
 
 
 class MonomialSubmodule(CachedHash):
@@ -377,14 +434,6 @@ def rank(submodule: MonomialSubmodule) -> int:
     return submodule._rank
 
 
-@lru_cache(maxsize=CACHE_ENTRIES)
-def hf_direct(submodule: MonomialSubmodule, d: int) -> int:
-    """H(F/N, d), read off the Hilbert series numerator of F/N.
-
-    Exact at every degree, including below f_1, where it is 0.
-    """
-    return hilbert_series(submodule).hf(d)
-
 
 class HilbertSeries(Value):
     """Laurent numerator over (1-t)^(n+1): sum_j numerator[j] t^(offset+j)."""
@@ -398,11 +447,8 @@ class HilbertSeries(Value):
 
     def hf(self, d: int) -> int:
         """Coefficient of t^d in the series expansion."""
-        return sum(
-            c * binomial(d - (self.offset + j) + self.n, self.n)
-            for j, c in enumerate(self.numerator)
-            if c
-        )
+        terms = ((self.offset + j, c) for j, c in enumerate(self.numerator) if c)
+        return _numerator_hf(terms, self.n, d)
 
     @property
     def max_exponent(self) -> int:
@@ -418,6 +464,17 @@ class HilbertSeries(Value):
             "offset": self.offset,
             "denominator_power": self.n + 1,
         }
+
+
+def _numerator_hf(numerator: Iterable[tuple[int, int]], n: int, d: int) -> int:
+    """Coefficient of t^d in sum c t^e / (1-t)^(n+1), the numerator given as
+    (e, c) pairs ascending in e: the sum of c C(d - e + n, n) over e <= d."""
+    value = 0
+    for e, c in numerator:
+        if e > d:
+            break
+        value += c * comb(d - e + n, n)
+    return value
 
 
 def _power_pivot_numerator(
@@ -472,36 +529,120 @@ def _ideal_numerator(gens: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int]
     return tuple(sorted(_power_pivot_numerator(gens, [NODE_BUDGET]).items()))
 
 
+class _Record:
+    """What the kernels know of one submodule N.
+
+    ``numerator`` is the Hilbert series numerator of F/N as a dict
+    {exponent: coefficient}, nonzero only and in ascending order: each
+    component's ``_ideal_numerator`` shifted by its f_i and summed, never
+    densified.
+
+    Three memo tables are keyed by one int: ``hf`` holds H(F/N, d) by d,
+    ``rho`` holds rho(d, r), r > 0, by d(m + 1) + r, and ``hyperplane`` the
+    hyperplane value by d.  ``growth`` holds the growth pair of ``theorems``
+    by (d, r, index), as the transform index has no bound to pack it by.
+    ``kernels`` lists (f_i, I_i, the generators of I_i^sat, the defect table
+    of I_i) for the components that are not saturated, read on the first
+    hyperplane value.
+    """
+
+    __slots__ = (
+        "submodule", "n", "degrees", "numerator", "hf", "rho", "growth", "hyperplane", "kernels"
+    )
+
+    def __init__(self, submodule: MonomialSubmodule, numerator: dict[int, int]):
+        self.submodule = submodule
+        self.n = submodule.n
+        self.degrees = submodule.degrees
+        self.numerator = numerator
+        self.hf: dict[int, int] = {}
+        self.rho: dict[int, int] = {}
+        self.growth: dict[tuple[int, int, int], tuple[int, int]] = {}
+        self.hyperplane: dict[int, int] = {}
+        self.kernels: tuple | None = None
+
+
+# memo values stored in the records since the record cache was last emptied;
+# an upper bound on the values the cached records hold
+_held = 0
+
+
+@lru_cache(maxsize=CACHE_ENTRIES)
+def _record(submodule: MonomialSubmodule) -> _Record:
+    """The one record of a submodule, built with its sparse numerator.
+
+    Bounded memory: at most ``CACHE_ENTRIES`` records, each with its
+    numerator, and at most 4 * ``CACHE_ENTRIES`` memo values in all the
+    cached records together, as ``_store`` empties this cache before the
+    values would pass that count.  That is what the four submodule caches
+    it replaces (H, rho, growth, hyperplane) held at most.
+    """
+    global _held
+    if not _record.cache_info().currsize:  # emptied since the last count
+        _held = 0
+    combined: dict[int, int] = {}
+    for f, ideal in zip(submodule.degrees, submodule.components):
+        for e, c in _ideal_numerator(ideal.exponents):
+            combined[e + f] = combined.get(e + f, 0) + c
+    return _Record(submodule, {e: combined[e] for e in sorted(combined) if combined[e]})
+
+
+def _store(table: dict, key, value):
+    """table[key] = value in a record's memo table, counted against the
+    bound of ``_record``; returns value."""
+    global _held
+    if _held >= 4 * CACHE_ENTRIES:
+        _record.cache_clear()
+        _held = 0
+    _held += 1
+    table[key] = value
+    return value
+
+
+def _hf(record: _Record, d: int) -> int:
+    """H(F/N, d) from the record's sparse numerator, memoised in it."""
+    value = record.hf.get(d)
+    if value is None:
+        value = _store(record.hf, d, _numerator_hf(record.numerator.items(), record.n, d))
+    return value
+
+
+def hf_direct(submodule: MonomialSubmodule, d: int) -> int:
+    """H(F/N, d), read off the sparse Hilbert series numerator of F/N in the
+    submodule's record, so no span of the numerator is ever densified.
+
+    Exact at every degree, including below f_1, where it is 0.
+    """
+    return _hf(_record(submodule), d)
+
+
+# hf_direct's memo is the record cache; it reports that cache's statistics
+# (perfbench/calibrate.py prints their hit ratio)
+hf_direct.cache_info = _record.cache_info
+
+
 @lru_cache(maxsize=CACHE_ENTRIES)
 def hilbert_series(submodule: MonomialSubmodule) -> HilbertSeries:
     """Hilbert series of F/N: each component's numerator shifted by t^(f_i).
 
     The numerators come from ``_ideal_numerator``, one pivot recursion on
     variable powers; it visits at most ``NODE_BUDGET`` nodes per component
-    ideal and raises BudgetExceeded past that.  The series gives H(F/N, d)
-    exactly at every degree.  The numerator is dense from its lowest to its
+    ideal and raises BudgetExceeded past that.  The sparse sum is the
+    submodule's record; this dense form of it runs from its lowest to its
     top exponent, so a span of more than ``TERM_BUDGET`` coefficients raises
     BudgetExceeded before it is built.  The tests check it against monomial
     counting and against the alternating sums of Betti numbers.
     """
-    n = submodule.n
-    combined: dict[int, int] = {}
-    for f, ideal in zip(submodule.degrees, submodule.components):
-        for e, c in _ideal_numerator(ideal.exponents):
-            combined[e + f] = combined.get(e + f, 0) + c
-    combined = {e: c for e, c in combined.items() if c}
-    if combined:
-        offset = min(combined)
-        top = max(combined)
-        if top - offset >= TERM_BUDGET:
-            raise BudgetExceeded(
-                f"series numerator spans {top - offset + 1} coefficients, more than {TERM_BUDGET}"
-            )
-        numerator = tuple(combined.get(e, 0) for e in range(offset, top + 1))
-    else:
-        offset = 0
-        numerator = ()
-    return HilbertSeries(n, offset, numerator)
+    numerator = _record(submodule).numerator
+    if not numerator:
+        return HilbertSeries(submodule.n, 0, ())
+    offset, top = next(iter(numerator)), next(reversed(numerator))
+    if top - offset >= TERM_BUDGET:
+        raise BudgetExceeded(
+            f"series numerator spans {top - offset + 1} coefficients, more than {TERM_BUDGET}"
+        )
+    dense = tuple(numerator.get(e, 0) for e in range(offset, top + 1))
+    return HilbertSeries(submodule.n, offset, dense)
 
 
 @lru_cache(maxsize=CACHE_ENTRIES)
@@ -522,10 +663,10 @@ def stabilization_degree(submodule: MonomialSubmodule) -> int:
     d <= e - n - 1.  So H - P vanishes from E - n on, and at E - n - 1 only
     the top term c_E t^E is left: H - P = (-1)^(n+1) c_E != 0.
     """
-    series = hilbert_series(submodule)
-    if not any(series.numerator):
+    numerator = _record(submodule).numerator
+    if not numerator:
         return submodule.degrees[0]
-    return series.max_exponent - submodule.n
+    return next(reversed(numerator)) - submodule.n
 
 
 def saturate(submodule: MonomialSubmodule) -> MonomialSubmodule:
@@ -545,56 +686,83 @@ def adjusted_hf_decomposition(submodule: MonomialSubmodule, d: int) -> tuple[int
     rho then satisfies 0 <= rho <= sum_{i=1}^{m-r} C(d - f_i + n, n); a
     violation would be a bug, not bad input.
     """
-    return _adjusted_split(submodule, d, rank(submodule))
+    record = _record(submodule)
+    rho = _rho(record, d, rank(submodule))
+    return _hf(record, d) - rho, rho
 
 
-def _adjusted_split(submodule: MonomialSubmodule, d: int, r: int) -> tuple[int, int]:
-    """adjusted_hf_decomposition for a caller that already holds r = rank."""
-    n = submodule.n
-    degrees = submodule.degrees
+def _dims(degrees: tuple[int, ...], d: int, n: int) -> int:
+    """dim of the sum of S(-f)_d over the given f, S in n + 1 variables."""
+    return sum(comb(d - f + n, n) for f in degrees if f <= d)
+
+
+def _rho(record: _Record, d: int, r: int) -> int:
+    """H(F/N, d) less the free part of the last r ambient degrees, memoised
+    in the record, with the window check of ``adjusted_hf_decomposition``;
+    at r = 0 it is H(F/N, d) itself."""
+    if not r:
+        return _hf(record, d)
+    n, degrees = record.n, record.degrees
     m = len(degrees)
-    free_part = sum(binomial(d - f + n, n) for f in degrees[m - r :])
-    rho = hf_direct(submodule, d) - free_part
-    window = sum(binomial(d - f + n, n) for f in degrees[: m - r])
-    if not 0 <= rho <= window:
-        raise InvariantViolated(
-            f"rho = {rho} escapes [0, {window}] at degree {d} for {submodule}"
-        )
-    return free_part, rho
+    key = d * (m + 1) + r
+    rho = record.rho.get(key)
+    if rho is None:
+        rho = _hf(record, d) - _dims(degrees[m - r :], d, n)
+        window = _dims(degrees[: m - r], d, n)
+        if not 0 <= rho <= window:
+            raise InvariantViolated(
+                f"rho = {rho} escapes [0, {window}] at degree {d} for {record.submodule}"
+            )
+        _store(record.rho, key, rho)
+    return rho
 
 
-def _numerator_hf(numerator: tuple[tuple[int, int], ...], n: int, d: int) -> int:
-    """H(S/I, d) from the series numerator of S/I as (exponent, coefficient) pairs."""
-    return sum(c * binomial(d - j + n, n) for j, c in numerator)
+def _hyperplane(record: _Record, d: int) -> int:
+    """generic_hyperplane_hf, memoised in the record: one ``_section_dim``
+    per (submodule, d), whichever checkers ask."""
+    value = record.hyperplane.get(d)
+    if value is None:
+        value = _store(record.hyperplane, d, _section_dim(record, d))
+    return value
 
 
-# keyed by (ideal, degree): the checkers revisit each module's few degrees
-@lru_cache(maxsize=CACHE_ENTRIES)
-def _linear_section_dim(ideal: MonomialIdeal, e: int) -> int:
-    """dim (S/(I + hS))_e over Q, h = x_0 + ... + x_n.
+def _section_dim(record: _Record, d: int) -> int:
+    """dim (F/(N + hF))_d, h = x_0 + ... + x_n.
 
-    The exact sequence
+    Per component I, multiplication by h gives the exact sequence
 
-        0 -> (0 :_{S/I} h)_{e-1} -> (S/I)_{e-1} --h--> (S/I)_e -> (S/(I + hS))_e -> 0
+        0 -> (0 :_{S/I} h)_{e-1} -> (S/I)_{e-1} --h--> (S/I)_e -> (S/(I + hS))_e -> 0,
 
-    makes it H(S/I, e) - H(S/I, e-1) + dim (0 :_{S/I} h)_{e-1}, both
-    Hilbert values read off the series.  Every associated prime of a
-    monomial ideal is generated by variables, and h lies in none of them but
-    the maximal ideal, so h is a nonzerodivisor on S/I^sat and the kernel
-    lies in I^sat/I.  It is 0 where (I^sat/I)_{e-1} is, that is where S/I
-    and S/I^sat have one Hilbert value at e - 1.  Elsewhere it is the kernel
-    of h from (I^sat/I)_{e-1} to (I^sat/I)_e, whose monomial bases are the
-    standard monomials of I that lie in I^sat; ``linalg.rank`` certifies
-    the rank of that 0/1 matrix.
+    e = d - f_i.  Summed over the components, the middle terms give
+    H(F/N, d) - H(F/N, d - 1), read off the record.  Every associated prime
+    of a monomial ideal is generated by variables, and h lies in none of
+    them but the maximal ideal, so h is a nonzerodivisor on S/I^sat and the
+    kernel lies in I^sat/I.  So it is 0 where the defect table of I is 0 at
+    e - 1, and elsewhere ``_kernel`` ranks it.
     """
-    n = ideal.n
+    if record.n < 1:
+        raise PreconditionViolated("hyperplane restriction needs n >= 1")
+    value = _hf(record, d) - _hf(record, d - 1)
+    kernels = record.kernels
+    if kernels is None:
+        kernels = record.kernels = tuple(
+            (f, ideal, saturation.gens, saturation.defect())
+            for f, ideal in zip(record.degrees, record.submodule.components)
+            if (saturation := _saturation(ideal.exponents)).defect()
+        )
+    for f, ideal, sat, defect in kernels:
+        if defect.get(d - f - 1):
+            value += _kernel(ideal, sat, d - f)
+    return value
+
+
+def _kernel(ideal: MonomialIdeal, sat: tuple[tuple[int, ...], ...], e: int) -> int:
+    """dim (0 :_{S/I} h)_{e-1} for I with saturation generators ``sat``:
+    the kernel of h from (I^sat/I)_{e-1} to (I^sat/I)_e, whose monomial
+    bases are the standard monomials of I that lie in I^sat.
+    ``linalg.rank`` certifies the rank of that 0/1 matrix, whose rational
+    rank is the generic one."""
     gens = ideal.exponents
-    numerator = _ideal_numerator(gens)
-    below = _numerator_hf(numerator, n, e - 1)
-    value = _numerator_hf(numerator, n, e) - below
-    sat = _saturated_gens(gens)
-    if _numerator_hf(_ideal_numerator(sat), n, e - 1) == below:
-        return value
     source = [
         u.exponents for u in quotient_basis(ideal, e - 1)
         if any(all(map(le, g, u.exponents)) for g in sat)
@@ -603,33 +771,25 @@ def _linear_section_dim(ideal: MonomialIdeal, e: int) -> int:
     columns = []
     for u in source:
         column = {}
-        for v in range(n + 1):
+        for v in range(ideal.n + 1):
             w = u[:v] + (u[v] + 1,) + u[v + 1 :]
             if not any(all(map(le, g, w)) for g in gens):
                 column[row_of.setdefault(w, len(row_of))] = 1
         columns.append(column)
-    return value + len(source) - linalg.rank(columns)
+    return len(source) - linalg.rank(columns)
 
 
 def generic_hyperplane_hf(submodule: MonomialSubmodule, d: int) -> int:
     """dim (F/(N + hF))_d for a generic linear form h in characteristic 0,
-    computed exactly with h = x_0 + ... + x_n.
+    computed exactly with h = x_0 + ... + x_n: the first difference
+    H(F/N, d) - H(F/N, d - 1) plus, per component I, the kernel of h on
+    (I^sat/I)_(d - f_i - 1) (``_section_dim``).
 
     Scaling each x_v by c_v != 0 fixes every monomial ideal and sends
     x_0 + ... + x_n to sum c_v x_v, so over any field every h with nonzero
-    coefficients, a generic one included, gives the same dimension.  Per
-    component I, the exact sequence of multiplication by h on S/I gives it
-    as the first difference of H(S/I) plus the kernel of h, which lies in
-    I^sat/I because h is a nonzerodivisor on S/I^sat (see
-    ``_linear_section_dim``).  That kernel is a 0/1 matrix's, and its
-    rational rank, which ``linalg.rank`` certifies, is the generic rank.
+    coefficients, a generic one included, gives the same dimension.
     """
-    if submodule.n < 1:
-        raise PreconditionViolated("hyperplane restriction needs n >= 1")
-    return sum(
-        _linear_section_dim(ideal, d - f)
-        for f, ideal in zip(submodule.degrees, submodule.components)
-    )
+    return _hyperplane(_record(submodule), d)
 
 
 # ---------------------------------------------------------------------------

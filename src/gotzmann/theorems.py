@@ -11,37 +11,45 @@ The adjusted bounds peel off the free part of M = F/N over the r largest
 ambient degrees (r = number of zero components) and apply the binomial
 transform to the remainder rho at index d - f_low, where f_low is the
 (m-r)-th degree.  Two kernels, ``_growth`` and ``_restriction``, compute
-every bound from (submodule, d, r, index) and refuse an index below 1.  The
-classical checkers are the same kernels at r = 0, where rho = H(M, d) and
-f_low = l, the largest ambient degree; Gasharov's module forms move the
-index to d - l - p.
+every bound from (d, r, index) and refuse an index below 1.  The classical
+checkers are the same kernels at r = 0, where rho = H(M, d) and f_low = l,
+the largest ambient degree; Gasharov's module forms move the index to
+d - l - p.
+
+Every value a checker reads is a function of H(M, d), rho and the generic
+hyperplane restriction, all read through the submodule's one record
+(``monomial_algebra._record``, cached by submodule): a checker looks the
+record up once, and the kernels read and fill its memo tables, H and the
+hyperplane value by d, rho by (d, r) and the growth pair by (d, r, index).
+So the checkers of one submodule share each value, each (submodule, d) is
+restricted once, and ``sweep`` yields exactly what the public checkers
+return.  The records' memory is bounded as ``_record`` states.
 
 A module checker's report keeps its submodule and builds ``instance``, the
-``module_to_dict`` form, on first read: a sweep reads few of them.  Rho,
-``_growth`` and the hyperplane value of ``_restriction`` are cached by
-argument, like ``hf_direct``, so the checkers of one submodule share each
-value, and ``sweep`` yields exactly what the public checkers return.
+``module_to_dict`` form, on first read: a sweep reads few of them.
 """
 from __future__ import annotations
 
 import json
 import random
-from functools import lru_cache
 from typing import Iterator
 
 from ._value import Value
-from .combinatorics import binomial, green_transform, macaulay_transform
+from .combinatorics import green_transform, macaulay_transform
 from .errors import PreconditionViolated
 from .lex import saturated_lex_module
 from .monomial_algebra import (
-    CACHE_ENTRIES,
     GradedFreeModule,
     MonomialIdeal,
     MonomialSubmodule,
-    _adjusted_split,
+    _Record,
+    _dims,
+    _hf,
+    _hyperplane,
     _minimal,
-    generic_hyperplane_hf,
-    hf_direct,
+    _record,
+    _rho,
+    _store,
     hilbert_polynomial,
     module_to_dict,
     rank,
@@ -149,35 +157,26 @@ def _f_low(degrees: tuple[int, ...], r: int) -> int:
     return degrees[len(degrees) - r - 1]  # r = m reads index -1, f_m
 
 
-@lru_cache(maxsize=CACHE_ENTRIES)
-def _rho(submodule: MonomialSubmodule, d: int, r: int) -> int:
-    """H(M, d) less the free part of the last r ambient degrees."""
-    return _adjusted_split(submodule, d, r)[1]
-
-
-@lru_cache(maxsize=CACHE_ENTRIES)
-def _growth(submodule: MonomialSubmodule, d: int, r: int, index: int) -> tuple[int, int]:
+def _growth(record: _Record, d: int, r: int, index: int) -> tuple[int, int]:
     """H(M, d+1) and its bound: the free part of the last r ambient degrees
-    at d + 1 plus rho^<index>."""
-    _require_index(d, index)
-    n, degrees = submodule.n, submodule.degrees
-    free = sum(binomial(d + 1 - f + n, n) for f in degrees[len(degrees) - r :]) if r else 0
-    return hf_direct(submodule, d + 1), free + macaulay_transform(_rho(submodule, d, r), index)
+    at d + 1 plus rho^<index>; memoised in the record."""
+    pair = record.growth.get((d, r, index))
+    if pair is None:
+        _require_index(d, index)
+        n, degrees = record.n, record.degrees
+        free = _dims(degrees[len(degrees) - r :], d + 1, n) if r else 0
+        bound = free + macaulay_transform(_rho(record, d, r), index)
+        pair = _store(record.growth, (d, r, index), (_hf(record, d + 1), bound))
+    return pair
 
 
-def _restriction(submodule: MonomialSubmodule, d: int, r: int, index: int) -> tuple[int, int]:
+def _restriction(record: _Record, d: int, r: int, index: int) -> tuple[int, int]:
     """The generic hyperplane value dim (M/hM)_d and its bound: the free part
     of the last r ambient degrees in n - 1 variables plus rho_<index>."""
     _require_index(d, index)
-    n, degrees = submodule.n, submodule.degrees
-    free = sum(binomial(d - f + n - 1, n - 1) for f in degrees[len(degrees) - r :]) if r else 0
-    return _hyperplane(submodule, d), free + green_transform(_rho(submodule, d, r), index)
-
-
-@lru_cache(maxsize=CACHE_ENTRIES)
-def _hyperplane(submodule: MonomialSubmodule, d: int) -> int:
-    """generic_hyperplane_hf, once per (submodule, d) for every (r, index)."""
-    return generic_hyperplane_hf(submodule, d)
+    n, degrees = record.n, record.degrees
+    free = _dims(degrees[len(degrees) - r :], d, n - 1) if r else 0
+    return _hyperplane(record, d), free + green_transform(_rho(record, d, r), index)
 
 
 def _require_index(d: int, index: int) -> None:
@@ -187,16 +186,17 @@ def _require_index(d: int, index: int) -> None:
 
 def check_macaulay_adjusted(submodule: MonomialSubmodule, d: int) -> CheckReport:
     """H(M, d+1) against the rank-and-degree adjusted Macaulay bound."""
+    record = _record(submodule)
     r = rank(submodule)
     f_low = _f_low(submodule.degrees, r)
-    lhs, rhs = _growth(submodule, d, r, d - f_low)
+    lhs, rhs = _growth(record, d, r, d - f_low)
     return _module_report(
         submodule,
         name="macaulay_adjusted",
         bound_lhs=lhs,
         bound_rhs=rhs,
         verdict=_compare(lhs, rhs),
-        context={"d": d, "rho": _rho(submodule, d, r), "f_low": f_low, "rank": r},
+        context={"d": d, "rho": _rho(record, d, r), "f_low": f_low, "rank": r},
     )
 
 
@@ -204,16 +204,17 @@ def check_green_adjusted(submodule: MonomialSubmodule, d: int) -> CheckReport:
     """Generic hyperplane restriction against the adjusted Green bound."""
     if submodule.n < 1:
         raise PreconditionViolated(f"need n >= 1, got {submodule.n}")
+    record = _record(submodule)
     r = rank(submodule)
     f_low = _f_low(submodule.degrees, r)
-    lhs, rhs = _restriction(submodule, d, r, d - f_low)
+    lhs, rhs = _restriction(record, d, r, d - f_low)
     return _module_report(
         submodule,
         name="green_adjusted",
         bound_lhs=lhs,
         bound_rhs=rhs,
         verdict=_compare(lhs, rhs),
-        context={"d": d, "rho": _rho(submodule, d, r), "f_low": f_low},
+        context={"d": d, "rho": _rho(record, d, r), "f_low": f_low},
     )
 
 
@@ -233,7 +234,7 @@ def check_gasharov(
     l = submodule.degrees[-1]
     index = d - l - p
     kernel = _growth if which == "macaulay" else _restriction
-    lhs, rhs = kernel(submodule, d, 0, index)
+    lhs, rhs = kernel(_record(submodule), d, 0, index)
     return _module_report(
         submodule,
         name=f"gasharov_{which}",
@@ -264,16 +265,17 @@ def check_persistence_adjusted(submodule: MonomialSubmodule, d: int) -> CheckRep
         raise PreconditionViolated(
             f"submodule has a generator in degree {max_gen} > d = {d}"
         )
+    record = _record(submodule)
     r = rank(submodule)
     f_low = _f_low(submodule.degrees, r)
-    lhs, rhs = _growth(submodule, d, r, d - f_low)
+    lhs, rhs = _growth(record, d, r, d - f_low)
     premises_hold = lhs == rhs
     verdict, context = PREMISE_FAILS, {"d": d, "horizon": 0}
     if premises_hold:
         last = max(d, stabilization_degree(submodule), submodule.degrees[-1]) + submodule.n + 1
         verdict, context["horizon"] = SHARP, last - d
         for e in range(d + 1, last + 1):
-            lhs, rhs = _growth(submodule, e, r, e - f_low)
+            lhs, rhs = _growth(record, e, r, e - f_low)
             if lhs != rhs:
                 verdict, context["failed_at"] = VIOLATED, e
                 break

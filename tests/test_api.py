@@ -31,16 +31,20 @@ def test_exports_are_their_submodules_objects():
 
 
 def test_every_cache_has_the_one_bound():
+    # a cache is the lru_cache behind a cache_info: hf_direct reports the
+    # record cache's, which is listed once, under _record
     caches = {}
     for info in pkgutil.iter_modules(gotzmann.__path__):
         module = importlib.import_module(f"gotzmann.{info.name}")
         for name, value in vars(module).items():
             if hasattr(value, "cache_info"):
-                caches[value.__qualname__] = value.cache_info().maxsize
+                cache = value.cache_info.__self__
+                assert callable(getattr(cache, "cache_clear", None)), name
+                caches[cache.__qualname__] = cache.cache_info().maxsize
     assert caches.keys() == {
-        "monomials_of_degree", "hf_direct", "_ideal_numerator", "_saturated_gens",
-        "hilbert_series", "hilbert_polynomial", "_linear_section_dim",
+        "monomials_of_degree", "_ideal_numerator", "_saturation", "_record",
+        "hilbert_series", "hilbert_polynomial",
         "_face_set_homology", "_relabelled_homology", "_ideal_table",
-        "macaulay_transform", "green_transform", "_rho", "_growth", "_hyperplane",
+        "macaulay_transform", "green_transform",
     }
     assert caches == dict.fromkeys(caches, CACHE_ENTRIES)

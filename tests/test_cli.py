@@ -248,7 +248,7 @@ def test_violated_check_exits_one(capsys, monkeypatch):
 
 
 def test_internal_fault_exits_three(capsys, monkeypatch):
-    # the message of the rho window invariant in monomial_algebra._adjusted_split
+    # the message of the rho window invariant in monomial_algebra._rho
     message = "rho = -1 escapes [0, 2] at degree 1 for " + str(
         module(1, (0, 0, 0), ["unit", "zero", "zero"])
     )
@@ -465,6 +465,18 @@ def test_series_of_a_huge_exponent_is_refused_in_one_line(capsys):
     code, out, err = run_cli(capsys, ["hilbert", "--module", huge, "--polynomial"])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1, err[:200]
+
+
+def test_hilbert_values_of_a_huge_exponent_are_answered(capsys):
+    # H and the checkers that read it come off the sparse numerator
+    # 1 - t^99999999999, so no span of it is built: H(d) = d + 1 below it
+    huge = '{"n": 1, "degrees": [0], "components": [{"gens": ["x0^99999999999"]}]}'
+    table = run_json(capsys, ["hilbert", "--module", huge, "--function", "0", "3"])
+    assert table == {"table": [[0, 1], [1, 2], [2, 3], [3, 4]]}
+    # 4 = 3^<2> and, x0^99999999999 being saturated, the restriction 1 = 3_<2>
+    for which, bounds in (("macaulay", (4, 4)), ("green", (1, 1))):
+        report = run_json(capsys, ["check", which, "--module", huge, "--degree", "2"])
+        assert (report["bound_lhs"], report["bound_rhs"], report["verdict"]) == (*bounds, "sharp")
 
 
 def test_rep_of_degree_1000_answers_and_refuses_in_one_short_line(capsys):

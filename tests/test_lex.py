@@ -22,7 +22,6 @@ from gotzmann.monomial_algebra import (
     Monomial,
     MonomialIdeal,
     MonomialSubmodule,
-    hf_direct,
     hilbert_polynomial,
     hilbert_series,
     stabilization_degree,
@@ -236,7 +235,7 @@ def test_lexify_reads_no_series(corpus, monkeypatch):
         raise AssertionError("lexify computed a Hilbert series")
 
     monkeypatch.setattr(monomial_algebra, "_ideal_numerator", refuse)
-    for cached in (hilbert_series, hilbert_polynomial, hf_direct):
+    for cached in (hilbert_series, hilbert_polynomial, monomial_algebra._record):
         cached.cache_clear()
     assert [lexify(*args) for args in data] == expected
 

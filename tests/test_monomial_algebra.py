@@ -47,6 +47,7 @@ from conftest import (
     quadratic_minimal,
     set_node_budget,
 )
+from hyperplane_oracle import hyperplane_hf, linear_section_dim, saturation_exponents
 from series_oracle import scan_stabilization_degree
 
 
@@ -160,10 +161,9 @@ def test_series_and_hyperplane_build_no_monomials(monkeypatch):
 
     monkeypatch.setattr(Monomial, "__init__", counting)
     numerator = monomial_algebra._ideal_numerator.__wrapped__(ideal_obj.exponents)
-    dims = [
-        monomial_algebra._linear_section_dim.__wrapped__(ideal_obj, e)
-        for e in range(5)
-    ]
+    monomial_algebra._record.cache_clear()
+    monomial_algebra._saturation.cache_clear()
+    dims = [generic_hyperplane_hf(module(3, (0,), [ideal_obj]), e) for e in range(5)]
     assert built == []
     assert dict(numerator) == counted_numerator(ideal_obj)
     assert dims[0] == 1 and dims[1] == 3
@@ -201,7 +201,7 @@ def test_saturation_examples():
 def test_saturation_computes_no_series(monkeypatch):
     # saturate() answers from the generators alone: no pivot recursion, so
     # no NODE_BUDGET refusal, and a later hyperplane value reuses the generators
-    for cache in (monomial_algebra._saturated_gens, monomial_algebra._linear_section_dim,
+    for cache in (monomial_algebra._saturation, monomial_algebra._record,
                   monomial_algebra._ideal_numerator):
         cache.cache_clear()
 
@@ -213,9 +213,9 @@ def test_saturation_computes_no_series(monkeypatch):
     assert unsaturated.saturation() == ideal(3, "x0", "x1^3*x2")
     assert ideal(2, "x0*x2^3").saturation() == ideal(2, "x0*x2^3")
     monkeypatch.undo()
-    hits = monomial_algebra._saturated_gens.cache_info().hits
-    monomial_algebra._linear_section_dim(unsaturated, 2)
-    assert monomial_algebra._saturated_gens.cache_info().hits == hits + 1
+    hits = monomial_algebra._saturation.cache_info().hits
+    generic_hyperplane_hf(module(3, (0,), [unsaturated]), 2)
+    assert monomial_algebra._saturation.cache_info().hits == hits + 1
 
 
 # up to 40 generators in up to 6 variables, so that _saturated_gens often
@@ -261,7 +261,7 @@ def test_saturation_pairs_no_generator_the_next_colon_contains(monkeypatch):
         return honest(exps)
 
     monkeypatch.setattr(monomial_algebra, "_minimal", recording)
-    sat = monomial_algebra._saturated_gens.__wrapped__(gens)
+    sat = monomial_algebra._saturated_gens(gens)
     monkeypatch.undo()
     assert sat == primary
     # calls: the four colons, then one _minimal per step for v = 1, 2, 3
@@ -386,6 +386,17 @@ def test_series_numerator_span_is_bounded():
             hilbert_series(module(0, (0,), [ideal(0, f"x0^{e}")]))
 
 
+def test_saturation_defect_span_is_bounded():
+    # (x0^a, x1^a) saturates to the unit ideal, so its defect table is
+    # (1 - t^a)^2/(1 - t)^2, over 2a - 1 degrees: refused past TERM_BUDGET
+    # before any sum is built, while H is still read off the sparse numerator
+    a = monomial_algebra.TERM_BUDGET // 2 + 1
+    sub = module(1, (0,), [ideal(1, f"x0^{a}", f"x1^{a}")])
+    assert hf_direct(sub, 2) == 3
+    with pytest.raises(BudgetExceeded, match="saturation defect spans"):
+        generic_hyperplane_hf(sub, 2)
+
+
 def test_hilbert_polynomial_examples(twisted_plane_pair):
     assert hilbert_polynomial(twisted_plane_pair) == NumPoly([6, 5, 1])
     free_line = module(1, (0,), ["zero"])
@@ -507,7 +518,10 @@ def test_hyperplane_kernel_lies_in_the_saturation_quotient():
     kernel_case = ideal(2, "x2", "x1^2", "x0*x1")
     assert hf_quotient(kernel_case, 2) - hf_quotient(kernel_case, 1) == -1
     assert kernel_case.saturation() == ideal(2, "x1", "x2")
-    assert monomial_algebra._linear_section_dim.__wrapped__(kernel_case, 2) == 0
+    sat = monomial_algebra._saturation(kernel_case.exponents)
+    assert sat.defect() == {1: 1}
+    assert monomial_algebra._kernel(kernel_case, sat.gens, 2) == 1
+    assert linear_section_dim(kernel_case, 2) == 0
     assert generic_hyperplane_hf(module(2, (0,), [kernel_case]), 2) == 0
 
 
@@ -516,7 +530,8 @@ def test_generic_hyperplane_repeatable(corpus):
     subs = [(sub, max(sub.degrees) + 2) for sub in corpus[:50]]
     first = [generic_hyperplane_hf(sub, d) for sub, d in subs]
     assert [generic_hyperplane_hf(sub, d) for sub, d in subs] == first
-    monomial_algebra._linear_section_dim.cache_clear()
+    monomial_algebra._record.cache_clear()
+    monomial_algebra._saturation.cache_clear()
     assert [generic_hyperplane_hf(sub, d) for sub, d in subs] == first
 
 
@@ -541,7 +556,8 @@ def test_section_dim_matches_the_full_quotient_rank(case):
     n, exponent_lists, e = case
     ideal_obj = MonomialIdeal(n, tuple(Monomial(tuple(x)) for x in exponent_lists))
     expected = full_quotient_section_dim(ideal_obj, e)
-    assert monomial_algebra._linear_section_dim.__wrapped__(ideal_obj, e) == expected
+    record = monomial_algebra._record(module(n, (0,), [ideal_obj]))
+    assert monomial_algebra._section_dim(record, e) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -556,9 +572,102 @@ def test_saturated_ideal_never_reaches_rank(case):
     def refuse(vectors):
         raise AssertionError("linalg.rank reached for a saturated ideal")
 
+    record = monomial_algebra._record(module(n, (0,), [saturated]))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "rank", refuse)
-        assert monomial_algebra._linear_section_dim.__wrapped__(saturated, e) == expected
+        assert monomial_algebra._section_dim(record, e) == expected
+
+
+def times_maximal_power(ideal_obj, k):
+    """I m^k.  For I nonzero and k >= 1 it is never saturated: I m^k : m^k
+    contains I, but a minimal generator of I is not in I m^k, as that would
+    make a generator of I a proper divisor of it."""
+    if not ideal_obj.exponents or not k:
+        return ideal_obj
+    n = ideal_obj.n
+    products = (
+        Monomial(tuple(a + b for a, b in zip(g, u.exponents)))
+        for g in ideal_obj.exponents for u in monomials_of_degree(n, k)
+    )
+    return MonomialIdeal(n, tuple(products))
+
+
+# (drawn generators, power of m): the first drawn component is a nonzero
+# ideal times m or m^2, so every module has a non-saturated component
+def _component(n, forced):
+    return st.tuples(
+        st.lists(st.lists(st.integers(0, 2), min_size=n + 1, max_size=n + 1),
+                 min_size=1 if forced else 0, max_size=5),
+        st.integers(1, 2) if forced else st.integers(0, 2),
+    )
+
+
+_UNSATURATED_MODULES = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(-1, 1), min_size=1, max_size=3).flatmap(
+            lambda degrees: st.tuples(
+                st.just(degrees),
+                st.tuples(_component(n, True), *[_component(n, False) for _ in degrees[1:]]),
+            )
+        ),
+    )
+)
+
+
+def _unsaturated_module(case):
+    n, (degrees, specs) = case
+    components = [
+        times_maximal_power(MonomialIdeal(n, tuple(Monomial(tuple(g)) for g in gens)), k)
+        for gens, k in specs
+    ]
+    order = sorted(range(len(degrees)), key=degrees.__getitem__)
+    return module(n, [degrees[i] for i in order], [components[i] for i in order])
+
+
+def saturation_degree(sub):
+    """The largest d with (N^sat/N)_d != 0, by counting; None when N is
+    saturated.  (I^sat/I)_e vanishes above the degree of lcm(I)."""
+    nonzero = []
+    for f, ideal_obj in zip(sub.degrees, sub.components):
+        sat = MonomialIdeal(sub.n, tuple(map(Monomial, saturation_exponents(ideal_obj))))
+        lcm_degree = sum(max(column, default=0) for column in zip(*ideal_obj.exponents))
+        nonzero += [
+            f + e for e in range(lcm_degree + 1)
+            if hf_quotient(ideal_obj, e) != hf_quotient(sat, e)
+        ]
+    return max(nonzero, default=None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_UNSATURATED_MODULES)
+def test_hyperplane_matches_the_per_component_oracle(case):
+    # the first difference of H(M) plus the kernels ranked only where the
+    # defect table is positive, against the per-component route that ranks
+    # h on the standard monomials in I^sat at every degree
+    sub = _unsaturated_module(case)
+    top = saturation_degree(sub)
+    assert top is not None
+    for d in range(sub.degrees[0], top + 3):
+        assert generic_hyperplane_hf(sub, d) == hyperplane_hf(sub, d), d
+
+
+@settings(max_examples=100, deadline=None)
+@given(_GEN_LISTS, st.integers(0, 2))
+def test_defect_table_counts_the_saturation_quotient(case, k):
+    n, exponent_lists = case
+    ideal_obj = times_maximal_power(
+        MonomialIdeal(n, tuple(Monomial(tuple(x)) for x in exponent_lists)), k
+    )
+    sat = MonomialIdeal(n, tuple(map(Monomial, saturation_exponents(ideal_obj))))
+    table = monomial_algebra._saturation(ideal_obj.exponents).defect()
+    lcm_degree = sum(max(column, default=0) for column in zip(*ideal_obj.exponents))
+    for e in range(-1, lcm_degree + 2):
+        assert table.get(e, 0) == hf_quotient(ideal_obj, e) - hf_quotient(sat, e), e
+    assert set(table) <= set(range(lcm_degree + 1))
+    assert monomial_algebra._saturation(sat.exponents).defect() == {}
+    if ideal_obj == sat:
+        assert table == {}
 
 
 def section_matrix(ideal_obj, e, c):

@@ -11,7 +11,7 @@ from gotzmann.combinatorics import macaulay_transform
 from gotzmann.errors import PreconditionViolated
 from gotzmann.monomial_algebra import GradedFreeModule, hf_direct, module_to_dict, rank
 from gotzmann.numpoly import GotzmannRep, NumPoly, binomial_poly
-from gotzmann import theorems
+from gotzmann import monomial_algebra, theorems
 from gotzmann.theorems import (
     HOLDS,
     PREMISE_FAILS,
@@ -300,22 +300,59 @@ def test_sweep_calls_the_public_checkers(monkeypatch):
 
 def test_sweep_restricts_each_submodule_and_degree_once(monkeypatch):
     # the Green and Gasharov-green checkers of one (submodule, d) differ in
-    # (r, index), but the hyperplane value is computed once for all of them
-    from gotzmann import theorems
-
+    # (r, index), but the hyperplane value is computed once for all of them:
+    # _section_dim runs only on a miss of the record's hyperplane table
     calls = []
 
-    def counted(submodule, d, _original=theorems.generic_hyperplane_hf):
-        calls.append((submodule, d))
-        return _original(submodule, d)
+    def counted(record, d, _original=monomial_algebra._section_dim):
+        calls.append((record.submodule, d))
+        return _original(record, d)
 
-    monkeypatch.setattr(theorems, "generic_hyperplane_hf", counted)
-    theorems._hyperplane.cache_clear()
+    monkeypatch.setattr(monomial_algebra, "_section_dim", counted)
+    monomial_algebra._record.cache_clear()
     restricted = [(rep._submodule, rep.context["d"]) for rep in sweep(30)
                   if rep.name in ("green_adjusted", "gasharov_green")]
     assert len(restricted) > len(set(restricted)) > 0
     assert len(calls) == len(set(calls))
     assert set(calls) == set(restricted)
+
+
+def test_records_hold_at_most_four_cache_bounds_of_values():
+    # hf_direct at CACHE_ENTRIES + 100 degrees, then the Green checker at as
+    # many others: about 33,000 memo values for one submodule, past the
+    # stated worst case of 4 * CACHE_ENTRIES held, so the record is dropped
+    # once and rebuilt, and the values stay right across that
+    entries = monomial_algebra.CACHE_ENTRIES
+    # rank 1: H(S/I) = 1, 2, 1, 1, ... for I = (x0^2, x0*x1), plus d + 1
+    sub = module(1, (0, 0), [ideal(1, "x0^2", "x0*x1"), "zero"])
+    record_cache = monomial_algebra._record
+    record_cache.cache_clear()
+    records, peak = [], 0
+
+    def observe():
+        nonlocal peak
+        if record_cache.cache_info().currsize:
+            record = record_cache(sub)  # a hit: the one cached record
+            if not any(record is seen for seen in records):
+                records.append(record)
+            tables = (record.hf, record.rho, record.growth, record.hyperplane)
+            peak = max(peak, sum(map(len, tables)))
+
+    for d in range(1, entries + 101):
+        assert hf_direct(sub, d) == d + (3 if d == 1 else 2)
+        observe()
+    for d in range(3 * entries, 4 * entries + 100):
+        report = check_green_adjusted(sub, d)
+        assert (report.bound_lhs, report.context["rho"]) == (1, 1)
+        observe()
+    assert record_cache.cache_info().maxsize == entries
+    assert len(records) == 2
+    assert 3 * entries < peak <= 4 * entries
+    # emptied from outside, as between benchmark passes, the count restarts
+    record_cache.cache_clear()
+    hf_direct(sub, 0)
+    assert monomial_algebra._held == 1
+
 
 def test_random_submodule_deterministic():
     assert random_submodule(7) == random_submodule(7)
