@@ -139,13 +139,16 @@ def _hilbert(args: argparse.Namespace) -> Any:
         hilbert_series,
         stabilization_degree,
     )
-    from .numpoly import poly_to_dict
+    from .numpoly import TERM_BUDGET, poly_to_dict
 
     module = _module_arg(args.module)
     if args.function is not None:
         d0, d1 = args.function
         if d0 > d1:
             raise ValueError(f"--function needs D0 <= D1, got {d0} and {d1}")
+        # as --series refuses more than TERM_BUDGET coefficients
+        if d1 - d0 >= TERM_BUDGET:
+            raise ValueError(f"--function spans {d1 - d0 + 1} degrees, more than {TERM_BUDGET}")
         return {"table": [[d, hf_direct(module, d)] for d in range(d0, d1 + 1)]}
     if args.series:
         return hilbert_series(module).to_dict()

@@ -18,7 +18,7 @@ from .monomial_algebra import (
     Monomial,
     MonomialIdeal,
     MonomialSubmodule,
-    _exponents_at_rank,
+    _lex_run,
     _minimal,
     _monomial,
     hilbert_polynomial,
@@ -46,28 +46,6 @@ def lex_segment(n: int, d: int, c: int) -> list[Monomial]:
     if not 0 <= c <= total:
         raise ValueError(f"segment size {c} out of range [0, {total}]")
     return list(map(_monomial, _lex_run(n, d, 0, c)))
-
-
-def _lex_run(n: int, d: int, start: int, count: int) -> list[tuple[int, ...]]:
-    """Exponents of the monomials at ranks start, ..., start + count - 1 of
-    monomials_of_degree(n, d), for a range the caller has checked.  The
-    first is unranked; each next one is the lex successor of the last, which
-    lowers the last nonzero exponent among x_0..x_(n-1) by one.  A count of
-    0 unranks nothing."""
-    if not count:
-        return []
-    e = list(_exponents_at_rank(n, d, start))
-    out = [tuple(e)]
-    for _ in range(count - 1):
-        v = n - 1
-        while not e[v]:
-            v -= 1
-        # x_(v+1)..x_(n-1) are 0 already, so x_(v+1) gets x_n's degree plus one
-        tail, e[n] = e[n], 0
-        e[v] -= 1
-        e[v + 1] = tail + 1
-        out.append(tuple(e))
-    return out
 
 
 def module_monomials(ambient: GradedFreeModule, d: int) -> tuple[tuple[int, Monomial], ...]:

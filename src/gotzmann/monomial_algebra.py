@@ -14,14 +14,16 @@ Monomials have one format inside the library: exponent tuples.  A
 ``MonomialIdeal`` stores only its minimal generators' exponent tuples, in
 the canonical generator order that ``_minimal``, the one minimalizer,
 returns.  The validating ``Monomial`` type is the boundary, built in these
-places only: parsing (``monomial_from_string``), the degree enumeration
-``monomials_of_degree``, ``Monomial.lcm``, and, without re-running its
-checks on tuples the library built or checked itself (``_monomial``),
-``monomial_at_rank``, ``lex.lex_segment`` and ``MonomialIdeal.gens`` (on
-demand).  The ``MonomialIdeal`` constructor takes ``Monomial``s and keeps
-their tuples.  The library's own ideal builders (``lexify``,
-``saturated_lex_ideal``, ``saturation()``, ``random_submodule``) build
-exponent tuples and hand them to ``MonomialIdeal._of_minimal``.
+places only: parsing (``monomial_from_string``), ``Monomial.lcm``, and,
+without re-running its checks on tuples the library built or checked itself
+(``_monomial``), ``monomials_of_degree``, ``monomial_at_rank``,
+``lex.lex_segment`` and ``MonomialIdeal.gens`` (on demand).  A degree is
+walked in lex order one way, ``_lex_run``: one unranking, then lex
+successors; ``monomials_of_degree`` is its run over the whole degree.  The
+``MonomialIdeal`` constructor takes ``Monomial``s and keeps their tuples.
+The library's own ideal builders (``lexify``, ``saturated_lex_ideal``,
+``saturation()``, ``random_submodule``) build exponent tuples and hand them
+to ``MonomialIdeal._of_minimal``.
 
 Hilbert functions are read off the exact Hilbert series numerator.  Each
 ideal's numerator comes from one pivot recursion that splits on a variable
@@ -29,10 +31,11 @@ power x_v^k; the tests hold it to monomial counting and to the alternating
 sums of Betti numbers.  Every Hilbert value of a submodule is read through
 its one record (``_record``, cached by submodule): the sparse numerator of
 F/N, each component's pairs shifted by its f_i and never densified, and
-memo tables for H(F/N, d), rho, the checkers' growth pairs and the
-hyperplane value, keyed by ints or tuples of ints (see ``_Record``).  ``hf_direct``, ``adjusted_hf_decomposition``,
-``stabilization_degree``, ``hilbert_series`` and the checkers of
-``theorems`` all read it.
+memo tables for H(F/N, d), rho and the hyperplane value, keyed by ints (see
+``_Record``); only this module stores in them.  ``hf_direct``,
+``adjusted_hf_decomposition``, ``stabilization_degree``, the checkers of
+``theorems`` and ``hilbert_series``, an uncached dense view of the
+numerator, all read it.
 
 The generic hyperplane restriction at d is H(F/N, d) - H(F/N, d - 1) plus,
 per component I, the kernel of h on (I^sat/I)_(d-f_i-1).  That kernel is
@@ -126,16 +129,11 @@ def monomial_from_string(text: str, n: int) -> Monomial:
 
 @lru_cache(maxsize=CACHE_ENTRIES)
 def monomials_of_degree(n: int, d: int) -> tuple[Monomial, ...]:
-    """All degree-d monomials in n+1 variables, descending in lex (x_0 > ... > x_n)."""
+    """All degree-d monomials in n+1 variables, descending in lex (x_0 > ... > x_n):
+    the ``_lex_run`` of the whole degree."""
     if d < 0:
         return ()
-    if n == 0:
-        return (Monomial((d,)),)
-    out = []
-    for e0 in range(d, -1, -1):
-        for tail in monomials_of_degree(n - 1, d - e0):
-            out.append(Monomial((e0,) + tail.exponents))
-    return tuple(out)
+    return tuple(map(_monomial, _lex_run(n, d, 0, comb(d + n, n))))
 
 
 def monomial_at_rank(n: int, d: int, rank: int) -> Monomial:
@@ -174,6 +172,28 @@ def _exponents_at_rank(n: int, d: int, rank: int) -> tuple[int, ...]:
         remaining = lo
     exps.append(remaining)
     return tuple(exps)
+
+
+def _lex_run(n: int, d: int, start: int, count: int) -> list[tuple[int, ...]]:
+    """Exponents of the monomials at ranks start, ..., start + count - 1 of
+    monomials_of_degree(n, d), for a range the caller has checked.  The
+    first is unranked; each next one is the lex successor of the last, which
+    lowers the last nonzero exponent among x_0..x_(n-1) by one.  A count of
+    0 unranks nothing."""
+    if not count:
+        return []
+    e = list(_exponents_at_rank(n, d, start))
+    out = [tuple(e)]
+    for _ in range(count - 1):
+        v = n - 1
+        while not e[v]:
+            v -= 1
+        # x_(v+1)..x_(n-1) are 0 already, so x_(v+1) gets x_n's degree plus one
+        tail, e[n] = e[n], 0
+        e[v] -= 1
+        e[v + 1] = tail + 1
+        out.append(tuple(e))
+    return out
 
 
 def _minimal(exps: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
@@ -539,15 +559,14 @@ class _Record:
 
     Three memo tables are keyed by one int: ``hf`` holds H(F/N, d) by d,
     ``rho`` holds rho(d, r), r > 0, by d(m + 1) + r, and ``hyperplane`` the
-    hyperplane value by d.  ``growth`` holds the growth pair of ``theorems``
-    by (d, r, index), as the transform index has no bound to pack it by.
-    ``kernels`` lists (f_i, I_i, the generators of I_i^sat, the defect table
-    of I_i) for the components that are not saturated, read on the first
-    hyperplane value.
+    hyperplane value by d; only this module stores in them.  ``kernels``
+    lists (f_i, I_i, the generators of I_i^sat, the defect table of I_i) for
+    the components that are not saturated, read on the first hyperplane
+    value.
     """
 
     __slots__ = (
-        "submodule", "n", "degrees", "numerator", "hf", "rho", "growth", "hyperplane", "kernels"
+        "submodule", "n", "degrees", "numerator", "hf", "rho", "hyperplane", "kernels"
     )
 
     def __init__(self, submodule: MonomialSubmodule, numerator: dict[int, int]):
@@ -557,7 +576,6 @@ class _Record:
         self.numerator = numerator
         self.hf: dict[int, int] = {}
         self.rho: dict[int, int] = {}
-        self.growth: dict[tuple[int, int, int], tuple[int, int]] = {}
         self.hyperplane: dict[int, int] = {}
         self.kernels: tuple | None = None
 
@@ -572,10 +590,10 @@ def _record(submodule: MonomialSubmodule) -> _Record:
     """The one record of a submodule, built with its sparse numerator.
 
     Bounded memory: at most ``CACHE_ENTRIES`` records, each with its
-    numerator, and at most 4 * ``CACHE_ENTRIES`` memo values in all the
-    cached records together, as ``_store`` empties this cache before the
-    values would pass that count.  That is what the four submodule caches
-    it replaces (H, rho, growth, hyperplane) held at most.
+    numerator, and at most 3 * ``CACHE_ENTRIES`` memo values in all the
+    cached records together, one ``CACHE_ENTRIES`` per table (H, rho,
+    hyperplane), as ``_store`` empties this cache before the values would
+    pass that count.
     """
     global _held
     if not _record.cache_info().currsize:  # emptied since the last count
@@ -591,7 +609,7 @@ def _store(table: dict, key, value):
     """table[key] = value in a record's memo table, counted against the
     bound of ``_record``; returns value."""
     global _held
-    if _held >= 4 * CACHE_ENTRIES:
+    if _held >= 3 * CACHE_ENTRIES:
         _record.cache_clear()
         _held = 0
     _held += 1
@@ -600,7 +618,7 @@ def _store(table: dict, key, value):
 
 
 def _hf(record: _Record, d: int) -> int:
-    """H(F/N, d) from the record's sparse numerator, memoised in it."""
+    """H(F/N, d) from the record's sparse numerator, stored in its ``hf`` table."""
     value = record.hf.get(d)
     if value is None:
         value = _store(record.hf, d, _numerator_hf(record.numerator.items(), record.n, d))
@@ -621,17 +639,16 @@ def hf_direct(submodule: MonomialSubmodule, d: int) -> int:
 hf_direct.cache_info = _record.cache_info
 
 
-@lru_cache(maxsize=CACHE_ENTRIES)
 def hilbert_series(submodule: MonomialSubmodule) -> HilbertSeries:
     """Hilbert series of F/N: each component's numerator shifted by t^(f_i).
 
     The numerators come from ``_ideal_numerator``, one pivot recursion on
     variable powers; it visits at most ``NODE_BUDGET`` nodes per component
     ideal and raises BudgetExceeded past that.  The sparse sum is the
-    submodule's record; this dense form of it runs from its lowest to its
-    top exponent, so a span of more than ``TERM_BUDGET`` coefficients raises
-    BudgetExceeded before it is built.  The tests check it against monomial
-    counting and against the alternating sums of Betti numbers.
+    submodule's record; this uncached dense view of it runs from its lowest
+    to its top exponent, so a span of more than ``TERM_BUDGET`` coefficients
+    raises BudgetExceeded before it is built.  The tests check it against
+    monomial counting and against the alternating sums of Betti numbers.
     """
     numerator = _record(submodule).numerator
     if not numerator:
@@ -697,9 +714,9 @@ def _dims(degrees: tuple[int, ...], d: int, n: int) -> int:
 
 
 def _rho(record: _Record, d: int, r: int) -> int:
-    """H(F/N, d) less the free part of the last r ambient degrees, memoised
-    in the record, with the window check of ``adjusted_hf_decomposition``;
-    at r = 0 it is H(F/N, d) itself."""
+    """H(F/N, d) less the free part of the last r ambient degrees, stored in
+    the record's ``rho`` table, with the window check of
+    ``adjusted_hf_decomposition``; at r = 0 it is H(F/N, d) itself."""
     if not r:
         return _hf(record, d)
     n, degrees = record.n, record.degrees
@@ -718,8 +735,8 @@ def _rho(record: _Record, d: int, r: int) -> int:
 
 
 def _hyperplane(record: _Record, d: int) -> int:
-    """generic_hyperplane_hf, memoised in the record: one ``_section_dim``
-    per (submodule, d), whichever checkers ask."""
+    """generic_hyperplane_hf, stored in the record's ``hyperplane`` table:
+    one ``_section_dim`` per (submodule, d), whichever checkers ask."""
     value = record.hyperplane.get(d)
     if value is None:
         value = _store(record.hyperplane, d, _section_dim(record, d))

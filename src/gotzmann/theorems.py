@@ -19,9 +19,10 @@ d - l - p.
 Every value a checker reads is a function of H(M, d), rho and the generic
 hyperplane restriction, all read through the submodule's one record
 (``monomial_algebra._record``, cached by submodule): a checker looks the
-record up once, and the kernels read and fill its memo tables, H and the
-hyperplane value by d, rho by (d, r) and the growth pair by (d, r, index).
-So the checkers of one submodule share each value, each (submodule, d) is
+record up once, and the kernels read H and the hyperplane value by d and
+rho by (d, r) through ``monomial_algebra``, which alone stores them; the
+bounds are recomputed from those with the cached transforms.  So the
+checkers of one submodule share each value, each (submodule, d) is
 restricted once, and ``sweep`` yields exactly what the public checkers
 return.  The records' memory is bounded as ``_record`` states.
 
@@ -49,7 +50,6 @@ from .monomial_algebra import (
     _minimal,
     _record,
     _rho,
-    _store,
     hilbert_polynomial,
     module_to_dict,
     rank,
@@ -159,15 +159,13 @@ def _f_low(degrees: tuple[int, ...], r: int) -> int:
 
 def _growth(record: _Record, d: int, r: int, index: int) -> tuple[int, int]:
     """H(M, d+1) and its bound: the free part of the last r ambient degrees
-    at d + 1 plus rho^<index>; memoised in the record."""
-    pair = record.growth.get((d, r, index))
-    if pair is None:
-        _require_index(d, index)
-        n, degrees = record.n, record.degrees
-        free = _dims(degrees[len(degrees) - r :], d + 1, n) if r else 0
-        bound = free + macaulay_transform(_rho(record, d, r), index)
-        pair = _store(record.growth, (d, r, index), (_hf(record, d + 1), bound))
-    return pair
+    at d + 1 plus rho^<index>, from the record's H and rho and the cached
+    transform."""
+    _require_index(d, index)
+    n, degrees = record.n, record.degrees
+    free = _dims(degrees[len(degrees) - r :], d + 1, n) if r else 0
+    bound = free + macaulay_transform(_rho(record, d, r), index)
+    return _hf(record, d + 1), bound
 
 
 def _restriction(record: _Record, d: int, r: int, index: int) -> tuple[int, int]:

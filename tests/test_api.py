@@ -43,7 +43,7 @@ def test_every_cache_has_the_one_bound():
                 caches[cache.__qualname__] = cache.cache_info().maxsize
     assert caches.keys() == {
         "monomials_of_degree", "_ideal_numerator", "_saturation", "_record",
-        "hilbert_series", "hilbert_polynomial",
+        "hilbert_polynomial",
         "_face_set_homology", "_relabelled_homology", "_ideal_table",
         "macaulay_transform", "green_transform",
     }

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gotzmann import cli, monomial_algebra, theorems
+from gotzmann import cli, monomial_algebra, numpoly, theorems
 from gotzmann.cli import main
 from gotzmann.errors import InvariantViolated
 from gotzmann.monomial_algebra import module_to_dict
@@ -90,6 +90,21 @@ def test_reversed_function_range_is_refused(capsys):
     assert run_cli(capsys, argv) == (2, "", "error: --function needs D0 <= D1, got 3 and 0\n")
     table = run_json(capsys, ["hilbert", "--module", TWO_LINES, "--function", "2", "2"])
     assert table == {"table": [[2, 6]]}
+
+
+def test_function_range_past_the_term_budget_is_refused(monkeypatch, capsys):
+    # one H value per degree: 10^8 of them would take minutes and gigabytes,
+    # so the range is refused before any is read
+    argv = ["hilbert", "--module", TWO_LINES, "--function", "0", "99999999"]
+    assert run_cli(capsys, argv) == (
+        2, "", "error: --function spans 100000000 degrees, more than 1000000\n"
+    )
+    # the bound is TERM_BUDGET degrees, inclusive
+    monkeypatch.setattr(numpoly, "TERM_BUDGET", 4)
+    table = run_json(capsys, ["hilbert", "--module", TWO_LINES, "--function", "-1", "2"])
+    assert table == {"table": [[-1, 0], [0, 2], [1, 4], [2, 6]]}
+    argv = ["hilbert", "--module", TWO_LINES, "--function", "-1", "3"]
+    assert run_cli(capsys, argv) == (2, "", "error: --function spans 5 degrees, more than 4\n")
 
 
 def test_module_utility_commands(capsys):

@@ -1,6 +1,6 @@
 """Lex segments, lexification, and saturated lex ideals and modules."""
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -78,21 +78,27 @@ def test_lex_segment_enumerates_no_degree():
 
 
 def test_lex_run_is_every_slice_of_the_degree():
-    # one unranking, then lex successors: the same as slicing the enumeration
+    # one unranking, then lex successors: the same as slicing the degree's
+    # exponent tuples sorted descending, which is lex with x0 > ... > xn;
+    # monomials_of_degree is the run over the whole degree
+    run = monomial_algebra._lex_run
     for n in range(0, 5):
         for d in range(0, 7):
-            degree = [m.exponents for m in monomial_algebra.monomials_of_degree(n, d)]
+            degree = sorted(
+                (e for e in product(range(d + 1), repeat=n + 1) if sum(e) == d), reverse=True
+            )
+            assert [m.exponents for m in monomial_algebra.monomials_of_degree(n, d)] == degree
             for start in range(len(degree) + 1):
                 for stop in range(start, len(degree) + 1):
-                    assert lex_module._lex_run(n, d, start, stop - start) == degree[start:stop]
+                    assert run(n, d, start, stop - start) == degree[start:stop]
 
 
 def test_empty_lex_run_unranks_nothing(monkeypatch):
     def refuse(n, d, rank):
         raise AssertionError(f"unranked {rank} in degree {d}")
 
-    monkeypatch.setattr(lex_module, "_exponents_at_rank", refuse)
-    assert lex_module._lex_run(2, 3, 4, 0) == []
+    monkeypatch.setattr(monomial_algebra, "_exponents_at_rank", refuse)
+    assert monomial_algebra._lex_run(2, 3, 4, 0) == []
     assert lex_segment(2, -1, 0) == []
     assert lex_segment(3, 5, 0) == []
 
@@ -235,7 +241,7 @@ def test_lexify_reads_no_series(corpus, monkeypatch):
         raise AssertionError("lexify computed a Hilbert series")
 
     monkeypatch.setattr(monomial_algebra, "_ideal_numerator", refuse)
-    for cached in (hilbert_series, hilbert_polynomial, monomial_algebra._record):
+    for cached in (hilbert_polynomial, monomial_algebra._record):
         cached.cache_clear()
     assert [lexify(*args) for args in data] == expected
 

@@ -459,7 +459,7 @@ def test_stabilization_degree_reads_only_the_series(monkeypatch, corpus):
 
     monkeypatch.setattr(monomial_algebra, "hilbert_polynomial", refuse)
     monkeypatch.setattr(NumPoly, "__call__", refuse)
-    monomial_algebra.hilbert_series.cache_clear()
+    monomial_algebra._record.cache_clear()
     monomial_algebra._ideal_numerator.cache_clear()
     assert [stabilization_degree(sub) for sub in subs] == expected
 
