@@ -11,9 +11,11 @@ from math import comb, factorial
 
 from ._value import Value
 
-# Entries kept by each lru_cache of the package.  The submodule records of
-# monomial_algebra._record also hold at most 3 * CACHE_ENTRIES memo values
-# in all (H, rho, hyperplane).  After sweep(500) the fullest caches hold 888
+# Entries kept by each of the 9 lru_caches of the package.  The submodule
+# records of monomial_algebra._record also hold at most 3 * CACHE_ENTRIES
+# memo values in all (H, rho, hyperplane), besides each record's sparse
+# numerators (its own, and N_I - N_(I^sat) per unsaturated component once a
+# hyperplane value is read).  After sweep(500) the fullest caches hold 888
 # (macaulay_transform) and 437 (_record) entries, and the records hold 8,603
 # values; after one cold seed-1 600-op benchmark sweep pass, 997 and 512
 # entries and 10,071 values (5,126 H, 1,873 rho, 3,072 hyperplane).  Neither

@@ -116,7 +116,8 @@ def lexify(
     """Lex submodule L with H(F/L, d) matching the table, then the tail.
 
     The table lists (d, value) integer pairs contiguously from the smallest
-    ambient degree (anything but int degrees and values raises ValueError);
+    ambient degree, each degree once (anything but int degrees and values
+    raises ValueError, a repeated degree NotAchievable);
     past its end the tail polynomial gives the values.  Degree by degree the
     lex segment of the right codimension is selected, checking it contains
     everything generated so far; a gap means no quotient of F has this
@@ -150,10 +151,13 @@ def lexify(
     """
     f1 = ambient.degrees[0]
     fm = ambient.degrees[-1]
+    values: dict[int, int] = {}
     for d, v in table:
         if type(d) is not int or type(v) is not int:  # not isinstance: bool is refused too
             raise ValueError(f"table entry ({d!r}, {v!r}) is not a pair of integers")
-    values = dict(sorted(table))
+        if d in values:
+            raise NotAchievable(f"table gives degree {d} more than once")
+        values[d] = v
     if values:
         lo, hi = min(values), max(values)
         if lo != f1 or sorted(values) != list(range(lo, hi + 1)):

@@ -32,24 +32,26 @@ sums of Betti numbers.  Every Hilbert value of a submodule is read through
 its one record (``_record``, cached by submodule): the sparse numerator of
 F/N, each component's pairs shifted by its f_i and never densified, and
 memo tables for H(F/N, d), rho and the hyperplane value, keyed by ints (see
-``_Record``); only this module stores in them.  ``hf_direct``,
-``adjusted_hf_decomposition``, ``stabilization_degree``, the checkers of
-``theorems`` and ``hilbert_series``, an uncached dense view of the
-numerator, all read it.
+``_Record``); only this module stores in them.  A sparse numerator is read
+two ways: ``_numerator_hf`` evaluates H at a degree, and
+``numpoly._binomial_sum`` builds the Hilbert polynomial.  ``hf_direct``,
+``hilbert_polynomial``, ``adjusted_hf_decomposition``,
+``stabilization_degree``, the checkers of ``theorems`` and
+``hilbert_series``, an uncached dense view of the numerator, all read it.
 
 The generic hyperplane restriction at d is H(F/N, d) - H(F/N, d - 1) plus,
 per component I, the kernel of h on (I^sat/I)_(d-f_i-1).  That kernel is
-ranked only where the defect table of I, dim (I^sat/I)_e read off the
-series as (N_I - N_(I^sat))/(1 - t)^(n+1), is positive; the table is kept
-with the saturation in one ``_saturation`` entry per ideal.  Monomial
-enumeration (``quotient_basis``) is kept only for that kernel, where a
-k-basis itself is needed.
+ranked only where dim (I^sat/I)_(d-f_i-1) is positive, evaluated by
+``_numerator_hf`` on N_I - N_(I^sat), the sparse numerator of I^sat/I kept
+in the record.  The saturation's generators are one ``_saturated_gens``
+entry per ideal, shared with ``saturation()``.  Monomial enumeration
+(``quotient_basis``) is kept only for that kernel, where a k-basis itself
+is needed.
 """
 from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import accumulate
 from math import comb
 from operator import le
 from typing import Iterable
@@ -58,7 +60,7 @@ from . import linalg
 from ._value import CachedHash, Value
 from .combinatorics import CACHE_ENTRIES, binomial
 from .errors import BudgetExceeded, InvariantViolated, PreconditionViolated, refuse_unknown_keys
-from .numpoly import TERM_BUDGET, NumPoly, series_to_polynomial
+from .numpoly import TERM_BUDGET, NumPoly, _binomial_sum
 
 # Pivot nodes the series recursion may visit per component ideal; a work
 # guard, past which hilbert_series raises BudgetExceeded.
@@ -273,9 +275,9 @@ class MonomialIdeal(CachedHash):
 
     def saturation(self) -> "MonomialIdeal":
         """I : (x_0, ..., x_n)^infinity as the intersection of variable colons,
-        read off the ``_saturation`` entry that the hyperplane kernel shares;
-        no series is computed."""
-        return MonomialIdeal._of_minimal(self.n, _saturation(self.exponents).gens)
+        read off the ``_saturated_gens`` entry that the hyperplane kernel
+        shares; no series is computed."""
+        return MonomialIdeal._of_minimal(self.n, _saturated_gens(self.exponents))
 
     def max_gen_degree(self) -> int:
         if not self.exponents:
@@ -283,6 +285,8 @@ class MonomialIdeal(CachedHash):
         return max(map(sum, self.exponents))
 
 
+# keyed by generator exponents: saturation() and the hyperplane kernel share one entry
+@lru_cache(maxsize=CACHE_ENTRIES)
 def _saturated_gens(gens: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     """Minimal generators of I : (x_0, ..., x_n)^infinity from those of I, on
     exponent tuples: the intersection of the colons I : x_v^infinity, each
@@ -301,53 +305,6 @@ def _saturated_gens(gens: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...],
             (inside if any(all(map(le, b, a)) for b in colon) else rest).append(a)
         out = _minimal(inside + [tuple(map(max, a, b)) for a in rest for b in colon])
     return out
-
-
-class _Saturation:
-    """The ``_saturation`` entry of an ideal I: ``gens``, the minimal
-    generators of I^sat, and the defect table {e: dim (I^sat/I)_e > 0},
-    built on first read, so that saturating computes no series."""
-
-    __slots__ = ("ideal", "gens", "_defect")
-
-    def __init__(self, ideal: tuple[tuple[int, ...], ...], gens: tuple[tuple[int, ...], ...]):
-        self.ideal = ideal
-        self.gens = gens
-        self._defect = None
-
-    def defect(self) -> dict[int, int]:
-        """dim (I^sat/I)_e at each e where it is positive; empty when I is
-        saturated.  The series of I^sat/I is (N_I - N_(I^sat))/(1 - t)^(n+1),
-        N the series numerators, and it is a polynomial, as I^sat/I has
-        finite length: n + 1 running sums of the numerator difference give
-        it.  A difference spanning more than ``TERM_BUDGET`` exponents
-        raises BudgetExceeded before any sum is built."""
-        if self._defect is None:
-            table = {}
-            if self.gens != self.ideal:
-                diff = dict(_ideal_numerator(self.ideal))
-                for e, c in _ideal_numerator(self.gens):
-                    diff[e] = diff.get(e, 0) - c
-                diff = {e: c for e, c in diff.items() if c}
-                low, top = min(diff), max(diff)
-                if top - low >= TERM_BUDGET:
-                    raise BudgetExceeded(
-                        f"saturation defect spans {top - low + 1} degrees, more than {TERM_BUDGET}"
-                    )
-                coeffs = [diff.get(e, 0) for e in range(low, top + 1)]
-                for _ in self.ideal[0]:  # n + 1 times
-                    coeffs = list(accumulate(coeffs))
-                table = {low + j: c for j, c in enumerate(coeffs) if c}
-            self._defect = table
-        return self._defect
-
-
-# keyed by generator exponents: saturation() and the hyperplane kernel share one entry
-@lru_cache(maxsize=CACHE_ENTRIES)
-def _saturation(gens: tuple[tuple[int, ...], ...]) -> _Saturation:
-    """I^sat of the ideal of minimal exponent tuples ``gens``, with its
-    defect table (see ``_Saturation``)."""
-    return _Saturation(gens, _saturated_gens(gens))
 
 
 def quotient_basis(ideal: MonomialIdeal, e: int) -> tuple[Monomial, ...]:
@@ -560,9 +517,9 @@ class _Record:
     Three memo tables are keyed by one int: ``hf`` holds H(F/N, d) by d,
     ``rho`` holds rho(d, r), r > 0, by d(m + 1) + r, and ``hyperplane`` the
     hyperplane value by d; only this module stores in them.  ``kernels``
-    lists (f_i, I_i, the generators of I_i^sat, the defect table of I_i) for
-    the components that are not saturated, read on the first hyperplane
-    value.
+    lists (f_i, I_i, the generators of I_i^sat, N_(I_i) - N_(I_i^sat) as
+    ascending (exponent, coefficient) pairs) for the components with
+    I_i^sat != I_i, read on the first hyperplane value.
     """
 
     __slots__ = (
@@ -662,11 +619,12 @@ def hilbert_series(submodule: MonomialSubmodule) -> HilbertSeries:
     return HilbertSeries(submodule.n, offset, dense)
 
 
-@lru_cache(maxsize=CACHE_ENTRIES)
 def hilbert_polynomial(submodule: MonomialSubmodule) -> NumPoly:
-    """Hilbert polynomial of F/N, read off the series numerator."""
-    series = hilbert_series(submodule)
-    return series_to_polynomial(series.numerator, submodule.n, series.offset)
+    """Hilbert polynomial of F/N: sum c C(d - e + n, n) over the terms c t^e
+    of the record's sparse series numerator (Bruns and Herzog, 4.1), one
+    ``_binomial_sum``, so no span of the numerator is densified."""
+    n = submodule.n
+    return _binomial_sum((c, n, n - e) for e, c in _record(submodule).numerator.items())
 
 
 def stabilization_degree(submodule: MonomialSubmodule) -> int:
@@ -674,7 +632,7 @@ def stabilization_degree(submodule: MonomialSubmodule) -> int:
     exponent of the series numerator, or f_1 when H is identically zero.
 
     A numerator term c t^e adds c C(d - e + n, n) to H as a combinatorial
-    binomial and to P as a polynomial one (``series_to_polynomial``).  The
+    binomial and to P as a polynomial one (``hilbert_polynomial``).  The
     two agree unless d - e + n < 0, where the combinatorial one is 0 and
     the polynomial one is (-1)^n C(e - d - 1, n), nonzero only for
     d <= e - n - 1.  So H - P vanishes from E - n on, and at E - n - 1 only
@@ -754,8 +712,9 @@ def _section_dim(record: _Record, d: int) -> int:
     H(F/N, d) - H(F/N, d - 1), read off the record.  Every associated prime
     of a monomial ideal is generated by variables, and h lies in none of
     them but the maximal ideal, so h is a nonzerodivisor on S/I^sat and the
-    kernel lies in I^sat/I.  So it is 0 where the defect table of I is 0 at
-    e - 1, and elsewhere ``_kernel`` ranks it.
+    kernel lies in I^sat/I.  So it is 0 where dim (I^sat/I)_(e-1) is 0, and
+    elsewhere ``_kernel`` ranks it; that dimension is ``_numerator_hf`` of
+    ``_defect_numerator``, kept in the record's ``kernels``.
     """
     if record.n < 1:
         raise PreconditionViolated("hyperplane restriction needs n >= 1")
@@ -763,14 +722,27 @@ def _section_dim(record: _Record, d: int) -> int:
     kernels = record.kernels
     if kernels is None:
         kernels = record.kernels = tuple(
-            (f, ideal, saturation.gens, saturation.defect())
+            (f, ideal, sat, _defect_numerator(ideal.exponents, sat))
             for f, ideal in zip(record.degrees, record.submodule.components)
-            if (saturation := _saturation(ideal.exponents)).defect()
+            if (sat := _saturated_gens(ideal.exponents)) != ideal.exponents
         )
     for f, ideal, sat, defect in kernels:
-        if defect.get(d - f - 1):
+        if _numerator_hf(defect, record.n, d - f - 1) > 0:
             value += _kernel(ideal, sat, d - f)
     return value
+
+
+def _defect_numerator(
+    gens: tuple[tuple[int, ...], ...], sat: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, int], ...]:
+    """N_I - N_(I^sat), N the series numerators, as ascending (exponent,
+    coefficient) pairs, nonzero only: I^sat/I has the series
+    (N_I - N_(I^sat))/(1 - t)^(n+1), so ``_numerator_hf`` reads
+    dim (I^sat/I)_e off it.  Empty when I is saturated."""
+    diff = dict(_ideal_numerator(gens))
+    for e, c in _ideal_numerator(sat):
+        diff[e] = diff.get(e, 0) - c
+    return tuple((e, diff[e]) for e in sorted(diff) if diff[e])
 
 
 def _kernel(ideal: MonomialIdeal, sat: tuple[tuple[int, ...], ...], e: int) -> int:

@@ -474,12 +474,32 @@ def test_error_paths_exit_two(capsys):
 
 def test_series_of_a_huge_exponent_is_refused_in_one_line(capsys):
     # betti answers x0^99999999999 at once; its series numerator would be
-    # dense over 10^11 exponents, so hilbert refuses it
+    # dense over 10^11 exponents, so hilbert --series refuses it
     huge = '{"n": 1, "degrees": [0], "components": [{"gens": ["x0^99999999999"]}]}'
     assert run_json(capsys, ["betti", "--module", huge]) == {"betti": [[0, 0, 1], [1, 99999999999, 1]]}
-    code, out, err = run_cli(capsys, ["hilbert", "--module", huge, "--polynomial"])
+    code, out, err = run_cli(capsys, ["hilbert", "--module", huge, "--series"])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1, err[:200]
+
+
+def test_lexify_refuses_a_repeated_table_degree_in_one_line(capsys):
+    # the table gives H(0) as 0 and as 1: refused, not collapsed to one value
+    hf = '{"table": [[0, 0], [0, 1], [1, 2]], "tail": {"coeffs": [3]}}'
+    code, out, err = run_cli(
+        capsys, ["lexify", "--module-shape", '{"n": 1, "degrees": [0]}', "--hf", hf]
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: table gives degree 0 more than once\n", err
+
+
+def test_polynomial_of_a_huge_exponent_is_answered(capsys):
+    # P = C(d + 1, 1) - C(d - 99999999999 + 1, 1), one binomial per term of
+    # the sparse numerator 1 - t^99999999999: the constant 99999999999
+    huge = '{"n": 1, "degrees": [0], "components": [{"gens": ["x0^99999999999"]}]}'
+    poly = run_json(capsys, ["hilbert", "--module", huge, "--polynomial"])
+    assert poly == {"coeffs": ["99999999999"]}
+    sub = monomial_algebra.module_from_dict(json.loads(huge))
+    assert monomial_algebra.hilbert_polynomial(sub) == numpoly.NumPoly([99999999999])
 
 
 def test_hilbert_values_of_a_huge_exponent_are_answered(capsys):

@@ -176,7 +176,7 @@ def test_ideals_store_their_minimal_exponents(spec):
 def test_saturation_and_betti_build_no_monomial(monkeypatch):
     # on prebuilt submodules these run on the stored exponent tuples alone
     subs = [random_submodule(k) for k in range(60)]
-    for cache in (monomial_algebra._saturation, resolution._ideal_table):
+    for cache in (monomial_algebra._saturated_gens, resolution._ideal_table):
         cache.cache_clear()
 
     def refuse(self, exponents):

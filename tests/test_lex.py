@@ -160,6 +160,10 @@ def test_lexify_not_achievable():
     # table starting past the smallest ambient degree
     with pytest.raises(NotAchievable):
         lexify(ambient, [(1, 2)], NumPoly([2, 2]))
+    # table giving one degree twice, with different or equal values
+    for table in ([(0, 0), (0, 1), (1, 2)], [(0, 1), (1, 2), (1, 2)]):
+        with pytest.raises(NotAchievable, match=f"degree {table[1][0]} more than once"):
+            lexify(ambient, table, NumPoly([3]))
     # tail that is not integer valued where it is consulted
     with pytest.raises(NotAchievable, match="is not an integer-valued polynomial"):
         lexify(ambient, [(0, 1)], NumPoly(["1/2"]))
@@ -241,8 +245,7 @@ def test_lexify_reads_no_series(corpus, monkeypatch):
         raise AssertionError("lexify computed a Hilbert series")
 
     monkeypatch.setattr(monomial_algebra, "_ideal_numerator", refuse)
-    for cached in (hilbert_polynomial, monomial_algebra._record):
-        cached.cache_clear()
+    monomial_algebra._record.cache_clear()
     assert [lexify(*args) for args in data] == expected
 
 

@@ -48,7 +48,11 @@ from conftest import (
     set_node_budget,
 )
 from hyperplane_oracle import hyperplane_hf, linear_section_dim, saturation_exponents
-from series_oracle import scan_stabilization_degree
+from series_oracle import (
+    forward_difference_polynomial,
+    hilbert_coefficient_polynomial,
+    scan_stabilization_degree,
+)
 
 
 def test_monomial_basic_operations():
@@ -162,7 +166,7 @@ def test_series_and_hyperplane_build_no_monomials(monkeypatch):
     monkeypatch.setattr(Monomial, "__init__", counting)
     numerator = monomial_algebra._ideal_numerator.__wrapped__(ideal_obj.exponents)
     monomial_algebra._record.cache_clear()
-    monomial_algebra._saturation.cache_clear()
+    monomial_algebra._saturated_gens.cache_clear()
     dims = [generic_hyperplane_hf(module(3, (0,), [ideal_obj]), e) for e in range(5)]
     assert built == []
     assert dict(numerator) == counted_numerator(ideal_obj)
@@ -201,7 +205,7 @@ def test_saturation_examples():
 def test_saturation_computes_no_series(monkeypatch):
     # saturate() answers from the generators alone: no pivot recursion, so
     # no NODE_BUDGET refusal, and a later hyperplane value reuses the generators
-    for cache in (monomial_algebra._saturation, monomial_algebra._record,
+    for cache in (monomial_algebra._saturated_gens, monomial_algebra._record,
                   monomial_algebra._ideal_numerator):
         cache.cache_clear()
 
@@ -213,9 +217,9 @@ def test_saturation_computes_no_series(monkeypatch):
     assert unsaturated.saturation() == ideal(3, "x0", "x1^3*x2")
     assert ideal(2, "x0*x2^3").saturation() == ideal(2, "x0*x2^3")
     monkeypatch.undo()
-    hits = monomial_algebra._saturation.cache_info().hits
+    hits = monomial_algebra._saturated_gens.cache_info().hits
     generic_hyperplane_hf(module(3, (0,), [unsaturated]), 2)
-    assert monomial_algebra._saturation.cache_info().hits == hits + 1
+    assert monomial_algebra._saturated_gens.cache_info().hits == hits + 1
 
 
 # up to 40 generators in up to 6 variables, so that _saturated_gens often
@@ -386,15 +390,18 @@ def test_series_numerator_span_is_bounded():
             hilbert_series(module(0, (0,), [ideal(0, f"x0^{e}")]))
 
 
-def test_saturation_defect_span_is_bounded():
-    # (x0^a, x1^a) saturates to the unit ideal, so its defect table is
-    # (1 - t^a)^2/(1 - t)^2, over 2a - 1 degrees: refused past TERM_BUDGET
-    # before any sum is built, while H is still read off the sparse numerator
+def test_saturation_defect_past_the_term_budget_is_answered():
+    # (x0^a, x1^a) saturates to the unit ideal, so I^sat/I has the series
+    # (1 - t^a)^2/(1 - t)^2, nonzero over 2a - 1 > TERM_BUDGET degrees; its
+    # three numerator terms are evaluated where they are read, so the
+    # hyperplane value and the Green check are answered: H = 1, 2, 3 in
+    # degrees 0, 1, 2 and the restriction at 2 is k[x]_2, of dimension 1
     a = monomial_algebra.TERM_BUDGET // 2 + 1
     sub = module(1, (0,), [ideal(1, f"x0^{a}", f"x1^{a}")])
     assert hf_direct(sub, 2) == 3
-    with pytest.raises(BudgetExceeded, match="saturation defect spans"):
-        generic_hyperplane_hf(sub, 2)
+    assert generic_hyperplane_hf(sub, 2) == 1
+    report = check_green_adjusted(sub, 2)
+    assert (report.bound_lhs, report.bound_rhs, report.verdict) == (1, 1, "sharp")
 
 
 def test_hilbert_polynomial_examples(twisted_plane_pair):
@@ -403,6 +410,18 @@ def test_hilbert_polynomial_examples(twisted_plane_pair):
     assert hilbert_polynomial(free_line) == NumPoly([1, 1])
     plane_curve = module(2, (0,), [ideal(2, "x0^2", "x0*x1")])
     assert hilbert_polynomial(plane_curve) == NumPoly([2, 1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6))
+def test_hilbert_polynomial_matches_both_oracles(seed):
+    # the binomial sum over the record's sparse numerator, against the
+    # Hilbert coefficients and the forward differences of the dense series
+    sub = random_submodule(seed)
+    series = hilbert_series(sub)
+    poly = hilbert_polynomial(sub)
+    assert poly == hilbert_coefficient_polynomial(series.numerator, sub.n, series.offset)
+    assert poly == forward_difference_polynomial(series.numerator, sub.n, series.offset)
 
 
 def test_stabilization_degree_examples():
@@ -518,9 +537,11 @@ def test_hyperplane_kernel_lies_in_the_saturation_quotient():
     kernel_case = ideal(2, "x2", "x1^2", "x0*x1")
     assert hf_quotient(kernel_case, 2) - hf_quotient(kernel_case, 1) == -1
     assert kernel_case.saturation() == ideal(2, "x1", "x2")
-    sat = monomial_algebra._saturation(kernel_case.exponents)
-    assert sat.defect() == {1: 1}
-    assert monomial_algebra._kernel(kernel_case, sat.gens, 2) == 1
+    sat = monomial_algebra._saturated_gens(kernel_case.exponents)
+    defect = monomial_algebra._defect_numerator(kernel_case.exponents, sat)
+    dims = {e: monomial_algebra._numerator_hf(defect, 2, e) for e in range(-1, 5)}
+    assert {e: dim for e, dim in dims.items() if dim} == {1: 1}
+    assert monomial_algebra._kernel(kernel_case, sat, 2) == 1
     assert linear_section_dim(kernel_case, 2) == 0
     assert generic_hyperplane_hf(module(2, (0,), [kernel_case]), 2) == 0
 
@@ -531,7 +552,7 @@ def test_generic_hyperplane_repeatable(corpus):
     first = [generic_hyperplane_hf(sub, d) for sub, d in subs]
     assert [generic_hyperplane_hf(sub, d) for sub, d in subs] == first
     monomial_algebra._record.cache_clear()
-    monomial_algebra._saturation.cache_clear()
+    monomial_algebra._saturated_gens.cache_clear()
     assert [generic_hyperplane_hf(sub, d) for sub, d in subs] == first
 
 
@@ -660,14 +681,16 @@ def test_defect_table_counts_the_saturation_quotient(case, k):
         MonomialIdeal(n, tuple(Monomial(tuple(x)) for x in exponent_lists)), k
     )
     sat = MonomialIdeal(n, tuple(map(Monomial, saturation_exponents(ideal_obj))))
-    table = monomial_algebra._saturation(ideal_obj.exponents).defect()
+    assert monomial_algebra._saturated_gens(ideal_obj.exponents) == sat.exponents
+    defect = monomial_algebra._defect_numerator(ideal_obj.exponents, sat.exponents)
+    assert [e for e, _ in defect] == sorted({e for e, _ in defect})
+    assert all(c for _, c in defect)
     lcm_degree = sum(max(column, default=0) for column in zip(*ideal_obj.exponents))
     for e in range(-1, lcm_degree + 2):
-        assert table.get(e, 0) == hf_quotient(ideal_obj, e) - hf_quotient(sat, e), e
-    assert set(table) <= set(range(lcm_degree + 1))
-    assert monomial_algebra._saturation(sat.exponents).defect() == {}
-    if ideal_obj == sat:
-        assert table == {}
+        expected = hf_quotient(ideal_obj, e) - hf_quotient(sat, e)
+        assert monomial_algebra._numerator_hf(defect, n, e) == expected, e
+    assert monomial_algebra._defect_numerator(sat.exponents, sat.exponents) == ()
+    assert (defect == ()) == (ideal_obj == sat)
 
 
 def section_matrix(ideal_obj, e, c):

@@ -27,7 +27,7 @@ from gotzmann.combinatorics import binomial
 
 from conftest import random_rep
 from numpoly_oracle import PowerPoly, power_binomial_sum
-from series_oracle import forward_difference_polynomial
+from series_oracle import forward_difference_polynomial, hilbert_coefficient_polynomial
 
 
 def test_numpoly_arithmetic_and_evaluation():
@@ -315,15 +315,6 @@ def test_series_to_polynomial_matches_binomials():
     assert shifted == binomial_poly(2, 3)
 
 
-def termwise_series_polynomial(numerator, n, offset=0):
-    """sum_j numerator[j] * C(d - (offset + j) + n, n), one binomial per term."""
-    out = NumPoly()
-    for j, c in enumerate(numerator):
-        if c:
-            out = out + c * binomial_poly(n, n - offset - j)
-    return out
-
-
 def test_series_to_polynomial_edge_cases():
     for numerator, n, offset in [
         ([], 0, 0),
@@ -335,10 +326,12 @@ def test_series_to_polynomial_edge_cases():
         ([1, -3, 3, -1], 3, -1),
         ([5, 0, -7, 1], 4, -6),
     ]:
-        expected = termwise_series_polynomial(numerator, n, offset)
+        expected = hilbert_coefficient_polynomial(numerator, n, offset)
         assert series_to_polynomial(numerator, n, offset) == expected, (numerator, n, offset)
     assert series_to_polynomial([], 2).is_zero()
     assert series_to_polynomial([1, -4, 2], 0, -3) == NumPoly([-1])
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        series_to_polynomial([1], -1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -356,10 +349,11 @@ def test_series_to_polynomial_edge_cases():
 @example([0] * 29 + [3], 2, 6)
 @example([1, -4, 6, -4, 1], 3, 0)
 def test_series_to_polynomial_matches_termwise_sum(numerator, n, offset):
-    """The binomial sum against one binomial_poly per term and against
-    interpolation through forward differences of sampled values."""
+    """The binomial sum against the Hilbert coefficients taken by synthetic
+    division and against interpolation through forward differences of
+    sampled values."""
     poly = series_to_polynomial(numerator, n, offset)
-    assert poly == termwise_series_polynomial(numerator, n, offset)
+    assert poly == hilbert_coefficient_polynomial(numerator, n, offset)
     assert poly == forward_difference_polynomial(numerator, n, offset)
 
 
