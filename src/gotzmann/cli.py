@@ -15,11 +15,13 @@ strings throughout; results go to stdout and diagnostics to stderr.
 
 Exit codes: 2 on parse/validation errors, 1 when a check reports a violated
 verdict, 3 on an internal fault (a failed internal cross-check), 0 otherwise.
+A reader closing stdout early changes none of them; the output is dropped.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import TYPE_CHECKING, Any, Callable, NoReturn
 
@@ -35,7 +37,10 @@ def _load_json(arg: str) -> Any:
     if not arg.lstrip().startswith(("{", "[")):
         with open(arg, encoding="utf-8") as handle:
             text = handle.read()
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def _shape_arg(arg: str) -> GradedFreeModule:
@@ -393,21 +398,25 @@ def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    code = 0
     try:
         args = _build_parser(argv).parse_args(argv)
-        payload, code = args.run(args), 0
+        payload = args.run(args)
         if args.command == "check":
             from .theorems import VIOLATED  # loaded already: the checker ran
 
             code = 1 if payload.verdict == VIOLATED else 0
             payload = payload.to_dict()
+        _emit(payload, as_text=args.text)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout: the exit flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (ValueError, KeyError, OSError, BudgetExceeded, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolated as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    _emit(payload, as_text=args.text)
     return code
 
 

@@ -11,9 +11,10 @@ from math import comb, factorial
 
 from ._value import Value
 
-# Entries kept by each of the 9 lru_caches of the package.  The submodule
+# Entries kept by each of the 8 lru_caches of the package.  The submodule
 # records of monomial_algebra._record also hold at most 3 * CACHE_ENTRIES
-# memo values in all (H, rho, hyperplane), besides each record's sparse
+# memo values in all, in one table per record (H, rho and the hyperplane
+# value, keyed by degree and slot), besides each record's sparse
 # numerators (its own, and N_I - N_(I^sat) per unsaturated component once a
 # hyperplane value is read).  After sweep(500) the fullest caches hold 888
 # (macaulay_transform) and 437 (_record) entries, and the records hold 8,603

@@ -19,34 +19,34 @@ without re-running its checks on tuples the library built or checked itself
 (``_monomial``), ``monomials_of_degree``, ``monomial_at_rank``,
 ``lex.lex_segment`` and ``MonomialIdeal.gens`` (on demand).  A degree is
 walked in lex order one way, ``_lex_run``: one unranking, then lex
-successors; ``monomials_of_degree`` is its run over the whole degree.  The
-``MonomialIdeal`` constructor takes ``Monomial``s and keeps their tuples.
-The library's own ideal builders (``lexify``, ``saturated_lex_ideal``,
-``saturation()``, ``random_submodule``) build exponent tuples and hand them
-to ``MonomialIdeal._of_minimal``.
+successors; ``monomials_of_degree``, uncached, is its run over the whole
+degree.  The ``MonomialIdeal`` constructor takes ``Monomial``s and keeps
+their tuples.  The library's own ideal builders (``lexify``,
+``saturated_lex_ideal``, ``saturation()``, ``random_submodule``) build
+exponent tuples and hand them to ``MonomialIdeal._of_minimal``.
 
 Hilbert functions are read off the exact Hilbert series numerator.  Each
 ideal's numerator comes from one pivot recursion that splits on a variable
 power x_v^k; the tests hold it to monomial counting and to the alternating
 sums of Betti numbers.  Every Hilbert value of a submodule is read through
 its one record (``_record``, cached by submodule): the sparse numerator of
-F/N, each component's pairs shifted by its f_i and never densified, and
-memo tables for H(F/N, d), rho and the hyperplane value, keyed by ints (see
-``_Record``); only this module stores in them.  A sparse numerator is read
-two ways: ``_numerator_hf`` evaluates H at a degree, and
-``numpoly._binomial_sum`` builds the Hilbert polynomial.  ``hf_direct``,
-``hilbert_polynomial``, ``adjusted_hf_decomposition``,
-``stabilization_degree``, the checkers of ``theorems`` and
-``hilbert_series``, an uncached dense view of the numerator, all read it.
+F/N, each component's pairs shifted by its f_i and never densified, and one
+value table, keyed by ints, for rho(d, r), which is H(F/N, d) at r = 0, and
+the hyperplane value (see ``_Record``); only this module stores in it, and
+``_rho`` is the one reader of H.  A sparse numerator is read two ways:
+``_numerator_hf`` evaluates H at a degree, and ``numpoly._binomial_sum``
+builds the Hilbert polynomial.  ``hf_direct``, ``hilbert_polynomial``,
+``adjusted_hf_decomposition``, ``stabilization_degree``, the checkers of
+``theorems`` and ``hilbert_series``, an uncached dense view of the
+numerator, all read it.
 
 The generic hyperplane restriction at d is H(F/N, d) - H(F/N, d - 1) plus,
 per component I, the kernel of h on (I^sat/I)_(d-f_i-1).  That kernel is
 ranked only where dim (I^sat/I)_(d-f_i-1) is positive, evaluated by
 ``_numerator_hf`` on N_I - N_(I^sat), the sparse numerator of I^sat/I kept
 in the record.  The saturation's generators are one ``_saturated_gens``
-entry per ideal, shared with ``saturation()``.  Monomial enumeration
-(``quotient_basis``) is kept only for that kernel, where a k-basis itself
-is needed.
+entry per ideal, shared with ``saturation()``.  The kernel walks the
+exponent tuples of its degree with ``_lex_run`` and keeps none.
 """
 from __future__ import annotations
 
@@ -129,10 +129,9 @@ def monomial_from_string(text: str, n: int) -> Monomial:
     return Monomial(tuple(exps))
 
 
-@lru_cache(maxsize=CACHE_ENTRIES)
 def monomials_of_degree(n: int, d: int) -> tuple[Monomial, ...]:
     """All degree-d monomials in n+1 variables, descending in lex (x_0 > ... > x_n):
-    the ``_lex_run`` of the whole degree."""
+    the ``_lex_run`` of the whole degree, kept nowhere."""
     if d < 0:
         return ()
     return tuple(map(_monomial, _lex_run(n, d, 0, comb(d + n, n))))
@@ -308,12 +307,9 @@ def _saturated_gens(gens: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...],
 
 
 def quotient_basis(ideal: MonomialIdeal, e: int) -> tuple[Monomial, ...]:
-    """Degree-e monomials outside the ideal (a k-basis of (S/I)_e), lex order.
-
-    Only ``_kernel`` uses it in the library, for the kernel of h on
-    I^sat/I, in the few degrees where I^sat/I is nonzero; Hilbert functions
-    are read off the series.
-    """
+    """Degree-e monomials outside the ideal (a k-basis of (S/I)_e), lex order,
+    uncached.  The library does not call it: Hilbert functions are read off
+    the series, and the hyperplane kernel walks exponent tuples."""
     return tuple(
         m for m in monomials_of_degree(ideal.n, e)
         if not any(all(map(le, g, m.exponents)) for g in ideal.exponents)
@@ -514,26 +510,23 @@ class _Record:
     component's ``_ideal_numerator`` shifted by its f_i and summed, never
     densified.
 
-    Three memo tables are keyed by one int: ``hf`` holds H(F/N, d) by d,
-    ``rho`` holds rho(d, r), r > 0, by d(m + 1) + r, and ``hyperplane`` the
-    hyperplane value by d; only this module stores in them.  ``kernels``
-    lists (f_i, I_i, the generators of I_i^sat, N_(I_i) - N_(I_i^sat) as
-    ascending (exponent, coefficient) pairs) for the components with
-    I_i^sat != I_i, read on the first hyperplane value.
+    ``values`` is the one memo table, keyed by d * stride + slot with
+    stride = m + 2: slot r <= m holds rho(d, r), which is H(F/N, d) at
+    r = 0, and slot m + 1 the hyperplane value at d; only this module stores
+    in it.  ``kernels`` lists (f_i, I_i, the generators of I_i^sat,
+    N_(I_i) - N_(I_i^sat) as ascending (exponent, coefficient) pairs) for
+    the components with I_i^sat != I_i, read on the first hyperplane value.
     """
 
-    __slots__ = (
-        "submodule", "n", "degrees", "numerator", "hf", "rho", "hyperplane", "kernels"
-    )
+    __slots__ = ("submodule", "n", "degrees", "stride", "numerator", "values", "kernels")
 
     def __init__(self, submodule: MonomialSubmodule, numerator: dict[int, int]):
         self.submodule = submodule
         self.n = submodule.n
         self.degrees = submodule.degrees
+        self.stride = len(submodule.degrees) + 2
         self.numerator = numerator
-        self.hf: dict[int, int] = {}
-        self.rho: dict[int, int] = {}
-        self.hyperplane: dict[int, int] = {}
+        self.values: dict[int, int] = {}
         self.kernels: tuple | None = None
 
 
@@ -544,13 +537,13 @@ _held = 0
 
 @lru_cache(maxsize=CACHE_ENTRIES)
 def _record(submodule: MonomialSubmodule) -> _Record:
-    """The one record of a submodule, built with its sparse numerator.
+    """The one record of a submodule, built with its sparse numerator and an
+    empty value table.
 
     Bounded memory: at most ``CACHE_ENTRIES`` records, each with its
     numerator, and at most 3 * ``CACHE_ENTRIES`` memo values in all the
-    cached records together, one ``CACHE_ENTRIES`` per table (H, rho,
-    hyperplane), as ``_store`` empties this cache before the values would
-    pass that count.
+    cached records' tables together, as ``_store`` empties this cache
+    before the values would pass that count.
     """
     global _held
     if not _record.cache_info().currsize:  # emptied since the last count
@@ -574,21 +567,13 @@ def _store(table: dict, key, value):
     return value
 
 
-def _hf(record: _Record, d: int) -> int:
-    """H(F/N, d) from the record's sparse numerator, stored in its ``hf`` table."""
-    value = record.hf.get(d)
-    if value is None:
-        value = _store(record.hf, d, _numerator_hf(record.numerator.items(), record.n, d))
-    return value
-
-
 def hf_direct(submodule: MonomialSubmodule, d: int) -> int:
     """H(F/N, d), read off the sparse Hilbert series numerator of F/N in the
     submodule's record, so no span of the numerator is ever densified.
 
     Exact at every degree, including below f_1, where it is 0.
     """
-    return _hf(_record(submodule), d)
+    return _rho(_record(submodule), d, 0)
 
 
 # hf_direct's memo is the record cache; it reports that cache's statistics
@@ -663,7 +648,7 @@ def adjusted_hf_decomposition(submodule: MonomialSubmodule, d: int) -> tuple[int
     """
     record = _record(submodule)
     rho = _rho(record, d, rank(submodule))
-    return _hf(record, d) - rho, rho
+    return _rho(record, d, 0) - rho, rho
 
 
 def _dims(degrees: tuple[int, ...], d: int, n: int) -> int:
@@ -673,31 +658,33 @@ def _dims(degrees: tuple[int, ...], d: int, n: int) -> int:
 
 def _rho(record: _Record, d: int, r: int) -> int:
     """H(F/N, d) less the free part of the last r ambient degrees, stored in
-    the record's ``rho`` table, with the window check of
-    ``adjusted_hf_decomposition``; at r = 0 it is H(F/N, d) itself."""
-    if not r:
-        return _hf(record, d)
-    n, degrees = record.n, record.degrees
-    m = len(degrees)
-    key = d * (m + 1) + r
-    rho = record.rho.get(key)
+    slot r of the record's ``values``, with the window check of
+    ``adjusted_hf_decomposition``; at r = 0 it is H itself, read off the
+    sparse numerator, the one place where H is computed."""
+    key = d * record.stride + r
+    rho = record.values.get(key)
     if rho is None:
-        rho = _hf(record, d) - _dims(degrees[m - r :], d, n)
+        if not r:
+            return _store(record.values, key, _numerator_hf(record.numerator.items(), record.n, d))
+        n, degrees = record.n, record.degrees
+        m = len(degrees)
+        rho = _rho(record, d, 0) - _dims(degrees[m - r :], d, n)
         window = _dims(degrees[: m - r], d, n)
         if not 0 <= rho <= window:
             raise InvariantViolated(
                 f"rho = {rho} escapes [0, {window}] at degree {d} for {record.submodule}"
             )
-        _store(record.rho, key, rho)
+        _store(record.values, key, rho)
     return rho
 
 
 def _hyperplane(record: _Record, d: int) -> int:
-    """generic_hyperplane_hf, stored in the record's ``hyperplane`` table:
+    """generic_hyperplane_hf, stored in slot m + 1 of the record's ``values``:
     one ``_section_dim`` per (submodule, d), whichever checkers ask."""
-    value = record.hyperplane.get(d)
+    key = d * record.stride + record.stride - 1
+    value = record.values.get(key)
     if value is None:
-        value = _store(record.hyperplane, d, _section_dim(record, d))
+        value = _store(record.values, key, _section_dim(record, d))
     return value
 
 
@@ -718,7 +705,7 @@ def _section_dim(record: _Record, d: int) -> int:
     """
     if record.n < 1:
         raise PreconditionViolated("hyperplane restriction needs n >= 1")
-    value = _hf(record, d) - _hf(record, d - 1)
+    value = _rho(record, d, 0) - _rho(record, d - 1, 0)
     kernels = record.kernels
     if kernels is None:
         kernels = record.kernels = tuple(
@@ -748,13 +735,13 @@ def _defect_numerator(
 def _kernel(ideal: MonomialIdeal, sat: tuple[tuple[int, ...], ...], e: int) -> int:
     """dim (0 :_{S/I} h)_{e-1} for I with saturation generators ``sat``:
     the kernel of h from (I^sat/I)_{e-1} to (I^sat/I)_e, whose monomial
-    bases are the standard monomials of I that lie in I^sat.
-    ``linalg.rank`` certifies the rank of that 0/1 matrix, whose rational
-    rank is the generic one."""
+    bases are the standard monomials of I in I^sat, found among the
+    ``_lex_run`` exponent tuples.  ``linalg.rank`` certifies the rank of
+    that 0/1 matrix, whose rational rank is the generic one."""
     gens = ideal.exponents
     source = [
-        u.exponents for u in quotient_basis(ideal, e - 1)
-        if any(all(map(le, g, u.exponents)) for g in sat)
+        u for u in _lex_run(ideal.n, e - 1, 0, binomial(e - 1 + ideal.n, ideal.n))
+        if any(all(map(le, g, u)) for g in sat) and not any(all(map(le, g, u)) for g in gens)
     ]
     row_of: dict[tuple[int, ...], int] = {}
     columns = []

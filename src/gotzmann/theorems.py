@@ -45,7 +45,6 @@ from .monomial_algebra import (
     MonomialSubmodule,
     _Record,
     _dims,
-    _hf,
     _hyperplane,
     _minimal,
     _record,
@@ -165,7 +164,7 @@ def _growth(record: _Record, d: int, r: int, index: int) -> tuple[int, int]:
     n, degrees = record.n, record.degrees
     free = _dims(degrees[len(degrees) - r :], d + 1, n) if r else 0
     bound = free + macaulay_transform(_rho(record, d, r), index)
-    return _hf(record, d + 1), bound
+    return _rho(record, d + 1, 0), bound
 
 
 def _restriction(record: _Record, d: int, r: int, index: int) -> tuple[int, int]:

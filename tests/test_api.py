@@ -42,7 +42,7 @@ def test_every_cache_has_the_one_bound():
                 assert callable(getattr(cache, "cache_clear", None)), name
                 caches[cache.__qualname__] = cache.cache_info().maxsize
     assert caches.keys() == {
-        "monomials_of_degree", "_ideal_numerator", "_saturated_gens", "_record",
+        "_ideal_numerator", "_saturated_gens", "_record",
         "_face_set_homology", "_relabelled_homology", "_ideal_table",
         "macaulay_transform", "green_transform",
     }

@@ -482,6 +482,14 @@ def test_series_of_a_huge_exponent_is_refused_in_one_line(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err[:200]
 
 
+def test_deeply_nested_json_is_refused_in_one_line(capsys):
+    # the JSON parser recurses once per bracket; past the recursion limit
+    # that is an input error, not a traceback
+    code, out, err = run_cli(capsys, ["rank", "--module", "[" * 100000])
+    assert (code, out) == (2, "")
+    assert err == "error: JSON nested too deeply\n"
+
+
 def test_lexify_refuses_a_repeated_table_degree_in_one_line(capsys):
     # the table gives H(0) as 0 and as 1: refused, not collapsed to one value
     hf = '{"table": [[0, 0], [0, 1], [1, 2]], "tail": {"coeffs": [3]}}'
@@ -910,6 +918,30 @@ def test_console_script():
     )
     assert usage.returncode == 0
     assert usage.stdout.startswith("usage: gotzmann rank")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["macaulay-transform", "4", "1"],
+        ["hilbert", "--module", json.dumps(module_to_dict(module(1, (0,), [ideal(1, "x0")]))),
+         "--function", "0", "200000"],
+    ],
+    ids=["short", "long"],
+)
+def test_closed_stdout_keeps_the_exit_code(argv):
+    # stdout is a pipe whose read end is closed before the command writes, as
+    # in "gotzmann ... | head -c 10": the output is dropped, quietly
+    gotzmann, env = console_script("gotzmann")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [*gotzmann, *argv], stdout=write_end, stderr=subprocess.PIPE, text=True, env=env
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (0, "")
 
 
 def test_runs_without_numpy():

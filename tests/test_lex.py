@@ -67,14 +67,18 @@ def test_lex_segments_nest():
                 assert lex_segment(n, d, c) == list(degree[:c]), (n, d, c)
 
 
-def test_lex_segment_enumerates_no_degree():
-    monomial_algebra.monomials_of_degree.cache_clear()
+def test_lex_segment_enumerates_no_degree(monkeypatch):
+    def enumerate_degree(n, d):
+        raise AssertionError(f"degree {d} enumerated")
+
+    # lex imports the enumerator by name, so both bindings are patched
+    monkeypatch.setattr(monomial_algebra, "monomials_of_degree", enumerate_degree)
+    monkeypatch.setattr(lex_module, "monomials_of_degree", enumerate_degree)
     assert lex_segment(4, 40, 3) == [
         Monomial((40, 0, 0, 0, 0)),
         Monomial((39, 1, 0, 0, 0)),
         Monomial((39, 0, 1, 0, 0)),
     ]
-    assert monomial_algebra.monomials_of_degree.cache_info().currsize == 0
 
 
 def test_lex_run_is_every_slice_of_the_degree():

@@ -1,13 +1,14 @@
 """Monomials, monomial ideals, submodules, and their Hilbert data."""
 import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gotzmann.combinatorics import binomial
-from gotzmann.errors import BudgetExceeded, PreconditionViolated
+from gotzmann.errors import BudgetExceeded, InvariantViolated, PreconditionViolated
 from gotzmann import linalg, monomial_algebra
 from gotzmann.monomial_algebra import (
     GradedFreeModule,
@@ -554,6 +555,67 @@ def test_generic_hyperplane_repeatable(corpus):
     monomial_algebra._record.cache_clear()
     monomial_algebra._saturated_gens.cache_clear()
     assert [generic_hyperplane_hf(sub, d) for sub, d in subs] == first
+
+
+def test_hyperplane_kernel_enumerates_no_monomials(monkeypatch):
+    # the kernel walks the exponent tuples of its degree: neither enumerator
+    # that builds Monomials is called
+    def enumerate_degree(*args):
+        raise AssertionError("a degree was enumerated as Monomials")
+
+    monkeypatch.setattr(monomial_algebra, "monomials_of_degree", enumerate_degree)
+    monkeypatch.setattr(monomial_algebra, "quotient_basis", enumerate_degree)
+    monomial_algebra._record.cache_clear()
+    gap = module(2, (0,), [ideal(2, "x0^3", "x1^3", "x2^3", "x0*x1*x2")])
+    assert generic_hyperplane_hf(gap, 3) == 1
+
+
+def test_numerator_reads_store_no_values(twisted_plane_pair):
+    # the series, the polynomial and the stabilization degree read only the
+    # numerator: the record's one value table stays empty, no kernel is read
+    monomial_algebra._record.cache_clear()
+    sub = module(2, (0,), [ideal(2, "x2", "x1^2", "x0*x1")])
+    for s in (sub, twisted_plane_pair):
+        for read in (hilbert_series, hilbert_polynomial, stabilization_degree):
+            read(s)
+        record = monomial_algebra._record(s)
+        tables = [slot for slot in record.__slots__ if isinstance(getattr(record, slot), dict)]
+        assert tables == ["numerator", "values"]
+        assert record.values == {}
+        assert record.kernels is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.randoms(use_true_random=False))
+# seed 8 is free of rank m = 2, so rho(d, m) is read beside the hyperplane;
+# seed 3 has an unsaturated component and rank 1 of 3
+@example(8, random.Random(0))
+@example(3, random.Random(0))
+def test_record_values_do_not_collide(seed, rng):
+    # H, every rho(d, r) with r <= rank and the hyperplane value, for d in
+    # [-3, 8], read into one record in shuffled order, against each read
+    # alone from a fresh record: a shared key would answer one with another
+    sub = random_submodule(seed)
+    reads = [(d, r) for d in range(-3, 9) for r in [*range(rank(sub) + 1), "hyperplane"]]
+    rng.shuffle(reads)
+    fresh = monomial_algebra._record.__wrapped__
+
+    def read(record, d, r):
+        if r == "hyperplane":
+            return monomial_algebra._hyperplane(record, d)
+        return monomial_algebra._rho(record, d, r)
+
+    record = fresh(sub)
+    assert [read(record, d, r) for d, r in reads] == [read(fresh(sub), d, r) for d, r in reads]
+    assert len(record.values) == len(reads) + 1  # and H(-4), read by the hyperplane at -3
+
+
+def test_rho_window_check_refuses_a_wrong_numerator():
+    # a record whose numerator is not that of its submodule: H = 0 leaves
+    # rho(0, 1) = 0 - 1 below 0
+    two = module(1, (0, 0), [ideal(1, "x0"), "zero"])
+    with pytest.raises(InvariantViolated, match=r"rho = -1 escapes \[0, 1\] at degree 0"):
+        monomial_algebra._rho(monomial_algebra._Record(two, {}), 0, 1)
 
 
 _SECTION_CASES = st.integers(1, 3).flatmap(
