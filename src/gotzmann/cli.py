@@ -13,8 +13,9 @@ Arguments taking structured input accept either inline JSON (first character
 '{' or '[') or a path to a UTF-8 JSON file.  Rationals are exact "p/q"
 strings throughout; results go to stdout and diagnostics to stderr.
 
-Exit codes: 2 on parse/validation errors, 1 when a check reports a violated
-verdict, 3 on an internal fault (a failed internal cross-check), 0 otherwise.
+Exit codes: 2 on parse/validation errors, an exceeded work budget or
+exhausted memory, 1 when a check reports a violated verdict, 3 on an
+internal fault (a failed internal cross-check), 0 otherwise.
 A reader closing stdout early changes none of them; the output is dropped.
 """
 from __future__ import annotations
@@ -411,8 +412,11 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
     except BrokenPipeError:  # the reader closed stdout: the exit flush goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    except (ValueError, KeyError, OSError, BudgetExceeded, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (
+        ValueError, KeyError, OSError, BudgetExceeded, MemoryError, json.JSONDecodeError
+    ) as exc:
+        # a MemoryError usually has no message: name the type instead
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except InvariantViolated as exc:
         print(f"internal error: {exc}", file=sys.stderr)

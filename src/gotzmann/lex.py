@@ -9,10 +9,8 @@ zeros).
 """
 from __future__ import annotations
 
-from itertools import count
-
 from .combinatorics import binomial, macaulay_transform
-from .errors import InvariantViolated, NotAchievable, NotAdmissible
+from .errors import BudgetExceeded, InvariantViolated, NotAchievable, NotAdmissible
 from .monomial_algebra import (
     GradedFreeModule,
     Monomial,
@@ -24,17 +22,7 @@ from .monomial_algebra import (
     hilbert_polynomial,
     monomials_of_degree,
 )
-from .numpoly import (
-    GotzmannRep,
-    NumPoly,
-    _binomial_sum,
-    adjusted_gotzmann_rep,
-    gotzmann_rep,
-)
-
-# floor of lexify's degree ceiling: this many degrees past max(table, f_m)
-# are processed before the data can count as never settling
-LEXIFY_EXTRA_DEGREES = 80
+from .numpoly import TERM_BUDGET, GotzmannRep, NumPoly, adjusted_gotzmann_rep, gotzmann_rep
 
 
 def lex_segment(n: int, d: int, c: int) -> list[Monomial]:
@@ -86,28 +74,6 @@ def is_lex_ideal(ideal: MonomialIdeal) -> bool:
     return all(is_lex_piece(sub, d) for d in range(ideal.max_gen_degree() + 1))
 
 
-def _degree_ceiling(ambient: GradedFreeModule, tail: NumPoly, floor: int) -> int:
-    """Last degree where lexify can still place a generator, at least floor.
-
-    Generators stop once the partially filled boundary component passes the
-    Gotzmann number of the tail reindexed to its internal degree (with every
-    later component counted fully against the quotient), so the candidate
-    ceilings over all components bound the degrees worth processing.
-    """
-    n, degrees = ambient.n, ambient.degrees
-    ceiling = floor
-    for c, f in enumerate(degrees):
-        internal = tail.shift_argument(f) - _binomial_sum(
-            (1, n, n + f - f2) for f2 in degrees[c + 1 :]
-        )
-        try:
-            s_c = gotzmann_rep(internal).number
-        except NotAdmissible:
-            continue
-        ceiling = max(ceiling, f + s_c + n + 2)
-    return ceiling
-
-
 def lexify(
     ambient: GradedFreeModule,
     table: list[tuple[int, int]],
@@ -145,9 +111,14 @@ def lexify(
     could only end in NotAchievable.  Tail values are read as ints off its
     binomial-basis coordinates.
 
-    Data that have not settled by a ceiling past the Gotzmann numbers of the
-    tail raise NotAchievable; the ceiling is computed only once the degree
-    reaches its floor, start + LEXIFY_EXTRA_DEGREES.
+    Persistence is the only stop rule the loop needs.  While no check fails,
+    each segment contains the span of the previous one, so the segments
+    span a submodule L of F.  F is Noetherian, so L is finitely generated and
+    the loop adds generators in finitely many degrees; past the last of
+    them a check fails or n + 1 quiet degrees return.  The walk is bounded
+    by ``TERM_BUDGET`` degrees from f_1: data whose earliest return,
+    start + n + 1, lies that far past f_1 raise BudgetExceeded before the
+    walk, and so does a walk that reaches f_1 + TERM_BUDGET.
     """
     f1 = ambient.degrees[0]
     fm = ambient.degrees[-1]
@@ -183,9 +154,13 @@ def lexify(
     prev_fill = [0] * ambient.m
     prev_pieces = [binomial(f1 - 1 - f + n, n) for f in degrees]
     start = max(last_tabulated, fm)
-    ceiling = None
+    if start + n + 1 - f1 >= TERM_BUDGET:
+        raise BudgetExceeded(
+            f"lexify returns at degree {start + n + 1} at the earliest, "
+            f"{TERM_BUDGET} or more degrees past f1 = {f1}"
+        )
     quiet = 0  # consecutive degrees past start that added no generator
-    for d in count(f1):
+    for d in range(f1, f1 + TERM_BUDGET):
         pieces = [binomial(d - f + n, n) for f in degrees]
         dim_d = sum(pieces)
         h = values[d] if d in values else tail._int_value(d)
@@ -229,13 +204,7 @@ def lexify(
                 return MonomialSubmodule(
                     ambient, tuple(MonomialIdeal._of_minimal(n, tuple(g)) for g in new_gens)
                 )
-        if d >= start + LEXIFY_EXTRA_DEGREES:
-            if ceiling is None:
-                ceiling = _degree_ceiling(ambient, tail, d)
-            if d >= ceiling:
-                raise NotAchievable(
-                    "Hilbert data never settles onto the tail polynomial"
-                )
+    raise BudgetExceeded(f"lexify walked {TERM_BUDGET} degrees from f1 = {f1} without settling")
 
 
 def saturated_lex_ideal(g: GotzmannRep, n: int) -> MonomialIdeal:

@@ -84,9 +84,11 @@ class Monomial(CachedHash):
         return sum(self.exponents)
 
     def divides(self, other: "Monomial") -> bool:
+        _same_variables(len(self.exponents), other)
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
 
     def lcm(self, other: "Monomial") -> "Monomial":
+        _same_variables(len(self.exponents), other)
         return Monomial(tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
 
     def __str__(self) -> str:
@@ -99,6 +101,13 @@ class Monomial(CachedHash):
             elif e > 1:
                 parts.append(f"x{v}^{e}")
         return "*".join(parts)
+
+
+def _same_variables(count: int, m: Monomial) -> None:
+    """Refuse a monomial without ``count`` exponents, which a ``zip`` over
+    the exponents would silently truncate."""
+    if len(m.exponents) != count:
+        raise ValueError(f"monomial {m} does not live in {count} variables")
 
 
 def _monomial(exponents: tuple[int, ...]) -> Monomial:
@@ -270,6 +279,7 @@ class MonomialIdeal(CachedHash):
         return bool(self.exponents) and not any(self.exponents[0])
 
     def contains(self, m: Monomial) -> bool:
+        _same_variables(self.n + 1, m)
         return any(all(map(le, g, m.exponents)) for g in self.exponents)
 
     def saturation(self) -> "MonomialIdeal":

@@ -10,7 +10,7 @@ two canonical decompositions used throughout: the plain Gotzmann representation
 and the rank-and-degree adjusted representation that first strips off the
 free summands C(d - f_i + n, n) before representing the remainder.
 
-Every sum of binomials c_k C(d + shift_k, a_k) here, in ``lex`` and in
+Every sum of binomials c_k C(d + shift_k, a_k) here and in
 ``monomial_algebra`` (a run, a free part, a term list, the polynomial of a
 Hilbert series numerator) is one ``_binomial_sum``.
 """

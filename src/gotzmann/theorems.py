@@ -37,7 +37,7 @@ from typing import Iterator
 
 from ._value import Value
 from .combinatorics import green_transform, macaulay_transform
-from .errors import PreconditionViolated
+from .errors import BudgetExceeded, PreconditionViolated
 from .lex import saturated_lex_module
 from .monomial_algebra import (
     GradedFreeModule,
@@ -55,7 +55,7 @@ from .monomial_algebra import (
     saturate,
     stabilization_degree,
 )
-from .numpoly import NumPoly, adjusted_gotzmann_rep, poly_to_dict
+from .numpoly import TERM_BUDGET, NumPoly, adjusted_gotzmann_rep, poly_to_dict
 from .resolution import regularity
 
 HOLDS = "holds"
@@ -255,7 +255,8 @@ def check_persistence_adjusted(submodule: MonomialSubmodule, d: int) -> CheckRep
     so the (n + 1)-th difference of G at 0, sum_j C(k_j, k_j - j - n - 1),
     equals that of R, 0: every k_j - j <= n and G has degree <= n too.
     Agreeing at n + 2 points, G = R, and G meets the bound at every step.
-    context["horizon"] is L - d, or 0 when the premise fails.
+    context["horizon"] is L - d, or 0 when the premise fails; a horizon
+    above ``TERM_BUDGET`` raises BudgetExceeded before any later e is read.
     """
     max_gen = submodule.max_gen_degree()
     if max_gen is not None and max_gen > d:
@@ -270,6 +271,10 @@ def check_persistence_adjusted(submodule: MonomialSubmodule, d: int) -> CheckRep
     verdict, context = PREMISE_FAILS, {"d": d, "horizon": 0}
     if premises_hold:
         last = max(d, stabilization_degree(submodule), submodule.degrees[-1]) + submodule.n + 1
+        if last - d > TERM_BUDGET:
+            raise BudgetExceeded(
+                f"persistence horizon of {last - d} degrees exceeds {TERM_BUDGET}"
+            )
         verdict, context["horizon"] = SHARP, last - d
         for e in range(d + 1, last + 1):
             lhs, rhs = _growth(record, e, r, e - f_low)

@@ -280,6 +280,17 @@ def test_internal_fault_exits_three(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_out_of_memory_exits_two(capsys, monkeypatch):
+    def exhausted_rank(submodule):
+        raise MemoryError
+
+    monkeypatch.setattr(monomial_algebra, "rank", exhausted_rank)
+    code, out, err = run_cli(capsys, ["rank", "--module", TWO_LINES])
+    assert code == 2
+    assert out == ""
+    assert err == "error: MemoryError\n"
+
+
 def test_series_budget_exits_two(capsys, monkeypatch):
     set_node_budget(monkeypatch, 1)
     argv = ["hilbert", "--module", json.dumps(module_to_dict(THREE_QUADRICS)), "--series"]

@@ -7,7 +7,7 @@ import pytest
 import gotzmann.lex as lex_module
 from gotzmann import monomial_algebra
 from gotzmann.combinatorics import binomial
-from gotzmann.errors import NotAchievable, NotAdmissible
+from gotzmann.errors import BudgetExceeded, NotAchievable, NotAdmissible
 from gotzmann.lex import (
     is_lex_ideal,
     is_lex_piece,
@@ -276,13 +276,43 @@ def test_lexify_components_are_minimal(corpus):
             assert MonomialIdeal(component.n, component.gens) == component
 
 
-def test_lexify_refuses_tail_above_degree_n(monkeypatch):
-    calls = []
-    monkeypatch.setattr(lex_module, "_degree_ceiling", lambda *a: calls.append(a))
+def test_lexify_refuses_tail_above_degree_n():
     ambient = GradedFreeModule(1, (0,))
     with pytest.raises(NotAchievable, match="tail of degree 2"):
         lexify(ambient, [(0, 1)], NumPoly([1, 1, 1]))
-    assert calls == []
+
+
+@pytest.mark.parametrize("n", [80, 100])
+def test_lexify_in_many_variables(n):
+    # S/(x0, ..., x_(n-1), x_n^2) has values 1, 1, 0, 0, ...; persistence
+    # returns at degree n + 3, far past any small degree count
+    out = lexify(GradedFreeModule(n, (0,)), [(0, 1), (1, 1), (2, 0)], NumPoly([0]))
+    expected = [tuple(int(v == k) for v in range(n + 1)) for k in range(n)]
+    expected.append((0,) * n + (2,))
+    assert out.components[0].exponents == tuple(expected)
+
+
+@pytest.mark.parametrize(
+    "budget, refusal",
+    [(4, None), (3, "walked 3 degrees"), (2, "returns at degree 2 at the earliest")],
+)
+def test_lexify_walks_at_most_the_term_budget(monkeypatch, budget, refusal):
+    # one point on the line: the generator x0 comes at degree 1, one past
+    # start = 0, so persistence returns at degree 3 after four degrees, one
+    # later than the earliest return start + n + 1 = 2
+    monkeypatch.setattr(lex_module, "TERM_BUDGET", budget)
+    ambient = GradedFreeModule(1, (0,))
+    if refusal is None:
+        assert lexify(ambient, [(0, 1)], NumPoly([1])).components[0] == ideal(1, "x0")
+    else:
+        with pytest.raises(BudgetExceeded, match=refusal):
+            lexify(ambient, [(0, 1)], NumPoly([1]))
+
+
+def test_lexify_refuses_a_far_last_degree_up_front():
+    ambient = GradedFreeModule(1, (0, 10**12))
+    with pytest.raises(BudgetExceeded, match="at the earliest"):
+        lexify(ambient, [], NumPoly([0]))
 
 
 def test_lexify_first_window_skips_ceiling(monkeypatch):

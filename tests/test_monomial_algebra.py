@@ -64,6 +64,17 @@ def test_monomial_basic_operations():
     assert Monomial((1, 2)).lcm(Monomial((3, 0))) == Monomial((3, 2))
 
 
+def test_operations_refuse_a_different_number_of_variables():
+    # zip would truncate: (x0) would contain x0 in one variable, and the lcm
+    # of (1, 2) and (0, 0, 5) would drop x2^5
+    with pytest.raises(ValueError, match="does not live in 3 variables"):
+        MonomialIdeal(2, (Monomial((1, 0, 0)),)).contains(Monomial((1,)))
+    with pytest.raises(ValueError, match="does not live in 2 variables"):
+        Monomial((1, 2)).lcm(Monomial((0, 0, 5)))
+    with pytest.raises(ValueError, match="does not live in 3 variables"):
+        Monomial((0, 0, 1)).divides(Monomial((0, 1)))
+
+
 def test_monomial_rejects_negative_exponents():
     with pytest.raises(ValueError):
         Monomial((1, -1))

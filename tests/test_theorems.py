@@ -8,7 +8,7 @@ from operator import attrgetter
 import pytest
 
 from gotzmann.combinatorics import macaulay_transform
-from gotzmann.errors import PreconditionViolated
+from gotzmann.errors import BudgetExceeded, PreconditionViolated
 from gotzmann.monomial_algebra import GradedFreeModule, hf_direct, module_to_dict, rank
 from gotzmann.numpoly import GotzmannRep, NumPoly, binomial_poly
 from gotzmann import monomial_algebra, theorems
@@ -127,6 +127,21 @@ def test_persistence_premise_fails():
     assert not rep.premises_hold
     assert rep.bound_lhs == 11
     assert rep.bound_rhs == 15
+
+
+@pytest.mark.parametrize("last_degree, refused", [(49, False), (50, True)])
+def test_persistence_horizon_within_the_term_budget(monkeypatch, last_degree, refused):
+    # the premise holds at d = 1 and the horizon is f_m + 1: exactly the
+    # budget is walked, one degree more is refused before the walk
+    monkeypatch.setattr(theorems, "TERM_BUDGET", 50)
+    sub = module(1, (0, last_degree), [ideal(1, "x0"), "zero"])
+    if refused:
+        with pytest.raises(BudgetExceeded, match="horizon of 51 degrees"):
+            check_persistence_adjusted(sub, 1)
+    else:
+        rep = check_persistence_adjusted(sub, 1)
+        assert rep.verdict == SHARP
+        assert rep.context["horizon"] == 50
 
 
 def test_persistence_on_lex_modules():
