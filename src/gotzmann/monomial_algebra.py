@@ -746,8 +746,8 @@ def _kernel(ideal: MonomialIdeal, sat: tuple[tuple[int, ...], ...], e: int) -> i
     """dim (0 :_{S/I} h)_{e-1} for I with saturation generators ``sat``:
     the kernel of h from (I^sat/I)_{e-1} to (I^sat/I)_e, whose monomial
     bases are the standard monomials of I in I^sat, found among the
-    ``_lex_run`` exponent tuples.  ``linalg.rank`` certifies the rank of
-    that 0/1 matrix, whose rational rank is the generic one."""
+    ``_lex_run`` exponent tuples.  ``linalg.rank`` is the exact rank of
+    that 0/1 matrix over Q, which is the generic one."""
     gens = ideal.exponents
     source = [
         u for u in _lex_run(ideal.n, e - 1, 0, binomial(e - 1 + ideal.n, ideal.n))

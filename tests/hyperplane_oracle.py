@@ -9,17 +9,18 @@ and, h being a nonzerodivisor on S/I^sat, the kernel is that of h on the
 standard monomials of I that lie in I^sat.  This is the library's former
 per-component route, made independent of it: the Hilbert values are counted,
 I^sat is the intersection of the variable colons of ``conftest``, and the
-kernel is ranked in every degree, not only where I^sat/I is nonzero.  The
-library reads the first difference off its record and ranks the kernel only
-where the defect table of I is positive.
+kernel is ranked by the ``Fraction`` elimination of ``rank_oracle`` in every
+degree, not only where I^sat/I is nonzero.  The library reads the first
+difference off its record and ranks the kernel only where the defect table
+of I is positive.
 """
 from __future__ import annotations
 
 import functools
 
 from conftest import colon_var_power, hf_quotient, intersect
+from rank_oracle import rank_oracle
 
-from gotzmann import linalg
 from gotzmann.monomial_algebra import quotient_basis
 
 
@@ -49,7 +50,7 @@ def linear_section_dim(ideal_obj, e):
             if not any(all(a <= b for a, b in zip(g, w)) for g in gens):
                 column[row_of.setdefault(w, len(row_of))] = 1
         columns.append(column)
-    kernel = len(source) - linalg.rank(columns)
+    kernel = len(source) - rank_oracle(columns)
     return hf_quotient(ideal_obj, e) - hf_quotient(ideal_obj, e - 1) + kernel
 
 

@@ -7,14 +7,17 @@ the Taylor resolution support: beta_{i,j}(S/I) can only be nonzero when j is
 the degree of the lcm of i minimal generators, with a conservative
 full-window fallback once subset enumeration gets large.  It shares no code
 with the lcm-lattice backend in ``gotzmann.resolution`` beyond monomial
-arithmetic and ``linalg.rank``, and is far slower, so it only runs in tests.
+arithmetic; its ranks come from the ``Fraction`` elimination of
+``rank_oracle``, not ``linalg.rank``.  It is far slower, so it only runs in
+tests.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
 
-from gotzmann import linalg
+from rank_oracle import rank_oracle
+
 from gotzmann.combinatorics import binomial
 from gotzmann.monomial_algebra import (
     Monomial,
@@ -64,7 +67,7 @@ def koszul_rank(ideal: MonomialIdeal, quotient: bool, i: int, j: int) -> int:
                 rest = T[:pos] + T[pos + 1 :]
                 column[target_sets[rest] * len(target_monos) + mi] = 1 if pos % 2 == 0 else -1
             columns.append(column)
-    return linalg.rank(columns)
+    return rank_oracle(columns)
 
 
 def koszul_candidates(ideal: MonomialIdeal, quotient: bool) -> set[tuple[int, int]]:

@@ -315,7 +315,7 @@ def test_lexify_refuses_a_far_last_degree_up_front():
         lexify(ambient, [], NumPoly([0]))
 
 
-def test_lexify_first_window_skips_ceiling(monkeypatch):
+def test_lexify_calls_no_gotzmann_rep(monkeypatch):
     calls = []
     monkeypatch.setattr(lex_module, "gotzmann_rep", calls.append)
     ambient = GradedFreeModule(2, (0,))

@@ -1,43 +1,17 @@
-"""Sparse GF(p) and certified rational ranks against independent dense
-oracles."""
+"""Exact rational ranks against the independent ``Fraction`` oracle."""
 import random
-from fractions import Fraction
+import sys
 
-import pytest
+from conftest import module, random_stable_ideal
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from rank_oracle import rank_oracle
 
-from gotzmann import linalg
-from gotzmann.linalg import LARGEST_PRIME, rank
+from gotzmann import linalg, monomial_algebra, resolution
+from gotzmann.linalg import rank
+from gotzmann.theorems import sweep
 
-SMALL_PRIME = 7
-
-
-def rank_oracle(rows, p=None):
-    # plain Gaussian elimination over Fraction (or mod p), no pivoting tricks
-    if p is None:
-        m = [[Fraction(x) for x in row] for row in rows]
-    else:
-        m = [[x % p for x in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][col] if p is None else pow(m[r][col], -1, p)
-        for i in range(nrows):
-            if i != r and m[i][col]:
-                factor = m[i][col] * inv
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-                if p is not None:
-                    m[i] = [a % p for a in m[i]]
-        r += 1
-        if r == nrows:
-            break
-    return r
+P = 2**31 - 1
 
 
 def sparse(rows):
@@ -47,18 +21,6 @@ def sparse(rows):
 
 def random_matrix(rng, nrows, ncols, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(ncols)] for _ in range(nrows)]
-
-
-def count_eliminations(monkeypatch):
-    primes = []
-    rank_mod = linalg._rank_mod
-
-    def counting(vectors, p):
-        primes.append(p)
-        return rank_mod(vectors, p)
-
-    monkeypatch.setattr(linalg, "_rank_mod", counting)
-    return primes
 
 
 def test_rank_exact_known_values():
@@ -75,7 +37,6 @@ def test_rank_exact_known_values():
     ]
     for rows, expected in cases:
         assert rank(sparse(rows)) == expected
-        assert linalg._rank_mod(sparse(rows), LARGEST_PRIME) == expected
 
 
 def test_rank_exact_matches_oracle_seeded():
@@ -84,7 +45,7 @@ def test_rank_exact_matches_oracle_seeded():
         nrows = rng.randint(1, 8)
         ncols = rng.randint(1, 8)
         m = random_matrix(rng, nrows, ncols)
-        assert rank(sparse(m)) == rank_oracle(m)
+        assert rank(sparse(m)) == rank_oracle(sparse(m))
 
 
 def test_rank_exact_low_rank_products():
@@ -99,68 +60,19 @@ def test_rank_exact_low_rank_products():
         m = [[u[i] * v[j] + w[i] * z[j] for j in range(n)] for i in range(n)]
         r = rank(sparse(m))
         assert r <= 2
-        assert r == rank_oracle(m)
-
-
-def test_rank_modular_matches_exact():
-    rng = random.Random(2)
-    for _ in range(60):
-        nrows = rng.randint(1, 10)
-        ncols = rng.randint(1, 10)
-        m = random_matrix(rng, nrows, ncols, -50, 50)
-        expected = rank_oracle(m)
-        for p in (LARGEST_PRIME, linalg._prime(1)):
-            assert linalg._rank_mod(sparse(m), p) == expected
-        assert rank_oracle(m, SMALL_PRIME) == linalg._rank_mod(sparse(m), SMALL_PRIME)
+        assert r == rank_oracle(sparse(m))
 
 
 def test_rank_modular_can_undercount():
-    # mod p the matrix [[p]] is zero, so the modular rank drops: this is the
-    # failure direction the rational rank guards against
-    p = linalg._prime(1)
-    assert linalg._rank_mod([{0: p}], p) == 0
-    assert rank_oracle([[p]]) == 1
-    assert rank([{0: p}]) == 1
+    # matrices whose rank drops mod the prime P: [[P]] is zero mod P, and
+    # [[P, P], [2P, 2P]] too, while their rational ranks are 1
+    assert rank([{0: P}]) == 1
+    assert rank(sparse([[P, P], [2 * P, 2 * P]])) == 1
 
 
 def test_rank_over_small_prime_differs_from_rational():
-    # det [[1, 2], [3, -1]] = -7
-    rows = [[1, 2], [3, -1]]
-    assert linalg._rank_mod(sparse(rows), SMALL_PRIME) == 1 == rank_oracle(rows, SMALL_PRIME)
-    assert rank(sparse(rows)) == 2
-    assert linalg._rank_mod(sparse(rows), 5) == 2
-
-
-def test_rational_rank_escalates_to_a_second_prime(monkeypatch):
-    primes = count_eliminations(monkeypatch)
-    # zero mod the first prime, full rank mod the second
-    assert rank([{0: LARGEST_PRIME}]) == 1
-    assert primes == [LARGEST_PRIME, linalg._prime(1)]
-
-
-def test_rational_rank_stops_on_the_hadamard_bound(monkeypatch):
-    primes = count_eliminations(monkeypatch)
-    # rank 1 over Q, 0 mod the first prime; never full, so the loop ends only
-    # when the squared primes outgrow the two largest squared norms
-    # (8 p^2 * 2 p^2), which takes a third prime
-    p = LARGEST_PRIME
-    assert rank([{0: p, 1: p}, {0: 2 * p, 1: 2 * p}]) == 1
-    assert primes == [linalg._prime(k) for k in range(3)]
-    # one prime settles small +-1 matrices that are not of full rank
-    primes.clear()
-    assert rank(sparse([[1, -1, 0], [0, 1, -1], [1, 0, -1]])) == 2
-    assert primes == [LARGEST_PRIME]
-
-
-def test_primes_count_down_from_largest():
-    def is_prime(n):
-        return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
-
-    assert linalg._prime(0) == LARGEST_PRIME == 2**31 - 1
-    for k in range(1, 4):
-        q, above = linalg._prime(k), linalg._prime(k - 1)
-        assert q < above and is_prime(q)
-        assert not any(is_prime(x) for x in range(q + 1, above))
+    # det [[1, 2], [3, -1]] = -7, so the rank is 1 mod 7 and 2 over Q
+    assert rank(sparse([[1, 2], [3, -1]])) == 2
 
 
 def test_rank_hybrid_agrees_small_and_large():
@@ -169,7 +81,7 @@ def test_rank_hybrid_agrees_small_and_large():
         nrows = rng.randint(0, 9)
         ncols = rng.randint(1, 9)
         m = random_matrix(rng, nrows, ncols)
-        assert rank(sparse(m)) == rank_oracle(m)
+        assert rank(sparse(m)) == rank_oracle(sparse(m))
     # sizes well past anything a dense backend would take
     side = 58
     big = [{i: 1} for i in range(side)]
@@ -181,8 +93,6 @@ def test_rank_hybrid_agrees_small_and_large():
 def test_rank_empty_and_degenerate():
     for vectors in ([], [{}], [{0: 0}], [{0: 0, 1: 0, 2: 0}]):
         assert rank(vectors) == 0
-        assert linalg._rank_mod(vectors, SMALL_PRIME) == 0
-    assert linalg._rank_mod([{0: SMALL_PRIME}], SMALL_PRIME) == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -194,8 +104,31 @@ def test_rank_empty_and_degenerate():
     ).filter(lambda rows: len({len(r) for r in rows}) == 1)
 )
 def test_rank_hybrid_property(rows):
-    assert rank(sparse(rows)) == rank_oracle(rows)
-    assert linalg._rank_mod(sparse(rows), SMALL_PRIME) == rank_oracle(rows, SMALL_PRIME)
+    assert rank(sparse(rows)) == rank_oracle(sparse(rows))
+
+
+ENTRIES = st.sampled_from([0, 1, -1, P, -P])
+
+
+@st.composite
+def factors(draw):
+    """A (rows x k) and B (k x cols), entries in {0, +-1, +-P}."""
+    nrows, k, ncols = (draw(st.integers(1, 7)) for _ in range(3))
+    a = draw(st.lists(st.lists(ENTRIES, min_size=k, max_size=k), min_size=nrows, max_size=nrows))
+    b = draw(st.lists(st.lists(ENTRIES, min_size=ncols, max_size=ncols), min_size=k, max_size=k))
+    return a, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(factors())
+def test_rank_large_entries_and_low_rank_products_property(ab):
+    # A itself, then A * B: rank at most k, entries up to about k * P^2
+    a, b = ab
+    assert rank(sparse(a)) == rank_oracle(sparse(a))
+    product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    found = rank(sparse(product))
+    assert found <= len(b)
+    assert found == rank_oracle(sparse(product))
 
 
 def test_rank_invariant_under_row_ops():
@@ -218,13 +151,37 @@ def test_rank_invariant_under_row_ops():
         assert rank(sparse([list(col) for col in zip(*m)])) == base
 
 
-@pytest.mark.parametrize("p", [None, SMALL_PRIME, LARGEST_PRIME])
-def test_rank_ignores_vector_order_and_index_gaps(p):
+def test_rank_ignores_vector_order_and_index_gaps():
     rng = random.Random(5)
     for _ in range(30):
         m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
         vectors = [{10 * j + 3: x for j, x in enumerate(row) if x} for row in m]
         rng.shuffle(vectors)
-        found = rank(vectors) if p is None else linalg._rank_mod(vectors, p)
-        assert found == rank_oracle(m, p)
+        assert rank(vectors) == rank_oracle(sparse(m))
 
+
+def test_rank_matches_oracle_on_every_caller_matrix(monkeypatch):
+    # every matrix the two callers rank on a seeded corpus: the hyperplane
+    # kernels and Betti tables of sweep(200), the Betti tables of seeded
+    # stable ideals in up to 6 variables, each held to the Fraction
+    # oracle
+    for cache in (monomial_algebra._record, resolution._ideal_table,
+                  resolution._face_set_homology, resolution._relabelled_homology):
+        cache.cache_clear()
+    seen = []
+
+    def capture(vectors):
+        found = rank(vectors)
+        seen.append((sys._getframe(1).f_code.co_name, vectors, found))
+        return found
+
+    monkeypatch.setattr(linalg, "rank", capture)
+    for _ in sweep(200):
+        pass
+    for seed in range(200):
+        stable_ideal = random_stable_ideal(seed, n_max=5)
+        resolution.koszul_betti(module(stable_ideal.n, (0,), [stable_ideal]), as_quotient=False)
+    callers = [caller for caller, _, _ in seen]
+    assert set(callers) == {"_kernel", "_relabelled_homology"}
+    for _, vectors, found in seen:
+        assert found == rank_oracle(vectors)
