@@ -6,16 +6,6 @@ it what a frozen dataclass had: equality over the fields between instances
 of the same class, the hash of the field tuple, the ``Name(f=...)`` repr,
 and instances that refuse assignment and deletion.  ``CachedHash`` keeps the
 hash after its first computation, for the types that key the caches.
-
-One cache-key type overrides ``__eq__``, so that a cache hit on an equal
-but distinct key does not recurse through the ``__eq__`` of every nested
-module and ideal: ``MonomialSubmodule`` compares one precomputed flat tuple
-of ints, (n, degrees, the generator exponents of each component), built on
-its first comparison, and is equal exactly when its fields are.  Its hash
-stays the hash of the field tuple: it is computed once per instance, equal
-fields still hash alike, and every value type keeps one hash rule.  A
-``MonomialIdeal`` needs no override, since its fields are already n and its
-generator exponents.
 """
 from operator import attrgetter
 

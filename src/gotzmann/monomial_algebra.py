@@ -29,16 +29,16 @@ Hilbert functions are read off the exact Hilbert series numerator.  Each
 ideal's numerator comes from one pivot recursion that splits on a variable
 power x_v^k; the tests hold it to monomial counting and to the alternating
 sums of Betti numbers.  Every Hilbert value of a submodule is read through
-its one record (``_record``, cached by submodule): the sparse numerator of
-F/N, each component's pairs shifted by its f_i and never densified, and one
-value table, keyed by ints, for rho(d, r), which is H(F/N, d) at r = 0, and
-the hyperplane value (see ``_Record``); only this module stores in it, and
-``_rho`` is the one reader of H.  A sparse numerator is read two ways:
-``_numerator_hf`` evaluates H at a degree, and ``numpoly._binomial_sum``
-builds the Hilbert polynomial.  ``hf_direct``, ``hilbert_polynomial``,
-``adjusted_hf_decomposition``, ``stabilization_degree``, the checkers of
-``theorems`` and ``hilbert_series``, an uncached dense view of the
-numerator, all read it.
+its one record (``_record``, kept on the submodule and freed with it): the
+sparse numerator of F/N, each component's pairs shifted by its f_i and
+never densified, and one value table, keyed by ints, for rho(d, r), which
+is H(F/N, d) at r = 0, and the hyperplane value (see ``_Record``); only
+this module stores in it, and ``_rho`` is the one reader of H.  A sparse
+numerator is read two ways: ``_numerator_hf`` evaluates H at a degree, and
+``numpoly._binomial_sum`` builds the Hilbert polynomial.  ``hf_direct``,
+``hilbert_polynomial``, ``adjusted_hf_decomposition``,
+``stabilization_degree``, the checkers of ``theorems`` and
+``hilbert_series``, an uncached dense view of the numerator, all read it.
 
 The generic hyperplane restriction at d is H(F/N, d) - H(F/N, d - 1) plus,
 per component I, the kernel of h on (I^sat/I)_(d-f_i-1).  That kernel is
@@ -51,6 +51,7 @@ exponent tuples of its degree with ``_lex_run`` and keeps none.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from functools import lru_cache
 from math import comb
 from operator import le
@@ -352,13 +353,12 @@ class GradedFreeModule(CachedHash):
 class MonomialSubmodule(CachedHash):
     """N = I_1 e_1 + ... + I_m e_m inside a graded free module.
 
-    Besides its fields it keeps n, the degrees and the number of zero
-    components, and compares on one flat key of ints, (n, degrees, the
-    generator exponents of each component), built on first comparison.
+    Besides its fields it keeps n, the degrees, the number of zero
+    components and, once read, its Hilbert record (``_record``).
     """
 
     _fields = ("ambient", "components")
-    __slots__ = _fields + ("n", "degrees", "_rank", "_max_gen", "_key")
+    __slots__ = _fields + ("n", "degrees", "_rank", "_max_gen", "_hilbert")
 
     def __init__(self, ambient: GradedFreeModule, components: tuple[MonomialIdeal, ...]) -> None:
         if len(components) != ambient.m:
@@ -375,24 +375,6 @@ class MonomialSubmodule(CachedHash):
 
     def __setstate__(self, state: dict) -> None:
         self.__init__(**state)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            try:
-                return self._key == other._key
-            except AttributeError:  # a key not built yet
-                return self._flat_key() == other._flat_key()
-        return NotImplemented
-
-    __hash__ = CachedHash.__hash__
-
-    def _flat_key(self) -> tuple:
-        try:
-            return self._key
-        except AttributeError:
-            key = (self.n, self.degrees, tuple(ideal.exponents for ideal in self.components))
-            object.__setattr__(self, "_key", key)
-            return key
 
     def is_zero(self) -> bool:
         return self._rank == len(self.degrees)
@@ -513,7 +495,9 @@ def _ideal_numerator(gens: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int]
 
 
 class _Record:
-    """What the kernels know of one submodule N.
+    """What the kernels know of one submodule N, kept in N's ``_hilbert``
+    slot: n, the degrees and the component ideals of N, but not N itself, so
+    reference counting frees the record together with N.
 
     ``numerator`` is the Hilbert series numerator of F/N as a dict
     {exponent: coefficient}, nonzero only and in ascending order: each
@@ -523,56 +507,70 @@ class _Record:
     ``values`` is the one memo table, keyed by d * stride + slot with
     stride = m + 2: slot r <= m holds rho(d, r), which is H(F/N, d) at
     r = 0, and slot m + 1 the hyperplane value at d; only this module stores
-    in it.  ``kernels`` lists (f_i, I_i, the generators of I_i^sat,
-    N_(I_i) - N_(I_i^sat) as ascending (exponent, coefficient) pairs) for
-    the components with I_i^sat != I_i, read on the first hyperplane value.
+    in it, through ``_store``.  ``kernels`` lists (f_i, I_i, the generators
+    of I_i^sat, N_(I_i) - N_(I_i^sat) as ascending (exponent, coefficient)
+    pairs) for the components with I_i^sat != I_i, read on the first
+    hyperplane value.  ``generation`` is the ``_generation`` it was built in.
     """
 
-    __slots__ = ("submodule", "n", "degrees", "stride", "numerator", "values", "kernels")
+    __slots__ = ("generation", "n", "degrees", "components", "stride", "numerator", "values",
+                 "kernels")
 
     def __init__(self, submodule: MonomialSubmodule, numerator: dict[int, int]):
-        self.submodule = submodule
+        self.generation = _generation
         self.n = submodule.n
         self.degrees = submodule.degrees
+        self.components = submodule.components
         self.stride = len(submodule.degrees) + 2
         self.numerator = numerator
         self.values: dict[int, int] = {}
         self.kernels: tuple | None = None
 
 
-# memo values stored in the records since the record cache was last emptied;
-# an upper bound on the values the cached records hold
-_held = 0
+# _record.cache_clear() bumps the generation, and a record of an older one is
+# rebuilt on its next read; reads and builds since then are hf_direct's cache
+# statistics
+_generation = _reads = _builds = 0
 
 
-@lru_cache(maxsize=CACHE_ENTRIES)
 def _record(submodule: MonomialSubmodule) -> _Record:
-    """The one record of a submodule, built with its sparse numerator and an
-    empty value table.
+    """The one record of a submodule, read from its ``_hilbert`` slot, or
+    built there with its sparse numerator and an empty value table.
 
-    Bounded memory: at most ``CACHE_ENTRIES`` records, each with its
-    numerator, and at most 3 * ``CACHE_ENTRIES`` memo values in all the
-    cached records' tables together, as ``_store`` empties this cache
-    before the values would pass that count.
+    Bounded memory: a record lives as long as its submodule, and ``_store``
+    keeps its value table at no more than 3 * ``CACHE_ENTRIES`` values.
     """
-    global _held
-    if not _record.cache_info().currsize:  # emptied since the last count
-        _held = 0
+    global _reads, _builds
+    record = getattr(submodule, "_hilbert", None)
+    if record is not None and record.generation == _generation:
+        _reads += 1
+        return record
+    _builds += 1
     combined: dict[int, int] = {}
     for f, ideal in zip(submodule.degrees, submodule.components):
         for e, c in _ideal_numerator(ideal.exponents):
             combined[e + f] = combined.get(e + f, 0) + c
-    return _Record(submodule, {e: combined[e] for e in sorted(combined) if combined[e]})
+    record = _Record(submodule, {e: combined[e] for e in sorted(combined) if combined[e]})
+    object.__setattr__(submodule, "_hilbert", record)
+    return record
+
+
+def _clear_records() -> None:
+    """Outdate every record, as emptying a cache would, and restart the
+    counts of ``hf_direct.cache_info``."""
+    global _generation, _reads, _builds
+    _generation += 1
+    _reads = _builds = 0
+
+
+_record.cache_clear = _clear_records
 
 
 def _store(table: dict, key, value):
-    """table[key] = value in a record's memo table, counted against the
-    bound of ``_record``; returns value."""
-    global _held
-    if _held >= 3 * CACHE_ENTRIES:
-        _record.cache_clear()
-        _held = 0
-    _held += 1
+    """table[key] = value in a record's memo table, emptied first when it
+    already holds 3 * ``CACHE_ENTRIES`` values; returns value."""
+    if len(table) >= 3 * CACHE_ENTRIES:
+        table.clear()
     table[key] = value
     return value
 
@@ -586,9 +584,12 @@ def hf_direct(submodule: MonomialSubmodule, d: int) -> int:
     return _rho(_record(submodule), d, 0)
 
 
-# hf_direct's memo is the record cache; it reports that cache's statistics
-# (perfbench/calibrate.py prints their hit ratio)
-hf_direct.cache_info = _record.cache_info
+# hf_direct's memo is the record: its statistics count record reads as hits
+# and builds as misses since the last clear, with no size bound or live count,
+# as records live with their submodules (perfbench/calibrate.py prints the
+# hit ratio)
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+hf_direct.cache_info = lambda: _CacheInfo(_reads, _builds, None, None)
 
 
 def hilbert_series(submodule: MonomialSubmodule) -> HilbertSeries:
@@ -682,7 +683,8 @@ def _rho(record: _Record, d: int, r: int) -> int:
         window = _dims(degrees[: m - r], d, n)
         if not 0 <= rho <= window:
             raise InvariantViolated(
-                f"rho = {rho} escapes [0, {window}] at degree {d} for {record.submodule}"
+                f"rho = {rho} escapes [0, {window}] at degree {d} for components "
+                f"{record.components} in degrees {degrees}"
             )
         _store(record.values, key, rho)
     return rho
@@ -720,7 +722,7 @@ def _section_dim(record: _Record, d: int) -> int:
     if kernels is None:
         kernels = record.kernels = tuple(
             (f, ideal, sat, _defect_numerator(ideal.exponents, sat))
-            for f, ideal in zip(record.degrees, record.submodule.components)
+            for f, ideal in zip(record.degrees, record.components)
             if (sat := _saturated_gens(ideal.exponents)) != ideal.exponents
         )
     for f, ideal, sat, defect in kernels:

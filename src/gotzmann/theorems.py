@@ -18,13 +18,14 @@ d - l - p.
 
 Every value a checker reads is a function of H(M, d), rho and the generic
 hyperplane restriction, all read through the submodule's one record
-(``monomial_algebra._record``, cached by submodule): a checker looks the
-record up once, and the kernels read H and the hyperplane value by d and
-rho by (d, r) through ``monomial_algebra``, which alone stores them; the
-bounds are recomputed from those with the cached transforms.  So the
-checkers of one submodule share each value, each (submodule, d) is
-restricted once, and ``sweep`` yields exactly what the public checkers
-return.  The records' memory is bounded as ``_record`` states.
+(``monomial_algebra._record``, kept on the submodule and freed with it): a
+checker looks the record up once, and the kernels read H and the
+hyperplane value by d and rho by (d, r) through ``monomial_algebra``,
+which alone stores them; the bounds are recomputed from those with the
+cached transforms.  So the checkers of one submodule share each value, each
+(submodule, d) is restricted once, and ``sweep`` yields exactly what the
+public checkers return.  Each record's memory is bounded as ``_record``
+states.
 
 A module checker's report keeps its submodule and builds ``instance``, the
 ``module_to_dict`` form, on first read: a sweep reads few of them.
@@ -62,6 +63,10 @@ HOLDS = "holds"
 SHARP = "sharp"
 VIOLATED = "violated"
 PREMISE_FAILS = "premise_fails"
+
+# the report names of check_gasharov: one string each, shared by every report
+GASHAROV_MACAULAY = "gasharov_macaulay"
+GASHAROV_GREEN = "gasharov_green"
 
 
 class CheckReport(Value):
@@ -230,11 +235,11 @@ def check_gasharov(
         raise PreconditionViolated(f"need p >= 0, got {p}")
     l = submodule.degrees[-1]
     index = d - l - p
-    kernel = _growth if which == "macaulay" else _restriction
-    lhs, rhs = kernel(_record(submodule), d, 0, index)
+    macaulay = which == "macaulay"
+    lhs, rhs = (_growth if macaulay else _restriction)(_record(submodule), d, 0, index)
     return _module_report(
         submodule,
-        name=f"gasharov_{which}",
+        name=GASHAROV_MACAULAY if macaulay else GASHAROV_GREEN,
         bound_lhs=lhs,
         bound_rhs=rhs,
         verdict=_compare(lhs, rhs),

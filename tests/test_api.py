@@ -31,18 +31,19 @@ def test_exports_are_their_submodules_objects():
 
 
 def test_every_cache_has_the_one_bound():
-    # a cache is the lru_cache behind a cache_info: hf_direct reports the
-    # record cache's, which is listed once, under _record
+    # a cache is an lru_cache wrapper; hf_direct's cache_info reports the
+    # submodule records, which live on their submodules and are no cache
     caches = {}
     for info in pkgutil.iter_modules(gotzmann.__path__):
         module = importlib.import_module(f"gotzmann.{info.name}")
         for name, value in vars(module).items():
-            if hasattr(value, "cache_info"):
-                cache = value.cache_info.__self__
-                assert callable(getattr(cache, "cache_clear", None)), name
-                caches[cache.__qualname__] = cache.cache_info().maxsize
+            if hasattr(value, "cache_parameters"):
+                assert callable(getattr(value, "cache_clear", None)), name
+                # none is keyed by a submodule, which would outlive its instance
+                assert "MonomialSubmodule" not in str(value.__wrapped__.__annotations__), name
+                caches[value.__qualname__] = value.cache_info().maxsize
     assert caches.keys() == {
-        "_ideal_numerator", "_saturated_gens", "_record",
+        "_ideal_numerator", "_saturated_gens",
         "_face_set_homology", "_relabelled_homology", "_ideal_table",
         "macaulay_transform", "green_transform",
     }

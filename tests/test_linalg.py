@@ -75,7 +75,7 @@ def test_rank_over_small_prime_differs_from_rational():
     assert rank(sparse([[1, 2], [3, -1]])) == 2
 
 
-def test_rank_hybrid_agrees_small_and_large():
+def test_rank_matches_fraction_oracle_small_and_large():
     rng = random.Random(3)
     for _ in range(80):
         nrows = rng.randint(0, 9)
@@ -103,7 +103,7 @@ def test_rank_empty_and_degenerate():
         max_size=6,
     ).filter(lambda rows: len({len(r) for r in rows}) == 1)
 )
-def test_rank_hybrid_property(rows):
+def test_rank_matches_fraction_oracle_property(rows):
     assert rank(sparse(rows)) == rank_oracle(sparse(rows))
 
 

@@ -1,7 +1,11 @@
 """Monomials, monomial ideals, submodules, and their Hilbert data."""
+import copy
 import functools
+import gc
 import itertools
+import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -609,7 +613,10 @@ def test_record_values_do_not_collide(seed, rng):
     sub = random_submodule(seed)
     reads = [(d, r) for d in range(-3, 9) for r in [*range(rank(sub) + 1), "hyperplane"]]
     rng.shuffle(reads)
-    fresh = monomial_algebra._record.__wrapped__
+
+    def fresh(sub):
+        # an equal new submodule has no record yet, so reading one builds it
+        return monomial_algebra._record(MonomialSubmodule(sub.ambient, sub.components))
 
     def read(record, d, r):
         if r == "hyperplane":
@@ -619,6 +626,58 @@ def test_record_values_do_not_collide(seed, rng):
     record = fresh(sub)
     assert [read(record, d, r) for d, r in reads] == [read(fresh(sub), d, r) for d, r in reads]
     assert len(record.values) == len(reads) + 1  # and H(-4), read by the hyperplane at -3
+
+
+class _Referable(MonomialSubmodule):
+    # a submodule that a weakref can point at; its record is the same
+    __slots__ = ("__weakref__",)
+
+
+def test_a_record_dies_with_its_submodule():
+    # the record keeps the component ideals, not the submodule, so with the
+    # collector off reference counting alone frees both on del
+    base = random_submodule(3)  # an unsaturated component: kernels are read
+    sub = _Referable(base.ambient, base.components)
+    hf_direct(sub, 2)
+    generic_hyperplane_hf(sub, 4)
+    adjusted_hf_decomposition(sub, 3)
+    assert monomial_algebra._record(sub).kernels
+    ref = weakref.ref(sub)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del sub
+        assert ref() is None
+        assert not [o for o in gc.get_objects()
+                    if isinstance(o, monomial_algebra._Record) and o.components is base.components]
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_a_cleared_record_is_rebuilt_on_its_next_read():
+    sub = random_submodule(3)
+    monomial_algebra._record.cache_clear()
+    first = monomial_algebra._record(sub)
+    hf_direct(sub, 2)
+    assert monomial_algebra._record(sub) is first and first.values
+    assert hf_direct.cache_info()[:2] == (2, 1)
+    monomial_algebra._record.cache_clear()
+    assert hf_direct.cache_info()[:2] == (0, 0)
+    second = monomial_algebra._record(sub)
+    assert second is not first and not second.values
+    assert monomial_algebra._record(sub) is second
+    assert hf_direct.cache_info()[:2] == (1, 1)
+
+
+def test_copies_carry_no_record():
+    sub = random_submodule(3)
+    value = hf_direct(sub, 2)
+    record = monomial_algebra._record(sub)
+    for clone in (copy.copy(sub), copy.deepcopy(sub), pickle.loads(pickle.dumps(sub))):
+        assert not hasattr(clone, "_hilbert")
+        assert hf_direct(clone, 2) == value
+        assert monomial_algebra._record(clone) is not record
 
 
 def test_rho_window_check_refuses_a_wrong_numerator():

@@ -320,55 +320,51 @@ def test_sweep_restricts_each_submodule_and_degree_once(monkeypatch):
     calls = []
 
     def counted(record, d, _original=monomial_algebra._section_dim):
-        calls.append((record.submodule, d))
+        calls.append((record, d))
         return _original(record, d)
 
     monkeypatch.setattr(monomial_algebra, "_section_dim", counted)
     monomial_algebra._record.cache_clear()
-    restricted = [(rep._submodule, rep.context["d"]) for rep in sweep(30)
-                  if rep.name in ("green_adjusted", "gasharov_green")]
+    # a report keeps its submodule, and with it the record the sweep read
+    restricted = [(monomial_algebra._record(rep._submodule), rep.context["d"])
+                  for rep in sweep(30) if rep.name in ("green_adjusted", "gasharov_green")]
     assert len(restricted) > len(set(restricted)) > 0
     assert len(calls) == len(set(calls))
     assert set(calls) == set(restricted)
 
 
 def test_records_hold_at_most_three_cache_bounds_of_values():
-    # hf_direct at CACHE_ENTRIES + 100 degrees, then the Green checker at
-    # 3/4 CACHE_ENTRIES others (H, rho and the hyperplane value each): about
-    # 26,700 memo values for one submodule, past the stated worst case of
-    # 3 * CACHE_ENTRIES held but short of twice it, so the record is dropped
-    # exactly once and rebuilt, and the values stay right across that
-    entries = monomial_algebra.CACHE_ENTRIES
+    # one submodule read by hf_direct at 3 * CACHE_ENTRIES + 100 degrees,
+    # then by the Green checker at 3/2 CACHE_ENTRIES others (H, rho and the
+    # hyperplane value each): its one record's table is emptied before it
+    # would pass 3 * CACHE_ENTRIES values, once in each run, and every value
+    # stays right across that
+    bound = 3 * monomial_algebra.CACHE_ENTRIES
     # rank 1: H(S/I) = 1, 2, 1, 1, ... for I = (x0^2, x0*x1), plus d + 1
     sub = module(1, (0, 0), [ideal(1, "x0^2", "x0*x1"), "zero"])
-    record_cache = monomial_algebra._record
-    record_cache.cache_clear()
-    records, peak = [], 0
-
-    def observe():
-        nonlocal peak
-        if record_cache.cache_info().currsize:
-            record = record_cache(sub)  # a hit: the one cached record
-            if not any(record is seen for seen in records):
-                records.append(record)
-            # every memo table of the record: its dict slots but the numerator
-            tables = [getattr(record, slot) for slot in record.__slots__ if slot != "numerator"]
-            peak = max(peak, sum(len(t) for t in tables if isinstance(t, dict)))
-
-    for d in range(1, entries + 101):
+    record = monomial_algebra._record(sub)
+    sizes = []
+    for d in range(1, bound + 101):
         assert hf_direct(sub, d) == d + (3 if d == 1 else 2)
-        observe()
-    for d in range(2 * entries, 2 * entries + 3 * entries // 4):
+        sizes.append(len(record.values))
+    for d in range(2 * bound, 2 * bound + bound // 2):
         report = check_green_adjusted(sub, d)
         assert (report.bound_lhs, report.context["rho"]) == (1, 1)
-        observe()
-    assert record_cache.cache_info().maxsize == entries
-    assert len(records) == 2
-    assert 2 * entries < peak <= 3 * entries
-    # emptied from outside, as between benchmark passes, the count restarts
-    record_cache.cache_clear()
-    hf_direct(sub, 0)
-    assert monomial_algebra._held == 1
+        sizes.append(len(record.values))
+    assert monomial_algebra._record(sub) is record  # the same record throughout
+    assert max(sizes) == bound
+    assert sum(1 for a, b in zip(sizes, sizes[1:]) if b < a) == 2
+
+
+def test_hf_direct_cache_info_counts_record_reads_and_builds():
+    # perfbench/calibrate.py divides hits by hits + misses: record reads and
+    # builds since the last clear, one build per instance of the sweep
+    monomial_algebra._record.cache_clear()
+    assert hf_direct.cache_info()[:2] == (0, 0)
+    reports = list(sweep(5))
+    info = hf_direct.cache_info()
+    assert info.hits > 0 and info.misses == 5
+    assert info.hits + info.misses >= len(reports)
 
 
 def test_random_submodule_deterministic():
