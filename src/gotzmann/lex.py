@@ -22,7 +22,14 @@ from .monomial_algebra import (
     hilbert_polynomial,
     monomials_of_degree,
 )
-from .numpoly import TERM_BUDGET, GotzmannRep, NumPoly, adjusted_gotzmann_rep, gotzmann_rep
+from .numpoly import (
+    TERM_BUDGET,
+    AdjustedGotzmannRep,
+    GotzmannRep,
+    NumPoly,
+    adjusted_gotzmann_rep,
+    gotzmann_rep,
+)
 
 
 def lex_segment(n: int, d: int, c: int) -> list[Monomial]:
@@ -237,8 +244,9 @@ def saturated_lex_ideal(g: GotzmannRep, n: int) -> MonomialIdeal:
     if codim > 0:
         # x_k carries m_{n-1-k}, which is 0 for k < n - d - 1
         exps = [0] * (n + 1)
+        lengths = {a: m for a, _, m in g._runs()}
         for k in range(n):
-            m = g.a.count(n - 1 - k)
+            m = lengths.get(n - 1 - k, 0)
             exps[k] = m + (k < n - 1)
             gens.append(tuple(exps))
             exps[k] = m
@@ -258,13 +266,27 @@ def saturated_lex_module(
     to the given polynomial, built from its rank-r adjusted representation.
 
     Components: unit ideals in positions 1..m-r-1, the saturated lex ideal of
-    the remainder Q (argument-shifted into the component's internal grading)
-    in position m-r, zero ideals in the last r positions.
+    the remainder Q (argument-shifted into the component's internal grading,
+    which is no shift when f_(m-r) = 0) in position m-r, zero ideals in the
+    last r positions.  The quotient's Hilbert polynomial is verified to equal
+    the given one (else InvariantViolated).  ``check_sharpness``, which has
+    the representation already, calls the builder ``_saturated_lex_module``.
     """
+    return _saturated_lex_module(
+        poly, ambient, r, adjusted_gotzmann_rep(poly, ambient.n, ambient.degrees, r)
+    )
+
+
+def _saturated_lex_module(
+    poly: NumPoly, ambient: GradedFreeModule, r: int, rep: AdjustedGotzmannRep
+) -> MonomialSubmodule:
+    """``saturated_lex_module`` from ``rep``, the rank-r adjusted
+    representation of ``poly``.  When f_(m-r) = 0 the remainder's
+    representation in the component's internal grading is ``rep.q`` itself:
+    the shift is by 0, and the Gotzmann representation is unique."""
     n = ambient.n
     degrees = ambient.degrees
     m = ambient.m
-    rep = adjusted_gotzmann_rep(poly, n, degrees, r)
     if m - r == 0:
         if rep.q.number != 0:
             raise NotAdmissible(
@@ -273,7 +295,9 @@ def saturated_lex_module(
         components = tuple(MonomialIdeal.zero(n) for _ in range(m))
     else:
         f_mid = degrees[m - r - 1]
-        q_internal = gotzmann_rep(rep.q.polynomial().shift_argument(f_mid))
+        q_internal = rep.q
+        if f_mid:
+            q_internal = gotzmann_rep(rep.q.polynomial().shift_argument(f_mid))
         middle = saturated_lex_ideal(q_internal, n)
         components = (
             tuple(MonomialIdeal.unit(n) for _ in range(m - r - 1))

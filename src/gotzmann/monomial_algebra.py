@@ -27,18 +27,20 @@ exponent tuples and hand them to ``MonomialIdeal._of_minimal``.
 
 Hilbert functions are read off the exact Hilbert series numerator.  Each
 ideal's numerator comes from one pivot recursion that splits on a variable
-power x_v^k; the tests hold it to monomial counting and to the alternating
-sums of Betti numbers.  Every Hilbert value of a submodule is read through
-its one record (``_record``, kept on the submodule and freed with it): the
-sparse numerator of F/N, each component's pairs shifted by its f_i and
-never densified, and one value table, keyed by ints, for rho(d, r), which
-is H(F/N, d) at r = 0, and the hyperplane value (see ``_Record``); only
-this module stores in it, and ``_rho`` is the one reader of H.  A sparse
-numerator is read two ways: ``_numerator_hf`` evaluates H at a degree, and
-``numpoly._binomial_sum`` builds the Hilbert polynomial.  ``hf_direct``,
-``hilbert_polynomial``, ``adjusted_hf_decomposition``,
-``stabilization_degree``, the checkers of ``theorems`` and
-``hilbert_series``, an uncached dense view of the numerator, all read it.
+power x_v^k down to pure powers plus at most one mixed generator, answered
+in closed form; the tests hold it to monomial counting and to the
+alternating sums of Betti numbers.  Every Hilbert value of a submodule is
+read through its one record (``_record``, kept on the submodule and freed
+with it): the sparse numerator of F/N, each component's pairs shifted by
+its f_i and never densified, and one value table, keyed by ints, for
+rho(d, r), which is H(F/N, d) at r = 0, and the hyperplane value (see
+``_Record``); only this module stores in it, and ``_rho`` is the one
+reader of H.  A sparse numerator is read two ways: ``_numerator_hf``
+evaluates H at a degree, and ``numpoly._binomial_sum`` builds the Hilbert
+polynomial.  ``hf_direct``, ``hilbert_polynomial``,
+``adjusted_hf_decomposition``, ``stabilization_degree``, the checkers of
+``theorems`` and ``hilbert_series``, an uncached dense view of the
+numerator, all read it.
 
 The generic hyperplane restriction at d is H(F/N, d) - H(F/N, d - 1) plus,
 per component I, the kernel of h on (I^sat/I)_(d-f_i-1).  That kernel is
@@ -455,26 +457,35 @@ def _power_pivot_numerator(
     1 <= k <= the top exponent of x_v, and p is not in I (a pure power x_v^j
     in I exceeds the exponent of x_v in the mixed generators that contain
     it, so it is never the lower median), so both branches have fewer
-    standard monomials below lcm(I) and the recursion ends.  Ideals
-    generated by pure powers x_v^a are the base case, with numerator
-    prod (1 - t^a).
+    standard monomials below lcm(I) and the recursion ends.
+
+    The base case is an ideal I = J + (m) with at most one mixed generator
+    m, J generated by pure powers x_v^(a_v) (the unit ideal, generated by 1,
+    is one too).  S/J has numerator prod (1 - t^(a_v)), and the exact
+    sequence 0 -> S/(J : m)(-deg m) -> S/J -> S/I -> 0 subtracts
+    t^(deg m) times that of J : m = (x_v^(a_v - m_v)), pure powers again:
+    a_v > m_v, as m is minimal.  So
+
+        N(I) = prod (1 - t^(a_v)) - t^(deg m) prod (1 - t^(a_v - m_v)).
     """
     budget[0] -= 1
     if budget[0] < 0:
         raise BudgetExceeded("series pivot recursion exceeded its node budget")
-    mixed = [g for g in gens if sum(1 for e in g if e) > 1]
-    if not mixed:
-        out = {0: 1}
-        for g in gens:
-            a = sum(g)
-            for e, c in list(out.items()):
-                out[e + a] = out.get(e + a, 0) - c
+    mixed = [g for g in gens if len(g) - g.count(0) > 1]
+    if len(mixed) < 2:
+        powers = [g for g in gens if g not in mixed]
+        out = _power_product(map(sum, powers))
+        for m in mixed:
+            # a pure power's one nonzero exponent a_v is its degree; J : m has a_v - m_v
+            top = sum(m)
+            for e, c in _power_product(sum(g) - sum(map(min, g, m)) for g in powers).items():
+                out[e + top] = out.get(e + top, 0) - c
         return {e: c for e, c in out.items() if c}
-    nvars = len(gens[0])
-    pivot = max(range(nvars), key=lambda v: (sum(1 for g in mixed if g[v]), -v))
+    counts = [len(column) - column.count(0) for column in zip(*mixed)]
+    pivot = counts.index(max(counts))
     exps = sorted(g[pivot] for g in gens if g[pivot])
     k = exps[(len(exps) - 1) // 2]
-    power = tuple(k if v == pivot else 0 for v in range(nvars))
+    power = (0,) * pivot + (k,) + (0,) * (len(counts) - pivot - 1)
     # no kept generator divides x_v^k and x_v^k divides none of them, so the
     # plus side is already minimal
     plus = tuple(g for g in gens if g[pivot] < k) + (power,)
@@ -483,6 +494,16 @@ def _power_pivot_numerator(
     for e, c in _power_pivot_numerator(colon, budget).items():
         out[e + k] = out.get(e + k, 0) + c
     return {e: c for e, c in out.items() if c}
+
+
+def _power_product(degrees: Iterable[int]) -> dict[int, int]:
+    """prod (1 - t^a) over the given a, as {exponent: coefficient}; zero
+    coefficients are kept."""
+    out = {0: 1}
+    for a in degrees:
+        for e, c in list(out.items()):
+            out[e + a] = out.get(e + a, 0) - c
+    return out
 
 
 # keyed by generator exponents: an ideal and an equal saturation share one entry

@@ -8,19 +8,25 @@ two canonical decompositions used throughout: the plain Gotzmann representation
     P(d) = sum_i C(d + a_i - (i-1), a_i),   a_1 >= a_2 >= ... >= a_s >= 0,
 
 and the rank-and-degree adjusted representation that first strips off the
-free summands C(d - f_i + n, n) before representing the remainder.
+free summands C(d - f_i + n, n) before representing the remainder.  Both
+peel runs with one loop, ``_peel``; the adjusted one takes each free
+binomial off the polynomial's integer coordinates in place, so no
+intermediate ``NumPoly`` is built.
 
 Every sum of binomials c_k C(d + shift_k, a_k) here and in
-``monomial_algebra`` (a run, a free part, a term list, the polynomial of a
-Hilbert series numerator) is one ``_binomial_sum``.
+``monomial_algebra`` (a free part, a term list, the polynomial of a Hilbert
+series numerator) is one ``_binomial_sum``; each binomial is added to the
+coordinates by ``_add_binomial``, which the adjusted representation uses to
+subtract its free part.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import reduce
 from itertools import zip_longest
 from math import factorial, gcd, lcm
-from operator import mul
+from operator import mul, neg
 from typing import Iterable, Sequence, Union
 
 from ._value import Value
@@ -184,23 +190,36 @@ def binomial_poly(a: int, shift: int) -> NumPoly:
 
 
 def _binomial_sum(terms: Iterable[tuple[Scalar, int, int]]) -> NumPoly:
-    """sum c * C(d + shift, a) over (c, a, shift) triples, a >= 0.  By
-    Chu-Vandermonde C(d + shift, a) = sum_{j <= a} C(shift - 1 - j, a - j)
-    C(d + j, j), so each term adds c times one diagonal of integers to the
-    coordinates; rational c are put over their common denominator."""
+    """sum c * C(d + shift, a) over (c, a, shift) triples, a >= 0, each
+    added by ``_add_binomial``; rational c are put over their common
+    denominator, and integer c are added as they are."""
     terms = [t for t in terms if t[0]]
     den = lcm(*(c.denominator for c, _, _ in terms))
     acc = [0] * (max((a for _, a, _ in terms), default=-1) + 1)
     for c, a, shift in terms:
-        c = c.numerator * (den // c.denominator)
-        for j, x in enumerate(reversed(_diagonal(shift - a - 1, a))):
-            acc[j] += c * x
+        _add_binomial(acc, c.numerator if den == 1 else c.numerator * (den // c.denominator),
+                      a, shift)
     return _from_basis(acc, den)
+
+
+def _add_binomial(acc: list[int], c: int, a: int, shift: int) -> None:
+    """Add the coordinates of c * C(d + shift, a) to acc[0..a] in place.  By
+    Chu-Vandermonde C(d + shift, a) = sum_{j <= a} C(shift - 1 - j, a - j)
+    C(d + j, j): acc[a - k] gets c C(x + k, k), x = shift - a - 1, taken
+    along the diagonal by C(x + k, k) = C(x + k - 1, k - 1) (x + k) / k.  For
+    x < 0 the diagonal is 0 from k = -x on, where the walk stops."""
+    x, value = shift - a - 1, 1
+    acc[a] += c
+    for k in range(1, a + 1):
+        value = value * (x + k) // k
+        if not value:
+            return
+        acc[a - k] += c * value
 
 
 def _run(a: int, i: int, m: int) -> list[int]:
     """Coordinates of sum_{j=i}^{i+m-1} C(d + a - j, a) = C(d + a - i + 1, a + 1)
-    - C(d + a - i - m + 1, a + 1): by the diagonals of ``_binomial_sum``,
+    - C(d + a - i - m + 1, a + 1): by the diagonals of ``_add_binomial``,
     C(t - i - 1, t) - C(t - i - m - 1, t) at C(d + a + 1 - t, a + 1 - t)."""
     high, low = _diagonal(-i - 1, a + 1), _diagonal(-i - m - 1, a + 1)
     return [high[t] - low[t] for t in range(a + 1, 0, -1)]
@@ -226,6 +245,14 @@ class GotzmannRep(Value):
             raise ValueError(f"exponents must be nonnegative, got {a[-1]}")
         object.__setattr__(self, "a", a)
 
+    @classmethod
+    def _of_sorted(cls, a: tuple[int, ...]) -> "GotzmannRep":
+        """The representation of an exponent tuple already non-increasing and
+        nonnegative, built without the checks."""
+        rep = object.__new__(cls)
+        object.__setattr__(rep, "a", a)
+        return rep
+
     @property
     def number(self) -> int:
         return len(self.a)
@@ -234,8 +261,19 @@ class GotzmannRep(Value):
         """(a_i, shift_i) pairs so that term i is C(d + shift_i, a_i)."""
         return [(ai, ai - i) for i, ai in enumerate(self.a)]
 
+    def _runs(self) -> list[tuple[int, int, int]]:
+        """(a, i, m) for each run of equal exponents, highest first: the run of
+        a starts at index i and has m terms.  Each end is found by bisection,
+        so the exponents are not scanned."""
+        a, out, i = self.a, [], 0
+        while i < len(a):
+            end = bisect_right(a, -a[i], lo=i, key=neg)
+            out.append((a[i], i, end - i))
+            i = end
+        return out
+
     def polynomial(self) -> NumPoly:
-        runs = [_run(ai, self.a.index(ai), self.a.count(ai)) for ai in set(self.a)]
+        runs = [_run(*run) for run in self._runs()]
         return _from_basis([sum(x) for x in zip_longest(*runs, fillvalue=0)])
 
 
@@ -246,15 +284,21 @@ def gotzmann_rep(poly: NumPoly) -> GotzmannRep:
     where each term C(d + a - j, a) has coordinate 1: the run has m terms and
     takes off the hockey-stick sum ``_run(a, i, m)``.  The degree falls with
     each run, so the loop runs at most deg P + 1 times (a constant tail is the
-    run a = 0).  Raises NotAdmissible for non-numerical input, a negative leading
-    coordinate, or more than ``TERM_BUDGET`` terms (checked before any list
-    is built).
+    run a = 0), and the exponents come out non-increasing.  Raises
+    NotAdmissible for non-numerical input, a negative leading coordinate, or
+    more than ``TERM_BUDGET`` terms (checked before any list is built).
     """
-    if not poly.is_integer_valued():
-        k = next(k for k, b in enumerate(poly._b) if b % poly._den)
-        raise NotAdmissible(f"polynomial of degree {poly.degree} is not integer-valued: its"
-                            f" C(d + {k}, {k}) coordinate is {Fraction(poly._b[k], poly._den)}")
-    a_list, b = [], list(poly._b)
+    return _peel(list(poly._b), poly._den)
+
+
+def _peel(b: list[int], den: int) -> GotzmannRep:
+    """``gotzmann_rep`` of the polynomial with coordinates b over den, b with
+    no trailing zero."""
+    if den != 1:
+        k = next(k for k, x in enumerate(b) if x % den)
+        raise NotAdmissible(f"polynomial of degree {len(b) - 1} is not integer-valued: its"
+                            f" C(d + {k}, {k}) coordinate is {Fraction(b[k], den)}")
+    a_list: list[int] = []
     while b:
         i, a, m = len(a_list), len(b) - 1, b[-1]
         if m < 0:
@@ -266,7 +310,7 @@ def gotzmann_rep(poly: NumPoly) -> GotzmannRep:
         while b and not b[-1]:
             b.pop()
         a_list.extend([a] * m)
-    return GotzmannRep(tuple(a_list))
+    return GotzmannRep._of_sorted(tuple(a_list))
 
 
 def gotzmann_number(poly: NumPoly) -> int:
@@ -322,8 +366,15 @@ def adjusted_gotzmann_rep(
             f"degree f_{m - r} = {all_degrees[m - r - 1]} must be <= 0"
         )
     free = tuple(all_degrees[m - r :])
-    q = gotzmann_rep(poly - _binomial_sum((1, n, n - f) for f in free) if free else poly)
-    return AdjustedGotzmannRep(free, n, q)
+    # Q = P - sum C(d - f + n, n), on P's coordinates over its denominator
+    b, den = list(poly._b), poly._den
+    if free:
+        b += [0] * (n + 1 - len(b))
+        for f in free:
+            _add_binomial(b, -den, n, n - f)
+        while b and not b[-1]:
+            b.pop()
+    return AdjustedGotzmannRep(free, n, _peel(b, den))
 
 
 class EmbeddingDims(Value):

@@ -39,7 +39,7 @@ from typing import Iterator
 from ._value import Value
 from .combinatorics import green_transform, macaulay_transform
 from .errors import BudgetExceeded, PreconditionViolated
-from .lex import saturated_lex_module
+from .lex import _saturated_lex_module
 from .monomial_algebra import (
     GradedFreeModule,
     MonomialIdeal,
@@ -328,8 +328,10 @@ def check_gotzmann_regularity_adjusted(submodule: MonomialSubmodule) -> CheckRep
 
 def check_sharpness(poly: NumPoly, ambient: GradedFreeModule, r: int) -> CheckReport:
     """The saturated lex module must attain regularity exactly s when
-    f_{m-r} = 0 and s >= f_m."""
-    s = adjusted_gotzmann_rep(poly, ambient.n, ambient.degrees, r).number
+    f_{m-r} = 0 and s >= f_m.  The adjusted representation is computed
+    once: s is its length, and the lex module is built from it."""
+    rep = adjusted_gotzmann_rep(poly, ambient.n, ambient.degrees, r)
+    s = rep.number
     m = ambient.m
     if m - r < 1:
         raise PreconditionViolated("sharpness needs a non-free component (m - r >= 1)")
@@ -341,7 +343,7 @@ def check_sharpness(poly: NumPoly, ambient: GradedFreeModule, r: int) -> CheckRe
         raise PreconditionViolated(f"sharpness hypothesis s >= f_m fails: {s} < {f_m}")
     instance = {"poly": poly_to_dict(poly), "n": ambient.n,
                 "degrees": list(ambient.degrees), "r": r}
-    lex_module = saturated_lex_module(poly, ambient, r)
+    lex_module = _saturated_lex_module(poly, ambient, r, rep)
     reg = None
     if lex_module.is_zero():
         context = {"s": s, "lex_module_is_zero": True}

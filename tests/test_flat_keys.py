@@ -107,7 +107,7 @@ def near_misses(n, degrees, specs):
 
 @settings(max_examples=150, deadline=None)
 @given(module_specs())
-def test_flat_key_equality_is_field_equality(spec):
+def test_equality_is_field_equality(spec):
     sub = build(*spec)
     for other in near_misses(*spec):
         expected = fields_equal(sub, other)

@@ -379,6 +379,60 @@ def test_pivot_route_matches_counting(case):
     assert by_power == counted_numerator(ideal_obj)
 
 
+def _one_mixed_generator(case):
+    """Pure powers x_v^(m_v + delta_v) on the chosen variables plus the mixed
+    generator m: each power exceeds m's exponent, so m stays minimal, and a
+    variable outside m's support may carry x_v^1."""
+    n, mixed, chosen, deltas = case
+    gens = [mixed] + [
+        tuple(mixed[v] + deltas[v] if w == v else 0 for w in range(n + 1))
+        for v in range(n + 1) if chosen[v]
+    ]
+    return MonomialIdeal(n, tuple(map(Monomial, gens)))
+
+
+_ONE_MIXED_CASES = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(0, 2), min_size=n + 1, max_size=n + 1).map(tuple).filter(
+            lambda g: len(g) - g.count(0) > 1
+        ),
+        st.lists(st.booleans(), min_size=n + 1, max_size=n + 1),
+        st.lists(st.integers(1, 2), min_size=n + 1, max_size=n + 1),
+    )
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ONE_MIXED_CASES)
+@example((2, (1, 1, 0), (False, False, False), (1, 1, 1)))  # no pure powers
+@example((2, (1, 2, 0), (False, False, True), (1, 1, 1)))  # x2^1
+@example((3, (2, 1, 1, 0), (True, True, True, True), (1, 2, 1, 1)))  # every variable, x3^1
+def test_one_mixed_generator_is_a_base_case(case):
+    # pure powers plus one mixed generator m: N(I) = prod (1 - t^a_v)
+    # - t^deg(m) prod (1 - t^(a_v - m_v)), answered at the root node
+    ideal_obj = _one_mixed_generator(case)
+    gens = ideal_obj.exponents
+    assert sum(1 for g in gens if len(g) - g.count(0) > 1) == 1
+    budget = [1]
+    assert monomial_algebra._power_pivot_numerator(gens, budget) == counted_numerator(ideal_obj)
+    assert budget == [0]
+
+
+def test_unit_ideal_numerator_is_zero():
+    for n in range(4):
+        unit = MonomialIdeal.unit(n)
+        assert monomial_algebra._power_pivot_numerator(unit.exponents, [1]) == {}
+        assert counted_numerator(unit) == {}
+
+
+def test_one_mixed_generator_within_a_node_budget_of_one(monkeypatch):
+    sub = module(2, (0,), [ideal(2, "x0^3", "x1", "x2^4", "x0^2*x2^3")])
+    expected = [hf_count(sub, d) for d in range(12)]
+    set_node_budget(monkeypatch, 1)
+    assert [hf_direct(sub, d) for d in range(12)] == expected
+
+
 def test_series_budget(monkeypatch):
     # values cached under the full budget are dropped with it
     readers = (

@@ -24,6 +24,8 @@ from gotzmann.numpoly import (
     series_to_polynomial,
 )
 from gotzmann.combinatorics import binomial
+from gotzmann.monomial_algebra import hilbert_polynomial
+from gotzmann.theorems import random_submodule
 
 from conftest import random_rep
 from numpoly_oracle import PowerPoly, power_binomial_sum
@@ -93,6 +95,19 @@ def test_rep_round_trip_seeded():
         rep = random_rep(rng)
         back = gotzmann_rep(rep.polynomial())
         assert back == rep, rep
+
+
+def test_rep_runs_are_read_off_the_exponents():
+    rng = random.Random(5)
+    for _ in range(200):
+        rep = random_rep(rng, max_len=30, max_val=4)
+        runs = []
+        for i, a in enumerate(rep.a):
+            if i and a == rep.a[i - 1]:
+                runs[-1][2] += 1
+            else:
+                runs.append([a, i, 1])
+        assert rep._runs() == [tuple(run) for run in runs]
 
 
 def test_rep_known_example():
@@ -258,6 +273,51 @@ def test_adjusted_rep_reexpansion_matches():
         rebuilt = rep.polynomial()
         for d in range(0, poly.degree + rep.number + 3):
             assert rebuilt(d) == poly(d)
+
+
+def subtracted_rep(poly, n, degrees, r):
+    """The adjusted representation with its free part subtracted through
+    ``NumPoly`` arithmetic, then the plain representation of the rest."""
+    free = tuple(degrees[len(degrees) - r :])
+    rest = poly - sum((binomial_poly(n, n - f) for f in free), NumPoly())
+    return AdjustedGotzmannRep(free, n, gotzmann_rep(rest))
+
+
+def outcome(build, *args):
+    """What build(*args) returns, or the type and message of what it raises."""
+    try:
+        return build(*args)
+    except NotAdmissible as exc:
+        return type(exc), str(exc)
+
+
+def test_adjusted_rep_matches_polynomial_subtraction():
+    cases = []
+    for seed in range(200):
+        sub = random_submodule(seed)
+        degrees, m = sub.degrees, len(sub.degrees)
+        # every rank the hypothesis f_(m-r) <= 0 allows; past the true rank
+        # the remainder leads with a negative coordinate
+        for r in range(m + 1):
+            if r == m or degrees[m - r - 1] <= 0:
+                cases.append((hilbert_polynomial(sub), sub.n, degrees, r))
+    # not integer-valued, also after the free part is taken off
+    for poly in (NumPoly([Fraction(1, 2)]), binomial_poly(2, 1) * Fraction(1, 3),
+                 binomial_poly(2, 3) + NumPoly([0, Fraction(1, 2)])):
+        cases += [(poly, 2, (0,), 0), (poly, 2, (-1, 0), 1), (poly, 2, (0, 0), 2)]
+    # negative coordinates, in the leading one and below it
+    for poly in (-binomial_poly(2, 1), NumPoly([-3]), binomial_poly(2, 2) - binomial_poly(1, 4)):
+        cases += [(poly, 2, (0,), 0), (poly, 2, (0,), 1), (poly, 2, (-1, 0), 1)]
+    outcomes = [outcome(adjusted_gotzmann_rep, *case) for case in cases]
+    assert outcomes == [outcome(subtracted_rep, *case) for case in cases]
+    refused = [o for o in outcomes if isinstance(o, tuple)]
+    assert any("not integer-valued" in message for _, message in refused)
+    assert any("negative leading" in message for _, message in refused)
+    # C(d + 1, 2)/3 - C(d + 2, 2) has coordinates (0, -1, -2)/3
+    assert outcome(adjusted_gotzmann_rep, binomial_poly(2, 1) * Fraction(1, 3), 2, (-1, 0), 1) == (
+        NotAdmissible,
+        "polynomial of degree 2 is not integer-valued: its C(d + 1, 1) coordinate is -1/3",
+    )
 
 
 def test_closed_form_grid_rank_and_offset_family():

@@ -9,9 +9,17 @@ import pytest
 
 from gotzmann.combinatorics import macaulay_transform
 from gotzmann.errors import BudgetExceeded, PreconditionViolated
-from gotzmann.monomial_algebra import GradedFreeModule, hf_direct, module_to_dict, rank
-from gotzmann.numpoly import GotzmannRep, NumPoly, binomial_poly
-from gotzmann import monomial_algebra, theorems
+from gotzmann.monomial_algebra import (
+    GradedFreeModule,
+    MonomialIdeal,
+    MonomialSubmodule,
+    hf_direct,
+    hilbert_polynomial,
+    module_to_dict,
+    rank,
+)
+from gotzmann.numpoly import GotzmannRep, NumPoly, binomial_poly, gotzmann_rep
+from gotzmann import lex, monomial_algebra, numpoly, theorems
 from gotzmann.theorems import (
     HOLDS,
     PREMISE_FAILS,
@@ -28,7 +36,7 @@ from gotzmann.theorems import (
     random_submodule,
     sweep,
 )
-from gotzmann.lex import saturated_lex_module
+from gotzmann.lex import saturated_lex_ideal, saturated_lex_module
 
 from conftest import hf_count, ideal, module, sharpness_instance
 
@@ -247,6 +255,48 @@ def test_sharpness_at_large_gotzmann_number():
         rep = check_sharpness(GotzmannRep(a).polynomial(), ambient, 0)
         assert rep.verdict == SHARP
         assert rep.bound_lhs == rep.bound_rhs == 200
+
+
+def test_sharpness_computes_one_adjusted_representation(monkeypatch):
+    calls = []
+    original = numpoly.adjusted_gotzmann_rep
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module_obj in (numpoly, lex, theorems):
+        monkeypatch.setattr(module_obj, "adjusted_gotzmann_rep", counted)
+    for seed in range(10):
+        poly, ambient, r, _ = sharpness_instance(seed)
+        calls.clear()
+        assert check_sharpness(poly, ambient, r).verdict == SHARP
+        assert calls == [(poly, ambient.n, ambient.degrees, r)]
+
+
+def shifted_lex_module(poly, ambient, r):
+    """``saturated_lex_module`` with the remainder always passed through
+    shift_argument(f_(m-r)) and gotzmann_rep, also when f_(m-r) = 0."""
+    n, m = ambient.n, ambient.m
+    rep = numpoly.adjusted_gotzmann_rep(poly, n, ambient.degrees, r)
+    f_mid = ambient.degrees[m - r - 1]
+    middle = saturated_lex_ideal(gotzmann_rep(rep.q.polynomial().shift_argument(f_mid)), n)
+    return MonomialSubmodule(
+        ambient,
+        (MonomialIdeal.unit(n),) * (m - r - 1) + (middle,) + (MonomialIdeal.zero(n),) * r,
+    )
+
+
+def test_saturated_lex_module_shortcut_at_middle_degree_zero():
+    instances = [sharpness_instance(seed)[:3] for seed in range(40)]
+    for seed in range(200):
+        sub = random_submodule(seed)
+        r, degrees = rank(sub), sub.degrees
+        if r < len(degrees) and degrees[len(degrees) - r - 1] == 0:
+            instances.append((hilbert_polynomial(sub), sub.ambient, r))
+    assert len(instances) > 60
+    for poly, ambient, r in instances:
+        assert saturated_lex_module(poly, ambient, r) == shifted_lex_module(poly, ambient, r)
 
 
 def test_adjusted_bound_never_above_classical():
