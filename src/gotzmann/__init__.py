@@ -66,13 +66,10 @@ _SUBMODULE = {
     "macaulay_rep": "combinatorics",
     "macaulay_transform": "combinatorics",
     "module_from_dict": "monomial_algebra",
-    "module_monomials": "lex",
     "module_to_dict": "monomial_algebra",
     "monomial_from_string": "monomial_algebra",
-    "monomials_of_degree": "monomial_algebra",
     "poly_from_dict": "numpoly",
     "poly_to_dict": "numpoly",
-    "quotient_basis": "monomial_algebra",
     "random_submodule": "theorems",
     "rank": "monomial_algebra",
     "regularity": "resolution",

@@ -1,13 +1,22 @@
 """Immutable value classes without the dataclasses machinery.
 
 A subclass names its fields once, ``__slots__ = _fields = (...)``, and its
-``__init__`` stores each field with ``object.__setattr__``.  ``Value`` gives
-it what a frozen dataclass had: equality over the fields between instances
-of the same class, the hash of the field tuple, the ``Name(f=...)`` repr,
-and instances that refuse assignment and deletion.  ``CachedHash`` keeps the
-hash after its first computation, for the types that key the caches.
+``__init__`` stores each field with ``object.__setattr__``, a sequence as a
+tuple, so values built from a list and from a tuple are equal.  ``Value``
+gives it what a frozen dataclass had: equality over the fields between
+instances of the same class, the hash of the field tuple, the
+``Name(f=...)`` repr, and instances that refuse assignment and deletion.
+``CachedHash`` keeps the hash after its first computation, for the types
+that key the caches.
 """
 from operator import attrgetter
+
+
+def tuples(rows) -> tuple[tuple, ...]:
+    """``rows`` as a tuple of tuples; a tuple of tuples is kept as it is."""
+    if type(rows) is tuple and all(type(row) is tuple for row in rows):
+        return rows
+    return tuple(map(tuple, rows))
 
 
 class Value:

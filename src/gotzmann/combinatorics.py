@@ -9,7 +9,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, factorial
 
-from ._value import Value
+from ._value import Value, tuples
 
 # Entries kept by each of the 7 lru_caches of the package.  The submodule
 # records of monomial_algebra._record are no cache: each lives on its
@@ -46,6 +46,7 @@ class MacaulayRep(Value):
     __slots__ = _fields = ("d", "terms")
 
     def __init__(self, d: int, terms: tuple[tuple[int, int], ...]) -> None:
+        terms = tuples(terms)
         if d < 1:
             raise ValueError(f"representation index must be >= 1, got {d}")
         prev_k = None

@@ -9,6 +9,8 @@ zeros).
 """
 from __future__ import annotations
 
+from itertools import groupby
+
 from .combinatorics import binomial, macaulay_transform
 from .errors import BudgetExceeded, InvariantViolated, NotAchievable, NotAdmissible
 from .monomial_algebra import (
@@ -16,11 +18,13 @@ from .monomial_algebra import (
     Monomial,
     MonomialIdeal,
     MonomialSubmodule,
+    _exponents_at_rank,
+    _ideal_numerator,
     _lex_run,
     _minimal,
     _monomial,
+    _numerator_hf,
     hilbert_polynomial,
-    monomials_of_degree,
 )
 from .numpoly import (
     TERM_BUDGET,
@@ -43,42 +47,52 @@ def lex_segment(n: int, d: int, c: int) -> list[Monomial]:
     return list(map(_monomial, _lex_run(n, d, 0, c)))
 
 
-def module_monomials(ambient: GradedFreeModule, d: int) -> tuple[tuple[int, Monomial], ...]:
-    """Degree-d monomial basis of the free module, largest first.
-
-    Entries are (component index, monomial); component c holds monomials of
-    internal degree d - f_c.
-    """
-    out: list[tuple[int, Monomial]] = []
-    for c, f in enumerate(ambient.degrees):
-        out.extend((c, mono) for mono in monomials_of_degree(ambient.n, d - f))
-    return tuple(out)
-
-
 def is_lex_piece(submodule: MonomialSubmodule, d: int) -> bool:
-    """Whether the degree-d piece of the submodule is an initial segment."""
-    seen_gap = False
-    for c, mono in module_monomials(submodule.ambient, d):
-        inside = submodule.components[c].contains(mono)
-        if inside and seen_gap:
-            return False
-        if not inside:
-            seen_gap = True
+    """Whether the degree-d piece of the submodule is an initial segment:
+    every component before the first one that is not full is full, that
+    one's piece I_e is initial, and every later one is zero.  A nonzero I_e
+    is initial iff its lex-smallest monomial u x_n^(e - deg u), u the
+    generator of degree <= e with the lex-smallest (u_0, ..., u_(n-1)), has
+    rank dim I_e - 1.  Dimensions are read off ``_ideal_numerator``, so a
+    component past ``NODE_BUDGET`` raises BudgetExceeded."""
+    n = submodule.n
+    gap = False  # some earlier component is not full
+    for f, ideal in zip(submodule.degrees, submodule.components):
+        e = d - f
+        top = binomial(e + n, n)
+        size = top - _numerator_hf(_ideal_numerator(ideal.exponents), n, e)
+        if gap:
+            if size:
+                return False
+        elif size < top:
+            gap = True
+            if size:
+                low = min(g[:n] for g in ideal.exponents if sum(g) <= e)
+                if low != _exponents_at_rank(n, e, size - 1)[:n]:
+                    return False
     return True
 
 
 def is_lex_ideal(ideal: MonomialIdeal) -> bool:
     """Whether every graded piece of the ideal is a lex initial segment.
 
-    Checking through the top generator degree suffices: above it each piece
-    is the span of the previous one, and spans of lex segments are lex
-    segments.
+    The generator degrees suffice, in ascending order: between them each
+    piece is the span of the previous one, and spans of lex segments are lex
+    segments.  With the pieces below D initial, so is the span of I_(D-1) in
+    degree D, and the generators of degree D lie outside it, so below all of
+    it: the lex-smallest of them is the lex-smallest monomial of I_D, and I_D
+    is initial iff it has rank dim I_D - 1 (compared on its first n
+    exponents).  dim I_D = C(D + n, n) - H(S/I, D) is read off
+    ``_ideal_numerator``, so the test is exact for every monomial ideal, and
+    one past ``NODE_BUDGET`` raises BudgetExceeded.
     """
-    if ideal.is_zero():
-        return True
-    shape = GradedFreeModule(ideal.n, (0,))
-    sub = MonomialSubmodule(shape, (ideal,))
-    return all(is_lex_piece(sub, d) for d in range(ideal.max_gen_degree() + 1))
+    n = ideal.n
+    numerator = _ideal_numerator(ideal.exponents)
+    for degree, gens in groupby(ideal.exponents, key=sum):
+        size = binomial(degree + n, n) - _numerator_hf(numerator, n, degree)
+        if min(g[:n] for g in gens) != _exponents_at_rank(n, degree, size - 1)[:n]:
+            return False
+    return True
 
 
 def lexify(

@@ -16,14 +16,14 @@ the canonical generator order that ``_minimal``, the one minimalizer,
 returns.  The validating ``Monomial`` type is the boundary, built in these
 places only: parsing (``monomial_from_string``), ``Monomial.lcm``, and,
 without re-running its checks on tuples the library built or checked itself
-(``_monomial``), ``monomials_of_degree``, ``monomial_at_rank``,
-``lex.lex_segment`` and ``MonomialIdeal.gens`` (on demand).  A degree is
-walked in lex order one way, ``_lex_run``: one unranking, then lex
-successors; ``monomials_of_degree``, uncached, is its run over the whole
-degree.  The ``MonomialIdeal`` constructor takes ``Monomial``s and keeps
-their tuples.  The library's own ideal builders (``lexify``,
-``saturated_lex_ideal``, ``saturation()``, ``random_submodule``) build
-exponent tuples and hand them to ``MonomialIdeal._of_minimal``.
+(``_monomial``), ``lex.lex_segment`` and ``MonomialIdeal.gens`` (on
+demand).  The library enumerates no degree: a stretch of one is walked in
+lex order one way, ``_lex_run`` (one unranking, then lex successors), and
+``_exponents_at_rank`` unranks one monomial.  The ``MonomialIdeal``
+constructor takes ``Monomial``s and keeps their tuples.  The library's own
+ideal builders (``lexify``, ``saturated_lex_ideal``, ``saturation()``,
+``random_submodule``) build exponent tuples and hand them to
+``MonomialIdeal._of_minimal``.
 
 Hilbert functions are read off the exact Hilbert series numerator.  Each
 ideal's numerator comes from one pivot recursion that splits on a variable
@@ -76,6 +76,7 @@ class Monomial(CachedHash):
     __slots__ = _fields = ("exponents",)
 
     def __init__(self, exponents: tuple[int, ...]) -> None:
+        exponents = tuple(exponents)
         if not exponents:
             raise ValueError("monomial needs at least one variable")
         if min(exponents) < 0:
@@ -141,27 +142,9 @@ def monomial_from_string(text: str, n: int) -> Monomial:
     return Monomial(tuple(exps))
 
 
-def monomials_of_degree(n: int, d: int) -> tuple[Monomial, ...]:
-    """All degree-d monomials in n+1 variables, descending in lex (x_0 > ... > x_n):
-    the ``_lex_run`` of the whole degree, kept nowhere."""
-    if d < 0:
-        return ()
-    return tuple(map(_monomial, _lex_run(n, d, 0, comb(d + n, n))))
-
-
-def monomial_at_rank(n: int, d: int, rank: int) -> Monomial:
-    """The monomial at the given position of monomials_of_degree(n, d),
-    computed directly so large degree lists never need materializing."""
-    if d < 0:
-        raise ValueError(f"no monomials of negative degree {d}")
-    if not 0 <= rank < binomial(d + n, n):
-        raise ValueError(f"rank {rank} out of range for degree {d} in {n + 1} variables")
-    return _monomial(_exponents_at_rank(n, d, rank))
-
-
 def _exponents_at_rank(n: int, d: int, rank: int) -> tuple[int, ...]:
-    """Exponents of the monomial at position 0 <= rank < C(d + n, n) of
-    monomials_of_degree(n, d); the caller checks the range.
+    """Exponents of the degree-d monomial at lex rank 0 <= rank < C(d + n, n),
+    rank 0 the largest; the caller checks the range.
 
     With R the degree left for x_v, ..., x_n and k = n - v, the monomials
     whose x_v exponent is at least R - s number C(s + k, k) (a hockey-stick
@@ -188,8 +171,8 @@ def _exponents_at_rank(n: int, d: int, rank: int) -> tuple[int, ...]:
 
 
 def _lex_run(n: int, d: int, start: int, count: int) -> list[tuple[int, ...]]:
-    """Exponents of the monomials at ranks start, ..., start + count - 1 of
-    monomials_of_degree(n, d), for a range the caller has checked.  The
+    """Exponents of the degree-d monomials at ranks start, ...,
+    start + count - 1 in lex order, for a range the caller has checked.  The
     first is unranked; each next one is the lex successor of the last, which
     lowers the last nonzero exponent among x_0..x_(n-1) by one.  A count of
     0 unranks nothing."""
@@ -319,22 +302,13 @@ def _saturated_gens(gens: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...],
     return out
 
 
-def quotient_basis(ideal: MonomialIdeal, e: int) -> tuple[Monomial, ...]:
-    """Degree-e monomials outside the ideal (a k-basis of (S/I)_e), lex order,
-    uncached.  The library does not call it: Hilbert functions are read off
-    the series, and the hyperplane kernel walks exponent tuples."""
-    return tuple(
-        m for m in monomials_of_degree(ideal.n, e)
-        if not any(all(map(le, g, m.exponents)) for g in ideal.exponents)
-    )
-
-
 class GradedFreeModule(CachedHash):
     """F = S(-f_1) + ... + S(-f_m) over k[x_0..x_n], degrees ascending."""
 
     __slots__ = _fields = ("n", "degrees")
 
     def __init__(self, n: int, degrees: tuple[int, ...]) -> None:
+        degrees = tuple(degrees)
         if n < 0:
             raise ValueError(f"n must be nonnegative, got {n}")
         if not degrees:
@@ -363,6 +337,7 @@ class MonomialSubmodule(CachedHash):
     __slots__ = _fields + ("n", "degrees", "_rank", "_max_gen", "_hilbert")
 
     def __init__(self, ambient: GradedFreeModule, components: tuple[MonomialIdeal, ...]) -> None:
+        components = tuple(components)
         if len(components) != ambient.m:
             raise ValueError(f"{len(components)} components for rank-{ambient.m} ambient")
         n = ambient.n
@@ -410,7 +385,7 @@ class HilbertSeries(Value):
     def __init__(self, n: int, offset: int, numerator: tuple[int, ...]) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "numerator", tuple(numerator))
 
     def hf(self, d: int) -> int:
         """Coefficient of t^d in the series expansion."""

@@ -239,6 +239,7 @@ class GotzmannRep(Value):
     __slots__ = _fields = ("a",)
 
     def __init__(self, a: tuple[int, ...]) -> None:
+        a = tuple(a)
         if list(a) != sorted(a, reverse=True):
             raise ValueError("exponent list must be non-increasing")
         if a and a[-1] < 0:
@@ -326,7 +327,7 @@ class AdjustedGotzmannRep(Value):
     __slots__ = _fields = ("free_degrees", "n", "q")
 
     def __init__(self, free_degrees: tuple[int, ...], n: int, q: GotzmannRep) -> None:
-        object.__setattr__(self, "free_degrees", free_degrees)
+        object.__setattr__(self, "free_degrees", tuple(free_degrees))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "q", q)
 

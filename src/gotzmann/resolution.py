@@ -52,7 +52,7 @@ from functools import lru_cache, reduce
 from operator import and_
 
 from . import linalg
-from ._value import Value
+from ._value import Value, tuples
 from .errors import ZeroModule
 from .monomial_algebra import CACHE_ENTRIES, MonomialIdeal, MonomialSubmodule
 
@@ -63,7 +63,7 @@ class BettiTable(Value):
     __slots__ = _fields = ("entries",)
 
     def __init__(self, entries: tuple[tuple[int, int, int], ...]) -> None:
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", tuples(entries))
 
     @classmethod
     def from_dict(cls, data: dict[tuple[int, int], int]) -> "BettiTable":

@@ -3,6 +3,7 @@ import random
 import sys
 
 import pytest
+from enumeration_oracle import quotient_basis
 from rank_oracle import rank_oracle
 
 from gotzmann import monomial_algebra
@@ -13,7 +14,6 @@ from gotzmann.monomial_algebra import (
     MonomialIdeal,
     MonomialSubmodule,
     monomial_from_string,
-    quotient_basis,
 )
 from gotzmann.numpoly import GotzmannRep, binomial_poly
 from gotzmann.theorems import random_submodule

@@ -19,9 +19,8 @@ from __future__ import annotations
 import functools
 
 from conftest import colon_var_power, hf_quotient, intersect
+from enumeration_oracle import quotient_basis
 from rank_oracle import rank_oracle
-
-from gotzmann.monomial_algebra import quotient_basis
 
 
 def saturation_exponents(ideal_obj):

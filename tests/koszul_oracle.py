@@ -16,16 +16,11 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
+from enumeration_oracle import monomials_of_degree, quotient_basis
 from rank_oracle import rank_oracle
 
 from gotzmann.combinatorics import binomial
-from gotzmann.monomial_algebra import (
-    Monomial,
-    MonomialIdeal,
-    MonomialSubmodule,
-    monomials_of_degree,
-    quotient_basis,
-)
+from gotzmann.monomial_algebra import Monomial, MonomialIdeal, MonomialSubmodule
 
 SUBSET_PRUNE_LIMIT = 12
 

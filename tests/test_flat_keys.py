@@ -21,7 +21,6 @@ from gotzmann.monomial_algebra import (
     hilbert_polynomial,
     ideal_from_dict,
     ideal_to_dict,
-    monomials_of_degree,
     rank,
     saturate,
     stabilization_degree,
@@ -31,6 +30,7 @@ from gotzmann.resolution import koszul_betti, regularity
 from gotzmann.theorems import random_submodule
 
 from conftest import quadratic_minimal
+from enumeration_oracle import monomials_of_degree
 
 
 def fields_equal(a, b) -> bool:

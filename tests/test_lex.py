@@ -3,6 +3,8 @@ import random
 from itertools import combinations_with_replacement, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gotzmann.lex as lex_module
 from gotzmann import monomial_algebra
@@ -13,7 +15,6 @@ from gotzmann.lex import (
     is_lex_piece,
     lex_segment,
     lexify,
-    module_monomials,
     saturated_lex_ideal,
     saturated_lex_module,
 )
@@ -29,8 +30,17 @@ from gotzmann.monomial_algebra import (
 from gotzmann.numpoly import GotzmannRep, NumPoly
 from gotzmann.theorems import random_submodule
 
-from conftest import colon_var_power, hf_count, ideal, module
+from conftest import (
+    colon_var_power,
+    hf_count,
+    ideal,
+    module,
+    random_stable_ideal,
+    set_node_budget,
+)
+import enumeration_oracle as walk
 from ek_oracle import is_stable
+from enumeration_oracle import module_monomials, monomials_of_degree
 
 
 def test_lex_segment_examples():
@@ -62,18 +72,14 @@ def test_lex_segments_nest():
     # each segment is the head of the degree's lex-descending list
     for n in range(1, 4):
         for d in range(0, 6):
-            degree = monomial_algebra.monomials_of_degree(n, d)
+            degree = monomials_of_degree(n, d)
             for c in range(len(degree) + 1):
                 assert lex_segment(n, d, c) == list(degree[:c]), (n, d, c)
 
 
-def test_lex_segment_enumerates_no_degree(monkeypatch):
-    def enumerate_degree(n, d):
-        raise AssertionError(f"degree {d} enumerated")
-
-    # lex imports the enumerator by name, so both bindings are patched
-    monkeypatch.setattr(monomial_algebra, "monomials_of_degree", enumerate_degree)
-    monkeypatch.setattr(lex_module, "monomials_of_degree", enumerate_degree)
+def test_lex_segment_enumerates_no_degree():
+    # the library has no degree enumerator: the head of a degree of
+    # C(44, 4) = 135,751 monomials is one unranking and two successors
     assert lex_segment(4, 40, 3) == [
         Monomial((40, 0, 0, 0, 0)),
         Monomial((39, 1, 0, 0, 0)),
@@ -83,15 +89,15 @@ def test_lex_segment_enumerates_no_degree(monkeypatch):
 
 def test_lex_run_is_every_slice_of_the_degree():
     # one unranking, then lex successors: the same as slicing the degree's
-    # exponent tuples sorted descending, which is lex with x0 > ... > xn;
-    # monomials_of_degree is the run over the whole degree
+    # exponent tuples sorted descending, which is lex with x0 > ... > xn,
+    # and as the oracle's enumeration of the whole degree
     run = monomial_algebra._lex_run
     for n in range(0, 5):
         for d in range(0, 7):
             degree = sorted(
                 (e for e in product(range(d + 1), repeat=n + 1) if sum(e) == d), reverse=True
             )
-            assert [m.exponents for m in monomial_algebra.monomials_of_degree(n, d)] == degree
+            assert [m.exponents for m in monomials_of_degree(n, d)] == degree
             for start in range(len(degree) + 1):
                 for stop in range(start, len(degree) + 1):
                     assert run(n, d, start, stop - start) == degree[start:stop]
@@ -124,6 +130,13 @@ def test_is_lex_piece(two_free_lines):
         assert is_lex_piece(two_free_lines, d)
     backwards = module(1, (0, 0), ["zero", "unit"])
     assert not is_lex_piece(backwards, 0)
+    # in degree 1: a partial lex first component, then nothing, is initial;
+    # anything after a partial component, or a gap after a full one, is not
+    assert is_lex_piece(module(1, (0, 0), [ideal(1, "x0"), "zero"]), 1)
+    assert not is_lex_piece(module(1, (0, 0), [ideal(1, "x0"), ideal(1, "x0")]), 1)
+    assert not is_lex_piece(module(1, (0, 0), ["unit", ideal(1, "x1")]), 1)
+    # a component below its degree is empty, and so both full and zero
+    assert is_lex_piece(module(1, (0, 2), [ideal(1, "x0"), "unit"]), 1)
 
 
 def test_is_lex_ideal():
@@ -134,6 +147,23 @@ def test_is_lex_ideal():
     assert is_lex_ideal(ideal(2, "x0^2", "x0*x1"))
     # degree-2 piece {x0^2, x1^2} skips x0*x1
     assert not is_lex_ideal(ideal(1, "x0^2", "x1^2"))
+    # lex through degree 2, but the degree-3 generator x1^3 skips x0*x1^2
+    assert not is_lex_ideal(ideal(1, "x0^2", "x1^3"))
+    # a degree-99999999999 generator is one count, not a walk of that degree
+    assert is_lex_ideal(ideal(1, "x0^99999999999"))
+    assert not is_lex_ideal(ideal(1, "x1^99999999999"))
+
+
+def test_lex_tests_refuse_past_the_node_budget(monkeypatch):
+    # lex, but its series needs three pivot nodes: with a budget of one the
+    # count that decides lex-ness raises, where the walk was only slow
+    lex = ideal(2, "x0^2", "x0*x1", "x0*x2", "x1^2")
+    assert is_lex_ideal(lex)
+    set_node_budget(monkeypatch, 1)
+    with pytest.raises(BudgetExceeded):
+        is_lex_ideal(lex)
+    with pytest.raises(BudgetExceeded):
+        is_lex_piece(module(2, (0,), [lex]), 2)
 
 
 def test_lexify_module_example():
@@ -439,3 +469,114 @@ def test_saturated_lex_module_degenerate():
     # all components free but nonzero remainder: impossible
     with pytest.raises(NotAdmissible):
         saturated_lex_module(NumPoly([3, 2]), ambient, 2)
+
+
+# The counting lex tests against the walk of ``enumeration_oracle``, which
+# lists every monomial of every degree through the top generator.  A walk
+# that finds a gap stops there, but one over a lex ideal visits all
+# C(top + n + 1, n + 1) monomials, so a lex ideal is walked only up to
+# WALK_LIMIT of them.
+WALK_LIMIT = 30_000
+
+
+def walkable(ideal_obj):
+    return not ideal_obj.exponents or binomial(
+        ideal_obj.max_gen_degree() + ideal_obj.n + 1, ideal_obj.n + 1
+    ) <= WALK_LIMIT
+
+
+def without(ideal_obj, i):
+    """The ideal less its i-th minimal generator: a near miss of a lex ideal."""
+    exps = ideal_obj.exponents
+    return MonomialIdeal._of_minimal(ideal_obj.n, exps[:i] + exps[i + 1 :])
+
+
+def assert_agrees_with_walk(ideal_obj):
+    assert is_lex_ideal(ideal_obj) is walk.is_lex_ideal(ideal_obj), ideal_obj
+
+
+def lexify_outputs(seeds):
+    return [lexify(*lexify_data(random_submodule(seed))) for seed in seeds]
+
+
+def test_lexify_corpus_is_lex_by_count_and_walk():
+    # every component of every output is lex, with no generator cap: 558
+    # components of up to 4,425 generators and top degree 786.  Of the 356
+    # with 2 to 300 generators, each less its last generator, the lex-last
+    # monomial of its degree, is still lex, and 338 of them are walked; less
+    # its first it is not, and that walk stops at the first gap.
+    components = [c for out in lexify_outputs(range(400)) for c in out.components if c.exponents]
+    assert max(len(c.exponents) for c in components) == 4425
+    assert all(is_lex_ideal(c) for c in components)
+    cut = [c for c in components if 1 < len(c.exponents) <= 300]
+    for c in cut:
+        last, first = without(c, len(c.exponents) - 1), without(c, 0)
+        assert is_lex_ideal(last) and not is_lex_ideal(first), c
+        assert not walk.is_lex_ideal(first)
+    walked = [c for c in (without(c, len(c.exponents) - 1) for c in cut) if walkable(c)]
+    assert (len(cut), len(walked)) == (356, 338)
+    assert all(walk.is_lex_ideal(c) for c in walked)
+
+
+def _ideals(n, min_size, max_size):
+    exps = st.lists(st.integers(0, 3), min_size=n + 1, max_size=n + 1).map(tuple)
+    return st.lists(exps, min_size=min_size, max_size=max_size).map(
+        lambda gens: MonomialIdeal(n, tuple(map(Monomial, gens)))
+    )
+
+
+@st.composite
+def _submodules(draw):
+    n = draw(st.integers(1, 3))
+    degrees = sorted(draw(st.lists(st.integers(-1, 2), min_size=1, max_size=3)))
+    comps = [draw(st.sampled_from(["zero", "unit"]) | _ideals(n, 1, 5)) for _ in degrees]
+    return module(n, degrees, comps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda n: _ideals(n, 0, 6)), st.integers(0, 5))
+def test_is_lex_ideal_matches_the_walk_on_random_ideals(ideal_obj, drop):
+    assert_agrees_with_walk(ideal_obj)
+    if ideal_obj.exponents:
+        assert_agrees_with_walk(without(ideal_obj, drop % len(ideal_obj.exponents)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_submodules(), st.integers(-2, 8))
+def test_is_lex_piece_matches_the_walk_on_random_submodules(sub, d):
+    assert is_lex_piece(sub, d) is walk.is_lex_piece(sub, d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 1499), st.integers(0, 10**6))
+def test_lex_tests_match_the_walk_on_lexify_outputs(seed, drop):
+    # each walkable component, less its last generator and less a drawn
+    # one, and the output's pieces through degree 11
+    (out,) = lexify_outputs([seed])
+    for c in out.components:
+        if c.exponents and walkable(c):
+            assert_agrees_with_walk(c)
+            assert_agrees_with_walk(without(c, len(c.exponents) - 1))
+            assert_agrees_with_walk(without(c, drop % len(c.exponents)))
+    if all(walkable(c) for c in out.components):
+        for d in range(-2, 12):
+            assert is_lex_piece(out, d) is walk.is_lex_piece(out, d)
+
+
+@st.composite
+def _saturated_lex_ideals(draw):
+    n = draw(st.integers(1, 3))
+    a = sorted(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=10)), reverse=True)
+    return saturated_lex_ideal(GotzmannRep(tuple(a)), n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_saturated_lex_ideals(), st.integers(0, 10**4), st.integers(0, 10**6))
+def test_lex_tests_match_the_walk_on_saturated_lex_and_stable_ideals(sat, seed, drop):
+    # saturated lex ideals are lex, stable ideals are near lex; each also
+    # less its last generator and less a drawn one
+    for ideal_obj in (sat, random_stable_ideal(seed)):
+        assert_agrees_with_walk(ideal_obj)
+        if ideal_obj.exponents:
+            assert_agrees_with_walk(without(ideal_obj, len(ideal_obj.exponents) - 1))
+            assert_agrees_with_walk(without(ideal_obj, drop % len(ideal_obj.exponents)))

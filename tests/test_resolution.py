@@ -25,7 +25,6 @@ from gotzmann.monomial_algebra import (
     MonomialIdeal,
     MonomialSubmodule,
     _ideal_numerator,
-    monomials_of_degree,
 )
 from gotzmann.resolution import (
     BettiTable,
@@ -44,6 +43,7 @@ from conftest import (
     random_stable_ideal,
 )
 from ek_oracle import ek_betti_table, ek_regularity, is_stable
+from enumeration_oracle import monomials_of_degree
 from koszul_oracle import koszul_betti_oracle
 from lattice_oracle import facets as lattice_oracle_facets
 from lattice_oracle import ideal_table as lattice_oracle_table

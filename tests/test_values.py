@@ -84,6 +84,38 @@ def test_same_fields_in_another_class_are_unequal():
     assert hash(GotzmannRep((1, 0))) == hash(Monomial((1, 0)))
 
 
+# (class, arguments with list sequences, the same arguments with tuples)
+LIST_BUILT = [
+    (GotzmannRep, ([2, 1],), ((2, 1),)),
+    (MacaulayRep, (3, [(5, 3)]), (3, ((5, 3),))),
+    (MacaulayRep, (2, [[3, 2], [1, 1]]), (2, ((3, 2), (1, 1)))),
+    (GradedFreeModule, (2, [0, 1]), (2, (0, 1))),
+    (Monomial, ([1, 2],), ((1, 2),)),
+    (HilbertSeries, (1, 0, [1, -1]), (1, 0, (1, -1))),
+    (BettiTable, ([(0, 0, 1)],), (((0, 0, 1),),)),
+    (BettiTable, ([[0, 0, 1], [1, 2, 2]],), (((0, 0, 1), (1, 2, 2)),)),
+    (AdjustedGotzmannRep, ([0], 1, GotzmannRep(())), ((0,), 1, GotzmannRep(()))),
+    (
+        MonomialSubmodule,
+        (GradedFreeModule(1, (0,)), [MonomialIdeal.zero(1)]),
+        (GradedFreeModule(1, (0,)), (MonomialIdeal.zero(1),)),
+    ),
+]
+
+
+LIST_IDS = [f"{cls.__name__}-{i}" for i, (cls, *_) in enumerate(LIST_BUILT)]
+
+
+@pytest.mark.parametrize("cls, listed, tupled", LIST_BUILT, ids=LIST_IDS)
+def test_list_arguments_give_the_tuple_value(cls, listed, tupled):
+    a, b = cls(*listed), cls(*tupled)
+    assert a == b and hash(a) == hash(b)
+    # a tuple argument is stored as it is, not copied
+    for name, arg in zip(b._fields, tupled):
+        if type(arg) is tuple:
+            assert getattr(b, name) is arg, name
+
+
 @pytest.mark.parametrize("build, fields", VALUES, ids=IDS)
 def test_instances_are_frozen(build, fields):
     a = build()
