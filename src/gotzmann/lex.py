@@ -258,7 +258,7 @@ def saturated_lex_ideal(g: GotzmannRep, n: int) -> MonomialIdeal:
     if codim > 0:
         # x_k carries m_{n-1-k}, which is 0 for k < n - d - 1
         exps = [0] * (n + 1)
-        lengths = {a: m for a, _, m in g._runs()}
+        lengths = dict(g.runs)
         for k in range(n):
             m = lengths.get(n - 1 - k, 0)
             exps[k] = m + (k < n - 1)

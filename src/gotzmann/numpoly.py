@@ -21,12 +21,11 @@ subtract its free part.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from functools import reduce
-from itertools import zip_longest
+from itertools import chain, groupby, repeat, zip_longest
 from math import factorial, gcd, lcm
-from operator import mul, neg
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from ._value import Value
@@ -35,8 +34,10 @@ from .errors import NotAdmissible, PreconditionViolated, refuse_unknown_keys
 
 Scalar = Union[int, Fraction]
 
-# Terms a Gotzmann representation may have; a work guard, past which
-# gotzmann_rep raises NotAdmissible before building the list.
+# Entries a dense view or walk may have: a representation's exponent list
+# ``a``, a Hilbert series numerator, a ``--function`` table, the degrees
+# ``lexify`` or the persistence check walks.  A work guard, past which they
+# raise instead of being built.
 TERM_BUDGET = 10**6
 
 
@@ -228,15 +229,17 @@ def _run(a: int, i: int, m: int) -> list[int]:
 class GotzmannRep(Value):
     """Non-increasing exponent list a_1 >= ... >= a_s >= 0 with
 
-    P(d) = sum_{i=1}^{s} C(d + a_i - (i-1), a_i).
+    P(d) = sum_{i=1}^{s} C(d + a_i - (i-1), a_i),
 
-    ``number`` (the length s) is the Gotzmann number of the represented
-    polynomial.  The empty list represents the zero polynomial.
-    ``polynomial`` sums each run of equal exponents a as one hockey-stick
-    difference of two binomials of degree a + 1.
+    stored as its ``runs``: (a, m) pairs, a strictly decreasing and m >= 1,
+    for m equal exponents a in a row.  ``number`` (the length s, the sum of
+    the m) is the Gotzmann number of the represented polynomial.  The empty
+    list represents the zero polynomial.  ``polynomial`` sums each run as
+    one hockey-stick difference of two binomials of degree a + 1.  The
+    exponent list ``a`` is a dense view, refused past ``TERM_BUDGET`` terms.
     """
 
-    __slots__ = _fields = ("a",)
+    __slots__ = _fields = ("runs",)
 
     def __init__(self, a: tuple[int, ...]) -> None:
         a = tuple(a)
@@ -244,37 +247,27 @@ class GotzmannRep(Value):
             raise ValueError("exponent list must be non-increasing")
         if a and a[-1] < 0:
             raise ValueError(f"exponents must be nonnegative, got {a[-1]}")
-        object.__setattr__(self, "a", a)
-
-    @classmethod
-    def _of_sorted(cls, a: tuple[int, ...]) -> "GotzmannRep":
-        """The representation of an exponent tuple already non-increasing and
-        nonnegative, built without the checks."""
-        rep = object.__new__(cls)
-        object.__setattr__(rep, "a", a)
-        return rep
+        object.__setattr__(self, "runs", tuple((x, sum(1 for _ in g)) for x, g in groupby(a)))
 
     @property
     def number(self) -> int:
-        return len(self.a)
+        return sum(m for _, m in self.runs)
+
+    @property
+    def a(self) -> tuple[int, ...]:
+        if self.number > TERM_BUDGET:
+            raise NotAdmissible(f"representation needs more than {TERM_BUDGET} terms")
+        return tuple(chain.from_iterable(repeat(a, m) for a, m in self.runs))
 
     def terms(self) -> list[tuple[int, int]]:
         """(a_i, shift_i) pairs so that term i is C(d + shift_i, a_i)."""
         return [(ai, ai - i) for i, ai in enumerate(self.a)]
 
-    def _runs(self) -> list[tuple[int, int, int]]:
-        """(a, i, m) for each run of equal exponents, highest first: the run of
-        a starts at index i and has m terms.  Each end is found by bisection,
-        so the exponents are not scanned."""
-        a, out, i = self.a, [], 0
-        while i < len(a):
-            end = bisect_right(a, -a[i], lo=i, key=neg)
-            out.append((a[i], i, end - i))
-            i = end
-        return out
-
     def polynomial(self) -> NumPoly:
-        runs = [_run(*run) for run in self._runs()]
+        runs, i = [], 0
+        for a, m in self.runs:
+            runs.append(_run(a, i, m))
+            i += m
         return _from_basis([sum(x) for x in zip_longest(*runs, fillvalue=0)])
 
 
@@ -285,9 +278,8 @@ def gotzmann_rep(poly: NumPoly) -> GotzmannRep:
     where each term C(d + a - j, a) has coordinate 1: the run has m terms and
     takes off the hockey-stick sum ``_run(a, i, m)``.  The degree falls with
     each run, so the loop runs at most deg P + 1 times (a constant tail is the
-    run a = 0), and the exponents come out non-increasing.  Raises
-    NotAdmissible for non-numerical input, a negative leading coordinate, or
-    more than ``TERM_BUDGET`` terms (checked before any list is built).
+    run a = 0), whatever the number of terms.  Raises NotAdmissible for
+    non-numerical input or a negative leading coordinate.
     """
     return _peel(list(poly._b), poly._den)
 
@@ -299,19 +291,20 @@ def _peel(b: list[int], den: int) -> GotzmannRep:
         k = next(k for k, x in enumerate(b) if x % den)
         raise NotAdmissible(f"polynomial of degree {len(b) - 1} is not integer-valued: its"
                             f" C(d + {k}, {k}) coordinate is {Fraction(b[k], den)}")
-    a_list: list[int] = []
+    runs, i = [], 0
     while b:
-        i, a, m = len(a_list), len(b) - 1, b[-1]
+        a, m = len(b) - 1, b[-1]
         if m < 0:
             raise NotAdmissible(f"remainder of degree {a} has negative leading"
                                 f" coordinate {m} at term {i}")
-        if i + m > TERM_BUDGET:
-            raise NotAdmissible(f"representation needs more than {TERM_BUDGET} terms")
         b = [x - y for x, y in zip(b, _run(a, i, m))]
         while b and not b[-1]:
             b.pop()
-        a_list.extend([a] * m)
-    return GotzmannRep._of_sorted(tuple(a_list))
+        runs.append((a, m))
+        i += m
+    rep = object.__new__(GotzmannRep)
+    object.__setattr__(rep, "runs", tuple(runs))
+    return rep
 
 
 def gotzmann_number(poly: NumPoly) -> int:
@@ -321,7 +314,7 @@ def gotzmann_number(poly: NumPoly) -> int:
 
 class AdjustedGotzmannRep(Value):
     """P(d) = sum_{f in free_degrees} C(d - f + n, n) + Q(d) with Q represented
-    by ``q``.  ``number`` is the adjusted Gotzmann number, i.e. len(q.a).
+    by ``q``.  ``number`` is the adjusted Gotzmann number, i.e. ``q.number``.
     """
 
     __slots__ = _fields = ("free_degrees", "n", "q")

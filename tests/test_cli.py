@@ -546,6 +546,30 @@ def test_rep_of_degree_1000_answers_and_refuses_in_one_short_line(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 1024, err[:200]
         assert fragment in err, err
 
+def test_gotzmann_numbers_past_the_term_budget_are_answered(capsys):
+    # the representation of P = 2,000,000 is one run of 2,000,000 zeros:
+    # every command that reads its number or runs answers, and only the
+    # ones that print its exponent list refuse, with one line
+    p = '{"coeffs": [2000000]}'
+    line = '{"n": 1, "degrees": [0]}'
+    assert run_cli(capsys, ["gotzmann-number", "--poly", p]) == (0, "2000000\n", "")
+    assert run_json(capsys, ["quot-dims", "--poly", p, "--module-shape", line, "--rank", "0"]) == {
+        "ambient_dim": 2000001, "grass_dim": 2000000, "s": 2000000, "sub_dim": 2000000}
+    lex = run_json(capsys, ["lex-module", "--poly", p, "--module-shape", line, "--rank", "0"])
+    assert lex["components"] == [{"gens": ["x0^2000000"]}]
+    power = json.dumps(module_to_dict(module(1, (0,), [ideal(1, "x0^2000000")])))
+    report = run_json(capsys, ["check", "regularity", "--module", power])
+    assert (report["context"]["s"], report["bound_lhs"], report["verdict"]) == (2000000, 2000000, "sharp")
+    report = run_json(capsys, ["check", "sharpness", "--poly", '{"coeffs": [1000000000000]}',
+                               "--module-shape", '{"n": 3, "degrees": [0]}', "--rank", "0"])
+    assert (report["bound_lhs"], report["bound_rhs"], report["verdict"]) == (10**12, 10**12, "sharp")
+    assert report["context"]["lex_module"]["components"] == [{"gens": ["x0", "x1", "x2^1000000000000"]}]
+    refusal = (2, "", "error: representation needs more than 1000000 terms\n")
+    assert run_cli(capsys, ["gotzmann-rep", "--poly", p]) == refusal
+    assert run_cli(capsys, ["adjusted-rep", "--poly", p, "--module", line, "--rank", "0"]) == refusal
+    assert run_json(capsys, ["gotzmann-rep", "--poly", '{"coeffs": [1000000]}'])["a"] == [0] * 10**6
+
+
 def one_component(component):
     return f'{{"n": 1, "degrees": [0], "components": [{component}]}}'
 

@@ -1,7 +1,10 @@
 """Numerical polynomials, binomial representations, and embedding dimensions."""
+import copy
+import pickle
 import random
 import re
 from fractions import Fraction
+from itertools import groupby
 from math import factorial
 
 import pytest
@@ -104,10 +107,11 @@ def test_rep_runs_are_read_off_the_exponents():
         runs = []
         for i, a in enumerate(rep.a):
             if i and a == rep.a[i - 1]:
-                runs[-1][2] += 1
+                runs[-1][1] += 1
             else:
-                runs.append([a, i, 1])
-        assert rep._runs() == [tuple(run) for run in runs]
+                runs.append([a, 1])
+        assert rep.runs == tuple(tuple(run) for run in runs)
+        assert rep.number == len(rep.a)
 
 
 def test_rep_known_example():
@@ -147,25 +151,33 @@ def test_rep_not_admissible_cases():
 
 
 def test_rep_term_budget(monkeypatch):
+    # the budget bounds the dense view of the exponents, not the peel: the
+    # number is answered past it, and ``a`` and ``terms()`` are refused
     monkeypatch.setattr(numpoly, "TERM_BUDGET", 10)
-    with pytest.raises(NotAdmissible):
-        gotzmann_rep(NumPoly([50]))
-    assert gotzmann_rep(NumPoly([10])).number == 10
+    rep = gotzmann_rep(NumPoly([50]))
+    assert rep.runs == ((0, 50),) and rep.number == 50
+    assert gotzmann_number(NumPoly([50])) == 50
+    for view in (lambda: rep.a, rep.terms):
+        with pytest.raises(NotAdmissible, match="^representation needs more than 10 terms$"):
+            view()
+    assert gotzmann_rep(NumPoly([10])).a == (0,) * 10
     # budgets ending inside a quadratic run, at its end, inside the final
     # linear run, and inside a constant tail; the full length fits exactly
     for a, budgets in [((2,) * 3 + (1,) * 4, (2, 3, 6)), ((1,) * 5 + (0,) * 3, (4, 5, 7))]:
-        poly = GotzmannRep(a).polynomial()
+        rep = gotzmann_rep(GotzmannRep(a).polynomial())
         for budget in budgets:
             monkeypatch.setattr(numpoly, "TERM_BUDGET", budget)
+            assert rep.number == len(a)
             with pytest.raises(NotAdmissible, match=f"more than {budget} terms"):
-                gotzmann_rep(poly)
+                rep.a
         monkeypatch.setattr(numpoly, "TERM_BUDGET", len(a))
-        assert gotzmann_rep(poly).a == a
+        assert rep.a == a
 
 
 def per_term_rep(poly, term_budget):
     """The per-term greedy peel: take off C(d + a - i, a), a = deg(remainder),
-    one term at a time, and a constant remainder c as c terms equal to 1."""
+    one term at a time, and a constant remainder c as c terms equal to 1.
+    Its own work guard refuses more than ``term_budget`` terms."""
     a_list = []
     rem = poly
     while not rem.is_zero():
@@ -203,17 +215,64 @@ def test_rep_matches_per_term_peel_seeded(monkeypatch):
     for _ in range(4):
         polys.append(random_rep(rng, max_len=6, max_val=3).polynomial() + rng.randint(90_000, 110_000))
     assert any(p.leading_coefficient < 0 for p in polys)
-    budgets = (7, 30, numpoly.TERM_BUDGET)
+    answered = []
     for poly in polys:
-        for budget in budgets:
-            monkeypatch.setattr(numpoly, "TERM_BUDGET", budget)
-            try:
-                expected = per_term_rep(poly, budget)
-            except NotAdmissible as exc:
+        try:
+            expected = per_term_rep(poly, numpoly.TERM_BUDGET)
+        except NotAdmissible as exc:
+            with pytest.raises(NotAdmissible, match=re.escape(str(exc))):
+                gotzmann_rep(poly)
+        else:
+            rep = gotzmann_rep(poly)
+            assert rep == expected, poly
+            answered.append((rep, expected.a))
+    # the dense view is refused exactly past the budget, and is the oracle's below it
+    for budget in (7, 30):
+        monkeypatch.setattr(numpoly, "TERM_BUDGET", budget)
+        assert any(len(a) <= budget for _, a in answered)
+        assert any(len(a) > budget for _, a in answered)
+        for rep, a in answered:
+            if len(a) > budget:
+                with pytest.raises(NotAdmissible, match=f"more than {budget} terms"):
+                    rep.a
+            else:
+                assert rep.a == a
+
+
+# exponent lists: up to 30 exponents of 1..6, then a tail of zeros that is
+# short or of about 10^5 (the stored runs hold it as one pair)
+EXPONENT_LISTS = st.tuples(
+    st.lists(st.integers(1, 6), max_size=30),
+    st.one_of(st.integers(0, 5), st.integers(90_000, 100_000)),
+).map(lambda drawn: tuple(sorted(drawn[0], reverse=True)) + (0,) * drawn[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(EXPONENT_LISTS, st.integers(-2, 2), st.integers(0, 2), st.integers(-4, 4))
+@example(a=(2,) + (0,) * 100_000, c=1, k=0, shift=0)  # past the oracle's guard
+@example(a=(1,), c=-2, k=1, shift=0)  # 1 - d leads with -1
+def test_stored_runs_are_the_exponent_list(a, c, k, shift):
+    rep = GotzmannRep(a)
+    assert rep.runs == tuple((x, len(list(run))) for x, run in groupby(a))
+    assert rep.a == a and rep.number == len(a)
+    for again in (GotzmannRep(rep.a), GotzmannRep(list(a))):
+        assert again == rep and hash(again) == hash(rep)
+    for clone in (copy.copy(rep), copy.deepcopy(rep), pickle.loads(pickle.dumps(rep))):
+        assert clone == rep and hash(clone) == hash(rep)
+    # the peel against the per-term oracle, on the polynomial of a and on a
+    # perturbation of it, which may be inadmissible
+    for poly in (rep.polynomial(), rep.polynomial() + c * binomial_poly(k, shift)):
+        try:
+            expected = per_term_rep(poly, 10**5)
+        except NotAdmissible as exc:
+            if str(exc).startswith("representation needs more than"):
+                # past the oracle's guard the peel still answers
+                assert gotzmann_rep(poly).number > 10**5
+            else:
                 with pytest.raises(NotAdmissible, match=re.escape(str(exc))):
                     gotzmann_rep(poly)
-            else:
-                assert gotzmann_rep(poly) == expected, poly
+        else:
+            assert gotzmann_rep(poly) == expected
 
 
 def test_zero_polynomial_rep():
