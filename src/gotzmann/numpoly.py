@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, groupby, repeat, zip_longest
+from itertools import accumulate, chain, groupby, repeat, zip_longest
 from math import factorial, gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
@@ -36,8 +36,8 @@ Scalar = Union[int, Fraction]
 
 # Entries a dense view or walk may have: a representation's exponent list
 # ``a``, a Hilbert series numerator, a ``--function`` table, the degrees
-# ``lexify`` or the persistence check walks.  A work guard, past which they
-# raise instead of being built.
+# ``lexify`` or the persistence check walks, and the bits of the peel's
+# coordinates past that many terms.  A work guard, past which they raise.
 TERM_BUDGET = 10**6
 
 
@@ -233,10 +233,11 @@ class GotzmannRep(Value):
 
     stored as its ``runs``: (a, m) pairs, a strictly decreasing and m >= 1,
     for m equal exponents a in a row.  ``number`` (the length s, the sum of
-    the m) is the Gotzmann number of the represented polynomial.  The empty
-    list represents the zero polynomial.  ``polynomial`` sums each run as
-    one hockey-stick difference of two binomials of degree a + 1.  The
-    exponent list ``a`` is a dense view, refused past ``TERM_BUDGET`` terms.
+    the m) is the Gotzmann number of the represented polynomial; the empty
+    list represents 0.  ``polynomial`` sums each run as one hockey-stick
+    difference of two binomials of degree a + 1.  Past ``TERM_BUDGET`` terms
+    the dense view ``a`` is refused, and the repr ``GotzmannRep(a=...)``
+    becomes ``<GotzmannRep runs=...>``, which does not evaluate.
     """
 
     __slots__ = _fields = ("runs",)
@@ -259,15 +260,18 @@ class GotzmannRep(Value):
             raise NotAdmissible(f"representation needs more than {TERM_BUDGET} terms")
         return tuple(chain.from_iterable(repeat(a, m) for a, m in self.runs))
 
+    def __repr__(self) -> str:
+        if self.number > TERM_BUDGET:
+            return f"<GotzmannRep runs={self.runs!r}>"
+        return f"GotzmannRep(a={self.a!r})"
+
     def terms(self) -> list[tuple[int, int]]:
         """(a_i, shift_i) pairs so that term i is C(d + shift_i, a_i)."""
         return [(ai, ai - i) for i, ai in enumerate(self.a)]
 
     def polynomial(self) -> NumPoly:
-        runs, i = [], 0
-        for a, m in self.runs:
-            runs.append(_run(a, i, m))
-            i += m
+        starts = accumulate((m for _, m in self.runs), initial=0)
+        runs = [_run(a, i, m) for (a, m), i in zip(self.runs, starts)]
         return _from_basis([sum(x) for x in zip_longest(*runs, fillvalue=0)])
 
 
@@ -278,15 +282,14 @@ def gotzmann_rep(poly: NumPoly) -> GotzmannRep:
     where each term C(d + a - j, a) has coordinate 1: the run has m terms and
     takes off the hockey-stick sum ``_run(a, i, m)``.  The degree falls with
     each run, so the loop runs at most deg P + 1 times (a constant tail is the
-    run a = 0), whatever the number of terms.  Raises NotAdmissible for
-    non-numerical input or a negative leading coordinate.
+    run a = 0).  Raises NotAdmissible for non-numerical input, a negative
+    leading coordinate, or coordinates past ``TERM_BUDGET`` terms and bits.
     """
     return _peel(list(poly._b), poly._den)
 
 
 def _peel(b: list[int], den: int) -> GotzmannRep:
-    """``gotzmann_rep`` of the polynomial with coordinates b over den, b with
-    no trailing zero."""
+    """``gotzmann_rep`` of the coordinates b, with no trailing zero, over den."""
     if den != 1:
         k = next(k for k, x in enumerate(b) if x % den)
         raise NotAdmissible(f"polynomial of degree {len(b) - 1} is not integer-valued: its"
@@ -297,6 +300,9 @@ def _peel(b: list[int], den: int) -> GotzmannRep:
         if m < 0:
             raise NotAdmissible(f"remainder of degree {a} has negative leading"
                                 f" coordinate {m} at term {i}")
+        # runs can square in length: bound coordinates of (a + 1) log2(i + m) bits
+        if i + m > TERM_BUDGET and (a + 1) * (i + m).bit_length() > TERM_BUDGET:
+            raise NotAdmissible(f"representation needs more than {TERM_BUDGET} terms")
         b = [x - y for x, y in zip(b, _run(a, i, m))]
         while b and not b[-1]:
             b.pop()

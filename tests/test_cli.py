@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -568,6 +569,25 @@ def test_gotzmann_numbers_past_the_term_budget_are_answered(capsys):
     assert run_cli(capsys, ["gotzmann-rep", "--poly", p]) == refusal
     assert run_cli(capsys, ["adjusted-rep", "--poly", p, "--module", line, "--rank", "0"]) == refusal
     assert run_json(capsys, ["gotzmann-rep", "--poly", '{"coeffs": [1000000]}'])["a"] == [0] * 10**6
+
+
+def test_runs_that_square_in_length_are_refused_in_one_line(capsys):
+    # P = 10 C(d + 40, 40): each run's length is about the square of the one
+    # before (10, 45, 1.3e3, 9e5, 4e11, ...), so the peel stops once its
+    # coordinates would pass TERM_BUDGET bits, with the term-budget message
+    p = json.dumps({"terms": [{"a": 40, "shift": 40, "mult": 10}]})
+    shape = '{"n": 41, "degrees": [0]}'
+    refusal = (2, "", "error: representation needs more than 1000000 terms\n")
+    start = time.perf_counter()
+    for argv in (["gotzmann-number", "--poly", p], ["gotzmann-rep", "--poly", p],
+                 ["adjusted-rep", "--poly", p, "--module", shape, "--rank", "0"],
+                 ["quot-dims", "--poly", p, "--module-shape", shape, "--rank", "0"],
+                 ["lex-module", "--poly", p, "--module-shape", shape, "--rank", "0"],
+                 ["check", "sharpness", "--poly", p, "--module-shape", shape, "--rank", "0"],
+                 ["check", "chern", "--poly", p, "--n", "40", "--sheaf-rank", "10",
+                  "--module-shape", '{"n": 40, "degrees": [0]}', "--module-rank", "0"]):
+        assert run_cli(capsys, argv) == refusal, argv
+    assert time.perf_counter() - start < 10
 
 
 def one_component(component):

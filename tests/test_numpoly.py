@@ -161,6 +161,9 @@ def test_rep_term_budget(monkeypatch):
         with pytest.raises(NotAdmissible, match="^representation needs more than 10 terms$"):
             view()
     assert gotzmann_rep(NumPoly([10])).a == (0,) * 10
+    # the repr evaluates to the value within the budget, and shows the runs past it
+    assert repr(rep) == "<GotzmannRep runs=((0, 50),)>"
+    assert repr(GotzmannRep((1, 1, 0))) == "GotzmannRep(a=(1, 1, 0))"
     # budgets ending inside a quadratic run, at its end, inside the final
     # linear run, and inside a constant tail; the full length fits exactly
     for a, budgets in [((2,) * 3 + (1,) * 4, (2, 3, 6)), ((1,) * 5 + (0,) * 3, (4, 5, 7))]:
@@ -172,6 +175,21 @@ def test_rep_term_budget(monkeypatch):
                 rep.a
         monkeypatch.setattr(numpoly, "TERM_BUDGET", len(a))
         assert rep.a == a
+
+
+def test_peel_bounds_the_bits_of_its_coordinates_past_the_budget(monkeypatch):
+    # 11 C(d + 1, 1) is a linear run of 11 terms, of (1 + 1) * 4 bits, and a
+    # constant run to 66 terms, of 7 bits: past a budget of 8 terms both
+    # runs are peeled, and a budget of 7 refuses the first
+    poly = 11 * binomial_poly(1, 1)
+    monkeypatch.setattr(numpoly, "TERM_BUDGET", 8)
+    assert gotzmann_rep(poly).runs == ((1, 11), (0, 55))
+    monkeypatch.setattr(numpoly, "TERM_BUDGET", 7)
+    with pytest.raises(NotAdmissible, match="^representation needs more than 7 terms$"):
+        gotzmann_rep(poly)
+    # within the term budget nothing is bounded: one term of degree 10^5
+    monkeypatch.setattr(numpoly, "TERM_BUDGET", 1)
+    assert gotzmann_rep(binomial_poly(100_000, 100_000)).runs == ((100_000, 1),)
 
 
 def per_term_rep(poly, term_budget):
@@ -257,7 +275,8 @@ def test_stored_runs_are_the_exponent_list(a, c, k, shift):
     assert rep.a == a and rep.number == len(a)
     for again in (GotzmannRep(rep.a), GotzmannRep(list(a))):
         assert again == rep and hash(again) == hash(rep)
-    for clone in (copy.copy(rep), copy.deepcopy(rep), pickle.loads(pickle.dumps(rep))):
+    for clone in (copy.copy(rep), copy.deepcopy(rep), pickle.loads(pickle.dumps(rep)),
+                  eval(repr(rep), {"GotzmannRep": GotzmannRep})):
         assert clone == rep and hash(clone) == hash(rep)
     # the peel against the per-term oracle, on the polynomial of a and on a
     # perturbation of it, which may be inadmissible
