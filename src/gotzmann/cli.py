@@ -75,6 +75,21 @@ def _rep_arg(arg: str) -> GotzmannRep:
     return GotzmannRep(tuple(a))
 
 
+def _refuse_long_ints(payload: Any, name: str) -> None:
+    """Raises ValueError naming the first integer in ``payload`` with more
+    digits than this interpreter converts to text, and its digit count."""
+    if isinstance(payload, (dict, list)):
+        for key, value in payload.items() if isinstance(payload, dict) else enumerate(payload):
+            _refuse_long_ints(value, f"{name}[{key!r}]")
+    elif type(payload) is int and (limit := sys.get_int_max_str_digits()):
+        # 0.30102 < log10(2): the count starts at or below the digits' count
+        digits = (abs(payload).bit_length() - 1) * 30102 // 100000 + 1
+        while abs(payload) >= 10**digits:
+            digits += 1
+        if digits > limit:
+            raise ValueError(f"{name} has {digits} digits, more than the {limit} that are printed")
+
+
 def _emit(payload: Any, as_text: bool) -> None:
     if not as_text:
         print(json.dumps(payload, sort_keys=True))
@@ -255,9 +270,14 @@ def _check_regularity(args: argparse.Namespace) -> Any:
 
 
 def _check_sharpness(args: argparse.Namespace) -> Any:
+    from .numpoly import adjusted_gotzmann_rep
     from .theorems import check_sharpness
 
-    return check_sharpness(_poly_arg(args.poly), _shape_arg(args.module_shape), args.rank)
+    poly, shape = _poly_arg(args.poly), _shape_arg(args.module_shape)
+    # the report prints s: one too long to print is refused before the regularity work
+    rep = adjusted_gotzmann_rep(poly, shape.n, shape.degrees, args.rank)
+    _refuse_long_ints(rep.number, "the adjusted Gotzmann number s")
+    return check_sharpness(poly, shape, args.rank)
 
 
 def _check_gasharov(args: argparse.Namespace) -> Any:
@@ -408,7 +428,11 @@ def main(argv: list[str] | None = None) -> int:
 
             code = 1 if payload.verdict == VIOLATED else 0
             payload = payload.to_dict()
-        _emit(payload, as_text=args.text)
+        try:
+            _emit(payload, as_text=args.text)
+        except ValueError:  # an integer too long to print: say which
+            _refuse_long_ints(payload, f"the {args.command} result")
+            raise
         sys.stdout.flush()
     except BrokenPipeError:  # the reader closed stdout: the exit flush goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -13,14 +13,14 @@ from ._value import Value, tuples
 
 # Entries kept by each of the 7 lru_caches of the package.  The submodule
 # records of monomial_algebra._record are no cache: each lives on its
-# submodule, and its one value table (H, rho and the hyperplane value, keyed
-# by degree and slot) holds at most 3 * CACHE_ENTRIES values, besides its
-# sparse numerators (its own, and N_I - N_(I^sat) per unsaturated component
-# once a hyperplane value is read).  After sweep(500) the fullest caches hold
-# 888 (macaulay_transform) and 741 (green_transform) entries, 500 records
-# were built, one per instance, and the largest table held 28 values; after
-# one cold seed-1 600-op benchmark sweep pass, 997 and 833 entries, 600
-# records and 28 values.  Neither run evicts or empties anything.
+# submodule, and holds at most CACHE_ENTRIES rows, one per degree (H, rho
+# and the hyperplane value), besides its sparse numerators (its own, and
+# N_I - N_(I^sat) per unsaturated component once a hyperplane value is
+# read).  After sweep(500) the fullest caches hold 888 (macaulay_transform)
+# and 741 (green_transform) entries, 500 records were built, one per
+# instance, and the largest record held 12 rows; after one cold seed-1
+# 600-op benchmark sweep pass, 997 and 833 entries, 600 records and 12 rows.
+# Neither run evicts or empties anything.
 CACHE_ENTRIES = 8192
 
 

@@ -32,10 +32,10 @@ in closed form; the tests hold it to monomial counting and to the
 alternating sums of Betti numbers.  Every Hilbert value of a submodule is
 read through its one record (``_record``, kept on the submodule and freed
 with it): the sparse numerator of F/N, each component's pairs shifted by
-its f_i and never densified, and one value table, keyed by ints, for
-rho(d, r), which is H(F/N, d) at r = 0, and the hyperplane value (see
-``_Record``); only this module stores in it, and ``_rho`` is the one
-reader of H.  A sparse numerator is read two ways: ``_numerator_hf``
+its f_i and never densified, and one row per degree d holding H(F/N, d),
+rho(d) at the rank of F/N and the hyperplane value (see ``_Record``);
+only this module stores in it, and ``_row`` is the one place H is
+computed.  A sparse numerator is read two ways: ``_numerator_hf``
 evaluates H at a degree, and ``numpoly._binomial_sum`` builds the Hilbert
 polynomial.  ``hf_direct``, ``hilbert_polynomial``,
 ``adjusted_hf_decomposition``, ``stabilization_degree``, the checkers of
@@ -492,34 +492,34 @@ def _ideal_numerator(gens: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int]
 
 class _Record:
     """What the kernels know of one submodule N, kept in N's ``_hilbert``
-    slot: n, the degrees and the component ideals of N, but not N itself, so
-    reference counting frees the record together with N.
+    slot: n, the degrees, the rank and the component ideals of N, but not N
+    itself, so reference counting frees the record together with N.
 
     ``numerator`` is the Hilbert series numerator of F/N as a dict
     {exponent: coefficient}, nonzero only and in ascending order: each
     component's ``_ideal_numerator`` shifted by its f_i and summed, never
     densified.
 
-    ``values`` is the one memo table, keyed by d * stride + slot with
-    stride = m + 2: slot r <= m holds rho(d, r), which is H(F/N, d) at
-    r = 0, and slot m + 1 the hyperplane value at d; only this module stores
-    in it, through ``_store``.  ``kernels`` lists (f_i, I_i, the generators
-    of I_i^sat, N_(I_i) - N_(I_i^sat) as ascending (exponent, coefficient)
-    pairs) for the components with I_i^sat != I_i, read on the first
-    hyperplane value.  ``generation`` is the ``_generation`` it was built in.
+    ``rows`` is the one memo table: rows[d] = [H(F/N, d), rho(d) at the
+    rank of F/N, the hyperplane value at d], the last two None until first
+    read; only ``_row``, ``_rho`` and ``_hyperplane`` store in it.
+    ``kernels`` lists (f_i, I_i, the generators of I_i^sat,
+    N_(I_i) - N_(I_i^sat) as ascending (exponent, coefficient) pairs) for
+    the components with I_i^sat != I_i, read on the first hyperplane value.
+    ``generation`` is the ``_generation`` it was built in.
     """
 
-    __slots__ = ("generation", "n", "degrees", "components", "stride", "numerator", "values",
+    __slots__ = ("generation", "n", "degrees", "rank", "components", "numerator", "rows",
                  "kernels")
 
     def __init__(self, submodule: MonomialSubmodule, numerator: dict[int, int]):
         self.generation = _generation
         self.n = submodule.n
         self.degrees = submodule.degrees
+        self.rank = submodule._rank
         self.components = submodule.components
-        self.stride = len(submodule.degrees) + 2
         self.numerator = numerator
-        self.values: dict[int, int] = {}
+        self.rows: dict[int, list] = {}
         self.kernels: tuple | None = None
 
 
@@ -531,10 +531,10 @@ _generation = _reads = _builds = 0
 
 def _record(submodule: MonomialSubmodule) -> _Record:
     """The one record of a submodule, read from its ``_hilbert`` slot, or
-    built there with its sparse numerator and an empty value table.
+    built there with its sparse numerator and no rows.
 
-    Bounded memory: a record lives as long as its submodule, and ``_store``
-    keeps its value table at no more than 3 * ``CACHE_ENTRIES`` values.
+    Bounded memory: a record lives as long as its submodule, and ``_row``
+    keeps it at no more than ``CACHE_ENTRIES`` rows of three values.
     """
     global _reads, _builds
     record = getattr(submodule, "_hilbert", None)
@@ -562,22 +562,13 @@ def _clear_records() -> None:
 _record.cache_clear = _clear_records
 
 
-def _store(table: dict, key, value):
-    """table[key] = value in a record's memo table, emptied first when it
-    already holds 3 * ``CACHE_ENTRIES`` values; returns value."""
-    if len(table) >= 3 * CACHE_ENTRIES:
-        table.clear()
-    table[key] = value
-    return value
-
-
 def hf_direct(submodule: MonomialSubmodule, d: int) -> int:
     """H(F/N, d), read off the sparse Hilbert series numerator of F/N in the
     submodule's record, so no span of the numerator is ever densified.
 
     Exact at every degree, including below f_1, where it is 0.
     """
-    return _rho(_record(submodule), d, 0)
+    return _row(_record(submodule), d)[0]
 
 
 # hf_direct's memo is the record: its statistics count record reads as hits
@@ -654,8 +645,8 @@ def adjusted_hf_decomposition(submodule: MonomialSubmodule, d: int) -> tuple[int
     violation would be a bug, not bad input.
     """
     record = _record(submodule)
-    rho = _rho(record, d, rank(submodule))
-    return _rho(record, d, 0) - rho, rho
+    rho = _rho(record, d)
+    return _row(record, d)[0] - rho, rho
 
 
 def _dims(degrees: tuple[int, ...], d: int, n: int) -> int:
@@ -663,36 +654,47 @@ def _dims(degrees: tuple[int, ...], d: int, n: int) -> int:
     return sum(comb(d - f + n, n) for f in degrees if f <= d)
 
 
-def _rho(record: _Record, d: int, r: int) -> int:
-    """H(F/N, d) less the free part of the last r ambient degrees, stored in
-    slot r of the record's ``values``, with the window check of
-    ``adjusted_hf_decomposition``; at r = 0 it is H itself, read off the
-    sparse numerator, the one place where H is computed."""
-    key = d * record.stride + r
-    rho = record.values.get(key)
+def _row(record: _Record, d: int) -> list:
+    """The record's row at d, built with H(F/N, d), read off the sparse
+    numerator, the one place where H is computed; the rows are emptied
+    first when there are already ``CACHE_ENTRIES`` of them."""
+    row = record.rows.get(d)
+    if row is None:
+        rows = record.rows
+        if len(rows) >= CACHE_ENTRIES:
+            rows.clear()
+        h = _numerator_hf(record.numerator.items(), record.n, d)
+        row = rows[d] = [h, None if record.rank else h, None]
+    return row
+
+
+def _rho(record: _Record, d: int) -> int:
+    """H(F/N, d) less the free part of the last r ambient degrees, r the
+    rank of F/N, kept in the row at d, with the window check of
+    ``adjusted_hf_decomposition``; at r = 0 it is H itself."""
+    row = _row(record, d)
+    rho = row[1]
     if rho is None:
-        if not r:
-            return _store(record.values, key, _numerator_hf(record.numerator.items(), record.n, d))
-        n, degrees = record.n, record.degrees
+        n, degrees, r = record.n, record.degrees, record.rank
         m = len(degrees)
-        rho = _rho(record, d, 0) - _dims(degrees[m - r :], d, n)
+        rho = row[0] - _dims(degrees[m - r :], d, n)
         window = _dims(degrees[: m - r], d, n)
         if not 0 <= rho <= window:
             raise InvariantViolated(
                 f"rho = {rho} escapes [0, {window}] at degree {d} for components "
                 f"{record.components} in degrees {degrees}"
             )
-        _store(record.values, key, rho)
+        row[1] = rho
     return rho
 
 
 def _hyperplane(record: _Record, d: int) -> int:
-    """generic_hyperplane_hf, stored in slot m + 1 of the record's ``values``:
-    one ``_section_dim`` per (submodule, d), whichever checkers ask."""
-    key = d * record.stride + record.stride - 1
-    value = record.values.get(key)
+    """generic_hyperplane_hf, kept in the row at d: one ``_section_dim``
+    per (submodule, d), whichever checkers ask."""
+    row = _row(record, d)
+    value = row[2]
     if value is None:
-        value = _store(record.values, key, _section_dim(record, d))
+        value = row[2] = _section_dim(record, d)
     return value
 
 
@@ -713,7 +715,7 @@ def _section_dim(record: _Record, d: int) -> int:
     """
     if record.n < 1:
         raise PreconditionViolated("hyperplane restriction needs n >= 1")
-    value = _rho(record, d, 0) - _rho(record, d - 1, 0)
+    value = _row(record, d)[0] - _row(record, d - 1)[0]
     kernels = record.kernels
     if kernels is None:
         kernels = record.kernels = tuple(

@@ -19,21 +19,24 @@ d - l - p.
 Every value a checker reads is a function of H(M, d), rho and the generic
 hyperplane restriction, all read through the submodule's one record
 (``monomial_algebra._record``, kept on the submodule and freed with it): a
-checker looks the record up once, and the kernels read H and the
-hyperplane value by d and rho by (d, r) through ``monomial_algebra``,
-which alone stores them; the bounds are recomputed from those with the
-cached transforms.  So the checkers of one submodule share each value, each
-(submodule, d) is restricted once, and ``sweep`` yields exactly what the
-public checkers return.  Each record's memory is bounded as ``_record``
-states.
+checker looks the record up once, and the kernels read the three from the
+record's row at each degree through ``monomial_algebra``, which alone
+stores them; the free parts are differences of H and rho, and the bounds
+are recomputed from those with the cached transforms.  So the checkers of
+one submodule share each value, each (submodule, d) is restricted once, and
+``sweep`` yields exactly what the public checkers return.  Each record's
+memory is bounded as ``_record`` states.
 
-A module checker's report keeps its submodule and builds ``instance``, the
-``module_to_dict`` form, on first read: a sweep reads few of them.
+A report is a tuple of its seven fields and, for a module checker, its
+submodule, from which it builds ``instance``, the ``module_to_dict`` form,
+on first read: a sweep reads few of them.
 """
 from __future__ import annotations
 
 import json
 import random
+from functools import cached_property
+from operator import itemgetter
 from typing import Iterator
 
 from ._value import Value
@@ -45,11 +48,11 @@ from .monomial_algebra import (
     MonomialIdeal,
     MonomialSubmodule,
     _Record,
-    _dims,
     _hyperplane,
     _minimal,
     _record,
     _rho,
+    _row,
     hilbert_polynomial,
     module_to_dict,
     rank,
@@ -69,58 +72,50 @@ GASHAROV_MACAULAY = "gasharov_macaulay"
 GASHAROV_GREEN = "gasharov_green"
 
 
-class CheckReport(Value):
+class CheckReport(Value, tuple):
+    """The tuple (name, instance, premises_hold, bound_lhs, bound_rhs,
+    verdict, context, submodule): a module checker's report holds None for
+    its instance and the submodule it builds the instance from on the first
+    read, any other report its instance and None."""
+
     _fields = (
         "name", "instance", "premises_hold", "bound_lhs", "bound_rhs", "verdict", "context"
     )
-    # _submodule: what a module checker's report builds its instance from
-    __slots__ = _fields + ("_submodule",)
+    # no __slots__: a tuple subclass may add only __dict__, which keeps the
+    # instance once built
+    name = property(itemgetter(0))
+    premises_hold = property(itemgetter(2))
+    bound_lhs = property(itemgetter(3))
+    bound_rhs = property(itemgetter(4))
+    verdict = property(itemgetter(5))
+    context = property(itemgetter(6))
+    _submodule = property(itemgetter(7))
 
-    def __init__(
-        self,
-        name: str,
-        instance: dict,
-        premises_hold: bool,
-        bound_lhs: int | None,
-        bound_rhs: int | None,
-        verdict: str,
-        context: dict | None = None,
-    ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "instance", instance)
-        object.__setattr__(self, "premises_hold", premises_hold)
-        object.__setattr__(self, "bound_lhs", bound_lhs)
-        object.__setattr__(self, "bound_rhs", bound_rhs)
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "context", {} if context is None else context)
+    def __new__(cls, name: str, instance: dict, premises_hold: bool, bound_lhs: int | None,
+                bound_rhs: int | None, verdict: str, context: dict | None = None):
+        context = {} if context is None else context
+        items = (name, instance, premises_hold, bound_lhs, bound_rhs, verdict, context, None)
+        return tuple.__new__(cls, items)
 
-    def __getattr__(self, name: str):
-        # reached only while a slot is empty: the instance of a module
-        # checker's report, until its first read builds it
-        if name != "instance":
-            raise AttributeError(name)
-        instance = module_to_dict(self._submodule)
-        object.__setattr__(self, "instance", instance)
-        return instance
+    @cached_property
+    def instance(self) -> dict:
+        return module_to_dict(self[7]) if self[1] is None else self[1]
+
+    # equal only to a report of equal fields, never to a plain tuple
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self._get(self) == self._get(other)
+
+    __ne__ = object.__ne__
+
+    # object.__new__ refuses a tuple subclass; a built instance is copied along
+    def __reduce__(self):
+        return tuple.__new__, (self.__class__, tuple(self)), self.__dict__ or None
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in self._fields}
 
     def to_json_line(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-
-# CheckReport's slot setters: _module_report fills a fresh report's slots
-# directly, past Value's refusing __setattr__ and without running __init__
-(
-    _set_name, _set_premises_hold, _set_bound_lhs, _set_bound_rhs, _set_verdict,
-    _set_context, _set_submodule,
-) = (
-    CheckReport.__dict__[slot].__set__
-    for slot in (
-        "name", "premises_hold", "bound_lhs", "bound_rhs", "verdict", "context", "_submodule"
-    )
-)
 
 
 def _module_report(
@@ -134,15 +129,10 @@ def _module_report(
 ) -> CheckReport:
     """A report whose instance, module_to_dict(submodule), is built on first
     read, as a sweep reads the instances of few of its reports."""
-    report = object.__new__(CheckReport)
-    _set_name(report, name)
-    _set_premises_hold(report, premises_hold)
-    _set_bound_lhs(report, bound_lhs)
-    _set_bound_rhs(report, bound_rhs)
-    _set_verdict(report, verdict)
-    _set_context(report, context)
-    _set_submodule(report, submodule)
-    return report
+    return tuple.__new__(
+        CheckReport,
+        (name, None, premises_hold, bound_lhs, bound_rhs, verdict, context, submodule),
+    )
 
 
 def _compare(lhs: int, rhs: int) -> str:
@@ -163,22 +153,27 @@ def _f_low(degrees: tuple[int, ...], r: int) -> int:
 
 def _growth(record: _Record, d: int, r: int, index: int) -> tuple[int, int]:
     """H(M, d+1) and its bound: the free part of the last r ambient degrees
-    at d + 1 plus rho^<index>, from the record's H and rho and the cached
-    transform."""
+    at d + 1, which is H - rho there, plus rho^<index>, from the record's
+    rows and the cached transform; r is 0 or the rank of M."""
     _require_index(d, index)
-    n, degrees = record.n, record.degrees
-    free = _dims(degrees[len(degrees) - r :], d + 1, n) if r else 0
-    bound = free + macaulay_transform(_rho(record, d, r), index)
-    return _rho(record, d + 1, 0), bound
+    h = _row(record, d + 1)[0]
+    if not r:
+        return h, macaulay_transform(_row(record, d)[0], index)
+    return h, h - _rho(record, d + 1) + macaulay_transform(_rho(record, d), index)
 
 
 def _restriction(record: _Record, d: int, r: int, index: int) -> tuple[int, int]:
     """The generic hyperplane value dim (M/hM)_d and its bound: the free part
-    of the last r ambient degrees in n - 1 variables plus rho_<index>."""
+    of the last r ambient degrees in n - 1 variables plus rho_<index>; r is
+    0 or the rank of M.  By Pascal's rule that free part is the first
+    difference (H - rho)(d) - (H - rho)(d - 1) of the free part in n
+    variables, also for the degrees f > d, where both sides are 0."""
     _require_index(d, index)
-    n, degrees = record.n, record.degrees
-    free = _dims(degrees[len(degrees) - r :], d, n - 1) if r else 0
-    return _hyperplane(record, d), free + green_transform(_rho(record, d, r), index)
+    if not r:
+        return _hyperplane(record, d), green_transform(_row(record, d)[0], index)
+    rho = _rho(record, d)
+    free = _row(record, d)[0] - rho - _row(record, d - 1)[0] + _rho(record, d - 1)
+    return _hyperplane(record, d), free + green_transform(rho, index)
 
 
 def _require_index(d: int, index: int) -> None:
@@ -192,14 +187,9 @@ def check_macaulay_adjusted(submodule: MonomialSubmodule, d: int) -> CheckReport
     r = rank(submodule)
     f_low = _f_low(submodule.degrees, r)
     lhs, rhs = _growth(record, d, r, d - f_low)
-    return _module_report(
-        submodule,
-        name="macaulay_adjusted",
-        bound_lhs=lhs,
-        bound_rhs=rhs,
-        verdict=_compare(lhs, rhs),
-        context={"d": d, "rho": _rho(record, d, r), "f_low": f_low, "rank": r},
-    )
+    context = {"d": d, "rho": _rho(record, d), "f_low": f_low, "rank": r}
+    return _module_report(submodule, name="macaulay_adjusted", bound_lhs=lhs, bound_rhs=rhs,
+                          verdict=_compare(lhs, rhs), context=context)
 
 
 def check_green_adjusted(submodule: MonomialSubmodule, d: int) -> CheckReport:
@@ -210,14 +200,9 @@ def check_green_adjusted(submodule: MonomialSubmodule, d: int) -> CheckReport:
     r = rank(submodule)
     f_low = _f_low(submodule.degrees, r)
     lhs, rhs = _restriction(record, d, r, d - f_low)
-    return _module_report(
-        submodule,
-        name="green_adjusted",
-        bound_lhs=lhs,
-        bound_rhs=rhs,
-        verdict=_compare(lhs, rhs),
-        context={"d": d, "rho": _rho(record, d, r), "f_low": f_low},
-    )
+    context = {"d": d, "rho": _rho(record, d), "f_low": f_low}
+    return _module_report(submodule, name="green_adjusted", bound_lhs=lhs, bound_rhs=rhs,
+                          verdict=_compare(lhs, rhs), context=context)
 
 
 def check_gasharov(
@@ -237,14 +222,9 @@ def check_gasharov(
     index = d - l - p
     macaulay = which == "macaulay"
     lhs, rhs = (_growth if macaulay else _restriction)(_record(submodule), d, 0, index)
-    return _module_report(
-        submodule,
-        name=GASHAROV_MACAULAY if macaulay else GASHAROV_GREEN,
-        bound_lhs=lhs,
-        bound_rhs=rhs,
-        verdict=_compare(lhs, rhs),
-        context={"d": d, "p": p, "l": l, "index": index},
-    )
+    return _module_report(submodule, name=GASHAROV_MACAULAY if macaulay else GASHAROV_GREEN,
+                          bound_lhs=lhs, bound_rhs=rhs, verdict=_compare(lhs, rhs),
+                          context={"d": d, "p": p, "l": l, "index": index})
 
 
 def check_persistence_adjusted(submodule: MonomialSubmodule, d: int) -> CheckReport:
@@ -286,15 +266,8 @@ def check_persistence_adjusted(submodule: MonomialSubmodule, d: int) -> CheckRep
             if lhs != rhs:
                 verdict, context["failed_at"] = VIOLATED, e
                 break
-    return _module_report(
-        submodule,
-        name="persistence_adjusted",
-        premises_hold=premises_hold,
-        bound_lhs=lhs,
-        bound_rhs=rhs,
-        verdict=verdict,
-        context=context,
-    )
+    return _module_report(submodule, name="persistence_adjusted", premises_hold=premises_hold,
+                          bound_lhs=lhs, bound_rhs=rhs, verdict=verdict, context=context)
 
 
 def check_gotzmann_regularity_adjusted(submodule: MonomialSubmodule) -> CheckReport:
@@ -316,14 +289,8 @@ def check_gotzmann_regularity_adjusted(submodule: MonomialSubmodule) -> CheckRep
     else:
         lhs = regularity(saturated, as_quotient=False)
         verdict = _compare(lhs, rhs)
-    return _module_report(
-        submodule,
-        name="gotzmann_regularity_adjusted",
-        bound_lhs=lhs,
-        bound_rhs=rhs,
-        verdict=verdict,
-        context=context,
-    )
+    return _module_report(submodule, name="gotzmann_regularity_adjusted", bound_lhs=lhs,
+                          bound_rhs=rhs, verdict=verdict, context=context)
 
 
 def check_sharpness(poly: NumPoly, ambient: GradedFreeModule, r: int) -> CheckReport:

@@ -590,6 +590,45 @@ def test_runs_that_square_in_length_are_refused_in_one_line(capsys):
     assert time.perf_counter() - start < 10
 
 
+def test_numbers_too_long_to_print_are_refused_in_one_line(capsys, monkeypatch):
+    # P = 10 C(d + 16, 16) passes the peel's size guard, and its Gotzmann
+    # number has 46,383 digits, more than the interpreter converts to text:
+    # the refusal names the number and its digit count, and check sharpness
+    # refuses before any of the checker's regularity work
+    limit = sys.get_int_max_str_digits()
+    if not limit or limit >= 46383:
+        pytest.skip("this interpreter prints integers of 46,383 digits")
+    p = json.dumps({"terms": [{"a": 16, "shift": 16, "mult": 10}]})
+    s = numpoly.gotzmann_number(numpoly.poly_from_dict(json.loads(p)))
+    assert 10**46382 <= s < 10**46383
+    digits = f"has 46383 digits, more than the {limit} that are printed\n"
+    for argv in (["gotzmann-number", "--poly", p], ["gotzmann-number", "--text", "--poly", p]):
+        assert run_cli(capsys, argv) == (2, "", "error: the gotzmann-number result " + digits)
+    shape = '{"n": 17, "degrees": [0]}'
+    argv = ["quot-dims", "--poly", p, "--module-shape", shape, "--rank", "0"]
+    assert run_cli(capsys, argv) == (2, "", "error: the quot-dims result['s'] " + digits)
+    checked = []
+    monkeypatch.setattr(theorems, "check_sharpness", lambda *args: checked.append(args))
+    argv = ["check", "sharpness", "--poly", p, "--module-shape", shape, "--rank", "0"]
+    assert run_cli(capsys, argv) == (2, "", "error: the adjusted Gotzmann number s " + digits)
+    assert not checked
+
+
+def test_refused_numbers_are_named_with_their_digit_count():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter prints integers of any length")
+    for k in (limit, limit + 1, limit + 700):
+        for value in (10**k - 1, 10**k, 10**k + 1, -(10**k), 1 << int(k * 3.33)):
+            if abs(value) < 10**limit:
+                cli._refuse_long_ints(value, "v")  # printable: nothing to refuse
+                continue
+            # v has `limit` digits more than v // 10**limit, which prints
+            count = limit + len(str(abs(value) // 10**limit))
+            with pytest.raises(ValueError, match=f"^v has {count} digits, more than the {limit} "):
+                cli._refuse_long_ints(value, "v")
+
+
 def one_component(component):
     return f'{{"n": 1, "degrees": [0], "components": [{component}]}}'
 

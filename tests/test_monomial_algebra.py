@@ -630,7 +630,7 @@ def test_hyperplane_kernel_enumerates_no_monomials():
 
 def test_numerator_reads_store_no_values(twisted_plane_pair):
     # the series, the polynomial and the stabilization degree read only the
-    # numerator: the record's one value table stays empty, no kernel is read
+    # numerator: the record has no rows, and no kernel is read
     monomial_algebra._record.cache_clear()
     sub = module(2, (0,), [ideal(2, "x2", "x1^2", "x0*x1")])
     for s in (sub, twisted_plane_pair):
@@ -638,37 +638,44 @@ def test_numerator_reads_store_no_values(twisted_plane_pair):
             read(s)
         record = monomial_algebra._record(s)
         tables = [slot for slot in record.__slots__ if isinstance(getattr(record, slot), dict)]
-        assert tables == ["numerator", "values"]
-        assert record.values == {}
+        assert tables == ["numerator", "rows"]
+        assert record.rows == {}
         assert record.kernels is None
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.randoms(use_true_random=False))
-# seed 8 is free of rank m = 2, so rho(d, m) is read beside the hyperplane;
-# seed 3 has an unsaturated component and rank 1 of 3
+# seed 8 is free of rank m = 2, so rho at the rank is read beside the
+# hyperplane; seed 3 has an unsaturated component and rank 1 of 3
 @example(8, random.Random(0))
 @example(3, random.Random(0))
 def test_record_values_do_not_collide(seed, rng):
-    # H, every rho(d, r) with r <= rank and the hyperplane value, for d in
-    # [-3, 8], read into one record in shuffled order, against each read
-    # alone from a fresh record: a shared key would answer one with another
+    # H, rho at the rank and the hyperplane value, for d in [-3, 8], read
+    # into one record in shuffled order, against each read alone from a
+    # fresh record: the row at d holds the three, so a read that landed in
+    # another slot or another degree's row would answer one with another
     sub = random_submodule(seed)
-    reads = [(d, r) for d in range(-3, 9) for r in [*range(rank(sub) + 1), "hyperplane"]]
+    slots = ("H", "rho", "hyperplane")
+    reads = [(d, slot) for d in range(-3, 9) for slot in range(3)]
     rng.shuffle(reads)
 
     def fresh(sub):
         # an equal new submodule has no record yet, so reading one builds it
         return monomial_algebra._record(MonomialSubmodule(sub.ambient, sub.components))
 
-    def read(record, d, r):
-        if r == "hyperplane":
+    def read(record, d, slot):
+        if slots[slot] == "hyperplane":
             return monomial_algebra._hyperplane(record, d)
-        return monomial_algebra._rho(record, d, r)
+        if slots[slot] == "rho":
+            return monomial_algebra._rho(record, d)
+        return monomial_algebra._row(record, d)[0]
 
     record = fresh(sub)
-    assert [read(record, d, r) for d, r in reads] == [read(fresh(sub), d, r) for d, r in reads]
-    assert len(record.values) == len(reads) + 1  # and H(-4), read by the hyperplane at -3
+    values = [read(record, d, slot) for d, slot in reads]
+    assert values == [read(fresh(sub), d, slot) for d, slot in reads]
+    assert [record.rows[d][slot] for d, slot in reads] == values
+    assert sorted(record.rows) == list(range(-4, 9))  # and H(-4), read by the hyperplane at -3
+    assert record.rows[-4][0] == hf_direct(sub, -4) and record.rows[-4][2] is None
 
 
 class _Referable(MonomialSubmodule):
@@ -703,12 +710,12 @@ def test_a_cleared_record_is_rebuilt_on_its_next_read():
     monomial_algebra._record.cache_clear()
     first = monomial_algebra._record(sub)
     hf_direct(sub, 2)
-    assert monomial_algebra._record(sub) is first and first.values
+    assert monomial_algebra._record(sub) is first and first.rows
     assert hf_direct.cache_info()[:2] == (2, 1)
     monomial_algebra._record.cache_clear()
     assert hf_direct.cache_info()[:2] == (0, 0)
     second = monomial_algebra._record(sub)
-    assert second is not first and not second.values
+    assert second is not first and not second.rows
     assert monomial_algebra._record(sub) is second
     assert hf_direct.cache_info()[:2] == (1, 1)
 
@@ -725,10 +732,10 @@ def test_copies_carry_no_record():
 
 def test_rho_window_check_refuses_a_wrong_numerator():
     # a record whose numerator is not that of its submodule: H = 0 leaves
-    # rho(0, 1) = 0 - 1 below 0
+    # rho(0) = 0 - 1 below 0 at rank 1
     two = module(1, (0, 0), [ideal(1, "x0"), "zero"])
     with pytest.raises(InvariantViolated, match=r"rho = -1 escapes \[0, 1\] at degree 0"):
-        monomial_algebra._rho(monomial_algebra._Record(two, {}), 0, 1)
+        monomial_algebra._rho(monomial_algebra._Record(two, {}), 0)
 
 
 _SECTION_CASES = st.integers(1, 3).flatmap(

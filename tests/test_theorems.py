@@ -6,8 +6,10 @@ import pickle
 from operator import attrgetter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gotzmann.combinatorics import macaulay_transform
+from gotzmann.combinatorics import green_transform, macaulay_transform
 from gotzmann.errors import BudgetExceeded, PreconditionViolated
 from gotzmann.monomial_algebra import (
     GradedFreeModule,
@@ -384,26 +386,66 @@ def test_sweep_restricts_each_submodule_and_degree_once(monkeypatch):
 
 
 def test_records_hold_at_most_three_cache_bounds_of_values():
-    # one submodule read by hf_direct at 3 * CACHE_ENTRIES + 100 degrees,
-    # then by the Green checker at 3/2 CACHE_ENTRIES others (H, rho and the
-    # hyperplane value each): its one record's table is emptied before it
-    # would pass 3 * CACHE_ENTRIES values, once in each run, and every value
-    # stays right across that
-    bound = 3 * monomial_algebra.CACHE_ENTRIES
+    # one submodule read by hf_direct at CACHE_ENTRIES + 100 degrees, then
+    # by the Green checker at CACHE_ENTRIES others (the rows at d and d - 1
+    # each): its one record is emptied before it would pass CACHE_ENTRIES
+    # rows of three values, once in each run, and every value stays right
+    # across that
+    bound = monomial_algebra.CACHE_ENTRIES
     # rank 1: H(S/I) = 1, 2, 1, 1, ... for I = (x0^2, x0*x1), plus d + 1
     sub = module(1, (0, 0), [ideal(1, "x0^2", "x0*x1"), "zero"])
     record = monomial_algebra._record(sub)
     sizes = []
     for d in range(1, bound + 101):
         assert hf_direct(sub, d) == d + (3 if d == 1 else 2)
-        sizes.append(len(record.values))
-    for d in range(2 * bound, 2 * bound + bound // 2):
+        sizes.append(len(record.rows))
+    for d in range(2 * bound, 3 * bound):
         report = check_green_adjusted(sub, d)
         assert (report.bound_lhs, report.context["rho"]) == (1, 1)
-        sizes.append(len(record.values))
+        sizes.append(len(record.rows))
     assert monomial_algebra._record(sub) is record  # the same record throughout
     assert max(sizes) == bound
+    assert all(len(row) == 3 for row in record.rows.values())
     assert sum(1 for a, b in zip(sizes, sizes[1:]) if b < a) == 2
+
+
+@st.composite
+def _ranked_submodules(draw):
+    """A submodule in n + 1 variables, 1 <= n <= 3, with r of its m <= 3
+    components zero, r in {0, 1, m}, and the others nonzero."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    degrees = tuple(sorted(draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m))))
+    r = draw(st.sampled_from(sorted({0, 1, m})))
+    zero = draw(st.permutations(range(m)))[:r]
+    exponents = st.tuples(*[st.integers(0, 3)] * (n + 1))
+    components = [
+        MonomialIdeal.zero(n) if i in zero
+        else MonomialIdeal._of_minimal(n, monomial_algebra._minimal(
+            draw(st.lists(exponents, min_size=1, max_size=4))))
+        for i in range(m)
+    ]
+    return MonomialSubmodule(GradedFreeModule(n, degrees), tuple(components))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ranked_submodules())
+def test_free_parts_read_off_the_rows_are_the_free_dimensions(sub):
+    # _growth reads the free part of the last r ambient degrees at d + 1 as
+    # H - rho, and _restriction the one in n - 1 variables at d as
+    # (H - rho)(d) - (H - rho)(d - 1); both against _dims, from below f_1 on
+    n, degrees, r = sub.n, sub.degrees, rank(sub)
+    last = degrees[len(degrees) - r :]
+    record = monomial_algebra._record(sub)
+    for d in range(degrees[0] - 3, degrees[-1] + 5):
+        rho = monomial_algebra._rho(record, d)
+        for index in (1, 2):
+            _, bound = theorems._growth(record, d, r, index)
+            assert bound - macaulay_transform(rho, index) == monomial_algebra._dims(last, d + 1, n)
+            _, bound = theorems._restriction(record, d, r, index)
+            assert bound - green_transform(rho, index) == monomial_algebra._dims(last, d, n - 1)
+        # the classical kernels, r = 0, add no free part to the transform of H
+        assert theorems._growth(record, d, 0, 1)[1] == macaulay_transform(hf_direct(sub, d), 1)
 
 
 def test_hf_direct_cache_info_counts_record_reads_and_builds():
@@ -513,6 +555,14 @@ def test_reports_on_one_submodule_do_not_share_an_instance(two_free_lines):
     first.instance["components"].clear()
     for rep in others:
         assert rep.instance == module_to_dict(two_free_lines), rep.name
+
+
+def test_a_report_never_equals_a_plain_tuple_of_its_items(two_free_lines):
+    built = CheckReport("c", {"d": 1}, True, 1, None, "holds", {"k": 0})
+    for rep in module_reports(two_free_lines) + [built]:
+        for items in (tuple(rep), attrgetter(*rep._fields)(rep)):
+            assert rep != items and items != rep
+            assert not rep == items and not items == rep
 
 
 def test_unread_instance_survives_copy_and_pickle(twisted_plane_pair):
