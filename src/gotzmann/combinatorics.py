@@ -68,31 +68,61 @@ class MacaulayRep(Value):
 
 
 def macaulay_rep(a: int, d: int) -> MacaulayRep:
-    """Greedy d-th Macaulay representation of a >= 0."""
-    return MacaulayRep(d, _macaulay_terms(a, d))
+    """Greedy d-th Macaulay representation of a >= 0, its term list read
+    off the runs of ``_macaulay_runs``."""
+    return MacaulayRep(
+        d, tuple((j + c, j) for c, hi, lo in _macaulay_runs(a, d) for j in range(hi, lo - 1, -1))
+    )
 
 
-def _macaulay_terms(a: int, d: int) -> tuple[tuple[int, int], ...]:
-    """The terms (k_j, j) of the d-th Macaulay representation of a >= 0.
+def _macaulay_runs(a: int, d: int) -> list[tuple[int, int, int]]:
+    """The d-th Macaulay representation of a >= 0 as runs (c, hi, lo) of
+    equal c_j = k_j - j: the terms C(j + c, j) for j = hi down to lo.
 
-    Each step takes the largest k with C(k, j) <= remainder; the classical
-    argument shows the indices strictly decrease and the remainder hits zero
-    at index >= 1, so the loop below always terminates with a valid rep.
-    The transforms read the terms from here, past the checks of MacaulayRep.
+    k_j > k_(j-1) gives c_j >= c_(j-1), so the runs come in strictly
+    decreasing c, the first from hi = d, each next one from the last one's
+    lo - 1.  A run's first term is the greedy one, C(k, hi) with k the
+    largest upper index that fits the remainder.  The greedy keeps c at
+    every later j whose partial sum still fits, and terms j - 1 down to l
+    sum to C(j + c, c + 1) - C(l + c, c + 1) (hockey stick), which grows as
+    l falls, so a run that goes on ends at the least l whose sum fits: a
+    gallop down, then a bisection, in O(log(hi - lo + 1)) binomials.  So a
+    representation of any length costs O(log d) binomials per run, and
+    there are at most c_d + 1 runs.
     """
     if a < 0:
         raise ValueError(f"a must be nonnegative, got {a}")
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
-    terms: list[tuple[int, int]] = []
-    rem = a
-    j = d
-    while rem > 0:
-        k = _largest_upper_index(rem, j)
-        terms.append((k, j))
-        rem -= comb(k, j)
-        j -= 1
-    return tuple(terms)
+    runs: list[tuple[int, int, int]] = []
+    rem, hi = a, d
+    while rem:
+        c = _largest_upper_index(rem, hi) - hi
+        rem -= comb(hi + c, c)
+        lo = hi
+        if rem and lo > 1 and comb(lo - 1 + c, c) <= rem:
+            # the run goes on: it ends at the least l with C(l + c, c + 1) >=
+            # need, so that the terms from lo - 1 down to l fit the remainder;
+            # l = lo - 1 passes and l = 0 gives 0 < need
+            need = comb(lo + c, c + 1) - rem
+            good, bad, step = lo - 1, 0, 1
+            while good - step > bad:
+                if comb(good - step + c, c + 1) < need:
+                    bad = good - step
+                    break
+                good -= step
+                step *= 2
+            while good - bad > 1:
+                mid = (good + bad) // 2
+                if comb(mid + c, c + 1) >= need:
+                    good = mid
+                else:
+                    bad = mid
+            rem = comb(good + c, c + 1) - need
+            lo = good
+        runs.append((c, hi, lo))
+        hi = lo - 1
+    return runs
 
 
 def _largest_upper_index(b: int, j: int) -> int:
@@ -140,14 +170,21 @@ def _iroot(x: int, j: int) -> int:
 # kept, as a representation can run to millions of terms
 @lru_cache(maxsize=CACHE_ENTRIES)
 def macaulay_transform(a: int, d: int) -> int:
-    """a^<d>: bump every C(k_j, j) in the d-th representation to C(k_j + 1, j + 1)."""
-    return sum(comb(k + 1, j + 1) for k, j in _macaulay_terms(a, d))
+    """a^<d>: bump every C(k_j, j) in the d-th representation to C(k_j + 1, j + 1).
+
+    Read off the runs: the run (c, hi, lo) bumps to the terms C(j + c, j)
+    for j = hi + 1 down to lo + 1, C(hi + c + 2, hi + 1) - C(lo + c + 1, c + 1).
+    """
+    return sum(comb(hi + c + 2, hi + 1) - comb(lo + c + 1, c + 1)
+               for c, hi, lo in _macaulay_runs(a, d))
 
 
 @lru_cache(maxsize=CACHE_ENTRIES)
 def green_transform(a: int, d: int) -> int:
     """a_<d>: lower every C(k_j, j) in the d-th representation to C(k_j - 1, j).
 
-    Terms with k_j = j drop to zero, as comb(j - 1, j) = 0.
+    Read off the runs: the run (c, hi, lo) lowers to the terms C(j + c - 1, j),
+    C(hi + c, hi) - C(lo + c - 1, c), which is 0 for c = 0, as
+    C(j - 1, j) = 0.
     """
-    return sum(comb(k - 1, j) for k, j in _macaulay_terms(a, d))
+    return sum(comb(hi + c, hi) - comb(lo + c - 1, c) for c, hi, lo in _macaulay_runs(a, d))

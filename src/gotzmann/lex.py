@@ -10,6 +10,7 @@ zeros).
 from __future__ import annotations
 
 from itertools import groupby
+from math import comb
 
 from .combinatorics import binomial, macaulay_transform
 from .errors import BudgetExceeded, InvariantViolated, NotAchievable, NotAdmissible
@@ -24,13 +25,13 @@ from .monomial_algebra import (
     _minimal,
     _monomial,
     _numerator_hf,
-    hilbert_polynomial,
 )
 from .numpoly import (
     TERM_BUDGET,
     AdjustedGotzmannRep,
     GotzmannRep,
     NumPoly,
+    _binomial_sum,
     adjusted_gotzmann_rep,
     gotzmann_rep,
 )
@@ -123,14 +124,28 @@ def lexify(
     the two are equal and no later degree adds a generator.  The module
     built by the first such run of n + 1 degrees is returned.
 
-    The new generators of a component in one degree are a run of
-    consecutive ranks, read off by ``_lex_run`` as exponent tuples; no
-    ``Monomial`` is built.  A tail that is not integer-valued is refused up
-    front: the loop returns only after reading the tail at n + 1
-    consecutive degrees, and a polynomial of degree at most n that is an
-    integer at n + 1 consecutive integers is integer-valued, so such a tail
-    could only end in NotAchievable.  Tail values are read as ints off its
-    binomial-basis coordinates.
+    An initial segment of F_d under the position-dominant order is a run
+    of full components, one partial lex piece, then nothing, so the loop
+    keeps the segment as its state alone: the number of full components,
+    each with a nonzero piece, and the fill and piece of the next one in the
+    previous degree.  A component below its degree has a piece of 0, holds
+    nothing and spans nothing.  The pieces are binomials; the span of the
+    previous segment is the full pieces plus the growth of the partial one,
+    its piece less the cached ``macaulay_transform`` of its codimension
+    (read off the representation's runs, so a transform at internal degree
+    D costs O(log D) binomials per run, and a partial piece has at most n
+    runs).  The new generators are the positions from the span to the end
+    of the new segment; those of one component are a run of consecutive
+    ranks, read off by ``_lex_run`` as exponent tuples, and no ``Monomial``
+    is built.
+
+    A tail that is not integer-valued is refused up front: the loop returns
+    only after reading the tail at n + 1 consecutive degrees, and a
+    polynomial of degree at most n that is an integer at n + 1 consecutive
+    integers is integer-valued, so such a tail could only end in
+    NotAchievable.  Tail values are ints: its backward differences at the
+    last table degree are read off its binomial-basis coordinates once, and
+    each later degree updates them, one addition per order.
 
     Persistence is the only stop rule the loop needs.  While no check fails,
     each segment contains the span of the previous one, so the segments
@@ -168,57 +183,64 @@ def lexify(
     if not tail.is_integer_valued():
         raise NotAchievable(f"tail {tail} is not an integer-valued polynomial")
     degrees = ambient.degrees
-    new_gens: list[list[tuple[int, ...]]] = [[] for _ in degrees]
-    # an initial segment of F_d under the position-dominant order is a run of
-    # full components, one partial lex piece, then nothing, so per-component
-    # counts determine it completely; spans and containment reduce to counts
-    prev_fill = [0] * ambient.m
-    prev_pieces = [binomial(f1 - 1 - f + n, n) for f in degrees]
+    m = ambient.m
     start = max(last_tabulated, fm)
     if start + n + 1 - f1 >= TERM_BUDGET:
         raise BudgetExceeded(
             f"lexify returns at degree {start + n + 1} at the earliest, "
             f"{TERM_BUDGET} or more degrees past f1 = {f1}"
         )
+    # the tail's backward differences at the last table degree; each later
+    # degree updates them top down, one addition per order, and reads order 0
+    nabla = tail._int_differences(last_tabulated) or [0]
+    new_gens: list[list[tuple[int, ...]]] = [[] for _ in degrees]
+    # the segment of the previous degree: its first `full` components full,
+    # `fill` of the `piece` monomials of the next one, nothing after; only
+    # components with f <= d are live, so a full one has a nonzero piece
+    live = full = fill = piece = 0
     quiet = 0  # consecutive degrees past start that added no generator
     for d in range(f1, f1 + TERM_BUDGET):
-        pieces = [binomial(d - f + n, n) for f in degrees]
+        while live < m and degrees[live] <= d:
+            live += 1
+        pieces = [comb(d - f + n, n) for f in degrees[:live]]
         dim_d = sum(pieces)
-        h = values[d] if d in values else tail._int_value(d)
+        if d <= last_tabulated:
+            h = values[d]
+        else:
+            for i in range(len(nabla) - 2, -1, -1):
+                nabla[i] += nabla[i + 1]
+            h = nabla[0]
         if h < 0 or h > dim_d:
             raise NotAchievable(
                 f"H({d}) = {h} outside [0, dim F_{d} = {dim_d}]"
             )
         seg = dim_d - h
         # span of the previous segment: a full piece spans the full next
-        # piece, a partial lex piece grows at the extremal Macaulay rate
-        span_size = 0
-        for c, f in enumerate(degrees):
-            filled, full = prev_fill[c], prev_pieces[c]
-            if filled == 0:
-                continue
-            if filled == full:
-                span_size += pieces[c]
-            else:
-                span_size += pieces[c] - macaulay_transform(full - filled, d - 1 - f)
-        if span_size > seg:
+        # piece, the partial lex piece grows at the extremal Macaulay rate
+        cum = sum(pieces[:full])
+        span = cum
+        if fill:
+            span += pieces[full] - macaulay_transform(piece - fill, d - 1 - degrees[full])
+        if span > seg:
             raise NotAchievable(
                 f"H({d}) = {h} requires dropping monomials already generated"
             )
         # both the span and the new segment are initial, so the difference is
-        # the position range [span_size, seg): exactly the new generators
-        fill = [0] * ambient.m
-        cum = 0
-        for c, size in enumerate(pieces):
-            take = min(max(seg - cum, 0), size)
-            fill[c] = take
-            first = max(span_size - cum, 0)
-            if first < take:
-                new_gens[c] += _lex_run(n, d - degrees[c], first, take - first)
-            cum += size
-        prev_fill, prev_pieces = fill, pieces
+        # the position range [span, seg): exactly the new generators, which
+        # start in component `full` at the earliest
+        c, first = full, span
+        while c < live and cum + pieces[c] <= seg:
+            top = cum + pieces[c]
+            if first < top:
+                new_gens[c] += _lex_run(n, d - degrees[c], first - cum, top - first)
+                first = top
+            cum = top
+            c += 1
+        if first < seg:
+            new_gens[c] += _lex_run(n, d - degrees[c], first - cum, seg - first)
+        full, fill, piece = c, seg - cum, pieces[c] if c < live else 0
         if d > start:
-            quiet = 0 if span_size < seg else quiet + 1
+            quiet = 0 if span < seg else quiet + 1
             if quiet > n:
                 # each component's generators come in ascending degree, then
                 # ascending lex rank: minimal and in canonical order
@@ -246,13 +268,13 @@ def saturated_lex_ideal(g: GotzmannRep, n: int) -> MonomialIdeal:
     if s == 0:
         return MonomialIdeal.unit(n)
     poly = g.polynomial()
-    quota = poly(s)
-    if quota.denominator != 1:
-        raise InvariantViolated(f"P({s}) = {quota} is not an integer")
-    codim = binomial(s + n, n) - int(quota)
+    quota, rest = divmod(poly._int_value(s), poly._den)
+    if rest:
+        raise InvariantViolated(f"P({s}) = {poly(s)} is not an integer")
+    codim = binomial(s + n, n) - quota
     if codim < 0:
         raise NotAchievable(
-            f"P({s}) = {int(quota)} exceeds dim of degree {s} in {n + 1} variables"
+            f"P({s}) = {quota} exceeds dim of degree {s} in {n + 1} variables"
         )
     gens: list[tuple[int, ...]] = []
     if codim > 0:
@@ -265,7 +287,7 @@ def saturated_lex_ideal(g: GotzmannRep, n: int) -> MonomialIdeal:
             gens.append(tuple(exps))
             exps[k] = m
     sat = MonomialIdeal._of_minimal(n, _minimal(gens))
-    quotient_hp = hilbert_polynomial(MonomialSubmodule(GradedFreeModule(n, (0,)), (sat,)))
+    quotient_hp = _quotient_polynomial(n, (0,), (sat,))
     if quotient_hp != poly:
         raise InvariantViolated(
             f"saturated lex ideal has Hilbert polynomial {quotient_hp}, wanted {poly}"
@@ -318,10 +340,23 @@ def _saturated_lex_module(
             + (middle,)
             + tuple(MonomialIdeal.zero(n) for _ in range(r))
         )
-    result = MonomialSubmodule(ambient, components)
-    actual = hilbert_polynomial(result)
+    actual = _quotient_polynomial(n, degrees, components)
     if actual != poly:
         raise InvariantViolated(
             f"lex module quotient has Hilbert polynomial {actual}, wanted {poly}"
         )
-    return result
+    return MonomialSubmodule(ambient, components)
+
+
+def _quotient_polynomial(
+    n: int, degrees: tuple[int, ...], components: tuple[MonomialIdeal, ...]
+) -> NumPoly:
+    """Hilbert polynomial of F/N for the components I_i at degrees f_i, as
+    ``hilbert_polynomial`` reads it off the series numerator, the sum of
+    c C(d - f_i - e + n, n) over the terms c t^e of each ``_ideal_numerator``,
+    but as one ``_binomial_sum``, with no submodule or record built."""
+    return _binomial_sum(
+        (c, n, n - f - e)
+        for f, ideal in zip(degrees, components)
+        for e, c in _ideal_numerator(ideal.exponents)
+    )

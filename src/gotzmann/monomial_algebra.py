@@ -114,11 +114,15 @@ def _same_variables(count: int, m: Monomial) -> None:
         raise ValueError(f"monomial {m} does not live in {count} variables")
 
 
+_set_exponents = Monomial.exponents.__set__
+
+
 def _monomial(exponents: tuple[int, ...]) -> Monomial:
     """The Monomial of exponents the library has already checked or built,
-    without the checks of ``__init__``."""
+    without the checks of ``__init__``: the field is set through its slot
+    descriptor, past the refusing ``__setattr__``."""
     mono = object.__new__(Monomial)
-    object.__setattr__(mono, "exponents", exponents)
+    _set_exponents(mono, exponents)
     return mono
 
 

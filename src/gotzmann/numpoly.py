@@ -103,6 +103,13 @@ class NumPoly:
         integer-valued (den == 1)."""
         return sum(map(mul, self._b, _diagonal(d, self.degree)))
 
+    def _int_differences(self, x: int) -> list[int]:
+        """den times the backward differences of P at integer x, of orders 0
+        to the degree: order j of C(d + k, k) is C(d + k - j, k - j), so
+        order j of P is sum_k b_k C(x + k - j, k - j), off one diagonal."""
+        b, diagonal = self._b, _diagonal(x, self.degree)
+        return [sum(map(mul, b[j:], diagonal)) for j in range(len(b))]
+
     def __add__(self, other: "NumPoly | Scalar") -> "NumPoly":
         other = _as_poly(other)
         den = lcm(self._den, other._den)

@@ -352,7 +352,18 @@ def koszul_betti(submodule: MonomialSubmodule, as_quotient: bool = True) -> Bett
 
 def regularity(submodule: MonomialSubmodule, as_quotient: bool = True) -> int:
     """Castelnuovo-Mumford regularity of F/N (as_quotient) or N (not as_quotient),
-    max(j - i) over the ``koszul_betti`` table of that module.  Raises
-    ZeroModule when the requested module is zero.
+    max(j - i) over the ``koszul_betti`` table of that module, read off each
+    component's cached ``_ideal_table`` rows shifted as ``koszul_betti``
+    shifts them, so no table is built.  Raises ZeroModule when the requested
+    module is zero.
     """
-    return koszul_betti(submodule, as_quotient=as_quotient).regularity()
+    tops = []
+    for f, ideal in zip(submodule.degrees, submodule.components):
+        if as_quotient:
+            if ideal.is_unit():
+                continue
+            tops.append(f)  # beta_{0,f}
+        tops.extend(j - i - as_quotient + f for i, j, _ in _ideal_table(ideal))
+    if not tops:
+        raise ZeroModule("the zero module has no regularity (its Betti table is empty)")
+    return max(tops)

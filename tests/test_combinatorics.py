@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from gotzmann.combinatorics import (
     MacaulayRep,
+    _macaulay_runs,
     binomial,
     green_transform,
     macaulay_rep,
     macaulay_transform,
 )
 
+import macaulay_oracle
 from conftest import transform_tables
 
 
@@ -92,24 +94,42 @@ def test_reconstruction_full_range():
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 9))
 def test_rep_matches_linear_scan_hypothesis(a, d):
-    assert macaulay_rep(a, d).terms == linear_scan_rep(a, d)
-
-
-def macaulay_transform_oracle(a, d):
-    """a^<d> summed over the validated representation's terms."""
-    return sum(binomial(k + 1, j + 1) for k, j in macaulay_rep(a, d).terms)
-
-
-def green_transform_oracle(a, d):
-    """a_<d> summed over the validated representation's terms."""
-    return sum(binomial(k - 1, j) for k, j in macaulay_rep(a, d).terms)
+    # the runs' term list, and the term-list oracle the transforms are held to
+    assert macaulay_rep(a, d).terms == linear_scan_rep(a, d) == macaulay_oracle.macaulay_terms(a, d)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 12))
 def test_transforms_match_the_representation_sums(a, d):
-    assert macaulay_transform(a, d) == macaulay_transform_oracle(a, d)
-    assert green_transform(a, d) == green_transform_oracle(a, d)
+    assert macaulay_transform(a, d) == macaulay_oracle.macaulay_transform(a, d)
+    assert green_transform(a, d) == macaulay_oracle.green_transform(a, d)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        # mid-size values and indices
+        st.tuples(st.integers(0, 10**30), st.integers(1, 60)),
+        # d far above a: a run of c = 0, a terms C(j, j) = 1
+        st.tuples(st.integers(0, 2000), st.integers(2000, 10**5)),
+        # a far above C(d + n, n) for any small n: c_d in the thousands and up
+        st.tuples(st.integers(10**40, 10**80), st.integers(1, 8)),
+    )
+)
+def test_transforms_by_runs_match_the_term_list_oracle(pair):
+    a, d = pair
+    terms = macaulay_oracle.macaulay_terms(a, d)
+    runs = _macaulay_runs(a, d)
+    # the runs are the term list: c = k_j - j constant along each, strictly
+    # falling from run to run, the indices consecutive from d down
+    assert [(j + c, j) for c, hi, lo in runs for j in range(hi, lo - 1, -1)] == list(terms)
+    assert all(c1 > c2 for (c1, _, _), (c2, _, _) in zip(runs, runs[1:]))
+    assert macaulay_rep(a, d).terms == terms
+    mac = macaulay_transform(a, d)
+    assert mac == macaulay_oracle.macaulay_transform(a, d)
+    assert green_transform(a, d) == macaulay_oracle.green_transform(a, d)
+    # the carry identity: a^<d> at d + 1 has the runs of a, shifted up by one
+    assert _macaulay_runs(mac, d + 1) == [(c, hi + 1, lo + 1) for c, hi, lo in runs]
 
 
 def test_transforms_keep_the_argument_checks():

@@ -3,7 +3,7 @@ import random
 from itertools import combinations_with_replacement, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gotzmann.lex as lex_module
@@ -23,6 +23,7 @@ from gotzmann.monomial_algebra import (
     Monomial,
     MonomialIdeal,
     MonomialSubmodule,
+    hf_direct,
     hilbert_polynomial,
     hilbert_series,
     stabilization_degree,
@@ -39,6 +40,7 @@ from conftest import (
     set_node_budget,
 )
 import enumeration_oracle as walk
+import lexify_oracle
 from ek_oracle import is_stable
 from enumeration_oracle import module_monomials, monomials_of_degree
 
@@ -343,6 +345,49 @@ def test_lexify_refuses_a_far_last_degree_up_front():
     ambient = GradedFreeModule(1, (0, 10**12))
     with pytest.raises(BudgetExceeded, match="at the earliest"):
         lexify(ambient, [], NumPoly([0]))
+
+
+@st.composite
+def _lexify_data(draw):
+    """(ambient, table, tail) of a random submodule: the table through the
+    stabilization degree, then cut short (the tail takes over degrees it
+    does not fit) or with one value nudged (data of no module), so the
+    NotAchievable checks are reached as well as the returns."""
+    n = draw(st.integers(1, 3))
+    # degrees over [-2, 4]: later components often start above f_1, and
+    # their pieces are 0 for a stretch of degrees
+    degrees = sorted(draw(st.lists(st.integers(-2, 4), min_size=1, max_size=3)))
+    comps = [draw(st.sampled_from(["zero", "unit"]) | _ideals(n, 1, 4)) for _ in degrees]
+    sub = module(n, degrees, comps)
+    end = max(stabilization_degree(sub), degrees[0])
+    table = [(d, hf_direct(sub, d)) for d in range(degrees[0], end + 1)]
+    table = table[: draw(st.integers(0, len(table)))]
+    if table and draw(st.booleans()):
+        i = draw(st.integers(0, len(table) - 1))
+        d, v = table[i]
+        table[i] = (d, v + draw(st.sampled_from([-2, -1, 1, 2])))
+    return sub.ambient, table, hilbert_polynomial(sub)
+
+
+def _lexify_outcome(lexify_fn, data):
+    try:
+        return lexify_fn(*data)
+    except (NotAchievable, BudgetExceeded) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lexify_data())
+# components starting two to four degrees above f_1, after a unit or a
+# partial lex piece: below their degrees their pieces are 0 and span nothing,
+# though the segment may run past them
+@example(lexify_data(module(1, (0, 2), ["unit", "zero"])))
+@example(lexify_data(module(2, (-1, 3), [ideal(2, "x0^2", "x1^3"), "zero"])))
+@example(lexify_data(module(2, (0, 1, 4), ["unit", ideal(2, "x0", "x1^2"), "zero"])))
+def test_lexify_matches_the_per_component_walk(data):
+    # the segment state against the per-component lists: same generators,
+    # same error and message
+    assert _lexify_outcome(lexify, data) == _lexify_outcome(lexify_oracle.lexify, data)
 
 
 def test_lexify_calls_no_gotzmann_rep(monkeypatch):

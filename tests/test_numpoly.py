@@ -5,7 +5,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import groupby
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings
@@ -639,6 +639,21 @@ def test_numpoly_evaluation_matches_power_oracle(pair, d):
     value = p(d)
     assert type(value) is Fraction
     assert value == oracle(d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(POLY_PAIRS, st.integers(-40, 40))
+@example((NumPoly(), PowerPoly()), 3)
+def test_backward_differences_match_power_oracle(pair, x):
+    # order j at x is sum_i (-1)^i C(j, i) P(x - i), times the denominator;
+    # order 0 is the value that lexify reads
+    p, oracle = pair
+    want = [
+        p._den * sum((-1) ** i * comb(j, i) * oracle(x - i) for i in range(j + 1))
+        for j in range(p.degree + 1)
+    ]
+    assert p._int_differences(x) == want
+    assert p._int_differences(x)[:1] == ([p._int_value(x)] if want else [])
 
 
 @settings(max_examples=200, deadline=None)

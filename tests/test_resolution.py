@@ -225,6 +225,32 @@ def test_regularity_dispatch_agrees_with_koszul(corpus):
             )
 
 
+def test_regularity_builds_no_betti_table(corpus, monkeypatch):
+    # max(j - i) off the cached _ideal_table rows, shifted by f_i (and by one
+    # homological step on the quotient side), equals the table's regularity
+    def table_regularity(sub, as_quotient):
+        try:
+            return koszul_betti(sub, as_quotient).regularity()
+        except ZeroModule:
+            return ZeroModule
+
+    def read(sub, as_quotient):
+        try:
+            return regularity(sub, as_quotient)
+        except ZeroModule:
+            return ZeroModule
+
+    cases = [(sub, q) for sub in corpus[:60] for q in (True, False)]
+    expected = [table_regularity(sub, q) for sub, q in cases]
+    assert ZeroModule in expected and len(set(expected)) > 3
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("regularity built a Betti table")
+
+    monkeypatch.setattr(BettiTable, "__init__", refuse)
+    assert [read(sub, q) for sub, q in cases] == expected
+
+
 def _assert_matches_oracle(sub):
     for as_quotient in (True, False):
         expected = {k: v for k, v in koszul_betti_oracle(sub, as_quotient).items() if v}
