@@ -153,7 +153,7 @@ def _adjusted_rep(args: argparse.Namespace) -> dict:
             "number": rep.number}
 
 
-def _hilbert(args: argparse.Namespace) -> Any:
+def _hilbert_data(args: argparse.Namespace) -> Any:
     from .monomial_algebra import (
         hf_direct,
         hilbert_polynomial,
@@ -349,7 +349,7 @@ _COMMANDS = {
     "adjusted-rep": ("rank-adjusted representation", _adjusted_rep,
                      (_POLY, _arg("--module", required=True,
                                   help="module or shape JSON (n, degrees)"), _RANK)),
-    "hilbert": ("Hilbert data of F/N", _hilbert,
+    "hilbert": ("Hilbert data of F/N", _hilbert_data,
                 (_MODULE, _one_of(_arg("--function", nargs=2, type=int, metavar=("D0", "D1")),
                                   _arg("--series", action="store_true"),
                                   _arg("--polynomial", action="store_true"),

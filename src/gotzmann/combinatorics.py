@@ -12,10 +12,10 @@ from math import comb, factorial
 from ._value import Value, tuples
 
 # Entries kept by each of the 7 lru_caches of the package.  The submodule
-# records of monomial_algebra._record are no cache: each lives on its
-# submodule, and holds at most CACHE_ENTRIES rows, one per degree (H, rho
-# and the hyperplane value), besides its sparse numerators (its own, and
-# N_I - N_(I^sat) per unsaturated component once a hyperplane value is
+# records of monomial_algebra._record are no cache: each is four slots of
+# its submodule, and holds at most CACHE_ENTRIES rows, one per degree (H,
+# rho and the hyperplane value), besides its sparse numerators (its own,
+# and N_I - N_(I^sat) per unsaturated component once a hyperplane value is
 # read).  After sweep(500) the fullest caches hold 888 (macaulay_transform)
 # and 741 (green_transform) entries, 500 records were built, one per
 # instance, and the largest record held 12 rows; after one cold seed-1

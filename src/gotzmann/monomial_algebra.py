@@ -30,14 +30,14 @@ ideal's numerator comes from one pivot recursion that splits on a variable
 power x_v^k down to pure powers plus at most one mixed generator, answered
 in closed form; the tests hold it to monomial counting and to the
 alternating sums of Betti numbers.  Every Hilbert value of a submodule is
-read through its one record (``_record``, kept on the submodule and freed
-with it): the sparse numerator of F/N, each component's pairs shifted by
-its f_i and never densified, and one row per degree d holding H(F/N, d),
-rho(d) at the rank of F/N and the hyperplane value (see ``_Record``);
-only this module stores in it, and ``_row`` is the one place H is
-computed.  A sparse numerator is read two ways: ``_numerator_hf``
-evaluates H at a degree, and ``numpoly._binomial_sum`` builds the Hilbert
-polynomial.  ``hf_direct``, ``hilbert_polynomial``,
+read through its record, four slots of the submodule that ``_record``
+builds and that die with it: the sparse numerator of F/N, each
+component's pairs shifted by its f_i and never densified, and one row per
+degree d holding H(F/N, d), rho(d) at the rank of F/N and the hyperplane
+value (see ``_record``); only this module stores in them, and ``_row`` is
+the one place H is computed.  A sparse numerator is read two ways:
+``_numerator_hf`` evaluates H at a degree, and ``numpoly._binomial_sum``
+builds the Hilbert polynomial.  ``hf_direct``, ``hilbert_polynomial``,
 ``adjusted_hf_decomposition``, ``stabilization_degree``, the checkers of
 ``theorems`` and ``hilbert_series``, an uncached dense view of the
 numerator, all read it.
@@ -96,15 +96,13 @@ class Monomial(CachedHash):
         return Monomial(tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
 
     def __str__(self) -> str:
-        if self.degree == 0:
-            return "1"
-        parts = []
-        for v, e in enumerate(self.exponents):
-            if e == 1:
-                parts.append(f"x{v}")
-            elif e > 1:
-                parts.append(f"x{v}^{e}")
-        return "*".join(parts)
+        return _monomial_text(self.exponents)
+
+
+def _monomial_text(exponents: tuple[int, ...]) -> str:
+    """'x0^2*x1' style text of an exponent tuple; '1' for the unit monomial."""
+    parts = [f"x{v}" if e == 1 else f"x{v}^{e}" for v, e in enumerate(exponents) if e]
+    return "*".join(parts) or "1"
 
 
 def _same_variables(count: int, m: Monomial) -> None:
@@ -334,11 +332,13 @@ class MonomialSubmodule(CachedHash):
     """N = I_1 e_1 + ... + I_m e_m inside a graded free module.
 
     Besides its fields it keeps n, the degrees, the number of zero
-    components and, once read, its Hilbert record (``_record``).
+    components and, once read, its Hilbert record in four slots
+    (``_record``).
     """
 
     _fields = ("ambient", "components")
-    __slots__ = _fields + ("n", "degrees", "_rank", "_max_gen", "_hilbert")
+    __slots__ = _fields + ("n", "degrees", "_rank", "_max_gen",
+                           "_numerator", "_rows", "_kernels", "_generation")
 
     def __init__(self, ambient: GradedFreeModule, components: tuple[MonomialIdeal, ...]) -> None:
         components = tuple(components)
@@ -494,65 +494,46 @@ def _ideal_numerator(gens: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int]
     return tuple(sorted(_power_pivot_numerator(gens, [NODE_BUDGET]).items()))
 
 
-class _Record:
-    """What the kernels know of one submodule N, kept in N's ``_hilbert``
-    slot: n, the degrees, the rank and the component ideals of N, but not N
-    itself, so reference counting frees the record together with N.
-
-    ``numerator`` is the Hilbert series numerator of F/N as a dict
-    {exponent: coefficient}, nonzero only and in ascending order: each
-    component's ``_ideal_numerator`` shifted by its f_i and summed, never
-    densified.
-
-    ``rows`` is the one memo table: rows[d] = [H(F/N, d), rho(d) at the
-    rank of F/N, the hyperplane value at d], the last two None until first
-    read; only ``_row``, ``_rho`` and ``_hyperplane`` store in it.
-    ``kernels`` lists (f_i, I_i, the generators of I_i^sat,
-    N_(I_i) - N_(I_i^sat) as ascending (exponent, coefficient) pairs) for
-    the components with I_i^sat != I_i, read on the first hyperplane value.
-    ``generation`` is the ``_generation`` it was built in.
-    """
-
-    __slots__ = ("generation", "n", "degrees", "rank", "components", "numerator", "rows",
-                 "kernels")
-
-    def __init__(self, submodule: MonomialSubmodule, numerator: dict[int, int]):
-        self.generation = _generation
-        self.n = submodule.n
-        self.degrees = submodule.degrees
-        self.rank = submodule._rank
-        self.components = submodule.components
-        self.numerator = numerator
-        self.rows: dict[int, list] = {}
-        self.kernels: tuple | None = None
-
-
 # _record.cache_clear() bumps the generation, and a record of an older one is
 # rebuilt on its next read; reads and builds since then are hf_direct's cache
 # statistics
 _generation = _reads = _builds = 0
 
 
-def _record(submodule: MonomialSubmodule) -> _Record:
-    """The one record of a submodule, read from its ``_hilbert`` slot, or
-    built there with its sparse numerator and no rows.
+def _record(submodule: MonomialSubmodule) -> MonomialSubmodule:
+    """The submodule, its record read, or built with its sparse numerator
+    and no rows when missing or of an older ``_generation``.
+
+    The record is four slots of the submodule, none of them a field:
+    ``_numerator`` is the Hilbert series numerator of F/N as a dict
+    {exponent: coefficient}, nonzero only and in ascending order: each
+    component's ``_ideal_numerator`` shifted by its f_i and summed, never
+    densified.  ``_rows`` is the one memo table: rows[d] = [H(F/N, d),
+    rho(d) at the rank of F/N, the hyperplane value at d], the last two
+    None until first read; only ``_row``, ``_rho`` and ``_hyperplane``
+    store in it.  ``_kernels`` lists (f_i, I_i, the generators of I_i^sat,
+    N_(I_i) - N_(I_i^sat) as ascending (exponent, coefficient) pairs) for
+    the components with I_i^sat != I_i, read on the first hyperplane value.
+    ``_generation`` is the one the record was built in.
 
     Bounded memory: a record lives as long as its submodule, and ``_row``
     keeps it at no more than ``CACHE_ENTRIES`` rows of three values.
     """
     global _reads, _builds
-    record = getattr(submodule, "_hilbert", None)
-    if record is not None and record.generation == _generation:
+    if getattr(submodule, "_generation", None) == _generation:
         _reads += 1
-        return record
+        return submodule
     _builds += 1
     combined: dict[int, int] = {}
     for f, ideal in zip(submodule.degrees, submodule.components):
         for e, c in _ideal_numerator(ideal.exponents):
             combined[e + f] = combined.get(e + f, 0) + c
-    record = _Record(submodule, {e: combined[e] for e in sorted(combined) if combined[e]})
-    object.__setattr__(submodule, "_hilbert", record)
-    return record
+    put = object.__setattr__
+    put(submodule, "_numerator", {e: combined[e] for e in sorted(combined) if combined[e]})
+    put(submodule, "_rows", {})
+    put(submodule, "_kernels", None)
+    put(submodule, "_generation", _generation)
+    return submodule
 
 
 def _clear_records() -> None:
@@ -594,7 +575,7 @@ def hilbert_series(submodule: MonomialSubmodule) -> HilbertSeries:
     raises BudgetExceeded before it is built.  The tests check it against
     monomial counting and against the alternating sums of Betti numbers.
     """
-    numerator = _record(submodule).numerator
+    numerator = _record(submodule)._numerator
     if not numerator:
         return HilbertSeries(submodule.n, 0, ())
     offset, top = next(iter(numerator)), next(reversed(numerator))
@@ -611,7 +592,7 @@ def hilbert_polynomial(submodule: MonomialSubmodule) -> NumPoly:
     of the record's sparse series numerator (Bruns and Herzog, 4.1), one
     ``_binomial_sum``, so no span of the numerator is densified."""
     n = submodule.n
-    return _binomial_sum((c, n, n - e) for e, c in _record(submodule).numerator.items())
+    return _binomial_sum((c, n, n - e) for e, c in _record(submodule)._numerator.items())
 
 
 def stabilization_degree(submodule: MonomialSubmodule) -> int:
@@ -625,7 +606,7 @@ def stabilization_degree(submodule: MonomialSubmodule) -> int:
     d <= e - n - 1.  So H - P vanishes from E - n on, and at E - n - 1 only
     the top term c_E t^E is left: H - P = (-1)^(n+1) c_E != 0.
     """
-    numerator = _record(submodule).numerator
+    numerator = _record(submodule)._numerator
     if not numerator:
         return submodule.degrees[0]
     return next(reversed(numerator)) - submodule.n
@@ -648,9 +629,8 @@ def adjusted_hf_decomposition(submodule: MonomialSubmodule, d: int) -> tuple[int
     rho then satisfies 0 <= rho <= sum_{i=1}^{m-r} C(d - f_i + n, n); a
     violation would be a bug, not bad input.
     """
-    record = _record(submodule)
-    rho = _rho(record, d)
-    return _row(record, d)[0] - rho, rho
+    rho = _rho(_record(submodule), d)
+    return _row(submodule, d)[0] - rho, rho
 
 
 def _dims(degrees: tuple[int, ...], d: int, n: int) -> int:
@@ -658,51 +638,52 @@ def _dims(degrees: tuple[int, ...], d: int, n: int) -> int:
     return sum(comb(d - f + n, n) for f in degrees if f <= d)
 
 
-def _row(record: _Record, d: int) -> list:
-    """The record's row at d, built with H(F/N, d), read off the sparse
-    numerator, the one place where H is computed; the rows are emptied
-    first when there are already ``CACHE_ENTRIES`` of them."""
-    row = record.rows.get(d)
+def _row(submodule: MonomialSubmodule, d: int) -> list:
+    """The row at d of a submodule whose record is built, built with
+    H(F/N, d), read off the sparse numerator, the one place where H is
+    computed; the rows are emptied first when there are already
+    ``CACHE_ENTRIES`` of them."""
+    rows = submodule._rows
+    row = rows.get(d)
     if row is None:
-        rows = record.rows
         if len(rows) >= CACHE_ENTRIES:
             rows.clear()
-        h = _numerator_hf(record.numerator.items(), record.n, d)
-        row = rows[d] = [h, None if record.rank else h, None]
+        h = _numerator_hf(submodule._numerator.items(), submodule.n, d)
+        row = rows[d] = [h, None if submodule._rank else h, None]
     return row
 
 
-def _rho(record: _Record, d: int) -> int:
+def _rho(submodule: MonomialSubmodule, d: int) -> int:
     """H(F/N, d) less the free part of the last r ambient degrees, r the
     rank of F/N, kept in the row at d, with the window check of
     ``adjusted_hf_decomposition``; at r = 0 it is H itself."""
-    row = _row(record, d)
+    row = _row(submodule, d)
     rho = row[1]
     if rho is None:
-        n, degrees, r = record.n, record.degrees, record.rank
+        n, degrees, r = submodule.n, submodule.degrees, submodule._rank
         m = len(degrees)
         rho = row[0] - _dims(degrees[m - r :], d, n)
         window = _dims(degrees[: m - r], d, n)
         if not 0 <= rho <= window:
             raise InvariantViolated(
                 f"rho = {rho} escapes [0, {window}] at degree {d} for components "
-                f"{record.components} in degrees {degrees}"
+                f"{submodule.components} in degrees {degrees}"
             )
         row[1] = rho
     return rho
 
 
-def _hyperplane(record: _Record, d: int) -> int:
+def _hyperplane(submodule: MonomialSubmodule, d: int) -> int:
     """generic_hyperplane_hf, kept in the row at d: one ``_section_dim``
     per (submodule, d), whichever checkers ask."""
-    row = _row(record, d)
+    row = _row(submodule, d)
     value = row[2]
     if value is None:
-        value = row[2] = _section_dim(record, d)
+        value = row[2] = _section_dim(submodule, d)
     return value
 
 
-def _section_dim(record: _Record, d: int) -> int:
+def _section_dim(submodule: MonomialSubmodule, d: int) -> int:
     """dim (F/(N + hF))_d, h = x_0 + ... + x_n.
 
     Per component I, multiplication by h gives the exact sequence
@@ -715,20 +696,22 @@ def _section_dim(record: _Record, d: int) -> int:
     them but the maximal ideal, so h is a nonzerodivisor on S/I^sat and the
     kernel lies in I^sat/I.  So it is 0 where dim (I^sat/I)_(e-1) is 0, and
     elsewhere ``_kernel`` ranks it; that dimension is ``_numerator_hf`` of
-    ``_defect_numerator``, kept in the record's ``kernels``.
+    ``_defect_numerator``, kept in the record's ``_kernels``.
     """
-    if record.n < 1:
+    n = submodule.n
+    if n < 1:
         raise PreconditionViolated("hyperplane restriction needs n >= 1")
-    value = _row(record, d)[0] - _row(record, d - 1)[0]
-    kernels = record.kernels
+    value = _row(submodule, d)[0] - _row(submodule, d - 1)[0]
+    kernels = submodule._kernels
     if kernels is None:
-        kernels = record.kernels = tuple(
+        kernels = tuple(
             (f, ideal, sat, _defect_numerator(ideal.exponents, sat))
-            for f, ideal in zip(record.degrees, record.components)
+            for f, ideal in zip(submodule.degrees, submodule.components)
             if (sat := _saturated_gens(ideal.exponents)) != ideal.exponents
         )
+        object.__setattr__(submodule, "_kernels", kernels)
     for f, ideal, sat, defect in kernels:
-        if _numerator_hf(defect, record.n, d - f - 1) > 0:
+        if _numerator_hf(defect, n, d - f - 1) > 0:
             value += _kernel(ideal, sat, d - f)
     return value
 
@@ -789,7 +772,7 @@ def generic_hyperplane_hf(submodule: MonomialSubmodule, d: int) -> int:
 def ideal_to_dict(ideal: MonomialIdeal) -> dict:
     if ideal.is_unit():
         return {"unit": True}
-    return {"gens": [str(g) for g in ideal.gens]}
+    return {"gens": list(map(_monomial_text, ideal.exponents))}
 
 
 def ideal_from_dict(data: dict, n: int) -> MonomialIdeal:

@@ -17,15 +17,16 @@ the largest ambient degree; Gasharov's module forms move the index to
 d - l - p.
 
 Every value a checker reads is a function of H(M, d), rho and the generic
-hyperplane restriction, all read through the submodule's one record
-(``monomial_algebra._record``, kept on the submodule and freed with it): a
-checker looks the record up once, and the kernels read the three from the
-record's row at each degree through ``monomial_algebra``, which alone
-stores them; the free parts are differences of H and rho, and the bounds
-are recomputed from those with the cached transforms.  So the checkers of
-one submodule share each value, each (submodule, d) is restricted once, and
-``sweep`` yields exactly what the public checkers return.  Each record's
-memory is bounded as ``_record`` states.
+hyperplane restriction, all read through the submodule's record, four
+slots of the submodule that ``monomial_algebra._record`` builds and that
+die with it: a checker has the record read or built once, and the kernels
+read the three from the submodule's row at each degree through
+``monomial_algebra``, which alone stores them; the free parts are
+differences of H and rho, and the bounds are recomputed from those with
+the cached transforms.  So the checkers of one submodule share each value,
+each (submodule, d) is restricted once, and ``sweep`` yields exactly what
+the public checkers return.  Each record's memory is bounded as
+``_record`` states.
 
 A report is a tuple of its seven fields and, for a module checker, its
 submodule, from which it builds ``instance``, the ``module_to_dict`` form,
@@ -47,7 +48,6 @@ from .monomial_algebra import (
     GradedFreeModule,
     MonomialIdeal,
     MonomialSubmodule,
-    _Record,
     _hyperplane,
     _minimal,
     _record,
@@ -151,18 +151,19 @@ def _f_low(degrees: tuple[int, ...], r: int) -> int:
     return degrees[len(degrees) - r - 1]  # r = m reads index -1, f_m
 
 
-def _growth(record: _Record, d: int, r: int, index: int) -> tuple[int, int]:
+def _growth(submodule: MonomialSubmodule, d: int, r: int, index: int) -> tuple[int, int]:
     """H(M, d+1) and its bound: the free part of the last r ambient degrees
-    at d + 1, which is H - rho there, plus rho^<index>, from the record's
-    rows and the cached transform; r is 0 or the rank of M."""
+    at d + 1, which is H - rho there, plus rho^<index>, from the rows of the
+    submodule's built record and the cached transform; r is 0 or the rank
+    of M."""
     _require_index(d, index)
-    h = _row(record, d + 1)[0]
+    h = _row(submodule, d + 1)[0]
     if not r:
-        return h, macaulay_transform(_row(record, d)[0], index)
-    return h, h - _rho(record, d + 1) + macaulay_transform(_rho(record, d), index)
+        return h, macaulay_transform(_row(submodule, d)[0], index)
+    return h, h - _rho(submodule, d + 1) + macaulay_transform(_rho(submodule, d), index)
 
 
-def _restriction(record: _Record, d: int, r: int, index: int) -> tuple[int, int]:
+def _restriction(submodule: MonomialSubmodule, d: int, r: int, index: int) -> tuple[int, int]:
     """The generic hyperplane value dim (M/hM)_d and its bound: the free part
     of the last r ambient degrees in n - 1 variables plus rho_<index>; r is
     0 or the rank of M.  By Pascal's rule that free part is the first
@@ -170,10 +171,10 @@ def _restriction(record: _Record, d: int, r: int, index: int) -> tuple[int, int]
     variables, also for the degrees f > d, where both sides are 0."""
     _require_index(d, index)
     if not r:
-        return _hyperplane(record, d), green_transform(_row(record, d)[0], index)
-    rho = _rho(record, d)
-    free = _row(record, d)[0] - rho - _row(record, d - 1)[0] + _rho(record, d - 1)
-    return _hyperplane(record, d), free + green_transform(rho, index)
+        return _hyperplane(submodule, d), green_transform(_row(submodule, d)[0], index)
+    rho = _rho(submodule, d)
+    free = _row(submodule, d)[0] - rho - _row(submodule, d - 1)[0] + _rho(submodule, d - 1)
+    return _hyperplane(submodule, d), free + green_transform(rho, index)
 
 
 def _require_index(d: int, index: int) -> None:
@@ -183,11 +184,11 @@ def _require_index(d: int, index: int) -> None:
 
 def check_macaulay_adjusted(submodule: MonomialSubmodule, d: int) -> CheckReport:
     """H(M, d+1) against the rank-and-degree adjusted Macaulay bound."""
-    record = _record(submodule)
+    _record(submodule)
     r = rank(submodule)
     f_low = _f_low(submodule.degrees, r)
-    lhs, rhs = _growth(record, d, r, d - f_low)
-    context = {"d": d, "rho": _rho(record, d), "f_low": f_low, "rank": r}
+    lhs, rhs = _growth(submodule, d, r, d - f_low)
+    context = {"d": d, "rho": _rho(submodule, d), "f_low": f_low, "rank": r}
     return _module_report(submodule, name="macaulay_adjusted", bound_lhs=lhs, bound_rhs=rhs,
                           verdict=_compare(lhs, rhs), context=context)
 
@@ -196,11 +197,11 @@ def check_green_adjusted(submodule: MonomialSubmodule, d: int) -> CheckReport:
     """Generic hyperplane restriction against the adjusted Green bound."""
     if submodule.n < 1:
         raise PreconditionViolated(f"need n >= 1, got {submodule.n}")
-    record = _record(submodule)
+    _record(submodule)
     r = rank(submodule)
     f_low = _f_low(submodule.degrees, r)
-    lhs, rhs = _restriction(record, d, r, d - f_low)
-    context = {"d": d, "rho": _rho(record, d), "f_low": f_low}
+    lhs, rhs = _restriction(submodule, d, r, d - f_low)
+    context = {"d": d, "rho": _rho(submodule, d), "f_low": f_low}
     return _module_report(submodule, name="green_adjusted", bound_lhs=lhs, bound_rhs=rhs,
                           verdict=_compare(lhs, rhs), context=context)
 
@@ -248,10 +249,10 @@ def check_persistence_adjusted(submodule: MonomialSubmodule, d: int) -> CheckRep
         raise PreconditionViolated(
             f"submodule has a generator in degree {max_gen} > d = {d}"
         )
-    record = _record(submodule)
+    _record(submodule)
     r = rank(submodule)
     f_low = _f_low(submodule.degrees, r)
-    lhs, rhs = _growth(record, d, r, d - f_low)
+    lhs, rhs = _growth(submodule, d, r, d - f_low)
     premises_hold = lhs == rhs
     verdict, context = PREMISE_FAILS, {"d": d, "horizon": 0}
     if premises_hold:
@@ -262,7 +263,7 @@ def check_persistence_adjusted(submodule: MonomialSubmodule, d: int) -> CheckRep
             )
         verdict, context["horizon"] = SHARP, last - d
         for e in range(d + 1, last + 1):
-            lhs, rhs = _growth(record, e, r, e - f_low)
+            lhs, rhs = _growth(submodule, e, r, e - f_low)
             if lhs != rhs:
                 verdict, context["failed_at"] = VIOLATED, e
                 break

@@ -32,7 +32,7 @@ def test_exports_are_their_submodules_objects():
 
 def test_every_cache_has_the_one_bound():
     # a cache is an lru_cache wrapper; hf_direct's cache_info reports the
-    # submodule records, which live on their submodules and are no cache
+    # submodule records, four slots of each submodule, which are no cache
     caches = {}
     for info in pkgutil.iter_modules(gotzmann.__path__):
         module = importlib.import_module(f"gotzmann.{info.name}")

@@ -17,6 +17,8 @@ from gotzmann.monomial_algebra import (
     Monomial,
     MonomialIdeal,
     MonomialSubmodule,
+    adjusted_hf_decomposition,
+    generic_hyperplane_hf,
     hf_direct,
     hilbert_polynomial,
     ideal_from_dict,
@@ -105,11 +107,27 @@ def near_misses(n, degrees, specs):
     return out
 
 
+def with_record(n, degrees, specs):
+    """A fresh build(n, degrees, specs) with its Hilbert record built: rows
+    read over a band of degrees and, for n >= 1, the hyperplane kernels."""
+    sub = build(n, degrees, specs)
+    for d in range(degrees[0] - 1, degrees[-1] + 3):
+        adjusted_hf_decomposition(sub, d)
+        if n:
+            generic_hyperplane_hf(sub, d)
+    assert sub._rows and (sub._kernels is not None) is (n >= 1)
+    return sub
+
+
 @settings(max_examples=150, deadline=None)
 @given(module_specs())
 def test_equality_is_field_equality(spec):
     sub = build(*spec)
-    for other in near_misses(*spec):
+    # a submodule whose record is built equals, hashes and reprs like a
+    # fresh one: the record's slots are no fields
+    recorded = with_record(*spec)
+    assert repr(recorded) == repr(sub)
+    for other in near_misses(*spec) + [recorded]:
         expected = fields_equal(sub, other)
         assert (sub == other) is expected and (other == sub) is expected
         assert (sub != other) is not expected

@@ -630,17 +630,17 @@ def test_hyperplane_kernel_enumerates_no_monomials():
 
 def test_numerator_reads_store_no_values(twisted_plane_pair):
     # the series, the polynomial and the stabilization degree read only the
-    # numerator: the record has no rows, and no kernel is read
+    # numerator: the record's slots hold no rows, and no kernel is read
     monomial_algebra._record.cache_clear()
     sub = module(2, (0,), [ideal(2, "x2", "x1^2", "x0*x1")])
     for s in (sub, twisted_plane_pair):
         for read in (hilbert_series, hilbert_polynomial, stabilization_degree):
             read(s)
-        record = monomial_algebra._record(s)
-        tables = [slot for slot in record.__slots__ if isinstance(getattr(record, slot), dict)]
-        assert tables == ["numerator", "rows"]
-        assert record.rows == {}
-        assert record.kernels is None
+        assert monomial_algebra._record(s) is s
+        tables = [slot for slot in s.__slots__ if isinstance(getattr(s, slot, None), dict)]
+        assert tables == ["_numerator", "_rows"]
+        assert s._rows == {}
+        assert s._kernels is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -651,9 +651,10 @@ def test_numerator_reads_store_no_values(twisted_plane_pair):
 @example(3, random.Random(0))
 def test_record_values_do_not_collide(seed, rng):
     # H, rho at the rank and the hyperplane value, for d in [-3, 8], read
-    # into one record in shuffled order, against each read alone from a
-    # fresh record: the row at d holds the three, so a read that landed in
-    # another slot or another degree's row would answer one with another
+    # into one submodule's rows in shuffled order, against each read alone
+    # from a fresh record: the row at d holds the three, so a read that
+    # landed in another slot or another degree's row would answer one with
+    # another
     sub = random_submodule(seed)
     slots = ("H", "rho", "hyperplane")
     reads = [(d, slot) for d in range(-3, 9) for slot in range(3)]
@@ -663,43 +664,43 @@ def test_record_values_do_not_collide(seed, rng):
         # an equal new submodule has no record yet, so reading one builds it
         return monomial_algebra._record(MonomialSubmodule(sub.ambient, sub.components))
 
-    def read(record, d, slot):
+    def read(built, d, slot):
         if slots[slot] == "hyperplane":
-            return monomial_algebra._hyperplane(record, d)
+            return monomial_algebra._hyperplane(built, d)
         if slots[slot] == "rho":
-            return monomial_algebra._rho(record, d)
-        return monomial_algebra._row(record, d)[0]
+            return monomial_algebra._rho(built, d)
+        return monomial_algebra._row(built, d)[0]
 
-    record = fresh(sub)
-    values = [read(record, d, slot) for d, slot in reads]
+    built = fresh(sub)
+    values = [read(built, d, slot) for d, slot in reads]
     assert values == [read(fresh(sub), d, slot) for d, slot in reads]
-    assert [record.rows[d][slot] for d, slot in reads] == values
-    assert sorted(record.rows) == list(range(-4, 9))  # and H(-4), read by the hyperplane at -3
-    assert record.rows[-4][0] == hf_direct(sub, -4) and record.rows[-4][2] is None
+    assert [built._rows[d][slot] for d, slot in reads] == values
+    assert sorted(built._rows) == list(range(-4, 9))  # and H(-4), read by the hyperplane at -3
+    assert built._rows[-4][0] == hf_direct(sub, -4) and built._rows[-4][2] is None
 
 
 class _Referable(MonomialSubmodule):
-    # a submodule that a weakref can point at; its record is the same
+    # a submodule that a weakref can point at; its record slots are the same
     __slots__ = ("__weakref__",)
 
 
 def test_a_record_dies_with_its_submodule():
-    # the record keeps the component ideals, not the submodule, so with the
-    # collector off reference counting alone frees both on del
+    # the record is slots of the submodule and refers back to nothing, so
+    # with the collector off reference counting alone frees it on del
     base = random_submodule(3)  # an unsaturated component: kernels are read
     sub = _Referable(base.ambient, base.components)
     hf_direct(sub, 2)
     generic_hyperplane_hf(sub, 4)
     adjusted_hf_decomposition(sub, 3)
-    assert monomial_algebra._record(sub).kernels
+    assert monomial_algebra._record(sub)._kernels
     ref = weakref.ref(sub)
     enabled = gc.isenabled()
     gc.disable()
     try:
         del sub
         assert ref() is None
-        assert not [o for o in gc.get_objects()
-                    if isinstance(o, monomial_algebra._Record) and o.components is base.components]
+        assert not [o for o in gc.get_objects() if isinstance(o, MonomialSubmodule)
+                    and hasattr(o, "_rows") and o.components is base.components]
     finally:
         if enabled:
             gc.enable()
@@ -708,34 +709,39 @@ def test_a_record_dies_with_its_submodule():
 def test_a_cleared_record_is_rebuilt_on_its_next_read():
     sub = random_submodule(3)
     monomial_algebra._record.cache_clear()
-    first = monomial_algebra._record(sub)
+    assert monomial_algebra._record(sub) is sub
+    first = sub._rows
     hf_direct(sub, 2)
-    assert monomial_algebra._record(sub) is first and first.rows
+    assert monomial_algebra._record(sub) is sub and sub._rows is first and first
     assert hf_direct.cache_info()[:2] == (2, 1)
     monomial_algebra._record.cache_clear()
     assert hf_direct.cache_info()[:2] == (0, 0)
-    second = monomial_algebra._record(sub)
-    assert second is not first and not second.rows
-    assert monomial_algebra._record(sub) is second
+    monomial_algebra._record(sub)
+    second = sub._rows
+    assert second is not first and not second
+    monomial_algebra._record(sub)
+    assert sub._rows is second
     assert hf_direct.cache_info()[:2] == (1, 1)
 
 
 def test_copies_carry_no_record():
     sub = random_submodule(3)
     value = hf_direct(sub, 2)
-    record = monomial_algebra._record(sub)
     for clone in (copy.copy(sub), copy.deepcopy(sub), pickle.loads(pickle.dumps(sub))):
-        assert not hasattr(clone, "_hilbert")
+        for slot in ("_numerator", "_rows", "_kernels", "_generation"):
+            assert not hasattr(clone, slot)
         assert hf_direct(clone, 2) == value
-        assert monomial_algebra._record(clone) is not record
+        assert clone._rows is not sub._rows and clone._numerator is not sub._numerator
 
 
 def test_rho_window_check_refuses_a_wrong_numerator():
     # a record whose numerator is not that of its submodule: H = 0 leaves
     # rho(0) = 0 - 1 below 0 at rank 1
     two = module(1, (0, 0), [ideal(1, "x0"), "zero"])
+    monomial_algebra._record(two)
+    object.__setattr__(two, "_numerator", {})
     with pytest.raises(InvariantViolated, match=r"rho = -1 escapes \[0, 1\] at degree 0"):
-        monomial_algebra._rho(monomial_algebra._Record(two, {}), 0)
+        monomial_algebra._rho(two, 0)
 
 
 _SECTION_CASES = st.integers(1, 3).flatmap(
@@ -759,8 +765,8 @@ def test_section_dim_matches_the_full_quotient_rank(case):
     n, exponent_lists, e = case
     ideal_obj = MonomialIdeal(n, tuple(Monomial(tuple(x)) for x in exponent_lists))
     expected = full_quotient_section_dim(ideal_obj, e)
-    record = monomial_algebra._record(module(n, (0,), [ideal_obj]))
-    assert monomial_algebra._section_dim(record, e) == expected
+    sub = monomial_algebra._record(module(n, (0,), [ideal_obj]))
+    assert monomial_algebra._section_dim(sub, e) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -775,10 +781,10 @@ def test_saturated_ideal_never_reaches_rank(case):
     def refuse(vectors):
         raise AssertionError("linalg.rank reached for a saturated ideal")
 
-    record = monomial_algebra._record(module(n, (0,), [saturated]))
+    sub = monomial_algebra._record(module(n, (0,), [saturated]))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "rank", refuse)
-        assert monomial_algebra._section_dim(record, e) == expected
+        assert monomial_algebra._section_dim(sub, e) == expected
 
 
 def times_maximal_power(ideal_obj, k):

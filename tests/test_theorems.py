@@ -368,18 +368,20 @@ def test_sweep_calls_the_public_checkers(monkeypatch):
 def test_sweep_restricts_each_submodule_and_degree_once(monkeypatch):
     # the Green and Gasharov-green checkers of one (submodule, d) differ in
     # (r, index), but the hyperplane value is computed once for all of them:
-    # _section_dim runs only on a miss of the record's hyperplane table
+    # _section_dim runs only on a miss of the submodule's hyperplane rows.
+    # Submodules compare by their fields, so each is keyed by its id.
     calls = []
 
-    def counted(record, d, _original=monomial_algebra._section_dim):
-        calls.append((record, d))
-        return _original(record, d)
+    def counted(submodule, d, _original=monomial_algebra._section_dim):
+        calls.append((id(submodule), d))
+        return _original(submodule, d)
 
     monkeypatch.setattr(monomial_algebra, "_section_dim", counted)
     monomial_algebra._record.cache_clear()
-    # a report keeps its submodule, and with it the record the sweep read
-    restricted = [(monomial_algebra._record(rep._submodule), rep.context["d"])
-                  for rep in sweep(30) if rep.name in ("green_adjusted", "gasharov_green")]
+    # the reports keep their submodules alive, so no id is reused
+    reports = list(sweep(30))
+    restricted = [(id(rep._submodule), rep.context["d"])
+                  for rep in reports if rep.name in ("green_adjusted", "gasharov_green")]
     assert len(restricted) > len(set(restricted)) > 0
     assert len(calls) == len(set(calls))
     assert set(calls) == set(restricted)
@@ -394,18 +396,18 @@ def test_records_hold_at_most_three_cache_bounds_of_values():
     bound = monomial_algebra.CACHE_ENTRIES
     # rank 1: H(S/I) = 1, 2, 1, 1, ... for I = (x0^2, x0*x1), plus d + 1
     sub = module(1, (0, 0), [ideal(1, "x0^2", "x0*x1"), "zero"])
-    record = monomial_algebra._record(sub)
+    rows = monomial_algebra._record(sub)._rows
     sizes = []
     for d in range(1, bound + 101):
         assert hf_direct(sub, d) == d + (3 if d == 1 else 2)
-        sizes.append(len(record.rows))
+        sizes.append(len(rows))
     for d in range(2 * bound, 3 * bound):
         report = check_green_adjusted(sub, d)
         assert (report.bound_lhs, report.context["rho"]) == (1, 1)
-        sizes.append(len(record.rows))
-    assert monomial_algebra._record(sub) is record  # the same record throughout
+        sizes.append(len(rows))
+    assert monomial_algebra._record(sub)._rows is rows  # the same record throughout
     assert max(sizes) == bound
-    assert all(len(row) == 3 for row in record.rows.values())
+    assert all(len(row) == 3 for row in rows.values())
     assert sum(1 for a, b in zip(sizes, sizes[1:]) if b < a) == 2
 
 
@@ -436,16 +438,16 @@ def test_free_parts_read_off_the_rows_are_the_free_dimensions(sub):
     # (H - rho)(d) - (H - rho)(d - 1); both against _dims, from below f_1 on
     n, degrees, r = sub.n, sub.degrees, rank(sub)
     last = degrees[len(degrees) - r :]
-    record = monomial_algebra._record(sub)
+    monomial_algebra._record(sub)
     for d in range(degrees[0] - 3, degrees[-1] + 5):
-        rho = monomial_algebra._rho(record, d)
+        rho = monomial_algebra._rho(sub, d)
         for index in (1, 2):
-            _, bound = theorems._growth(record, d, r, index)
+            _, bound = theorems._growth(sub, d, r, index)
             assert bound - macaulay_transform(rho, index) == monomial_algebra._dims(last, d + 1, n)
-            _, bound = theorems._restriction(record, d, r, index)
+            _, bound = theorems._restriction(sub, d, r, index)
             assert bound - green_transform(rho, index) == monomial_algebra._dims(last, d, n - 1)
         # the classical kernels, r = 0, add no free part to the transform of H
-        assert theorems._growth(record, d, 0, 1)[1] == macaulay_transform(hf_direct(sub, d), 1)
+        assert theorems._growth(sub, d, 0, 1)[1] == macaulay_transform(hf_direct(sub, d), 1)
 
 
 def test_hf_direct_cache_info_counts_record_reads_and_builds():
