@@ -39,13 +39,13 @@ from .numpoly import (
 
 def lex_segment(n: int, d: int, c: int) -> list[Monomial]:
     """The c lex-largest monomials of degree d in x0..xn, the run of
-    ``_lex_run`` from rank 0, so the degree is never enumerated."""
+    ``_lex_run`` from x0^d, so the degree is never enumerated."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     total = binomial(d + n, n)
     if not 0 <= c <= total:
         raise ValueError(f"segment size {c} out of range [0, {total}]")
-    return list(map(_monomial, _lex_run(n, d, 0, c)))
+    return list(map(_monomial, _lex_run((d,) + (0,) * n, c)))
 
 
 def is_lex_piece(submodule: MonomialSubmodule, d: int) -> bool:
@@ -55,7 +55,8 @@ def is_lex_piece(submodule: MonomialSubmodule, d: int) -> bool:
     is initial iff its lex-smallest monomial u x_n^(e - deg u), u the
     generator of degree <= e with the lex-smallest (u_0, ..., u_(n-1)), has
     rank dim I_e - 1.  Dimensions are read off ``_ideal_numerator``, so a
-    component past ``NODE_BUDGET`` raises BudgetExceeded."""
+    component that is not stable (a lex one is) and is past
+    ``NODE_BUDGET`` raises BudgetExceeded."""
     n = submodule.n
     gap = False  # some earlier component is not full
     for f, ideal in zip(submodule.degrees, submodule.components):
@@ -84,8 +85,9 @@ def is_lex_ideal(ideal: MonomialIdeal) -> bool:
     it: the lex-smallest of them is the lex-smallest monomial of I_D, and I_D
     is initial iff it has rank dim I_D - 1 (compared on its first n
     exponents).  dim I_D = C(D + n, n) - H(S/I, D) is read off
-    ``_ideal_numerator``, so the test is exact for every monomial ideal, and
-    one past ``NODE_BUDGET`` raises BudgetExceeded.
+    ``_ideal_numerator``, so the test is exact for every monomial ideal.  A
+    lex ideal is stable, so its numerator is the closed form; one that is
+    not stable and is past ``NODE_BUDGET`` raises BudgetExceeded.
     """
     n = ideal.n
     numerator = _ideal_numerator(ideal.exponents)
@@ -136,8 +138,13 @@ def lexify(
     D costs O(log D) binomials per run, and a partial piece has at most n
     runs).  The new generators are the positions from the span to the end
     of the new segment; those of one component are a run of consecutive
-    ranks, read off by ``_lex_run`` as exponent tuples, and no ``Monomial``
-    is built.
+    ranks, walked by ``_lex_run`` as exponent tuples, and no ``Monomial``
+    is built.  No rank is unranked either: the state also keeps u, the
+    lex-smallest monomial of the partial piece, and the span of that piece
+    ends at u x_n, so a run that continues it starts at the lex successor of
+    u x_n; a run that starts a component starts at x_0^e.  The last
+    monomial of the new partial piece is the next u, or u x_n when the
+    piece only grew.
 
     A tail that is not integer-valued is refused up front: the loop returns
     only after reading the tail at n + 1 consecutive degrees, and a
@@ -198,6 +205,7 @@ def lexify(
     # `fill` of the `piece` monomials of the next one, nothing after; only
     # components with f <= d are live, so a full one has a nonzero piece
     live = full = fill = piece = 0
+    low = None  # u, the lex-smallest monomial of the partial piece, when fill > 0
     quiet = 0  # consecutive degrees past start that added no generator
     for d in range(f1, f1 + TERM_BUDGET):
         while live < m and degrees[live] <= d:
@@ -227,18 +235,25 @@ def lexify(
             )
         # both the span and the new segment are initial, so the difference is
         # the position range [span, seg): exactly the new generators, which
-        # start in component `full` at the earliest
+        # start in component `full` at the earliest.  `last` is the monomial
+        # at position first - 1 in component c, the lex-smallest one it
+        # holds, or None when first starts the component: the span of a
+        # partial piece ends at low x_n
         c, first = full, span
+        last = low[:n] + (low[n] + 1,) if fill else None
         while c < live and cum + pieces[c] <= seg:
             top = cum + pieces[c]
             if first < top:
-                new_gens[c] += _lex_run(n, d - degrees[c], first - cum, top - first)
+                new_gens[c] += _lex_run(_run_start(last, n, d - degrees[c]), top - first)
                 first = top
             cum = top
             c += 1
+            last = None
         if first < seg:
-            new_gens[c] += _lex_run(n, d - degrees[c], first - cum, seg - first)
-        full, fill, piece = c, seg - cum, pieces[c] if c < live else 0
+            run = _lex_run(_run_start(last, n, d - degrees[c]), seg - first)
+            new_gens[c] += run
+            last = run[-1]
+        full, fill, piece, low = c, seg - cum, pieces[c] if c < live else 0, last
         if d > start:
             quiet = 0 if span < seg else quiet + 1
             if quiet > n:
@@ -248,6 +263,13 @@ def lexify(
                     ambient, tuple(MonomialIdeal._of_minimal(n, tuple(g)) for g in new_gens)
                 )
     raise BudgetExceeded(f"lexify walked {TERM_BUDGET} degrees from f1 = {f1} without settling")
+
+
+def _run_start(last: tuple[int, ...] | None, n: int, e: int) -> tuple[int, ...]:
+    """The first monomial of a run of degree-e generators: x_0^e, which
+    starts a component, or the lex successor of ``last``, which
+    ``_lex_run`` finds as its second monomial."""
+    return _lex_run(last, 2)[1] if last else (e,) + (0,) * n
 
 
 def saturated_lex_ideal(g: GotzmannRep, n: int) -> MonomialIdeal:

@@ -18,8 +18,9 @@ places only: parsing (``monomial_from_string``), ``Monomial.lcm``, and,
 without re-running its checks on tuples the library built or checked itself
 (``_monomial``), ``lex.lex_segment`` and ``MonomialIdeal.gens`` (on
 demand).  The library enumerates no degree: a stretch of one is walked in
-lex order one way, ``_lex_run`` (one unranking, then lex successors), and
-``_exponents_at_rank`` unranks one monomial.  The ``MonomialIdeal``
+lex order one way, ``_lex_run`` (lex successors from a given first
+monomial), and ``_exponents_at_rank`` unranks one monomial for the lex
+tests.  The ``MonomialIdeal``
 constructor takes ``Monomial``s and keeps their tuples.  The library's own
 ideal builders (``lexify``, ``saturated_lex_ideal``, ``saturation()``,
 ``random_submodule``) build exponent tuples and hand them to
@@ -29,7 +30,12 @@ Hilbert functions are read off the exact Hilbert series numerator.  Each
 ideal's numerator comes from one pivot recursion that splits on a variable
 power x_v^k down to pure powers plus at most one mixed generator, answered
 in closed form; the tests hold it to monomial counting and to the
-alternating sums of Betti numbers.  Every Hilbert value of a submodule is
+alternating sums of Betti numbers.  Its top call has one more base case:
+an ideal that ``_stable_counts``, the one exact stability test, finds
+stable (every lex ideal is) gets the Eliahou-Kervaire numerator
+1 - sum_u t^(deg u) (1 - t)^(m(u)), and ``resolution`` reads its Betti table
+off the same counts; the tests hold both to the routes they bypass.  Every
+Hilbert value of a submodule is
 read through its record, four slots of the submodule that ``_record``
 builds and that die with it: the sparse numerator of F/N, each
 component's pairs shifted by its f_i and never densified, and one row per
@@ -172,16 +178,16 @@ def _exponents_at_rank(n: int, d: int, rank: int) -> tuple[int, ...]:
     return tuple(exps)
 
 
-def _lex_run(n: int, d: int, start: int, count: int) -> list[tuple[int, ...]]:
-    """Exponents of the degree-d monomials at ranks start, ...,
-    start + count - 1 in lex order, for a range the caller has checked.  The
-    first is unranked; each next one is the lex successor of the last, which
-    lowers the last nonzero exponent among x_0..x_(n-1) by one.  A count of
-    0 unranks nothing."""
+def _lex_run(first: tuple[int, ...], count: int) -> list[tuple[int, ...]]:
+    """Exponents of ``first`` and the count - 1 monomials after it in lex
+    order, for a count the caller has checked against the end of the degree.
+    Each next one is the lex successor of the last, which lowers the last
+    nonzero exponent among x_0..x_(n-1) by one.  A count of 0 gives []."""
     if not count:
         return []
-    e = list(_exponents_at_rank(n, d, start))
-    out = [tuple(e)]
+    n = len(first) - 1
+    e = list(first)
+    out = [first]
     for _ in range(count - 1):
         v = n - 1
         while not e[v]:
@@ -485,13 +491,95 @@ def _power_product(degrees: Iterable[int]) -> dict[int, int]:
     return out
 
 
+def _stable_counts(gens: tuple[tuple[int, ...], ...]) -> dict[tuple[int, int], int] | None:
+    """For the minimal exponent tuples of a stable ideal, in canonical order,
+    the number of generators u of each degree d and top index k = m(u), the
+    largest index of a variable dividing u (0 for u = 1), as {(d, k): count};
+    None when the ideal is not stable.  The test is exact.
+
+    I is stable when x_j u / x_m(u) lies in I for every u in I and j < m(u);
+    the minimal generators u suffice.  A stable ideal contains x_0^d for its
+    least generator degree d, the lex-largest monomial of that degree, so
+    its first canonical generator is that pure power: one comparison refuses
+    most ideals that are not stable.  Then each exchange h = x_j u / x_k,
+    k = m(u), is looked up.  One that is itself a generator is found in the
+    set of them.  Otherwise, in a stable ideal h is g v for exactly one
+    generator g with m(g) <= min(v) (Eliahou and Kervaire, J. Algebra 129,
+    1990): g agrees with h on x_0, ..., x_(i-1) and has at most h_i on x_i,
+    i = m(g).  So each generator g keeps g_i under its prefix (g_0, ...,
+    g_(i-1)), a key of length i, which no other minimal generator shares (of
+    two, one would divide the other), and h lies in I if some key h[:i]
+    holds at most h_i.  Only j <= i <= k can hit: below
+    j that generator would divide u, and past k h_i is 0.  A hit is a
+    generator dividing h, so a non-stable ideal fails, and on a stable one
+    every exchange hits.  A generator dividing h comes before u in the
+    canonical order, by lower degree or, as h itself, higher in lex, so each
+    generator's exchanges are looked up among the keys of those before it,
+    and the pass stops at the first miss.  In an ideal of one degree no
+    generator divides an exchange but the exchange itself, so the order is
+    free, and the pass starts at the lex-smallest generator, which has the
+    most exchanges: an ideal one exchange short of stable, such as m^d less
+    a monomial, is usually refused within a few generators.
+    """
+    if not gens:
+        return {}
+    d = sum(gens[0])
+    if gens[0][0] != d:
+        return None
+    order = gens[::-1] if sum(gens[-1]) == d else gens
+    members = set(gens)
+    keys: dict[tuple[int, ...], int] = {}
+    tops = []
+    for u in order:
+        k = len(u) - 1
+        while k and not u[k]:
+            k -= 1
+        if k:
+            w = list(u)
+            w[k] -= 1
+            for j in range(k):
+                w[j] += 1
+                h = tuple(w)
+                w[j] -= 1
+                if h in members:
+                    continue
+                for i in range(j, k + 1):
+                    top = keys.get(h[:i])
+                    if top is not None and top <= h[i]:
+                        break
+                else:
+                    return None
+        keys[u[:k]] = u[k]
+        tops.append(k)
+    counts: dict[tuple[int, int], int] = {}
+    for degree, k in zip(map(sum, order), tops):
+        counts[degree, k] = counts.get((degree, k), 0) + 1
+    return counts
+
+
 # keyed by generator exponents: an ideal and an equal saturation share one entry
 @lru_cache(maxsize=CACHE_ENTRIES)
 def _ideal_numerator(gens: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int], ...]:
     """Series numerator of S/I, I given by its minimal exponent tuples, as
-    sorted (exponent, coefficient) pairs, by ``_power_pivot_numerator``
-    within ``NODE_BUDGET`` nodes."""
-    return tuple(sorted(_power_pivot_numerator(gens, [NODE_BUDGET]).items()))
+    sorted (exponent, coefficient) pairs, nonzero only.
+
+    A stable ideal (``_stable_counts``) is the base case, answered in closed
+    form: the Eliahou-Kervaire decomposition w = g v, m(g) <= min(v), makes
+    I the disjoint sum of the spaces g k[x_m(g), ..., x_n], so
+
+        N(S/I) = 1 - sum over generators u of t^(deg u) (1 - t)^(m(u)).
+
+    The unit ideal, with m(1) = 0, gives 1 - 1 = 0.  Every other ideal goes
+    to ``_power_pivot_numerator`` within ``NODE_BUDGET`` nodes.
+    """
+    counts = _stable_counts(gens)
+    if counts is None:
+        return tuple(sorted(_power_pivot_numerator(gens, [NODE_BUDGET]).items()))
+    out = {0: 1}
+    for (d, k), count in counts.items():
+        for i in range(k + 1):
+            out[d + i] = out.get(d + i, 0) - (-1) ** i * count * comb(k, i)
+    return tuple((e, c) for e, c in sorted(out.items()) if c)
 
 
 # _record.cache_clear() bumps the generation, and a record of an older one is
@@ -567,9 +655,10 @@ hf_direct.cache_info = lambda: _CacheInfo(_reads, _builds, None, None)
 def hilbert_series(submodule: MonomialSubmodule) -> HilbertSeries:
     """Hilbert series of F/N: each component's numerator shifted by t^(f_i).
 
-    The numerators come from ``_ideal_numerator``, one pivot recursion on
-    variable powers; it visits at most ``NODE_BUDGET`` nodes per component
-    ideal and raises BudgetExceeded past that.  The sparse sum is the
+    The numerators come from ``_ideal_numerator``: a closed form for a
+    stable component, else one pivot recursion on variable powers, which
+    visits at most ``NODE_BUDGET`` nodes per component ideal and raises
+    BudgetExceeded past that.  The sparse sum is the
     submodule's record; this uncached dense view of it runs from its lowest
     to its top exponent, so a span of more than ``TERM_BUDGET`` coefficients
     raises BudgetExceeded before it is built.  The tests check it against
@@ -737,7 +826,7 @@ def _kernel(ideal: MonomialIdeal, sat: tuple[tuple[int, ...], ...], e: int) -> i
     that 0/1 matrix over Q, which is the generic one."""
     gens = ideal.exponents
     source = [
-        u for u in _lex_run(ideal.n, e - 1, 0, binomial(e - 1 + ideal.n, ideal.n))
+        u for u in _lex_run((e - 1,) + (0,) * ideal.n, binomial(e - 1 + ideal.n, ideal.n))
         if any(all(map(le, g, u)) for g in sat) and not any(all(map(le, g, u)) for g in gens)
     ]
     row_of: dict[tuple[int, ...], int] = {}

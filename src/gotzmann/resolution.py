@@ -1,7 +1,12 @@
 """Graded Betti numbers and Castelnuovo-Mumford regularity.
 
-One exact backend computes every Betti table (Miller-Sturmfels,
-*Combinatorial Commutative Algebra*, Thm 1.34): for a monomial ideal I,
+One exact backend computes every Betti table, with one base case: a
+component ideal that the exact stability test ``_stable_counts`` finds
+stable, as every lex ideal is, has the Eliahou-Kervaire table
+beta_{p, p + deg u}(I) = sum_u C(m(u), p), read off its generator counts by
+top variable and degree.  Every other ideal goes to the lcm lattice
+(Miller-Sturmfels, *Combinatorial Commutative Algebra*, Thm 1.34): for a
+monomial ideal I,
 
     beta_{i,alpha}(I) = dim H~_{i-1}(K^alpha(I); Q),
     K^alpha(I) = {squarefree F : x^(alpha - F) in I},
@@ -43,18 +48,20 @@ generators divide alpha, however many variables the facets span.
 
 ``regularity`` reads max(j - i) off the ``koszul_betti`` table it asks for.
 The tests hold this backend to a dense Koszul computation, to the
-Eliahou-Kervaire formulas on stable ideals and to the per-variable tuple route.
+per-variable tuple route, and, on stable ideals, the base case to the
+lattice walk and to the Eliahou-Kervaire oracle of the tests.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache, reduce
+from math import comb
 from operator import and_
 
 from . import linalg
 from ._value import Value, tuples
 from .errors import ZeroModule
-from .monomial_algebra import CACHE_ENTRIES, MonomialIdeal, MonomialSubmodule
+from .monomial_algebra import CACHE_ENTRIES, MonomialIdeal, MonomialSubmodule, _stable_counts
 
 
 class BettiTable(Value):
@@ -276,6 +283,28 @@ def _relabelled_homology(facets: frozenset[int]) -> tuple[tuple[int, int], ...]:
 @lru_cache(maxsize=CACHE_ENTRIES)
 def _ideal_table(ideal: MonomialIdeal) -> tuple[tuple[int, int, int], ...]:
     """Nonzero graded Betti numbers (i, j, beta_{i,j}) of I as a module.
+
+    A stable ideal (``_stable_counts``) is the base case, answered in closed
+    form by the Eliahou-Kervaire resolution (J. Algebra 129, 1990):
+
+        beta_{p, p + deg u}(I) = sum over generators u of C(m(u), p),
+
+    m(u) the largest index of a variable dividing u (0 for u = 1, whose
+    one row is beta_{0,0} = 1).  Every other ideal goes to the lcm-lattice
+    walk of ``_lattice_table``.
+    """
+    counts = _stable_counts(ideal.exponents)
+    if counts is None:
+        return _lattice_table(ideal)
+    table: dict[tuple[int, int], int] = {}
+    for (d, k), count in counts.items():
+        for p in range(k + 1):
+            table[p, p + d] = table.get((p, p + d), 0) + count * comb(k, p)
+    return tuple((i, j, v) for (i, j), v in sorted(table.items()))
+
+
+def _lattice_table(ideal: MonomialIdeal) -> tuple[tuple[int, int, int], ...]:
+    """``_ideal_table`` of any monomial ideal by the lcm-lattice walk.
 
     beta_{i,alpha}(I) = dim H~_{i-1}(K^alpha(I)) is nonzero only for alpha in
     the lcm lattice of the minimal generators.  Variable v of a unary word

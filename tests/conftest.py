@@ -3,6 +3,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import strategies as st
 from enumeration_oracle import quotient_basis
 from rank_oracle import rank_oracle
 
@@ -130,6 +131,49 @@ def random_stable_ideal(seed, n_max=3, tries=50):
     return MonomialIdeal(n, tuple(Monomial(g) for g in closed))
 
 
+def _exchanges(u):
+    """The exchanges x_j u / x_k, j < k, of an exponent tuple u, k the
+    largest index of a variable dividing u."""
+    k = max((v for v, e in enumerate(u) if e), default=0)
+    return [u[:j] + (u[j] + 1,) + u[j + 1 : k] + (u[k] - 1,) + u[k + 1 :] for j in range(k)]
+
+
+def stable_closure(n, exps):
+    """The least stable ideal holding the monomials of these exponent
+    tuples: the tuples closed under exchanges.  Every minimal generator lies
+    in the closed set with its exchanges, so the ideal is stable."""
+    closed, frontier = set(exps), list(exps)
+    while frontier:
+        for h in _exchanges(frontier.pop()):
+            if h not in closed:
+                closed.add(h)
+                frontier.append(h)
+    return MonomialIdeal(n, tuple(Monomial(g) for g in closed))
+
+
+def near_misses(stable):
+    """The stable ideal with one minimal generator h dropped, for each h
+    that is an exchange of another generator u: u stays and h leaves the
+    ideal, so none of them is stable."""
+    gens = stable.exponents
+    exchanges = {h for u in gens for h in _exchanges(u)}
+    return [
+        MonomialIdeal(stable.n, tuple(Monomial(g) for g in gens if g != h))
+        for h in gens if h in exchanges
+    ]
+
+
+# stable closures of one to four monomials of degree 1 to 4 in 2 to 4
+# variables, each drawn as the list of its variables
+STABLE_CLOSURES = st.integers(1, 3).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(0, n), min_size=1, max_size=4), min_size=1, max_size=4
+    ).map(lambda monomials: stable_closure(
+        n, [tuple(m.count(v) for v in range(n + 1)) for m in monomials]
+    ))
+)
+
+
 def set_node_budget(monkeypatch, budget):
     """Patch the series node budget and empty every lru_cache of the loaded
     gotzmann modules, so no value cached under the old budget is answered."""
@@ -141,8 +185,9 @@ def set_node_budget(monkeypatch, budget):
                     value.cache_clear()
 
 
-# three squarefree quadrics: the series pivot recursion needs more than one
-# node, so a node budget of 1 is exceeded
+# three squarefree quadrics: not stable (x0^2 is missing), so the series
+# goes to the pivot recursion, which needs more than one node: a node budget
+# of 1 is exceeded
 THREE_QUADRICS = module(2, (0,), [ideal(2, "x0*x1", "x1*x2", "x0*x2")])
 
 

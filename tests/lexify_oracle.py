@@ -6,9 +6,12 @@ partial component.  This module keeps what that state summarizes instead:
 every component's fill and piece in the previous degree, a span summed over
 all components, and the fills of the new segment found component by
 component.  The growth of a partial piece is the Macaulay transform summed
-over the term list of ``macaulay_oracle``, not over the library's runs.  It
-shares with the library only ``_lex_run``, the walk of a stretch of lex
-ranks, so the tests hold the library's generators and errors to it.
+over the term list of ``macaulay_oracle``, not over the library's runs, and
+each run of new generators starts at its rank, unranked, where the library
+carries the lex-smallest monomial of the partial piece from degree to
+degree.  It shares with the library only ``_lex_run``, the walk of a
+stretch of lex order, and ``_exponents_at_rank``, so the tests hold the
+library's generators and errors to it.
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ from gotzmann.monomial_algebra import (
     GradedFreeModule,
     MonomialIdeal,
     MonomialSubmodule,
+    _exponents_at_rank,
     _lex_run,
 )
 from gotzmann.numpoly import TERM_BUDGET, NumPoly
@@ -106,7 +110,7 @@ def lexify(
             fill[c] = take
             first = max(span_size - cum, 0)
             if first < take:
-                new_gens[c] += _lex_run(n, d - degrees[c], first, take - first)
+                new_gens[c] += _lex_run(_exponents_at_rank(n, d - degrees[c], first), take - first)
             cum += size
         prev_fill, prev_pieces = fill, pieces
         if d > start:

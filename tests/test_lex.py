@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gotzmann.lex as lex_module
-from gotzmann import monomial_algebra
+from gotzmann import monomial_algebra, resolution
 from gotzmann.combinatorics import binomial
 from gotzmann.errors import BudgetExceeded, NotAchievable, NotAdmissible
 from gotzmann.lex import (
@@ -32,6 +32,7 @@ from gotzmann.numpoly import GotzmannRep, NumPoly
 from gotzmann.theorems import random_submodule
 
 from conftest import (
+    THREE_QUADRICS,
     colon_var_power,
     hf_count,
     ideal,
@@ -90,7 +91,7 @@ def test_lex_segment_enumerates_no_degree():
 
 
 def test_lex_run_is_every_slice_of_the_degree():
-    # one unranking, then lex successors: the same as slicing the degree's
+    # lex successors from a given monomial: the same as slicing the degree's
     # exponent tuples sorted descending, which is lex with x0 > ... > xn,
     # and as the oracle's enumeration of the whole degree
     run = monomial_algebra._lex_run
@@ -100,9 +101,9 @@ def test_lex_run_is_every_slice_of_the_degree():
                 (e for e in product(range(d + 1), repeat=n + 1) if sum(e) == d), reverse=True
             )
             assert [m.exponents for m in monomials_of_degree(n, d)] == degree
-            for start in range(len(degree) + 1):
+            for start, first in enumerate(degree):
                 for stop in range(start, len(degree) + 1):
-                    assert run(n, d, start, stop - start) == degree[start:stop]
+                    assert run(first, stop - start) == degree[start:stop]
 
 
 def test_empty_lex_run_unranks_nothing(monkeypatch):
@@ -110,9 +111,10 @@ def test_empty_lex_run_unranks_nothing(monkeypatch):
         raise AssertionError(f"unranked {rank} in degree {d}")
 
     monkeypatch.setattr(monomial_algebra, "_exponents_at_rank", refuse)
-    assert monomial_algebra._lex_run(2, 3, 4, 0) == []
+    assert monomial_algebra._lex_run((3, 0, 0), 0) == []
     assert lex_segment(2, -1, 0) == []
     assert lex_segment(3, 5, 0) == []
+    assert lex_segment(3, 5, 4) == list(monomials_of_degree(3, 5)[:4])
 
 
 def test_module_monomials_position_dominant():
@@ -157,15 +159,20 @@ def test_is_lex_ideal():
 
 
 def test_lex_tests_refuse_past_the_node_budget(monkeypatch):
-    # lex, but its series needs three pivot nodes: with a budget of one the
-    # count that decides lex-ness raises, where the walk was only slow
+    # not stable, and its series needs three pivot nodes: with a budget of
+    # one the count that decides lex-ness raises, where the walk was only slow
+    quadrics = THREE_QUADRICS.components[0]
+    assert not is_lex_ideal(quadrics)
+    # lex, so stable: its series is the closed-form base case, which visits
+    # no pivot node, so both tests answer under a budget of one
     lex = ideal(2, "x0^2", "x0*x1", "x0*x2", "x1^2")
-    assert is_lex_ideal(lex)
     set_node_budget(monkeypatch, 1)
     with pytest.raises(BudgetExceeded):
-        is_lex_ideal(lex)
+        is_lex_ideal(quadrics)
     with pytest.raises(BudgetExceeded):
-        is_lex_piece(module(2, (0,), [lex]), 2)
+        is_lex_piece(THREE_QUADRICS, 2)
+    assert is_lex_ideal(lex)
+    assert is_lex_piece(module(2, (0,), [lex]), 2)
 
 
 def test_lexify_module_example():
@@ -386,8 +393,45 @@ def _lexify_outcome(lexify_fn, data):
 @example(lexify_data(module(2, (0, 1, 4), ["unit", ideal(2, "x0", "x1^2"), "zero"])))
 def test_lexify_matches_the_per_component_walk(data):
     # the segment state against the per-component lists: same generators,
-    # same error and message
-    assert _lexify_outcome(lexify, data) == _lexify_outcome(lexify_oracle.lexify, data)
+    # same error and message; and lexify unranks nothing, as each run starts
+    # at x_0^e or after u x_n, u the last monomial of the partial piece
+    expected = _lexify_outcome(lexify_oracle.lexify, data)
+
+    def refuse(n, d, rank):
+        raise AssertionError(f"lexify unranked {rank} in degree {d}")
+
+    with pytest.MonkeyPatch.context() as patch:
+        for unranking in (monomial_algebra, lex_module):
+            patch.setattr(unranking, "_exponents_at_rank", refuse)
+        assert _lexify_outcome(lexify, data) == expected
+
+
+def test_lex_module_is_read_with_no_pivot_or_lattice(monkeypatch):
+    # the lexify output of random_submodule(656)'s data has components of
+    # 828 and 5,350 generators; lex ideals are stable, so the lex test, the
+    # series and the regularity read them in closed form, with the pivot
+    # recursion and the lattice walk refused
+    sub = random_submodule(656)
+    f = sub.degrees
+    table = [(d, hf_direct(sub, d)) for d in range(f[0], max(stabilization_degree(sub), f[-1]) + 1)]
+    out = lexify(sub.ambient, table, hilbert_polynomial(sub))
+    assert sorted(len(c.exponents) for c in out.components) == [0, 828, 5350]
+
+    def refuse(*args):
+        raise AssertionError("a stable component left the closed form")
+
+    monkeypatch.setattr(monomial_algebra, "_power_pivot_numerator", refuse)
+    monkeypatch.setattr(resolution, "_lattice_table", refuse)
+    monomial_algebra._ideal_numerator.cache_clear()
+    resolution._ideal_table.cache_clear()
+    assert all(is_lex_ideal(c) for c in out.components)
+    assert [hf_direct(out, d) for d, _ in table] == [v for _, v in table]
+    assert hilbert_polynomial(out) == hilbert_polynomial(sub)
+    assert hilbert_series(out).max_exponent == stabilization_degree(out) + sub.n
+    # a stable ideal has regularity its top generator degree, one more than S/I
+    assert resolution.regularity(out) == max(
+        fi + (c.max_gen_degree() - 1 if c.exponents else 0) for fi, c in zip(f, out.components)
+    )
 
 
 def test_lexify_calls_no_gotzmann_rep(monkeypatch):

@@ -37,6 +37,7 @@ from gotzmann.numpoly import NumPoly
 from gotzmann.theorems import check_green_adjusted, random_submodule
 
 from conftest import (
+    STABLE_CLOSURES,
     THREE_QUADRICS,
     colon_var_power,
     counted_numerator,
@@ -46,9 +47,11 @@ from conftest import (
     ideal,
     intersect,
     module,
+    near_misses,
     quadratic_minimal,
     set_node_budget,
 )
+from ek_oracle import is_stable
 from enumeration_oracle import exponents_of_degree, monomials_of_degree, quotient_basis
 from hyperplane_oracle import hyperplane_hf, linear_section_dim, saturation_exponents
 from series_oracle import (
@@ -418,17 +421,70 @@ def test_unit_ideal_numerator_is_zero():
         unit = MonomialIdeal.unit(n)
         assert monomial_algebra._power_pivot_numerator(unit.exponents, [1]) == {}
         assert counted_numerator(unit) == {}
+        # the closed form: 1 less the unit's one term t^0 (1 - t)^0
+        assert monomial_algebra._stable_counts(unit.exponents) == {(0, 0): 1}
+        assert monomial_algebra._ideal_numerator.__wrapped__(unit.exponents) == ()
+
+
+def _top_counts(ideal_obj):
+    """{(deg u, m(u)): count} over the minimal generators u, m(u) the
+    largest index of a variable dividing u (0 for u = 1)."""
+    counts = {}
+    for g in ideal_obj.exponents:
+        key = sum(g), max((v for v, e in enumerate(g) if e), default=0)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PIVOT_CASES)
+@example((2, []))  # the zero ideal
+@example((2, [[0, 0, 0]]))  # the unit ideal
+@example((2, [[2, 0, 0], [1, 1, 0], [0, 2, 0], [0, 0, 1]]))  # x2 with no x0 or x1
+def test_stability_test_matches_the_oracle_on_random_ideals(case):
+    n, exponent_lists = case
+    ideal_obj = MonomialIdeal(n, tuple(Monomial(tuple(e)) for e in exponent_lists))
+    counts = monomial_algebra._stable_counts(ideal_obj.exponents)
+    assert (counts is not None) == is_stable(ideal_obj)
+    if counts is not None:
+        assert counts == _top_counts(ideal_obj)
+
+
+@settings(max_examples=80, deadline=None)
+@given(STABLE_CLOSURES, st.data())
+def test_stable_numerator_equals_the_pivot_and_near_misses_fall_through(stable, data):
+    # on a stable ideal the closed form equals the pivot recursion it
+    # bypasses and monomial counting; an ideal one exchange short of it is
+    # refused by the test and read off the pivot, which matches counting
+    gens = stable.exponents
+    assert is_stable(stable)
+    assert monomial_algebra._stable_counts(gens) == _top_counts(stable)
+    closed = monomial_algebra._ideal_numerator.__wrapped__(gens)
+    pivot = monomial_algebra._power_pivot_numerator(gens, [monomial_algebra.NODE_BUDGET])
+    assert closed == tuple(sorted(pivot.items()))
+    assert dict(closed) == counted_numerator(stable)
+    misses = near_misses(stable)
+    if misses:
+        miss = data.draw(st.sampled_from(misses))
+        assert not is_stable(miss)
+        assert monomial_algebra._stable_counts(miss.exponents) is None
+        numerator = monomial_algebra._ideal_numerator.__wrapped__(miss.exponents)
+        assert dict(numerator) == counted_numerator(miss)
 
 
 def test_one_mixed_generator_within_a_node_budget_of_one(monkeypatch):
     sub = module(2, (0,), [ideal(2, "x0^3", "x1", "x2^4", "x0^2*x2^3")])
+    # not stable, so the pivot's root node answers, not the closed form
+    assert monomial_algebra._stable_counts(sub.components[0].exponents) is None
     expected = [hf_count(sub, d) for d in range(12)]
     set_node_budget(monkeypatch, 1)
     assert [hf_direct(sub, d) for d in range(12)] == expected
 
 
 def test_series_budget(monkeypatch):
-    # values cached under the full budget are dropped with it
+    # values cached under the full budget are dropped with it; the three
+    # quadrics are not stable, so the pivot recursion reads them
+    assert monomial_algebra._stable_counts(THREE_QUADRICS.components[0].exponents) is None
     readers = (
         hilbert_series,
         hilbert_polynomial,

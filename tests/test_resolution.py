@@ -1,7 +1,9 @@
 """Betti tables from the lcm-lattice backend, held against the dense Koszul
 oracle in ``koszul_oracle`` and, on stable ideals, the Eliahou-Kervaire
-oracle in ``ek_oracle``; the packed lcm-lattice kernel against the tuple
-route in ``lattice_oracle`` and the Eagon-Northcott numbers of m^d."""
+oracle in ``ek_oracle``; the closed-form base case for stable ideals
+against the lattice walk it bypasses; the packed lcm-lattice kernel against
+the tuple route in ``lattice_oracle`` and the Eagon-Northcott numbers of
+m^d."""
 import os
 import random
 import resource
@@ -25,21 +27,26 @@ from gotzmann.monomial_algebra import (
     MonomialIdeal,
     MonomialSubmodule,
     _ideal_numerator,
+    _stable_counts,
 )
 from gotzmann.resolution import (
     BettiTable,
     _face_set_homology,
     _ideal_table,
+    _lattice_table,
     _relabelled_homology,
     koszul_betti,
     regularity,
 )
 
 from conftest import (
+    STABLE_CLOSURES,
     betti_alternating_sum,
+    counted_numerator,
     ideal,
     ideal_hs_numerator,
     module,
+    near_misses,
     random_stable_ideal,
 )
 from ek_oracle import ek_betti_table, ek_regularity, is_stable
@@ -174,6 +181,25 @@ def test_ek_matches_koszul_on_seeded_stable_ideals():
         assert ek_regularity(stable_ideal) == koszul.regularity()
         assert ek_regularity(stable_ideal) == stable_ideal.max_gen_degree()
     assert seen >= 30
+
+
+@settings(max_examples=80, deadline=None)
+@given(STABLE_CLOSURES, st.data())
+def test_stable_table_equals_the_lattice_and_near_misses_fall_through(stable, data):
+    # on a stable ideal the closed-form table equals the lattice walk it
+    # bypasses and the oracle's formula; an ideal one exchange short of it
+    # is refused by the test and walked, which matches the tuple route and,
+    # through the alternating sums, monomial counting
+    table = _ideal_table.__wrapped__(stable)
+    assert table == _lattice_table(stable)
+    assert BettiTable(table) == ek_betti_table(stable)
+    misses = near_misses(stable)
+    if misses:
+        miss = data.draw(st.sampled_from(misses))
+        assert _stable_counts(miss.exponents) is None
+        assert _ideal_table.__wrapped__(miss) == lattice_oracle_table(miss)
+        quotient = koszul_betti(module(miss.n, (0,), [miss]))
+        assert betti_alternating_sum(quotient) == counted_numerator(miss)
 
 
 def test_regularity_examples(two_free_lines, twisted_plane_pair):
@@ -340,6 +366,7 @@ _capped_ideals = st.tuples(st.integers(0, 5), st.integers(1, 9)).flatmap(
 @given(_capped_ideals)
 def test_ideal_table_matches_tuple_oracle(any_ideal):
     assert _ideal_table(any_ideal) == lattice_oracle_table(any_ideal)
+    assert _lattice_table(any_ideal) == lattice_oracle_table(any_ideal)
 
 
 def _only_maximal_facets_meet(ideal):
@@ -374,6 +401,7 @@ def test_ideal_table_matches_tuple_oracle_on_edge_cases():
     ]
     for case in cases:
         assert _ideal_table(case) == lattice_oracle_table(case), case
+        assert _lattice_table(case) == lattice_oracle_table(case), case
     assert _ideal_table(MonomialIdeal.zero(3)) == ()
     unit = module(3, (0,), ["unit"])
     assert koszul_betti(unit, as_quotient=False).as_dict() == {(0, 0): 1}
@@ -386,7 +414,7 @@ def test_wide_path_matches_tuple_oracle(any_ideal, vertices):
     # the vertices they use, and complexes on more of them skip the face set
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(resolution, "FACE_SET_VERTICES", vertices)
-        assert _ideal_table.__wrapped__(any_ideal) == lattice_oracle_table(any_ideal)
+        assert _lattice_table(any_ideal) == lattice_oracle_table(any_ideal)
 
 
 def _high_variable_ideals():
@@ -441,7 +469,7 @@ def test_face_set_keys_span_at_most_the_cap():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(resolution, "_face_set_homology", recording)
         for case in (narrow, wide):
-            assert _ideal_table.__wrapped__(case) == lattice_oracle_table(case)
+            assert _lattice_table(case) == lattice_oracle_table(case)
     assert keys and all(key.bit_length() <= 1 << resolution.FACE_SET_VERTICES for key in keys)
 
 
@@ -490,6 +518,9 @@ def test_powers_of_the_maximal_ideal_match_eagon_northcott(n, d):
         gens.append(tuple(chosen.count(v) for v in range(n + 1)))
     power = module(n, (0,), [_ideal_of(n, gens)])
     assert koszul_betti(power, as_quotient=False).as_dict() == _eagon_northcott(n + 1, d)
+    # m^d is stable, so the table is the closed form; the lattice walk agrees
+    expected = tuple((i, j, v) for (i, j), v in sorted(_eagon_northcott(n + 1, d).items()))
+    assert _lattice_table(power.components[0]) == expected
 
 
 def _mask(*vertices):
@@ -588,9 +619,9 @@ def test_frobenius_power_doubles_degrees_with_no_new_miss(any_ideal):
     # K^(2 alpha)(I^[2]) = K^alpha(I): its table is I's with every degree
     # doubled, and its complexes are the ones I's table just met
     doubled = _ideal_of(any_ideal.n, [[2 * e for e in g] for g in any_ideal.exponents])
-    table = _ideal_table.__wrapped__(any_ideal)
+    table = _lattice_table(any_ideal)
     misses = _face_set_homology.cache_info().misses
-    assert _ideal_table.__wrapped__(doubled) == tuple((i, 2 * j, v) for i, j, v in table)
+    assert _lattice_table(doubled) == tuple((i, 2 * j, v) for i, j, v in table)
     assert _face_set_homology.cache_info().misses == misses
 
 
