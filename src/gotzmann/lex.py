@@ -19,12 +19,14 @@ from .monomial_algebra import (
     Monomial,
     MonomialIdeal,
     MonomialSubmodule,
-    _exponents_at_rank,
     _ideal_numerator,
+    _lex_rank,
     _lex_run,
     _minimal,
     _monomial,
     _numerator_hf,
+    _stable_counts,
+    _stable_numerator,
 )
 from .numpoly import (
     TERM_BUDGET,
@@ -54,9 +56,9 @@ def is_lex_piece(submodule: MonomialSubmodule, d: int) -> bool:
     one's piece I_e is initial, and every later one is zero.  A nonzero I_e
     is initial iff its lex-smallest monomial u x_n^(e - deg u), u the
     generator of degree <= e with the lex-smallest (u_0, ..., u_(n-1)), has
-    rank dim I_e - 1.  Dimensions are read off ``_ideal_numerator``, so a
-    component that is not stable (a lex one is) and is past
-    ``NODE_BUDGET`` raises BudgetExceeded."""
+    rank dim I_e - 1.  Dimensions are read off ``_ideal_numerator``: a
+    component that is not stable can still have initial pieces, so one
+    past ``NODE_BUDGET`` raises BudgetExceeded."""
     n = submodule.n
     gap = False  # some earlier component is not full
     for f, ideal in zip(submodule.degrees, submodule.components):
@@ -70,7 +72,7 @@ def is_lex_piece(submodule: MonomialSubmodule, d: int) -> bool:
             gap = True
             if size:
                 low = min(g[:n] for g in ideal.exponents if sum(g) <= e)
-                if low != _exponents_at_rank(n, e, size - 1)[:n]:
+                if _lex_rank(low + (e - sum(low),)) != size - 1:
                     return False
     return True
 
@@ -78,22 +80,25 @@ def is_lex_piece(submodule: MonomialSubmodule, d: int) -> bool:
 def is_lex_ideal(ideal: MonomialIdeal) -> bool:
     """Whether every graded piece of the ideal is a lex initial segment.
 
-    The generator degrees suffice, in ascending order: between them each
-    piece is the span of the previous one, and spans of lex segments are lex
-    segments.  With the pieces below D initial, so is the span of I_(D-1) in
-    degree D, and the generators of degree D lie outside it, so below all of
-    it: the lex-smallest of them is the lex-smallest monomial of I_D, and I_D
-    is initial iff it has rank dim I_D - 1 (compared on its first n
-    exponents).  dim I_D = C(D + n, n) - H(S/I, D) is read off
-    ``_ideal_numerator``, so the test is exact for every monomial ideal.  A
-    lex ideal is stable, so its numerator is the closed form; one that is
-    not stable and is past ``NODE_BUDGET`` raises BudgetExceeded.
+    A lex ideal is stable, so an ideal that ``_stable_counts`` refuses is
+    not lex.  For a stable one the generator degrees suffice, in ascending
+    order: between them each piece is the span of the previous one, and
+    spans of lex segments are lex segments.  With the pieces below D
+    initial, so is the span of I_(D-1) in degree D, and the generators of
+    degree D lie outside it, so below all of it: the lex-smallest of them is
+    the lex-smallest monomial of I_D, and I_D is initial iff it has rank
+    dim I_D - 1.  dim I_D = C(D + n, n) - H(S/I, D) is read off the
+    Eliahou-Kervaire numerator of the same counts, so the test is exact,
+    runs the stability test once and never the pivot recursion.
     """
     n = ideal.n
-    numerator = _ideal_numerator(ideal.exponents)
+    counts = _stable_counts(ideal.exponents)
+    if counts is None:
+        return False
+    numerator = _stable_numerator(counts)
     for degree, gens in groupby(ideal.exponents, key=sum):
         size = binomial(degree + n, n) - _numerator_hf(numerator, n, degree)
-        if min(g[:n] for g in gens) != _exponents_at_rank(n, degree, size - 1)[:n]:
+        if _lex_rank(min(gens)) != size - 1:
             return False
     return True
 

@@ -17,14 +17,13 @@ returns.  The validating ``Monomial`` type is the boundary, built in these
 places only: parsing (``monomial_from_string``), ``Monomial.lcm``, and,
 without re-running its checks on tuples the library built or checked itself
 (``_monomial``), ``lex.lex_segment`` and ``MonomialIdeal.gens`` (on
-demand).  The library enumerates no degree: a stretch of one is walked in
-lex order one way, ``_lex_run`` (lex successors from a given first
-monomial), and ``_exponents_at_rank`` unranks one monomial for the lex
-tests.  The ``MonomialIdeal``
-constructor takes ``Monomial``s and keeps their tuples.  The library's own
-ideal builders (``lexify``, ``saturated_lex_ideal``, ``saturation()``,
-``random_submodule``) build exponent tuples and hand them to
-``MonomialIdeal._of_minimal``.
+demand).  The library enumerates no degree and never inverts lex order: a
+stretch of one is walked forward by ``_lex_run`` (lex successors from a
+given first monomial), and ``_lex_rank`` ranks one monomial in closed
+form for the lex tests.  The ``MonomialIdeal`` constructor takes
+``Monomial``s and keeps their tuples.  The library's own ideal builders
+(``lexify``, ``saturated_lex_ideal``, ``saturation()``, ``random_submodule``)
+build exponent tuples and hand them to ``MonomialIdeal._of_minimal``.
 
 Hilbert functions are read off the exact Hilbert series numerator.  Each
 ideal's numerator comes from one pivot recursion that splits on a variable
@@ -33,10 +32,11 @@ in closed form; the tests hold it to monomial counting and to the
 alternating sums of Betti numbers.  Its top call has one more base case:
 an ideal that ``_stable_counts``, the one exact stability test, finds
 stable (every lex ideal is) gets the Eliahou-Kervaire numerator
-1 - sum_u t^(deg u) (1 - t)^(m(u)), and ``resolution`` reads its Betti table
-off the same counts; the tests hold both to the routes they bypass.  Every
-Hilbert value of a submodule is
-read through its record, four slots of the submodule that ``_record``
+1 - sum_u t^(deg u) (1 - t)^(m(u)) of ``_stable_numerator``.  ``resolution``
+reads its Betti table off the same counts, and ``lex.is_lex_ideal`` its
+dimensions (an ideal the test refuses is not lex); the tests hold them to
+the routes they bypass.  Every Hilbert value of a submodule is read
+through its record, four slots of the submodule that ``_record``
 builds and that die with it: the sparse numerator of F/N, each
 component's pairs shifted by its f_i and never densified, and one row per
 degree d holding H(F/N, d), rho(d) at the rank of F/N and the hyperplane
@@ -150,34 +150,6 @@ def monomial_from_string(text: str, n: int) -> Monomial:
     return Monomial(tuple(exps))
 
 
-def _exponents_at_rank(n: int, d: int, rank: int) -> tuple[int, ...]:
-    """Exponents of the degree-d monomial at lex rank 0 <= rank < C(d + n, n),
-    rank 0 the largest; the caller checks the range.
-
-    With R the degree left for x_v, ..., x_n and k = n - v, the monomials
-    whose x_v exponent is at least R - s number C(s + k, k) (a hockey-stick
-    sum), so the x_v exponent is R - s for the least s with rank below that
-    count, found by bisection: O(n log d) binomials per monomial.
-    """
-    exps = []
-    remaining = d
-    for v in range(n):
-        k = n - v
-        lo, hi = 0, remaining
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if rank < comb(mid + k, k):
-                hi = mid
-            else:
-                lo = mid + 1
-        if lo:
-            rank -= comb(lo - 1 + k, k)
-        exps.append(remaining - lo)
-        remaining = lo
-    exps.append(remaining)
-    return tuple(exps)
-
-
 def _lex_run(first: tuple[int, ...], count: int) -> list[tuple[int, ...]]:
     """Exponents of ``first`` and the count - 1 monomials after it in lex
     order, for a count the caller has checked against the end of the degree.
@@ -198,6 +170,21 @@ def _lex_run(first: tuple[int, ...], count: int) -> list[tuple[int, ...]]:
         e[v + 1] = tail + 1
         out.append(tuple(e))
     return out
+
+
+def _lex_rank(u: tuple[int, ...]) -> int:
+    """Lex rank of the monomial with exponents u among those of its degree,
+    0 the largest.  The monomials before u agree with it on x_0..x_(v-1)
+    and exceed it at x_v for one v < n; with R the degree left for
+    x_v..x_n and k = n - v, there are C(R - u_v - 1 + k, k) of them (a
+    hockey-stick sum), so a rank costs n binomials."""
+    n = len(u) - 1
+    rank = 0
+    left = sum(u)
+    for v in range(n):
+        rank += comb(left - u[v] - 1 + n - v, n - v)
+        left -= u[v]
+    return rank
 
 
 def _minimal(exps: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
@@ -575,6 +562,12 @@ def _ideal_numerator(gens: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int]
     counts = _stable_counts(gens)
     if counts is None:
         return tuple(sorted(_power_pivot_numerator(gens, [NODE_BUDGET]).items()))
+    return _stable_numerator(counts)
+
+
+def _stable_numerator(counts: dict[tuple[int, int], int]) -> tuple[tuple[int, int], ...]:
+    """``_ideal_numerator`` of a stable I from its ``_stable_counts``: the
+    Eliahou-Kervaire numerator 1 - sum_u t^(deg u) (1 - t)^(m(u))."""
     out = {0: 1}
     for (d, k), count in counts.items():
         for i in range(k + 1):

@@ -7,13 +7,15 @@ every component's fill and piece in the previous degree, a span summed over
 all components, and the fills of the new segment found component by
 component.  The growth of a partial piece is the Macaulay transform summed
 over the term list of ``macaulay_oracle``, not over the library's runs, and
-each run of new generators starts at its rank, unranked, where the library
-carries the lex-smallest monomial of the partial piece from degree to
-degree.  It shares with the library only ``_lex_run``, the walk of a
-stretch of lex order, and ``_exponents_at_rank``, so the tests hold the
-library's generators and errors to it.
+each run of new generators starts at its rank, unranked here by
+bisection, where the library carries the lex-smallest monomial of the
+partial piece from degree to degree and unranks nothing.  It shares with
+the library only ``_lex_run``, the walk of a stretch of lex order, so the
+tests hold the library's generators and errors to it.
 """
 from __future__ import annotations
+
+from math import comb
 
 from gotzmann.combinatorics import binomial
 from gotzmann.errors import BudgetExceeded, NotAchievable
@@ -21,12 +23,39 @@ from gotzmann.monomial_algebra import (
     GradedFreeModule,
     MonomialIdeal,
     MonomialSubmodule,
-    _exponents_at_rank,
     _lex_run,
 )
 from gotzmann.numpoly import TERM_BUDGET, NumPoly
 
 from macaulay_oracle import macaulay_transform
+
+
+def exponents_at_rank(n: int, d: int, rank: int) -> tuple[int, ...]:
+    """Exponents of the degree-d monomial at lex rank 0 <= rank < C(d + n, n),
+    rank 0 the largest; the caller checks the range.
+
+    With R the degree left for x_v, ..., x_n and k = n - v, the monomials
+    whose x_v exponent is at least R - s number C(s + k, k) (a hockey-stick
+    sum), so the x_v exponent is R - s for the least s with rank below that
+    count, found by bisection: O(n log d) binomials per monomial.
+    """
+    exps = []
+    remaining = d
+    for v in range(n):
+        k = n - v
+        lo, hi = 0, remaining
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if rank < comb(mid + k, k):
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo:
+            rank -= comb(lo - 1 + k, k)
+        exps.append(remaining - lo)
+        remaining = lo
+    exps.append(remaining)
+    return tuple(exps)
 
 
 def lexify(
@@ -110,7 +139,7 @@ def lexify(
             fill[c] = take
             first = max(span_size - cum, 0)
             if first < take:
-                new_gens[c] += _lex_run(_exponents_at_rank(n, d - degrees[c], first), take - first)
+                new_gens[c] += _lex_run(exponents_at_rank(n, d - degrees[c], first), take - first)
             cum += size
         prev_fill, prev_pieces = fill, pieces
         if d > start:

@@ -1,0 +1,260 @@
+"""Mutation checks: each mutant must make the tests named for it fail.
+
+A mutant is (file, exact snippet, replacement, test node ids), with a name
+to report it by.  The runner copies ``src/``, ``tests/`` and
+``pyproject.toml`` of the checkout into a temporary directory and runs every
+named test there unmutated, which must pass.  Then, one mutant at a time, it
+writes the replacement over the snippet, which must occur exactly once in
+the file, runs that mutant's tests and requires them to fail, and restores
+the file.  A snippet that no longer matches fails the run, and so does a
+mutant that survives.
+
+Equivalent mutants change no answer, only speed; each is listed with the
+argument for that, and its snippet must still match, so the list follows
+the code.  Mutants of code that no longer exists are dropped from the list.
+
+Standard library only; pytest runs in a subprocess, with a fixed Hypothesis
+seed and no bytecode written.  From the root of the checkout:
+
+    python tests/mutants.py
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600
+
+MA = "src/gotzmann/monomial_algebra.py"
+LEX = "src/gotzmann/lex.py"
+RES = "src/gotzmann/resolution.py"
+
+T_MA = "tests/test_monomial_algebra.py::"
+T_LEX = "tests/test_lex.py::"
+T_RES = "tests/test_resolution.py::"
+STABILITY = (
+    T_MA + "test_stability_test_matches_the_oracle_on_random_ideals",
+    T_MA + "test_stable_numerator_equals_the_pivot_and_near_misses_fall_through",
+    T_RES + "test_is_stable_examples",
+)
+LEXIFY = (
+    T_LEX + "test_lexify_module_example",
+    T_LEX + "test_lexify_reproduces_hilbert_function",
+    T_LEX + "test_lexify_matches_the_per_component_walk",
+)
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+class Equivalent(NamedTuple):
+    name: str
+    file: str
+    snippet: str
+    replacement: str
+    argument: str
+
+
+MUTANTS = (
+    # lex ranks and the lex tests
+    Mutant(
+        "rank summed over all n + 1 variables", MA,
+        "    for v in range(n):\n        rank += comb(",
+        "    for v in range(n + 1):\n        rank += comb(",
+        (T_MA + "test_lex_rank_matches_enumeration", T_LEX + "test_is_lex_ideal"),
+    ),
+    Mutant(
+        "rank without its - 1", MA,
+        "rank += comb(left - u[v] - 1 + n - v, n - v)",
+        "rank += comb(left - u[v] + n - v, n - v)",
+        (T_MA + "test_lex_rank_matches_enumeration", T_LEX + "test_is_lex_ideal"),
+    ),
+    Mutant(
+        "is_lex_ideal without the stability check", LEX,
+        "    counts = _stable_counts(ideal.exponents)\n"
+        "    if counts is None:\n"
+        "        return False\n"
+        "    numerator = _stable_numerator(counts)\n",
+        "    numerator = _ideal_numerator(ideal.exponents)\n",
+        (
+            T_LEX + "test_lex_tests_refuse_past_the_node_budget",
+            T_LEX + "test_near_misses_are_not_lex_under_a_node_budget_of_one",
+        ),
+    ),
+    Mutant(
+        "piece rule compared with dim I_e", LEX,
+        "if _lex_rank(low + (e - sum(low),)) != size - 1:",
+        "if _lex_rank(low + (e - sum(low),)) != size:",
+        (T_LEX + "test_is_lex_piece", T_LEX + "test_is_lex_piece_matches_the_walk_on_random_submodules"),
+    ),
+    # the stability test
+    Mutant(
+        "prefix keys looked up from j + 1", MA,
+        "for i in range(j, k + 1):",
+        "for i in range(j + 1, k + 1):",
+        STABILITY,
+    ),
+    Mutant(
+        "exchange lookup without its set check", MA,
+        "                if h in members:\n                    continue\n",
+        "",
+        STABILITY,
+    ),
+    Mutant(
+        "< for <= at a prefix key", MA,
+        "if top is not None and top <= h[i]:",
+        "if top is not None and top < h[i]:",
+        STABILITY,
+    ),
+    Mutant(
+        "last exchange skipped", MA,
+        "            w[k] -= 1\n            for j in range(k):",
+        "            w[k] -= 1\n            for j in range(k - 1):",
+        STABILITY,
+    ),
+    # the Eliahou-Kervaire numerator and table
+    Mutant(
+        "numerator sign (-1)^i dropped", MA,
+        "- (-1) ** i * count * comb(k, i)",
+        "- count * comb(k, i)",
+        (T_MA + "test_stable_numerator_equals_the_pivot_and_near_misses_fall_through",),
+    ),
+    Mutant(
+        "numerator without its leading 1", MA,
+        "    out = {0: 1}\n    for (d, k), count in counts.items():",
+        "    out = {}\n    for (d, k), count in counts.items():",
+        (T_MA + "test_stable_numerator_equals_the_pivot_and_near_misses_fall_through",),
+    ),
+    Mutant(
+        "table summand C(k + 1, p)", RES,
+        "count * comb(k, p)",
+        "count * comb(k + 1, p)",
+        (T_RES + "test_ek_tables_match_koszul", T_RES + "test_ek_unit_ideal_convention"),
+    ),
+    Mutant(
+        "table degree not shifted by p", RES,
+        "table[p, p + d] = table.get((p, p + d), 0)",
+        "table[p, d] = table.get((p, d), 0)",
+        (T_RES + "test_ek_tables_match_koszul",),
+    ),
+    # lexify by lex successor
+    Mutant(
+        "a continued run starts after u, not after u x_n", LEX,
+        "last = low[:n] + (low[n] + 1,) if fill else None",
+        "last = low if fill else None",
+        LEXIFY,
+    ),
+    Mutant(
+        "last not reset at a new component", LEX,
+        "            c += 1\n            last = None\n",
+        "            c += 1\n",
+        LEXIFY,
+    ),
+    Mutant(
+        "the new partial piece's last monomial not carried", LEX,
+        "            last = run[-1]\n",
+        "",
+        LEXIFY,
+    ),
+    Mutant(
+        "a run starts at last, not at its successor", LEX,
+        "return _lex_run(last, 2)[1] if last else",
+        "return last if last else",
+        LEXIFY,
+    ),
+)
+
+EQUIVALENT = (
+    Equivalent(
+        "stability test without the x_0^d comparison", MA,
+        "    if gens[0][0] != d:\n        return None\n",
+        "",
+        "a hit is a generator dividing the exchange, so the pass accepts only "
+        "stable ideals; one whose first generator is not x_0^d lacks x_0^d, "
+        "is not stable and is refused later in the pass; only speed changes",
+    ),
+    Equivalent(
+        "one-degree ideals walked forward", MA,
+        "order = gens[::-1] if sum(gens[-1]) == d else gens",
+        "order = gens",
+        "in an ideal of one degree no generator divides an exchange but the "
+        "exchange itself, which the set lookup finds, so no key lookup hits "
+        "in either order, and the order decides only where a refusal stops",
+    ),
+    Equivalent(
+        "largest exponent kept per prefix key", MA,
+        "keys[u[:k]] = u[k]",
+        "keys[u[:k]] = max(keys.get(u[:k], 0), u[k])",
+        "no two minimal generators share a key (of two, one would divide the "
+        "other), so each key is set once",
+    ),
+)
+
+
+def _run_tests(copy: Path, tests: tuple[str, ...]) -> int:
+    """pytest's exit code on the tests in the copy; a timeout counts as a
+    failure."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    command = [
+        sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+        "--hypothesis-seed=0", *tests,
+    ]
+    try:
+        done = subprocess.run(
+            command, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT_S
+        )
+    except subprocess.TimeoutExpired:
+        return -1
+    return done.returncode
+
+
+def main() -> int:
+    mutants = list(MUTANTS)
+    problems = []
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part, ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        for m in mutants + list(EQUIVALENT):
+            count = (copy / m.file).read_text().count(m.snippet)
+            if count != 1:
+                problems.append(f"{m.name}: snippet found {count} times in {m.file}")
+        if problems:
+            print("\n".join(problems))
+            return 1
+        everything = tuple(dict.fromkeys(t for m in mutants for t in m.tests))
+        if everything and _run_tests(copy, everything) != 0:
+            print("the named tests fail on the unmutated copy")
+            return 1
+        for m in mutants:
+            path = copy / m.file
+            original = path.read_text()
+            path.write_text(original.replace(m.snippet, m.replacement))
+            code = _run_tests(copy, m.tests)
+            path.write_text(original)
+            # 0: every test passed; 5: none was collected
+            killed = code not in (0, 5)
+            print(f"{'killed' if killed else 'SURVIVED'}: {m.name}", flush=True)
+            if not killed:
+                problems.append(m.name)
+    for e in EQUIVALENT:
+        print(f"equivalent: {e.name}: {e.argument}")
+    print(f"{len(mutants) - len(problems)} of {len(mutants)} mutants killed")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

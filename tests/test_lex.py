@@ -32,11 +32,13 @@ from gotzmann.numpoly import GotzmannRep, NumPoly
 from gotzmann.theorems import random_submodule
 
 from conftest import (
+    STABLE_CLOSURES,
     THREE_QUADRICS,
     colon_var_power,
     hf_count,
     ideal,
     module,
+    near_misses,
     random_stable_ideal,
     set_node_budget,
 )
@@ -106,11 +108,13 @@ def test_lex_run_is_every_slice_of_the_degree():
                     assert run(first, stop - start) == degree[start:stop]
 
 
-def test_empty_lex_run_unranks_nothing(monkeypatch):
-    def refuse(n, d, rank):
-        raise AssertionError(f"unranked {rank} in degree {d}")
-
-    monkeypatch.setattr(monomial_algebra, "_exponents_at_rank", refuse)
+def test_empty_lex_run_unranks_nothing():
+    # the library only walks lex order forward and ranks it: neither module
+    # defines an unranker, so neither lex_segment nor lexify can unrank
+    assert not [
+        name for mod in (monomial_algebra, lex_module) for name in vars(mod)
+        if "unrank" in name or "at_rank" in name
+    ]
     assert monomial_algebra._lex_run((3, 0, 0), 0) == []
     assert lex_segment(2, -1, 0) == []
     assert lex_segment(3, 5, 0) == []
@@ -158,21 +162,45 @@ def test_is_lex_ideal():
     assert not is_lex_ideal(ideal(1, "x1^99999999999"))
 
 
+def _item_15_ideal(k):
+    """The minimal generators of the first k exponent vectors of randint(0, 3)
+    in 12 variables drawn from Random(1): 46 for k = 50 and 87 for k = 105,
+    past the node budget for k = 105."""
+    rng = random.Random(1)
+    vectors = [tuple(rng.randint(0, 3) for _ in range(12)) for _ in range(k)]
+    return MonomialIdeal._of_minimal(11, monomial_algebra._minimal(vectors))
+
+
 def test_lex_tests_refuse_past_the_node_budget(monkeypatch):
     # not stable, and its series needs three pivot nodes: with a budget of
-    # one the count that decides lex-ness raises, where the walk was only slow
+    # one the count that decides whether its piece is lex raises.  A lex
+    # ideal is stable, so is_lex_ideal answers False off the stability test
+    # alone, with no series, where it raised before
     quadrics = THREE_QUADRICS.components[0]
     assert not is_lex_ideal(quadrics)
     # lex, so stable: its series is the closed-form base case, which visits
     # no pivot node, so both tests answer under a budget of one
     lex = ideal(2, "x0^2", "x0*x1", "x0*x2", "x1^2")
+    wide = [_item_15_ideal(50), _item_15_ideal(105)]
+    assert [len(i.exponents) for i in wide] == [46, 87]
+    assert not any(map(is_lex_ideal, wide))
     set_node_budget(monkeypatch, 1)
-    with pytest.raises(BudgetExceeded):
-        is_lex_ideal(quadrics)
+    assert not is_lex_ideal(quadrics)
+    assert not any(map(is_lex_ideal, wide))
     with pytest.raises(BudgetExceeded):
         is_lex_piece(THREE_QUADRICS, 2)
     assert is_lex_ideal(lex)
     assert is_lex_piece(module(2, (0,), [lex]), 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(STABLE_CLOSURES)
+def test_near_misses_are_not_lex_under_a_node_budget_of_one(stable):
+    # one exchange short of stable, so not lex, and answered with no series
+    with pytest.MonkeyPatch.context() as patch:
+        set_node_budget(patch, 1)
+        for miss in near_misses(stable):
+            assert not is_lex_ideal(miss)
 
 
 def test_lexify_module_example():
@@ -393,17 +421,10 @@ def _lexify_outcome(lexify_fn, data):
 @example(lexify_data(module(2, (0, 1, 4), ["unit", ideal(2, "x0", "x1^2"), "zero"])))
 def test_lexify_matches_the_per_component_walk(data):
     # the segment state against the per-component lists: same generators,
-    # same error and message; and lexify unranks nothing, as each run starts
-    # at x_0^e or after u x_n, u the last monomial of the partial piece
-    expected = _lexify_outcome(lexify_oracle.lexify, data)
-
-    def refuse(n, d, rank):
-        raise AssertionError(f"lexify unranked {rank} in degree {d}")
-
-    with pytest.MonkeyPatch.context() as patch:
-        for unranking in (monomial_algebra, lex_module):
-            patch.setattr(unranking, "_exponents_at_rank", refuse)
-        assert _lexify_outcome(lexify, data) == expected
+    # same error and message; lexify has no unranker to call (see
+    # test_empty_lex_run_unranks_nothing), as each run starts at x_0^e or
+    # after u x_n, u the last monomial of the partial piece
+    assert _lexify_outcome(lexify, data) == _lexify_outcome(lexify_oracle.lexify, data)
 
 
 def test_lex_module_is_read_with_no_pivot_or_lattice(monkeypatch):

@@ -54,6 +54,7 @@ from conftest import (
 from ek_oracle import is_stable
 from enumeration_oracle import exponents_of_degree, monomials_of_degree, quotient_basis
 from hyperplane_oracle import hyperplane_hf, linear_section_dim, saturation_exponents
+from lexify_oracle import exponents_at_rank
 from series_oracle import (
     forward_difference_polynomial,
     hilbert_coefficient_polynomial,
@@ -106,12 +107,27 @@ def test_monomials_of_degree_count_and_order():
     assert monomials_of_degree(2, -1) == ()
 
 
-def test_exponents_at_rank_matches_enumeration():
-    unrank = monomial_algebra._exponents_at_rank
+def test_lex_rank_matches_enumeration():
+    # the r-th monomial of the enumerated degree has rank r, and the tests'
+    # bisection unranker inverts the rank
+    rank = monomial_algebra._lex_rank
     for n in range(0, 5):
         for d in range(0, 9):
             degree = exponents_of_degree(n, d)
-            assert [unrank(n, d, r) for r in range(len(degree))] == degree
+            assert [rank(u) for u in degree] == list(range(len(degree)))
+            assert [exponents_at_rank(n, d, r) for r in range(len(degree))] == degree
+    # n binomials per rank, in a degree too large to walk: its two ends, and
+    # a run from a random monomial, whose ranks step by one
+    d, rng = 10**6, random.Random(0)
+    for n in (1, 2, 4, 7):
+        assert rank((d,) + (0,) * n) == 0
+        assert rank((0,) * n + (d,)) == binomial(d + n, n) - 1
+        cuts = sorted(rng.randint(0, d) for _ in range(n))
+        start = tuple(b - a for a, b in zip([0] + cuts, cuts + [d]))
+        first = rank(start)
+        count = min(50, binomial(d + n, n) - first)
+        run = monomial_algebra._lex_run(start, count)
+        assert [rank(u) for u in run] == list(range(first, first + count))
 
 
 def test_ideal_minimalizes_generators():
