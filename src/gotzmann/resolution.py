@@ -1,10 +1,16 @@
 """Graded Betti numbers and Castelnuovo-Mumford regularity.
 
-One exact backend computes every Betti table, with one base case: a
-component ideal that the exact stability test ``_stable_counts`` finds
-stable, as every lex ideal is, has the Eliahou-Kervaire table
-beta_{p, p + deg u}(I) = sum_u C(m(u), p), read off its generator counts by
-top variable and degree.  Every other ideal goes to the lcm lattice
+One exact backend computes every Betti table, with two base cases, each
+picked by an exact test of the component ideal and both answered by
+beta_{p, p + deg u}(I) = sum over generators u of C(r_u, p), read off the
+generator counts by degree and r_u.  An ideal that ``_stable_counts`` finds
+stable, as every lex ideal is, has the Eliahou-Kervaire table, r_u = m(u)
+the largest index of a variable dividing u.  An ideal that is not stable
+but has linear quotients in the canonical generator order
+(``_linear_quotient_counts``), such as the squarefree Veronese ideals and
+many equigenerated ideals, has the Herzog-Takayama table, r_u the number of
+variables generating the colon of the earlier generators by u.  Every other
+ideal goes to the lcm lattice
 (Miller-Sturmfels, *Combinatorial Commutative Algebra*, Thm 1.34): for a
 monomial ideal I,
 
@@ -25,9 +31,11 @@ exponents, so they keep the lcm lattice and each K^alpha, and a field is at
 most one bit wider than the generator count, whatever the exponents.  The
 lcm of two words is their OR, divisibility and facets are a few whole-word
 integer operations, and a degree is one masked bit count per distinct step
-between consecutive exponents of a variable.  An alpha whose K^alpha is a
-cone is acyclic: a full simplex is skipped as soon as the facet scan meets
-the facet supp(alpha).  Every other alpha ORs the down-closures of its
+between consecutive exponents of a variable, or one bit count when every
+step has one size.  The linear-quotients test reads the same words: the
+quotient u_j / gcd(u_j, u) is the bits of u_j & ~u.  An alpha whose K^alpha
+is a cone is acyclic: a full simplex is skipped as soon as the facet scan
+meets the facet supp(alpha).  Every other alpha ORs the down-closures of its
 facets into one int, bit F set iff the vertex mask F is a face, and looks
 that int up in the homology cache.  Equal complexes give equal ints, and
 lattice elements repeat their complexes heavily, so the work behind a miss
@@ -47,9 +55,9 @@ relabelling.  The nerve keeps the rank work on at most as many vertices as
 generators divide alpha, however many variables the facets span.
 
 ``regularity`` reads max(j - i) off the ``koszul_betti`` table it asks for.
-The tests hold this backend to a dense Koszul computation, to the
-per-variable tuple route, and, on stable ideals, the base case to the
-lattice walk and to the Eliahou-Kervaire oracle of the tests.
+The tests hold this backend to a dense Koszul computation and to the
+per-variable tuple route, and both base cases to the lattice walk, which is
+their oracle, and to the closed-form oracles of the tests.
 """
 from __future__ import annotations
 
@@ -126,32 +134,6 @@ def _down_closure(facet: int, w: int) -> int:
     return faces
 
 
-def _face_set(word: int, words: list[int], guards: int, fill: int,
-              closures: dict[int, int], w: int) -> int | None:
-    """K^alpha as one int, bit F set iff the vertex mask F is a face.
-
-    Each generator g dividing x^alpha (g | A == A) gives a facet, the
-    variables where g_v < alpha_v: the largest squarefree F with
-    x^(alpha - F) a multiple of g.  Those are the nonzero fields of A ^ g,
-    and adding ``fill`` (2^(w-1) - 1 per field) carries each of them into
-    its guard bit.  The facets' down-closures, kept in ``closures`` by
-    guard-bit pattern, are ORed together.  None when a facet is supp(alpha)
-    != 0: K^alpha is then a full simplex, a cone.  At alpha = 0 the one facet
-    is the empty face, whose complex has H~_{-1} = Q."""
-    simplex = ((word + fill) & guards) or -1
-    faces = 0
-    for g in words:
-        if g | word == word:
-            facet = ((word ^ g) + fill) & guards
-            if facet == simplex:
-                return None
-            closure = closures.get(facet)
-            if closure is None:
-                closure = closures[facet] = _down_closure(facet, w)
-            faces |= closure
-    return faces
-
-
 def _maximal(masks: set[int]) -> list[int]:
     """The masks that no other mask contains."""
     return [f for f in masks if not any(f != g and f & g == f for g in masks)]
@@ -159,8 +141,9 @@ def _maximal(masks: set[int]) -> list[int]:
 
 def _facets(word: int, words: list[int], guards: int, fill: int) -> list[int] | None:
     """The maximal facets of K^alpha as guard-bit patterns, or None for a
-    full simplex, as in ``_face_set``, whose scan ORs closures in place of
-    building this list and so keeps cold Betti passes about 10% faster."""
+    full simplex: the scan of ``_lattice_walk`` in more than
+    FACE_SET_VERTICES variables, where it lists the facets in place of ORing
+    their down-closures."""
     simplex = ((word + fill) & guards) or -1
     facets = set()
     for g in words:
@@ -284,18 +267,25 @@ def _relabelled_homology(facets: frozenset[int]) -> tuple[tuple[int, int], ...]:
 def _ideal_table(ideal: MonomialIdeal) -> tuple[tuple[int, int, int], ...]:
     """Nonzero graded Betti numbers (i, j, beta_{i,j}) of I as a module.
 
-    A stable ideal (``_stable_counts``) is the base case, answered in closed
-    form by the Eliahou-Kervaire resolution (J. Algebra 129, 1990):
+    Two base cases are answered in closed form, both by
 
-        beta_{p, p + deg u}(I) = sum over generators u of C(m(u), p),
+        beta_{p, p + deg u}(I) = sum over generators u of C(r_u, p).
 
-    m(u) the largest index of a variable dividing u (0 for u = 1, whose
-    one row is beta_{0,0} = 1).  Every other ideal goes to the lcm-lattice
-    walk of ``_lattice_table``.
+    A stable ideal (``_stable_counts``) has the Eliahou-Kervaire resolution
+    (J. Algebra 129, 1990), with r_u = m(u), the largest index of a variable
+    dividing u (0 for u = 1, whose one row is beta_{0,0} = 1).  An ideal that
+    is not stable but has linear quotients in the canonical generator order
+    (``_linear_quotient_counts``) has the Herzog-Takayama mapping-cone
+    resolution, with r_u the number of variables generating the colon of u.
+    Every other ideal goes to the lcm-lattice walk, on the rank words
+    already built for the second test.
     """
     counts = _stable_counts(ideal.exponents)
     if counts is None:
-        return _lattice_table(ideal)
+        words, w, steps = _rank_words(ideal)
+        counts = _linear_quotient_counts(ideal.exponents, words, steps.get(1, 0))
+        if counts is None:
+            return _lattice_walk(ideal.n, words, w, steps)
     table: dict[tuple[int, int], int] = {}
     for (d, k), count in counts.items():
         for p in range(k + 1):
@@ -303,22 +293,17 @@ def _ideal_table(ideal: MonomialIdeal) -> tuple[tuple[int, int, int], ...]:
     return tuple((i, j, v) for (i, j), v in sorted(table.items()))
 
 
-def _lattice_table(ideal: MonomialIdeal) -> tuple[tuple[int, int, int], ...]:
-    """``_ideal_table`` of any monomial ideal by the lcm-lattice walk.
+def _rank_words(ideal: MonomialIdeal) -> tuple[list[int], int, dict[int, int]]:
+    """The minimal generators of I as unary words of exponent ranks, the
+    field width w and the steps.
 
-    beta_{i,alpha}(I) = dim H~_{i-1}(K^alpha(I)) is nonzero only for alpha in
-    the lcm lattice of the minimal generators.  Variable v of a unary word
-    owns bits [v*w, (v+1)*w): rank r_v of its exponent as r_v low set bits,
-    w - 1 >= r_v, and the top bit a guard bit G, never set in a word.  A cone
-    is acyclic, so alpha is skipped when ``_face_set`` finds a full simplex.
-    In at most FACE_SET_VERTICES variables every other alpha is one lookup of
-    its face set, an int of 2^(n+1) bits, in ``_face_set_homology``, which
-    answers () for any other cone.  Complexes that are equal share one
-    entry, whichever generators gave their facets, so the rank work runs
-    once per distinct complex.  In more variables ``_facets`` lists each
-    alpha's maximal facets for ``_facets_homology``.  The degree of an alpha
-    with homology is read by one masked bit count per distinct step between
-    consecutive exponents of a variable.
+    In each variable the distinct generator exponents, with 0, are numbered
+    0, 1, 2, ... in increasing order.  Variable v of a word owns bits
+    [v*w, (v+1)*w): rank r_v of its exponent as r_v low set bits, w - 1 >= r_v,
+    and the top bit a guard bit, never set in a word.  Bit i of a field is
+    the step from its variable's i-th exponent to the next, and ``steps``
+    maps each step size to the mask of its bits, so a degree is the sum of
+    the steps set in a word: one masked bit count per size.
     """
     gens = ideal.exponents
     # per variable, the distinct exponents with 0, so that the steps up to the
@@ -326,34 +311,120 @@ def _lattice_table(ideal: MonomialIdeal) -> tuple[tuple[int, int, int], ...]:
     ranked = [sorted({0, *column}) for column in zip(*gens)]
     w = max(map(len, ranked), default=1)
     fields = range(0, (ideal.n + 1) * w, w)  # the low bit of each variable's field
-    ones = sum(1 << s for s in fields)
-    guards = ones << (w - 1)
-    fill = guards - ones
     words = [
         sum(((1 << bisect_left(values, e)) - 1) << s for s, e, values in zip(fields, g, ranked))
         for g in gens
     ]
-    # bit i of a field is the step from its variable's i-th exponent to the
-    # next, so a degree is the sum of the steps set: one bit count per size
     steps: dict[int, int] = {}
     for s, values in zip(fields, ranked):
         for i, (low, high) in enumerate(zip(values, values[1:])):
             steps[high - low] = steps.get(high - low, 0) | 1 << (s + i)
+    return words, w, steps
+
+
+def _linear_quotient_counts(
+    gens: tuple[tuple[int, ...], ...], words: list[int], unit: int
+) -> dict[tuple[int, int], int] | None:
+    """For an ideal with linear quotients in the canonical generator order,
+    the number of generators u of each degree d and colon size r = r_u, as
+    {(d, r): count}; None when it has none.  The test is exact.
+
+    ``gens`` are the minimal exponent tuples in canonical order, ``words``
+    their ``_rank_words`` and ``unit`` the mask of the steps of size 1.  The
+    colon (u_1, ..., u_(i-1)) : u_i is generated by the quotients
+    u_j / gcd(u_j, u_i), j < i, none of them 1.  It is generated by variables
+    exactly when each quotient has in its support a variable x_v that is
+    itself one of them, that is, x_v u_i lies in the earlier generators; r_u
+    counts those x_v.  In words the support of a quotient is the fields of
+    g & ~u that are nonzero, and the quotient is x_v exactly when g & ~u is a
+    single bit of a step of size 1.  That bit is the one just above u's run
+    in field v, the lowest bit of g & ~u in field v of every g with g_v > u_v,
+    so the OR of the variable bits meets g & ~u iff the quotient's support
+    holds one of them.  The canonical order rises in degree, so the
+    Herzog-Takayama resolution by iterated mapping cones is minimal
+    (Homology Homotopy Appl. 4, 2002, Lemma 1.5) and
+    beta_{p, p + deg u}(I) = sum_u C(r_u, p).
+    """
+    counts: dict[tuple[int, int], int] = {}
+    for i, u in enumerate(words):
+        quotients = [g & ~u for g in words[:i]]
+        colon = 0
+        for q in quotients:
+            if not q & (q - 1) and q & unit:
+                colon |= q
+        for q in quotients:
+            if not q & colon:
+                return None
+        key = (sum(gens[i]), colon.bit_count())
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def _lattice_table(ideal: MonomialIdeal) -> tuple[tuple[int, int, int], ...]:
+    """``_ideal_table`` of any monomial ideal by the lcm-lattice walk alone:
+    the route of every ideal that neither base case answers, and the tests'
+    oracle for both."""
+    return _lattice_walk(ideal.n, *_rank_words(ideal))
+
+
+def _lattice_walk(
+    n: int, words: list[int], w: int, steps: dict[int, int]
+) -> tuple[tuple[int, int, int], ...]:
+    """Nonzero (i, j, beta_{i,j}) of the ideal with these ``_rank_words`` in
+    n + 1 variables, by the lcm lattice.
+
+    beta_{i,alpha}(I) = dim H~_{i-1}(K^alpha(I)) is nonzero only for alpha in
+    the lcm lattice of the minimal generators.  Each generator g dividing
+    x^alpha (g | A == A) gives a facet, the variables where g_v < alpha_v:
+    the largest squarefree F with x^(alpha - F) a multiple of g.  Those are
+    the nonzero fields of A ^ g, and adding ``fill`` (2^(w-1) - 1 per field)
+    carries each of them into its guard bit.  A cone is acyclic, so alpha is
+    skipped as soon as the scan meets the facet supp(alpha) != 0, a full
+    simplex.  In at most FACE_SET_VERTICES variables the scan ORs the
+    facets' down-closures, kept by guard-bit pattern, into K^alpha's face
+    set, an int of 2^(n+1) bits, bit F set iff the vertex mask F is a face,
+    and looks it up in ``_face_set_homology``, which answers () for any
+    other cone.  Complexes that are equal share one entry, whichever
+    generators gave their facets, so the rank work runs once per distinct
+    complex.  At alpha = 0 the one facet is the empty face, whose complex
+    has H~_{-1} = Q.  In more variables ``_facets`` lists each alpha's
+    maximal facets for ``_facets_homology``.  The degree of an alpha with
+    homology is one masked bit count per step size, and when every step has
+    one size, one bit count.
+    """
+    ones = sum(1 << s for s in range(0, (n + 1) * w, w))
+    guards = ones << (w - 1)
+    fill = guards - ones
+    # every set bit of a word is a step, so with one step size s a degree is
+    # s times the word's bit count
+    size = next(iter(steps)) if len(steps) == 1 else 0
     closures: dict[int, int] = {}
     table: dict[tuple[int, int], int] = {}
     for word in _lcm_lattice(words):
-        if ideal.n < FACE_SET_VERTICES:
-            faces = _face_set(word, words, guards, fill, closures, w)
-            if faces is None:
-                continue
-            homology = _face_set_homology(faces)
+        homology = ()
+        if n < FACE_SET_VERTICES:
+            simplex = ((word + fill) & guards) or -1
+            faces = 0
+            for g in words:
+                if g | word == word:
+                    facet = ((word ^ g) + fill) & guards
+                    if facet == simplex:
+                        break
+                    closure = closures.get(facet)
+                    if closure is None:
+                        closure = closures[facet] = _down_closure(facet, w)
+                    faces |= closure
+            else:
+                homology = _face_set_homology(faces)
         else:
             maximal = _facets(word, words, guards, fill)
-            if maximal is None:
-                continue
-            homology = _facets_homology(maximal)
+            if maximal is not None:
+                homology = _facets_homology(maximal)
         if homology:
-            j = sum(step * (word & bits).bit_count() for step, bits in steps.items())
+            if size:
+                j = size * word.bit_count()
+            else:
+                j = sum(step * (word & bits).bit_count() for step, bits in steps.items())
             for k, dim in homology:
                 table[k + 1, j] = table.get((k + 1, j), 0) + dim
     return tuple((i, j, v) for (i, j), v in sorted(table.items()))

@@ -1,4 +1,5 @@
-"""Eliahou-Kervaire: closed-form Betti numbers of stable ideals, a test oracle.
+"""Closed-form Betti numbers of stable ideals and of ideals with linear
+quotients, test oracles.
 
 For a stable ideal I every Betti number is a sum over the minimal generators
 (Eliahou and Kervaire, J. Algebra 129, 1990):
@@ -6,9 +7,12 @@ For a stable ideal I every Betti number is a sum over the minimal generators
     beta_{p, p + deg u}(I) = sum over generators u of C(m(u), p),
 
 where m(u) is the largest index of a variable dividing u, and the
-regularity of I is its top generator degree.  It shares no code with the
-lcm-lattice backend in ``gotzmann.resolution``, so the tests hold that
-backend to it on stable ideals.
+regularity of I is its top generator degree.  An ideal with linear
+quotients in an order of rising degree has the same formula with m(u)
+replaced by the number of variables generating the colon of the earlier
+generators by u (Herzog and Takayama, Homology Homotopy Appl. 4, 2002,
+Lemma 1.5).  Both share no code with ``gotzmann.resolution``, so the tests
+hold its lattice walk and its base cases to them.
 """
 from __future__ import annotations
 
@@ -80,4 +84,39 @@ def ek_betti_table(ideal: MonomialIdeal, quotient: bool = False) -> BettiTable:
     table = {(0, 0): 1}
     for (p, j), v in ideal_table.items():
         table[(p + 1, j)] = v
+    return BettiTable.from_dict(table)
+
+
+def colon_sizes(ideal: MonomialIdeal) -> list[int] | None:
+    """For each minimal generator u in the canonical order (rising degree),
+    the number of minimal generators of the colon (earlier generators) : u
+    when every one of them is a variable; None when some colon has a
+    minimal generator of degree 2 or more, so the ideal has no linear
+    quotients in that order.  The colon is generated by the quotients
+    g / gcd(g, u), of which the minimal ones are its minimal generators."""
+    gens = [g.exponents for g in ideal.gens]
+    sizes = []
+    for i, u in enumerate(gens):
+        quotients = {tuple(max(a - b, 0) for a, b in zip(g, u)) for g in gens[:i]}
+        minimal = [
+            q for q in quotients
+            if not any(p != q and all(a <= b for a, b in zip(p, q)) for p in quotients)
+        ]
+        if any(sum(q) != 1 for q in minimal):
+            return None
+        sizes.append(len(minimal))
+    return sizes
+
+
+def linear_quotient_table(ideal: MonomialIdeal) -> BettiTable:
+    """Graded Betti numbers of an ideal with linear quotients in the
+    canonical order: beta_{p, p + deg u} = sum_u C(r_u, p)."""
+    sizes = colon_sizes(ideal)
+    if sizes is None:
+        raise ValueError(f"{ideal} has no linear quotients in the canonical order")
+    table: dict[tuple[int, int], int] = {}
+    for u, r in zip(ideal.gens, sizes):
+        for p in range(r + 1):
+            key = (p, p + u.degree)
+            table[key] = table.get(key, 0) + binomial(r, p)
     return BettiTable.from_dict(table)

@@ -38,10 +38,18 @@ RES = "src/gotzmann/resolution.py"
 T_MA = "tests/test_monomial_algebra.py::"
 T_LEX = "tests/test_lex.py::"
 T_RES = "tests/test_resolution.py::"
+T_KEYS = "tests/test_flat_keys.py::"
 STABILITY = (
     T_MA + "test_stability_test_matches_the_oracle_on_random_ideals",
     T_MA + "test_stable_numerator_equals_the_pivot_and_near_misses_fall_through",
     T_RES + "test_is_stable_examples",
+)
+# the stability test alone, on random ideals, stable closures, their near
+# misses and powers of the maximal ideal
+STABILITY_ORACLE = (T_MA + "test_stability_test_matches_the_oracle_on_random_ideals",)
+LINEAR_QUOTIENTS = (
+    T_RES + "test_linear_quotient_table_equals_the_lattice_and_near_misses_fall_through",
+    T_RES + "test_linear_quotient_examples",
 )
 LEXIFY = (
     T_LEX + "test_lexify_module_example",
@@ -109,7 +117,7 @@ MUTANTS = (
         "exchange lookup without its set check", MA,
         "                if h in members:\n                    continue\n",
         "",
-        STABILITY,
+        STABILITY_ORACLE,
     ),
     Mutant(
         "< for <= at a prefix key", MA,
@@ -121,7 +129,7 @@ MUTANTS = (
         "last exchange skipped", MA,
         "            w[k] -= 1\n            for j in range(k):",
         "            w[k] -= 1\n            for j in range(k - 1):",
-        STABILITY,
+        STABILITY_ORACLE,
     ),
     # the Eliahou-Kervaire numerator and table
     Mutant(
@@ -147,6 +155,60 @@ MUTANTS = (
         "table[p, p + d] = table.get((p, p + d), 0)",
         "table[p, d] = table.get((p, d), 0)",
         (T_RES + "test_ek_tables_match_koszul",),
+    ),
+    # the linear-quotients base case and the lattice scan
+    Mutant(
+        "exponent-2 quotient counted as a variable", RES,
+        "if not q & (q - 1) and q & unit:",
+        "if not q & (q - 1):",
+        LINEAR_QUOTIENTS + (T_RES + "test_ideal_table_matches_tuple_oracle",),
+    ),
+    Mutant(
+        "colon supports check skipped", RES,
+        "        for q in quotients:\n            if not q & colon:\n                return None\n",
+        "",
+        LINEAR_QUOTIENTS,
+    ),
+    Mutant(
+        "r_u off by one", RES,
+        "key = (sum(gens[i]), colon.bit_count())",
+        "key = (sum(gens[i]), colon.bit_count() + 1)",
+        LINEAR_QUOTIENTS,
+    ),
+    Mutant(
+        "inlined scan without its cone break", RES,
+        "                    if facet == simplex:\n                        break\n",
+        "",
+        (T_RES + "test_relabelling_shares_homology_across_a_corpus",),
+    ),
+    # the Hilbert record in the submodule's slots
+    Mutant(
+        "_record not rebuilding on a new generation", MA,
+        'if getattr(submodule, "_generation", None) == _generation:',
+        'if hasattr(submodule, "_generation"):',
+        (T_MA + "test_a_cleared_record_is_rebuilt_on_its_next_read",),
+    ),
+    Mutant(
+        "_rows made a field", MA,
+        '    _fields = ("ambient", "components")\n'
+        '    __slots__ = _fields + ("n", "degrees", "_rank", "_max_gen",\n'
+        '                           "_numerator", "_rows", ',
+        '    _fields = ("ambient", "components", "_rows")\n'
+        '    __slots__ = _fields + ("n", "degrees", "_rank", "_max_gen",\n'
+        '                           "_numerator", ',
+        (T_KEYS + "test_equality_is_field_equality", T_MA + "test_copies_carry_no_record"),
+    ),
+    Mutant(
+        "rho window check removed", MA,
+        "        if not 0 <= rho <= window:\n",
+        "        if False:\n",
+        (T_MA + "test_rho_window_check_refuses_a_wrong_numerator",),
+    ),
+    Mutant(
+        "_kernels never stored", MA,
+        '        object.__setattr__(submodule, "_kernels", kernels)\n',
+        "",
+        (T_MA + "test_a_record_dies_with_its_submodule", T_KEYS + "test_equality_is_field_equality"),
     ),
     # lexify by lex successor
     Mutant(

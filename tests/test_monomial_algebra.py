@@ -452,14 +452,29 @@ def _top_counts(ideal_obj):
     return counts
 
 
+def _maximal_ideal_power(n, d):
+    return MonomialIdeal(n, tuple(Monomial(e) for e in exponents_of_degree(n, d)))
+
+
+# random ideals are almost never stable, so stable closures, their near
+# misses (one exchange short of stable) and powers of the maximal ideal
+# (one degree, each exchange a generator) are drawn as well
+_STABILITY_CASES = st.one_of(
+    _PIVOT_CASES.map(lambda case: MonomialIdeal(case[0], tuple(
+        Monomial(tuple(e)) for e in case[1]
+    ))),
+    STABLE_CLOSURES,
+    STABLE_CLOSURES.map(near_misses).filter(bool).flatmap(st.sampled_from),
+    st.tuples(st.integers(0, 3), st.integers(1, 4)).map(lambda nd: _maximal_ideal_power(*nd)),
+)
+
+
 @settings(max_examples=150, deadline=None)
-@given(_PIVOT_CASES)
-@example((2, []))  # the zero ideal
-@example((2, [[0, 0, 0]]))  # the unit ideal
-@example((2, [[2, 0, 0], [1, 1, 0], [0, 2, 0], [0, 0, 1]]))  # x2 with no x0 or x1
-def test_stability_test_matches_the_oracle_on_random_ideals(case):
-    n, exponent_lists = case
-    ideal_obj = MonomialIdeal(n, tuple(Monomial(tuple(e)) for e in exponent_lists))
+@given(_STABILITY_CASES)
+@example(MonomialIdeal.zero(2))
+@example(MonomialIdeal.unit(2))
+@example(ideal(2, "x0^2", "x0*x1", "x1^2", "x2"))  # x2 with no x0 or x1
+def test_stability_test_matches_the_oracle_on_random_ideals(ideal_obj):
     counts = monomial_algebra._stable_counts(ideal_obj.exponents)
     assert (counts is not None) == is_stable(ideal_obj)
     if counts is not None:

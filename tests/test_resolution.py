@@ -1,7 +1,7 @@
 """Betti tables from the lcm-lattice backend, held against the dense Koszul
-oracle in ``koszul_oracle`` and, on stable ideals, the Eliahou-Kervaire
-oracle in ``ek_oracle``; the closed-form base case for stable ideals
-against the lattice walk it bypasses; the packed lcm-lattice kernel against
+oracle in ``koszul_oracle`` and, on stable ideals and ideals with linear
+quotients, the closed forms of ``ek_oracle``; the two closed-form base cases
+against the lattice walk they bypass; the packed lcm-lattice kernel against
 the tuple route in ``lattice_oracle`` and the Eagon-Northcott numbers of
 m^d."""
 import os
@@ -10,7 +10,7 @@ import resource
 import subprocess
 import sys
 from functools import reduce
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import comb
 from operator import and_
 
@@ -34,6 +34,8 @@ from gotzmann.resolution import (
     _face_set_homology,
     _ideal_table,
     _lattice_table,
+    _linear_quotient_counts,
+    _rank_words,
     _relabelled_homology,
     koszul_betti,
     regularity,
@@ -49,7 +51,7 @@ from conftest import (
     near_misses,
     random_stable_ideal,
 )
-from ek_oracle import ek_betti_table, ek_regularity, is_stable
+from ek_oracle import colon_sizes, ek_betti_table, ek_regularity, is_stable, linear_quotient_table
 from enumeration_oracle import monomials_of_degree
 from koszul_oracle import koszul_betti_oracle
 from lattice_oracle import facets as lattice_oracle_facets
@@ -200,6 +202,103 @@ def test_stable_table_equals_the_lattice_and_near_misses_fall_through(stable, da
         assert _ideal_table.__wrapped__(miss) == lattice_oracle_table(miss)
         quotient = koszul_betti(module(miss.n, (0,), [miss]))
         assert betti_alternating_sum(quotient) == counted_numerator(miss)
+
+
+def _linear_quotients(ideal):
+    """``_linear_quotient_counts`` of an ideal, from its own rank words."""
+    words, _, steps = _rank_words(ideal)
+    return _linear_quotient_counts(ideal.exponents, words, steps.get(1, 0))
+
+
+def _colon_counts(ideal, sizes):
+    counts = {}
+    for u, r in zip(ideal.exponents, sizes):
+        counts[sum(u), r] = counts.get((sum(u), r), 0) + 1
+    return counts
+
+
+def _squarefree(variables, degree, keep):
+    """The squarefree monomials of this degree at the kept places of their
+    lex listing, all of them when none is kept."""
+    subsets = list(combinations(range(variables), degree))
+    chosen = [c for c, k in zip(subsets, keep) if k] or subsets
+    return MonomialIdeal(variables - 1, tuple(
+        Monomial(tuple(int(v in c) for v in range(variables))) for c in chosen
+    ))
+
+
+# squarefree quadrics and cubics in 3 to 5 variables, each kept or not
+_SQUAREFREE = st.tuples(st.integers(3, 5), st.sampled_from((2, 3))).flatmap(
+    lambda shape: st.lists(
+        st.booleans(), min_size=comb(*shape), max_size=comb(*shape)
+    ).map(lambda keep: _squarefree(*shape, keep))
+)
+
+# ideals with linear quotients in the canonical order, by the tuple oracle:
+# stable closures (all of them), squarefree families and random ideals
+_LINEAR_QUOTIENTS = st.one_of(
+    STABLE_CLOSURES,
+    _SQUAREFREE,
+    st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.tuples(*[st.integers(0, 2)] * (n + 1)).filter(any), min_size=1, max_size=6
+    ).map(lambda gens: MonomialIdeal(n, tuple(map(Monomial, gens))))),
+).filter(lambda i: colon_sizes(i) is not None)
+
+
+def _near_misses(ideal):
+    """The ideals with one generator dropped or raised by one variable that
+    the tuple oracle refuses."""
+    gens, n = ideal.exponents, ideal.n
+    out = []
+    for i, g in enumerate(gens):
+        rest = gens[:i] + gens[i + 1:]
+        for extra in [()] + [(g[:v] + (g[v] + 1,) + g[v + 1:],) for v in range(n + 1)]:
+            out.append(MonomialIdeal(n, tuple(map(Monomial, rest + extra))))
+    return [m for m in out if colon_sizes(m) is None]
+
+
+@settings(max_examples=120, deadline=None)
+@given(_LINEAR_QUOTIENTS, st.data())
+def test_linear_quotient_table_equals_the_lattice_and_near_misses_fall_through(lq, data):
+    # the colon sizes of the rank-word test are the tuple oracle's, and the
+    # closed-form table equals the lattice walk it bypasses, the oracle's
+    # formula and the dense Koszul table; a near miss is refused and walked,
+    # which matches the tuple route
+    counts = _linear_quotients(lq)
+    assert counts == _colon_counts(lq, colon_sizes(lq))
+    stable = _stable_counts(lq.exponents)
+    if stable is not None:
+        assert counts == stable  # in a stable ideal the colon of u is x_0..x_(m(u)-1)
+    table = _ideal_table.__wrapped__(lq)
+    assert table == _lattice_table(lq)
+    assert BettiTable(table) == linear_quotient_table(lq)
+    assert BettiTable(table).as_dict() == koszul_betti_oracle(module(lq.n, (0,), [lq]), False)
+    misses = _near_misses(lq)
+    if misses:
+        miss = data.draw(st.sampled_from(misses))
+        assert _linear_quotients(miss) is None
+        assert _ideal_table.__wrapped__(miss) == lattice_oracle_table(miss)
+
+
+def test_linear_quotient_examples():
+    cases = [
+        # not stable; linear quotients in the canonical order: the path and
+        # the 4-cycle, whose complements are chordal, and m^2 without x0^2
+        (ideal(3, "x0*x1", "x1*x2", "x2*x3"), [0, 1, 1]),
+        (ideal(3, "x0*x1", "x1*x2", "x2*x3", "x0*x3"), [0, 1, 1, 2]),
+        (ideal(2, "x0*x1", "x0*x2", "x1^2", "x1*x2", "x2^2"), [0, 1, 1, 2, 2]),
+        # the colon of x1^2 is (x0^2): a quotient with exponent 2
+        (ideal(1, "x0^2", "x1^2"), None),
+        # the colon of x2*x3 is (x0*x1): no variable at all
+        (ideal(3, "x0*x1", "x2*x3"), None),
+        # the path on five vertices: the colon of x3*x4 is (x2, x0*x1)
+        (ideal(4, "x0*x1", "x1*x2", "x2*x3", "x3*x4"), None),
+    ]
+    for lq, sizes in cases:
+        assert colon_sizes(lq) == sizes, lq
+        counts = _linear_quotients(lq)
+        assert counts == (None if sizes is None else _colon_counts(lq, sizes)), lq
+        assert _ideal_table.__wrapped__(lq) == lattice_oracle_table(lq), lq
 
 
 def test_regularity_examples(two_free_lines, twisted_plane_pair):
@@ -637,8 +736,10 @@ def test_relabelling_shares_homology_across_a_corpus():
     # simplex, each counted once by the down-closure of the oracle's facets;
     # complexes that differ by a permutation of the variables recur across
     # ideals, so the relabelled key needs at most half as many rank
-    # computations as there are distinct non-cone complexes
-    for cache in (_ideal_table, _face_set_homology, _relabelled_homology):
+    # computations as there are distinct non-cone complexes; the lattice walk
+    # is called itself, as _ideal_table answers some of these ideals in
+    # closed form and would meet only the complexes of the others
+    for cache in (_face_set_homology, _relabelled_homology):
         cache.cache_clear()
     rng = random.Random(0)
     complexes, non_cones = set(), set()
@@ -646,7 +747,7 @@ def test_relabelling_shares_homology_across_a_corpus():
         n = 4 + i % 2
         gens = {tuple(rng.randint(0, 3) for _ in range(n + 1)) for _ in range(rng.randint(3, 8))}
         gens.discard((0,) * (n + 1))
-        koszul_betti(module(n, (0,), [_ideal_of(n, gens)]))
+        _lattice_table(_ideal_of(n, gens))
         minimal = [g.exponents for g in _ideal_of(n, gens).gens]
         for alpha in lcm_lattice(minimal):
             facets = lattice_oracle_facets(alpha, minimal)
