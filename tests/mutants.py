@@ -176,6 +176,12 @@ MUTANTS = (
         LINEAR_QUOTIENTS,
     ),
     Mutant(
+        "_ideal_table skipping the stability test", RES,
+        "    counts = _stable_counts(ideal.exponents)\n    if counts is None:\n",
+        "    counts = None\n    if counts is None:\n",
+        (T_LEX + "test_lex_module_is_read_with_no_pivot_or_lattice",),
+    ),
+    Mutant(
         "inlined scan without its cone break", RES,
         "                    if facet == simplex:\n                        break\n",
         "",

@@ -431,7 +431,8 @@ def test_lex_module_is_read_with_no_pivot_or_lattice(monkeypatch):
     # the lexify output of random_submodule(656)'s data has components of
     # 828 and 5,350 generators; lex ideals are stable, so the lex test, the
     # series and the regularity read them in closed form, with the pivot
-    # recursion and the lattice walk refused
+    # recursion and the rank words refused: only an ideal that the stability
+    # test refuses is encoded, for the linear-quotients test and the lattice
     sub = random_submodule(656)
     f = sub.degrees
     table = [(d, hf_direct(sub, d)) for d in range(f[0], max(stabilization_degree(sub), f[-1]) + 1)]
@@ -442,7 +443,7 @@ def test_lex_module_is_read_with_no_pivot_or_lattice(monkeypatch):
         raise AssertionError("a stable component left the closed form")
 
     monkeypatch.setattr(monomial_algebra, "_power_pivot_numerator", refuse)
-    monkeypatch.setattr(resolution, "_lattice_table", refuse)
+    monkeypatch.setattr(resolution, "_rank_words", refuse)
     monomial_algebra._ideal_numerator.cache_clear()
     resolution._ideal_table.cache_clear()
     assert all(is_lex_ideal(c) for c in out.components)

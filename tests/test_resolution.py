@@ -190,8 +190,9 @@ def test_ek_matches_koszul_on_seeded_stable_ideals():
 def test_stable_table_equals_the_lattice_and_near_misses_fall_through(stable, data):
     # on a stable ideal the closed-form table equals the lattice walk it
     # bypasses and the oracle's formula; an ideal one exchange short of it
-    # is refused by the test and walked, which matches the tuple route and,
-    # through the alternating sums, monomial counting
+    # is refused by the stability test and answered by the linear-quotients
+    # test or the lattice walk, which matches the tuple route and, through
+    # the alternating sums, monomial counting
     table = _ideal_table.__wrapped__(stable)
     assert table == _lattice_table(stable)
     assert BettiTable(table) == ek_betti_table(stable)
