@@ -9,6 +9,18 @@ a handler imports the library module it calls when it runs.  When argv names
 no command, every parser is built, so help and "invalid choice" errors read
 the same either way.
 
+The process entry, ``run()``, is what ``gotzmann`` and ``python -m
+gotzmann.cli`` call: ``main()`` between two ``gc.freeze()`` calls.  The first
+moves the interpreter's start-up objects (site, argparse, json) out of every
+collection the call triggers; the second leaves nothing for the collection
+at interpreter shutdown to walk (about 7 of a 68 ms call on 2 CPUs with
+Python 3.11), which a process that exits at once gains nothing from, as the
+OS takes its memory back.
+``atexit`` handlers and the stream flushes still run, and so does the
+collector during the call, so cyclic garbage of a large call is reclaimed.
+``main(argv)`` itself never freezes: tests, the benchmark's probe and
+embedders call it in a process that lives on.
+
 Arguments taking structured input accept either inline JSON (first character
 '{' or '[') or a path to a UTF-8 JSON file.  Rationals are exact "p/q"
 strings throughout; results go to stdout and diagnostics to stderr.
@@ -21,6 +33,7 @@ A reader closing stdout early changes none of them; the output is dropped.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -448,5 +461,19 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def run() -> int:
+    """``main()`` as the process entry, with the heap frozen before and after.
+
+    Only a process that exits when this returns may call it: the frozen
+    objects are never collected.  That is why ``main(argv)`` is kept apart
+    for in-process callers, whose heaps must stay collectable.
+    """
+    gc.freeze()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

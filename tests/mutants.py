@@ -34,11 +34,15 @@ TIMEOUT_S = 600
 MA = "src/gotzmann/monomial_algebra.py"
 LEX = "src/gotzmann/lex.py"
 RES = "src/gotzmann/resolution.py"
+LINALG = "src/gotzmann/linalg.py"
+CLI = "src/gotzmann/cli.py"
 
 T_MA = "tests/test_monomial_algebra.py::"
 T_LEX = "tests/test_lex.py::"
 T_RES = "tests/test_resolution.py::"
 T_KEYS = "tests/test_flat_keys.py::"
+T_LINALG = "tests/test_linalg.py::"
+T_CLI = "tests/test_cli.py::"
 STABILITY = (
     T_MA + "test_stability_test_matches_the_oracle_on_random_ideals",
     T_MA + "test_stable_numerator_equals_the_pivot_and_near_misses_fall_through",
@@ -240,6 +244,35 @@ MUTANTS = (
         "return _lex_run(last, 2)[1] if last else",
         "return last if last else",
         LEXIFY,
+    ),
+    # exact rank, record generations and the pivot recursion's base case
+    Mutant(
+        "rank without the b scaling (row <- row - a * pivot)", LINALG,
+        "            if b != 1:\n                row = {j: b * y for j, y in row.items()}\n",
+        "",
+        (
+            T_LINALG + "test_rank_exact_low_rank_products",
+            T_LINALG + "test_rank_matches_fraction_oracle_property",
+        ),
+    ),
+    Mutant(
+        "_clear_records not bumping the generation", MA,
+        "    global _generation, _reads, _builds\n    _generation += 1\n",
+        "    global _generation, _reads, _builds\n",
+        (T_MA + "test_a_cleared_record_is_rebuilt_on_its_next_read",),
+    ),
+    Mutant(
+        "base-case colon exponent a_v read as a_v, not a_v - m_v", MA,
+        "_power_product(sum(g) - sum(map(min, g, m)) for g in powers)",
+        "_power_product(sum(g) for g in powers)",
+        (T_MA + "test_one_mixed_generator_is_a_base_case",),
+    ),
+    # the process entry
+    Mutant(
+        "main() freezing the heap itself", CLI,
+        "    if argv is None:\n        argv = sys.argv[1:]\n",
+        "    gc.freeze()\n    if argv is None:\n        argv = sys.argv[1:]\n",
+        (T_CLI + "test_main_in_process_leaves_the_collector_alone",),
     ),
 )
 

@@ -1,6 +1,7 @@
 """Command-line interface: output shapes, exit codes, error reporting."""
 import argparse
 import contextlib
+import gc
 import io
 import itertools
 import json
@@ -956,13 +957,9 @@ def test_file_input(capsys, tmp_path):
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-def console_script(name):
-    """argv and env running the ``[project.scripts]`` entry ``name`` as pip's wrapper does.
-
-    The target comes from this checkout's pyproject.toml, and the child's
-    PYTHONPATH starts with this checkout's ``src``, so no install is needed
-    and no other installed copy of the package can answer instead.
-    """
+def script_target(name):
+    """(module, function) of the ``[project.scripts]`` entry ``name`` in this
+    checkout's pyproject.toml."""
     try:
         import tomllib
     except ModuleNotFoundError:  # Python 3.10
@@ -970,6 +967,17 @@ def console_script(name):
     with open(REPO_ROOT / "pyproject.toml", "rb") as fh:
         target = tomllib.load(fh)["project"]["scripts"][name]
     module_name, func = target.split(":")
+    return module_name, func
+
+
+def console_script(name):
+    """argv and env running the ``[project.scripts]`` entry ``name`` as pip's wrapper does.
+
+    The target comes from this checkout's pyproject.toml, and the child's
+    PYTHONPATH starts with this checkout's ``src``, so no install is needed
+    and no other installed copy of the package can answer instead.
+    """
+    module_name, func = script_target(name)
     code = (
         f"import sys; sys.argv[0] = {name!r}; "
         f"from {module_name} import {func}; sys.exit({func}())"
@@ -1015,12 +1023,57 @@ def test_console_script():
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, code",
     [
-        ["macaulay-transform", "4", "1"],
-        ["hilbert", "--module", json.dumps(module_to_dict(module(1, (0,), [ideal(1, "x0")]))),
-         "--function", "0", "200000"],
+        (["macaulay-transform", "4", "1"], 0),
+        (["rank"], 2),
+        (["check", "macaulay", "--module", TWO_LINES, "--degree", "1"], 0),
     ],
+    ids=["success", "usage-error", "check"],
+)
+def test_main_in_process_leaves_the_collector_alone(capsys, argv, code):
+    # the script entry freezes the heap of a process about to exit; main,
+    # which tests and embedders call in a process that lives on, never does
+    assert script_target("gotzmann") != ("gotzmann.cli", "main")
+    before = (gc.get_freeze_count(), gc.isenabled())
+    assert run_cli(capsys, argv)[0] == code
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+LINE_HILBERT = [
+    "hilbert", "--module", json.dumps(module_to_dict(module(1, (0,), [ideal(1, "x0")]))),
+    "--function", "0", "200000",
+]
+
+
+def test_script_entry_answers_as_main_and_leaves_the_heap_frozen(capsys):
+    gotzmann, env = console_script("gotzmann")
+    code, out, err = run_cli(capsys, LINE_HILBERT)
+    assert (code, err) == (0, "")
+    result = subprocess.run([*gotzmann, *LINE_HILBERT], capture_output=True, env=env)
+    assert (result.returncode, result.stdout, result.stderr) == (0, out.encode(), b"")
+    bad = subprocess.run(
+        [*gotzmann, "gotzmann-rep", "--poly", "{bad"], capture_output=True, text=True, env=env
+    )
+    assert bad.returncode == 2
+    assert len(bad.stderr.splitlines()) == 1 and bad.stderr.startswith("error: ")
+    module_name, func = script_target("gotzmann")
+    harness = (
+        "import gc, sys\n"
+        "sys.argv = ['gotzmann', 'macaulay-transform', '4', '1']\n"
+        f"from {module_name} import {func}\n"
+        f"code = {func}()\n"
+        "print(code, gc.get_freeze_count() > 0)\n"
+    )
+    frozen = subprocess.run(
+        [sys.executable, "-c", harness], capture_output=True, text=True, env=env
+    )
+    assert (frozen.returncode, frozen.stdout, frozen.stderr) == (0, "10\n0 True\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["macaulay-transform", "4", "1"], LINE_HILBERT],
     ids=["short", "long"],
 )
 def test_closed_stdout_keeps_the_exit_code(argv):
