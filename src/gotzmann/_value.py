@@ -6,8 +6,8 @@ tuple, so values built from a list and from a tuple are equal.  ``Value``
 gives it what a frozen dataclass had: equality over the fields between
 instances of the same class, the hash of the field tuple, the
 ``Name(f=...)`` repr, and instances that refuse assignment and deletion.
-``CachedHash`` keeps the hash after its first computation, for the types
-that key the caches.
+Every cache of the package keys on ints, tuples and frozensets, such as an
+ideal's generator exponents, never on a value, so a value keeps no hash.
 """
 from operator import attrgetter
 
@@ -25,7 +25,7 @@ class Value:
 
     def __init_subclass__(cls) -> None:
         if cls._fields:
-            # C, not a getattr loop: lru_cache hits on equal keys call __eq__
+            # C, not a getattr loop: every set or dict lookup of a value calls it
             cls._get = attrgetter(*cls._fields)
 
     def __eq__(self, other):
@@ -55,13 +55,3 @@ class Value:
         for name, field in state.items():
             object.__setattr__(self, name, field)
 
-
-class CachedHash(Value):
-    __slots__ = ("_hash",)
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", Value.__hash__(self))
-            return self._hash

@@ -7,11 +7,13 @@ dimension counts vanish below their starting degree.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 
 from ._value import Value, tuples
 
-# Entries kept by each of the 7 lru_caches of the package.  The submodule
+# Entries kept by each of the 7 lru_caches of the package, all keyed on
+# ints, tuples and frozensets (the three per-ideal ones on the minimal
+# generator exponents), none on a value object.  The submodule
 # records of monomial_algebra._record are no cache: each is four slots of
 # its submodule, and holds at most CACHE_ENTRIES rows, one per degree (H,
 # rho and the hyperplane value), besides its sparse numerators (its own,
@@ -127,24 +129,14 @@ def _macaulay_runs(a: int, d: int) -> list[tuple[int, int, int]]:
 
 
 def _largest_upper_index(b: int, j: int) -> int:
-    """Largest k with C(k, j) <= b, for b >= 1 and j >= 1, in O(log b) binomials.
-
-    Doubling steps up from j bracket k below 2j.  If k >= 2j instead, then
-    (k - j + 1)^j <= j! C(k, j) <= k^j puts it in [r, r + j - 1], r the
-    integer j-th root of j! * b.  Bisection ends both.
+    """Largest k with C(k, j) <= b, for b >= 1 and j >= 1, in O(log(b + j))
+    binomials: steps doubling up from C(j, j) = 1 bracket k, and a bisection
+    ends it.  ``_macaulay_runs`` calls it once per run, not once per term.
     """
-    if b <= j:  # C(j + 1, j) = j + 1
-        return j
-    lo, step = j + 1, 1
-    while lo + step < 2 * j and comb(lo + step, j) <= b:
+    lo, step = j, 1
+    while comb(lo + step, j) <= b:
         lo, step = lo + step, 2 * step
-    if lo + step < 2 * j:
-        hi = lo + step - 1
-    elif comb(2 * j, j) > b:
-        hi = 2 * j - 1
-    else:
-        r = _iroot(factorial(j) * b, j)
-        lo, hi = max(r, 2 * j), r + j - 1
+    hi = lo + step - 1
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if comb(mid, j) <= b:
@@ -152,19 +144,6 @@ def _largest_upper_index(b: int, j: int) -> int:
         else:
             hi = mid - 1
     return lo
-
-
-def _iroot(x: int, j: int) -> int:
-    """Largest r >= 0 with r^j <= x, for x >= 0 and j >= 1."""
-    if x < 2:
-        return x
-    # Newton's iteration from above decreases to the floor of the root
-    r = 1 << -(-x.bit_length() // j)
-    while True:
-        s = ((j - 1) * r + x // r ** (j - 1)) // j
-        if s >= r:
-            return r
-        r = s
 
 
 # the checkers ask for few distinct (a, d) many times over; only the int is

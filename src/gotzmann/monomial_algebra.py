@@ -66,7 +66,7 @@ from operator import le
 from typing import Iterable
 
 from . import linalg
-from ._value import CachedHash, Value
+from ._value import Value
 from .combinatorics import CACHE_ENTRIES, binomial
 from .errors import BudgetExceeded, InvariantViolated, PreconditionViolated, refuse_unknown_keys
 from .numpoly import TERM_BUDGET, NumPoly, _binomial_sum
@@ -76,7 +76,7 @@ from .numpoly import TERM_BUDGET, NumPoly, _binomial_sum
 NODE_BUDGET = 10**4
 
 
-class Monomial(CachedHash):
+class Monomial(Value):
     """Exponent vector in k[x_0..x_n]; the unit monomial has all exponents 0."""
 
     __slots__ = _fields = ("exponents",)
@@ -210,7 +210,7 @@ def _minimal(exps: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     return tuple(kept + block)
 
 
-class MonomialIdeal(CachedHash):
+class MonomialIdeal(Value):
     """Monomial ideal given by its minimal generators (canonicalized on build).
 
     The generators are stored once, as exponent tuples in the canonical
@@ -297,7 +297,7 @@ def _saturated_gens(gens: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...],
     return out
 
 
-class GradedFreeModule(CachedHash):
+class GradedFreeModule(Value):
     """F = S(-f_1) + ... + S(-f_m) over k[x_0..x_n], degrees ascending."""
 
     __slots__ = _fields = ("n", "degrees")
@@ -321,7 +321,7 @@ class GradedFreeModule(CachedHash):
         return _dims(self.degrees, d, self.n)
 
 
-class MonomialSubmodule(CachedHash):
+class MonomialSubmodule(Value):
     """N = I_1 e_1 + ... + I_m e_m inside a graded free module.
 
     Besides its fields it keeps n, the degrees, the number of zero

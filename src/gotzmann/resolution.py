@@ -56,8 +56,9 @@ generators divide alpha, however many variables the facets span.
 
 ``regularity`` reads max(j - i) off the ``koszul_betti`` table it asks for.
 The tests hold this backend to a dense Koszul computation and to the
-per-variable tuple route, and both base cases to the lattice walk, which is
-their oracle, and to the closed-form oracles of the tests.
+per-variable tuple route, and both base cases to ``_lattice_walk`` called
+on its own, the route they bypass, and to the closed-form oracles of the
+tests.
 """
 from __future__ import annotations
 
@@ -69,7 +70,7 @@ from operator import and_
 from . import linalg
 from ._value import Value, tuples
 from .errors import ZeroModule
-from .monomial_algebra import CACHE_ENTRIES, MonomialIdeal, MonomialSubmodule, _stable_counts
+from .monomial_algebra import CACHE_ENTRIES, MonomialSubmodule, _stable_counts
 
 
 class BettiTable(Value):
@@ -262,10 +263,12 @@ def _relabelled_homology(facets: frozenset[int]) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-# regularity reuses the table that koszul_betti computed for the same ideal
+# keyed by generator exponents, as _ideal_numerator is: regularity reuses the
+# table that koszul_betti computed for an equal ideal
 @lru_cache(maxsize=CACHE_ENTRIES)
-def _ideal_table(ideal: MonomialIdeal) -> tuple[tuple[int, int, int], ...]:
-    """Nonzero graded Betti numbers (i, j, beta_{i,j}) of I as a module.
+def _ideal_table(gens: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int, int], ...]:
+    """Nonzero graded Betti numbers (i, j, beta_{i,j}) of I as a module, I
+    given by its minimal exponent tuples in canonical order.
 
     Two base cases are answered in closed form, both by
 
@@ -273,19 +276,20 @@ def _ideal_table(ideal: MonomialIdeal) -> tuple[tuple[int, int, int], ...]:
 
     A stable ideal (``_stable_counts``) has the Eliahou-Kervaire resolution
     (J. Algebra 129, 1990), with r_u = m(u), the largest index of a variable
-    dividing u (0 for u = 1, whose one row is beta_{0,0} = 1).  An ideal that
-    is not stable but has linear quotients in the canonical generator order
-    (``_linear_quotient_counts``) has the Herzog-Takayama mapping-cone
+    dividing u (0 for u = 1, whose one row is beta_{0,0} = 1).  The zero
+    ideal is stable with no generators, so its table is empty.  An ideal
+    that is not stable but has linear quotients in the canonical generator
+    order (``_linear_quotient_counts``) has the Herzog-Takayama mapping-cone
     resolution, with r_u the number of variables generating the colon of u.
     Every other ideal goes to the lcm-lattice walk, on the rank words
     already built for the second test.
     """
-    counts = _stable_counts(ideal.exponents)
+    counts = _stable_counts(gens)
     if counts is None:
-        words, w, steps = _rank_words(ideal)
-        counts = _linear_quotient_counts(ideal.exponents, words, steps.get(1, 0))
+        words, w, steps = _rank_words(gens)
+        counts = _linear_quotient_counts(gens, words, steps.get(1, 0))
         if counts is None:
-            return _lattice_walk(ideal.n, words, w, steps)
+            return _lattice_walk(len(gens[0]) - 1, words, w, steps)
     table: dict[tuple[int, int], int] = {}
     for (d, k), count in counts.items():
         for p in range(k + 1):
@@ -293,9 +297,9 @@ def _ideal_table(ideal: MonomialIdeal) -> tuple[tuple[int, int, int], ...]:
     return tuple((i, j, v) for (i, j), v in sorted(table.items()))
 
 
-def _rank_words(ideal: MonomialIdeal) -> tuple[list[int], int, dict[int, int]]:
-    """The minimal generators of I as unary words of exponent ranks, the
-    field width w and the steps.
+def _rank_words(gens: tuple[tuple[int, ...], ...]) -> tuple[list[int], int, dict[int, int]]:
+    """The minimal generators of I, given as exponent tuples, as unary words
+    of exponent ranks, the field width w and the steps.
 
     In each variable the distinct generator exponents, with 0, are numbered
     0, 1, 2, ... in increasing order.  Variable v of a word owns bits
@@ -305,12 +309,11 @@ def _rank_words(ideal: MonomialIdeal) -> tuple[list[int], int, dict[int, int]]:
     maps each step size to the mask of its bits, so a degree is the sum of
     the steps set in a word: one masked bit count per size.
     """
-    gens = ideal.exponents
     # per variable, the distinct exponents with 0, so that the steps up to the
     # r-th sum to it: the r-th is r low set bits
     ranked = [sorted({0, *column}) for column in zip(*gens)]
     w = max(map(len, ranked), default=1)
-    fields = range(0, (ideal.n + 1) * w, w)  # the low bit of each variable's field
+    fields = range(0, len(ranked) * w, w)  # the low bit of each variable's field
     words = [
         sum(((1 << bisect_left(values, e)) - 1) << s for s, e, values in zip(fields, g, ranked))
         for g in gens
@@ -358,14 +361,6 @@ def _linear_quotient_counts(
         key = (sum(gens[i]), colon.bit_count())
         counts[key] = counts.get(key, 0) + 1
     return counts
-
-
-def _lattice_table(ideal: MonomialIdeal) -> tuple[tuple[int, int, int], ...]:
-    """``_ideal_table`` of any monomial ideal by the lcm-lattice walk alone,
-    with neither base case tried: the tests' oracle for both.  No caller in
-    the package; ``_ideal_table`` reuses the rank words of its
-    linear-quotients test and calls ``_lattice_walk`` itself."""
-    return _lattice_walk(ideal.n, *_rank_words(ideal))
 
 
 def _lattice_walk(
@@ -446,7 +441,7 @@ def koszul_betti(submodule: MonomialSubmodule, as_quotient: bool = True) -> Bett
             if ideal.is_unit():
                 continue
             total[0, f] = total.get((0, f), 0) + 1
-        for i, j, v in _ideal_table(ideal):
+        for i, j, v in _ideal_table(ideal.exponents):
             key = (i + as_quotient, j + f)
             total[key] = total.get(key, 0) + v
     return BettiTable.from_dict(total)
@@ -465,7 +460,7 @@ def regularity(submodule: MonomialSubmodule, as_quotient: bool = True) -> int:
             if ideal.is_unit():
                 continue
             tops.append(f)  # beta_{0,f}
-        tops.extend(j - i - as_quotient + f for i, j, _ in _ideal_table(ideal))
+        tops.extend(j - i - as_quotient + f for i, j, _ in _ideal_table(ideal.exponents))
     if not tops:
         raise ZeroModule("the zero module has no regularity (its Betti table is empty)")
     return max(tops)

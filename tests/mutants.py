@@ -36,6 +36,7 @@ LEX = "src/gotzmann/lex.py"
 RES = "src/gotzmann/resolution.py"
 LINALG = "src/gotzmann/linalg.py"
 CLI = "src/gotzmann/cli.py"
+COMB = "src/gotzmann/combinatorics.py"
 
 T_MA = "tests/test_monomial_algebra.py::"
 T_LEX = "tests/test_lex.py::"
@@ -43,6 +44,7 @@ T_RES = "tests/test_resolution.py::"
 T_KEYS = "tests/test_flat_keys.py::"
 T_LINALG = "tests/test_linalg.py::"
 T_CLI = "tests/test_cli.py::"
+T_COMB = "tests/test_combinatorics.py::"
 STABILITY = (
     T_MA + "test_stability_test_matches_the_oracle_on_random_ideals",
     T_MA + "test_stable_numerator_equals_the_pivot_and_near_misses_fall_through",
@@ -54,6 +56,17 @@ STABILITY_ORACLE = (T_MA + "test_stability_test_matches_the_oracle_on_random_ide
 LINEAR_QUOTIENTS = (
     T_RES + "test_linear_quotient_table_equals_the_lattice_and_near_misses_fall_through",
     T_RES + "test_linear_quotient_examples",
+)
+# the runs of a Macaulay representation, against the term-list oracle and
+# the one-step scan
+RUNS = (
+    T_COMB + "test_reconstruction_full_range",
+    T_COMB + "test_rep_matches_linear_scan_hypothesis",
+    T_COMB + "test_transforms_by_runs_match_the_term_list_oracle",
+)
+REGULARITY = (
+    T_RES + "test_regularity_examples",
+    T_RES + "test_regularity_dispatch_agrees_with_koszul",
 )
 LEXIFY = (
     T_LEX + "test_lexify_module_example",
@@ -181,7 +194,7 @@ MUTANTS = (
     ),
     Mutant(
         "_ideal_table skipping the stability test", RES,
-        "    counts = _stable_counts(ideal.exponents)\n    if counts is None:\n",
+        "    counts = _stable_counts(gens)\n    if counts is None:\n",
         "    counts = None\n    if counts is None:\n",
         (T_LEX + "test_lex_module_is_read_with_no_pivot_or_lattice",),
     ),
@@ -243,6 +256,69 @@ MUTANTS = (
         "a run starts at last, not at its successor", LEX,
         "return _lex_run(last, 2)[1] if last else",
         "return last if last else",
+        LEXIFY,
+    ),
+    Mutant(
+        "regularity without its homological shift", RES,
+        "j - i - as_quotient + f for i, j, _ in",
+        "j - i + f for i, j, _ in",
+        REGULARITY,
+    ),
+    Mutant(
+        "regularity without beta_{0,f}", RES,
+        "            tops.append(f)  # beta_{0,f}\n",
+        "",
+        REGULARITY,
+    ),
+    # Macaulay representations by runs, and the upper-index search
+    Mutant(
+        "run bisection stopping one early", COMB,
+        "while good - bad > 1:",
+        "while good - bad > 2:",
+        RUNS,
+    ),
+    Mutant(
+        "remainder after a long run off by one", COMB,
+        "rem = comb(good + c, c + 1) - need",
+        "rem = comb(good + c, c + 1) - need - 1",
+        RUNS,
+    ),
+    Mutant(
+        "runs never continued to index 1", COMB,
+        "if rem and lo > 1 and",
+        "if rem and lo > 2 and",
+        RUNS,
+    ),
+    Mutant(
+        "Green run's low end off by one", COMB,
+        "comb(lo + c - 1, c)",
+        "comb(lo + c, c)",
+        (
+            T_COMB + "test_transform_values",
+            T_COMB + "test_transforms_match_the_representation_sums",
+            T_COMB + "test_transforms_by_runs_match_the_term_list_oracle",
+        ),
+    ),
+    Mutant(
+        "upper-index bisection with < for <=", COMB,
+        "        if comb(mid, j) <= b:\n",
+        "        if comb(mid, j) < b:\n",
+        (
+            T_COMB + "test_largest_upper_index_brackets_b",
+            T_COMB + "test_largest_upper_index_around_the_central_binomial",
+        ),
+    ),
+    # lexify's degree loop
+    Mutant(
+        "components at their degree not live (< for <=)", LEX,
+        "while live < m and degrees[live] <= d:",
+        "while live < m and degrees[live] < d:",
+        LEXIFY,
+    ),
+    Mutant(
+        "tail differences updated bottom up", LEX,
+        "for i in range(len(nabla) - 2, -1, -1):",
+        "for i in range(len(nabla) - 1):",
         LEXIFY,
     ),
     # exact rank, record generations and the pivot recursion's base case

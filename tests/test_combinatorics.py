@@ -1,5 +1,6 @@
 """Binomial convention, representation uniqueness, and transform properties."""
 import time
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from gotzmann.combinatorics import (
     MacaulayRep,
+    _largest_upper_index,
     _macaulay_runs,
     binomial,
     green_transform,
@@ -152,6 +154,25 @@ def test_rep_of_large_value_is_fast():
     huge = macaulay_rep(10**60, 12)
     assert huge.value() == 10**60
     assert time.perf_counter() - start < 0.25, elapsed
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(1, 10**6), st.integers(1, 10**200)), st.integers(1, 60))
+def test_largest_upper_index_brackets_b(b, j):
+    k = _largest_upper_index(b, j)
+    assert comb(k, j) <= b < comb(k + 1, j)
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 5, 7, 8, 31, 60])
+def test_largest_upper_index_around_the_central_binomial(j):
+    # k passes 2j at b = C(2j, j); an exact binomial C(k, j) is its own k
+    central = comb(2 * j, j)
+    for b in (central - 1, central, central + 1):
+        k = _largest_upper_index(b, j)
+        assert comb(k, j) <= b < comb(k + 1, j), b
+    assert _largest_upper_index(central, j) == 2 * j
+    for k in range(j, 4 * j + 3):
+        assert _largest_upper_index(comb(k, j), j) == k
 
 
 def count_descent_decompositions(a, d, k_cap):

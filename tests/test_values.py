@@ -78,7 +78,7 @@ def test_equality_and_hash_follow_the_fields(build, fields):
             hash(a)
     else:
         assert hash(a) == hash(b) == expected
-        assert hash(a) == expected  # again, from the cache where there is one
+        assert hash(a) == expected  # again: the same on every call
         assert len({a, b}) == 1
 
 
