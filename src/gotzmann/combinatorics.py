@@ -132,7 +132,11 @@ def _largest_upper_index(b: int, j: int) -> int:
     """Largest k with C(k, j) <= b, for b >= 1 and j >= 1, in O(log(b + j))
     binomials: steps doubling up from C(j, j) = 1 bracket k, and a bisection
     ends it.  ``_macaulay_runs`` calls it once per run, not once per term.
+    A lower index below 1 raises ValueError: at j = 0 every C(k, 0) is 1,
+    so no largest k exists and the doubling would never end.
     """
+    if j < 1:
+        raise ValueError(f"lower index must be >= 1, got {j}")
     lo, step = j, 1
     while comb(lo + step, j) <= b:
         lo, step = lo + step, 2 * step

@@ -11,22 +11,28 @@ The adjusted bounds peel off the free part of M = F/N over the r largest
 ambient degrees (r = number of zero components) and apply the binomial
 transform to the remainder rho at index d - f_low, where f_low is the
 (m-r)-th degree.  Two kernels, ``_growth`` and ``_restriction``, compute
-every bound from (d, r, index) and refuse an index below 1.  The classical
-checkers are the same kernels at r = 0, where rho = H(M, d) and f_low = l,
-the largest ambient degree; Gasharov's module forms move the index to
-d - l - p.
+every bound from the index and the values of H(M, e) and rho at e = d - 1,
+d, d + 1; each public checker refuses an index below 1 before it reads a
+value.  The classical checkers are the same kernels at r = 0, where
+rho = H(M, d) and f_low = l, the largest ambient degree; Gasharov's module
+forms move the index to d - l - p.
 
 Every value a checker reads is a function of H(M, d), rho and the generic
-hyperplane restriction, all read through the submodule's record, four
-slots of the submodule that ``monomial_algebra._record`` builds and that
-die with it: a checker has the record read or built once, and the kernels
-read the three from the submodule's row at each degree through
-``monomial_algebra``, which alone stores them; the free parts are
-differences of H and rho, and the bounds are recomputed from those with
-the cached transforms.  So the checkers of one submodule share each value,
-each (submodule, d) is restricted once, and ``sweep`` yields exactly what
-the public checkers return.  Each record's memory is bounded as
-``_record`` states.
+hyperplane restriction, kept in the submodule's record, four slots of the
+submodule that ``monomial_algebra._record`` builds and that die with it: a
+public checker has the record read or built once and reads the values from
+the submodule's row at each degree through ``monomial_algebra``, which
+alone stores them; the free parts are differences of H and rho, and the
+bounds are recomputed from those with the cached transforms.  So the
+checkers of one submodule share each value, and each (submodule, d) is
+restricted once.  ``sweep`` builds each record once, reads H, rho and the
+hyperplane value once per degree and computes each adjusted growth pair
+once per degree, and hands them to the kernels, the persistence walk and
+the report builders that the public checkers call.  So each of its reports
+equals the public checker's for the same (submodule, d, p), in the same
+order: ``test_sweep_yields_the_public_checkers_reports_on_all_500_seeds``
+in ``tests/test_theorems.py`` checks that on every instance of
+``sweep(500)``.  Each record's memory is bounded as ``_record`` states.
 
 A report is a tuple of its seven fields and, for a module checker, its
 submodule, from which it builds ``instance``, the ``module_to_dict`` form,
@@ -151,30 +157,23 @@ def _f_low(degrees: tuple[int, ...], r: int) -> int:
     return degrees[len(degrees) - r - 1]  # r = m reads index -1, f_m
 
 
-def _growth(submodule: MonomialSubmodule, d: int, r: int, index: int) -> tuple[int, int]:
+def _growth(index: int, rho: int, h_next: int, rho_next: int) -> tuple[int, int]:
     """H(M, d+1) and its bound: the free part of the last r ambient degrees
-    at d + 1, which is H - rho there, plus rho^<index>, from the rows of the
-    submodule's built record and the cached transform; r is 0 or the rank
-    of M."""
-    _require_index(d, index)
-    h = _row(submodule, d + 1)[0]
-    if not r:
-        return h, macaulay_transform(_row(submodule, d)[0], index)
-    return h, h - _rho(submodule, d + 1) + macaulay_transform(_rho(submodule, d), index)
+    at d + 1, which is H - rho there, plus rho(d)^<index>; r is 0 or the
+    rank of M, and at r = 0 rho is H itself, so the free part is 0."""
+    return h_next, h_next - rho_next + macaulay_transform(rho, index)
 
 
-def _restriction(submodule: MonomialSubmodule, d: int, r: int, index: int) -> tuple[int, int]:
+def _restriction(
+    index: int, hyperplane: int, h_prev: int, rho_prev: int, h: int, rho: int
+) -> tuple[int, int]:
     """The generic hyperplane value dim (M/hM)_d and its bound: the free part
-    of the last r ambient degrees in n - 1 variables plus rho_<index>; r is
-    0 or the rank of M.  By Pascal's rule that free part is the first
-    difference (H - rho)(d) - (H - rho)(d - 1) of the free part in n
-    variables, also for the degrees f > d, where both sides are 0."""
-    _require_index(d, index)
-    if not r:
-        return _hyperplane(submodule, d), green_transform(_row(submodule, d)[0], index)
-    rho = _rho(submodule, d)
-    free = _row(submodule, d)[0] - rho - _row(submodule, d - 1)[0] + _rho(submodule, d - 1)
-    return _hyperplane(submodule, d), free + green_transform(rho, index)
+    of the last r ambient degrees in n - 1 variables plus rho(d)_<index>; r
+    is 0 or the rank of M, and at r = 0 rho is H.  By Pascal's rule that
+    free part is the first difference (H - rho)(d) - (H - rho)(d - 1) of the
+    free part in n variables, also for the degrees f > d, where both sides
+    are 0."""
+    return hyperplane, h - rho - h_prev + rho_prev + green_transform(rho, index)
 
 
 def _require_index(d: int, index: int) -> None:
@@ -182,15 +181,49 @@ def _require_index(d: int, index: int) -> None:
         raise PreconditionViolated(f"need d >= {d - index + 1} for a transform index >= 1, got {d}")
 
 
+def _adjusted_growth(submodule: MonomialSubmodule, f_low: int, growth: dict,
+                     e: int) -> tuple[int, int]:
+    """The adjusted ``_growth`` pair at e, read from growth, a dict of the
+    submodule's pairs by degree, or computed from its rows into it."""
+    pair = growth.get(e)
+    if pair is None:
+        pair = growth[e] = _growth(
+            e - f_low, _rho(submodule, e), _row(submodule, e + 1)[0], _rho(submodule, e + 1)
+        )
+    return pair
+
+
+# the report builders of the module checkers, called by them and by sweep
+# with the values they have read: the one place each report's layout is set
+def _macaulay_report(submodule: MonomialSubmodule, d: int, r: int, f_low: int, rho: int,
+                     pair: tuple[int, int]) -> CheckReport:
+    lhs, rhs = pair
+    return _module_report(submodule, "macaulay_adjusted", lhs, rhs, _compare(lhs, rhs),
+                          {"d": d, "rho": rho, "f_low": f_low, "rank": r})
+
+
+def _green_report(submodule: MonomialSubmodule, d: int, f_low: int, rho: int,
+                  pair: tuple[int, int]) -> CheckReport:
+    lhs, rhs = pair
+    return _module_report(submodule, "green_adjusted", lhs, rhs, _compare(lhs, rhs),
+                          {"d": d, "rho": rho, "f_low": f_low})
+
+
+def _gasharov_report(submodule: MonomialSubmodule, name: str, d: int, p: int, l: int,
+                     index: int, pair: tuple[int, int]) -> CheckReport:
+    lhs, rhs = pair
+    return _module_report(submodule, name, lhs, rhs, _compare(lhs, rhs),
+                          {"d": d, "p": p, "l": l, "index": index})
+
+
 def check_macaulay_adjusted(submodule: MonomialSubmodule, d: int) -> CheckReport:
     """H(M, d+1) against the rank-and-degree adjusted Macaulay bound."""
     _record(submodule)
     r = rank(submodule)
     f_low = _f_low(submodule.degrees, r)
-    lhs, rhs = _growth(submodule, d, r, d - f_low)
-    context = {"d": d, "rho": _rho(submodule, d), "f_low": f_low, "rank": r}
-    return _module_report(submodule, name="macaulay_adjusted", bound_lhs=lhs, bound_rhs=rhs,
-                          verdict=_compare(lhs, rhs), context=context)
+    _require_index(d, d - f_low)
+    pair = _adjusted_growth(submodule, f_low, {}, d)
+    return _macaulay_report(submodule, d, r, f_low, _rho(submodule, d), pair)
 
 
 def check_green_adjusted(submodule: MonomialSubmodule, d: int) -> CheckReport:
@@ -200,10 +233,11 @@ def check_green_adjusted(submodule: MonomialSubmodule, d: int) -> CheckReport:
     _record(submodule)
     r = rank(submodule)
     f_low = _f_low(submodule.degrees, r)
-    lhs, rhs = _restriction(submodule, d, r, d - f_low)
-    context = {"d": d, "rho": _rho(submodule, d), "f_low": f_low}
-    return _module_report(submodule, name="green_adjusted", bound_lhs=lhs, bound_rhs=rhs,
-                          verdict=_compare(lhs, rhs), context=context)
+    _require_index(d, d - f_low)
+    rho = _rho(submodule, d)
+    pair = _restriction(d - f_low, _hyperplane(submodule, d), _row(submodule, d - 1)[0],
+                        _rho(submodule, d - 1), _row(submodule, d)[0], rho)
+    return _green_report(submodule, d, f_low, rho, pair)
 
 
 def check_gasharov(
@@ -221,11 +255,16 @@ def check_gasharov(
         raise PreconditionViolated(f"need p >= 0, got {p}")
     l = submodule.degrees[-1]
     index = d - l - p
-    macaulay = which == "macaulay"
-    lhs, rhs = (_growth if macaulay else _restriction)(_record(submodule), d, 0, index)
-    return _module_report(submodule, name=GASHAROV_MACAULAY if macaulay else GASHAROV_GREEN,
-                          bound_lhs=lhs, bound_rhs=rhs, verdict=_compare(lhs, rhs),
-                          context={"d": d, "p": p, "l": l, "index": index})
+    _record(submodule)
+    _require_index(d, index)
+    h = _row(submodule, d)[0]
+    if which == "macaulay":
+        h_next = _row(submodule, d + 1)[0]
+        pair = _growth(index, h, h_next, h_next)
+        return _gasharov_report(submodule, GASHAROV_MACAULAY, d, p, l, index, pair)
+    h_prev = _row(submodule, d - 1)[0]
+    pair = _restriction(index, _hyperplane(submodule, d), h_prev, h_prev, h, h)
+    return _gasharov_report(submodule, GASHAROV_GREEN, d, p, l, index, pair)
 
 
 def check_persistence_adjusted(submodule: MonomialSubmodule, d: int) -> CheckReport:
@@ -250,9 +289,19 @@ def check_persistence_adjusted(submodule: MonomialSubmodule, d: int) -> CheckRep
             f"submodule has a generator in degree {max_gen} > d = {d}"
         )
     _record(submodule)
-    r = rank(submodule)
-    f_low = _f_low(submodule.degrees, r)
-    lhs, rhs = _growth(submodule, d, r, d - f_low)
+    f_low = _f_low(submodule.degrees, rank(submodule))
+    _require_index(d, d - f_low)
+    growth: dict = {}
+    return _persistence_report(submodule, d, f_low, growth,
+                               _adjusted_growth(submodule, f_low, growth, d))
+
+
+def _persistence_report(submodule: MonomialSubmodule, d: int, f_low: int, growth: dict,
+                        pair: tuple[int, int]) -> CheckReport:
+    """The persistence report at d from its premise, the adjusted growth
+    pair at d, and a walk on the pairs of ``_adjusted_growth``, kept in
+    growth."""
+    lhs, rhs = pair
     premises_hold = lhs == rhs
     verdict, context = PREMISE_FAILS, {"d": d, "horizon": 0}
     if premises_hold:
@@ -263,12 +312,12 @@ def check_persistence_adjusted(submodule: MonomialSubmodule, d: int) -> CheckRep
             )
         verdict, context["horizon"] = SHARP, last - d
         for e in range(d + 1, last + 1):
-            lhs, rhs = _growth(submodule, e, r, e - f_low)
+            lhs, rhs = _adjusted_growth(submodule, f_low, growth, e)
             if lhs != rhs:
                 verdict, context["failed_at"] = VIOLATED, e
                 break
-    return _module_report(submodule, name="persistence_adjusted", premises_hold=premises_hold,
-                          bound_lhs=lhs, bound_rhs=rhs, verdict=verdict, context=context)
+    return _module_report(submodule, "persistence_adjusted", lhs, rhs, verdict, context,
+                          premises_hold)
 
 
 def check_gotzmann_regularity_adjusted(submodule: MonomialSubmodule) -> CheckReport:
@@ -364,21 +413,42 @@ def sweep(count: int, base_seed: int = 0) -> Iterator[CheckReport]:
 
     Checkers whose preconditions cannot be met on an instance are skipped
     (conditional statements are vacuous there); everything that runs is
-    reported.
+    reported.  Per instance the record, rank, f_low, l and top generator
+    degree are read once.  Per degree H, rho and the hyperplane value are
+    read once, and the adjusted growth pair is computed once, for the
+    Macaulay report, the persistence premise and every persistence walk.
+    The reports come from the public checkers' kernels and report builders
+    and equal theirs.
     """
     for k in range(count):
-        submodule = random_submodule(base_seed + k)
-        f_low = f_low_degree(submodule)
+        submodule = _record(random_submodule(base_seed + k))
+        r = rank(submodule)
+        f_low = _f_low(submodule.degrees, r)
         l = submodule.degrees[-1]
         max_gen = submodule.max_gen_degree()
+        growth: dict = {}
+        h_prev, rho_prev = _row(submodule, f_low)[0], _rho(submodule, f_low)
+        h, rho = _row(submodule, f_low + 1)[0], _rho(submodule, f_low + 1)
         for d in range(f_low + 1, f_low + 7):
-            yield check_macaulay_adjusted(submodule, d)
-            yield check_green_adjusted(submodule, d)
+            index = d - f_low
+            h_next, rho_next = _row(submodule, d + 1)[0], _rho(submodule, d + 1)
+            pair = growth.get(d)
+            if pair is None:
+                pair = growth[d] = _growth(index, rho, h_next, rho_next)
+            yield _macaulay_report(submodule, d, r, f_low, rho, pair)
+            hyperplane = _hyperplane(submodule, d)
+            yield _green_report(submodule, d, f_low, rho,
+                                _restriction(index, hyperplane, h_prev, rho_prev, h, rho))
             if max_gen is None or max_gen <= d:
-                yield check_persistence_adjusted(submodule, d)
+                yield _persistence_report(submodule, d, f_low, growth, pair)
+            # the classical bounds: the kernels at r = 0, with H for rho
             for p in range(min(3, d - l)):  # d >= p + l + 1
-                yield check_gasharov(submodule, d, p, "macaulay")
-                yield check_gasharov(submodule, d, p, "green")
+                index = d - l - p
+                yield _gasharov_report(submodule, GASHAROV_MACAULAY, d, p, l, index,
+                                       _growth(index, h, h_next, h_next))
+                yield _gasharov_report(submodule, GASHAROV_GREEN, d, p, l, index,
+                                       _restriction(index, hyperplane, h_prev, h_prev, h, h))
+            h_prev, rho_prev, h, rho = h, rho, h_next, rho_next
         if f_low <= 0:
             # f_low > 0 breaks the regularity statement's hypothesis; vacuous.
             yield check_gotzmann_regularity_adjusted(submodule)

@@ -2,12 +2,15 @@
 
 A mutant is (file, exact snippet, replacement, test node ids), with a name
 to report it by.  The runner copies ``src/``, ``tests/`` and
-``pyproject.toml`` of the checkout into a temporary directory and runs every
-named test there unmutated, which must pass.  Then, one mutant at a time, it
-writes the replacement over the snippet, which must occur exactly once in
-the file, runs that mutant's tests and requires them to fail, and restores
-the file.  A snippet that no longer matches fails the run, and so does a
-mutant that survives.
+``pyproject.toml`` of the checkout into a temporary directory and runs each
+mutant's tests there unmutated, which must pass, and times them.  Then, one
+mutant at a time, it writes the replacement over the snippet, which must
+occur exactly once in the file, runs that mutant's tests and requires them
+to fail, and restores the file.  A mutated run that takes more than
+``TIMEOUT_FACTOR`` times the unmutated run of the same tests, and at least
+``MIN_TIMEOUT_S``, is stopped and counts as a failure, so a mutant that
+makes the library loop costs about a minute, not the whole job.  A snippet
+that no longer matches fails the run, and so does a mutant that survives.
 
 Equivalent mutants change no answer, only speed; each is listed with the
 argument for that, and its snippet must still match, so the list follows
@@ -25,11 +28,13 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-TIMEOUT_S = 600
+TIMEOUT_FACTOR = 10
+MIN_TIMEOUT_S = 60
 
 MA = "src/gotzmann/monomial_algebra.py"
 LEX = "src/gotzmann/lex.py"
@@ -37,6 +42,7 @@ RES = "src/gotzmann/resolution.py"
 LINALG = "src/gotzmann/linalg.py"
 CLI = "src/gotzmann/cli.py"
 COMB = "src/gotzmann/combinatorics.py"
+THEO = "src/gotzmann/theorems.py"
 
 T_MA = "tests/test_monomial_algebra.py::"
 T_LEX = "tests/test_lex.py::"
@@ -45,6 +51,7 @@ T_KEYS = "tests/test_flat_keys.py::"
 T_LINALG = "tests/test_linalg.py::"
 T_CLI = "tests/test_cli.py::"
 T_COMB = "tests/test_combinatorics.py::"
+T_THEO = "tests/test_theorems.py::"
 STABILITY = (
     T_MA + "test_stability_test_matches_the_oracle_on_random_ideals",
     T_MA + "test_stable_numerator_equals_the_pivot_and_near_misses_fall_through",
@@ -68,6 +75,8 @@ REGULARITY = (
     T_RES + "test_regularity_examples",
     T_RES + "test_regularity_dispatch_agrees_with_koszul",
 )
+# every report of sweep(500) against the public checker's
+SWEEP_EQUALITY = (T_THEO + "test_sweep_yields_the_public_checkers_reports_on_all_500_seeds",)
 LEXIFY = (
     T_LEX + "test_lexify_module_example",
     T_LEX + "test_lexify_reproduces_hilbert_function",
@@ -280,7 +289,7 @@ MUTANTS = (
     Mutant(
         "remainder after a long run off by one", COMB,
         "rem = comb(good + c, c + 1) - need",
-        "rem = comb(good + c, c + 1) - need - 1",
+        "rem = comb(good + c, c + 1) - need + 1",
         RUNS,
     ),
     Mutant(
@@ -343,6 +352,32 @@ MUTANTS = (
         "_power_product(sum(g) for g in powers)",
         (T_MA + "test_one_mixed_generator_is_a_base_case",),
     ),
+    # sweep's values read once per degree, and its growth memo
+    Mutant(
+        "persistence premise read at d + 1", THEO,
+        "yield _persistence_report(submodule, d, f_low, growth, pair)",
+        "yield _persistence_report(submodule, d, f_low, growth,\n"
+        "                                          _adjusted_growth(submodule, f_low, growth, d + 1))",
+        SWEEP_EQUALITY,
+    ),
+    Mutant(
+        "growth memo keyed one degree off", THEO,
+        "pair = growth[d] = _growth(index, rho, h_next, rho_next)",
+        "pair = growth[d + 1] = _growth(index, rho, h_next, rho_next)",
+        SWEEP_EQUALITY,
+    ),
+    Mutant(
+        "Gasharov-green report reading the hyperplane at d - 1", THEO,
+        "_restriction(index, hyperplane, h_prev, h_prev, h, h))",
+        "_restriction(index, _hyperplane(submodule, d - 1), h_prev, h_prev, h, h))",
+        SWEEP_EQUALITY,
+    ),
+    Mutant(
+        "Macaulay context's rho read at d + 1", THEO,
+        "yield _macaulay_report(submodule, d, r, f_low, rho, pair)",
+        "yield _macaulay_report(submodule, d, r, f_low, rho_next, pair)",
+        SWEEP_EQUALITY,
+    ),
     # the process entry
     Mutant(
         "main() freezing the heap itself", CLI,
@@ -379,9 +414,9 @@ EQUIVALENT = (
 )
 
 
-def _run_tests(copy: Path, tests: tuple[str, ...]) -> int:
-    """pytest's exit code on the tests in the copy; a timeout counts as a
-    failure."""
+def _run_tests(copy: Path, tests: tuple[str, ...], timeout: float | None = None) -> int:
+    """pytest's exit code on the tests in the copy, or -1 when the run is
+    stopped at the timeout (in seconds; None waits)."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [
         sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
@@ -389,7 +424,7 @@ def _run_tests(copy: Path, tests: tuple[str, ...]) -> int:
     ]
     try:
         done = subprocess.run(
-            command, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT_S
+            command, cwd=copy, env=env, capture_output=True, timeout=timeout
         )
     except subprocess.TimeoutExpired:
         return -1
@@ -412,19 +447,25 @@ def main() -> int:
         if problems:
             print("\n".join(problems))
             return 1
-        everything = tuple(dict.fromkeys(t for m in mutants for t in m.tests))
-        if everything and _run_tests(copy, everything) != 0:
-            print("the named tests fail on the unmutated copy")
-            return 1
+        # each set of named tests, run once unmutated, sizes the timeout of
+        # every mutant that names it
+        timeouts = {}
+        for tests in dict.fromkeys(m.tests for m in mutants):
+            start = time.perf_counter()
+            if _run_tests(copy, tests) != 0:
+                print(f"the named tests fail on the unmutated copy: {' '.join(tests)}")
+                return 1
+            timeouts[tests] = max(MIN_TIMEOUT_S, TIMEOUT_FACTOR * (time.perf_counter() - start))
         for m in mutants:
             path = copy / m.file
             original = path.read_text()
             path.write_text(original.replace(m.snippet, m.replacement))
-            code = _run_tests(copy, m.tests)
+            code = _run_tests(copy, m.tests, timeouts[m.tests])
             path.write_text(original)
             # 0: every test passed; 5: none was collected
             killed = code not in (0, 5)
-            print(f"{'killed' if killed else 'SURVIVED'}: {m.name}", flush=True)
+            how = f" (stopped after {timeouts[m.tests]:.0f} s)" if code == -1 else ""
+            print(f"{'killed' if killed else 'SURVIVED'}: {m.name}{how}", flush=True)
             if not killed:
                 problems.append(m.name)
     for e in EQUIVALENT:

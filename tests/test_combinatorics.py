@@ -175,6 +175,14 @@ def test_largest_upper_index_around_the_central_binomial(j):
         assert _largest_upper_index(comb(k, j), j) == k
 
 
+@pytest.mark.parametrize("j", [0, -1])
+def test_largest_upper_index_refuses_a_lower_index_below_1(j):
+    # at j = 0 every C(k, 0) is 1 <= b, so the doubling bracket would never end
+    for b in (1, 2, 10**6):
+        with pytest.raises(ValueError, match="lower index"):
+            _largest_upper_index(b, j)
+
+
 def count_descent_decompositions(a, d, k_cap):
     """Number of ways to write a as C(k_d,d)+...+C(k_delta,delta) with
     consecutive descending indices, k strictly decreasing, k_j >= j >= 1."""
