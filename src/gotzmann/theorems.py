@@ -30,7 +30,7 @@ hyperplane value once per degree and computes each adjusted growth pair
 once per degree, and hands them to the kernels, the persistence walk and
 the report builders that the public checkers call.  So each of its reports
 equals the public checker's for the same (submodule, d, p), in the same
-order: ``test_sweep_yields_the_public_checkers_reports_on_all_500_seeds``
+order: ``test_sweep_shares_values_as_the_public_checkers_compute_them``
 in ``tests/test_theorems.py`` checks that on every instance of
 ``sweep(500)``.  Each record's memory is bounded as ``_record`` states.
 

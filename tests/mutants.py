@@ -76,7 +76,7 @@ REGULARITY = (
     T_RES + "test_regularity_dispatch_agrees_with_koszul",
 )
 # every report of sweep(500) against the public checker's
-SWEEP_EQUALITY = (T_THEO + "test_sweep_yields_the_public_checkers_reports_on_all_500_seeds",)
+SWEEP_EQUALITY = (T_THEO + "test_sweep_shares_values_as_the_public_checkers_compute_them",)
 LEXIFY = (
     T_LEX + "test_lexify_module_example",
     T_LEX + "test_lexify_reproduces_hilbert_function",

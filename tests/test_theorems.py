@@ -3,6 +3,7 @@ import copy
 import inspect
 import json
 import pickle
+import sys
 from operator import attrgetter
 
 import pytest
@@ -343,7 +344,7 @@ def public_reports(sub):
     return reports
 
 
-def test_sweep_yields_the_public_checkers_reports_on_all_500_seeds():
+def test_sweep_shares_values_as_the_public_checkers_compute_them():
     # sweep reads each instance's rows once per degree and shares each
     # adjusted growth pair across its reports, while each public checker
     # reads its own; both build from the same kernels and report builders,
@@ -357,6 +358,28 @@ def test_sweep_yields_the_public_checkers_reports_on_all_500_seeds():
         assert mine == theirs, (theirs.name, theirs.context)
         assert repr(mine) == repr(theirs)
         assert mine.to_dict() == theirs.to_dict()
+
+
+def test_sweep_calls_the_public_checkers(monkeypatch):
+    # each report of sweep stands for one public checker call: over the
+    # degree bands sweep runs, the public checkers are called exactly as
+    # often, checker by checker, as sweep yields their reports
+    module = sys.modules[__name__]
+    calls = {}
+    for name in ("check_macaulay_adjusted", "check_green_adjusted", "check_gasharov",
+                 "check_persistence_adjusted", "check_gotzmann_regularity_adjusted"):
+        def counted(*args, _name=name, _checker=getattr(module, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _checker(*args)
+        monkeypatch.setattr(module, name, counted)
+    reports = {}
+    for rep in sweep(30):
+        checker = "check_gasharov" if rep.name.startswith("gasharov_") else f"check_{rep.name}"
+        reports[checker] = reports.get(checker, 0) + 1
+    for seed in range(30):
+        public_reports(random_submodule(seed))
+    assert len(reports) == 5
+    assert calls == reports
 
 
 def test_sweep_restricts_each_submodule_and_degree_once(monkeypatch):
