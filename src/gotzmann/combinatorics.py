@@ -14,14 +14,13 @@ from ._value import Value, tuples
 # Entries kept by each of the 7 lru_caches of the package, all keyed on
 # ints, tuples and frozensets (the three per-ideal ones on the minimal
 # generator exponents), none on a value object.  The submodule
-# records of monomial_algebra._record are no cache: each is four slots of
-# its submodule, and holds at most CACHE_ENTRIES rows, one per degree (H,
-# rho and the hyperplane value), besides its sparse numerators (its own,
-# and N_I - N_(I^sat) per unsaturated component once a hyperplane value is
-# read).  After sweep(500) the fullest caches hold 888 (macaulay_transform)
-# and 741 (green_transform) entries, 500 records were built, one per
-# instance, and the largest record held 12 rows; after one cold seed-1
-# 600-op benchmark sweep pass, 997 and 833 entries, 600 records and 12 rows.
+# records of monomial_algebra._record are no cache: each is three slots of
+# its submodule and holds no per-degree value, only its sparse numerators
+# (its own, and N_I - N_(I^sat) per unsaturated component once a
+# hyperplane value is read).  After sweep(500) the fullest caches hold 888
+# (macaulay_transform) and 741 (green_transform) entries, and 500 records
+# were built, one per instance; after one cold seed-1 600-op benchmark
+# sweep pass, 997 and 833 entries and 600 records.
 # Neither run evicts or empties anything.  The transform caches pay: that pass
 # takes 0.16 s with them, 0.21 s without (best medians of 7, on 2 CPUs).
 CACHE_ENTRIES = 8192

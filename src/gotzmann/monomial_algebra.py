@@ -35,26 +35,28 @@ stable (every lex ideal is) gets the Eliahou-Kervaire numerator
 1 - sum_u t^(deg u) (1 - t)^(m(u)) of ``_stable_numerator``.  ``resolution``
 reads its Betti table off the same counts, and ``lex.is_lex_ideal`` its
 dimensions (an ideal the test refuses is not lex); the tests hold them to
-the routes they bypass.  Every Hilbert value of a submodule is read
-through its record, four slots of the submodule that ``_record``
-builds and that die with it: the sparse numerator of F/N, each
-component's pairs shifted by its f_i and never densified, and one row per
-degree d holding H(F/N, d), rho(d) at the rank of F/N and the hyperplane
-value (see ``_record``); only this module stores in them, and ``_row`` is
-the one place H is computed.  A sparse numerator is read two ways:
-``_numerator_hf`` evaluates H at a degree, and ``numpoly._binomial_sum``
-builds the Hilbert polynomial.  ``hf_direct``, ``hilbert_polynomial``,
-``adjusted_hf_decomposition``, ``stabilization_degree``, the checkers of
-``theorems`` and ``hilbert_series``, an uncached dense view of the
-numerator, all read it.
+the routes they bypass.  Every Hilbert value of a submodule is computed
+from its record, three slots of the submodule that ``_record`` builds and
+that die with it: the sparse numerator of F/N, each component's pairs
+shifted by its f_i and never densified, the kernel data of the hyperplane
+value and the generation stamp (see ``_record``).  The record holds no
+per-degree value.  ``_hf`` evaluates H(F/N, d) on the numerator, and
+``_rho`` peels the free part off an H the caller has already read.  A
+sparse numerator is read two ways: ``_numerator_hf`` evaluates H at a
+degree, and ``numpoly._binomial_sum`` builds the Hilbert polynomial.
+``hf_direct``, ``hilbert_polynomial``, ``adjusted_hf_decomposition``,
+``stabilization_degree``, the checkers of ``theorems`` and
+``hilbert_series``, an uncached dense view of the numerator, all read it.
 
-The generic hyperplane restriction at d is H(F/N, d) - H(F/N, d - 1) plus,
-per component I, the kernel of h on (I^sat/I)_(d-f_i-1).  That kernel is
-ranked only where dim (I^sat/I)_(d-f_i-1) is positive, evaluated by
-``_numerator_hf`` on N_I - N_(I^sat), the sparse numerator of I^sat/I kept
-in the record.  The saturation's generators are one ``_saturated_gens``
-entry per ideal, shared with ``saturation()``.  The kernel walks the
-exponent tuples of its degree with ``_lex_run`` and keeps none.
+The generic hyperplane restriction at d is H(F/N, d) - H(F/N, d - 1) plus
+one kernel term (``_kernel_term``): per component I, the kernel of h on
+(I^sat/I)_(d-f_i-1).  A caller that holds H(d) and H(d - 1) adds the
+term to their difference.  Each kernel is ranked only where
+dim (I^sat/I)_(d-f_i-1) is positive, evaluated by ``_numerator_hf`` on
+N_I - N_(I^sat), the sparse numerator of I^sat/I kept in the record.  The
+saturation's generators are one ``_saturated_gens`` entry per ideal,
+shared with ``saturation()``.  The kernel walks the exponent tuples of its
+degree with ``_lex_run`` and keeps none.
 """
 from __future__ import annotations
 
@@ -325,13 +327,12 @@ class MonomialSubmodule(Value):
     """N = I_1 e_1 + ... + I_m e_m inside a graded free module.
 
     Besides its fields it keeps n, the degrees, the number of zero
-    components and, once read, its Hilbert record in four slots
+    components and, once read, its Hilbert record in three slots
     (``_record``).
     """
 
     _fields = ("ambient", "components")
-    __slots__ = _fields + ("n", "degrees", "_rank", "_max_gen",
-                           "_numerator", "_rows", "_kernels", "_generation")
+    __slots__ = _fields + ("n", "degrees", "_rank", "_numerator", "_kernels", "_generation")
 
     def __init__(self, ambient: GradedFreeModule, components: tuple[MonomialIdeal, ...]) -> None:
         components = tuple(components)
@@ -355,17 +356,8 @@ class MonomialSubmodule(Value):
 
     def max_gen_degree(self) -> int | None:
         """Largest degree of a minimal generator of N inside F (None if N = 0)."""
-        try:
-            return self._max_gen
-        except AttributeError:
-            degs = []
-            for f, ideal in zip(self.degrees, self.components):
-                if ideal.is_unit():
-                    degs.append(f)
-                elif not ideal.is_zero():
-                    degs.append(ideal.max_gen_degree() + f)
-            object.__setattr__(self, "_max_gen", max(degs) if degs else None)
-            return self._max_gen
+        return max((f + ideal.max_gen_degree() for f, ideal in zip(self.degrees, self.components)
+                    if ideal.exponents), default=None)
 
 
 def rank(submodule: MonomialSubmodule) -> int:
@@ -583,22 +575,19 @@ _generation = _reads = _builds = 0
 
 def _record(submodule: MonomialSubmodule) -> MonomialSubmodule:
     """The submodule, its record read, or built with its sparse numerator
-    and no rows when missing or of an older ``_generation``.
+    when missing or of an older ``_generation``.
 
-    The record is four slots of the submodule, none of them a field:
+    The record is three slots of the submodule, none of them a field:
     ``_numerator`` is the Hilbert series numerator of F/N as a dict
     {exponent: coefficient}, nonzero only and in ascending order: each
     component's ``_ideal_numerator`` shifted by its f_i and summed, never
-    densified.  ``_rows`` is the one memo table: rows[d] = [H(F/N, d),
-    rho(d) at the rank of F/N, the hyperplane value at d], the last two
-    None until first read; only ``_row``, ``_rho`` and ``_hyperplane``
-    store in it.  ``_kernels`` lists (f_i, I_i, the generators of I_i^sat,
+    densified.  ``_kernels`` lists (f_i, I_i, the generators of I_i^sat,
     N_(I_i) - N_(I_i^sat) as ascending (exponent, coefficient) pairs) for
-    the components with I_i^sat != I_i, read on the first hyperplane value.
+    the components with I_i^sat != I_i, read on the first kernel term.
     ``_generation`` is the one the record was built in.
 
-    Bounded memory: a record lives as long as its submodule, and ``_row``
-    keeps it at no more than ``CACHE_ENTRIES`` rows of three values.
+    Bounded memory: a record lives as long as its submodule and holds no
+    per-degree value, so reads at any number of degrees leave it as built.
     """
     global _reads, _builds
     if getattr(submodule, "_generation", None) == _generation:
@@ -611,7 +600,6 @@ def _record(submodule: MonomialSubmodule) -> MonomialSubmodule:
             combined[e + f] = combined.get(e + f, 0) + c
     put = object.__setattr__
     put(submodule, "_numerator", {e: combined[e] for e in sorted(combined) if combined[e]})
-    put(submodule, "_rows", {})
     put(submodule, "_kernels", None)
     put(submodule, "_generation", _generation)
     return submodule
@@ -634,7 +622,7 @@ def hf_direct(submodule: MonomialSubmodule, d: int) -> int:
 
     Exact at every degree, including below f_1, where it is 0.
     """
-    return _row(_record(submodule), d)[0]
+    return _hf(_record(submodule), d)
 
 
 # hf_direct's memo is the record: its statistics count record reads as hits
@@ -711,8 +699,9 @@ def adjusted_hf_decomposition(submodule: MonomialSubmodule, d: int) -> tuple[int
     rho then satisfies 0 <= rho <= sum_{i=1}^{m-r} C(d - f_i + n, n); a
     violation would be a bug, not bad input.
     """
-    rho = _rho(_record(submodule), d)
-    return _row(submodule, d)[0] - rho, rho
+    h = _hf(_record(submodule), d)
+    rho = _rho(submodule, d, h)
+    return h - rho, rho
 
 
 def _dims(degrees: tuple[int, ...], d: int, n: int) -> int:
@@ -720,70 +709,52 @@ def _dims(degrees: tuple[int, ...], d: int, n: int) -> int:
     return sum(comb(d - f + n, n) for f in degrees if f <= d)
 
 
-def _row(submodule: MonomialSubmodule, d: int) -> list:
-    """The row at d of a submodule whose record is built, built with
-    H(F/N, d), read off the sparse numerator, the one place where H is
-    computed; the rows are emptied first when there are already
-    ``CACHE_ENTRIES`` of them."""
-    rows = submodule._rows
-    row = rows.get(d)
-    if row is None:
-        if len(rows) >= CACHE_ENTRIES:
-            rows.clear()
-        h = _numerator_hf(submodule._numerator.items(), submodule.n, d)
-        row = rows[d] = [h, None if submodule._rank else h, None]
-    return row
+def _hf(submodule: MonomialSubmodule, d: int) -> int:
+    """H(F/N, d) of a submodule whose record is built, read off its sparse
+    numerator."""
+    return _numerator_hf(submodule._numerator.items(), submodule.n, d)
 
 
-def _rho(submodule: MonomialSubmodule, d: int) -> int:
-    """H(F/N, d) less the free part of the last r ambient degrees, r the
-    rank of F/N, kept in the row at d, with the window check of
-    ``adjusted_hf_decomposition``; at r = 0 it is H itself."""
-    row = _row(submodule, d)
-    rho = row[1]
-    if rho is None:
-        n, degrees, r = submodule.n, submodule.degrees, submodule._rank
-        m = len(degrees)
-        rho = row[0] - _dims(degrees[m - r :], d, n)
-        window = _dims(degrees[: m - r], d, n)
-        if not 0 <= rho <= window:
-            raise InvariantViolated(
-                f"rho = {rho} escapes [0, {window}] at degree {d} for components "
-                f"{submodule.components} in degrees {degrees}"
-            )
-        row[1] = rho
+def _rho(submodule: MonomialSubmodule, d: int, h: int) -> int:
+    """h = H(F/N, d) less the free part of the last r ambient degrees, r
+    the rank of F/N, with the window check of ``adjusted_hf_decomposition``;
+    at r = 0 it is h itself."""
+    r = submodule._rank
+    if not r:
+        return h
+    n, degrees = submodule.n, submodule.degrees
+    m = len(degrees)
+    rho = h - _dims(degrees[m - r :], d, n)
+    window = _dims(degrees[: m - r], d, n)
+    if not 0 <= rho <= window:
+        raise InvariantViolated(
+            f"rho = {rho} escapes [0, {window}] at degree {d} for components "
+            f"{submodule.components} in degrees {degrees}"
+        )
     return rho
 
 
-def _hyperplane(submodule: MonomialSubmodule, d: int) -> int:
-    """generic_hyperplane_hf, kept in the row at d: one ``_section_dim``
-    per (submodule, d), whichever checkers ask."""
-    row = _row(submodule, d)
-    value = row[2]
-    if value is None:
-        value = row[2] = _section_dim(submodule, d)
-    return value
-
-
-def _section_dim(submodule: MonomialSubmodule, d: int) -> int:
-    """dim (F/(N + hF))_d, h = x_0 + ... + x_n.
+def _kernel_term(submodule: MonomialSubmodule, d: int) -> int:
+    """dim (F/(N + hF))_d - H(F/N, d) + H(F/N, d - 1), h = x_0 + ... + x_n,
+    for a submodule whose record is built; every hyperplane value is the
+    first difference of H plus this term, and this is its one n >= 1 check.
 
     Per component I, multiplication by h gives the exact sequence
 
         0 -> (0 :_{S/I} h)_{e-1} -> (S/I)_{e-1} --h--> (S/I)_e -> (S/(I + hS))_e -> 0,
 
     e = d - f_i.  Summed over the components, the middle terms give
-    H(F/N, d) - H(F/N, d - 1), read off the record.  Every associated prime
-    of a monomial ideal is generated by variables, and h lies in none of
-    them but the maximal ideal, so h is a nonzerodivisor on S/I^sat and the
-    kernel lies in I^sat/I.  So it is 0 where dim (I^sat/I)_(e-1) is 0, and
-    elsewhere ``_kernel`` ranks it; that dimension is ``_numerator_hf`` of
-    ``_defect_numerator``, kept in the record's ``_kernels``.
+    H(F/N, d) - H(F/N, d - 1), so the term is the sum of the kernels.  Every
+    associated prime of a monomial ideal is generated by variables, and h
+    lies in none of them but the maximal ideal, so h is a nonzerodivisor on
+    S/I^sat and the kernel lies in I^sat/I.  So it is 0 where
+    dim (I^sat/I)_(e-1) is 0, and elsewhere ``_kernel`` ranks it; that
+    dimension is ``_numerator_hf`` of ``_defect_numerator``, kept in the
+    record's ``_kernels``.
     """
     n = submodule.n
     if n < 1:
-        raise PreconditionViolated("hyperplane restriction needs n >= 1")
-    value = _row(submodule, d)[0] - _row(submodule, d - 1)[0]
+        raise PreconditionViolated(f"hyperplane restriction needs n >= 1, got {n}")
     kernels = submodule._kernels
     if kernels is None:
         kernels = tuple(
@@ -792,10 +763,8 @@ def _section_dim(submodule: MonomialSubmodule, d: int) -> int:
             if (sat := _saturated_gens(ideal.exponents)) != ideal.exponents
         )
         object.__setattr__(submodule, "_kernels", kernels)
-    for f, ideal, sat, defect in kernels:
-        if _numerator_hf(defect, n, d - f - 1) > 0:
-            value += _kernel(ideal, sat, d - f)
-    return value
+    return sum(_kernel(ideal, sat, d - f) for f, ideal, sat, defect in kernels
+               if _numerator_hf(defect, n, d - f - 1) > 0)
 
 
 def _defect_numerator(
@@ -838,13 +807,14 @@ def generic_hyperplane_hf(submodule: MonomialSubmodule, d: int) -> int:
     """dim (F/(N + hF))_d for a generic linear form h in characteristic 0,
     computed exactly with h = x_0 + ... + x_n: the first difference
     H(F/N, d) - H(F/N, d - 1) plus, per component I, the kernel of h on
-    (I^sat/I)_(d - f_i - 1) (``_section_dim``).
+    (I^sat/I)_(d - f_i - 1) (``_kernel_term``).
 
     Scaling each x_v by c_v != 0 fixes every monomial ideal and sends
     x_0 + ... + x_n to sum c_v x_v, so over any field every h with nonzero
     coefficients, a generic one included, gives the same dimension.
     """
-    return _hyperplane(_record(submodule), d)
+    submodule = _record(submodule)
+    return _hf(submodule, d) - _hf(submodule, d - 1) + _kernel_term(submodule, d)
 
 
 # ---------------------------------------------------------------------------

@@ -18,21 +18,24 @@ rho = H(M, d) and f_low = l, the largest ambient degree; Gasharov's module
 forms move the index to d - l - p.
 
 Every value a checker reads is a function of H(M, d), rho and the generic
-hyperplane restriction, kept in the submodule's record, four slots of the
-submodule that ``monomial_algebra._record`` builds and that die with it: a
-public checker has the record read or built once and reads the values from
-the submodule's row at each degree through ``monomial_algebra``, which
-alone stores them; the free parts are differences of H and rho, and the
-bounds are recomputed from those with the cached transforms.  So the
-checkers of one submodule share each value, and each (submodule, d) is
-restricted once.  ``sweep`` builds each record once, reads H, rho and the
-hyperplane value once per degree and computes each adjusted growth pair
-once per degree, and hands them to the kernels, the persistence walk and
-the report builders that the public checkers call.  So each of its reports
-equals the public checker's for the same (submodule, d, p), in the same
-order: ``test_sweep_shares_values_as_the_public_checkers_compute_them``
-in ``tests/test_theorems.py`` checks that on every instance of
-``sweep(500)``.  Each record's memory is bounded as ``_record`` states.
+hyperplane restriction, computed from the submodule's record, three slots
+of the submodule that ``monomial_algebra._record`` builds and that die
+with it.  A public checker has the record read or built once and computes
+the values it needs where it reads them: H by ``_hf``, rho from that H by
+``_rho``, and the hyperplane value as the first difference of the two H it
+holds plus ``_kernel_term``.  The free parts are differences of H and rho,
+and the bounds are recomputed from those with the cached transforms.
+``sweep`` builds each record once, computes H, rho and the hyperplane
+value once per degree, rolling H and rho on from one degree to the next,
+and computes each adjusted growth step (the pair and the next rho) once
+per degree, and hands them to the kernels, the persistence walk and the report builders that the public
+checkers call.  So each of its reports equals the public checker's for the
+same (submodule, d, p), in the same order:
+``test_sweep_shares_values_as_the_public_checkers_compute_them`` in
+``tests/test_theorems.py`` checks that on every instance of
+``sweep(500)``.  A record holds no per-degree value, so its memory does not
+grow with the degrees read; the growth steps live in a dict of one sweep
+instance or one checker call.
 
 A report is a tuple of its seven fields and, for a module checker, its
 submodule, from which it builds ``instance``, the ``module_to_dict`` form,
@@ -54,11 +57,11 @@ from .monomial_algebra import (
     GradedFreeModule,
     MonomialIdeal,
     MonomialSubmodule,
-    _hyperplane,
+    _hf,
+    _kernel_term,
     _minimal,
     _record,
     _rho,
-    _row,
     hilbert_polynomial,
     module_to_dict,
     rank,
@@ -182,15 +185,22 @@ def _require_index(d: int, index: int) -> None:
 
 
 def _adjusted_growth(submodule: MonomialSubmodule, f_low: int, growth: dict,
-                     e: int) -> tuple[int, int]:
-    """The adjusted ``_growth`` pair at e, read from growth, a dict of the
-    submodule's pairs by degree, or computed from its rows into it."""
-    pair = growth.get(e)
-    if pair is None:
-        pair = growth[e] = _growth(
-            e - f_low, _rho(submodule, e), _row(submodule, e + 1)[0], _rho(submodule, e + 1)
-        )
-    return pair
+                     first: int, last: int) -> None:
+    """Put the adjusted growth steps at first, ..., last that growth, a
+    dict of the submodule's steps by degree, lacks into it.  The step at e
+    is the ``_growth`` pair at e and rho(e + 1), so H and rho at e are read
+    off the step at e - 1 where growth has it, and each is computed from
+    the record once per degree."""
+    for e in range(first, last + 1):
+        if e not in growth:
+            if e - 1 in growth:
+                h, _, rho = growth[e - 1]
+            else:
+                h = _hf(submodule, e)
+                rho = _rho(submodule, e, h)
+            h_next = _hf(submodule, e + 1)
+            rho_next = _rho(submodule, e + 1, h_next)
+            growth[e] = _growth(e - f_low, rho, h_next, rho_next) + (rho_next,)
 
 
 # the report builders of the module checkers, called by them and by sweep
@@ -222,21 +232,21 @@ def check_macaulay_adjusted(submodule: MonomialSubmodule, d: int) -> CheckReport
     r = rank(submodule)
     f_low = _f_low(submodule.degrees, r)
     _require_index(d, d - f_low)
-    pair = _adjusted_growth(submodule, f_low, {}, d)
-    return _macaulay_report(submodule, d, r, f_low, _rho(submodule, d), pair)
+    h, h_next = _hf(submodule, d), _hf(submodule, d + 1)
+    rho = _rho(submodule, d, h)
+    pair = _growth(d - f_low, rho, h_next, _rho(submodule, d + 1, h_next))
+    return _macaulay_report(submodule, d, r, f_low, rho, pair)
 
 
 def check_green_adjusted(submodule: MonomialSubmodule, d: int) -> CheckReport:
     """Generic hyperplane restriction against the adjusted Green bound."""
-    if submodule.n < 1:
-        raise PreconditionViolated(f"need n >= 1, got {submodule.n}")
     _record(submodule)
-    r = rank(submodule)
-    f_low = _f_low(submodule.degrees, r)
+    f_low = _f_low(submodule.degrees, rank(submodule))
     _require_index(d, d - f_low)
-    rho = _rho(submodule, d)
-    pair = _restriction(d - f_low, _hyperplane(submodule, d), _row(submodule, d - 1)[0],
-                        _rho(submodule, d - 1), _row(submodule, d)[0], rho)
+    h_prev, h = _hf(submodule, d - 1), _hf(submodule, d)
+    rho = _rho(submodule, d, h)
+    pair = _restriction(d - f_low, h - h_prev + _kernel_term(submodule, d), h_prev,
+                        _rho(submodule, d - 1, h_prev), h, rho)
     return _green_report(submodule, d, f_low, rho, pair)
 
 
@@ -257,13 +267,13 @@ def check_gasharov(
     index = d - l - p
     _record(submodule)
     _require_index(d, index)
-    h = _row(submodule, d)[0]
+    h = _hf(submodule, d)
     if which == "macaulay":
-        h_next = _row(submodule, d + 1)[0]
+        h_next = _hf(submodule, d + 1)
         pair = _growth(index, h, h_next, h_next)
         return _gasharov_report(submodule, GASHAROV_MACAULAY, d, p, l, index, pair)
-    h_prev = _row(submodule, d - 1)[0]
-    pair = _restriction(index, _hyperplane(submodule, d), h_prev, h_prev, h, h)
+    h_prev = _hf(submodule, d - 1)
+    pair = _restriction(index, h - h_prev + _kernel_term(submodule, d), h_prev, h_prev, h, h)
     return _gasharov_report(submodule, GASHAROV_GREEN, d, p, l, index, pair)
 
 
@@ -292,15 +302,15 @@ def check_persistence_adjusted(submodule: MonomialSubmodule, d: int) -> CheckRep
     f_low = _f_low(submodule.degrees, rank(submodule))
     _require_index(d, d - f_low)
     growth: dict = {}
-    return _persistence_report(submodule, d, f_low, growth,
-                               _adjusted_growth(submodule, f_low, growth, d))
+    _adjusted_growth(submodule, f_low, growth, d, d)
+    return _persistence_report(submodule, d, f_low, growth, growth[d][:2])
 
 
 def _persistence_report(submodule: MonomialSubmodule, d: int, f_low: int, growth: dict,
                         pair: tuple[int, int]) -> CheckReport:
     """The persistence report at d from its premise, the adjusted growth
-    pair at d, and a walk on the pairs of ``_adjusted_growth``, kept in
-    growth."""
+    pair at d, and a walk on the steps at d + 1, ..., L that
+    ``_adjusted_growth`` puts in growth."""
     lhs, rhs = pair
     premises_hold = lhs == rhs
     verdict, context = PREMISE_FAILS, {"d": d, "horizon": 0}
@@ -311,8 +321,9 @@ def _persistence_report(submodule: MonomialSubmodule, d: int, f_low: int, growth
                 f"persistence horizon of {last - d} degrees exceeds {TERM_BUDGET}"
             )
         verdict, context["horizon"] = SHARP, last - d
+        _adjusted_growth(submodule, f_low, growth, d + 1, last)
         for e in range(d + 1, last + 1):
-            lhs, rhs = _adjusted_growth(submodule, f_low, growth, e)
+            lhs, rhs, _ = growth[e]
             if lhs != rhs:
                 verdict, context["failed_at"] = VIOLATED, e
                 break
@@ -415,9 +426,9 @@ def sweep(count: int, base_seed: int = 0) -> Iterator[CheckReport]:
     (conditional statements are vacuous there); everything that runs is
     reported.  Per instance the record, rank, f_low, l and top generator
     degree are read once.  Per degree H, rho and the hyperplane value are
-    read once, and the adjusted growth pair is computed once, for the
-    Macaulay report, the persistence premise and every persistence walk.
-    The reports come from the public checkers' kernels and report builders
+    computed once, and so is the adjusted growth step, for the Macaulay
+    report, the persistence premise and every persistence walk, which
+    reads H and rho off the step before.  The reports come from the public checkers' kernels and report builders
     and equal theirs.
     """
     for k in range(count):
@@ -427,16 +438,15 @@ def sweep(count: int, base_seed: int = 0) -> Iterator[CheckReport]:
         l = submodule.degrees[-1]
         max_gen = submodule.max_gen_degree()
         growth: dict = {}
-        h_prev, rho_prev = _row(submodule, f_low)[0], _rho(submodule, f_low)
-        h, rho = _row(submodule, f_low + 1)[0], _rho(submodule, f_low + 1)
+        h_prev, h = _hf(submodule, f_low), _hf(submodule, f_low + 1)
+        rho_prev, rho = _rho(submodule, f_low, h_prev), _rho(submodule, f_low + 1, h)
         for d in range(f_low + 1, f_low + 7):
             index = d - f_low
-            h_next, rho_next = _row(submodule, d + 1)[0], _rho(submodule, d + 1)
-            pair = growth.get(d)
-            if pair is None:
-                pair = growth[d] = _growth(index, rho, h_next, rho_next)
+            _adjusted_growth(submodule, f_low, growth, d, d)
+            h_next, bound, rho_next = growth[d]
+            pair = h_next, bound
             yield _macaulay_report(submodule, d, r, f_low, rho, pair)
-            hyperplane = _hyperplane(submodule, d)
+            hyperplane = h - h_prev + _kernel_term(submodule, d)
             yield _green_report(submodule, d, f_low, rho,
                                 _restriction(index, hyperplane, h_prev, rho_prev, h, rho))
             if max_gen is None or max_gen <= d:

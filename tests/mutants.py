@@ -221,19 +221,17 @@ MUTANTS = (
         (T_MA + "test_a_cleared_record_is_rebuilt_on_its_next_read",),
     ),
     Mutant(
-        "_rows made a field", MA,
+        "_numerator made a field", MA,
         '    _fields = ("ambient", "components")\n'
-        '    __slots__ = _fields + ("n", "degrees", "_rank", "_max_gen",\n'
-        '                           "_numerator", "_rows", ',
-        '    _fields = ("ambient", "components", "_rows")\n'
-        '    __slots__ = _fields + ("n", "degrees", "_rank", "_max_gen",\n'
-        '                           "_numerator", ',
+        '    __slots__ = _fields + ("n", "degrees", "_rank", "_numerator", ',
+        '    _fields = ("ambient", "components", "_numerator")\n'
+        '    __slots__ = _fields + ("n", "degrees", "_rank", ',
         (T_KEYS + "test_equality_is_field_equality", T_MA + "test_copies_carry_no_record"),
     ),
     Mutant(
         "rho window check removed", MA,
-        "        if not 0 <= rho <= window:\n",
-        "        if False:\n",
+        "    if not 0 <= rho <= window:\n",
+        "    if False:\n",
         (T_MA + "test_rho_window_check_refuses_a_wrong_numerator",),
     ),
     Mutant(
@@ -356,20 +354,21 @@ MUTANTS = (
     Mutant(
         "persistence premise read at d + 1", THEO,
         "yield _persistence_report(submodule, d, f_low, growth, pair)",
-        "yield _persistence_report(submodule, d, f_low, growth,\n"
-        "                                          _adjusted_growth(submodule, f_low, growth, d + 1))",
+        "_adjusted_growth(submodule, f_low, growth, d + 1, d + 1)\n"
+        "                yield _persistence_report(submodule, d, f_low, growth, growth[d + 1][:2])",
         SWEEP_EQUALITY,
     ),
     Mutant(
-        "growth memo keyed one degree off", THEO,
-        "pair = growth[d] = _growth(index, rho, h_next, rho_next)",
-        "pair = growth[d + 1] = _growth(index, rho, h_next, rho_next)",
+        "a growth step carrying rho(e), not rho(e + 1)", THEO,
+        "_growth(e - f_low, rho, h_next, rho_next) + (rho_next,)",
+        "_growth(e - f_low, rho, h_next, rho_next) + (rho,)",
         SWEEP_EQUALITY,
     ),
     Mutant(
         "Gasharov-green report reading the hyperplane at d - 1", THEO,
         "_restriction(index, hyperplane, h_prev, h_prev, h, h))",
-        "_restriction(index, _hyperplane(submodule, d - 1), h_prev, h_prev, h, h))",
+        "_restriction(index, h_prev - _hf(submodule, d - 2) + _kernel_term(submodule, d - 1),\n"
+        "                                                    h_prev, h_prev, h, h))",
         SWEEP_EQUALITY,
     ),
     Mutant(
@@ -377,6 +376,52 @@ MUTANTS = (
         "yield _macaulay_report(submodule, d, r, f_low, rho, pair)",
         "yield _macaulay_report(submodule, d, r, f_low, rho_next, pair)",
         SWEEP_EQUALITY,
+    ),
+    # the values computed where they are read, from H the caller holds
+    Mutant(
+        "rho at e + 1 computed from H(e)", THEO,
+        "rho_next = _rho(submodule, e + 1, h_next)",
+        "rho_next = _rho(submodule, e + 1, h)",
+        SWEEP_EQUALITY,
+    ),
+    Mutant(
+        "kernel term read at d - 1", THEO,
+        "hyperplane = h - h_prev + _kernel_term(submodule, d)",
+        "hyperplane = h - h_prev + _kernel_term(submodule, d - 1)",
+        SWEEP_EQUALITY,
+    ),
+    Mutant(
+        "sweep's first difference using h_next", THEO,
+        "hyperplane = h - h_prev + ",
+        "hyperplane = h_next - h + ",
+        SWEEP_EQUALITY,
+    ),
+    # the bound kernels, report equality and the CLI's digit count
+    Mutant(
+        "_restriction without its d - 1 terms", THEO,
+        "h - rho - h_prev + rho_prev + green_transform(rho, index)",
+        "h - rho + green_transform(rho, index)",
+        (T_THEO + "test_free_parts_read_off_the_rows_are_the_free_dimensions",),
+    ),
+    Mutant(
+        "_growth's free part read with rho at d", THEO,
+        "h_next - rho_next + macaulay_transform(rho, index)",
+        "h_next - rho + macaulay_transform(rho, index)",
+        (T_THEO + "test_free_parts_read_off_the_rows_are_the_free_dimensions",),
+    ),
+    Mutant(
+        "CheckReport.__eq__ returning NotImplemented", THEO,
+        "        return other.__class__ is self.__class__ and self._get(self) == self._get(other)\n",
+        "        if other.__class__ is not self.__class__:\n"
+        "            return NotImplemented\n"
+        "        return self._get(self) == self._get(other)\n",
+        (T_THEO + "test_a_report_never_equals_a_plain_tuple_of_its_items",),
+    ),
+    Mutant(
+        "_refuse_long_ints stepping its digit count by 2", CLI,
+        "            digits += 1\n",
+        "            digits += 2\n",
+        (T_CLI + "test_refused_numbers_are_named_with_their_digit_count",),
     ),
     # the process entry
     Mutant(
@@ -410,6 +455,13 @@ EQUIVALENT = (
         "keys[u[:k]] = max(keys.get(u[:k], 0), u[k])",
         "no two minimal generators share a key (of two, one would divide the "
         "other), so each key is set once",
+    ),
+    Equivalent(
+        "growth steps never read off the step before", THEO,
+        "            if e - 1 in growth:\n",
+        "            if False:\n",
+        "the step at e - 1 holds H(e) and rho(e) as computed from the same "
+        "record, so computing them again gives the same step; only speed changes",
     ),
 )
 

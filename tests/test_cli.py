@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from gotzmann import cli, monomial_algebra, numpoly, theorems
 from gotzmann.cli import main
-from gotzmann.errors import InvariantViolated
+from gotzmann.errors import InvariantViolated, PreconditionViolated
 from gotzmann.monomial_algebra import module_to_dict
 
 from conftest import THREE_QUADRICS, ideal, module, set_node_budget
@@ -181,6 +181,28 @@ def test_quot_dims(capsys):
     assert adjusted == {"ambient_dim": 10, "grass_dim": 21, "s": 1, "sub_dim": 7}
     standard = run_json(capsys, base + ["--mode", "standard"])
     assert standard == {"ambient_dim": 40, "grass_dim": 375, "s": 7, "sub_dim": 25}
+
+
+def test_every_hyperplane_read_refuses_n_0_with_one_message(capsys):
+    # the public hyperplane value and both Green-form checkers reach the
+    # kernel term, whose one n >= 1 check refuses a module over a point
+    # with one message; the CLI prints it as one error: line and exits 2
+    point = '{"n": 0, "degrees": [0], "components": [{"gens": ["x0^2"]}]}'
+    sub = monomial_algebra.module_from_dict(json.loads(point))
+    message = "hyperplane restriction needs n >= 1, got 0"
+    for read in (
+        lambda: monomial_algebra.generic_hyperplane_hf(sub, 1),
+        lambda: theorems.check_green_adjusted(sub, 1),
+        lambda: theorems.check_gasharov(sub, 1, 0, "green"),
+    ):
+        with pytest.raises(PreconditionViolated) as refused:
+            read()
+        assert str(refused.value) == message
+    for argv in (
+        ["check", "green", "--module", point, "--degree", "1"],
+        ["check", "gasharov", "--module", point, "--degree", "1", "--which", "green"],
+    ):
+        assert run_cli(capsys, argv) == (2, "", f"error: {message}\n")
 
 
 def test_check_commands_pass(capsys):

@@ -108,14 +108,15 @@ def near_misses(n, degrees, specs):
 
 
 def with_record(n, degrees, specs):
-    """A fresh build(n, degrees, specs) with its Hilbert record built: rows
-    read over a band of degrees and, for n >= 1, the hyperplane kernels."""
+    """A fresh build(n, degrees, specs) with its Hilbert record built and
+    read over a band of degrees: the numerator and, for n >= 1, the
+    hyperplane kernels."""
     sub = build(n, degrees, specs)
     for d in range(degrees[0] - 1, degrees[-1] + 3):
         adjusted_hf_decomposition(sub, d)
         if n:
             generic_hyperplane_hf(sub, d)
-    assert sub._rows and (sub._kernels is not None) is (n >= 1)
+    assert hasattr(sub, "_numerator") and (sub._kernels is not None) is (n >= 1)
     return sub
 
 
@@ -266,9 +267,13 @@ def test_copy_and_pickle_rebuild_the_derived_slots(seed):
             assert clone == ideal and clone.exponents == ideal.exponents
 
 
-def test_max_gen_degree_is_computed_once(monkeypatch):
-    sub = random_submodule(3)
-    first = sub.max_gen_degree()
-    assert first is not None
-    monkeypatch.setattr(MonomialIdeal, "max_gen_degree", None)
-    assert sub.max_gen_degree() == first
+def test_max_gen_degree_keeps_no_memo():
+    # the largest generator degree is read off the components on each call:
+    # no slot keeps it, and it is the largest f_i plus a generator degree
+    assert [slot for slot in MonomialSubmodule.__slots__ if "gen" in slot] == ["_generation"]
+    zero = MonomialSubmodule(GradedFreeModule(1, (0, 1)), (MonomialIdeal.zero(1),) * 2)
+    assert zero.max_gen_degree() is None
+    for sub in [random_submodule(seed) for seed in range(30)]:
+        expected = max((f + sum(g) for f, ideal in zip(sub.degrees, sub.components)
+                        for g in ideal.exponents), default=None)
+        assert sub.max_gen_degree() == expected

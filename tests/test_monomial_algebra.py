@@ -719,7 +719,8 @@ def test_hyperplane_kernel_enumerates_no_monomials():
 
 def test_numerator_reads_store_no_values(twisted_plane_pair):
     # the series, the polynomial and the stabilization degree read only the
-    # numerator: the record's slots hold no rows, and no kernel is read
+    # numerator: the record's one table is the numerator, and no kernel is
+    # read
     monomial_algebra._record.cache_clear()
     sub = module(2, (0,), [ideal(2, "x2", "x1^2", "x0*x1")])
     for s in (sub, twisted_plane_pair):
@@ -727,8 +728,7 @@ def test_numerator_reads_store_no_values(twisted_plane_pair):
             read(s)
         assert monomial_algebra._record(s) is s
         tables = [slot for slot in s.__slots__ if isinstance(getattr(s, slot, None), dict)]
-        assert tables == ["_numerator", "_rows"]
-        assert s._rows == {}
+        assert tables == ["_numerator"]
         assert s._kernels is None
 
 
@@ -740,13 +740,12 @@ def test_numerator_reads_store_no_values(twisted_plane_pair):
 @example(3, random.Random(0))
 def test_record_values_do_not_collide(seed, rng):
     # H, rho at the rank and the hyperplane value, for d in [-3, 8], read
-    # into one submodule's rows in shuffled order, against each read alone
-    # from a fresh record: the row at d holds the three, so a read that
-    # landed in another slot or another degree's row would answer one with
-    # another
+    # off one submodule's record in shuffled order, against each read alone
+    # from a fresh record and against the public functions: a read that
+    # left a value behind for another degree or another kind of value would
+    # answer one with another.  The record's numerator stays as built.
     sub = random_submodule(seed)
-    slots = ("H", "rho", "hyperplane")
-    reads = [(d, slot) for d in range(-3, 9) for slot in range(3)]
+    reads = [(d, slot) for d in range(-3, 9) for slot in ("H", "rho", "hyperplane")]
     rng.shuffle(reads)
 
     def fresh(sub):
@@ -754,18 +753,19 @@ def test_record_values_do_not_collide(seed, rng):
         return monomial_algebra._record(MonomialSubmodule(sub.ambient, sub.components))
 
     def read(built, d, slot):
-        if slots[slot] == "hyperplane":
-            return monomial_algebra._hyperplane(built, d)
-        if slots[slot] == "rho":
-            return monomial_algebra._rho(built, d)
-        return monomial_algebra._row(built, d)[0]
+        h = monomial_algebra._hf(built, d)
+        if slot == "hyperplane":
+            return h - monomial_algebra._hf(built, d - 1) + monomial_algebra._kernel_term(built, d)
+        return monomial_algebra._rho(built, d, h) if slot == "rho" else h
 
+    public = {"H": hf_direct, "rho": lambda s, d: adjusted_hf_decomposition(s, d)[1],
+              "hyperplane": generic_hyperplane_hf}
     built = fresh(sub)
+    numerator = dict(built._numerator)
     values = [read(built, d, slot) for d, slot in reads]
     assert values == [read(fresh(sub), d, slot) for d, slot in reads]
-    assert [built._rows[d][slot] for d, slot in reads] == values
-    assert sorted(built._rows) == list(range(-4, 9))  # and H(-4), read by the hyperplane at -3
-    assert built._rows[-4][0] == hf_direct(sub, -4) and built._rows[-4][2] is None
+    assert values == [public[slot](fresh(sub), d) for d, slot in reads]
+    assert built._numerator == numerator and built._generation == monomial_algebra._generation
 
 
 class _Referable(MonomialSubmodule):
@@ -789,7 +789,7 @@ def test_a_record_dies_with_its_submodule():
         del sub
         assert ref() is None
         assert not [o for o in gc.get_objects() if isinstance(o, MonomialSubmodule)
-                    and hasattr(o, "_rows") and o.components is base.components]
+                    and hasattr(o, "_generation") and o.components is base.components]
     finally:
         if enabled:
             gc.enable()
@@ -799,17 +799,17 @@ def test_a_cleared_record_is_rebuilt_on_its_next_read():
     sub = random_submodule(3)
     monomial_algebra._record.cache_clear()
     assert monomial_algebra._record(sub) is sub
-    first = sub._rows
+    first = sub._numerator
     hf_direct(sub, 2)
-    assert monomial_algebra._record(sub) is sub and sub._rows is first and first
+    assert monomial_algebra._record(sub) is sub and sub._numerator is first and first
     assert hf_direct.cache_info()[:2] == (2, 1)
     monomial_algebra._record.cache_clear()
     assert hf_direct.cache_info()[:2] == (0, 0)
     monomial_algebra._record(sub)
-    second = sub._rows
-    assert second is not first and not second
+    second = sub._numerator
+    assert second is not first and second == first
     monomial_algebra._record(sub)
-    assert sub._rows is second
+    assert sub._numerator is second
     assert hf_direct.cache_info()[:2] == (1, 1)
 
 
@@ -817,10 +817,10 @@ def test_copies_carry_no_record():
     sub = random_submodule(3)
     value = hf_direct(sub, 2)
     for clone in (copy.copy(sub), copy.deepcopy(sub), pickle.loads(pickle.dumps(sub))):
-        for slot in ("_numerator", "_rows", "_kernels", "_generation"):
+        for slot in ("_numerator", "_kernels", "_generation"):
             assert not hasattr(clone, slot)
         assert hf_direct(clone, 2) == value
-        assert clone._rows is not sub._rows and clone._numerator is not sub._numerator
+        assert clone._numerator is not sub._numerator
 
 
 def test_rho_window_check_refuses_a_wrong_numerator():
@@ -830,7 +830,7 @@ def test_rho_window_check_refuses_a_wrong_numerator():
     monomial_algebra._record(two)
     object.__setattr__(two, "_numerator", {})
     with pytest.raises(InvariantViolated, match=r"rho = -1 escapes \[0, 1\] at degree 0"):
-        monomial_algebra._rho(two, 0)
+        monomial_algebra._rho(two, 0, monomial_algebra._hf(two, 0))
 
 
 _SECTION_CASES = st.integers(1, 3).flatmap(
@@ -855,7 +855,7 @@ def test_section_dim_matches_the_full_quotient_rank(case):
     ideal_obj = MonomialIdeal(n, tuple(Monomial(tuple(x)) for x in exponent_lists))
     expected = full_quotient_section_dim(ideal_obj, e)
     sub = monomial_algebra._record(module(n, (0,), [ideal_obj]))
-    assert monomial_algebra._section_dim(sub, e) == expected
+    assert generic_hyperplane_hf(sub, e) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -873,7 +873,7 @@ def test_saturated_ideal_never_reaches_rank(case):
     sub = monomial_algebra._record(module(n, (0,), [saturated]))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "rank", refuse)
-        assert monomial_algebra._section_dim(sub, e) == expected
+        assert generic_hyperplane_hf(sub, e) == expected
 
 
 def times_maximal_power(ideal_obj, k):

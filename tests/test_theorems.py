@@ -16,6 +16,8 @@ from gotzmann.monomial_algebra import (
     GradedFreeModule,
     MonomialIdeal,
     MonomialSubmodule,
+    adjusted_hf_decomposition,
+    generic_hyperplane_hf,
     hf_direct,
     hilbert_polynomial,
     module_to_dict,
@@ -345,9 +347,9 @@ def public_reports(sub):
 
 
 def test_sweep_shares_values_as_the_public_checkers_compute_them():
-    # sweep reads each instance's rows once per degree and shares each
-    # adjusted growth pair across its reports, while each public checker
-    # reads its own; both build from the same kernels and report builders,
+    # sweep computes each instance's H, rho and hyperplane value once per
+    # degree and shares each adjusted growth pair across its reports, while
+    # each public checker computes its own; both build from the same kernels and report builders,
     # and every report of sweep(500) equals the public checker's for the
     # same (submodule, d, p), in the same order.  The checkers run on a
     # fresh copy of each instance, so no value is shared with sweep's.
@@ -383,17 +385,17 @@ def test_sweep_calls_the_public_checkers(monkeypatch):
 
 
 def test_sweep_restricts_each_submodule_and_degree_once(monkeypatch):
-    # the Green and Gasharov-green checkers of one (submodule, d) differ in
-    # (r, index), but the hyperplane value is computed once for all of them:
-    # _section_dim runs only on a miss of the submodule's hyperplane rows.
-    # Submodules compare by their fields, so each is keyed by its id.
+    # the Green and Gasharov-green reports of one (submodule, d) differ in
+    # (r, index), but sweep computes the hyperplane value once for all of
+    # them, with one kernel term.  Submodules compare by their fields, so
+    # each is keyed by its id.
     calls = []
 
-    def counted(submodule, d, _original=monomial_algebra._section_dim):
+    def counted(submodule, d, _original=theorems._kernel_term):
         calls.append((id(submodule), d))
         return _original(submodule, d)
 
-    monkeypatch.setattr(monomial_algebra, "_section_dim", counted)
+    monkeypatch.setattr(theorems, "_kernel_term", counted)
     monomial_algebra._record.cache_clear()
     # the reports keep their submodules alive, so no id is reused
     reports = list(sweep(30))
@@ -404,28 +406,27 @@ def test_sweep_restricts_each_submodule_and_degree_once(monkeypatch):
     assert set(calls) == set(restricted)
 
 
-def test_records_hold_at_most_three_cache_bounds_of_values():
-    # one submodule read by hf_direct at CACHE_ENTRIES + 100 degrees, then
-    # by the Green checker at CACHE_ENTRIES others (the rows at d and d - 1
-    # each): its one record is emptied before it would pass CACHE_ENTRIES
-    # rows of three values, once in each run, and every value stays right
-    # across that
+def test_records_hold_no_per_degree_values():
+    # one submodule read at CACHE_ENTRIES + 100 degrees: H, rho, the
+    # hyperplane value and the Green checker's report.  Every value is
+    # right, and the record's slots are left exactly as built, so a
+    # record's memory is bounded by construction, whatever is read
     bound = monomial_algebra.CACHE_ENTRIES
     # rank 1: H(S/I) = 1, 2, 1, 1, ... for I = (x0^2, x0*x1), plus d + 1
     sub = module(1, (0, 0), [ideal(1, "x0^2", "x0*x1"), "zero"])
-    rows = monomial_algebra._record(sub)._rows
-    sizes = []
-    for d in range(1, bound + 101):
-        assert hf_direct(sub, d) == d + (3 if d == 1 else 2)
-        sizes.append(len(rows))
-    for d in range(2 * bound, 3 * bound):
+    monomial_algebra._record(sub)
+    generic_hyperplane_hf(sub, 1)  # the kernels, read on the first kernel term
+    built = {slot: getattr(sub, slot, None) for slot in MonomialSubmodule.__slots__}
+    numerator = dict(sub._numerator)
+    assert built["_kernels"] and numerator
+    for d in range(2, bound + 102):
+        assert hf_direct(sub, d) == d + 2
+        assert adjusted_hf_decomposition(sub, d) == (d + 1, 1)
+        assert generic_hyperplane_hf(sub, d) == 1
         report = check_green_adjusted(sub, d)
         assert (report.bound_lhs, report.context["rho"]) == (1, 1)
-        sizes.append(len(rows))
-    assert monomial_algebra._record(sub)._rows is rows  # the same record throughout
-    assert max(sizes) == bound
-    assert all(len(row) == 3 for row in rows.values())
-    assert sum(1 for a, b in zip(sizes, sizes[1:]) if b < a) == 2
+    assert all(getattr(sub, slot, None) is value for slot, value in built.items())
+    assert sub._numerator == numerator
 
 
 @st.composite
@@ -458,7 +459,8 @@ def test_free_parts_read_off_the_rows_are_the_free_dimensions(sub):
     monomial_algebra._record(sub)
     h, rho = {}, {}
     for d in range(degrees[0] - 4, degrees[-1] + 6):
-        h[d], rho[d] = hf_direct(sub, d), monomial_algebra._rho(sub, d)
+        h[d] = hf_direct(sub, d)
+        rho[d] = monomial_algebra._rho(sub, d, h[d])
     for d in range(degrees[0] - 3, degrees[-1] + 5):
         for index in (1, 2):
             _, bound = theorems._growth(index, rho[d], h[d + 1], rho[d + 1])
